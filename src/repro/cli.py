@@ -18,6 +18,7 @@ import json
 import sys
 import time
 
+from repro.core.fast_arrow import ENGINES
 from repro.experiments import (
     format_kv,
     run_directory_comparison,
@@ -169,7 +170,7 @@ def _add_grid_arguments(parser) -> None:
                              "loss:RATE terms (open-loop grids only; repeat "
                              "the flag to sweep a fault axis of several "
                              "plans)")
-    parser.add_argument("--engine", choices=["fast", "message", "batch"],
+    parser.add_argument("--engine", choices=ENGINES,
                         default="fast")
 
 
@@ -248,11 +249,10 @@ def _compare_side(store, key_or_path: str):
     return store.rows(key_or_path)
 
 
-def _results_command(args, ingest_error, compare_error) -> int:
+def _results_command(args, ingest_error) -> int:
     """Dispatch the ``results`` subcommand group; returns an exit code."""
     from repro.errors import ReproError
     from repro.results import ResultsStore, compare_rows, figure_from_rows
-    from repro.results.compare import bench_doc, compare_bench
 
     store = ResultsStore(args.store)
     try:
@@ -303,70 +303,29 @@ def _results_command(args, ingest_error, compare_error) -> int:
                     else:
                         print("(no latency histograms stored for this run)")
         elif args.results_cmd == "compare":
-            bench_mode = args.baseline is not None or args.fresh is not None
-            row_mode = args.a is not None or args.b is not None
-            if bench_mode and row_mode:
-                compare_error("--baseline/--fresh (bench mode) and --a/--b "
-                              "(row mode) are mutually exclusive")
-            if bench_mode:
-                if args.baseline is None or args.fresh is None:
-                    compare_error("bench mode needs both --baseline and "
-                                  "--fresh")
-                with open(args.baseline, "r", encoding="utf-8") as fh:
-                    baseline = json.load(fh)
-                with open(args.fresh, "r", encoding="utf-8") as fh:
-                    fresh = json.load(fh)
-                report, regressions = compare_bench(
-                    baseline, fresh, args.tolerance
+            cmp = compare_rows(
+                _compare_side(store, args.a),
+                _compare_side(store, args.b),
+                max_delta_pct=args.max_delta_pct,
+            )
+            for line in cmp.report_lines():
+                print(line)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump(cmp.to_doc(), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                print(f"wrote {args.out}")
+            if not cmp.ok:
+                for line in cmp.problems + cmp.exceeding:
+                    print(line, file=sys.stderr)
+                print(
+                    f"results compare FAILED: {len(cmp.problems)} "
+                    f"problem(s), {len(cmp.exceeding)} delta(s) beyond "
+                    "tolerance",
+                    file=sys.stderr,
                 )
-                for line in report:
-                    print(line)
-                if args.out:
-                    doc = bench_doc(
-                        baseline, fresh, args.tolerance, report, regressions
-                    )
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        json.dump(doc, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
-                    print(f"wrote {args.out}")
-                if regressions:
-                    for line in regressions:
-                        print(line, file=sys.stderr)
-                    print(
-                        f"results compare FAILED: {len(regressions)} "
-                        f"regression(s) beyond tolerance {args.tolerance}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(f"results compare OK: {len(report)} scenario line(s), "
-                      "no regressions")
-            else:
-                if args.a is None or args.b is None:
-                    compare_error("row mode needs both --a and --b (store "
-                                  "run keys or sweep JSONL paths)")
-                cmp = compare_rows(
-                    _compare_side(store, args.a),
-                    _compare_side(store, args.b),
-                    max_delta_pct=args.max_delta_pct,
-                )
-                for line in cmp.report_lines():
-                    print(line)
-                if args.out:
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        json.dump(cmp.to_doc(), fh, indent=2, sort_keys=True)
-                        fh.write("\n")
-                    print(f"wrote {args.out}")
-                if not cmp.ok:
-                    for line in cmp.problems + cmp.exceeding:
-                        print(line, file=sys.stderr)
-                    print(
-                        f"results compare FAILED: {len(cmp.problems)} "
-                        f"problem(s), {len(cmp.exceeding)} delta(s) beyond "
-                        "tolerance",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print("results compare OK")
+                return 1
+            print("results compare OK")
     except (ReproError, OSError, json.JSONDecodeError) as exc:
         print(f"results {args.results_cmd} FAILED: {exc}", file=sys.stderr)
         return 1
@@ -391,19 +350,19 @@ def main(argv: list[str] | None = None) -> int:
     p10.add_argument("--service-time", type=float, default=0.1)
     p10.add_argument("--think-time", type=float, default=0.1)
     p10.add_argument("--seed", type=int, default=0)
-    p10.add_argument("--engine", choices=["fast", "message", "batch"],
+    p10.add_argument("--engine", choices=ENGINES,
                      default="fast",
                      help="closed-loop engine (bit-identical; fast is ~5x "
-                          "over message, batch adds vectorized RNG draws)")
+                          "over message)")
     p10.add_argument("--workers", type=int, default=1)
 
     p11 = sub.add_parser("fig11", help="arrow hops per operation")
     p11.add_argument("--procs", type=_int_list, default=None)
     p11.add_argument("--requests-per-proc", type=int, default=300)
     p11.add_argument("--seed", type=int, default=0)
-    p11.add_argument("--engine", choices=["fast", "message", "batch", "open"],
+    p11.add_argument("--engine", choices=[*ENGINES, "open"],
                      default="fast",
-                     help="closed-loop engine (fast/message/batch, "
+                     help="closed-loop engine (fast/message, "
                           "bit-identical) or the open-loop steady-state "
                           "analogue")
     p11.add_argument("--workers", type=int, default=1)
@@ -412,30 +371,30 @@ def main(argv: list[str] | None = None) -> int:
     p9.add_argument("-D", type=int, default=64)
     p9.add_argument("-k", type=int, default=4)
     p9.add_argument("--variant", choices=["literal", "layered"], default="layered")
-    p9.add_argument("--engine", choices=["fast", "message", "batch"], default=None,
+    p9.add_argument("--engine", choices=ENGINES, default=None,
                     help="also simulate the instance on this arrow engine")
 
     p319 = sub.add_parser("thm319", help="competitive ratio sweep (sync)")
     p319.add_argument("--diameters", type=_int_list, default=None)
     p319.add_argument("--requests", type=int, default=60)
-    p319.add_argument("--engine", choices=["message", "fast", "batch"],
+    p319.add_argument("--engine", choices=ENGINES,
                       default="message")
     p319.add_argument("--workers", type=int, default=1)
 
     p321 = sub.add_parser("thm321", help="asynchronous comparison")
     p321.add_argument("--diameters", type=_int_list, default=None)
     p321.add_argument("--requests", type=int, default=60)
-    p321.add_argument("--engine", choices=["message", "fast", "batch"],
+    p321.add_argument("--engine", choices=ENGINES,
                       default="message")
     p321.add_argument("--workers", type=int, default=1)
 
     p41 = sub.add_parser("thm41", help="lower-bound ratio growth sweep")
-    p41.add_argument("--engine", choices=["fast", "message", "batch"], default=None,
+    p41.add_argument("--engine", choices=ENGINES, default=None,
                      help="also report the simulated execution's ratio")
     p41.add_argument("--workers", type=int, default=1)
     p42 = sub.add_parser("thm42", help="lower bound vs stretch")
     p42.add_argument("--stretches", type=_int_list, default=None)
-    p42.add_argument("--engine", choices=["fast", "message", "batch"], default=None)
+    p42.add_argument("--engine", choices=ENGINES, default=None)
     p42.add_argument("--workers", type=int, default=1)
 
     pdir = sub.add_parser("directory", help="arrow vs home-based directory (5.1)")
@@ -543,26 +502,16 @@ def main(argv: list[str] | None = None) -> int:
                      help="row column to plot (default: per-figure)")
 
     prc = rsub.add_parser(
-        "compare",
-        help="diff two runs per cell (row mode) or gate a benchmark "
-             "trajectory (bench mode, subsuming check_regression)",
+        "compare", help="diff two runs per cell, with percent deltas"
     )
     prc.add_argument("--store", default="results", metavar="DIR")
-    prc.add_argument("--a", default=None,
-                     help="row mode: baseline run key or JSONL path")
-    prc.add_argument("--b", default=None,
-                     help="row mode: fresh run key or JSONL path")
+    prc.add_argument("--a", required=True,
+                     help="baseline run key or JSONL path")
+    prc.add_argument("--b", required=True,
+                     help="fresh run key or JSONL path")
     prc.add_argument("--max-delta-pct", type=float, default=None,
-                     help="row mode: fail when any per-cell numeric delta "
-                          "exceeds this percentage")
-    prc.add_argument("--baseline", default=None,
-                     help="bench mode: baseline BENCH json (scenario -> "
-                          "{'speedup': ...})")
-    prc.add_argument("--fresh", default=None,
-                     help="bench mode: fresh BENCH json")
-    prc.add_argument("--tolerance", type=float, default=0.25,
-                     help="bench mode: allowed fractional speedup drop "
-                          "(default: 0.25)")
+                     help="fail when any per-cell numeric delta exceeds "
+                          "this percentage")
     prc.add_argument("--out", default=None, metavar="PATH",
                      help="also write the canonical BENCH_results.json "
                           "trajectory document here")
@@ -808,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
             f"-> {args.out}"
         )
     elif args.cmd == "results":
-        return _results_command(args, pri.error, prc.error)
+        return _results_command(args, pri.error)
     elif args.cmd == "all":
         _emit(
             [

@@ -2,12 +2,6 @@
 
 from repro.core.adaptive import AdaptivePointerNode, run_adaptive
 from repro.core.arrow import ArrowNode, make_arrow_nodes
-from repro.core.batch import (
-    BatchArrowEngine,
-    closed_loop_arrow_batch,
-    closed_loop_centralized_batch,
-    run_arrow_batch,
-)
 from repro.core.centralized import CentralizedNode
 from repro.core.fast_arrow import FastArrowEngine, run_arrow_fast
 from repro.core.fast_closed_loop import (
@@ -33,10 +27,6 @@ __all__ = [
     "ArrowNode",
     "make_arrow_nodes",
     "CentralizedNode",
-    "BatchArrowEngine",
-    "run_arrow_batch",
-    "closed_loop_arrow_batch",
-    "closed_loop_centralized_batch",
     "FastArrowEngine",
     "run_arrow_fast",
     "closed_loop_arrow_fast",

@@ -41,15 +41,33 @@ from repro.net.latency import LatencyModel, UnitLatency
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["FastArrowEngine", "arrow_runner", "run_arrow_fast"]
+__all__ = [
+    "ENGINES",
+    "FastArrowEngine",
+    "arrow_runner",
+    "engine_error_message",
+    "run_arrow_fast",
+]
+
+
+#: Every arrow engine name, defined once: the sweep spec's ``engine``
+#: check, the runner resolvers, the fault entry point and the CLI's
+#: ``--engine`` choices all derive from this tuple.
+ENGINES = ("fast", "message")
+
+
+def engine_error_message(engine: object) -> str:
+    """The one "engine must be ..." text every validation point raises with."""
+    names = " or ".join(repr(name) for name in ENGINES)
+    return f"engine must be {names}, got {engine!r}"
 
 
 def arrow_runner(engine: str):
     """Resolve an engine name to its run function.
 
-    The single validation point for the experiment layer's
-    ``engine="fast" | "message" | "batch"`` knobs — unknown names raise
-    instead of silently falling back to one of the engines.
+    The single validation point for the experiment layer's ``engine``
+    knobs (one of :data:`ENGINES`) — unknown names raise instead of
+    silently falling back to one of the engines.
     """
     if engine == "fast":
         return run_arrow_fast
@@ -57,18 +75,55 @@ def arrow_runner(engine: str):
         from repro.core.runner import run_arrow
 
         return run_arrow
-    if engine == "batch":
-        from repro.core.batch import run_arrow_batch
+    raise ValueError(engine_error_message(engine))
 
-        return run_arrow_batch
-    raise ValueError(
-        f"engine must be 'fast', 'message' or 'batch', got {engine!r}"
-    )
 
 def _raise_livelock(max_events: int | None) -> None:
     raise SimulationError(
         f"exceeded max_events={max_events}; possible livelock in protocol code"
     )
+
+
+def _tree_link_weights(graph: Graph, parent: list[int], root: int) -> list[float]:
+    """Per-link weights as the Network sees them.
+
+    Graph weights on the tree edges (``tree.edge_weight`` may legitimately
+    differ).
+    """
+    weight = [0.0] * len(parent)
+    for v in range(len(parent)):
+        if v != root:
+            weight[v] = graph.weight(v, parent[v])
+    return weight
+
+
+def _det_link_delays(
+    model: LatencyModel,
+    parent: list[int],
+    weight: list[float],
+    root: int,
+    rng,
+) -> tuple[list[float] | None, list[float] | None]:
+    """Per-directed-tree-link delays of a deterministic latency model.
+
+    Deterministic models may legally depend on the (src, dst) direction,
+    so one delay per directed link: up[v] = v -> parent[v], down[v] =
+    parent[v] -> v.  ``(None, None)`` for stochastic models, which must
+    draw per send.
+    """
+    if model.stochastic:
+        return None, None
+    sample = model.sample
+    n = len(parent)
+    det_up = [
+        sample(v, parent[v], weight[v], rng) if v != root else 0.0
+        for v in range(n)
+    ]
+    det_down = [
+        sample(parent[v], v, weight[v], rng) if v != root else 0.0
+        for v in range(n)
+    ]
+    return det_up, det_down
 
 
 # Event type tags inside the general loop's heap tuples.
@@ -111,32 +166,14 @@ class FastArrowEngine:
         self._n = n
         self._root = tree.root
         self._parent = list(tree.parent)
-        # Per-link weights as the Network sees them: graph weights on the
-        # tree edges (tree.edge_weight may legitimately differ).
-        self._weight = [0.0] * n
-        for v in range(n):
-            if v != self._root:
-                self._weight[v] = graph.weight(v, self._parent[v])
-        # Deterministic models ignore the rng but may legally depend on the
-        # (src, dst) direction, so precompute one delay per *directed* link:
-        # up[v] = v -> parent[v], down[v] = parent[v] -> v.
-        self._det_up: list[float] | None = None
-        self._det_down: list[float] | None = None
-        if not self.latency.stochastic:
-            rng = spawn_rng(seed, "network-latency")
-            sample = self.latency.sample
-            self._det_up = [
-                sample(v, self._parent[v], self._weight[v], rng)
-                if v != self._root
-                else 0.0
-                for v in range(n)
-            ]
-            self._det_down = [
-                sample(self._parent[v], v, self._weight[v], rng)
-                if v != self._root
-                else 0.0
-                for v in range(n)
-            ]
+        self._weight = _tree_link_weights(graph, self._parent, self._root)
+        self._det_up, self._det_down = _det_link_delays(
+            self.latency,
+            self._parent,
+            self._weight,
+            self._root,
+            spawn_rng(seed, "network-latency"),
+        )
 
     # ------------------------------------------------------------------
     def run(

@@ -18,11 +18,8 @@ instance by instance.
 The event loops themselves live in :func:`_run_arrow_closed_loop` and
 :func:`_run_centralized_closed_loop`, parameterised by their *delay
 sources* (deterministic per-link tables, a per-send sampler, a router for
-the acknowledgements).  The fast engine binds them to scalar
-``LatencyModel.sample`` calls; the numpy batch engine
-(:mod:`repro.core.batch`) binds the *same* loops to block-buffered
-vectorized draws, which is what keeps all three engines bit-identical by
-construction.
+the acknowledgements), which the public entry points below bind to
+scalar ``LatencyModel.sample`` calls.
 
 Why bit-identical is achievable
 -------------------------------
@@ -51,8 +48,14 @@ from __future__ import annotations
 import time as _wall
 from heapq import heappop, heappush
 
+from repro.core.fast_arrow import (
+    _det_link_delays,
+    _raise_livelock,
+    _tree_link_weights,
+    engine_error_message,
+)
 from repro.core.requests import NO_RID, ROOT_RID
-from repro.errors import NetworkError, SimulationError
+from repro.errors import NetworkError
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.graphs.validation import require_spanning_subgraph
@@ -72,8 +75,8 @@ def closed_loop_runner(protocol: str, engine: str):
     """Resolve ``(protocol, engine)`` to a closed-loop run function.
 
     The single validation point for the experiment layer's closed-loop
-    ``engine="fast" | "message" | "batch"`` knobs — unknown names raise
-    instead of silently falling back.
+    ``engine`` knobs (one of :data:`repro.core.fast_arrow.ENGINES`) —
+    unknown names raise instead of silently falling back.
     """
     if protocol not in ("arrow", "centralized"):
         raise ValueError(
@@ -92,26 +95,7 @@ def closed_loop_runner(protocol: str, engine: str):
         )
 
         return closed_loop_arrow if protocol == "arrow" else closed_loop_centralized
-    if engine == "batch":
-        from repro.core.batch import (
-            closed_loop_arrow_batch,
-            closed_loop_centralized_batch,
-        )
-
-        return (
-            closed_loop_arrow_batch
-            if protocol == "arrow"
-            else closed_loop_centralized_batch
-        )
-    raise ValueError(
-        f"engine must be 'fast', 'message' or 'batch', got {engine!r}"
-    )
-
-
-def _raise_livelock(max_events: int | None) -> None:
-    raise SimulationError(
-        f"exceeded max_events={max_events}; possible livelock in protocol code"
-    )
+    raise ValueError(engine_error_message(engine))
 
 
 # Event type tags inside the heap tuples.  Every tuple is
@@ -171,44 +155,6 @@ def _fill_result(
     result.wall_seconds = wall
     _check_complete(result)
     return result
-
-
-def _tree_link_weights(graph: Graph, parent: list[int], root: int) -> list[float]:
-    """Per-link weights as the Network sees them: graph weights on tree edges."""
-    weight = [0.0] * len(parent)
-    for v in range(len(parent)):
-        if v != root:
-            weight[v] = graph.weight(v, parent[v])
-    return weight
-
-
-def _det_link_delays(
-    model: LatencyModel,
-    parent: list[int],
-    weight: list[float],
-    root: int,
-    rng,
-) -> tuple[list[float] | None, list[float] | None]:
-    """Per-directed-tree-link delays of a deterministic latency model.
-
-    Deterministic models may legally depend on the (src, dst) direction,
-    so one delay per directed link: up[v] = v -> parent[v], down[v] =
-    parent[v] -> v.  ``(None, None)`` for stochastic models, which must
-    draw per send.
-    """
-    if model.stochastic:
-        return None, None
-    sample = model.sample
-    n = len(parent)
-    det_up = [
-        sample(v, parent[v], weight[v], rng) if v != root else 0.0
-        for v in range(n)
-    ]
-    det_down = [
-        sample(parent[v], v, weight[v], rng) if v != root else 0.0
-        for v in range(n)
-    ]
-    return det_up, det_down
 
 
 class _Router:
@@ -274,7 +220,7 @@ class _Router:
 
 
 # ----------------------------------------------------------------------
-# shared closed-loop cores (fast and batch engines both run these)
+# the closed-loop event loops, delay sources injected
 # ----------------------------------------------------------------------
 def _run_arrow_closed_loop(
     result: ClosedLoopResult,
@@ -592,7 +538,7 @@ def _run_centralized_closed_loop(
 
 
 # ----------------------------------------------------------------------
-# the fast engine: scalar delay sources bound to the shared cores
+# public entry points: scalar delay sources bound to the loops
 # ----------------------------------------------------------------------
 def closed_loop_arrow_fast(
     graph: Graph,

@@ -8,10 +8,9 @@ measured ratio grows at most logarithmically with ``D``.
 
 Per-diameter points are independent and route through
 :func:`repro.sweep.executor.map_jobs` (``workers > 1`` fans them out);
-the ``engine`` knob selects the message-level simulator or one of the
-bit-identical fast/batch engines for the arrow runs, so results are the
-same any way — "fast" and "batch" simply get there sooner on large
-diameters.
+the ``engine`` knob selects the message-level simulator or the
+bit-identical fast engine for the arrow runs, so results are the same
+either way — "fast" simply gets there sooner on large diameters.
 """
 
 from __future__ import annotations

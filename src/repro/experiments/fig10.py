@@ -12,18 +12,16 @@ reaches steady state within a few hundred requests per processor, and the
 *shape* (flat vs linear, who wins where) is what the experiment checks —
 with the full-size run available via ``requests_per_proc=100_000``.
 
-Three engines drive each cell, selected by ``engine=``:
+Two engines drive each cell, selected by ``engine=``:
 
 * ``"fast"`` (default) — :mod:`repro.core.fast_closed_loop`, the flat
   heap-based replay of the closed-loop dynamics;
 * ``"message"`` — the original message-level drivers in
-  :mod:`repro.workloads.closed_loop`;
-* ``"batch"`` — :mod:`repro.core.batch`, the same flat-heap replay with
-  numpy block-buffered RNG draws and vectorized delay tables.
+  :mod:`repro.workloads.closed_loop`.
 
-All three are bit-identical (the parity suites enforce it), so the figure
-does not depend on the choice; the fast and batch engines just regenerate
-it several times faster.  Per-size points are independent and route through
+Both are bit-identical (the parity suites enforce it), so the figure
+does not depend on the choice; the fast engine just regenerates it
+several times faster.  Per-size points are independent and route through
 :func:`repro.sweep.executor.map_jobs`: pass ``workers > 1`` to fan the
 system sizes out over processes.
 """

@@ -6,15 +6,13 @@ over the same closed-loop workload as Fig. 10.  This experiment records
 arrow's mean queue-message hop count and the local-find fraction per
 system size.
 
-Four engines are available:
+Three engines are available:
 
 * ``engine="fast"`` (default) — the §5 closed loop replayed on
   :mod:`repro.core.fast_closed_loop`, bit-identical to the message-level
   driver at a fraction of the wall clock;
 * ``engine="message"`` — the same closed loop on the message-level
   simulator, exactly as the paper measures it (identical output);
-* ``engine="batch"`` — the same closed loop through
-  :mod:`repro.core.batch`'s vectorized delay sources (identical output);
 * ``engine="open"`` — the open-loop steady-state analogue: Poisson
   traffic at one request per processor per time unit replayed on the
   :class:`~repro.core.fast_arrow.FastArrowEngine`.  The closed loop's
@@ -108,7 +106,7 @@ def run_fig11(
             # engine="fast" used to name the open-loop analogue; since the
             # closed loop gained its own fast engine, fast/message both run
             # the closed loop (bit-identical) and the analogue is "open".
-            "engines: fast/message/batch = closed loop (identical "
+            "engines: fast/message = closed loop (identical "
             "results), open = open-loop steady-state analogue",
         ],
     )

@@ -66,7 +66,7 @@ def run_fig9(
 
     ``variant`` is ``"literal"`` (the construction exactly as printed) or
     ``"layered"`` (the bitonic reconstruction that realises the sweep
-    mechanism; default).  ``engine`` (``"fast"``, ``"message"`` or ``"batch"``) adds a
+    mechanism; default).  ``engine`` (``"fast"`` or ``"message"``) adds a
     simulated cross-check: the realised execution's total latency on the
     chosen arrow engine, one legal scheduling of the same instance.
     """

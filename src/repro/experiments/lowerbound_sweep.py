@@ -13,7 +13,7 @@ tie-breaking policies of the fast executor.
 
 Per-diameter points are independent and route through
 :func:`repro.sweep.executor.map_jobs` (``workers > 1`` fans them out).
-Passing ``engine="fast"``, ``"message"`` or ``"batch"`` additionally simulates each
+Passing ``engine="fast"`` or ``"message"`` additionally simulates each
 instance on the chosen arrow engine and reports the realised execution's
 ratio alongside the tie-break bracket — the kernel's deterministic
 simultaneity resolution is one legal scheduler, so its ratio must sit at

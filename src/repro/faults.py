@@ -33,13 +33,11 @@ back up.  Recovery metrics (corrections applied, repairs run, requests
 lost, time from first degradation to repair) come back in the
 :class:`FaultReport`.
 
-Engine parity: ``engine="fast"`` and ``engine="batch"`` run one shared
-flat-heap loop (batch differs only in drawing its loss stream in
-bitstream-identical blocks); ``engine="message"`` runs the genuine
-:class:`~repro.net.network.Network` simulation with a fault-aware
-subclass.  All three produce identical results for identical inputs —
-the same event order, the same drops, the same repairs — which the fault
-differential tests enforce.
+Engine parity: ``engine="fast"`` runs a fault-aware flat-heap loop;
+``engine="message"`` runs the genuine :class:`~repro.net.network.Network`
+simulation with a fault-aware subclass.  Both produce identical results
+for identical inputs — the same event order, the same drops, the same
+repairs — which the fault differential tests enforce.
 """
 
 from __future__ import annotations
@@ -49,11 +47,18 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.core.arrow import ArrowNode
-from repro.core.fast_arrow import _raise_livelock, arrow_runner
+from repro.core.fast_arrow import (
+    ENGINES,
+    _det_link_delays,
+    _raise_livelock,
+    _tree_link_weights,
+    arrow_runner,
+    engine_error_message,
+)
 from repro.core.queueing import CompletionRecord, RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.core.stabilize import find_violations_links, stabilize_links
-from repro.errors import FaultPlanError, ProtocolError
+from repro.errors import FaultPlanError, NetworkError, ProtocolError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import require_spanning_subgraph
 from repro.net.latency import LatencyModel, UnitLatency
@@ -70,12 +75,6 @@ __all__ = [
     "parse_fault_plan",
     "run_arrow_faulted",
 ]
-
-#: Loss draws per block refill on the batch engine (an array fill of
-#: ``Generator.random`` consumes the bitstream exactly like the same
-#: number of scalar calls, so block draws replay the scalar order).
-_LOSS_BLOCK = 4096
-
 
 def epoch_rid(k: int) -> int:
     """The fresh rid minted for the ``k``-th repair's sink (k from 0).
@@ -231,32 +230,6 @@ class FaultReport:
         }
 
 
-class _LossStream:
-    """Uniform [0, 1) draws from the ``fault-loss`` stream, in send order.
-
-    ``block=True`` refills from ``Generator.random(_LOSS_BLOCK)`` — the
-    batch engine's draw style, bitstream-identical to scalar calls.
-    """
-
-    __slots__ = ("_rng", "_buf", "_pos", "_block")
-
-    def __init__(self, rng, block: bool) -> None:
-        self._rng = rng
-        self._block = block
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def one(self) -> float:
-        if not self._block:
-            return float(self._rng.random())
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(_LOSS_BLOCK).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
-
-
 def _drop_windows(
     plan: FaultPlan, tree: SpanningTree
 ) -> dict[int, tuple[tuple[float, float], ...]]:
@@ -305,7 +278,6 @@ class _FaultState:
         plan: FaultPlan,
         seed: int,
         *,
-        block_loss: bool,
         emit,
     ) -> None:
         self.tree = tree
@@ -313,10 +285,10 @@ class _FaultState:
         self.down = [False] * tree.num_nodes
         self.windows = _drop_windows(plan, tree)
         self.loss_rate = plan.loss_rate
+        # The dedicated ``fault-loss`` stream: one uniform [0, 1) draw
+        # per send that survives the link windows, in send order.
         self.loss = (
-            _LossStream(spawn_rng(seed, "fault-loss"), block_loss)
-            if plan.loss_rate > 0.0
-            else None
+            spawn_rng(seed, "fault-loss") if plan.loss_rate > 0.0 else None
         )
         self.in_flight = 0
         self.degraded = False
@@ -352,7 +324,7 @@ class _FaultState:
             if t0 <= now < t1:
                 self._record_drop(rid, src, dst, now)
                 return True
-        if self.loss is not None and self.loss.one() < self.loss_rate:
+        if self.loss is not None and self.loss.random() < self.loss_rate:
             self._record_drop(rid, src, dst, now)
             return True
         return False
@@ -421,7 +393,7 @@ class _FaultState:
 
 
 # ----------------------------------------------------------------------
-# the flat-heap faulted loop (engines "fast" and "batch")
+# the flat-heap faulted loop (engine "fast")
 # ----------------------------------------------------------------------
 # Heap tuples are (time, seq, tag, node, src, rid, hops); seq is globally
 # unique, so ordering reduces to the kernel's (time, seq) tie-breaking.
@@ -441,7 +413,6 @@ def _run_flat_faulted(
     service_time: float,
     max_events: int | None,
     on_event,
-    block_loss: bool,
 ) -> tuple[RunResult, FaultReport]:
     """The fault-aware flat-heap loop (mirrors ``FastArrowEngine``).
 
@@ -454,23 +425,10 @@ def _run_flat_faulted(
     n = tree.num_nodes
     root = tree.root
     parent = list(tree.parent)
-    weight = [0.0] * n
-    for v in range(n):
-        if v != root:
-            weight[v] = graph.weight(v, parent[v])
-
+    weight = _tree_link_weights(graph, parent, root)
     rng = spawn_rng(seed, "network-latency")
     sample = latency.sample
-    det_up = det_down = None
-    if not latency.stochastic:
-        det_up = [
-            sample(v, parent[v], weight[v], rng) if v != root else 0.0
-            for v in range(n)
-        ]
-        det_down = [
-            sample(parent[v], v, weight[v], rng) if v != root else 0.0
-            for v in range(n)
-        ]
+    det_up, det_down = _det_link_delays(latency, parent, weight, root, rng)
 
     link = parent[:]
     link[root] = root
@@ -481,7 +439,7 @@ def _run_flat_faulted(
     service = service_time
 
     emit = on_event
-    fs = _FaultState(tree, plan, seed, block_loss=block_loss, emit=emit)
+    fs = _FaultState(tree, plan, seed, emit=emit)
     down = fs.down
 
     result = RunResult(schedule)
@@ -686,7 +644,7 @@ def _run_message_faulted(
 ) -> tuple[RunResult, FaultReport]:
     """Genuine message-level run under the fault model."""
     sim = Simulator(max_events=max_events)
-    fs = _FaultState(tree, plan, seed, block_loss=False, emit=on_event)
+    fs = _FaultState(tree, plan, seed, emit=on_event)
     net = _FaultyNetwork(
         graph,
         sim,
@@ -767,7 +725,7 @@ def run_arrow_faulted(
     """Run the arrow protocol under a fault plan; results plus recovery report.
 
     Accepts the open-loop model knobs of :func:`repro.core.runner.run_arrow`
-    plus the ``engine`` selector (``"fast"``, ``"batch"``, ``"message"``).
+    plus the ``engine`` selector (one of :data:`repro.core.fast_arrow.ENGINES`).
     For the empty plan the returned :class:`RunResult` is bit-identical
     to the fault-free engines' — the run is in fact delegated to the
     selected stock engine, so an empty plan costs nothing beyond one
@@ -775,15 +733,17 @@ def run_arrow_faulted(
     fault vocabulary (``drop``/``crash``/``repair``), so an attached
     :class:`repro.monitors.ArrowMonitor` audits the recovery path too.
     """
+    if engine not in ENGINES:
+        raise ValueError(engine_error_message(engine))
     if isinstance(plan, str):
         plan = parse_fault_plan(plan)
     if service_time < 0:
-        raise ProtocolError(f"service_time must be >= 0, got {service_time}")
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
     schedule.validate_nodes(graph.num_nodes)
     require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
     plan.validate_nodes(graph.num_nodes)
     model = latency if latency is not None else UnitLatency()
-    if plan.empty and engine in ("fast", "batch", "message"):
+    if plan.empty:
         result = arrow_runner(engine)(
             graph,
             tree,
@@ -795,31 +755,15 @@ def run_arrow_faulted(
             on_event=on_event,
         )
         return result, FaultReport()
-    if engine in ("fast", "batch"):
-        return _run_flat_faulted(
-            graph,
-            tree,
-            schedule,
-            plan,
-            latency=model,
-            seed=seed,
-            service_time=float(service_time),
-            max_events=max_events,
-            on_event=on_event,
-            block_loss=engine == "batch",
-        )
-    if engine == "message":
-        return _run_message_faulted(
-            graph,
-            tree,
-            schedule,
-            plan,
-            latency=model,
-            seed=seed,
-            service_time=float(service_time),
-            max_events=max_events,
-            on_event=on_event,
-        )
-    raise ValueError(
-        f"engine must be 'fast', 'message' or 'batch', got {engine!r}"
+    run = _run_flat_faulted if engine == "fast" else _run_message_faulted
+    return run(
+        graph,
+        tree,
+        schedule,
+        plan,
+        latency=model,
+        seed=seed,
+        service_time=float(service_time),
+        max_events=max_events,
+        on_event=on_event,
     )

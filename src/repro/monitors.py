@@ -1,6 +1,6 @@
 """Declarative runtime monitors for arrow protocol traces.
 
-The three arrow engines (message, fast, batch — open and closed loop)
+The arrow engines (message and fast — open and closed loop)
 accept an ``on_event`` hook and, when it is set, emit one call per
 protocol transition.  :class:`ArrowMonitor` consumes that stream and
 checks the Kuhn–Wattenhofer invariants *while the run executes*, by

@@ -13,8 +13,7 @@ without re-running a single simulation:
 * :mod:`repro.results.figures` — canonical tables/plots per paper
   figure, rebuilt from stored rows;
 * :mod:`repro.results.compare` — cross-run comparison (branch vs
-  committed baseline) with per-cell percent deltas, plus the benchmark
-  speedup gate that ``benchmarks/check_regression.py`` delegates to;
+  committed baseline) with per-cell percent deltas;
 
 all surfaced through the ``repro-arrow results`` CLI subcommand group
 (``ingest`` / ``list`` / ``table`` / ``plot`` / ``compare``).
@@ -25,11 +24,7 @@ stored row's histogram columns rebuild a mergeable
 answers percentile queries with a documented rank tolerance.
 """
 
-from repro.results.compare import (
-    RowComparison,
-    compare_bench,
-    compare_rows,
-)
+from repro.results.compare import RowComparison, compare_rows
 from repro.results.figures import FIGURE_METRICS, fig9_result, figure_from_rows
 from repro.results.store import IngestReport, ResultsStore
 
@@ -38,7 +33,6 @@ __all__ = [
     "IngestReport",
     "ResultsStore",
     "RowComparison",
-    "compare_bench",
     "compare_rows",
     "fig9_result",
     "figure_from_rows",

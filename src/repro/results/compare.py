@@ -1,22 +1,15 @@
-"""Cross-run comparison: stored grids and benchmark trajectories.
+"""Cross-run comparison of stored grids (``repro-arrow results compare``).
 
-Two modes, one subcommand (``repro-arrow results compare``):
+:func:`compare_rows` diffs two stored runs — typically this branch's
+fresh grid against a committed baseline store — cell by cell, reporting
+percent deltas per numeric column.  Identity columns (``cell_id``,
+``index``, seeds...) are compared for equality; the ``engine`` label is
+ignored by default (the engines are bit-identical).  With a tolerance,
+any delta beyond it fails the comparison.
 
-* **Row mode** (:func:`compare_rows`) diffs two stored runs — typically
-  this branch's fresh grid against a committed baseline store — cell by
-  cell, reporting percent deltas per numeric column.  Identity columns
-  (``cell_id``, ``index``, seeds...) are compared for equality; the
-  ``engine`` label is ignored by default (the engines are
-  bit-identical).  With a tolerance, any delta beyond it fails the
-  comparison — the grid-level analogue of the benchmark gate.
-* **Bench mode** (:func:`compare_bench`) is the speedup-trajectory gate
-  that ``benchmarks/check_regression.py`` historically implemented; the
-  script now delegates here, so the CLI, the CI job and the results
-  pipeline share one verdict.
-
-Both modes serialise a canonical ``BENCH_results.json`` document
-(:meth:`RowComparison.to_doc` / :func:`bench_doc`): sorted keys, no
-timestamps, so committed trajectories diff cleanly run over run.
+:meth:`RowComparison.to_doc` serialises a canonical
+``BENCH_results.json`` document: sorted keys, no timestamps, so
+committed trajectories diff cleanly run over run.
 """
 
 from __future__ import annotations
@@ -26,8 +19,6 @@ from typing import Any, Iterable
 
 __all__ = [
     "RowComparison",
-    "bench_doc",
-    "compare_bench",
     "compare_rows",
 ]
 
@@ -35,9 +26,6 @@ __all__ = [
 _DELTA_CAP = 50
 
 
-# ----------------------------------------------------------------------
-# row mode
-# ----------------------------------------------------------------------
 @dataclass
 class RowComparison:
     """Outcome of a per-cell diff between two runs of one grid shape."""
@@ -210,76 +198,3 @@ def compare_rows(
                     f"±{max_delta_pct}%)"
                 )
     return cmp
-
-
-# ----------------------------------------------------------------------
-# bench mode (the benchmarks/check_regression.py gate)
-# ----------------------------------------------------------------------
-def compare_bench(
-    baseline: dict, fresh: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Compare per-scenario speedups; return (report_lines, regressions).
-
-    The one-sided benchmark gate: any scenario whose fresh speedup fell
-    below ``baseline * (1 - tolerance)`` — or that vanished from the
-    fresh results — is a regression; improvements are reported but never
-    fail.  Scenarios whose baseline is below 1.0 carry a "no worse"
-    contract asserted in-suite, so they are reported, not gated (they
-    are the most machine-sensitive ratios).
-    """
-    report: list[str] = []
-    regressions: list[str] = []
-    for name in sorted(baseline):
-        base = baseline[name].get("speedup")
-        if name not in fresh:
-            regressions.append(
-                f"{name}: in baseline but missing from fresh results"
-            )
-            continue
-        new = fresh[name].get("speedup")
-        if not isinstance(base, (int, float)) or not isinstance(new, (int, float)):
-            regressions.append(f"{name}: speedup missing or non-numeric")
-            continue
-        if base < 1.0:
-            report.append(
-                f"{name}: speedup {base:.3f} -> {new:.3f} "
-                "(baseline < 1.0: no-worse contract, reported not gated)"
-            )
-            continue
-        floor = base * (1.0 - tolerance)
-        delta = (new - base) / base * 100.0
-        line = (
-            f"{name}: speedup {base:.3f} -> {new:.3f} "
-            f"({delta:+.1f}%, floor {floor:.3f})"
-        )
-        if new < floor:
-            regressions.append(line + "  REGRESSION")
-        else:
-            report.append(line + "  ok")
-    for name in sorted(set(fresh) - set(baseline)):
-        report.append(f"{name}: new scenario (no baseline), not gated")
-    return report, regressions
-
-
-def bench_doc(
-    baseline: dict,
-    fresh: dict,
-    tolerance: float,
-    report: list[str],
-    regressions: list[str],
-) -> dict[str, Any]:
-    """Canonical trajectory document for a bench-mode comparison."""
-    scenarios = {}
-    for name in sorted(set(baseline) | set(fresh)):
-        scenarios[name] = {
-            "baseline": baseline.get(name, {}).get("speedup"),
-            "fresh": fresh.get(name, {}).get("speedup"),
-        }
-    return {
-        "mode": "bench",
-        "tolerance": tolerance,
-        "scenarios": scenarios,
-        "report": list(report),
-        "regressions": list(regressions),
-        "ok": not regressions,
-    }

@@ -102,7 +102,7 @@ def execute_cell(cell: SweepCell) -> dict[str, Any]:
     runner-to-row produce the metric columns; the executor prepends the
     axis identity columns.  Everything is a deterministic function of the
     cell, so rows are reproducible — and, for the arrow engines,
-    engine-independent (fast, message and batch are bit-identical;
+    engine-independent (fast and message are bit-identical;
     message-level-only families like the §5.1 directories ignore the
     engine axis entirely).
     """

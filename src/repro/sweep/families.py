@@ -5,7 +5,7 @@ this module registers:
 
 * the six **open-loop** schedule families (``one_shot`` … ``random``) —
   one shared behaviour: build a request schedule, replay it through the
-  selected arrow engine (fast/message/batch, bit-identical);
+  selected arrow engine (fast/message, bit-identical);
 * the §5 **closed-loop** workloads (``closed_arrow`` /
   ``closed_centralized``), whose request times are generated by the
   acknowledgement dynamics;

@@ -19,6 +19,7 @@ import inspect
 import json
 from dataclasses import dataclass
 
+from repro.core.fast_arrow import ENGINES, engine_error_message
 from repro.errors import SweepError
 from repro.faults import parse_fault_plan
 from repro.graphs.generators import (
@@ -259,10 +260,8 @@ class SweepSpec:
     monitors: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "message", "batch"):
-            raise SweepError(
-                f"engine must be 'fast', 'message' or 'batch', got {self.engine!r}"
-            )
+        if self.engine not in ENGINES:
+            raise SweepError(engine_error_message(self.engine))
         for t in self.trees:
             if t not in TREE_BUILDERS:
                 raise SweepError(
@@ -292,7 +291,7 @@ class SweepSpec:
         (as ``/f[<canonical label>]``), so resuming a re-parametrised
         sweep into an old file recomputes rather than silently keeping
         stale rows.  The engine is deliberately *not* part of the identity
-        (all three engines are bit-identical, so rows are interchangeable)
+        (the engines are bit-identical, so rows are interchangeable)
         and neither is ``monitors`` (monitors never change a row).
         """
         st = f"/st{self.service_time}" if self.service_time else ""

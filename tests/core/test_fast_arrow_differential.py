@@ -1,12 +1,11 @@
-"""Differential suite: fast and batch engines vs the message simulator.
+"""Differential suite: the fast engine vs the message simulator.
 
-The fast and batch engines' shared contract is *bit-identical* output:
+The fast engine's contract is *bit-identical* output:
 same completions (order, predecessors, hop counts, times), same
 makespan, same message counters, same tie-breaking — on every graph
 family, spanning-tree strategy, schedule family and latency model the
-runner supports.  Every instance here runs **three ways** (message,
-fast, batch) and asserts all pairs agree.  The suite enforces the
-contract three ways:
+runner supports.  Every instance here runs on both engines and asserts
+they agree.  The suite enforces the contract three ways:
 
 * a seeded cross-product grid (every graph generator × every schedule
   family × several seeds — well over 200 instances) with randomized
@@ -23,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchArrowEngine, run_arrow_batch
 from repro.core.fast_arrow import FastArrowEngine, run_arrow_fast
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
@@ -103,19 +101,17 @@ def assert_identical(a, b):
 
 
 def run_engines(g, tree, sched, **kw):
-    """Run all three engines; return (message, fast, batch) results."""
+    """Run both engines; return (message, fast) results."""
     return (
         run_arrow(g, tree, sched, **kw),
         run_arrow_fast(g, tree, sched, **kw),
-        run_arrow_batch(g, tree, sched, **kw),
     )
 
 
-def assert_three_way(g, tree, sched, **kw):
-    """All three engines must agree pairwise; returns the message result."""
-    a, b, c = run_engines(g, tree, sched, **kw)
+def assert_parity(g, tree, sched, **kw):
+    """Both engines must agree; returns the message result."""
+    a, b = run_engines(g, tree, sched, **kw)
     assert_identical(a, b)
-    assert_identical(a, c)
     return a
 
 
@@ -123,11 +119,11 @@ def assert_three_way(g, tree, sched, **kw):
 @pytest.mark.parametrize("sname", sorted(SCHEDULE_FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_differential_grid(gname, sname, seed):
-    """216 randomized instances (×3 engines): generators × schedules."""
+    """216 randomized instances (×2 engines): generators × schedules."""
     g = GRAPH_FAMILIES[gname](seed)
     tree = random_spanning_tree(g, root=seed % g.num_nodes, seed=seed + 17)
     sched = SCHEDULE_FAMILIES[sname](g.num_nodes, seed)
-    assert_three_way(g, tree, sched)
+    assert_parity(g, tree, sched)
 
 
 @pytest.mark.parametrize(
@@ -152,7 +148,7 @@ def test_differential_latency_models(latency, service_time, tree_builder):
     tree = tree_builder(g, 0)
     sched = poisson(20, 80, rate=8.0, seed=5)
     kw = dict(latency=latency, seed=11, service_time=service_time)
-    assert_three_way(g, tree, sched, **kw)
+    assert_parity(g, tree, sched, **kw)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,7 +175,7 @@ def test_differential_hypothesis(seed, gname, sname, tree_kind, service_time, st
     sched = SCHEDULE_FAMILIES[sname](g.num_nodes, seed % 100)
     latency = UniformLatency(0.1, 1.0) if stochastic else UnitLatency()
     kw = dict(latency=latency, seed=seed % 7, service_time=service_time)
-    assert_three_way(g, tree, sched, **kw)
+    assert_parity(g, tree, sched, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +187,11 @@ def test_pinned_one_shot_tie_storm_on_path():
     g = path_graph(n)
     tree = bfs_tree(g, root=n // 2)
     sched = one_shot(list(range(n)))
-    a, b, c = run_engines(g, tree, sched)
+    a, b = run_engines(g, tree, sched)
     assert_identical(a, b)
-    assert_identical(a, c)
     # Pin the realised order so silent tie-break changes are caught.
     assert verify_total_order(b) == verify_total_order(a)
     assert b.completions[0].predecessor == a.completions[0].predecessor
-    assert c.completions[0].predecessor == a.completions[0].predecessor
 
 
 def test_pinned_one_shot_on_star_center_contention():
@@ -205,7 +199,7 @@ def test_pinned_one_shot_on_star_center_contention():
     g = star_graph(12)
     tree = bfs_tree(g, root=0)
     sched = one_shot(list(range(1, 12)))
-    assert_three_way(g, tree, sched)
+    assert_parity(g, tree, sched)
 
 
 def test_pinned_duplicate_node_time_requests():
@@ -213,7 +207,7 @@ def test_pinned_duplicate_node_time_requests():
     g = complete_graph(6)
     tree = balanced_binary_overlay(g, 0)
     sched = RequestSchedule([(3, 1.0)] * 9 + [(2, 1.0)] * 3)
-    a = assert_three_way(g, tree, sched)
+    a = assert_parity(g, tree, sched)
     assert sum(1 for r in a.completions.values() if r.hops == 0) >= 9
 
 
@@ -229,7 +223,7 @@ def test_pinned_integer_latency_ties():
     tree = mst_prim(g2, 0)
     sched = RequestSchedule([(v, float(t)) for t in range(4) for v in range(12)])
     kw = dict(latency=WeightLatency())
-    assert_three_way(g2, tree, sched, **kw)
+    assert_parity(g2, tree, sched, **kw)
 
 
 class _AsymmetricLatency(UnitLatency):
@@ -248,7 +242,7 @@ def test_differential_direction_dependent_deterministic_model():
     tree = bfs_tree(g, root=5)
     sched = poisson(16, 60, rate=6.0, seed=3)
     kw = dict(latency=_AsymmetricLatency())
-    a = assert_three_way(g, tree, sched, **kw)
+    a = assert_parity(g, tree, sched, **kw)
     # The asymmetry must actually be visible, or this test checks nothing.
     sym = run_arrow_fast(g, tree, sched)
     assert sym.makespan != a.makespan
@@ -262,16 +256,13 @@ def test_engine_is_reusable_across_runs():
     g = complete_graph(10)
     tree = balanced_binary_overlay(g, 0)
     eng = FastArrowEngine(g, tree)
-    beng = BatchArrowEngine(g, tree)
     for seed in range(3):
         sched = poisson(10, 50, rate=5.0, seed=seed)
         a = run_arrow(g, tree, sched)
         assert_identical(a, eng.run(sched))
-        assert_identical(a, beng.run(sched))
     # Repeating the same schedule gives the same answer (no state leak).
     sched = poisson(10, 50, rate=5.0, seed=0)
     assert eng.run(sched).completions == eng.run(sched).completions
-    assert beng.run(sched).completions == beng.run(sched).completions
 
 
 def test_engine_rejects_non_spanning_tree():
@@ -282,8 +273,6 @@ def test_engine_rejects_non_spanning_tree():
     bad = SpanningTree([0, 0, 0, 0, 0], root=0)  # star edges absent from path
     with pytest.raises(GraphError):
         FastArrowEngine(g, bad)
-    with pytest.raises(GraphError):
-        BatchArrowEngine(g, bad)
 
 
 def test_engine_max_events_matches_runner():
@@ -296,7 +285,7 @@ def test_engine_max_events_matches_runner():
     needed = full.network_stats["messages_sent"] + len(sched)
     for limit in (needed, needed - 1, 5):
         outcomes = []
-        for fn in (run_arrow, run_arrow_fast, run_arrow_batch):
+        for fn in (run_arrow, run_arrow_fast):
             try:
                 fn(g, tree, sched, max_events=limit)
                 outcomes.append("ok")

@@ -1,12 +1,12 @@
-"""Differential suite: fast and batch closed loops vs the message simulator.
+"""Differential suite: the fast closed loops vs the message simulator.
 
-The fast and batch closed-loop engines' shared contract is
+The fast closed-loop engine's contract is
 *bit-identical* output: same makespan, per-request hops, latencies,
 issue/ack times, owners, message totals and tie-breaking — on every
 graph family, spanning-tree strategy, latency model and (think_time,
 service_time, requests_per_proc) point the drivers support, for both the
-arrow and the centralized protocol.  Every instance runs **three ways**
-(message, fast, batch) and asserts all pairs agree.  The suite enforces
+arrow and the centralized protocol.  Every instance runs on both
+engines and asserts they agree.  The suite enforces
 the contract the same three ways as the open-loop differential suite
 (``test_fast_arrow_differential.py``):
 
@@ -26,10 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import (
-    closed_loop_arrow_batch,
-    closed_loop_centralized_batch,
-)
 from repro.core.fast_closed_loop import (
     closed_loop_arrow_fast,
     closed_loop_centralized_fast,
@@ -124,25 +120,16 @@ def assert_identical(a, b):
 
 
 def run_both_arrow(g, tree, **kw):
-    """Message vs fast vs batch; the batch result is checked inline.
-
-    Returns the (message, fast) pair for the call sites' own asserts —
-    the batch engine's parity is asserted here so every instance in the
-    suite covers all three engines.
-    """
+    """The (message, fast) result pair for the call sites' asserts."""
     a = closed_loop_arrow(g, tree, **kw)
     b = closed_loop_arrow_fast(g, tree, **kw)
-    c = closed_loop_arrow_batch(g, tree, **kw)
-    assert_identical(a, c)
     return a, b
 
 
 def run_both_centralized(g, center, **kw):
-    """Same three-way treatment for the centralized protocol."""
+    """Same pair for the centralized protocol."""
     a = closed_loop_centralized(g, center, **kw)
     b = closed_loop_centralized_fast(g, center, **kw)
-    c = closed_loop_centralized_batch(g, center, **kw)
-    assert_identical(a, c)
     return a, b
 
 
@@ -366,11 +353,7 @@ def test_max_events_matches_message_driver():
     # Events: n initial issues + per-message arrivals + think re-issues.
     for limit in (10, 50, 10_000):
         outcomes = []
-        for fn in (
-            closed_loop_arrow,
-            closed_loop_arrow_fast,
-            closed_loop_arrow_batch,
-        ):
+        for fn in (closed_loop_arrow, closed_loop_arrow_fast):
             try:
                 fn(g, tree, max_events=limit, **kw)
                 outcomes.append("ok")
@@ -388,13 +371,12 @@ def test_closed_loop_runner_resolves_and_rejects():
 
     assert closed_loop_runner("arrow", "fast") is closed_loop_arrow_fast
     assert closed_loop_runner("arrow", "message") is msg_arrow
-    assert closed_loop_runner("arrow", "batch") is closed_loop_arrow_batch
     assert closed_loop_runner("centralized", "fast") is closed_loop_centralized_fast
     assert closed_loop_runner("centralized", "message") is msg_central
-    assert (
-        closed_loop_runner("centralized", "batch") is closed_loop_centralized_batch
-    )
     with pytest.raises(ValueError):
         closed_loop_runner("arrow", "open")
+    # The retired numpy engine is rejected by name, not aliased.
+    with pytest.raises(ValueError, match="'fast' or 'message'"):
+        closed_loop_runner("arrow", "batch")
     with pytest.raises(ValueError):
         closed_loop_runner("ivy", "fast")

@@ -4,7 +4,7 @@ The fault layer's contract has three parts, each tested here:
 
 * the fault-plan mini-language round-trips through its canonical label
   and rejects malformed plans at parse time;
-* all three engines produce *identical* results and recovery reports
+* both engines produce *identical* results and recovery reports
   under the same plan (the bit-identity contract extends to faults), and
   the empty plan is bit-identical to the fault-free engines;
 * recovery metrics for a small crash+loss grid are pinned to exact
@@ -16,7 +16,7 @@ The fault layer's contract has three parts, each tested here:
 import pytest
 
 from repro.core.fast_arrow import run_arrow_fast
-from repro.errors import FaultPlanError, ProtocolError, SweepError
+from repro.errors import FaultPlanError, NetworkError, SweepError
 from repro.faults import (
     FaultPlan,
     epoch_rid,
@@ -28,7 +28,7 @@ from repro.monitors import ArrowMonitor
 from repro.spanning import bfs_tree
 from repro.workloads.schedules import poisson
 
-ENGINES = ("fast", "batch", "message")
+ENGINES = ("fast", "message")
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_three_engines_agree_under_faults(plan):
         )
         monitor.finalize(expected=len(schedule))
         outcomes.append((result.completions, result.makespan, report))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_conservation_every_request_completed_or_lost():
@@ -158,16 +158,21 @@ def test_negative_service_time_rejected():
     graph = complete_graph(4)
     tree = bfs_tree(graph, 0)
     schedule = poisson(4, 8, 2.0, seed=0)
-    with pytest.raises(ProtocolError):
-        run_arrow_faulted(graph, tree, schedule, "", service_time=-1.0)
+    # The same error the stock engines and Network raise for this knob,
+    # with or without a plan to apply.
+    for plan in ("", "loss:0.1"):
+        with pytest.raises(NetworkError):
+            run_arrow_faulted(graph, tree, schedule, plan, service_time=-1.0)
 
 
 def test_unknown_engine_rejected():
     graph = complete_graph(4)
     tree = bfs_tree(graph, 0)
     schedule = poisson(4, 8, 2.0, seed=0)
-    with pytest.raises(ValueError):
-        run_arrow_faulted(graph, tree, schedule, "", engine="quantum")
+    # "batch" is the retired numpy engine: rejected, with or without a plan.
+    for engine, plan in (("quantum", ""), ("batch", ""), ("batch", "loss:0.1")):
+        with pytest.raises(ValueError, match="'fast' or 'message'"):
+            run_arrow_faulted(graph, tree, schedule, plan, engine=engine)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ the five named invariant checkers to fire with the right
 
 import pytest
 
-from repro.core.batch import run_arrow_batch
 from repro.core.fast_arrow import run_arrow_fast
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.requests import ROOT_RID
@@ -23,7 +22,6 @@ from repro.workloads.schedules import poisson
 ENGINES = {
     "message": run_arrow,
     "fast": run_arrow_fast,
-    "batch": run_arrow_batch,
 }
 
 

@@ -142,7 +142,7 @@ def test_stabilize_links_matches_node_based_stabilize():
     assert not find_violations_links(link, tree)
 
 
-@pytest.mark.parametrize("engine", ["fast", "batch", "message"])
+@pytest.mark.parametrize("engine", ["fast", "message"])
 def test_repair_after_crash_per_engine(engine):
     """A crash mid-run degrades the tree; the engines must route the
     repair through the stabilisation pass and finish every surviving

@@ -51,6 +51,11 @@ def test_json_output(tmp_path, capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["nope"])
+    # The retired numpy engine is a usage error, not an alias.
+    for argv in (["sweep", "--engine", "batch"], ["fig10", "--engine", "batch"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_directory_command(capsys):
@@ -101,32 +106,12 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
               "--out", str(tmp_path / "x.jsonl")])
 
 
-def test_sweep_command_batch_engine_rows_match_fast(tmp_path):
-    fast = tmp_path / "fast.jsonl"
-    bat = tmp_path / "batch.jsonl"
-    base = ["sweep", "--grid", "smoke", "--out"]
-    assert main(base + [str(fast), "--engine", "fast"]) == 0
-    assert main(base + [str(bat), "--engine", "batch", "--workers", "2"]) == 0
-    f_docs = [json.loads(line) for line in fast.read_text().strip().split("\n")]
-    b_docs = [json.loads(line) for line in bat.read_text().strip().split("\n")]
-    for f, b in zip(f_docs, b_docs):
-        assert f.pop("engine") == "fast"
-        assert b.pop("engine") == "batch"
-        assert f == b
-
-
-def test_fig10_batch_engine_command(capsys):
-    assert main(["fig10", "--procs", "2,6", "--requests-per-proc", "10",
-                 "--engine", "batch"]) == 0
-    assert "centralized" in capsys.readouterr().out
-
-
 def test_sweep_verify_accepts_identical_files(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
     assert main(["sweep", "--grid", "smoke", "--engine", "fast",
                  "--out", str(a)]) == 0
-    assert main(["sweep", "--grid", "smoke", "--engine", "batch",
+    assert main(["sweep", "--grid", "smoke", "--engine", "message",
                  "--out", str(b)]) == 0
     capsys.readouterr()
     assert main(["sweep-verify", "--a", str(a), "--b", str(b),

@@ -83,25 +83,8 @@ def test_compare_flags_a_drifted_cell(pipeline, capsys, tmp_path):
     assert "results compare FAILED" in err and "beyond" in err
 
 
-def test_compare_bench_mode_gate(tmp_path, capsys):
-    baseline = tmp_path / "base.json"
-    fresh = tmp_path / "fresh.json"
-    baseline.write_text(json.dumps({"s": {"speedup": 2.0}}))
-    fresh.write_text(json.dumps({"s": {"speedup": 1.9}}))
-    assert main(
-        ["results", "compare", "--baseline", str(baseline),
-         "--fresh", str(fresh), "--tolerance", "0.25"]
-    ) == 0
-    assert "no regressions" in capsys.readouterr().out
-    fresh.write_text(json.dumps({"s": {"speedup": 1.0}}))
-    assert main(
-        ["results", "compare", "--baseline", str(baseline),
-         "--fresh", str(fresh), "--tolerance", "0.25"]
-    ) == 1
-    assert "REGRESSION" in capsys.readouterr().err
-
-
 def test_compare_mode_flags_are_mutually_exclusive(pipeline, tmp_path):
+    """The retired bench-mode flags and a one-sided diff are usage errors."""
     _, jsonl, store = pipeline
     with pytest.raises(SystemExit) as exc:
         main(["results", "compare", "--store", store, "--a", "smoke",

@@ -1,23 +1,11 @@
-"""Cross-run comparison (``repro.results.compare``).
-
-Row mode is the per-cell diff with percent deltas; bench mode must be
-*the same function* the historical ``benchmarks/check_regression.py``
-gate runs, verified here against the committed baseline file.
-"""
+"""Cross-run comparison (``repro.results.compare``): the per-cell diff
+with percent deltas."""
 
 from __future__ import annotations
 
 import json
-import os
 
-from repro.results.compare import (
-    bench_doc,
-    compare_bench,
-    compare_rows,
-)
-
-REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-BASELINE = os.path.join(REPO, "benchmarks", "bench_baseline.json")
+from repro.results.compare import compare_rows
 
 
 def rows_a():
@@ -55,7 +43,7 @@ def test_percent_deltas_and_tolerance_gate():
 
 def test_engine_label_ignored_but_other_strings_must_match():
     b = rows_a()
-    b[0]["engine"] = "batch"  # engines are bit-identical: ignored
+    b[0]["engine"] = "message"  # engines are bit-identical: ignored
     assert compare_rows(rows_a(), b).ok
     b[0]["graph"] = "ring(n=8)"
     cmp = compare_rows(rows_a(), b)
@@ -71,41 +59,3 @@ def test_missing_cells_and_zero_baseline_are_problems():
     cmp = compare_rows(a, b)
     assert not cmp.ok
     assert "percent delta undefined" in cmp.problems[0]
-
-
-def test_bench_mode_matches_check_regression_verdict_on_baseline():
-    """The script's gate and the library gate are one function."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "check_regression",
-        os.path.join(REPO, "benchmarks", "check_regression.py"),
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-
-    with open(BASELINE, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    # Self-compare: every gated scenario is exactly at baseline -> OK.
-    report, regressions = compare_bench(baseline, baseline, 0.25)
-    assert (report, regressions) == mod.compare(baseline, baseline, 0.25)
-    assert regressions == []
-    # A regressed fresh copy fails both identically.
-    regressed = {
-        k: {"speedup": v["speedup"] * 0.5} for k, v in baseline.items()
-    }
-    ours = compare_bench(baseline, regressed, 0.25)
-    assert ours == mod.compare(baseline, regressed, 0.25)
-    assert ours[1], "halving every speedup must regress"
-
-
-def test_bench_doc_is_canonical_and_carries_the_verdict():
-    baseline = {"s1": {"speedup": 2.0}, "gone": {"speedup": 1.5}}
-    fresh = {"s1": {"speedup": 1.0}, "new": {"speedup": 3.0}}
-    report, regressions = compare_bench(baseline, fresh, 0.25)
-    doc = bench_doc(baseline, fresh, 0.25, report, regressions)
-    assert doc["ok"] is False
-    assert set(doc["scenarios"]) == {"s1", "gone", "new"}
-    assert doc["scenarios"]["gone"]["fresh"] is None
-    assert doc["scenarios"]["new"]["baseline"] is None
-    assert json.dumps(doc, sort_keys=True)  # deterministic trajectory

@@ -125,7 +125,7 @@ def test_fault_columns_only_on_faulted_rows():
     )
 
 
-@pytest.mark.parametrize("engine", ["fast", "batch", "message"])
+@pytest.mark.parametrize("engine", ["fast", "message"])
 def test_faulted_rows_engine_independent(engine):
     base = open_spec(faults=("crash@2.0:1,loss:0.02",))
     want = execute_cell(base.cells()[0])

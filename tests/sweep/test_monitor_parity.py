@@ -22,7 +22,7 @@ def sweep_bytes(tmp_path, spec, name):
         return fh.read()
 
 
-@pytest.mark.parametrize("engine", ["fast", "batch", "message"])
+@pytest.mark.parametrize("engine", ["fast", "message"])
 def test_monitors_do_not_change_fault_free_jsonl(tmp_path, engine):
     spec = smoke_grid(engine=engine)
     off = sweep_bytes(tmp_path, spec, f"{engine}-off")

@@ -113,6 +113,9 @@ def test_unknown_axis_values_rejected():
         )
     with pytest.raises(SweepError):
         smoke_grid(engine="warp")
+    # The retired numpy engine is rejected, naming the ones that remain.
+    with pytest.raises(SweepError, match="'fast' or 'message'"):
+        smoke_grid(engine="batch")
 
 
 def test_explicit_zero_count_and_rate_rejected():
@@ -167,9 +170,13 @@ def test_arrow_runner_rejects_unknown_engine():
 
     assert arrow_runner("fast") is run_arrow_fast
     assert arrow_runner("message") is run_arrow
-    for bad in ("Fast", "msg", ""):
-        with pytest.raises(ValueError):
+    for bad in ("Fast", "msg", "", "batch"):
+        with pytest.raises(ValueError, match="'fast' or 'message'"):
             arrow_runner(bad)
+    # The retired numpy engine left no public name behind either.
+    exported: dict = {}
+    exec("from repro.core import *", exported)
+    assert not [name for name in exported if "batch" in name.lower()]
 
 
 def test_named_grids_expand():
