@@ -1,22 +1,14 @@
-"""Fast closed-loop engine vs message simulator: the wall-clock contract.
+"""Fast closed-loop engine vs message simulator: equivalence + speedup report.
 
 Times both engines on a Fig. 10-sized closed loop (complete graph,
 balanced binary overlay, per-node service time, think time), verifies the
 outputs are bit-identical, and records the speedup ratio in
 ``benchmark.extra_info`` so the trajectory lands in the archived
-BENCH_*.json alongside the open-loop engine benchmark.
-
-The strict speedup floor is gated to non-CI runs by default: on a ``CI``
-runner the whole module is skipped (shared runners are far too noisy for
-wall-clock floors, and the tier-1 suite already covers the parity
-contract); ``REPRO_BENCH_RELAXED`` additionally lowers the local floor
-for constrained machines.
+BENCH_*.json alongside the open-loop engine benchmark.  The ratio is
+reported, not asserted: wall-clock gating lives in ``benchmarks/e2e``.
 """
 
-import os
 import time
-
-import pytest
 
 from repro.core.fast_closed_loop import (
     closed_loop_arrow_fast,
@@ -25,11 +17,6 @@ from repro.core.fast_closed_loop import (
 from repro.graphs import complete_graph
 from repro.spanning import balanced_binary_overlay
 from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
-
-pytestmark = pytest.mark.skipif(
-    bool(os.environ.get("CI")),
-    reason="wall-clock speedup floors are gated to non-CI runs",
-)
 
 PROCS = 64
 REQUESTS_PER_PROC = 150  # 9600 closed-loop requests end to end
@@ -80,8 +67,3 @@ def test_fast_closed_loop_speedup(benchmark):
         f"centralized speedup {central_message_s / central_fast_s:.1f}x "
         f"over {PROCS * REQUESTS_PER_PROC} requests"
     )
-    # Local runs clear 3x with headroom (typically ~5x); constrained
-    # machines get a relaxed floor via REPRO_BENCH_RELAXED (the measured
-    # ratio is archived in extra_info either way).
-    floor = 1.5 if os.environ.get("REPRO_BENCH_RELAXED") else 3.0
-    assert speedup >= floor, f"fast closed loop only {speedup:.1f}x faster"

@@ -1,13 +1,14 @@
-"""Fast engine vs message simulator: the ≥5× wall-clock contract.
+"""Fast engine vs message simulator: equivalence, with the speedup reported.
 
 Times both engines on the ``test_sim_throughput``-style workload scaled
 to 10 000 requests (unit latency, complete graph, balanced binary
 overlay), verifies the outputs are bit-identical, and records the
 speedup ratio in ``benchmark.extra_info`` so the trajectory lands in the
-archived BENCH_*.json alongside the paper-figure benchmarks.
+archived BENCH_*.json alongside the paper-figure benchmarks.  The ratio
+is reported, not asserted: wall-clock gating lives in ``benchmarks/e2e``
+(``core.fast.us_per_event`` vs ``core.message.us_per_event``).
 """
 
-import os
 import time
 
 from repro.core.fast_arrow import run_arrow_fast
@@ -56,11 +57,6 @@ def test_fast_engine_speedup_on_10k_requests(benchmark):
         f"\nmessage {message_s * 1e3:.1f} ms, fast {fast_s * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x over {REQUESTS} requests"
     )
-    # Local runs clear 5x with ~2x headroom (typically ~10x); shared CI
-    # runners get a relaxed floor so timing noise cannot fail the build
-    # (the measured ratio is still archived in extra_info either way).
-    floor = 2.0 if os.environ.get("REPRO_BENCH_RELAXED") else 5.0
-    assert speedup >= floor, f"fast engine only {speedup:.1f}x faster"
 
 
 def test_fast_engine_throughput_hop_heavy(benchmark):

@@ -1,4 +1,4 @@
-"""Fault-injection benchmark: recovery metrics + the zero-cost contracts.
+"""Fault-injection benchmark: recovery metrics + the overhead ratios.
 
 Regenerates ``BENCH_faults.json`` from real runs (gitignored like every
 ``BENCH_*.json``; CI uploads it as a per-push artifact):
@@ -8,8 +8,8 @@ Regenerates ``BENCH_faults.json`` from real runs (gitignored like every
   time-to-recovery) the sweep's fault axis persists per row;
 * ``loss_1pct`` — the same workload under 1% i.i.d. message loss;
 * ``empty_plan_overhead`` — :func:`repro.faults.run_arrow_faulted` with
-  the empty plan vs :func:`repro.core.fast_arrow.run_arrow_fast`: the
-  fault layer must be (near) free when no faults are injected;
+  the empty plan vs :func:`repro.core.fast_arrow.run_arrow_fast`: what
+  the fault layer costs when no faults are injected;
 * ``monitor_overhead`` — the Fig. 10-style closed loop with the
   ``on_event`` hook left at ``None`` vs a full deep-checking
   :class:`~repro.monitors.ArrowMonitor` attached: what the runtime
@@ -17,15 +17,13 @@ Regenerates ``BENCH_faults.json`` from real runs (gitignored like every
   ``None`` test per event site, which is what keeps the fault-free
   engines at parity).
 
-Floors: the empty-plan ratio must stay under 1.05 locally;
-``REPRO_BENCH_RELAXED`` (shared CI runners) drops the wall-clock floors
-but still archives every measured ratio.  The recovery *metrics* are
-exact deterministic values either way — they are also pinned at small
-scale by ``tests/core/test_faults.py``.
+The wall-clock ratios are archived, not asserted (``benchmarks/e2e``
+gates them as ``faults.empty_plan_ratio`` / ``monitors.overhead_ratio``).
+The recovery *metrics* are exact deterministic values — they are also
+pinned at small scale by ``tests/core/test_faults.py``.
 """
 
 import json
-import os
 import time
 
 from repro.core.fast_arrow import run_arrow_fast
@@ -54,7 +52,6 @@ def _best_of(fn, repeats=3):
 
 
 def test_fault_recovery_archive(benchmark):
-    relaxed = bool(os.environ.get("REPRO_BENCH_RELAXED"))
     graph = complete_graph(N)
     tree = balanced_binary_overlay(graph, 0)
     schedule = poisson(N, REQUESTS, rate=8.0, seed=1)
@@ -86,7 +83,7 @@ def test_fault_recovery_archive(benchmark):
         **report.as_columns(),
     }
 
-    # --- empty-plan overhead (fault layer must be near-free) ---------
+    # --- empty-plan overhead -----------------------------------------
     plain = run_arrow_fast(graph, tree, schedule, seed=1, service_time=0.1)
     faulted, _ = run_arrow_faulted(
         graph, tree, schedule, "", seed=1, service_time=0.1
@@ -110,8 +107,6 @@ def test_fault_recovery_archive(benchmark):
         "faulted_seconds": faulted_s,
         "overhead_ratio": ratio,
     }
-    if not relaxed:
-        assert ratio < 1.05, f"empty fault plan costs {ratio:.3f}x"
 
     # --- monitor overhead on the Fig. 10 closed loop -----------------
     kw = dict(requests_per_proc=100, think_time=0.1, service_time=0.1, seed=3)

@@ -14,27 +14,34 @@ Run:  python examples/sp2_experiment.py [requests_per_proc]
 
 import sys
 
-from repro.experiments import format_table, plot, run_fig10, run_fig11
+from repro.experiments import format_table, plot
+from repro.results import figure_from_rows
+from repro.sweep import fig10_grid, iter_sweep
 
 
 def main() -> None:
     rpp = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    procs = [2, 4, 8, 16, 32, 48, 64, 76]
+    procs = (2, 4, 8, 16, 32, 48, 64, 76)
 
-    fig10 = run_fig10(procs, requests_per_proc=rpp)
+    # One closed-loop sweep feeds both figures: Fig. 10 tabulates the
+    # rows' makespan, Fig. 11 the arrow rows' hops per operation.
+    rows = list(iter_sweep(fig10_grid(procs, requests_per_proc=rpp)))
+    fig10 = figure_from_rows("fig10", rows)
     print(format_table(fig10))
     print()
     print(plot(fig10))
     print()
 
-    fig11 = run_fig11(procs, requests_per_proc=rpp)
+    fig11 = figure_from_rows(
+        "fig11", [r for r in rows if r["schedule"].startswith("closed_arrow")]
+    )
     print(format_table(fig11))
     print()
     print(plot(fig11))
 
-    arrow = fig10.series_by_name("arrow").ys
-    central = fig10.series_by_name("centralized").ys
-    hops = fig11.series_by_name("mean hops/op").ys
+    arrow = fig10.series_by_name("closed_arrow").ys
+    central = fig10.series_by_name("closed_centralized").ys
+    hops = fig11.series_by_name("closed_arrow").ys
     print()
     print(f"arrow slowdown  2 -> 76 procs: {arrow[-1]/arrow[0]:.2f}x "
           f"(paper: nearly flat)")

@@ -1,7 +1,7 @@
 """Competitive-ratio measurement: arrow vs the optimal offline bracket.
 
-Combines the pieces of Section 3 into one call: run arrow (message-level
-or fast executor), bracket the optimal offline cost, and report the ratio
+Combines the pieces of Section 3 into one call: run arrow (simulated or
+via the NN executor), bracket the optimal offline cost, and report the ratio
 together with the theorem's bound ``O(s log D)`` evaluated with the
 explicit constants the proof yields:
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import OptBounds, opt_bounds
-from repro.core.fast_arrow import arrow_runner
+from repro.core.fast_arrow import run_arrow_fast
 from repro.core.requests import RequestSchedule
 from repro.errors import AnalysisError
 from repro.graphs.graph import Graph
@@ -65,16 +65,14 @@ def measure_competitive_ratio(
     latency: LatencyModel | None = None,
     seed: int = 0,
     exact_limit: int = 12,
-    engine: str = "message",
     arrow_cost: float | None = None,
 ) -> CompetitiveReport:
     """Measure arrow's competitive ratio bracket on one instance.
 
-    With ``simulate`` the arrow cost comes from a simulator run — the
-    message-level ground truth or, with ``engine="fast"``, the
-    bit-identical :class:`~repro.core.fast_arrow.FastArrowEngine`
-    (required for asynchronous latency models either way); otherwise
-    from the fast NN executor (synchronous model only — a
+    With ``simulate`` the arrow cost comes from a simulator run on
+    :class:`~repro.core.fast_arrow.FastArrowEngine` (bit-identical to
+    the message-level ground truth; required for asynchronous latency
+    models); otherwise from the NN executor (synchronous model only — a
     :class:`AnalysisError` is raised if a latency model is supplied).
     A caller that already *simulated* the instance can pass its
     ``arrow_cost`` to skip the redundant rerun; the report then counts as
@@ -86,9 +84,9 @@ def measure_competitive_ratio(
         raise AnalysisError("fast executor models synchronous latency only")
     if arrow_cost is None:
         if simulate:
-            runner = arrow_runner(engine)
-            result = runner(graph, tree, schedule, latency=latency, seed=seed)
-            arrow_cost = result.total_latency
+            arrow_cost = run_arrow_fast(
+                graph, tree, schedule, latency=latency, seed=seed
+            ).total_latency
         else:
             arrow_cost = predict_arrow_run(tree, schedule).arrow_cost
         simulated = simulate

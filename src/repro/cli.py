@@ -21,15 +21,12 @@ import time
 from repro.core.fast_arrow import ENGINES
 from repro.experiments import (
     format_kv,
-    run_directory_comparison,
     run_one_shot_analysis,
     format_table,
     plot,
     run_async_comparison,
     run_competitive_sweep,
     run_fig9,
-    run_fig10,
-    run_fig11,
     run_protocol_ablation,
     run_sequential_experiment,
     run_service_time_ablation,
@@ -42,7 +39,13 @@ __all__ = ["main"]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    values = [int(x) for x in text.split(",") if x]
+    if not values:
+        # An empty list must not silently fall back to a preset's default.
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers, got {text!r}"
+        )
+    return values
 
 
 def _shard(text: str) -> tuple[int, int]:
@@ -137,20 +140,24 @@ def _emit(results, args) -> None:
 
 
 def _add_grid_arguments(parser) -> None:
-    """Grid-identity flags shared by ``sweep`` and ``results ingest``.
+    """Grid-identity flags shared by ``sweep``, ``results ingest`` and the
+    per-figure commands.
 
-    Everything here feeds :func:`_build_grid_spec`, so the two commands
+    Everything here feeds :func:`_build_grid_spec`, so the commands
     cannot drift apart: the spec an ingest hashes is built by the same
-    code path as the spec the sweep ran.
+    code path as the spec the sweep ran.  A figure command has already
+    fixed its grid with ``set_defaults(grid=...)`` and gets no ``--grid``.
     """
-    parser.add_argument(
-        "--grid",
-        choices=["fig10", "fig11", "mixed", "smoke", "directory"],
-        default="smoke",
-        help="named grid preset (fig10 = closed-loop arrow vs centralized, "
-             "directory = §5.1 arrow vs home-based directory)",
-    )
-    parser.add_argument("--sizes", type=_int_list, default=None,
+    if parser.get_default("grid") is None:
+        parser.add_argument(
+            "--grid",
+            choices=["fig10", "fig11", "mixed", "smoke", "directory"],
+            default="smoke",
+            help="named grid preset (fig10 = closed-loop arrow vs "
+                 "centralized, directory = §5.1 arrow vs home-based "
+                 "directory)",
+        )
+    parser.add_argument("--sizes", "--procs", type=_int_list, default=None,
                         help="system sizes (fig10/fig11/directory grids only)")
     parser.add_argument("--per-node", type=int, default=None,
                         help="requests per node (fig11 grid only)")
@@ -184,7 +191,9 @@ def _build_grid_spec(args, error):
         smoke_grid,
     )
 
-    if args.grid not in ("fig10", "fig11", "directory") and args.sizes:
+    if args.sizes is not None and args.grid not in (
+        "fig10", "fig11", "directory"
+    ):
         error("--sizes only applies to --grid fig10/fig11/directory")
     if args.grid != "fig11" and args.per_node is not None:
         error("--per-node only applies to --grid fig11")
@@ -196,9 +205,9 @@ def _build_grid_spec(args, error):
         error("--acquisitions-per-proc only applies to --grid directory")
     # Omitted flags fall through to the preset's own defaults.
     kwargs: dict = {"engine": args.engine}
-    if args.seeds:
+    if args.seeds is not None:
         kwargs["seeds"] = tuple(args.seeds)
-    if args.sizes:
+    if args.sizes is not None:
         kwargs["sizes"] = tuple(args.sizes)
     if args.grid == "fig10":
         if args.requests_per_proc is not None:
@@ -236,6 +245,52 @@ def _build_grid_spec(args, error):
         except SweepError as exc:
             error(str(exc))
     return spec
+
+
+#: The paper's measured figures as presets over the shared grid flags:
+#: command -> (grid preset, help text, parser defaults).  The defaults
+#: are the figures' published sizes; every grid flag still overrides.
+_SP2_LOOP = {"sizes": [2, 4, 8, 16, 32, 48, 64, 76], "requests_per_proc": 300}
+_FIGURES = {
+    "fig10": ("fig10", "arrow vs centralized closed-loop latency", _SP2_LOOP),
+    # Fig. 11 is the same closed loop, tabulated on hops instead of time.
+    "fig11": ("fig10", "arrow hops per operation", _SP2_LOOP),
+    "directory": (
+        "directory",
+        "arrow vs home-based directory (5.1)",
+        {"sizes": [2, 4, 8, 12, 16], "acquisitions_per_proc": 50},
+    ),
+}
+
+
+def _figure(args):
+    """One paper figure: sweep its grid in memory, tabulate the rows.
+
+    A row that breaks a persisted invariant (``exclusion_ok`` false on a
+    directory row) is a protocol violation, not a figure: exit 1.
+    """
+    import dataclasses
+
+    from repro.results import figure_from_rows
+    from repro.sweep import iter_sweep
+    from repro.sweep.persist import _row_shape_problems
+
+    spec = _build_grid_spec(args, args.usage_error)
+    if args.cmd == "fig11":
+        # Only arrow's hops are plotted: skip the centralized cells.
+        spec = dataclasses.replace(
+            spec,
+            schedules=tuple(
+                s for s in spec.schedules if s.family == "closed_arrow"
+            ),
+        )
+    rows = list(iter_sweep(spec))
+    problems = [
+        p for row in rows for p in _row_shape_problems(row, args.cmd)
+    ]
+    if problems:
+        raise SystemExit(f"{args.cmd} FAILED: " + "; ".join(problems))
+    return figure_from_rows(args.cmd, rows, metric=args.metric)
 
 
 def _compare_side(store, key_or_path: str):
@@ -344,63 +399,30 @@ def main(argv: list[str] | None = None) -> int:
                           "into this results store (see 'results' commands)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    p10 = sub.add_parser("fig10", help="arrow vs centralized closed-loop latency")
-    p10.add_argument("--procs", type=_int_list, default=None)
-    p10.add_argument("--requests-per-proc", type=int, default=300)
-    p10.add_argument("--service-time", type=float, default=0.1)
-    p10.add_argument("--think-time", type=float, default=0.1)
-    p10.add_argument("--seed", type=int, default=0)
-    p10.add_argument("--engine", choices=ENGINES,
-                     default="fast",
-                     help="closed-loop engine (bit-identical; fast is ~5x "
-                          "over message)")
-    p10.add_argument("--workers", type=int, default=1)
-
-    p11 = sub.add_parser("fig11", help="arrow hops per operation")
-    p11.add_argument("--procs", type=_int_list, default=None)
-    p11.add_argument("--requests-per-proc", type=int, default=300)
-    p11.add_argument("--seed", type=int, default=0)
-    p11.add_argument("--engine", choices=[*ENGINES, "open"],
-                     default="fast",
-                     help="closed-loop engine (fast/message, "
-                          "bit-identical) or the open-loop steady-state "
-                          "analogue")
-    p11.add_argument("--workers", type=int, default=1)
+    for name, (grid, text, defaults) in _FIGURES.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(grid=grid)
+        _add_grid_arguments(p)
+        p.set_defaults(usage_error=p.error, **defaults)
+        p.add_argument("--metric", default=None,
+                       help="row column to tabulate (default: per-figure)")
 
     p9 = sub.add_parser("fig9", help="lower-bound instance picture + costs")
     p9.add_argument("-D", type=int, default=64)
     p9.add_argument("-k", type=int, default=4)
     p9.add_argument("--variant", choices=["literal", "layered"], default="layered")
-    p9.add_argument("--engine", choices=ENGINES, default=None,
-                    help="also simulate the instance on this arrow engine")
 
     p319 = sub.add_parser("thm319", help="competitive ratio sweep (sync)")
     p319.add_argument("--diameters", type=_int_list, default=None)
     p319.add_argument("--requests", type=int, default=60)
-    p319.add_argument("--engine", choices=ENGINES,
-                      default="message")
-    p319.add_argument("--workers", type=int, default=1)
 
     p321 = sub.add_parser("thm321", help="asynchronous comparison")
     p321.add_argument("--diameters", type=_int_list, default=None)
     p321.add_argument("--requests", type=int, default=60)
-    p321.add_argument("--engine", choices=ENGINES,
-                      default="message")
-    p321.add_argument("--workers", type=int, default=1)
 
-    p41 = sub.add_parser("thm41", help="lower-bound ratio growth sweep")
-    p41.add_argument("--engine", choices=ENGINES, default=None,
-                     help="also report the simulated execution's ratio")
-    p41.add_argument("--workers", type=int, default=1)
+    sub.add_parser("thm41", help="lower-bound ratio growth sweep")
     p42 = sub.add_parser("thm42", help="lower bound vs stretch")
     p42.add_argument("--stretches", type=_int_list, default=None)
-    p42.add_argument("--engine", choices=ENGINES, default=None)
-    p42.add_argument("--workers", type=int, default=1)
-
-    pdir = sub.add_parser("directory", help="arrow vs home-based directory (5.1)")
-    pdir.add_argument("--procs", type=_int_list, default=None)
-    pdir.add_argument("--acquisitions-per-proc", type=int, default=50)
-    pdir.add_argument("--workers", type=int, default=1)
 
     sub.add_parser("oneshot", help="one-shot concurrent case ([10])")
     sub.add_parser("sequential", help="sequential-regime baseline checks")
@@ -518,36 +540,10 @@ def main(argv: list[str] | None = None) -> int:
 
     args = top.parse_args(argv)
 
-    if args.cmd == "fig10":
-        _emit(
-            [
-                run_fig10(
-                    args.procs,
-                    requests_per_proc=args.requests_per_proc,
-                    service_time=args.service_time,
-                    think_time=args.think_time,
-                    seed=args.seed,
-                    engine=args.engine,
-                    workers=args.workers,
-                )
-            ],
-            args,
-        )
-    elif args.cmd == "fig11":
-        _emit(
-            [
-                run_fig11(
-                    args.procs,
-                    requests_per_proc=args.requests_per_proc,
-                    seed=args.seed,
-                    engine=args.engine,
-                    workers=args.workers,
-                )
-            ],
-            args,
-        )
+    if args.cmd in _FIGURES:
+        _emit([_figure(args)], args)
     elif args.cmd == "fig9":
-        rep = run_fig9(args.D, args.k, variant=args.variant, engine=args.engine)
+        rep = run_fig9(args.D, args.k, variant=args.variant)
         print(rep.picture)
         print()
         print(
@@ -563,11 +559,7 @@ def main(argv: list[str] | None = None) -> int:
                     "opt lower bound": rep.opt_lower,
                     "comb Manhattan weight": rep.comb_weight,
                     "measured ratio": round(rep.ratio, 3),
-                    **(
-                        {f"simulated cost ({args.engine})": rep.sim_cost}
-                        if rep.sim_cost is not None
-                        else {}
-                    ),
+                    "simulated cost (fast)": rep.sim_cost,
                 },
                 title="fig9",
             )
@@ -579,46 +571,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"archived fig9 -> {path}")
     elif args.cmd == "thm319":
         _emit(
-            [
-                run_competitive_sweep(
-                    args.diameters,
-                    requests=args.requests,
-                    engine=args.engine,
-                    workers=args.workers,
-                )
-            ],
+            [run_competitive_sweep(args.diameters, requests=args.requests)],
             args,
         )
     elif args.cmd == "thm321":
         _emit(
-            [
-                run_async_comparison(
-                    args.diameters,
-                    requests=args.requests,
-                    engine=args.engine,
-                    workers=args.workers,
-                )
-            ],
+            [run_async_comparison(args.diameters, requests=args.requests)],
             args,
         )
     elif args.cmd == "thm41":
-        _emit([run_theorem41_sweep(engine=args.engine, workers=args.workers)], args)
+        _emit([run_theorem41_sweep()], args)
     elif args.cmd == "thm42":
-        _emit(
-            [run_theorem42_sweep(args.stretches, engine=args.engine, workers=args.workers)],
-            args,
-        )
-    elif args.cmd == "directory":
-        _emit(
-            [
-                run_directory_comparison(
-                    args.procs,
-                    acquisitions_per_proc=args.acquisitions_per_proc,
-                    workers=args.workers,
-                )
-            ],
-            args,
-        )
+        _emit([run_theorem42_sweep(args.stretches)], args)
     elif args.cmd == "oneshot":
         _emit([run_one_shot_analysis()], args)
     elif args.cmd == "sequential":
@@ -761,9 +725,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.cmd == "all":
         _emit(
             [
-                run_fig10(),
-                run_fig11(),
-                run_directory_comparison(),
+                *(_figure(top.parse_args([name])) for name in _FIGURES),
                 run_one_shot_analysis(),
                 run_competitive_sweep(),
                 run_async_comparison(),

@@ -65,9 +65,9 @@ def engine_error_message(engine: object) -> str:
 def arrow_runner(engine: str):
     """Resolve an engine name to its run function.
 
-    The single validation point for the experiment layer's ``engine``
-    knobs (one of :data:`ENGINES`) — unknown names raise instead of
-    silently falling back to one of the engines.
+    The single validation point for open-loop ``engine`` names (one of
+    :data:`ENGINES`) — unknown names raise instead of silently falling
+    back to one of the engines.
     """
     if engine == "fast":
         return run_arrow_fast

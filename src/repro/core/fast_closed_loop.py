@@ -15,12 +15,6 @@ hops and latencies, issue/ack times, message totals, tie-breaking and RNG
 draws), which ``tests/core/test_fast_closed_loop_parity.py`` enforces
 instance by instance.
 
-The event loops themselves live in :func:`_run_arrow_closed_loop` and
-:func:`_run_centralized_closed_loop`, parameterised by their *delay
-sources* (deterministic per-link tables, a per-send sampler, a router for
-the acknowledgements), which the public entry points below bind to
-scalar ``LatencyModel.sample`` calls.
-
 Why bit-identical is achievable
 -------------------------------
 The message-level kernel orders events by ``(time, priority, seq)`` with a
@@ -74,9 +68,9 @@ __all__ = [
 def closed_loop_runner(protocol: str, engine: str):
     """Resolve ``(protocol, engine)`` to a closed-loop run function.
 
-    The single validation point for the experiment layer's closed-loop
-    ``engine`` knobs (one of :data:`repro.core.fast_arrow.ENGINES`) —
-    unknown names raise instead of silently falling back.
+    The single validation point for closed-loop ``engine`` names (one of
+    :data:`repro.core.fast_arrow.ENGINES`) — unknown names raise instead
+    of silently falling back.
     """
     if protocol not in ("arrow", "centralized"):
         raise ValueError(
@@ -220,36 +214,44 @@ class _Router:
 
 
 # ----------------------------------------------------------------------
-# the closed-loop event loops, delay sources injected
+# the closed-loop event loops
 # ----------------------------------------------------------------------
-def _run_arrow_closed_loop(
-    result: ClosedLoopResult,
-    parent: list[int],
-    root: int,
-    weight: list[float],
+def closed_loop_arrow_fast(
+    graph: Graph,
+    tree: SpanningTree,
     *,
     requests_per_proc: int,
-    service: float,
-    think: float,
-    max_events: int | None,
-    det_up: list[float] | None,
-    det_down: list[float] | None,
-    sample_link,
-    router,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    think_time: float = 0.0,
+    max_events: int | None = None,
     on_event=None,
 ) -> ClosedLoopResult:
-    """The arrow closed-loop event loop, delay sources injected.
+    """Closed-loop arrow run, bit-identical to ``closed_loop_arrow``.
 
-    ``det_up``/``det_down`` carry per-directed-link delays for
-    deterministic latency models (``sample_link`` is then never called);
-    for stochastic models they are ``None`` and ``sample_link(src, dst,
-    weight)`` must return the next delay of the run's latency stream.
-    ``router.delay_hops`` provides the routed acknowledgement delays.
     ``on_event``, when set, receives the queuing-layer protocol trace
     (see :mod:`repro.monitors`); acknowledgement traffic is application
     level and not part of it.
     """
-    n = len(parent)
+    if service_time < 0:
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
+    n = graph.num_nodes
+    result = ClosedLoopResult("arrow", n, requests_per_proc)
+    model = latency if latency is not None else UnitLatency()
+    rng = spawn_rng(seed, "network-latency")
+    service = float(service_time)
+    think = float(think_time)
+
+    root = tree.root
+    parent = list(tree.parent)
+    weight = _tree_link_weights(graph, parent, root)
+    # Per-directed-link delay tables for deterministic latency models;
+    # ``None`` for stochastic ones, which draw from ``rng`` per send.
+    det_up, det_down = _det_link_delays(model, parent, weight, root, rng)
+    sample = model.sample
+    router = _Router(graph, model, rng)
 
     # Protocol state (ArrowNode.init_pointers, flattened).
     link = parent[:]
@@ -289,7 +291,7 @@ def _run_arrow_closed_loop(
             emit("send", rid, v, dst, now)
         down = parent[dst] == v
         if det_up is None:
-            delay = sample_link(v, dst, weight[dst if down else v])
+            delay = sample(v, dst, weight[dst if down else v], rng)
         else:
             delay = det_down[dst] if down else det_up[v]
         chan = 2 * dst + 1 if down else 2 * v
@@ -411,22 +413,33 @@ def _run_arrow_closed_loop(
     )
 
 
-def _run_centralized_closed_loop(
-    result: ClosedLoopResult,
-    n: int,
+def closed_loop_centralized_fast(
+    graph: Graph,
     center: int,
     *,
     requests_per_proc: int,
-    service: float,
-    think: float,
-    max_events: int | None,
-    router,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    think_time: float = 0.0,
+    max_events: int | None = None,
 ) -> ClosedLoopResult:
-    """The centralized closed-loop event loop, routing injected.
+    """Closed-loop centralized run, bit-identical to ``closed_loop_centralized``.
 
     Every delay of this protocol is a routed path (creq to the centre,
-    queue_reply back), so ``router.delay_hops`` is the only delay source.
+    queue_reply back), so the router is the only delay source.
     """
+    if service_time < 0:
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    n = graph.num_nodes
+    if not 0 <= center < n:
+        raise NetworkError(f"center {center} out of range for {n} nodes")
+    result = ClosedLoopResult("centralized", n, requests_per_proc)
+    model = latency if latency is not None else UnitLatency()
+    router = _Router(graph, model, spawn_rng(seed, "network-latency"))
+    service = float(service_time)
+    think = float(think_time)
+
     busy_until = [0.0] * n
     (
         heap,
@@ -534,84 +547,4 @@ def _run_centralized_closed_loop(
         owners=owners,
         latencies=latencies,
         wall=wall,
-    )
-
-
-# ----------------------------------------------------------------------
-# public entry points: scalar delay sources bound to the loops
-# ----------------------------------------------------------------------
-def closed_loop_arrow_fast(
-    graph: Graph,
-    tree: SpanningTree,
-    *,
-    requests_per_proc: int,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    service_time: float = 0.0,
-    think_time: float = 0.0,
-    max_events: int | None = None,
-    on_event=None,
-) -> ClosedLoopResult:
-    """Closed-loop arrow run, bit-identical to ``closed_loop_arrow``."""
-    if service_time < 0:
-        raise NetworkError(f"service_time must be >= 0, got {service_time}")
-    require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
-    n = graph.num_nodes
-    result = ClosedLoopResult("arrow", n, requests_per_proc)
-    model = latency if latency is not None else UnitLatency()
-    rng = spawn_rng(seed, "network-latency")
-
-    root = tree.root
-    parent = list(tree.parent)
-    weight = _tree_link_weights(graph, parent, root)
-    det_up, det_down = _det_link_delays(model, parent, weight, root, rng)
-    sample = model.sample
-
-    return _run_arrow_closed_loop(
-        result,
-        parent,
-        root,
-        weight,
-        requests_per_proc=requests_per_proc,
-        service=float(service_time),
-        think=float(think_time),
-        max_events=max_events,
-        det_up=det_up,
-        det_down=det_down,
-        sample_link=lambda v, dst, w: sample(v, dst, w, rng),
-        router=_Router(graph, model, rng),
-        on_event=on_event,
-    )
-
-
-def closed_loop_centralized_fast(
-    graph: Graph,
-    center: int,
-    *,
-    requests_per_proc: int,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    service_time: float = 0.0,
-    think_time: float = 0.0,
-    max_events: int | None = None,
-) -> ClosedLoopResult:
-    """Closed-loop centralized run, bit-identical to ``closed_loop_centralized``."""
-    if service_time < 0:
-        raise NetworkError(f"service_time must be >= 0, got {service_time}")
-    n = graph.num_nodes
-    if not 0 <= center < n:
-        raise NetworkError(f"center {center} out of range for {n} nodes")
-    result = ClosedLoopResult("centralized", n, requests_per_proc)
-    model = latency if latency is not None else UnitLatency()
-    rng = spawn_rng(seed, "network-latency")
-
-    return _run_centralized_closed_loop(
-        result,
-        n,
-        center,
-        requests_per_proc=requests_per_proc,
-        service=float(service_time),
-        think=float(think_time),
-        max_events=max_events,
-        router=_Router(graph, model, rng),
     )

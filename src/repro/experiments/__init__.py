@@ -1,4 +1,8 @@
-"""Experiment harness: one module per paper figure/theorem (see DESIGN.md)."""
+"""Experiment harness: one module per paper theorem/analysis.
+
+The measured figures (Fig. 10, Fig. 11, the §5.1 directory comparison)
+are sweep grids tabulated by :func:`repro.results.figure_from_rows`.
+"""
 
 from repro.experiments.ablations import (
     run_protocol_ablation,
@@ -7,10 +11,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.ascii_plot import plot
 from repro.experiments.competitive import run_async_comparison, run_competitive_sweep
-from repro.experiments.directory_comparison import run_directory_comparison
 from repro.experiments.fig9 import Fig9Report, render_instance, run_fig9
-from repro.experiments.fig10 import DEFAULT_PROC_COUNTS, run_fig10
-from repro.experiments.fig11 import run_fig11
 from repro.experiments.lowerbound_sweep import (
     run_theorem41_sweep,
     run_theorem42_sweep,
@@ -28,14 +29,10 @@ __all__ = [
     "plot",
     "run_async_comparison",
     "run_competitive_sweep",
-    "run_directory_comparison",
     "run_one_shot_analysis",
     "Fig9Report",
     "render_instance",
     "run_fig9",
-    "DEFAULT_PROC_COUNTS",
-    "run_fig10",
-    "run_fig11",
     "run_theorem41_sweep",
     "run_theorem42_sweep",
     "worst_case_arrow_cost",

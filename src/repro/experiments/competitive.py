@@ -6,22 +6,18 @@ and reports the measured ratio bracket against the theorem's explicit
 the point of the sweep is (a) the bound is never violated and (b) the
 measured ratio grows at most logarithmically with ``D``.
 
-Per-diameter points are independent and route through
-:func:`repro.sweep.executor.map_jobs` (``workers > 1`` fans them out);
-the ``engine`` knob selects the message-level simulator or the
-bit-identical fast engine for the arrow runs, so results are the same
-either way — "fast" simply gets there sooner on large diameters.
+The arrow runs use the fast engine (bit-identical to the message-level
+simulator, and sooner there on large diameters).
 """
 
 from __future__ import annotations
 
 from repro.analysis.competitive import CompetitiveReport, measure_competitive_ratio
-from repro.core.fast_arrow import arrow_runner
+from repro.core.fast_arrow import run_arrow_fast
 from repro.experiments.records import ExperimentResult, Series
 from repro.graphs.generators import path_graph
 from repro.net.latency import UniformLatency
 from repro.spanning.tree import SpanningTree
-from repro.sweep.executor import map_jobs
 from repro.workloads.schedules import random_times
 
 __all__ = ["run_competitive_sweep", "run_async_comparison"]
@@ -34,16 +30,15 @@ def _path_instance(D: int) -> tuple:
 
 
 def _sync_cell(
-    job: tuple[int, int, float, int, str]
+    D: int, requests: int, horizon_factor: float, seed: int
 ) -> tuple[float, float, float]:
     """One diameter of the synchronous sweep: (ratio_hi, ratio_lo, ceiling)."""
-    D, requests, horizon_factor, seed, engine = job
     graph, tree = _path_instance(D)
     sched = random_times(
         D + 1, requests, horizon=horizon_factor * D, seed=seed + D
     )
     rep: CompetitiveReport = measure_competitive_ratio(
-        graph, tree, sched, simulate=True, exact_limit=10, engine=engine
+        graph, tree, sched, simulate=True, exact_limit=10
     )
     return rep.ratio_upper, rep.ratio_lower, rep.ceiling
 
@@ -54,8 +49,6 @@ def run_competitive_sweep(
     requests: int = 60,
     horizon_factor: float = 1.0,
     seed: int = 0,
-    engine: str = "message",
-    workers: int = 1,
 ) -> ExperimentResult:
     """Measured ratio bracket vs tree diameter, synchronous model.
 
@@ -64,8 +57,7 @@ def run_competitive_sweep(
     proportional to ``D``.
     """
     Ds = diameters if diameters is not None else [8, 16, 32, 64, 128]
-    jobs = [(D, requests, horizon_factor, seed, engine) for D in Ds]
-    points = map_jobs(_sync_cell, jobs, workers=workers)
+    points = [_sync_cell(D, requests, horizon_factor, seed) for D in Ds]
     ratio_hi = [p[0] for p in points]
     ratio_lo = [p[1] for p in points]
     ceilings = [p[2] for p in points]
@@ -79,21 +71,19 @@ def run_competitive_sweep(
             Series("ratio (vs opt lower bd)", xs, ratio_hi),
             Series("O(s log D) ceiling", xs, ceilings),
         ],
-        params={"requests": requests, "seed": seed, "engine": engine},
+        params={"requests": requests, "seed": seed},
         notes=["Theorem 3.19: ratio = O(s log D); measured stays far below"],
     )
 
 
 def _async_cell(
-    job: tuple[int, int, int, float, str]
+    D: int, requests: int, seed: int, lo: float
 ) -> tuple[float, float, float]:
     """One diameter of the async comparison: (sync, async, ratio_hi)."""
-    D, requests, seed, lo, engine = job
     graph, tree = _path_instance(D)
     sched = random_times(D + 1, requests, horizon=float(D), seed=seed + D)
-    runner = arrow_runner(engine)
-    sync_res = runner(graph, tree, sched)
-    async_res = runner(
+    sync_res = run_arrow_fast(graph, tree, sched)
+    async_res = run_arrow_fast(
         graph, tree, sched, latency=UniformLatency(lo, 1.0), seed=seed
     )
     # Hand the realised async cost to the ratio measurement instead of
@@ -104,7 +94,6 @@ def _async_cell(
         sched,
         simulate=True,
         exact_limit=10,
-        engine=engine,
         arrow_cost=async_res.total_latency,
     )
     return sync_res.total_latency, async_res.total_latency, rep.ratio_upper
@@ -116,8 +105,6 @@ def run_async_comparison(
     requests: int = 60,
     seed: int = 0,
     lo: float = 0.2,
-    engine: str = "message",
-    workers: int = 1,
 ) -> ExperimentResult:
     """Theorem 3.21: arrow cost under asynchronous delays <= 1.
 
@@ -127,8 +114,7 @@ def run_async_comparison(
     and its competitive ceiling is the same ``O(s log D)``.
     """
     Ds = diameters if diameters is not None else [8, 16, 32, 64, 128]
-    jobs = [(D, requests, seed, lo, engine) for D in Ds]
-    points = map_jobs(_async_cell, jobs, workers=workers)
+    points = [_async_cell(D, requests, seed, lo) for D in Ds]
     sync_cost = [p[0] for p in points]
     async_cost = [p[1] for p in points]
     ratio_hi = [p[2] for p in points]
@@ -142,7 +128,7 @@ def run_async_comparison(
             Series("async total latency", xs, async_cost),
             Series("async ratio (vs opt lower bd)", xs, ratio_hi),
         ],
-        params={"requests": requests, "seed": seed, "delay_lo": lo, "engine": engine},
+        params={"requests": requests, "seed": seed, "delay_lo": lo},
         notes=[
             "Theorem 3.21: same O(s log D) bound under delays scaled to <= 1;"
             " async executions are message-wise no slower than the sync bound",

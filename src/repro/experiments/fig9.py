@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
+from repro.core.fast_arrow import run_arrow_fast
 from repro.core.requests import RequestSchedule
 from repro.lowerbound.comb import comb_mst_weight
 from repro.lowerbound.construction import theorem41_instance
@@ -38,9 +39,8 @@ class Fig9Report:
     comb_weight: float
     ratio: float
     picture: str
-    #: Total latency of the realised execution on the chosen arrow engine
-    #: (None unless ``run_fig9`` was given an ``engine``).
-    sim_cost: float | None = None
+    #: Total latency of the realised execution on the fast arrow engine.
+    sim_cost: float
 
 
 def render_instance(
@@ -59,16 +59,14 @@ def render_instance(
     return "\n".join(lines)
 
 
-def run_fig9(
-    D: int = 64, k: int = 6, *, variant: str = "layered", engine: str | None = None
-) -> Fig9Report:
+def run_fig9(D: int = 64, k: int = 6, *, variant: str = "layered") -> Fig9Report:
     """Regenerate the Figure 9 instance and measure arrow against opt.
 
     ``variant`` is ``"literal"`` (the construction exactly as printed) or
     ``"layered"`` (the bitonic reconstruction that realises the sweep
-    mechanism; default).  ``engine`` (``"fast"`` or ``"message"``) adds a
-    simulated cross-check: the realised execution's total latency on the
-    chosen arrow engine, one legal scheduling of the same instance.
+    mechanism; default).  The report carries a simulated cross-check:
+    the realised execution's total latency on the fast arrow engine, one
+    legal scheduling of the same instance.
     """
     if variant == "literal":
         inst = theorem41_instance(D, k)
@@ -81,13 +79,6 @@ def run_fig9(
         raise ValueError(f"unknown variant {variant!r}")
     pred = predict_arrow_run(inst.tree, inst.schedule, tie_break="min")
     bounds = opt_bounds(inst.graph, inst.tree, inst.schedule, 1.0, exact_limit=0)
-    sim_cost = None
-    if engine is not None:
-        from repro.core.fast_arrow import arrow_runner
-
-        sim_cost = arrow_runner(engine)(
-            inst.graph, inst.tree, inst.schedule
-        ).total_latency
     return Fig9Report(
         variant=variant,
         D=D,
@@ -100,5 +91,7 @@ def run_fig9(
         comb_weight=comb_mst_weight(inst.schedule),
         ratio=pred.arrow_cost / bounds.upper if bounds.upper else float("inf"),
         picture=render_instance(inst.schedule, D),
-        sim_cost=sim_cost,
+        sim_cost=run_arrow_fast(
+            inst.graph, inst.tree, inst.schedule
+        ).total_latency,
     )

@@ -11,13 +11,12 @@ plus the Theorem 4.2 stretch-scaled variant.  The worst legal message
 scheduler is approximated by taking the max cost over the ``min``/``max``
 tie-breaking policies of the fast executor.
 
-Per-diameter points are independent and route through
-:func:`repro.sweep.executor.map_jobs` (``workers > 1`` fans them out).
-Passing ``engine="fast"`` or ``"message"`` additionally simulates each
-instance on the chosen arrow engine and reports the realised execution's
-ratio alongside the tie-break bracket — the kernel's deterministic
-simultaneity resolution is one legal scheduler, so its ratio must sit at
-or below the bracket's max.
+Each instance is also simulated on the fast arrow engine and the realised
+execution's ratio reported alongside the tie-break bracket.  The kernel's
+deterministic simultaneity resolution is one more legal scheduler — not
+one of the two the bracket maximises over, so its ratio may land on
+either side of the bracket's max (literal instance, D = 256: simulated
+1.8423 against a bracket max of 1.8351).
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ import math
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
-from repro.core.fast_arrow import arrow_runner
+from repro.core.fast_arrow import run_arrow_fast
 from repro.experiments.records import ExperimentResult, Series
 from repro.lowerbound.construction import default_k, theorem41_instance
 from repro.lowerbound.layered import layered_instance
 from repro.lowerbound.stretch_graph import theorem42_instance
 from repro.spanning.metrics import tree_stretch
-from repro.sweep.executor import map_jobs
 
 __all__ = ["run_theorem41_sweep", "run_theorem42_sweep", "worst_case_arrow_cost"]
 
@@ -49,16 +47,13 @@ def worst_case_arrow_cost(tree, schedule) -> float:
     return max(lo, hi)
 
 
-def _simulated_cost(inst, engine: str) -> float:
+def _simulated_cost(inst) -> float:
     """Total latency of the kernel's realised execution on one instance."""
-    return arrow_runner(engine)(inst.graph, inst.tree, inst.schedule).total_latency
+    return run_arrow_fast(inst.graph, inst.tree, inst.schedule).total_latency
 
 
-def _thm41_cell(
-    job: tuple[int, int, str | None]
-) -> tuple[float, float, float, float, float]:
+def _thm41_cell(D: int, k: int) -> tuple[float, float, float, float, float]:
     """One diameter: (lit ratio, lay ratio, target, sim lit, sim lay)."""
-    D, k, engine = job
     lit = theorem41_instance(D, k)
     cost_lit = worst_case_arrow_cost(lit.tree, lit.schedule)
     ob_lit = opt_bounds(lit.graph, lit.tree, lit.schedule, 1.0, exact_limit=0)
@@ -69,14 +64,12 @@ def _thm41_cell(
     ob_lay = opt_bounds(lay.graph, lay.tree, lay.schedule, 1.0, exact_limit=0)
 
     target = math.log2(D) / max(1.0, math.log2(max(2.0, math.log2(D))))
-    sim_lit = _simulated_cost(lit, engine) / ob_lit.upper if engine else 0.0
-    sim_lay = _simulated_cost(lay, engine) / ob_lay.upper if engine else 0.0
     return (
         cost_lit / ob_lit.upper,
         cost_lay / ob_lay.upper,
         target,
-        sim_lit,
-        sim_lay,
+        _simulated_cost(lit) / ob_lit.upper,
+        _simulated_cost(lay) / ob_lay.upper,
     )
 
 
@@ -84,28 +77,24 @@ def run_theorem41_sweep(
     diameters: list[int] | None = None,
     *,
     k_values: dict[int, int] | None = None,
-    engine: str | None = None,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Ratio growth of the adversarial instances vs diameter."""
     Ds = diameters if diameters is not None else [16, 64, 256, 1024]
-    jobs = [(D, (k_values or {}).get(D, default_k(D)), engine) for D in Ds]
-    points = map_jobs(_thm41_cell, jobs, workers=workers)
-    xs = [float(d) for d in Ds]
-    series = [
-        Series("literal construction", xs, [p[0] for p in points]),
-        Series("bitonic layered", xs, [p[1] for p in points]),
-        Series("log D / log log D target", xs, [p[2] for p in points]),
+    points = [
+        _thm41_cell(D, (k_values or {}).get(D, default_k(D))) for D in Ds
     ]
-    if engine:
-        series.append(Series("literal (simulated)", xs, [p[3] for p in points]))
-        series.append(Series("layered (simulated)", xs, [p[4] for p in points]))
+    xs = [float(d) for d in Ds]
     return ExperimentResult(
         experiment_id="thm41",
         title="Lower-bound instances: measured arrow/opt ratio vs D",
         xlabel="path diameter D",
-        series=series,
-        params={"engine": engine} if engine else {},
+        series=[
+            Series("literal construction", xs, [p[0] for p in points]),
+            Series("bitonic layered", xs, [p[1] for p in points]),
+            Series("log D / log log D target", xs, [p[2] for p in points]),
+            Series("literal (simulated)", xs, [p[3] for p in points]),
+            Series("layered (simulated)", xs, [p[4] for p in points]),
+        ],
         notes=[
             "Theorem 4.1 target: ratio = Omega(log D / log log D)",
             "see repro.lowerbound.layered for the reconstruction note",
@@ -113,42 +102,33 @@ def run_theorem41_sweep(
     )
 
 
-def _thm42_cell(
-    job: tuple[int, int, str | None]
-) -> tuple[float, float, float]:
+def _thm42_cell(s: int, D_over_s: int) -> tuple[float, float, float]:
     """One stretch value: (ratio, measured stretch, simulated ratio)."""
-    s, D_over_s, engine = job
     inst = theorem42_instance(D_over_s, s)
     cost = worst_case_arrow_cost(inst.tree, inst.schedule)
     stretch = tree_stretch(inst.graph, inst.tree).stretch
     ob = opt_bounds(inst.graph, inst.tree, inst.schedule, stretch, exact_limit=0)
-    sim = _simulated_cost(inst, engine) / ob.upper if engine else 0.0
-    return cost / ob.upper, stretch, sim
+    return cost / ob.upper, stretch, _simulated_cost(inst) / ob.upper
 
 
 def run_theorem42_sweep(
     stretches: list[int] | None = None,
     *,
     D_over_s: int = 64,
-    engine: str | None = None,
-    workers: int = 1,
 ) -> ExperimentResult:
     """Theorem 4.2: ratio scaling with the spanning tree's stretch."""
     ss = stretches if stretches is not None else [1, 2, 4, 8]
-    jobs = [(s, D_over_s, engine) for s in ss]
-    points = map_jobs(_thm42_cell, jobs, workers=workers)
+    points = [_thm42_cell(s, D_over_s) for s in ss]
     xs = [float(s) for s in ss]
-    series = [
-        Series("measured ratio", xs, [p[0] for p in points]),
-        Series("measured tree stretch", xs, [p[1] for p in points]),
-    ]
-    if engine:
-        series.append(Series("simulated ratio", xs, [p[2] for p in points]))
     return ExperimentResult(
         experiment_id="thm42",
         title="Lower bound vs stretch (shortcut graphs)",
         xlabel="construction stretch s",
-        series=series,
-        params={"D_over_s": D_over_s, **({"engine": engine} if engine else {})},
+        series=[
+            Series("measured ratio", xs, [p[0] for p in points]),
+            Series("measured tree stretch", xs, [p[1] for p in points]),
+            Series("simulated ratio", xs, [p[2] for p in points]),
+        ],
+        params={"D_over_s": D_over_s},
         notes=["Theorem 4.2: ratio = Omega(s log(D/s)/log log(D/s))"],
     )

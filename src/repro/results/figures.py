@@ -1,12 +1,14 @@
-"""Canonical tables/plots per paper figure, rebuilt from stored rows.
+"""Canonical tables/plots per paper figure, built from sweep rows.
 
-The sweep grids already cover the paper's measured figures — ``fig10``
+The sweep grids cover the paper's measured figures — ``fig10``
 (closed-loop arrow vs centralized), ``fig11`` (hops per operation),
 ``directory`` (§5.1 arrow vs home-based) — so their canonical
 :class:`~repro.experiments.records.ExperimentResult` is a pure function
-of the stored rows: group by schedule family, x = system size, average
-over seeds.  No simulation re-runs; regenerating a figure from the
-results store is a read.
+of the rows: group by schedule family, x = system size, average over
+seeds.  This is the one producer of those figures: ``repro-arrow
+fig10|fig11|directory`` feed it the rows of an in-memory sweep,
+``results table|plot`` the rows of a stored run (no simulation re-runs;
+regenerating a figure from the results store is a read).
 
 Non-grid experiments (fig9, the competitive/lower-bound theorem sweeps)
 archive their :class:`ExperimentResult` documents directly in the store
@@ -67,7 +69,7 @@ def figure_from_rows(
     *,
     metric: str | None = None,
 ) -> ExperimentResult:
-    """Build the canonical figure for a stored grid from its rows.
+    """Build the canonical figure for a grid from its rows.
 
     ``metric`` selects the y column (default per figure, see
     :data:`FIGURE_METRICS`); x is the system size ``n``; each series is
@@ -120,7 +122,7 @@ def figure_from_rows(
         xs = sorted(buckets[key])
         ys = [sum(buckets[key][x]) / len(buckets[key][x]) for x in xs]
         series.append(Series(key, xs, ys, unit))
-    notes = [f"rebuilt from {len(rows)} stored row(s); metric: {column}"]
+    notes = [f"built from {len(rows)} sweep row(s); metric: {column}"]
     if len(seeds) > 1:
         notes.append(f"each point averages {len(seeds)} seed(s)")
     return ExperimentResult(
@@ -128,7 +130,7 @@ def figure_from_rows(
         title=title,
         xlabel="n (nodes)",
         series=series,
-        params={"metric": column, "source": "results-store"},
+        params={"metric": column, "source": "sweep-rows"},
         notes=notes,
     )
 
@@ -147,9 +149,8 @@ def fig9_result(report: Any) -> ExperimentResult:
         Series("opt upper", x, [float(report.opt_upper)], "Manhattan"),
         Series("opt lower", x, [float(report.opt_lower)], "Manhattan"),
         Series("ratio", x, [float(report.ratio)]),
+        Series("simulated cost", x, [float(report.sim_cost)]),
     ]
-    if report.sim_cost is not None:
-        series.append(Series("simulated cost", x, [float(report.sim_cost)]))
     return ExperimentResult(
         experiment_id="fig9",
         title="Lower-bound instance costs",

@@ -29,7 +29,6 @@ progress, bounded retry of killed shards, and the automatic merge
 from repro.sweep.executor import (
     execute_cell,
     iter_sweep,
-    map_jobs,
     run_sweep,
     shard_path,
 )
@@ -51,7 +50,6 @@ from repro.sweep.spec import (
     CLOSED_LOOP_FAMILIES,
     GRAPH_BUILDERS,
     OPEN_LOOP_SCHEDULES,
-    SCHEDULE_BUILDERS,
     TREE_BUILDERS,
     GraphSpec,
     ScheduleSpec,
@@ -89,7 +87,6 @@ __all__ = [
     "GRAPH_BUILDERS",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
-    "SCHEDULE_BUILDERS",
     "build_graph",
     "build_tree",
     "build_schedule",
@@ -101,7 +98,6 @@ __all__ = [
     "smoke_grid",
     "execute_cell",
     "iter_sweep",
-    "map_jobs",
     "run_sweep",
     "shard_path",
     "ShardState",

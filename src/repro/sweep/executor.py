@@ -13,11 +13,6 @@ runner-to-row), so the open-loop arrow replays, the §5 closed loops, the
 §5.1 directory designs and the §1.1 adaptive baseline — plus any family
 registered by third-party code — all execute through the same three
 lines of :func:`execute_cell`.
-
-``map_jobs`` is the generic ordered parallel map the experiment layer
-routes its own parameter loops through (see
-:mod:`repro.experiments.fig10` et al.); ``run_sweep`` adds persistence,
-resume and sharding on top of it for declarative grids.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import SweepError
 from repro.sweep import persist
@@ -34,46 +29,16 @@ from repro.sweep.spec import SweepCell, SweepSpec, cell_seed
 
 __all__ = [
     "execute_cell",
-    "map_jobs",
     "iter_sweep",
     "run_sweep",
     "shard_path",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer fork (cheap, Linux default); fall back to spawn elsewhere."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def map_jobs(
-    fn: Callable[[_T], _R], jobs: Sequence[_T], *, workers: int = 1
-) -> list[_R]:
-    """Ordered parallel map: results in job order regardless of workers.
-
-    ``workers <= 1`` runs inline (no processes — the default for tests
-    and small grids); otherwise a process pool computes jobs concurrently
-    while ``imap`` preserves submission order.  ``fn`` and the jobs must
-    be picklable (module-level function, plain-data arguments).
-    """
-    return list(_imap_jobs(fn, jobs, workers=workers))
-
-
-def _imap_jobs(
-    fn: Callable[[_T], _R], jobs: Sequence[_T], *, workers: int = 1
-) -> Iterator[_R]:
-    """Streaming variant of :func:`map_jobs` (same ordering guarantee)."""
-    if workers <= 1 or len(jobs) <= 1:
-        for j in jobs:
-            yield fn(j)
-        return
-    ctx = _pool_context()
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-        yield from pool.imap(fn, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +143,9 @@ def iter_sweep(
 
     ``shard=(i, m)`` keeps only cells with ``index % m == i`` — the
     round-robin partition ``sweep-merge`` reassembles into grid order.
+    ``workers <= 1`` runs inline (no processes — the default for tests
+    and small grids); otherwise a process pool computes cells concurrently
+    while the ordered ``imap`` keeps the rows in grid order.
     """
     _check_shard(shard)
     skip_set = set(skip)
@@ -185,7 +153,12 @@ def iter_sweep(
     if shard is not None:
         index, count = shard
         todo = [c for c in todo if c.index % count == index]
-    yield from _imap_jobs(execute_cell, todo, workers=workers)
+    if workers <= 1 or len(todo) <= 1:
+        for cell in todo:
+            yield execute_cell(cell)
+        return
+    with _pool_context().Pool(processes=min(workers, len(todo))) as pool:
+        yield from pool.imap(execute_cell, todo)
 
 
 def run_sweep(

@@ -87,7 +87,9 @@ def _row_shape_problems(row: dict[str, Any], label: str) -> list[str]:
     plan lost (``requests_lost``, absent on fault-free rows) — and the
     executor always emits ``DEFAULT_BINS`` buckets, so a violated
     invariant means a truncated or hand-edited file — worth failing a
-    verification over even when both inputs agree.
+    verification over even when both inputs agree.  Directory rows
+    persist the §5.1 mutual-exclusion invariant as ``exclusion_ok``; a
+    ``false`` there is a protocol violation, never a valid measurement.
     """
     from repro.sweep.stats import DEFAULT_BINS
 
@@ -106,6 +108,11 @@ def _row_shape_problems(row: dict[str, Any], label: str) -> list[str]:
                     f"{label}: latency_hist counts {sum(hist)} completed "
                     f"requests, row says {completed}"
                 )
+    if row.get("exclusion_ok") is False:
+        problems.append(
+            f"{label}: exclusion_ok is false — mutual exclusion violated "
+            f"in cell {row.get('cell_id')}"
+        )
     return problems
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "GRAPH_BUILDERS",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
-    "SCHEDULE_BUILDERS",
     "build_graph",
     "build_tree",
     "build_schedule",
@@ -125,16 +124,6 @@ OPEN_LOOP_SCHEDULES = {
         {"count", "rate", "per_node", "rate_per_node", "hot_nodes", "hot_fraction"}
     ),
     "random": frozenset({"count", "per_node", "horizon"}),
-}
-
-#: Historical name -> accepted-params table covering the open- and
-#: closed-loop families.  The cell-family registry
-#: (:mod:`repro.sweep.registry`) is now the source of truth — including
-#: the §5.1 directory and adaptive-pointer families this table predates —
-#: but the dict is kept as a stable import for existing callers.
-SCHEDULE_BUILDERS = {
-    **OPEN_LOOP_SCHEDULES,
-    **CLOSED_LOOP_FAMILIES,
 }
 
 
@@ -534,9 +523,10 @@ def fig11_grid(
     """Fig. 11-style grid: hops/op on complete graphs + binary overlays.
 
     Open-loop Poisson traffic at one request per node per time unit —
-    the steady-state analogue of the paper's closed loop.  The default
-    ``service_time`` matches ``run_fig11``'s SP2 model (0.1) so grid rows
-    are directly comparable to ``repro-arrow fig11 --engine fast``.
+    the steady-state analogue of the paper's closed loop (which
+    ``repro-arrow fig11`` tabulates from the :func:`fig10_grid` rows).
+    The default ``service_time`` is the same SP2 model (0.1), so the two
+    hop curves are directly comparable.
     """
     return SweepSpec(
         name="fig11",

@@ -15,7 +15,90 @@ def test_fig10_command(capsys):
 
 def test_fig11_command(capsys):
     assert main(["fig11", "--procs", "2,6", "--requests-per-proc", "20"]) == 0
-    assert "mean hops/op" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "mean_hops" in out and "centralized" not in out
+
+
+#: Seed-0 values of the three measured figures, bit for bit as the
+#: retired per-figure loops printed them (series keyed by cell family).
+PINNED_FIGURES = [
+    (
+        ["fig10", "--procs", "2,8,24", "--requests-per-proc", "80"],
+        {
+            "closed_arrow": [
+                180.89999999999895, 167.49999999999866, 179.3999999999984],
+            "closed_centralized": [
+                184.49999999999915, 184.9999999999992, 193.59999999999968],
+        },
+    ),
+    (
+        ["fig11", "--procs", "2,8,24", "--requests-per-proc", "80"],
+        {"closed_arrow": [0.93125, 0.5953125, 0.6598958333333333]},
+    ),
+    (
+        ["fig11", "--procs", "2,8,24", "--requests-per-proc", "80",
+         "--metric", "local_find_fraction"],
+        {"closed_arrow": [0.06875, 0.571875, 0.5895833333333333]},
+    ),
+    (
+        ["directory", "--procs", "2,4,8", "--acquisitions-per-proc", "20"],
+        {
+            "directory_arrow": [
+                58.500000000000036, 123.59999999999982, 252.69999999999936],
+            "directory_home": [
+                107.39999999999978, 261.4999999999991, 565.9000000000052],
+        },
+    ),
+    (
+        ["directory", "--procs", "2,4,8", "--acquisitions-per-proc", "20",
+         "--metric", "msgs_per_acquisition"],
+        {
+            "directory_arrow": [1.75, 2.4, 2.71875],
+            "directory_home": [3.85, 3.95, 3.975],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_FIGURES)
+def test_figure_commands_print_pinned_values(tmp_path, argv, expected):
+    path = tmp_path / "out.json"
+    assert main(["--json", str(path), *argv]) == 0
+    (doc,) = json.loads(path.read_text())
+    assert doc["experiment_id"] == argv[0]
+    assert {s["name"]: s["ys"] for s in doc["series"]} == expected
+
+
+@pytest.mark.parametrize(
+    "command,sizes,series,last_y",
+    [
+        ("fig10", [2, 4, 8, 16, 32, 48, 64, 76],
+         "closed_centralized", 2281.5999999990213),
+        ("fig11", [2, 4, 8, 16, 32, 48, 64, 76],
+         "closed_arrow", 0.7103508771929825),
+        ("directory", [2, 4, 8, 12, 16], "directory_home", 2941.699999999869),
+    ],
+)
+def test_bare_figure_commands_keep_the_published_defaults(
+    tmp_path, command, sizes, series, last_y
+):
+    """No flags = the paper's sizes x 300 requests (50 acquisitions)."""
+    path = tmp_path / "out.json"
+    assert main(["--json", str(path), command]) == 0
+    (doc,) = json.loads(path.read_text())
+    (picked,) = (s for s in doc["series"] if s["name"] == series)
+    assert picked["xs"] == [float(n) for n in sizes]
+    assert picked["ys"][-1] == last_y
+
+
+def test_directory_command_fails_on_exclusion_violation(monkeypatch):
+    from repro.apps.directory import DirectoryResult
+
+    monkeypatch.setattr(DirectoryResult, "exclusion_holds", lambda self: False)
+    with pytest.raises(SystemExit) as exc:
+        main(["directory", "--procs", "2", "--acquisitions-per-proc", "2"])
+    assert "exclusion_ok is false" in str(exc.value.code)
+    assert "directory_arrow" in str(exc.value.code)  # the cell is named
 
 
 def test_fig9_command(capsys):
@@ -71,11 +154,11 @@ def test_oneshot_command(capsys):
 def test_fig11_fast_engine_command(capsys):
     assert main(["fig11", "--procs", "2,6", "--requests-per-proc", "20",
                  "--engine", "fast"]) == 0
-    assert "mean hops/op" in capsys.readouterr().out
+    assert "mean_hops" in capsys.readouterr().out
 
 
 def test_fig9_engine_cross_check_command(capsys):
-    assert main(["fig9", "-D", "16", "-k", "2", "--engine", "fast"]) == 0
+    assert main(["fig9", "-D", "16", "-k", "2"]) == 0
     assert "simulated cost (fast)" in capsys.readouterr().out
 
 
@@ -104,6 +187,14 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--grid", "smoke", "--sizes", "4,8",
               "--out", str(tmp_path / "x.jsonl")])
+    # An empty list is a usage error, never a silent fall-back to the
+    # preset's default sizes/seeds.
+    for flags in (["--sizes", ""], ["--sizes", ","], ["--seeds", ""]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--grid", "fig11", *flags,
+                  "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_sweep_verify_accepts_identical_files(tmp_path, capsys):
@@ -151,6 +242,28 @@ def test_sweep_verify_flags_corrupt_histogram(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep-verify", "--a", str(b), "--b", str(b)]) == 1
     assert "latency_hist" in capsys.readouterr().err
+
+
+def test_sweep_verify_and_merge_reject_exclusion_violation(tmp_path, capsys):
+    a = tmp_path / "a.jsonl"
+    assert main(["sweep", "--grid", "directory", "--sizes", "2,4",
+                 "--acquisitions-per-proc", "5", "--out", str(a)]) == 0
+    rows = [json.loads(line) for line in a.read_text().strip().split("\n")]
+    rows[2]["exclusion_ok"] = False
+    b = tmp_path / "b.jsonl"
+    b.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    capsys.readouterr()
+    assert main(["sweep-verify", "--a", str(b), "--b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "exclusion_ok is false" in err and rows[2]["cell_id"] in err
+    merged = tmp_path / "merged.jsonl"
+    assert main(["sweep-merge", str(b), "--out", str(merged),
+                 "--expect-cells", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "exclusion_ok is false" in err and rows[2]["cell_id"] in err
+    assert not merged.exists()
+    assert main(["sweep-merge", str(a), "--out", str(merged),
+                 "--expect-cells", "4"]) == 0
 
 
 def test_sweep_orchestrated_command_matches_one_shot(tmp_path, capsys):

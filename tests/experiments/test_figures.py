@@ -1,59 +1,90 @@
-"""Experiment-harness tests: each figure's qualitative shape at small scale.
+"""Experiment-harness tests: each paper figure's qualitative shape.
 
-The full-size regenerations live in ``benchmarks/``; these tests run the
-same code paths at reduced scale and assert the *shape* claims hold, so a
-regression in any experiment is caught by ``pytest tests/``.
+Fig. 10, Fig. 11 and the §5.1 directory comparison are tabulated from
+their sweep-grid rows — the one producer behind ``repro-arrow
+fig10|fig11|directory`` — at the paper's sizes and at a reduced scale;
+a regression in any figure's *shape* is caught by ``pytest tests/``.
 """
 
 import pytest
 
 from repro.experiments.fig9 import render_instance, run_fig9
-from repro.experiments.fig10 import run_fig10
-from repro.experiments.fig11 import run_fig11
 from repro.experiments.sequential import run_sequential_experiment
+from repro.results import figure_from_rows
+from repro.sweep import directory_grid, fig10_grid, iter_sweep
+
+#: scale -> (system sizes, requests/processor, centralized slowdown floor
+#: from the smallest to the largest size).
+CLOSED_LOOP_SCALES = {
+    "paper": ((2, 4, 8, 16, 32, 48, 64, 76), 200, 2.5),
+    "reduced": ((2, 8, 24, 48), 80, 2.0),
+}
 
 
-PROCS = [2, 8, 24, 48]
-KW = dict(requests_per_proc=80, service_time=0.1, think_time=0.1)
+@pytest.fixture(scope="module", params=sorted(CLOSED_LOOP_SCALES))
+def closed_loop(request):
+    """Rows of the §5 closed-loop grid, shared by Fig. 10 and Fig. 11."""
+    sizes, requests_per_proc, slowdown = CLOSED_LOOP_SCALES[request.param]
+    spec = fig10_grid(sizes, requests_per_proc=requests_per_proc)
+    return list(iter_sweep(spec)), slowdown
 
 
-@pytest.fixture(scope="module")
-def fig10():
-    return run_fig10(PROCS, **KW)
+def test_fig10_shape(closed_loop):
+    rows, slowdown = closed_loop
+    fig = figure_from_rows("fig10", rows)
+    arrow = fig.series_by_name("closed_arrow").ys
+    central = fig.series_by_name("closed_centralized").ys
+    # Centralized: super-linear overall growth from 2 processors up.
+    assert central[-1] > slowdown * central[0]
+    # Arrow: nearly flat (well under 2x across a 24-38x size increase).
+    assert arrow[-1] < 2.0 * arrow[0]
+    # Arrow wins at scale.
+    assert arrow[-1] < 0.6 * central[-1]
+    # At the smallest size the two are comparable (the paper's curves
+    # start together): within 25% of each other.
+    assert abs(arrow[0] - central[0]) < 0.25 * central[0]
 
 
-@pytest.fixture(scope="module")
-def fig11():
-    return run_fig11(PROCS, **KW)
+def test_fig11_shape(closed_loop):
+    rows = [r for r in closed_loop[0] if r["schedule"].startswith("closed_arrow")]
+    hops = figure_from_rows("fig11", rows).series_by_name("closed_arrow").ys
+    local = (
+        figure_from_rows("fig11", rows, metric="local_find_fraction")
+        .series_by_name("closed_arrow")
+        .ys
+    )
+    # Mean hops per op stays around or below 1 across all system sizes
+    # (paper: strictly below 1; we allow a small margin on the 2-proc
+    # ping-pong case where every find crosses the single link).
+    assert all(h <= 1.1 for h in hops)
+    assert all(h < 1.0 for h in hops[1:])
+    # Local finds are the reason: a large fraction of requests need zero
+    # messages once contention sets in.
+    assert all(f >= 0.4 for f in local[1:])
+    # No growth trend with system size (the curve is flat-ish, not rising
+    # with the diameter log n).
+    assert hops[-1] < hops[1] * 1.6
 
 
-def test_fig10_centralized_grows_superlinearly(fig10):
-    c = fig10.series_by_name("centralized").ys
-    assert c[-1] > 2.0 * c[0]
-
-
-def test_fig10_arrow_stays_subquadratic_flat(fig10):
-    a = fig10.series_by_name("arrow").ys
-    # 24x more processors, less than 2x total time: the paper's "nearly
-    # constant with increasing system size".
-    assert a[-1] < 2.0 * a[0]
-
-
-def test_fig10_arrow_beats_centralized_at_scale(fig10):
-    a = fig10.series_by_name("arrow").ys
-    c = fig10.series_by_name("centralized").ys
-    assert a[-1] < c[-1]
-
-
-def test_fig11_mean_hops_below_one(fig11):
-    hops = fig11.series_by_name("mean hops/op").ys
-    assert all(h < 1.2 for h in hops)
-    assert all(h < 1.0 for h in hops[1:])  # beyond the 2-proc ping-pong
-
-
-def test_fig11_local_finds_are_common(fig11):
-    frac = fig11.series_by_name("local-find fraction").ys
-    assert all(f > 0.3 for f in frac[1:])
+def test_directory_shape():
+    rows = list(iter_sweep(directory_grid((2, 4, 8, 12, 16))))
+    assert all(r["exclusion_ok"] for r in rows)
+    fig = figure_from_rows("directory", rows)
+    arrow = fig.series_by_name("directory_arrow").ys
+    home = fig.series_by_name("directory_home").ys
+    # Arrow wins at every size in the §5.1 range ...
+    assert all(a < h for a, h in zip(arrow, home))
+    # ... and by a widening absolute margin as the system grows.
+    assert home[-1] - arrow[-1] > home[0] - arrow[0]
+    # Message economics: direct hand-off beats home indirection.
+    msgs = figure_from_rows("directory", rows, metric="msgs_per_acquisition")
+    assert all(
+        a < h
+        for a, h in zip(
+            msgs.series_by_name("directory_arrow").ys,
+            msgs.series_by_name("directory_home").ys,
+        )
+    )
 
 
 def test_fig9_literal_and_layered_reports():

@@ -14,7 +14,7 @@ from repro.sweep import (
     dumps_row,
     execute_cell,
     iter_rows,
-    map_jobs,
+    iter_sweep,
     run_sweep,
     smoke_grid,
 )
@@ -125,15 +125,11 @@ def test_completed_ids_of_missing_file_is_empty(tmp_path):
     assert completed_ids(str(tmp_path / "nope.jsonl")) == set()
 
 
-def test_map_jobs_inline_matches_pool():
-    jobs = list(range(10))
-    inline = map_jobs(_square, jobs, workers=1)
-    pooled = map_jobs(_square, jobs, workers=3)
-    assert inline == pooled == [j * j for j in jobs]
-
-
-def _square(x):
-    return x * x
+def test_iter_sweep_inline_matches_pool():
+    inline = list(iter_sweep(tiny_spec(), workers=1))
+    pooled = list(iter_sweep(tiny_spec(), workers=3))
+    assert inline == pooled
+    assert [r["index"] for r in pooled] == list(range(6))
 
 
 def test_smoke_grid_end_to_end(tmp_path):
