@@ -1,8 +1,8 @@
 """Fast-path arrow engine: ``run_arrow`` semantics without the message layer.
 
-:class:`FastArrowEngine` executes open-loop arrow runs on a precomputed
-tree adjacency with a flat binary heap over ``(time, seq)`` tuples and
-plain int/float array node state (``link``, ``last_rid``) — no
+:class:`FastArrowEngine` executes arrow runs on a precomputed tree
+adjacency with a flat binary heap over ``(time, seq)`` tuples and plain
+int/float array node state (``link``, ``last_rid``) — no
 :class:`~repro.net.message.Message` objects, no per-event
 :class:`~repro.sim.events.Event` dataclasses, no
 :class:`~repro.net.network.Network` dispatch.  The produced
@@ -12,19 +12,11 @@ counts, makespan and tie-breaking), which the differential suite in
 ``tests/core/test_fast_arrow_differential.py`` enforces instance by
 instance.
 
-Why bit-identical is achievable
--------------------------------
-The message-level kernel orders events by ``(time, priority, seq)`` with a
-single global sequence counter and every event in an arrow run using the
-default priority, so the total order reduces to ``(time, seq)``.  The fast
-engine schedules the *same* events in the *same* order — initiations in
-canonical rid order, then one arrival per link traversal (plus one
-dispatch per arrival when ``service_time > 0``) — so its own sequence
-counter reproduces the kernel's tie-breaking exactly.  FIFO clamping per
-directed tree link and the per-node busy-until service model are replayed
-arithmetically, and stochastic latency models draw from the same
-``spawn_rng(seed, "network-latency")`` stream in the same order as
-:class:`~repro.net.network.Network` would.
+There is one event loop, :meth:`FastArrowEngine._arrow_loop`; its
+docstring says why bit-identity holds.  Open-loop runs (:meth:`run`),
+the §5 closed loop (:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`)
+and faulted runs (:func:`repro.faults.run_arrow_faulted`) are
+configurations of it.
 """
 
 from __future__ import annotations
@@ -126,17 +118,49 @@ def _det_link_delays(
     return det_up, det_down
 
 
-# Event type tags inside the general loop's heap tuples.
-_ARRIVE = 1
-_DISPATCH = 2
+# Event tags of the loops' heap tuples ``(time, seq, tag, node, src, rid,
+# hops)``.  ``seq`` is globally unique, so the heap order never compares
+# past it.  Each dispatch tag is its arrival tag + 1: the service stage of
+# ``_arrow_loop`` turns one into the other.
+_ISSUE = 0  # a closed-loop processor issues its next request
+_ARRIVE = 1  # a queue message joins a node's service queue (Network._arrive)
+_DISPATCH = 2  # its handler runs (ArrowNode.on_message)
+_ACK_ARRIVE = 3  # a queue_reply acknowledgement joins its origin's service queue
+_ACK_DISPATCH = 4  # its handler runs (_Driver.on_ack)
+_CRASH = 5  # a fault plan's node crash
+
+
+def _run_result(
+    schedule: RequestSchedule,
+    done: list[tuple[int, int, int, float, int]],
+    makespan: float,
+    messages: int,
+    wall: float,
+) -> RunResult:
+    """Build the result of an open-loop run from its raw completion rows."""
+    result = RunResult(schedule)
+    completions = result.completions
+    for row in done:
+        completions[row[0]] = CompletionRecord(*row)
+    if len(completions) != len(done):
+        raise ProtocolError("a request completed twice")
+    result.makespan = makespan
+    result.wall_seconds = wall
+    result.network_stats = {
+        "messages_sent": messages,
+        "link_messages": messages,
+        "routed_messages": 0,
+        "hops_total": messages,
+    }
+    return result
 
 
 class FastArrowEngine:
     """Reusable fast executor for arrow runs on one ``(graph, tree)`` pair.
 
-    Precomputes the tree adjacency (parent pointers), the per-link delays
-    of deterministic latency models and the initial pointer configuration;
-    :meth:`run` then replays a schedule with per-run mutable state only.
+    Precomputes the tree adjacency (parent pointers) and the per-link
+    delays of deterministic latency models; :meth:`run` then replays a
+    schedule with per-run mutable state only.
 
     Parameters mirror the :func:`~repro.core.runner.run_arrow` knobs it
     supports; features that are inherently message-level (``notify_origin``
@@ -187,193 +211,139 @@ class FastArrowEngine:
 
         ``on_event``, when set, receives the protocol trace in the same
         order the message engine emits it (see :mod:`repro.monitors`);
-        ``None`` (the default) keeps the hot loops emission-free.
+        ``None`` (the default) keeps the hot loop emission-free.
         """
         schedule.validate_nodes(self._n)
-        result = RunResult(schedule)
-
-        n = self._n
-        root = self._root
-
-        # Protocol state (ArrowNode.init_pointers, flattened).
-        link = self._parent[:]
-        link[root] = root
-        last_rid = [NO_RID] * n
-        last_rid[root] = ROOT_RID
-
-        # FIFO clamp per directed tree link: 2v = v -> parent[v],
-        # 2v + 1 = parent[v] -> v (FifoChannel._last_delivery, flattened).
-        last_delivery = [0.0] * (2 * n)
-
-        # Initiation events stay out of the heap: the schedule is already
-        # in canonical (time, rid) order, which is exactly the kernel's
-        # (time, seq) order for them, and every in-flight message event
-        # carries a larger sequence number than every initiation (the
-        # runner schedules all initiations before the first send), so on
-        # a time tie the initiation always fires first.
-        init_times = schedule.times
-        init_nodes = schedule.nodes
-
         # Raw completion rows (rid, pred, node, time, hops); the record
         # dataclasses are built once, after the hot loop.
         done: list[tuple[int, int, int, float, int]] = []
-
+        rng = spawn_rng(self.seed, "network-latency") if self._det_up is None else None
         t0 = _wall.perf_counter()
-        if self.service_time == 0.0:
-            now, fired, messages = self._drain(
-                init_times, init_nodes, link, last_rid, last_delivery,
-                done, max_events, on_event,
-            )
-        else:
-            now, fired, messages = self._drain_with_service(
-                init_times, init_nodes, link, last_rid, last_delivery,
-                done, max_events, on_event,
-            )
+        makespan, messages, _ = self._arrow_loop(
+            schedule.times, schedule.nodes, [], rng, max_events, on_event, done=done
+        )
         wall = _wall.perf_counter() - t0
-
-        completions = result.completions
-        for row in done:
-            completions[row[0]] = CompletionRecord(*row)
-        if len(completions) != len(done):
-            raise ProtocolError("a request completed twice")
-        result.makespan = now if fired else 0.0
-        result.wall_seconds = wall
-        result.network_stats = {
-            "messages_sent": messages,
-            "link_messages": messages,
-            "routed_messages": 0,
-            "hops_total": messages,
-        }
-        if len(completions) != len(schedule):
+        result = _run_result(schedule, done, makespan, messages, wall)
+        if len(result.completions) != len(schedule):
             raise ProtocolError(
-                f"arrow run completed {len(completions)} of "
+                f"arrow run completed {len(result.completions)} of "
                 f"{len(schedule)} requests"
             )
         return result
 
     # ------------------------------------------------------------------
-    def _drain(
+    def _arrow_loop(
         self,
         init_times: list[float],
         init_nodes: list[int],
-        link: list[int],
-        last_rid: list[int],
-        last_delivery: list[float],
-        done: list[tuple[int, int, int, float, int]],
+        heap: list[tuple[float, int, int, int, int, int, int]],
+        rng,
         max_events: int | None,
-        emit=None,
-    ) -> tuple[float, int, int]:
-        """Hot loop for ``service_time == 0`` (the §3.1 analysis model)."""
-        parent = self._parent
-        weight = self._weight
-        det_up = self._det_up
-        det_down = self._det_down
-        sample = self.latency.sample
-        rng = spawn_rng(self.seed, "network-latency") if det_up is None else None
-        append = done.append
-        push, pop = heappush, heappop
+        emit,
+        *,
+        done: list[tuple[int, int, int, float, int]] | None = None,
+        faults=None,
+        driver=None,
+    ) -> tuple[float, int, list[int]]:
+        """The one arrow event loop; every fast run is a configuration of it.
 
-        # In-flight message events: (time, seq, dst, src, rid, hops).
-        limit = float("inf") if max_events is None else max_events
-        heap: list[tuple[float, int, int, int, int, int]] = []
-        m = len(init_times)
-        seq = m  # kernel parity: initiations consumed seqs 0..m-1
-        i = 0
-        fired = 0
-        messages = 0
-        now = 0.0
+        Returns ``(time of the last event, messages sent, final pointers)``.
 
-        while True:
-            if i < m and (not heap or init_times[i] <= heap[0][0]):
-                # Initiation of request i (ArrowNode.initiate).
-                now = init_times[i]
-                v = init_nodes[i]
-                rid = i
-                i += 1
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                if emit is not None:
-                    emit("init", rid, v, now)
-                x = link[v]
-                if x == v:
-                    # Local find: queued behind v's previous request.
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, 0)
-                    append((rid, last_rid[v], v, now, 0))
-                    last_rid[v] = rid
-                    continue
-                last_rid[v] = rid
-                link[v] = v
-                dst = x
-                hops = 1
-            elif heap:
-                now, _, v, src, rid, hops = pop(heap)
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                # Path reversal (ArrowNode.on_message).
-                if emit is not None:
-                    emit("deliver", rid, v, src, now)
-                x = link[v]
-                link[v] = src
-                if x == v:
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, hops)
-                    append((rid, last_rid[v], v, now, hops))
-                    continue
-                dst = x
-                hops += 1
-            else:
-                break
+        * **Delay source** — the engine's per-link tables for deterministic
+          latency models, else one ``sample`` draw from ``rng`` per send.
+        * **Request source** — the canonical schedule arrays ``init_times``
+          / ``init_nodes`` (rid = index) and/or ``_ISSUE`` events on
+          ``heap``, which is all a closed loop's driver is.  Schedule
+          initiations stay out of the heap: canonical ``(time, rid)``
+          order is exactly the kernel's ``(time, seq)`` order for them,
+          and every other event carries a larger sequence number, so on a
+          time tie the initiation fires first.
+        * **faults** — a :class:`repro.faults._FaultState`: drop checks on
+          every send and arrival, repair at quiescent points (checked
+          before each initiation, and once when the heap has drained), and
+          the plan's ``_CRASH`` events, which the caller seeds on ``heap``.
+        * **driver** — the closed loop's ``(remaining, issue_times,
+          owners, ack_times, hops, latencies, think_time,
+          reply_delay)``: per-processor budgets, the rid-indexed result
+          lists, and the routed delay of a ``queue_reply``.  Completions
+          are then acknowledged to their origin, and an acknowledgement
+          triggers the processor's next request; without a driver they
+          are appended to ``done`` as ``(rid, pred, node, time, hops)``.
+        * **emit** — the optional ``on_event`` sink.
 
-            # One link traversal v -> dst (send_link / forward + FifoChannel).
-            if emit is not None:
-                emit("send", rid, v, dst, now)
-            down = parent[dst] == v
-            if det_up is None:
-                delay = sample(v, dst, weight[dst if down else v], rng)
-            else:
-                delay = det_down[dst] if down else det_up[v]
-            chan = 2 * dst + 1 if down else 2 * v
-            at = now + delay
-            if at < last_delivery[chan]:
-                at = last_delivery[chan]
-            last_delivery[chan] = at
-            push(heap, (at, seq, dst, v, rid, hops))
-            seq += 1
-            messages += 1
-        return now, fired, messages
+        Every optional part is a test on a local, so an unused part costs
+        no call.
 
-    # ------------------------------------------------------------------
-    def _drain_with_service(
-        self,
-        init_times: list[float],
-        init_nodes: list[int],
-        link: list[int],
-        last_rid: list[int],
-        last_delivery: list[float],
-        done: list[tuple[int, int, int, float, int]],
-        max_events: int | None,
-        emit=None,
-    ) -> tuple[float, int, int]:
-        """General loop with per-node sequential service (Fig. 10 model)."""
+        Why bit-identical is achievable
+        -------------------------------
+        The message-level kernel orders events by ``(time, priority,
+        seq)`` with a single global sequence counter and every event of an
+        arrow run at the default priority, so the total order reduces to
+        ``(time, seq)``.  This loop schedules the *same* events in the
+        *same* order, each consuming the next sequence number at the
+        moment the message simulator would have scheduled it:
+
+        * the ``m`` schedule initiations own seqs ``0..m-1`` and the
+          events the caller seeded on ``heap`` (a plan's crashes, a closed
+          loop's n initial issues) own ``m..m+len(heap)-1`` — the order
+          the message runners schedule them in;
+        * then one event per message delivery (plus one dispatch per
+          delivery when ``service_time > 0``) and one per think-time
+          re-issue; with ``think_time == 0`` the re-issue runs *inside*
+          the acknowledgement dispatch (no event of its own), exactly like
+          ``_Driver.on_ack``;
+        * a dropped send consumes no sequence number, no latency draw and
+          no FIFO clamp — the message engine never reaches ``transmit``
+          for it either — while crash events and dropped initiations are
+          fired events and count towards ``max_events``;
+        * FIFO clamping per directed tree link, the per-node busy-until
+          service model and the acknowledgements' shortest-path routing
+          are replayed arithmetically, and stochastic latency models draw
+          from the same ``spawn_rng(seed, "network-latency")`` stream in
+          the same order as :class:`~repro.net.network.Network` would —
+          one draw per tree-link traversal, one per edge of a routed path.
+        """
+        n = self._n
         parent = self._parent
         weight = self._weight
         det_up = self._det_up
         det_down = self._det_down
         sample = self.latency.sample
         service = self.service_time
-        rng = spawn_rng(self.seed, "network-latency") if det_up is None else None
-        busy_until = [0.0] * self._n  # Network._busy_until
-        append = done.append
+        push, pop = heappush, heappop
 
-        # (time, seq, tag, node, src, rid, hops) with explicit event tags:
-        # arrivals go through the service stage, dispatches do the work.
+        # Protocol state (ArrowNode.init_pointers, flattened).
+        link = parent[:]
+        link[self._root] = self._root
+        last_rid = [NO_RID] * n
+        last_rid[self._root] = ROOT_RID
+        # FIFO clamp per directed tree link: 2v = v -> parent[v],
+        # 2v + 1 = parent[v] -> v (FifoChannel._last_delivery, flattened).
+        last_delivery = [0.0] * (2 * n)
+        busy_until = [0.0] * n  # Network._busy_until
+
+        if driver is not None:
+            (
+                remaining,
+                issue_times,
+                owners,
+                ack_times,
+                hops_list,
+                latencies,
+                think,
+                reply_delay,
+            ) = driver
+        else:
+            append = done.append
+
+        # Without a service time there is no service stage to pass through:
+        # a message is scheduled straight as its dispatch.
+        arrive, ack_arrive = (
+            (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
+        )
         limit = float("inf") if max_events is None else max_events
-        heap: list[tuple[float, int, int, int, int, int, int]] = []
         m = len(init_times)
-        seq = m
+        seq = m + len(heap)
         i = 0
         fired = 0
         messages = 0
@@ -385,68 +355,136 @@ class FastArrowEngine:
                 v = init_nodes[i]
                 rid = i
                 i += 1
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                if emit is not None:
-                    emit("init", rid, v, now)
-                x = link[v]
-                if x == v:
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, 0)
-                    append((rid, last_rid[v], v, now, 0))
-                    last_rid[v] = rid
-                    continue
-                last_rid[v] = rid
-                link[v] = v
-                dst = x
-                hops = 1
+                tag = _ISSUE
             elif heap:
-                now, _, tag, v, src, rid, hops = heappop(heap)
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
-                if tag == _ARRIVE:
-                    # Serialise handling at v (Network._arrive): the
-                    # path-reversal step runs as its own dispatch event.
-                    begin = busy_until[v]
-                    if now > begin:
-                        begin = now
-                    finish = begin + service
-                    busy_until[v] = finish
-                    heappush(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
-                    seq += 1
-                    continue
-                if emit is not None:
-                    emit("deliver", rid, v, src, now)
-                x = link[v]
-                link[v] = src
-                if x == v:
-                    if emit is not None:
-                        emit("complete", rid, last_rid[v], v, now, hops)
-                    append((rid, last_rid[v], v, now, hops))
-                    continue
-                dst = x
-                hops += 1
+                now, _, tag, v, src, rid, hops = pop(heap)
             else:
                 break
+            fired += 1
+            if fired > limit:
+                _raise_livelock(max_events)
 
-            if emit is not None:
-                emit("send", rid, v, dst, now)
-            down = parent[dst] == v
-            if det_up is None:
-                delay = sample(v, dst, weight[dst if down else v], rng)
+            if tag == _DISPATCH:
+                # Path reversal (ArrowNode.on_message).
+                if faults is not None:
+                    if faults.drops_arrival(src, v, rid, now):
+                        # v is down — with a service stage, it crashed
+                        # while the message waited for service.
+                        continue
+                    faults.in_flight -= 1
+                if emit is not None:
+                    emit("deliver", rid, v, src, now)
             else:
-                delay = det_down[dst] if down else det_up[v]
-            chan = 2 * dst + 1 if down else 2 * v
+                if tag != _ISSUE:
+                    if tag == _ARRIVE or tag == _ACK_ARRIVE:
+                        # Serialise handling at v (Network._arrive): the
+                        # handler runs as its own dispatch event after the
+                        # service delay.
+                        if (
+                            faults is not None
+                            and tag == _ARRIVE
+                            and faults.drops_arrival(src, v, rid, now)
+                        ):
+                            # A down node's queue never accepts the message.
+                            continue
+                        begin = busy_until[v]
+                        if now > begin:
+                            begin = now
+                        finish = begin + service
+                        busy_until[v] = finish
+                        push(heap, (finish, seq, tag + 1, v, src, rid, hops))
+                        seq += 1
+                        continue
+                    if tag == _CRASH:
+                        faults.crash(v, now)
+                        link[v] = v
+                        continue
+                    # An acknowledgement is handled at its origin
+                    # (_Driver.on_ack): record, then re-issue after the
+                    # think time — or, without one, right here.
+                    ack_times[rid] = now
+                    if think > 0.0:
+                        if remaining[v] > 0:
+                            push(heap, (now + think, seq, _ISSUE, v, -1, -1, 0))
+                            seq += 1
+                        continue
+                # Initiation (_Driver.issue + ArrowNode.initiate).
+                if driver is not None:
+                    if remaining[v] <= 0:
+                        continue
+                    remaining[v] -= 1
+                    rid = len(owners)
+                    owners.append(v)
+                    issue_times.append(now)
+                if faults is not None:
+                    # The quiescent-point repair check runs first, so the
+                    # request sees a consistent configuration whenever one
+                    # is restorable.
+                    if faults.repair_due():
+                        sink, er = faults.repair(link, now)
+                        last_rid[sink] = er
+                    if faults.down[v]:
+                        faults.drop_initiation(rid, v, now)
+                        continue
+                if emit is not None:
+                    emit("init", rid, v, now)
+                pred = last_rid[v]
+                last_rid[v] = rid
+                src = v
+                hops = 0
+
+            x = link[v]
+            link[v] = src
+            if x == v:
+                # v is the sink: rid is queued behind v's last request —
+                # its own previous one when rid never left v (hops == 0).
+                if hops:
+                    pred = last_rid[v]
+                if emit is not None:
+                    emit("complete", rid, pred, v, now, hops)
+                if driver is None:
+                    append((rid, pred, v, now, hops))
+                    continue
+                hops_list.append(hops)
+                latencies.append(now - issue_times[rid])
+                # Acknowledge the requester with one queue_reply routed
+                # over G (send_routed); a self-reply delivers after zero
+                # delay as its own event, with no latency samples.
+                origin = owners[rid]
+                at = now if origin == v else now + reply_delay(v, origin)[0]
+                push(heap, (at, seq, ack_arrive, origin, -1, rid, 0))
+                seq += 1
+                messages += 1
+                continue
+
+            # One link traversal v -> x (send_link / forward + FifoChannel),
+            # fault checks first: a dropped send never transmits.
+            hops += 1
+            if emit is not None:
+                emit("send", rid, v, x, now)
+            if faults is not None:
+                if faults.drops_send(v, x, rid, now):
+                    continue
+                faults.in_flight += 1
+            downward = parent[x] == v
+            if det_up is None:
+                delay = sample(v, x, weight[x if downward else v], rng)
+            else:
+                delay = det_down[x] if downward else det_up[v]
+            chan = 2 * x + 1 if downward else 2 * v
             at = now + delay
             if at < last_delivery[chan]:
                 at = last_delivery[chan]
             last_delivery[chan] = at
-            heappush(heap, (at, seq, _ARRIVE, dst, v, rid, hops))
+            push(heap, (at, seq, arrive, x, v, rid, hops))
             seq += 1
             messages += 1
-        return now, fired, messages
+
+        if faults is not None and faults.degraded:
+            # The heap drained, so the run is quiescent; no request follows
+            # to see the repaired sink's epoch restamp.
+            faults.repair(link, now)
+        return now, messages, link
 
 
 def run_arrow_fast(

@@ -33,9 +33,12 @@ back up.  Recovery metrics (corrections applied, repairs run, requests
 lost, time from first degradation to repair) come back in the
 :class:`FaultReport`.
 
-Engine parity: ``engine="fast"`` runs a fault-aware flat-heap loop;
-``engine="message"`` runs the genuine :class:`~repro.net.network.Network`
-simulation with a fault-aware subclass.  Both produce identical results
+Engine parity: ``engine="fast"`` hands the run's :class:`_FaultState` to
+the one arrow event loop
+(:meth:`repro.core.fast_arrow.FastArrowEngine._arrow_loop`, whose
+docstring says why bit-identity holds); ``engine="message"`` runs the
+genuine :class:`~repro.net.network.Network` simulation with a fault-aware
+subclass driving the same state machine.  Both produce identical results
 for identical inputs — the same event order, the same drops, the same
 repairs — which the fault differential tests enforce.
 """
@@ -44,19 +47,18 @@ from __future__ import annotations
 
 import time as _wall
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.core.arrow import ArrowNode
 from repro.core.fast_arrow import (
+    _CRASH,
     ENGINES,
-    _det_link_delays,
-    _raise_livelock,
-    _tree_link_weights,
+    FastArrowEngine,
+    _run_result,
     arrow_runner,
     engine_error_message,
 )
 from repro.core.queueing import CompletionRecord, RunResult
-from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
+from repro.core.requests import RequestSchedule
 from repro.core.stabilize import find_violations_links, stabilize_links
 from repro.errors import FaultPlanError, NetworkError, ProtocolError
 from repro.graphs.graph import Graph
@@ -252,9 +254,9 @@ def _drop_windows(
 class _FaultState:
     """Shared fault bookkeeping: drop decisions, degradation, recovery.
 
-    One instance per run; both the flat-heap loop and the message-engine
-    network subclass drive the same state machine, which is what keeps
-    the engines' fault semantics identical.
+    One instance per run; both the fast engine's event loop and the
+    message-engine network subclass drive the same state machine, which is
+    what keeps the engines' fault semantics identical.
     """
 
     __slots__ = (
@@ -303,13 +305,12 @@ class _FaultState:
             self.degraded = True
             self.degraded_since = now
 
-    def crash(self, node: int, now: float) -> bool:
-        """Apply a crash event; returns True if the pointer was reset."""
+    def crash(self, node: int, now: float) -> None:
+        """Apply a crash event; the caller resets the node's pointer."""
         self.down[node] = True
         self._degrade(now)
         if self.emit is not None:
             self.emit("crash", node, now)
-        return True
 
     # -- drop decisions (checked in this order on both engines) ---------
     def drops_send(self, src: int, dst: int, rid: int, now: float) -> bool:
@@ -393,15 +394,8 @@ class _FaultState:
 
 
 # ----------------------------------------------------------------------
-# the flat-heap faulted loop (engine "fast")
+# the fast engine: the arrow event loop with a fault state
 # ----------------------------------------------------------------------
-# Heap tuples are (time, seq, tag, node, src, rid, hops); seq is globally
-# unique, so ordering reduces to the kernel's (time, seq) tie-breaking.
-_CRASH = 0
-_ARRIVE = 1
-_DISPATCH = 2
-
-
 def _run_flat_faulted(
     graph: Graph,
     tree: SpanningTree,
@@ -414,169 +408,35 @@ def _run_flat_faulted(
     max_events: int | None,
     on_event,
 ) -> tuple[RunResult, FaultReport]:
-    """The fault-aware flat-heap loop (mirrors ``FastArrowEngine``).
-
-    Kernel-parity sequence numbering: initiations own seqs ``0..m-1``,
-    the plan's crash events ``m..m+c-1`` (the message runner schedules
-    them in exactly that order), messages count on from ``m+c``; dropped
-    sends consume no sequence number, no latency draw and no FIFO clamp —
-    the message engine never reaches ``transmit`` for them either.
-    """
-    n = tree.num_nodes
-    root = tree.root
-    parent = list(tree.parent)
-    weight = _tree_link_weights(graph, parent, root)
-    rng = spawn_rng(seed, "network-latency")
-    sample = latency.sample
-    det_up, det_down = _det_link_delays(latency, parent, weight, root, rng)
-
-    link = parent[:]
-    link[root] = root
-    last_rid = [NO_RID] * n
-    last_rid[root] = ROOT_RID
-    last_delivery = [0.0] * (2 * n)
-    busy_until = [0.0] * n
-    service = service_time
-
-    emit = on_event
-    fs = _FaultState(tree, plan, seed, emit=emit)
-    down = fs.down
-
-    result = RunResult(schedule)
-    done: list[tuple[int, int, int, float, int]] = []
-    append = done.append
-
-    init_times = schedule.times
-    init_nodes = schedule.nodes
-    m = len(init_times)
-    heap: list[tuple[float, int, int, int, int, int, int]] = [
-        (t, m + k, _CRASH, v, -1, -1, 0)
-        for k, (v, t) in enumerate(plan.crashes)
+    """The fast engine's open loop under the fault model."""
+    engine = FastArrowEngine(
+        graph, tree, latency=latency, seed=seed, service_time=service_time
+    )
+    fs = _FaultState(tree, plan, seed, emit=on_event)
+    m = len(schedule)
+    # The message runner schedules the crash events right after the m
+    # initiations, so they own seqs m..m+c-1; ``plan.crashes`` is in
+    # (time, node) order, which makes this list a heap as it stands.
+    heap = [
+        (t, m + k, _CRASH, v, -1, -1, 0) for k, (v, t) in enumerate(plan.crashes)
     ]
-    heap.sort()
-    seq = m + len(plan.crashes)
-    limit = float("inf") if max_events is None else max_events
-    i = 0
-    fired = 0
-    messages = 0
-    now = 0.0
+    done: list[tuple[int, int, int, float, int]] = []
 
-    t0_wall = _wall.perf_counter()
-    while True:
-        if i < m and (not heap or init_times[i] <= heap[0][0]):
-            # Initiation of request i; the quiescent-point repair check
-            # runs first, so the request sees a consistent configuration
-            # whenever one is restorable.
-            now = init_times[i]
-            v = init_nodes[i]
-            rid = i
-            i += 1
-            fired += 1
-            if fired > limit:
-                _raise_livelock(max_events)
-            if fs.repair_due():
-                sink, er = fs.repair(link, now)
-                last_rid[sink] = er
-            if down[v]:
-                fs.drop_initiation(rid, v, now)
-                continue
-            if emit is not None:
-                emit("init", rid, v, now)
-            x = link[v]
-            if x == v:
-                if emit is not None:
-                    emit("complete", rid, last_rid[v], v, now, 0)
-                append((rid, last_rid[v], v, now, 0))
-                last_rid[v] = rid
-                continue
-            last_rid[v] = rid
-            link[v] = v
-            dst = x
-            hops = 1
-        elif heap:
-            now, _, tag, v, src, rid, hops = heappop(heap)
-            fired += 1
-            if fired > limit:
-                _raise_livelock(max_events)
-            if tag == _CRASH:
-                fs.crash(v, now)
-                link[v] = v
-                continue
-            if tag == _ARRIVE:
-                if fs.drops_arrival(src, v, rid, now):
-                    continue
-                if service > 0.0:
-                    # Serialise handling at v (Network._arrive).
-                    begin = busy_until[v]
-                    if now > begin:
-                        begin = now
-                    finish = begin + service
-                    busy_until[v] = finish
-                    heappush(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
-                    seq += 1
-                    continue
-            elif fs.drops_arrival(src, v, rid, now):
-                # _DISPATCH: the node crashed while the message waited
-                # for service — it is dropped at the handler, undelivered.
-                continue
-            # Path reversal (ArrowNode.on_message).
-            fs.in_flight -= 1
-            if emit is not None:
-                emit("deliver", rid, v, src, now)
-            x = link[v]
-            link[v] = src
-            if x == v:
-                if emit is not None:
-                    emit("complete", rid, last_rid[v], v, now, hops)
-                append((rid, last_rid[v], v, now, hops))
-                continue
-            dst = x
-            hops += 1
-        else:
-            break
+    t0 = _wall.perf_counter()
+    makespan, messages, link = engine._arrow_loop(
+        schedule.times,
+        schedule.nodes,
+        heap,
+        spawn_rng(seed, "network-latency"),
+        max_events,
+        on_event,
+        done=done,
+        faults=fs,
+    )
+    wall = _wall.perf_counter() - t0
 
-        # One link traversal v -> dst, fault checks first (a dropped send
-        # consumes no seq, no draw, no FIFO clamp — it never transmits).
-        if emit is not None:
-            emit("send", rid, v, dst, now)
-        if fs.drops_send(v, dst, rid, now):
-            continue
-        down_dir = parent[dst] == v
-        if det_up is None:
-            delay = sample(v, dst, weight[dst if down_dir else v], rng)
-        else:
-            delay = det_down[dst] if down_dir else det_up[v]
-        chan = 2 * dst + 1 if down_dir else 2 * v
-        at = now + delay
-        if at < last_delivery[chan]:
-            at = last_delivery[chan]
-        last_delivery[chan] = at
-        heappush(heap, (at, seq, _ARRIVE, dst, v, rid, hops))
-        seq += 1
-        messages += 1
-        fs.in_flight += 1
-
-    if fs.degraded:
-        # End-of-run repair: the heap drained, so the run is quiescent.
-        sink, er = fs.repair(link, now)
-        last_rid[sink] = er
-    wall = _wall.perf_counter() - t0_wall
-
-    completions = result.completions
-    for row in done:
-        completions[row[0]] = CompletionRecord(*row)
-    if len(completions) != len(done):
-        raise ProtocolError("a request completed twice")
-    result.makespan = now if fired else 0.0
-    result.wall_seconds = wall
-    result.network_stats = {
-        "messages_sent": messages,
-        "link_messages": messages,
-        "routed_messages": 0,
-        "hops_total": messages,
-    }
-    report = fs.finish(link, len(completions), m)
-    return result, report
+    result = _run_result(schedule, done, makespan, messages, wall)
+    return result, fs.finish(link, len(result.completions), m)
 
 
 # ----------------------------------------------------------------------
@@ -586,8 +446,8 @@ class _FaultyNetwork(Network):
     """A :class:`Network` that applies a :class:`_FaultState` to queue traffic.
 
     Drop checks run before any stats/latency/FIFO side effect, so a
-    dropped message is observationally absent — exactly like the flat
-    loop, which never transmits it.
+    dropped message is observationally absent — exactly like the fast
+    engine, which never transmits it.
     """
 
     def __init__(self, *args, fault_state: _FaultState, **kwargs) -> None:
@@ -673,7 +533,7 @@ def _run_message_faulted(
 
     def initiate(req_node: int, rid: int) -> None:
         # Quiescent-point repair check, then the down-node gate — the
-        # flat loop runs the identical sequence before each initiation.
+        # fast engine runs the identical sequence before each initiation.
         if fs.repair_due():
             repair_nodes(sim.now)
         if fs.down[req_node]:
@@ -686,7 +546,7 @@ def _run_message_faulted(
         nodes[node].link = node
 
     # Kernel-parity sequence numbering: initiations first (seqs 0..m-1),
-    # then the crash events (m..m+c-1) — the flat loop replays exactly
+    # then the crash events (m..m+c-1) — the fast engine replays exactly
     # these sequence numbers.
     for req in schedule:
         sim.call_at(req.time, initiate, req.node, req.rid)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.core.arrow import ArrowNode
 from repro.core.centralized import CentralizedNode
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError, ScheduleError
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel, UnitLatency
 from repro.net.message import Message
@@ -113,6 +113,25 @@ class ClosedLoopResult:
         return [rid for rid, p in enumerate(self.owners) if p == proc]
 
 
+def _check_loop_args(
+    requests_per_proc: int, service_time: float, think_time: float
+) -> None:
+    """Reject out-of-range loop knobs; every closed-loop driver calls this.
+
+    A negative budget would otherwise surface late as "completed 0 of -32
+    requests" and a negative think time would silently run as zero.
+    ``requests_per_proc == 0`` is legal: an empty, complete run.
+    """
+    if service_time < 0:
+        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    if requests_per_proc < 0:
+        raise ScheduleError(
+            f"requests_per_proc must be >= 0, got {requests_per_proc}"
+        )
+    if think_time < 0:
+        raise ScheduleError(f"think_time must be >= 0, got {think_time}")
+
+
 class _Driver:
     """Shared per-processor issuing logic."""
 
@@ -167,6 +186,7 @@ def closed_loop_arrow(
     (see :mod:`repro.monitors`); the ``queue_reply`` acknowledgements are
     application traffic and not part of it.
     """
+    _check_loop_args(requests_per_proc, service_time, think_time)
     n = graph.num_nodes
     result = ClosedLoopResult("arrow", n, requests_per_proc)
     sim = Simulator(max_events=max_events)
@@ -228,6 +248,7 @@ def closed_loop_centralized(
     max_events: int | None = None,
 ) -> ClosedLoopResult:
     """Closed-loop centralized run with the paper's 2-message discipline."""
+    _check_loop_args(requests_per_proc, service_time, think_time)
     n = graph.num_nodes
     result = ClosedLoopResult("centralized", n, requests_per_proc)
     sim = Simulator(max_events=max_events)

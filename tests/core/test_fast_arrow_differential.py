@@ -226,6 +226,16 @@ def test_pinned_integer_latency_ties():
     assert_parity(g2, tree, sched, **kw)
 
 
+def test_pinned_hop_heavy_path_at_grid_scale():
+    """4,000 requests on a 128-node path: long FIFO chains per link."""
+    g = path_graph(128)
+    tree = bfs_tree(g, 0)
+    sched = poisson(128, 4_000, rate=4.0, seed=2)
+    a = assert_parity(g, tree, sched)
+    assert len(a.completions) == 4_000
+    assert a.network_stats["messages_sent"] == 15_529
+
+
 class _AsymmetricLatency(UnitLatency):
     """Deterministic but direction-dependent: the ABC permits this."""
 

@@ -16,16 +16,15 @@ The fault layer's contract has three parts, each tested here:
 import pytest
 
 from repro.core.fast_arrow import run_arrow_fast
-from repro.errors import FaultPlanError, NetworkError, SweepError
+from repro.errors import FaultPlanError, NetworkError, SimulationError, SweepError
 from repro.faults import (
-    FaultPlan,
     epoch_rid,
     parse_fault_plan,
     run_arrow_faulted,
 )
 from repro.graphs import complete_graph, path_graph
 from repro.monitors import ArrowMonitor
-from repro.spanning import bfs_tree
+from repro.spanning import balanced_binary_overlay, bfs_tree
 from repro.workloads.schedules import poisson
 
 ENGINES = ("fast", "message")
@@ -143,15 +142,24 @@ def test_three_engines_agree_under_faults(plan):
 
 
 def test_conservation_every_request_completed_or_lost():
-    graph = path_graph(9)
-    tree = bfs_tree(graph, 0)
-    schedule = poisson(9, 45, 3.0, seed=7)
-    result, report = run_arrow_faulted(
-        graph, tree, schedule, "crash@3.0:4,loss:0.05", seed=8
-    )
-    assert len(result.completions) + report.requests_lost == len(schedule)
-    assert set(report.lost_rids).isdisjoint(result.completions)
-    assert report.final_violations == 0
+    path = path_graph(9)
+    k32 = complete_graph(32)
+    overlay = balanced_binary_overlay(k32, 0)
+    grid_scale = poisson(32, 3200, rate=8.0, seed=1)
+    for graph, tree, schedule, plan, kw in (
+        (path, bfs_tree(path, 0), poisson(9, 45, 3.0, seed=7),
+         "crash@3.0:4,loss:0.05", dict(seed=8)),
+        # 3,200 requests through two crashes / 1% loss: the accounting the
+        # sweep's fault axis persists per row still balances at grid scale.
+        (k32, overlay, grid_scale, "crash@40.0:5,crash@200.0:11",
+         dict(seed=1, service_time=0.1)),
+        (k32, overlay, grid_scale, "loss:0.01", dict(seed=1, service_time=0.1)),
+    ):
+        result, report = run_arrow_faulted(graph, tree, schedule, plan, **kw)
+        assert len(result.completions) + report.requests_lost == len(schedule)
+        assert set(report.lost_rids).isdisjoint(result.completions)
+        assert report.final_violations == 0
+        assert report.repairs_run >= 1
 
 
 def test_negative_service_time_rejected():
@@ -163,6 +171,30 @@ def test_negative_service_time_rejected():
     for plan in ("", "loss:0.1"):
         with pytest.raises(NetworkError):
             run_arrow_faulted(graph, tree, schedule, plan, service_time=-1.0)
+
+
+@pytest.mark.parametrize(
+    "plan, service_time, events",
+    [
+        ("crash@3.0:1,loss:0.02", 0.0, 211),
+        ("crash@3.0:1,loss:0.02", 0.1, 266),
+        ("link@0-1:2-6", 0.0, 224),
+        ("link@0-1:2-6", 0.1, 312),
+    ],
+)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_max_events_guard_at_kernel_parity(plan, service_time, events, engine):
+    """The livelock guard counts what the kernel fires, faults included:
+    crash events and dropped initiations are fired events, dropped sends
+    schedule nothing — so the smallest passing limit is engine-independent.
+    """
+    graph = complete_graph(16)
+    tree = balanced_binary_overlay(graph, 0)
+    schedule = poisson(16, 120, 8.0, seed=4)
+    kw = dict(engine=engine, seed=5, service_time=service_time)
+    run_arrow_faulted(graph, tree, schedule, plan, max_events=events, **kw)
+    with pytest.raises(SimulationError, match="max_events"):
+        run_arrow_faulted(graph, tree, schedule, plan, max_events=events - 1, **kw)
 
 
 def test_unknown_engine_rejected():

@@ -14,9 +14,10 @@ from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.requests import ROOT_RID
 from repro.core.runner import run_arrow
 from repro.errors import MonitorViolation, SweepError
+from repro.faults import run_arrow_faulted
 from repro.graphs import complete_graph, path_graph
 from repro.monitors import MONITOR_NAMES, ArrowMonitor
-from repro.spanning import SpanningTree, bfs_tree
+from repro.spanning import SpanningTree, balanced_binary_overlay, bfs_tree
 from repro.workloads.schedules import poisson
 
 ENGINES = {
@@ -62,6 +63,12 @@ def test_closed_loop_fault_free_audit(engine):
     )
     monitor.finalize(expected=result.total_requests)
     assert len(monitor.completed) == result.total_requests
+    # Byte-transparency on the closed loop: watching changes nothing.
+    bare = runner(
+        graph, tree, requests_per_proc=5, seed=1, service_time=0.1,
+        think_time=0.1,
+    )
+    assert result == bare
 
 
 def test_monitored_run_results_identical_to_unmonitored():
@@ -78,6 +85,52 @@ def test_monitored_run_results_identical_to_unmonitored():
         assert watched.completions == bare.completions, engine
         assert watched.makespan == bare.makespan, engine
         assert watched.network_stats == bare.network_stats, engine
+
+
+def _closed_loop(engine, graph, tree, on_event, service_time, think_time):
+    closed_loop_runner("arrow", engine)(
+        graph, tree, requests_per_proc=6, seed=5, service_time=service_time,
+        think_time=think_time, on_event=on_event,
+    )
+
+
+def _faulted(engine, graph, tree, on_event, plan, service_time):
+    schedule = poisson(16, 120, 8.0, seed=4)
+    run_arrow_faulted(
+        graph, tree, schedule, plan, engine=engine, seed=5,
+        service_time=service_time, on_event=on_event,
+    )
+
+
+@pytest.mark.parametrize(
+    "run, args",
+    [
+        (_faulted, ("", 0.0)),  # the empty plan is the stock open loop
+        (_faulted, ("", 0.1)),
+        (_closed_loop, (0.0, 0.0)),
+        (_closed_loop, (0.1, 0.1)),
+        (_closed_loop, (0.1, 0.0)),  # re-issue inside the ack dispatch
+        (_faulted, ("crash@3.0:1,loss:0.02", 0.0)),
+        (_faulted, ("crash@3.0:1,loss:0.02", 0.1)),
+        (_faulted, ("link@0-1:2-6", 0.1)),
+        (_faulted, ("crash@0:0", 0.0)),  # the root is down from the start
+    ],
+)
+def test_event_stream_is_engine_independent(run, args):
+    """The raw ``on_event`` tuples, not just a monitor's verdict on them.
+
+    Every fast-engine emit site must produce the message engine's event,
+    with the same arguments, at the same position in the stream.
+    """
+    graph = complete_graph(16)
+    tree = balanced_binary_overlay(graph, 0)
+    streams = {}
+    for engine in ENGINES:
+        events = []
+        run(engine, graph, tree, lambda *event: events.append(event), *args)
+        streams[engine] = events
+    assert streams["fast"] == streams["message"]
+    assert len(streams["fast"]) > 120
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.fast_arrow import ENGINES
+from repro.core.fast_closed_loop import closed_loop_runner
+from repro.errors import NetworkError, ScheduleError
 from repro.graphs import complete_graph
 from repro.spanning import balanced_binary_overlay
 from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
@@ -93,3 +96,44 @@ def test_arrow_scales_sublinearly_with_system_size():
         big, t_big, requests_per_proc=30, service_time=0.2, think_time=0.2
     )
     assert r_big.makespan < 2.0 * r_small.makespan
+
+
+# ----------------------------------------------------------------------
+# argument validation, identical on all four drivers
+# ----------------------------------------------------------------------
+DRIVERS = [
+    pytest.param(closed_loop_runner(protocol, engine), protocol, id=f"{protocol}-{engine}")
+    for protocol in ("arrow", "centralized")
+    for engine in ENGINES
+]
+
+
+def _topology(k8, protocol):
+    g, tree = k8
+    return (g, tree) if protocol == "arrow" else (g, 0)
+
+
+@pytest.mark.parametrize("run, protocol", DRIVERS)
+@pytest.mark.parametrize(
+    "bad", [{"think_time": -1.0}, {"requests_per_proc": -2}]
+)
+def test_out_of_range_budgets_rejected(k8, run, protocol, bad):
+    (name, value), = bad.items()
+    kw = {"requests_per_proc": 3, **bad}
+    with pytest.raises(ScheduleError, match=rf"{name} must be >= 0, got {value}"):
+        run(*_topology(k8, protocol), **kw)
+
+
+@pytest.mark.parametrize("run, protocol", DRIVERS)
+def test_negative_service_time_rejected(k8, run, protocol):
+    with pytest.raises(NetworkError, match="service_time"):
+        run(*_topology(k8, protocol), requests_per_proc=3, service_time=-0.5)
+
+
+@pytest.mark.parametrize("run, protocol", DRIVERS)
+def test_zero_budget_is_an_empty_complete_run(k8, run, protocol):
+    res = run(*_topology(k8, protocol), requests_per_proc=0, think_time=0.5)
+    assert res.completions == res.total_requests == 0
+    assert res.makespan == 0.0
+    assert res.messages_sent == 0
+    assert res.hops == res.latencies == res.owners == res.ack_times == []
