@@ -91,8 +91,7 @@ class RunResult:
     # ------------------------------------------------------------------
     def latency(self, rid: int) -> float:
         """Latency of one request (Definition 3.2)."""
-        rec = self.completions[rid]
-        return rec.completed_at - self.schedule.by_rid(rid).time
+        return self.completions[rid].completed_at - self.schedule.times[rid]
 
     @property
     def total_latency(self) -> float:
@@ -127,12 +126,11 @@ def verify_total_order(result: RunResult) -> list[int]:
     * a request completed twice (caught at record time),
     * the successor relation is not a single chain from the root request.
     """
-    missing = [
-        r.rid for r in result.schedule if r.rid not in result.completions
-    ]
+    rids = range(len(result.schedule))  # a rid is its schedule index
+    missing = [rid for rid in rids if rid not in result.completions]
     if missing:
         raise ProtocolError(f"requests never completed: {missing[:10]}")
     order = result.order  # raises on structural violations
-    if sorted(order) != [r.rid for r in result.schedule]:
+    if sorted(order) != list(rids):
         raise ProtocolError("queuing order does not cover the schedule exactly")
     return order

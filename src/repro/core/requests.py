@@ -13,8 +13,11 @@ queue tail held by the root; it carries the reserved id
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import ScheduleError
 
@@ -39,14 +42,22 @@ class Request:
     rid: int
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ScheduleError(f"request time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:  # a NaN fails both comparisons
+            raise ScheduleError(f"request time must be finite and >= 0, got {self.time}")
 
 
 class RequestSchedule:
-    """An immutable, canonically ordered set of queuing requests."""
+    """An immutable, canonically ordered set of queuing requests.
 
-    __slots__ = ("_requests", "_by_rid")
+    Stored as two parallel columns in canonical order — issuing nodes and
+    issue times, plain ``int`` / ``float`` lists — so a request's ``rid``
+    *is* its index.  :attr:`nodes` and :attr:`times` return the schedule's
+    own lists (the fast engine reads them in place) and must not be
+    mutated.  :class:`Request` objects are views made on demand by
+    iteration, indexing, :meth:`by_rid` and :meth:`restricted_to_times`.
+    """
+
+    __slots__ = ("_nodes", "_times")
 
     def __init__(self, pairs: Iterable[tuple[int, float]]) -> None:
         """Build from ``(node, time)`` pairs.
@@ -55,51 +66,71 @@ class RequestSchedule:
         non-decreasing-time canonical indexing — and assigned ids
         ``0..len-1`` in that order.
         """
-        indexed = [(float(t), i, int(v)) for i, (v, t) in enumerate(pairs)]
-        indexed.sort(key=lambda x: (x[0], x[1]))
-        self._requests: tuple[Request, ...] = tuple(
-            Request(node=v, time=t, rid=rid) for rid, (t, _, v) in enumerate(indexed)
-        )
-        self._by_rid = {r.rid: r for r in self._requests}
+        pairs = list(pairs)
+        self._set_columns([v for v, _ in pairs], [t for _, t in pairs])
+
+    @classmethod
+    def from_columns(cls, nodes: Sequence[int], times: Sequence[float]) -> "RequestSchedule":
+        """Build from parallel node/time columns (lists or numpy arrays)."""
+        self = cls.__new__(cls)
+        self._set_columns(nodes, times)
+        return self
+
+    def _set_columns(self, nodes: Sequence[int], times: Sequence[float]) -> None:
+        """Check the times and store both columns in canonical order."""
+        v = np.asarray(nodes, dtype=np.int64)
+        t = np.asarray(times, dtype=np.float64)
+        if v.ndim != 1 or v.shape != t.shape:
+            raise ScheduleError(f"need one time per node, got {v.size} nodes and {t.size} times")
+        bad = ~((t >= 0) & (t < np.inf))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ScheduleError(f"request time must be finite and >= 0, got {t[i]} for pair {i}")
+        # A stable sort on time alone is the (time, insertion order) sort;
+        # tolist() yields Python scalars, so no numpy type reaches a row.
+        order = np.argsort(t, kind="stable")
+        self._nodes: list[int] = v[order].tolist()
+        self._times: list[float] = t[order].tolist()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._requests)
+        return len(self._nodes)
 
     def __iter__(self) -> Iterator[Request]:
-        return iter(self._requests)
+        return map(Request, self._nodes, self._times, range(len(self._nodes)))
 
-    def __getitem__(self, rid: int) -> Request:
-        return self._requests[rid]
+    def __getitem__(self, rid):
+        """Sequence indexing: negative positions and slices as for a tuple."""
+        if isinstance(rid, slice):
+            return tuple(self)[rid]
+        return self.by_rid(range(len(self._nodes))[rid])
 
     def by_rid(self, rid: int) -> Request:
         """Request with the given canonical id."""
-        try:
-            return self._by_rid[rid]
-        except KeyError:
-            raise ScheduleError(f"no request with rid {rid}") from None
+        if not 0 <= rid < len(self._nodes):
+            raise ScheduleError(f"no request with rid {rid}")
+        return Request(self._nodes[rid], self._times[rid], rid)
 
     @property
     def nodes(self) -> list[int]:
-        """Issuing node per request, in canonical order."""
-        return [r.node for r in self._requests]
+        """Issuing node per request, in canonical order (do not mutate)."""
+        return self._nodes
 
     @property
     def times(self) -> list[float]:
-        """Issue time per request, in canonical order."""
-        return [r.time for r in self._requests]
+        """Issue time per request, in canonical order (do not mutate)."""
+        return self._times
 
     def max_time(self) -> float:
         """Largest issue time ``t_|R|`` (0 for an empty schedule)."""
-        return self._requests[-1].time if self._requests else 0.0
+        return self._times[-1] if self._times else 0.0
 
     def validate_nodes(self, num_nodes: int) -> None:
         """Raise :class:`ScheduleError` if any request names a bad node."""
-        for r in self._requests:
-            if not 0 <= r.node < num_nodes:
-                raise ScheduleError(
-                    f"request {r.rid} at node {r.node} outside [0, {num_nodes})"
-                )
+        nodes = self._nodes
+        if nodes and not (0 <= min(nodes) and max(nodes) < num_nodes):
+            rid = next(i for i, v in enumerate(nodes) if not 0 <= v < num_nodes)
+            raise ScheduleError(f"request {rid} at node {nodes[rid]} outside [0, {num_nodes})")
 
     def shifted(self, rids: Sequence[int], delta: float) -> "RequestSchedule":
         """New schedule with the given requests' times shifted by ``delta``.
@@ -108,15 +139,12 @@ class RequestSchedule:
         times non-negative.
         """
         rid_set = set(rids)
-        pairs = [
-            (r.node, r.time + delta if r.rid in rid_set else r.time)
-            for r in self._requests
-        ]
-        return RequestSchedule(pairs)
+        times = [t + delta if rid in rid_set else t for rid, t in enumerate(self._times)]
+        return RequestSchedule.from_columns(self._nodes, times)
 
     def restricted_to_times(self, lo: float, hi: float) -> list[Request]:
         """Requests with issue time in ``[lo, hi]`` (canonical order)."""
-        return [r for r in self._requests if lo <= r.time <= hi]
+        return [r for r in self if lo <= r.time <= hi]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestSchedule(len={len(self)}, span=[0, {self.max_time()}])"

@@ -70,9 +70,15 @@ def star_graph(n: int, weight: float = 1.0) -> Graph:
 def complete_graph(n: int, weight: float = 1.0) -> Graph:
     """Complete graph ``K_n`` with uniform edge weight (SP2 model, §5)."""
     g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v, weight)
+    if n > 1 and weight <= 0:
+        raise GraphError(f"edge weight must be positive, got {weight}")
+    # Each ascending adjacency row written whole — what n(n-1)/2 add_edge
+    # calls (two node checks and two dict stores each) would leave behind.
+    full_row = dict.fromkeys(range(n), float(weight))
+    for u, row in enumerate(g._adj):
+        row.update(full_row)
+        del row[u]
+    g._num_edges = n * (n - 1) // 2
     return g
 
 

@@ -123,12 +123,10 @@ def bfs_tree(graph: Graph, root: int = 0) -> SpanningTree:
     dist, pred = dijkstra(graph, root)
     if any(d == float("inf") for d in dist):
         raise GraphError("graph is disconnected; no spanning tree exists")
-    edges = [
-        (v, pred[v], graph.weight(v, pred[v]))
-        for v in graph.nodes()
-        if v != root
-    ]
-    return SpanningTree.from_edges(graph.num_nodes, edges, root)
+    # The predecessor array already is the rooted tree's parent array.
+    pred[root] = root
+    weights = [0.0 if v == root else graph.weight(v, pred[v]) for v in graph.nodes()]
+    return SpanningTree(pred, root, weights)
 
 
 def balanced_binary_overlay(graph: Graph, root: int = 0) -> SpanningTree:

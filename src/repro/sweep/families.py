@@ -91,14 +91,20 @@ def _build_open_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
 
 def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
     """Metric columns shared by every open-loop :class:`RunResult` row."""
-    latencies = [result.latency(rid) for rid in result.completions]
+    # One pass; the builtin ``sum`` over completion order keeps the bits of
+    # ``RunResult.total_latency`` / ``mean_hops`` / ``local_find_fraction``.
+    times = result.schedule.times
+    records = result.completions.values()
+    latencies = [rec.completed_at - times[rec.rid] for rec in records]
+    hops = [rec.hops for rec in records]
+    done = len(hops)
     return {
         "n": graph.num_nodes,
         "requests": requests,
         "makespan": result.makespan,
-        "total_latency": result.total_latency,
-        "mean_hops": result.mean_hops,
-        "local_find_fraction": result.local_find_fraction(),
+        "total_latency": sum(latencies),
+        "mean_hops": sum(hops) / done if done else 0.0,
+        "local_find_fraction": hops.count(0) / done if done else 0.0,
         "messages_sent": result.network_stats["messages_sent"],
         "hops_total": result.network_stats["hops_total"],
         **latency_columns(latencies),

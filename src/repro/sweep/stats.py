@@ -119,8 +119,17 @@ class QuantileSketch:
     ) -> "QuantileSketch":
         """Sketch of a value iterable (exact unless ``compression`` set)."""
         sk = cls(compression)
-        for v in values:
-            sk.add(float(v))
+        if compression is not None:
+            sk.update(values)
+            return sk
+        # An exact sketch never shrinks: one loop fills its multiset, leaving
+        # the state that per-value add() calls would.
+        weights = sk._weights
+        for v in map(float, values):
+            weights[v] = weights.get(v, 0) + 1
+        sk._count = sum(weights.values())
+        sk._min = min(weights, default=sk._min)
+        sk._max = max(weights, default=sk._max)
         return sk
 
     @classmethod

@@ -15,6 +15,12 @@ produce the families used by the experiments and tests:
   contention for a popular object.
 
 All generators take a seed and are deterministic given their arguments.
+They emit columns: the arrays they draw go to
+:meth:`RequestSchedule.from_columns` as they are, with no per-request
+Python object in between.  Only ``hotspot`` draws its nodes one scalar
+call at a time: whether a request takes a hot or a uniform draw depends
+on its own coin flip, so vectorising would reorder the stream and change
+every seeded ``hotspot`` schedule.
 """
 
 from __future__ import annotations
@@ -35,9 +41,21 @@ __all__ = [
 ]
 
 
+def _check_args(pool: int, *, rate: float = 1.0, **sizes: float) -> None:
+    """Reject what numpy would fail on with a raw ValueError (or, for a
+    zero rate, a ZeroDivisionError); a zero count or span stays legal."""
+    if pool <= 0:
+        raise ScheduleError(f"num_nodes / nodes must name a node, got {pool} nodes")
+    if not rate > 0:
+        raise ScheduleError(f"rate must be positive, got {rate}")
+    for name, value in sizes.items():
+        if not value >= 0:
+            raise ScheduleError(f"{name} must be >= 0, got {value}")
+
+
 def one_shot(nodes: list[int]) -> RequestSchedule:
     """Every listed node issues one request at time 0 (concurrent case)."""
-    return RequestSchedule([(v, 0.0) for v in nodes])
+    return RequestSchedule.from_columns(nodes, [0.0] * len(nodes))
 
 
 def sequential(
@@ -68,16 +86,12 @@ def poisson(
     ``rate`` is the aggregate arrival rate (requests per time unit);
     issuing nodes are uniform over ``nodes`` (default: all nodes).
     """
-    if rate <= 0:
-        raise ScheduleError(f"rate must be positive, got {rate}")
+    pool = np.arange(num_nodes) if nodes is None else np.asarray(nodes)
+    _check_args(len(pool), count=count, rate=rate)
     rng = spawn_rng(seed, f"poisson-{num_nodes}-{count}-{rate}")
-    gaps = rng.exponential(1.0 / rate, size=count)
-    times = np.cumsum(gaps)
-    pool = nodes if nodes is not None else list(range(num_nodes))
+    times = np.cumsum(rng.exponential(1.0 / rate, size=count))
     picks = rng.integers(0, len(pool), size=count)
-    return RequestSchedule(
-        [(pool[picks[i]], float(times[i])) for i in range(count)]
-    )
+    return RequestSchedule.from_columns(pool[picks], times)
 
 
 def bursty(
@@ -95,19 +109,18 @@ def bursty(
     within a ``burst_span`` window from uniform random nodes; bursts are
     separated by ``idle_gap``.
     """
-    if burst_span < 0 or idle_gap < 0:
-        raise ScheduleError("burst_span and idle_gap must be non-negative")
+    _check_args(
+        num_nodes, bursts=bursts, burst_size=burst_size, burst_span=burst_span, idle_gap=idle_gap
+    )
     rng = spawn_rng(seed, f"bursty-{num_nodes}-{bursts}-{burst_size}")
-    pairs: list[tuple[int, float]] = []
+    nodes: list[int] = []
+    times: list[float] = []
     t0 = 0.0
     for _ in range(bursts):
-        offsets = rng.uniform(0.0, burst_span, size=burst_size)
-        picks = rng.integers(0, num_nodes, size=burst_size)
-        pairs.extend(
-            (int(picks[i]), t0 + float(offsets[i])) for i in range(burst_size)
-        )
+        times.extend((t0 + rng.uniform(0.0, burst_span, size=burst_size)).tolist())
+        nodes.extend(rng.integers(0, num_nodes, size=burst_size).tolist())
         t0 += burst_span + idle_gap
-    return RequestSchedule(pairs)
+    return RequestSchedule.from_columns(nodes, times)
 
 
 def hotspot(
@@ -124,17 +137,16 @@ def hotspot(
         raise ScheduleError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
     if not hot_nodes:
         raise ScheduleError("hot_nodes must be non-empty")
+    _check_args(num_nodes, count=count, rate=rate)
     rng = spawn_rng(seed, f"hotspot-{num_nodes}-{count}")
-    gaps = rng.exponential(1.0 / rate, size=count)
-    times = np.cumsum(gaps)
-    pairs = []
-    for i in range(count):
+    times = np.cumsum(rng.exponential(1.0 / rate, size=count))
+    nodes = []
+    for _ in range(count):
         if rng.random() < hot_fraction:
-            v = hot_nodes[int(rng.integers(0, len(hot_nodes)))]
+            nodes.append(hot_nodes[int(rng.integers(0, len(hot_nodes)))])
         else:
-            v = int(rng.integers(0, num_nodes))
-        pairs.append((v, float(times[i])))
-    return RequestSchedule(pairs)
+            nodes.append(int(rng.integers(0, num_nodes)))
+    return RequestSchedule.from_columns(nodes, times)
 
 
 def random_times(
@@ -151,10 +163,11 @@ def random_times(
     measure-zero — the regime where the fast NN executor must match the
     simulator exactly (used heavily by the integration tests).
     """
+    _check_args(num_nodes, count=count, horizon=horizon)
     rng = spawn_rng(seed, f"random-{num_nodes}-{count}-{horizon}")
     picks = rng.integers(0, num_nodes, size=count)
     if continuous:
         times = rng.uniform(0.0, horizon, size=count)
     else:
-        times = rng.integers(0, max(1, int(horizon)) + 1, size=count).astype(float)
-    return RequestSchedule([(int(picks[i]), float(times[i])) for i in range(count)])
+        times = rng.integers(0, max(1, int(horizon)) + 1, size=count)
+    return RequestSchedule.from_columns(picks, times)

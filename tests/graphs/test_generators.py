@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs import (
+    Graph,
     balanced_binary_tree_graph,
     caterpillar_graph,
     complete_graph,
@@ -120,3 +121,38 @@ def test_lollipop_shape():
     assert g.num_nodes == 8
     assert g.num_edges == 10 + 3
     assert is_connected(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("weight", [1.0, 2.5, 3])
+def test_complete_graph_is_the_nested_add_edge_graph(n, weight):
+    """Rows are written directly; the add_edge loop stays here as the reference."""
+    ref = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            ref.add_edge(u, v, weight)
+    g = complete_graph(n, weight)
+    assert g.num_nodes == n and g.num_edges == ref.num_edges == n * (n - 1) // 2
+    assert list(g.edges()) == list(ref.edges())
+    for u in range(n):
+        assert list(g.neighbors(u)) == list(ref.neighbors(u))
+        assert list(g.neighbor_weights(u)) == list(ref.neighbor_weights(u))
+        assert {type(w) for _, w in g.neighbor_weights(u)} <= {float}
+    # The rows are independent dicts: editing one edge leaves the rest alone.
+    if n > 2:
+        g.add_edge(0, 1, 9.0)
+        assert g.weight(0, 1) == g.weight(1, 0) == 9.0
+        assert g.weight(0, 2) == g.weight(1, 2) == float(weight)
+        assert g.num_edges == ref.num_edges
+
+
+def test_complete_graph_errors_unchanged():
+    with pytest.raises(GraphError, match="at least one node"):
+        complete_graph(0)
+    with pytest.raises(GraphError, match="at least one node"):
+        complete_graph(-3)
+    for weight in (0.0, -1.0):
+        with pytest.raises(GraphError, match="edge weight must be positive"):
+            complete_graph(4, weight)
+    # K1 has no edge to carry the bad weight (as with the add_edge loop).
+    assert complete_graph(1, 0.0).num_edges == 0

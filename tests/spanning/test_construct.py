@@ -1,11 +1,21 @@
 """Unit tests for spanning-tree constructions (networkx MST as oracle)."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.errors import GraphError, TreeError
-from repro.graphs import Graph, complete_graph, grid_graph, random_geometric_graph
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    dijkstra,
+    gnp_connected_graph,
+    grid_graph,
+    random_geometric_graph,
+)
 from repro.spanning import (
+    SpanningTree,
     UnionFind,
     balanced_binary_overlay,
     bfs_tree,
@@ -127,3 +137,34 @@ def test_union_find_basics():
     uf.union(0, 3)
     assert uf.find(2) == uf.find(1)
     assert uf.components == 2
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("root", [0, 11])
+def test_bfs_tree_is_from_edges_of_the_dijkstra_edges(seed, root):
+    """Dijkstra's predecessor array is the tree: ``from_edges`` (adjacency
+    rebuild + second BFS) stays here as the reference."""
+    topo = gnp_connected_graph(25, 0.2, seed=seed)
+    rng = random.Random(seed)
+    g = Graph(topo.num_nodes)
+    for u, v, _ in topo.edges():
+        g.add_edge(u, v, rng.choice([0.5, 1.0, 1.0, 2.25, 4]))
+    _, pred = dijkstra(g, root)
+    ref = SpanningTree.from_edges(
+        g.num_nodes,
+        [(v, pred[v], g.weight(v, pred[v])) for v in g.nodes() if v != root],
+        root,
+    )
+    t = bfs_tree(g, root)
+    assert t.root == ref.root == root
+    for field in ("parent", "children", "depth", "wdepth", "edge_weight"):
+        assert getattr(t, field) == getattr(ref, field), field
+    assert t.edges() == ref.edges()
+    assert {type(w) for w in t.edge_weight} == {float}
+    # The caller-visible Dijkstra contract (-1 at the source) is untouched.
+    assert dijkstra(g, root)[1][root] == -1
+
+
+def test_bfs_tree_single_node():
+    t = bfs_tree(Graph(1), 0)
+    assert t.parent == [0] and t.edge_weight == [0.0] and t.depth == [0]

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.core.requests import Request
 from repro.errors import ReproError
 from repro.sweep import (
     GraphSpec,
@@ -138,3 +139,67 @@ def test_smoke_grid_end_to_end(tmp_path):
     assert summary["written"] == 4
     rows = [json.loads(line) for line in p.read_text().strip().split("\n")]
     assert all(row["engine"] == "fast" for row in rows)
+
+
+# ----------------------------------------------------------------------
+# the fast sweep path is columnar: counted, not timed
+# ----------------------------------------------------------------------
+@pytest.fixture
+def requests_made(monkeypatch):
+    """The rid of every Request object built while the test runs."""
+    made = []
+    check = Request.__post_init__
+
+    def counting(self):
+        made.append(self.rid)
+        check(self)
+
+    monkeypatch.setattr(Request, "__post_init__", counting)
+    return made
+
+
+def _one_cell(schedule, engine="fast", **spec_fields):
+    return SweepSpec(
+        name="columnar",
+        graphs=(GraphSpec.of("complete", n=12),),
+        trees=("bfs",),
+        schedules=(schedule,),
+        seeds=(3,),
+        engine=engine,
+        **spec_fields,
+    )
+
+
+POISSON = ScheduleSpec.of("poisson", per_node=10, rate_per_node=0.5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _one_cell(POISSON),
+        _one_cell(ScheduleSpec.of("one_shot")),
+        _one_cell(POISSON, faults=("crash@3.0:1,loss:0.02",), monitors=True),
+    ],
+    ids=["poisson", "one_shot", "faulted+monitored"],
+)
+def test_fast_cells_allocate_no_request_object(requests_made, spec):
+    """Schedule → engine → row never leaves the two columns.  The count
+    repeats exactly, so this regression guard needs no wall clock."""
+    rows = [execute_cell(cell) for cell in spec.cells()]
+    assert requests_made == []
+    assert all(row["requests"] > 0 for row in rows)
+
+
+def test_message_cell_materialises_each_request_once(requests_made):
+    """The message runner's one ``for req in schedule`` is the only place a
+    cell builds Request views: ``RunResult.latency`` and the row columns
+    read the time column."""
+    (row,) = [execute_cell(c) for c in _one_cell(POISSON, engine="message").cells()]
+    assert sorted(requests_made) == list(range(row["requests"])) and row["requests"] == 120
+    requests_made.clear()
+    (fast_row,) = [execute_cell(c) for c in _one_cell(POISSON).cells()]
+    assert requests_made == []
+    drop = {"engine", "cell_id"}
+    assert {k: v for k, v in fast_row.items() if k not in drop} == {
+        k: v for k, v in row.items() if k not in drop
+    }

@@ -235,3 +235,50 @@ def test_histogram_mass_conserved_under_compression():
         (rng.uniform(0, 30) for _ in range(10_000)), compression=50
     )
     assert sum(sk.histogram(DEFAULT_BINS)) == 10_000
+
+
+# ----------------------------------------------------------------------
+# the bulk exact constructor is the per-value sketch
+# ----------------------------------------------------------------------
+BULK_CASES = {
+    "empty": [],
+    "one": [3.25],
+    "zeros": [0.0] * 17,
+    "all-equal": [2.5] * 40,
+    "ties": [1.0, 0.0, 1.0, 2.0, 0.0, 1.0, 7.5, 7.5],
+    "signed-zero": [-0.0, 0.0, 1.0],
+    "ints": [3, 1, 1, 0, 2],
+    "mixed": random.Random(3).choices([0.0, 0.1, 0.1 * 3, 5.0], k=300),
+}
+
+
+def fed_by_add(values, compression=None):
+    sk = QuantileSketch(compression)
+    for v in values:
+        sk.add(v)
+    return sk
+
+
+@pytest.mark.parametrize("case", sorted(BULK_CASES))
+def test_bulk_exact_sketch_is_the_per_value_sketch(case):
+    xs = BULK_CASES[case]
+    bulk = QuantileSketch.from_values(xs)
+    assert bulk.to_dict() == fed_by_add(xs).to_dict()
+    assert bulk.count == len(xs) and bulk.is_exact
+    assert latency_columns(xs) == direct_columns(xs)
+    # A generator can be walked once only: the bulk path must not need twice.
+    assert QuantileSketch.from_values(x for x in xs).to_dict() == bulk.to_dict()
+    assert latency_columns(x for x in xs) == direct_columns(xs)
+    # Still an ordinary sketch afterwards: adding and merging work on it.
+    grown = QuantileSketch.from_values(xs)
+    grown.add(9.0)
+    assert grown.to_dict() == fed_by_add([*xs, 9.0]).to_dict()
+    assert bulk.merge(bulk).to_dict() == fed_by_add([*xs, *xs]).to_dict()
+
+
+def test_bulk_constructor_with_compression_still_shrinks_through_add():
+    rng = random.Random(5)
+    xs = [rng.expovariate(1.0) for _ in range(500)]
+    sk = QuantileSketch.from_values(xs, compression=50)
+    assert sk.to_dict() == fed_by_add(xs, compression=50).to_dict()
+    assert sk.num_centroids <= 2 * 50 and not sk.is_exact

@@ -1,5 +1,7 @@
 """Unit tests for workload generators."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -75,3 +77,131 @@ def test_random_times_deterministic():
     a = random_times(10, 20, horizon=5.0, seed=8)
     b = random_times(10, 20, horizon=5.0, seed=8)
     assert a.times == b.times and a.nodes == b.nodes
+
+
+# ----------------------------------------------------------------------
+# RNG-draw-order guard: the generated columns, pinned
+# ----------------------------------------------------------------------
+# SHA-256 of ``repr((s.nodes, s.times))``, recorded from the pair-based
+# generators before they were made columnar.  A reordered, added or
+# vectorised RNG call, a numpy scalar leaking into a column or a changed
+# tie order moves a digest.
+PINNED_COLUMNS = {
+    "one_shot-a": (
+        lambda: one_shot([3, 1, 4, 1, 5]),
+        "cf5c45e8539e0d317b4348e095139e6eb42fad28fb122f458eb82d152349ed4c",
+    ),
+    "one_shot-b": (
+        lambda: one_shot(list(range(40))),
+        "fd8c508f25d1ffe4fc7f735b839c26c95e1bf026d00b3f85b78b7406d0f9bd1d",
+    ),
+    "sequential-a": (
+        lambda: sequential([2, 0, 1], gap=5.0, start=1.0),
+        "d6ff3beda76837ba1989a69a69edaebbfab9c5e0fa21ad2d2fbb3b46be4b0fd5",
+    ),
+    "sequential-b": (
+        lambda: sequential(list(range(9, -1, -1)), gap=0.1),
+        "0594712ddcd2600ac7bd2c168ea5708e2d0ad961babf529281d703d718c4ec9f",
+    ),
+    "poisson-0": (
+        lambda: poisson(16, 200, 8.0, seed=0),
+        "0fe61d9962022bd20b114d084ceb850a83651a8cbdc1a7fd9199fc601145003e",
+    ),
+    "poisson-7": (
+        lambda: poisson(16, 200, 8.0, seed=7),
+        "398ff453892823f562fc7494da505b5fd51ae553c142a24de1559aefbc9691bc",
+    ),
+    "poisson-pool-0": (
+        lambda: poisson(16, 120, 2.5, seed=0, nodes=[9, 2, 7]),
+        "9b51baa75b929bc34674460da0fff8cf545f03a8f793686696b70437cd96418e",
+    ),
+    "poisson-pool-7": (
+        lambda: poisson(16, 120, 2.5, seed=7, nodes=[9, 2, 7]),
+        "da0378933d52aa61b73cb447ea729bddc04fc0955cfcfc9d552cded09c451e4d",
+    ),
+    "bursty-0": (
+        lambda: bursty(12, 4, 25, 2.0, 30.0, seed=0),
+        "ad2caa90868d621a64f50f1173910c45c859834087e9929b11ef8fd4426e6cef",
+    ),
+    "bursty-7": (
+        lambda: bursty(12, 4, 25, 2.0, 30.0, seed=7),
+        "892560ce5d483dd26c8ed025338a095b8b4be4ec582de6d9d3ff88f2ae2f8cc9",
+    ),
+    "hotspot-0": (
+        lambda: hotspot(20, 150, 5.0, [0, 3], 0.8, seed=0),
+        "66e6bee059b80e58c18c52f79e63eddab3e89fcd04dff067fd6e6e694f98b94b",
+    ),
+    "hotspot-7": (
+        lambda: hotspot(20, 150, 5.0, [0, 3], 0.8, seed=7),
+        "7cfc8a1cb22dcc86ab93ce249079cee256432a348e08d4a9733722d5502cb309",
+    ),
+    "random-0": (
+        lambda: random_times(10, 150, 20.0, seed=0),
+        "1598e2c2a0300fdf3c4610b0a6e53e7e2f54acd6d9174afc642f157b4d5cc07b",
+    ),
+    "random-7": (
+        lambda: random_times(10, 150, 20.0, seed=7),
+        "802112e2c9b0165e61c15ca04af332cc9df14d06d21168d015e12e763fa4764f",
+    ),
+    "random-int-0": (
+        lambda: random_times(10, 150, 6.0, seed=0, continuous=False),
+        "7053dd01d7afcaa5bd9ef18a7caa17ee7decce42ecb65f8885efd5ff176618d2",
+    ),
+    "random-int-7": (
+        lambda: random_times(10, 150, 6.0, seed=7, continuous=False),
+        "023d543ee96711f528b1f3fd300d63715fa0e7eedae078dc0aa8cf9e4f5b415d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COLUMNS))
+def test_generated_columns_are_pinned(case):
+    make, digest = PINNED_COLUMNS[case]
+    s = make()
+    assert hashlib.sha256(repr((s.nodes, s.times)).encode()).hexdigest() == digest
+    # Plain Python scalars only: a numpy scalar would reach the JSONL rows.
+    assert {type(v) for v in s.nodes} == {int}
+    assert {type(t) for t in s.times} == {float}
+
+
+# ----------------------------------------------------------------------
+# argument checks: ScheduleError, not a raw numpy / arithmetic error
+# ----------------------------------------------------------------------
+BAD_ARGUMENTS = {
+    "hotspot-rate-zero": (lambda: hotspot(4, 5, 0.0, [0]), "rate.*0.0"),  # ZeroDivisionError
+    "hotspot-rate-negative": (lambda: hotspot(4, 5, -1.0, [0]), "rate.*-1.0"),  # "scale < 0"
+    "hotspot-count": (lambda: hotspot(4, -5, 1.0, [0]), "count.*-5"),
+    "hotspot-no-nodes": (lambda: hotspot(0, 5, 1.0, [0], 0.5), "num_nodes.*0"),
+    "poisson-count": (lambda: poisson(4, -1, 1.0), "count.*-1"),  # "negative dimensions"
+    "poisson-empty-pool": (lambda: poisson(4, 5, 1.0, nodes=[]), "nodes"),  # "high <= 0"
+    "poisson-no-nodes": (lambda: poisson(0, 5, 1.0), "num_nodes.*0"),
+    "poisson-rate-negative": (lambda: poisson(4, 5, -2.0), "rate.*-2.0"),
+    "poisson-rate-nan": (lambda: poisson(4, 5, float("nan")), "rate.*nan"),
+    "random-horizon": (lambda: random_times(4, 3, -1.0), "horizon.*-1.0"),  # "high - low < 0"
+    "random-count": (lambda: random_times(4, -3, 1.0), "count.*-3"),
+    "random-no-nodes": (lambda: random_times(0, 3, 1.0), "num_nodes.*0"),
+    "bursty-bursts": (lambda: bursty(4, -1, 3, 1.0, 1.0), "bursts.*-1"),
+    "bursty-burst-size": (lambda: bursty(4, 2, -3, 1.0, 1.0), "burst_size.*-3"),
+    "bursty-no-nodes": (lambda: bursty(0, 2, 3, 1.0, 1.0), "num_nodes.*0"),
+    "bursty-span": (lambda: bursty(4, 2, 3, -1.0, 1.0), "burst_span.*-1.0"),
+    "bursty-gap": (lambda: bursty(4, 2, 3, 1.0, -0.5), "idle_gap.*-0.5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_generator_arguments_raise_schedule_error(case):
+    """Each used to leak the raw numpy / arithmetic error in the comment;
+    the ScheduleError carries the argument's name and value."""
+    build, names = BAD_ARGUMENTS[case]
+    with pytest.raises(ScheduleError, match=names):
+        build()
+
+
+def test_empty_schedules_stay_legal():
+    assert len(poisson(4, 0, 1.0)) == 0
+    assert len(bursty(4, 0, 3, 1.0, 1.0)) == 0
+    assert len(bursty(4, 3, 0, 1.0, 1.0)) == 0
+    assert len(hotspot(4, 0, 1.0, [0])) == 0
+    assert len(random_times(4, 0, 1.0)) == 0
+    assert len(random_times(4, 3, 0.0)) == 3  # a zero horizon is one instant
+    assert len(one_shot([])) == 0
