@@ -19,21 +19,7 @@ import sys
 import time
 
 from repro.core.fast_arrow import ENGINES
-from repro.experiments import (
-    format_kv,
-    run_one_shot_analysis,
-    format_table,
-    plot,
-    run_async_comparison,
-    run_competitive_sweep,
-    run_fig9,
-    run_protocol_ablation,
-    run_sequential_experiment,
-    run_service_time_ablation,
-    run_theorem41_sweep,
-    run_theorem42_sweep,
-    run_tree_ablation,
-)
+from repro.experiments import format_kv, format_table, plot
 
 __all__ = ["main"]
 
@@ -119,6 +105,7 @@ def _orchestrator_progress():
 
 
 def _emit(results, args) -> None:
+    """Print each result as it is produced; ``--json`` gets all of them."""
     docs = []
     for r in results:
         print(format_table(r))
@@ -130,13 +117,6 @@ def _emit(results, args) -> None:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(docs, fh, indent=2)
         print(f"wrote {args.json}")
-    if getattr(args, "store", None):
-        from repro.results import ResultsStore
-
-        store = ResultsStore(args.store)
-        for r in results:
-            path = store.put_experiment(r)
-            print(f"archived {r.experiment_id} -> {path}")
 
 
 def _add_grid_arguments(parser) -> None:
@@ -293,6 +273,95 @@ def _figure(args):
     return figure_from_rows(args.cmd, rows, metric=args.metric)
 
 
+def _fig9(D: int, k: int, variant: str):
+    """Fig. 9 is a picture and a cost block first, then a record like the rest."""
+    from repro.experiments import run_fig9
+    from repro.results import fig9_result
+
+    rep = run_fig9(D, k, variant=variant)
+    print(rep.picture)
+    print()
+    print(
+        format_kv(
+            {
+                "variant": rep.variant,
+                "D": rep.D,
+                "k": rep.k,
+                "requests": rep.num_requests,
+                "arrow cost": rep.arrow_cost,
+                "sweep target (k sweeps)": rep.sweep_target,
+                "opt upper bound": rep.opt_upper,
+                "opt lower bound": rep.opt_lower,
+                "comb Manhattan weight": rep.comb_weight,
+                "measured ratio": round(rep.ratio, 3),
+                "simulated cost (fast)": rep.sim_cost,
+            },
+            title="fig9",
+        )
+    )
+    print()
+    return fig9_result(rep)
+
+
+#: The paper's theorems and analyses that are not sweep grids: command ->
+#: (help text, flags, producers).  ``flags`` maps an option to its
+#: ``add_argument`` keywords; every producer is called with the parsed
+#: flags as keyword arguments and returns one ``ExperimentResult``.  A
+#: producer given by name is a function of :mod:`repro.experiments`,
+#: looked up when the command runs.  ``all`` runs ``_FIGURES`` then this
+#: table, in order.
+_DIAMETER_FLAGS = {
+    "--diameters": {"type": _int_list, "default": None},
+    "--requests": {"type": int, "default": 60},
+}
+_EXPERIMENTS = {
+    "fig9": (
+        "lower-bound instance picture + costs",
+        {
+            "-D": {"type": int, "default": 64},
+            "-k": {"type": int, "default": 4},
+            "--variant": {"choices": ["literal", "layered"], "default": "layered"},
+        },
+        (_fig9,),
+    ),
+    "oneshot": ("one-shot concurrent case ([10])", {}, ("run_one_shot_analysis",)),
+    "thm319": (
+        "competitive ratio sweep (sync)", _DIAMETER_FLAGS, ("run_competitive_sweep",)
+    ),
+    "thm321": ("asynchronous comparison", _DIAMETER_FLAGS, ("run_async_comparison",)),
+    "thm41": ("lower-bound ratio growth sweep", {}, ("run_theorem41_sweep",)),
+    "thm42": (
+        "lower bound vs stretch",
+        {"--stretches": {"type": _int_list, "default": None}},
+        ("run_theorem42_sweep",),
+    ),
+    "sequential": (
+        "sequential-regime baseline checks", {}, ("run_sequential_experiment",)
+    ),
+    "ablations": (
+        "tree/protocol/service-time ablations",
+        {},
+        ("run_tree_ablation", "run_protocol_ablation", "run_service_time_ablation"),
+    ),
+}
+
+
+def _produce(args):
+    """Yield the results of one figure or experiment command, lazily."""
+    if args.cmd in _FIGURES:
+        yield _figure(args)
+        return
+    import repro.experiments as experiments
+
+    _, flags, producers = _EXPERIMENTS[args.cmd]
+    names = [option.lstrip("-") for option in flags]
+    kwargs = {name: getattr(args, name) for name in names}
+    for producer in producers:
+        if isinstance(producer, str):
+            producer = getattr(experiments, producer)
+        yield producer(**kwargs)
+
+
 def _compare_side(store, key_or_path: str):
     """A compare operand is a JSONL path when it names a file, else a key."""
     import os
@@ -325,9 +394,7 @@ def _results_command(args, ingest_error) -> int:
                 )
                 print(f"run         {m['spec_hash'][:12]}  "
                       f"{m.get('name', '?'):<12}{state}")
-            for eid in store.list_experiments():
-                print(f"experiment  {eid}")
-            if not runs and not store.list_experiments():
+            if not runs:
                 print(f"(empty store: {store.root})")
         elif args.results_cmd in ("table", "plot"):
             manifest = store.manifest(args.run)
@@ -394,9 +461,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Reproduce the arrow-protocol paper's figures and theorems",
     )
     top.add_argument("--json", help="also write results to this JSON file")
-    top.add_argument("--store", default=None, metavar="DIR",
-                     help="also archive each experiment's canonical record "
-                          "into this results store (see 'results' commands)")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     for name, (grid, text, defaults) in _FIGURES.items():
@@ -407,26 +471,10 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--metric", default=None,
                        help="row column to tabulate (default: per-figure)")
 
-    p9 = sub.add_parser("fig9", help="lower-bound instance picture + costs")
-    p9.add_argument("-D", type=int, default=64)
-    p9.add_argument("-k", type=int, default=4)
-    p9.add_argument("--variant", choices=["literal", "layered"], default="layered")
-
-    p319 = sub.add_parser("thm319", help="competitive ratio sweep (sync)")
-    p319.add_argument("--diameters", type=_int_list, default=None)
-    p319.add_argument("--requests", type=int, default=60)
-
-    p321 = sub.add_parser("thm321", help="asynchronous comparison")
-    p321.add_argument("--diameters", type=_int_list, default=None)
-    p321.add_argument("--requests", type=int, default=60)
-
-    sub.add_parser("thm41", help="lower-bound ratio growth sweep")
-    p42 = sub.add_parser("thm42", help="lower bound vs stretch")
-    p42.add_argument("--stretches", type=_int_list, default=None)
-
-    sub.add_parser("oneshot", help="one-shot concurrent case ([10])")
-    sub.add_parser("sequential", help="sequential-regime baseline checks")
-    sub.add_parser("ablations", help="tree/protocol/service-time ablations")
+    for name, (text, flags, _) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, help=text)
+        for option, keywords in flags.items():
+            p.add_argument(option, **keywords)
     sub.add_parser("all", help="run every experiment at default scale")
 
     psw = sub.add_parser(
@@ -499,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="store root directory (default: results)")
     _add_grid_arguments(pri)
 
-    prl = rsub.add_parser("list", help="list stored runs and experiments")
+    prl = rsub.add_parser("list", help="list stored runs")
     prl.add_argument("--store", default="results", metavar="DIR")
 
     prt = rsub.add_parser(
@@ -540,58 +588,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = top.parse_args(argv)
 
-    if args.cmd in _FIGURES:
-        _emit([_figure(args)], args)
-    elif args.cmd == "fig9":
-        rep = run_fig9(args.D, args.k, variant=args.variant)
-        print(rep.picture)
-        print()
-        print(
-            format_kv(
-                {
-                    "variant": rep.variant,
-                    "D": rep.D,
-                    "k": rep.k,
-                    "requests": rep.num_requests,
-                    "arrow cost": rep.arrow_cost,
-                    "sweep target (k sweeps)": rep.sweep_target,
-                    "opt upper bound": rep.opt_upper,
-                    "opt lower bound": rep.opt_lower,
-                    "comb Manhattan weight": rep.comb_weight,
-                    "measured ratio": round(rep.ratio, 3),
-                    "simulated cost (fast)": rep.sim_cost,
-                },
-                title="fig9",
-            )
-        )
-        if args.store:
-            from repro.results import ResultsStore, fig9_result
-
-            path = ResultsStore(args.store).put_experiment(fig9_result(rep))
-            print(f"archived fig9 -> {path}")
-    elif args.cmd == "thm319":
-        _emit(
-            [run_competitive_sweep(args.diameters, requests=args.requests)],
-            args,
-        )
-    elif args.cmd == "thm321":
-        _emit(
-            [run_async_comparison(args.diameters, requests=args.requests)],
-            args,
-        )
-    elif args.cmd == "thm41":
-        _emit([run_theorem41_sweep()], args)
-    elif args.cmd == "thm42":
-        _emit([run_theorem42_sweep(args.stretches)], args)
-    elif args.cmd == "oneshot":
-        _emit([run_one_shot_analysis()], args)
-    elif args.cmd == "sequential":
-        _emit([run_sequential_experiment()], args)
-    elif args.cmd == "ablations":
-        _emit(
-            [run_tree_ablation(), run_protocol_ablation(), run_service_time_ablation()],
-            args,
-        )
+    if args.cmd == "all":
+        runs = [top.parse_args([name]) for name in (*_FIGURES, *_EXPERIMENTS)]
+        _emit((r for run in runs for r in _produce(run)), args)
+    elif args.cmd in _FIGURES or args.cmd in _EXPERIMENTS:
+        _emit(_produce(args), args)
     elif args.cmd == "sweep":
         from repro.sweep import run_sweep, shard_path
 
@@ -722,22 +723,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     elif args.cmd == "results":
         return _results_command(args, pri.error)
-    elif args.cmd == "all":
-        _emit(
-            [
-                *(_figure(top.parse_args([name])) for name in _FIGURES),
-                run_one_shot_analysis(),
-                run_competitive_sweep(),
-                run_async_comparison(),
-                run_theorem41_sweep(),
-                run_theorem42_sweep(),
-                run_sequential_experiment(),
-                run_tree_ablation(),
-                run_protocol_ablation(),
-                run_service_time_ablation(),
-            ],
-            args,
-        )
     return 0
 
 

@@ -1,7 +1,7 @@
 """The queuing protocols: arrow (the paper's subject) and its baselines."""
 
 from repro.core.adaptive import AdaptivePointerNode, run_adaptive
-from repro.core.arrow import ArrowNode, make_arrow_nodes
+from repro.core.arrow import ArrowNode
 from repro.core.centralized import CentralizedNode
 from repro.core.fast_arrow import FastArrowEngine, run_arrow_fast
 from repro.core.fast_closed_loop import (
@@ -15,17 +15,15 @@ from repro.core.runner import run_arrow, run_centralized
 from repro.core.stabilize import (
     EdgeViolation,
     count_sinks,
-    find_violations,
-    is_legal_configuration,
+    find_violations_links,
     sink_reached_from,
-    stabilize,
+    stabilize_links,
 )
 
 __all__ = [
     "AdaptivePointerNode",
     "run_adaptive",
     "ArrowNode",
-    "make_arrow_nodes",
     "CentralizedNode",
     "FastArrowEngine",
     "run_arrow_fast",
@@ -43,8 +41,7 @@ __all__ = [
     "run_centralized",
     "EdgeViolation",
     "count_sinks",
-    "find_violations",
-    "is_legal_configuration",
+    "find_violations_links",
     "sink_reached_from",
-    "stabilize",
+    "stabilize_links",
 ]

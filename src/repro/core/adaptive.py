@@ -23,20 +23,17 @@ tail), it has found its predecessor.
 
 from __future__ import annotations
 
-import time as _wall
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.arrow import CompletionCallback
-from repro.core.queueing import CompletionRecord, RunResult
+from repro.core.queueing import RunResult
 from repro.core.requests import ROOT_RID, RequestSchedule
+from repro.core.runner import _run_open_loop
 from repro.errors import GraphError, ProtocolError
 from repro.graphs.graph import Graph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel
 from repro.net.message import Message
-from repro.net.network import Network
 from repro.net.node import ProtocolNode
-from repro.sim.kernel import Simulator
-from repro.sim.trace import Tracer
 
 __all__ = ["AdaptivePointerNode", "run_adaptive"]
 
@@ -108,7 +105,6 @@ def run_adaptive(
     latency: LatencyModel | None = None,
     seed: int = 0,
     service_time: float = 0.0,
-    tracer: Tracer | None = None,
     max_events: int | None = None,
 ) -> RunResult:
     """Run the adaptive-pointer (NTA/Ivy) protocol on one schedule.
@@ -120,37 +116,19 @@ def run_adaptive(
         raise GraphError(
             f"root {root} outside the graph's nodes 0..{graph.num_nodes - 1}"
         )
-    schedule.validate_nodes(graph.num_nodes)
-    sim = Simulator(max_events=max_events)
-    net = Network(
+
+    def init(nodes: Sequence[AdaptivePointerNode]) -> None:
+        for nd in nodes:
+            nd.init_pointers(root)
+
+    return _run_open_loop(
+        "adaptive",
         graph,
-        sim,
-        latency if latency is not None else UnitLatency(),
+        schedule,
+        AdaptivePointerNode,
+        init,
+        latency=latency,
         seed=seed,
         service_time=service_time,
-        tracer=tracer,
+        max_events=max_events,
     )
-    result = RunResult(schedule)
-
-    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
-        result.record(CompletionRecord(rid, pred, node, when, hops))
-
-    nodes = [AdaptivePointerNode(on_complete) for _ in range(graph.num_nodes)]
-    net.register_all(nodes)
-    for nd in nodes:
-        nd.init_pointers(root)
-
-    for req in schedule:
-        sim.call_at(req.time, nodes[req.node].initiate, req.rid)
-
-    t0 = _wall.perf_counter()
-    result.makespan = sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
-    result.network_stats = net.stats.as_dict()
-
-    if len(result.completions) != len(schedule):
-        raise ProtocolError(
-            f"adaptive run completed {len(result.completions)} of "
-            f"{len(schedule)} requests"
-        )
-    return result

@@ -32,7 +32,7 @@ from repro.net.message import Message
 from repro.net.node import ProtocolNode
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["ArrowNode", "CompletionCallback", "make_arrow_nodes"]
+__all__ = ["ArrowNode", "CompletionCallback"]
 
 #: Signature of the completion hook: (successor_rid, predecessor_rid,
 #: informed_node, completion_time, hops_taken).
@@ -160,16 +160,3 @@ class ArrowNode(ProtocolNode):
             target = self.node_id if origin is None else origin
             self.send_routed("queue_reply", target, rid=rid, predecessor=pred)
 
-
-def make_arrow_nodes(
-    tree: SpanningTree,
-    on_complete: CompletionCallback,
-    *,
-    notify_origin: bool = False,
-) -> list[ArrowNode]:
-    """One :class:`ArrowNode` per tree node, pointers initialised to root."""
-    nodes = [
-        ArrowNode(on_complete, notify_origin=notify_origin)
-        for _ in range(tree.num_nodes)
-    ]
-    return nodes

@@ -501,8 +501,8 @@ def run_arrow_fast(
     """Drop-in fast replacement for the supported ``run_arrow`` subset.
 
     Accepts the same model knobs as :func:`repro.core.runner.run_arrow`
-    except ``notify_origin`` and ``tracer`` (message-level features); the
-    returned result is bit-identical to the message simulator's.
+    except ``notify_origin`` (a message-level feature); the returned
+    result is bit-identical to the message simulator's.
     """
     engine = FastArrowEngine(
         graph, tree, latency=latency, seed=seed, service_time=service_time

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time as _wall
 from heapq import heappop, heappush
 
+from repro.core.centralized import check_center
 from repro.core.fast_arrow import (
     _ACK_ARRIVE,
     _ACK_DISPATCH,
@@ -244,10 +245,9 @@ def closed_loop_centralized_fast(
     Every delay of this protocol is a routed path (creq to the centre,
     queue_reply back), so the router is the only delay source.
     """
-    _check_loop_args(requests_per_proc, service_time, think_time)
     n = graph.num_nodes
-    if not 0 <= center < n:
-        raise NetworkError(f"center {center} out of range for {n} nodes")
+    check_center(center, n)
+    _check_loop_args(requests_per_proc, service_time, think_time)
     result = ClosedLoopResult("centralized", n, requests_per_proc)
     model = latency if latency is not None else UnitLatency()
     router = _Router(graph, model, spawn_rng(seed, "network-latency"))

@@ -1,8 +1,14 @@
 """Protocol runners: execute a request schedule and collect results.
 
-The runners build the network, install protocol nodes, schedule every
-request's initiation at its issue time, run the simulation to completion
-and return a :class:`repro.core.queueing.RunResult`.
+One harness, :func:`_run_open_loop`, builds the network, installs protocol
+nodes, schedules every request's initiation at its issue time, runs the
+simulation to completion and returns a
+:class:`repro.core.queueing.RunResult`; :func:`run_arrow`,
+:func:`run_centralized` and :func:`repro.core.adaptive.run_adaptive` are
+configurations of it (which node class, how it is initialised).  A run is
+watched through the nodes' ``on_event`` hook (:mod:`repro.monitors`) and
+counted by :class:`repro.net.network.NetworkStats`; there is no other
+observation channel.
 
 ``run_arrow`` is the message-level ground truth for everything in this
 repository; the analysis layer's fast nearest-neighbour executor
@@ -13,21 +19,80 @@ instances — an invariant the integration tests enforce.
 from __future__ import annotations
 
 import time as _wall
+from typing import Callable, Sequence
 
-from repro.core.arrow import ArrowNode
-from repro.core.centralized import CentralizedNode
+from repro.core.arrow import ArrowNode, CompletionCallback
+from repro.core.centralized import CentralizedNode, check_center
 from repro.core.queueing import CompletionRecord, RunResult
 from repro.core.requests import RequestSchedule
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import require_spanning_subgraph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel
 from repro.net.network import Network
+from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
-from repro.sim.trace import Tracer
 from repro.spanning.tree import SpanningTree
 
 __all__ = ["run_arrow", "run_centralized"]
+
+
+def _run_open_loop(
+    protocol: str,
+    graph: Graph,
+    schedule: RequestSchedule,
+    make_node: Callable[[CompletionCallback], ProtocolNode],
+    init: Callable[[Sequence], None],
+    *,
+    latency: LatencyModel | None,
+    seed: int,
+    service_time: float,
+    max_events: int | None,
+) -> RunResult:
+    """The message-level open-loop run, written once.
+
+    ``make_node(on_complete)`` builds one protocol node (called
+    ``graph.num_nodes`` times); ``init(nodes)`` runs after the nodes are
+    registered and know their ids (initial pointers, the centre's tail
+    record, the ``on_event`` hook).  Everything else — schedule check,
+    kernel, network, completion recording, one initiation event per
+    request in schedule order, the timed run, counters and the
+    every-request-completed check — is the same for every protocol.
+
+    The closed loops share :func:`repro.workloads.closed_loop._run_closed_loop`
+    instead (requests come from acknowledgements, not a schedule).  Three
+    message-level drivers keep their own prologue on purpose:
+    ``faults._run_message_faulted`` (a ``Network`` subclass, gated
+    initiations, crash events) and the two :mod:`repro.apps.directory`
+    drivers (an acquire -> use -> release loop per processor); folding them
+    in would make this function branch on its caller.
+    """
+    schedule.validate_nodes(graph.num_nodes)
+    sim = Simulator(max_events=max_events)
+    net = Network(graph, sim, latency, seed=seed, service_time=service_time)
+    result = RunResult(schedule)
+
+    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
+        result.record(CompletionRecord(rid, pred, node, when, hops))
+
+    nodes = [make_node(on_complete) for _ in range(graph.num_nodes)]
+    net.register_all(nodes)  # attach assigns node ids
+    init(nodes)
+
+    for req in schedule:
+        sim.call_at(req.time, nodes[req.node].initiate, req.rid)
+
+    t0 = _wall.perf_counter()
+    result.makespan = sim.run()
+    result.wall_seconds = _wall.perf_counter() - t0
+    result.network_stats = net.stats.as_dict()
+
+    if len(result.completions) != len(schedule):
+        raise ProtocolError(
+            f"{protocol} run completed {len(result.completions)} of "
+            f"{len(schedule)} requests"
+        )
+    return result
 
 
 def run_arrow(
@@ -39,7 +104,6 @@ def run_arrow(
     seed: int = 0,
     service_time: float = 0.0,
     notify_origin: bool = False,
-    tracer: Tracer | None = None,
     max_events: int | None = None,
     on_event=None,
 ) -> RunResult:
@@ -53,46 +117,24 @@ def run_arrow(
     ``on_event``, when set, receives the protocol trace (see
     :mod:`repro.monitors`) and leaves the results untouched.
     """
-    schedule.validate_nodes(graph.num_nodes)
     require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
-    sim = Simulator(max_events=max_events)
-    net = Network(
+
+    def init(nodes: Sequence[ArrowNode]) -> None:
+        for nd in nodes:
+            nd.init_pointers(tree)
+            nd.on_event = on_event
+
+    return _run_open_loop(
+        "arrow",
         graph,
-        sim,
-        latency if latency is not None else UnitLatency(),
+        schedule,
+        lambda on_complete: ArrowNode(on_complete, notify_origin=notify_origin),
+        init,
+        latency=latency,
         seed=seed,
         service_time=service_time,
-        tracer=tracer,
+        max_events=max_events,
     )
-    result = RunResult(schedule)
-
-    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
-        result.record(CompletionRecord(rid, pred, node, when, hops))
-
-    nodes = [
-        ArrowNode(on_complete, notify_origin=notify_origin)
-        for _ in range(graph.num_nodes)
-    ]
-    net.register_all(nodes)  # attach assigns node ids
-    for nd in nodes:
-        nd.init_pointers(tree)
-        nd.on_event = on_event
-
-    for req in schedule:
-        node = nodes[req.node]
-        sim.call_at(req.time, node.initiate, req.rid)
-
-    t0 = _wall.perf_counter()
-    result.makespan = sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
-    result.network_stats = net.stats.as_dict()
-
-    if len(result.completions) != len(schedule):
-        raise ProtocolError(
-            f"arrow run completed {len(result.completions)} of "
-            f"{len(schedule)} requests"
-        )
-    return result
 
 
 def run_centralized(
@@ -105,45 +147,20 @@ def run_centralized(
     service_time: float = 0.0,
     notify_origin: bool = False,
     reply_mode: bool = False,
-    tracer: Tracer | None = None,
     max_events: int | None = None,
 ) -> RunResult:
     """Run the §5 centralized baseline; same result interface as arrow."""
-    schedule.validate_nodes(graph.num_nodes)
-    sim = Simulator(max_events=max_events)
-    net = Network(
+    check_center(center, graph.num_nodes)
+    return _run_open_loop(
+        "centralized",
         graph,
-        sim,
-        latency if latency is not None else UnitLatency(),
+        schedule,
+        lambda on_complete: CentralizedNode(
+            center, on_complete, notify_origin=notify_origin, reply_mode=reply_mode
+        ),
+        lambda nodes: nodes[center].init_center(),
+        latency=latency,
         seed=seed,
         service_time=service_time,
-        tracer=tracer,
+        max_events=max_events,
     )
-    result = RunResult(schedule)
-
-    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
-        result.record(CompletionRecord(rid, pred, node, when, hops))
-
-    nodes = [
-        CentralizedNode(
-            center, on_complete, notify_origin=notify_origin, reply_mode=reply_mode
-        )
-        for _ in range(graph.num_nodes)
-    ]
-    net.register_all(nodes)
-    nodes[center].init_center()
-
-    for req in schedule:
-        sim.call_at(req.time, nodes[req.node].initiate, req.rid)
-
-    t0 = _wall.perf_counter()
-    result.makespan = sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
-    result.network_stats = net.stats.as_dict()
-
-    if len(result.completions) != len(schedule):
-        raise ProtocolError(
-            f"centralized run completed {len(result.completions)} of "
-            f"{len(schedule)} requests"
-        )
-    return result

@@ -23,15 +23,17 @@ configurations arbitrarily and verify convergence.
 
 Scope note: correction applies to quiescent configurations, and since the
 fault axis landed this module is the **live repair step** of every engine:
-:mod:`repro.faults` runs :func:`find_violations` / :func:`stabilize` at
-the first quiescent point after a crash or message loss (and once more at
-the end of a run), restoring a unique sink before the next request is
-issued.  The runtime monitors (:mod:`repro.monitors`) replay the same
-pass on their mirror state to cross-check the engines' repairs.  The
-node-based API operates on :class:`~repro.core.arrow.ArrowNode` lists;
-the ``*_links`` variants operate on a plain ``link`` pointer array, which
-is what the flat-heap engines and the monitors hold — both delegate to
-the same edge arithmetic, so there is exactly one repair algorithm.
+:mod:`repro.faults` runs :func:`find_violations_links` /
+:func:`stabilize_links` at the first quiescent point after a crash or
+message loss (and once more at the end of a run), restoring a unique sink
+before the next request is issued.  The runtime monitors
+(:mod:`repro.monitors`) replay the same pass on their mirror state to
+cross-check the engines' repairs.  Everything here operates on a plain
+``link`` pointer array (``link[v]`` is node ``v``'s pointer) — what the
+flat-heap engine and the monitors hold, and ``[nd.link for nd in nodes]``
+of a message-level run.  :func:`count_sinks` and :func:`sink_reached_from`
+walk the pointers instead of counting edge crossings: they are the
+independent oracle the edge rule is tested against.
 """
 
 from __future__ import annotations
@@ -39,17 +41,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.arrow import ArrowNode
 from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "EdgeViolation",
-    "find_violations",
     "find_violations_links",
-    "is_legal_configuration",
     "count_sinks",
     "sink_reached_from",
-    "stabilize",
     "stabilize_links",
 ]
 
@@ -65,14 +63,6 @@ class EdgeViolation:
     child: int
     parent: int
     kind: str
-
-
-def _links_of(nodes: list[ArrowNode]) -> list[int]:
-    return [nd.link for nd in nodes]
-
-
-def _crossings(nodes: list[ArrowNode], u: int, p: int) -> int:
-    return int(nodes[u].link == p) + int(nodes[p].link == u)
 
 
 def find_violations_links(
@@ -93,22 +83,12 @@ def find_violations_links(
     return out
 
 
-def find_violations(nodes: list[ArrowNode], tree: SpanningTree) -> list[EdgeViolation]:
-    """All illegal edges in the current (quiescent) configuration."""
-    return find_violations_links(_links_of(nodes), tree)
-
-
-def is_legal_configuration(nodes: list[ArrowNode], tree: SpanningTree) -> bool:
-    """True iff every tree edge is crossed by exactly one pointer."""
-    return not find_violations(nodes, tree)
-
-
-def count_sinks(nodes: list[ArrowNode]) -> int:
+def count_sinks(link: list[int]) -> int:
     """Number of nodes whose pointer targets themselves."""
-    return sum(1 for nd in nodes if nd.link == nd.node_id)
+    return sum(1 for v, target in enumerate(link) if target == v)
 
 
-def sink_reached_from(nodes: list[ArrowNode], start: int, limit: int) -> int | None:
+def sink_reached_from(link: list[int], start: int, limit: int) -> int | None:
     """Follow pointers from ``start``; the sink reached, or None on a cycle.
 
     ``limit`` bounds the walk (use the node count: a legal walk never
@@ -116,7 +96,7 @@ def sink_reached_from(nodes: list[ArrowNode], start: int, limit: int) -> int | N
     """
     cur = start
     for _ in range(limit + 1):
-        nxt = nodes[cur].link
+        nxt = link[cur]
         if nxt == cur:
             return cur
         cur = nxt
@@ -124,11 +104,22 @@ def sink_reached_from(nodes: list[ArrowNode], start: int, limit: int) -> int | N
 
 
 def stabilize_links(link: list[int], tree: SpanningTree) -> int:
-    """Repair an arbitrary quiescent pointer array in one BFS pass.
+    """Repair an arbitrary quiescent pointer array, in place, in one BFS pass.
 
-    The in-place array counterpart of :func:`stabilize`, used directly by
-    the flat-heap engines' crash-repair path and by the monitors' mirror
-    replay.  Returns the number of pointer corrections applied.
+    Processing parents before children, each non-root node ``v`` looks at
+    the edge to its parent ``p`` (whose pointer is already final):
+
+    * crossed twice (``link(v) == p`` and ``link(p) == v``): ``v`` breaks
+      the 2-cycle by becoming a sink (``link(v) <- v``); the edge keeps the
+      parent's crossing;
+    * crossed zero times: ``v`` re-points up (``link(v) <- p``);
+    * crossed once: nothing to do.
+
+    Returns the number of pointer corrections applied.  Afterwards the
+    configuration is legal: exactly one sink, every pointer chain reaches
+    it (asserted by the tests).  This is the repair pass
+    :mod:`repro.faults` runs after a crash on either engine and the
+    monitors replay on their mirror.
     """
     fixes = 0
     parent = tree.parent
@@ -149,29 +140,4 @@ def stabilize_links(link: list[int], tree: SpanningTree) -> int:
         elif c == 0:
             link[v] = p
             fixes += 1
-    return fixes
-
-
-def stabilize(nodes: list[ArrowNode], tree: SpanningTree) -> int:
-    """Repair an arbitrary quiescent configuration in one BFS pass.
-
-    Processing parents before children, each non-root node ``v`` looks at
-    the edge to its parent ``p`` (whose pointer is already final):
-
-    * crossed twice (``link(v) == p`` and ``link(p) == v``): ``v`` breaks
-      the 2-cycle by becoming a sink (``link(v) <- v``); the edge keeps the
-      parent's crossing;
-    * crossed zero times: ``v`` re-points up (``link(v) <- p``);
-    * crossed once: nothing to do.
-
-    Returns the number of pointer corrections applied.  Afterwards the
-    configuration is legal: exactly one sink, every pointer chain reaches
-    it (asserted by the tests).  This is the repair pass
-    :mod:`repro.faults` runs after a crash on the message engine; the
-    flat-heap engines run :func:`stabilize_links` on their pointer array.
-    """
-    link = _links_of(nodes)
-    fixes = stabilize_links(link, tree)
-    for nd, target in zip(nodes, link):
-        nd.link = target
     return fixes

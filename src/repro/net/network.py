@@ -31,7 +31,6 @@ from repro.net.message import Message
 from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng
-from repro.sim.trace import Tracer
 
 __all__ = ["Network", "NetworkStats"]
 
@@ -69,7 +68,6 @@ class Network:
         *,
         seed: int = 0,
         service_time: float = 0.0,
-        tracer: Tracer | None = None,
     ) -> None:
         if service_time < 0:
             raise NetworkError(f"service_time must be >= 0, got {service_time}")
@@ -78,7 +76,6 @@ class Network:
         self.latency = latency if latency is not None else UnitLatency()
         self.rng: np.random.Generator = spawn_rng(seed, "network-latency")
         self.service_time = float(service_time)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.stats = NetworkStats(graph.num_nodes)
 
         self._nodes: list[ProtocolNode | None] = [None] * graph.num_nodes
@@ -129,7 +126,6 @@ class Network:
         self.stats.messages_sent += 1
         self.stats.link_messages += 1
         self.stats.hops_total += 1
-        self.tracer.emit(self.sim.now, "send", msg_kind=kind, src=src, dst=dst, uid=msg.uid)
         ch.transmit(self.sim, self.latency, self.rng, msg, self._arrive)
         return msg
 
@@ -145,9 +141,6 @@ class Network:
         msg = Message(kind, src, dst, payload or {}, sent_at=self.sim.now)
         self.stats.messages_sent += 1
         self.stats.routed_messages += 1
-        self.tracer.emit(
-            self.sim.now, "send_routed", msg_kind=kind, src=src, dst=dst, uid=msg.uid
-        )
         if src == dst:
             self.sim.call_in(0.0, self._arrive, msg)
             return msg
@@ -181,9 +174,6 @@ class Network:
         self.stats.link_messages += 1
         self.stats.hops_total += 1
         nxt.hops += 1
-        self.tracer.emit(
-            self.sim.now, "send", msg_kind=nxt.kind, src=nxt.src, dst=nxt.dst, uid=nxt.uid
-        )
         ch.transmit(self.sim, self.latency, self.rng, nxt, self._arrive)
         return nxt
 
@@ -205,9 +195,6 @@ class Network:
         if node is None:
             raise NetworkError(f"message {msg.kind} delivered to empty node {msg.dst}")
         self.stats.per_node_received[msg.dst] += 1
-        self.tracer.emit(
-            self.sim.now, "deliver", msg_kind=msg.kind, src=msg.src, dst=msg.dst, uid=msg.uid
-        )
         node.on_message(msg)
 
     # ------------------------------------------------------------------

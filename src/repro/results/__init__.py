@@ -6,10 +6,7 @@ without re-running a single simulation:
 
 * :mod:`repro.results.store` — a content-addressed store keyed by the
   canonical :meth:`~repro.sweep.spec.SweepSpec.spec_hash`, with
-  incremental, idempotent ingest of (possibly partial) sweep JSONL and
-  archived :class:`~repro.experiments.records.ExperimentResult`
-  documents for the non-grid experiments (fig9, competitive, lower
-  bound);
+  incremental, idempotent ingest of (possibly partial) sweep JSONL;
 * :mod:`repro.results.figures` — canonical tables/plots per paper
   figure, rebuilt from stored rows;
 * :mod:`repro.results.compare` — cross-run comparison (branch vs

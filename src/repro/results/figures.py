@@ -11,10 +11,10 @@ fig10|fig11|directory`` feed it the rows of an in-memory sweep,
 regenerating a figure from the results store is a read).
 
 Non-grid experiments (fig9, the competitive/lower-bound theorem sweeps)
-archive their :class:`ExperimentResult` documents directly in the store
-(:meth:`repro.results.store.ResultsStore.put_experiment`); this module
-adds the :func:`fig9_result` adapter for the fig9 report, which
-historically rendered as key/value pairs only.
+are not stored: ``repro-arrow --json`` writes their
+:class:`ExperimentResult` documents.  This module adds the
+:func:`fig9_result` adapter for the fig9 report, which historically
+rendered as key/value pairs only.
 """
 
 from __future__ import annotations
@@ -136,12 +136,12 @@ def figure_from_rows(
 
 
 def fig9_result(report: Any) -> ExperimentResult:
-    """Adapt a :class:`~repro.experiments.fig9.Fig9Report` for the store.
+    """Adapt a :class:`~repro.experiments.fig9.Fig9Report` to a record.
 
     Fig. 9 is a single lower-bound instance, not a sweep, so its
     canonical record is one x point (the instance diameter ``D``) with
-    one series per cost measure — enough to archive, tabulate and
-    compare without re-deriving the instance.
+    one series per cost measure — enough to tabulate and compare
+    without re-deriving the instance (``repro-arrow --json f fig9``).
     """
     x = [float(report.D)]
     series = [

@@ -8,7 +8,6 @@ byte)::
       runs/<spec_hash>/spec.json      # canonical SweepSpec document
       runs/<spec_hash>/rows.jsonl     # ingested rows, grid order
       runs/<spec_hash>/manifest.json  # ingest bookkeeping
-      experiments/<experiment_id>.json  # ExperimentResult documents
 
 The store key is :meth:`repro.sweep.spec.SweepSpec.spec_hash` — a
 SHA-256 of the grid's canonical identity (axes + seeds + engine/fault
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import ResultsError
-from repro.experiments.records import ExperimentResult
 from repro.sweep import persist
 from repro.sweep.spec import SweepSpec
 from repro.sweep.stats import DEFAULT_COMPRESSION, QuantileSketch
@@ -87,7 +85,7 @@ def _write_if_changed(path: str, text: str) -> bool:
 
 
 class ResultsStore:
-    """A directory of content-addressed sweep runs + experiment documents."""
+    """A directory of content-addressed sweep runs."""
 
     def __init__(self, root: str):
         self.root = root
@@ -103,9 +101,6 @@ class ResultsStore:
 
     def rows_path(self, spec_hash: str) -> str:
         return os.path.join(self.run_dir(spec_hash), "rows.jsonl")
-
-    def _experiments_dir(self) -> str:
-        return os.path.join(self.root, "experiments")
 
     # ------------------------------------------------------------------
     # ingest
@@ -291,44 +286,3 @@ class ResultsStore:
                     QuantileSketch.from_histogram(hist, float(hi))
                 )
         return merged
-
-    # ------------------------------------------------------------------
-    # experiment documents (non-grid figures: fig9, competitive, ...)
-    # ------------------------------------------------------------------
-    def put_experiment(self, result: ExperimentResult) -> str:
-        """Archive an experiment result document; returns its path.
-
-        Idempotent like row ingest: an unchanged document is not
-        rewritten.  The document is keyed by ``experiment_id`` — one
-        canonical result per paper figure.
-        """
-        os.makedirs(self._experiments_dir(), exist_ok=True)
-        path = os.path.join(
-            self._experiments_dir(), f"{result.experiment_id}.json"
-        )
-        _write_if_changed(path, result.to_json() + "\n")
-        return path
-
-    def get_experiment(self, experiment_id: str) -> ExperimentResult:
-        """Load a stored experiment document."""
-        path = os.path.join(
-            self._experiments_dir(), f"{experiment_id}.json"
-        )
-        if not os.path.exists(path):
-            raise ResultsError(
-                f"no stored experiment {experiment_id!r} in {self.root} "
-                f"(have: {self.list_experiments() or 'none'})"
-            )
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentResult.from_json(fh.read())
-
-    def list_experiments(self) -> list[str]:
-        """Ids of every archived experiment document."""
-        exp_dir = self._experiments_dir()
-        if not os.path.isdir(exp_dir):
-            return []
-        return sorted(
-            os.path.splitext(f)[0]
-            for f in os.listdir(exp_dir)
-            if f.endswith(".json")
-        )

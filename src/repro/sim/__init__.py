@@ -8,7 +8,6 @@ runs as atomic callbacks over a deterministic virtual clock.  See
 from repro.sim.events import Event, EventQueue, PRIORITY_DEFAULT, PRIORITY_LATE
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry, spawn_rng
-from repro.sim.trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -18,7 +17,4 @@ __all__ = [
     "Simulator",
     "RngRegistry",
     "spawn_rng",
-    "NullTracer",
-    "TraceRecord",
-    "Tracer",
 ]

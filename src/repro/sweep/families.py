@@ -178,6 +178,14 @@ def _build_closed_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     built: dict[str, Any] = {"graph": graph}
     if cell.schedule.family == "closed_arrow":
         built["tree"] = build_tree(cell.tree, graph, derived)
+    else:
+        center = int(cell.schedule.kwargs().get("center", 0))
+        if center >= graph.num_nodes:
+            raise SweepError(
+                f"closed_centralized: center {center} outside the graph's "
+                f"{graph.num_nodes} nodes"
+            )
+        built["center"] = center
     return built
 
 
@@ -204,10 +212,9 @@ def _closed_loop_row(
             monitor.finalize(expected=result.total_requests)
     else:
         runner = closed_loop_runner("centralized", cell.engine)
-        center = int(params.get("center", 0))
         result = runner(
             graph,
-            center,
+            built["center"],
             requests_per_proc=requests_per_proc,
             seed=derived,
             service_time=cell.service_time,

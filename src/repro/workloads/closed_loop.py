@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import time as _wall
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
-from repro.core.arrow import ArrowNode
-from repro.core.centralized import CentralizedNode
+from repro.core.arrow import ArrowNode, CompletionCallback
+from repro.core.centralized import CentralizedNode, check_center
 from repro.errors import NetworkError, ProtocolError, ScheduleError
 from repro.graphs.graph import Graph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 
@@ -168,35 +170,34 @@ class _Driver:
                 self.issue(proc, initiate)
 
 
-def closed_loop_arrow(
+def _run_closed_loop(
+    protocol: str,
     graph: Graph,
-    tree: SpanningTree,
+    make_node: Callable[[CompletionCallback], ProtocolNode],
+    init: Callable[[Sequence], None],
     *,
     requests_per_proc: int,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    service_time: float = 0.0,
-    think_time: float = 0.0,
-    max_events: int | None = None,
-    on_event=None,
+    latency: LatencyModel | None,
+    seed: int,
+    service_time: float,
+    think_time: float,
+    max_events: int | None,
 ) -> ClosedLoopResult:
-    """Closed-loop arrow run; returns makespan and per-request hops.
+    """The message-level closed loop, written once.
 
-    ``on_event``, when set, receives the queuing-layer protocol trace
-    (see :mod:`repro.monitors`); the ``queue_reply`` acknowledgements are
-    application traffic and not part of it.
+    ``make_node(on_complete)`` builds one protocol node that acknowledges
+    its requester with ``queue_reply``; ``init(nodes)`` runs after
+    registration (initial pointers, the centre's tail record).  The
+    driver, the ack handlers, the t = 0 kick-off, the timed run and the
+    completeness check are the same for both protocols.  (The open-loop
+    twin, and why the faulted and directory drivers stay separate, is
+    :func:`repro.core.runner._run_open_loop`.)
     """
     _check_loop_args(requests_per_proc, service_time, think_time)
     n = graph.num_nodes
-    result = ClosedLoopResult("arrow", n, requests_per_proc)
+    result = ClosedLoopResult(protocol, n, requests_per_proc)
     sim = Simulator(max_events=max_events)
-    net = Network(
-        graph,
-        sim,
-        latency if latency is not None else UnitLatency(),
-        seed=seed,
-        service_time=service_time,
-    )
+    net = Network(graph, sim, latency, seed=seed, service_time=service_time)
     driver = _Driver(sim, result, think_time)
 
     def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
@@ -206,13 +207,9 @@ def closed_loop_arrow(
         if hops == 0:
             result.local_finds += 1
 
-    nodes = [
-        ArrowNode(on_complete, notify_origin=True) for _ in range(n)
-    ]
+    nodes = [make_node(on_complete) for _ in range(n)]
     net.register_all(nodes)
-    for nd in nodes:
-        nd.init_pointers(tree)
-        nd.on_event = on_event
+    init(nodes)
 
     def make_ack_handler(proc: int):
         def handler(msg: Message) -> None:
@@ -236,6 +233,44 @@ def closed_loop_arrow(
     return result
 
 
+def closed_loop_arrow(
+    graph: Graph,
+    tree: SpanningTree,
+    *,
+    requests_per_proc: int,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    think_time: float = 0.0,
+    max_events: int | None = None,
+    on_event=None,
+) -> ClosedLoopResult:
+    """Closed-loop arrow run; returns makespan and per-request hops.
+
+    ``on_event``, when set, receives the queuing-layer protocol trace
+    (see :mod:`repro.monitors`); the ``queue_reply`` acknowledgements are
+    application traffic and not part of it.
+    """
+
+    def init(nodes: Sequence[ArrowNode]) -> None:
+        for nd in nodes:
+            nd.init_pointers(tree)
+            nd.on_event = on_event
+
+    return _run_closed_loop(
+        "arrow",
+        graph,
+        lambda on_complete: ArrowNode(on_complete, notify_origin=True),
+        init,
+        requests_per_proc=requests_per_proc,
+        latency=latency,
+        seed=seed,
+        service_time=service_time,
+        think_time=think_time,
+        max_events=max_events,
+    )
+
+
 def closed_loop_centralized(
     graph: Graph,
     center: int,
@@ -248,52 +283,21 @@ def closed_loop_centralized(
     max_events: int | None = None,
 ) -> ClosedLoopResult:
     """Closed-loop centralized run with the paper's 2-message discipline."""
-    _check_loop_args(requests_per_proc, service_time, think_time)
-    n = graph.num_nodes
-    result = ClosedLoopResult("centralized", n, requests_per_proc)
-    sim = Simulator(max_events=max_events)
-    net = Network(
+    check_center(center, graph.num_nodes)
+    return _run_closed_loop(
+        "centralized",
         graph,
-        sim,
-        latency if latency is not None else UnitLatency(),
+        lambda on_complete: CentralizedNode(
+            center, on_complete, notify_origin=True, reply_mode=True
+        ),
+        lambda nodes: nodes[center].init_center(),
+        requests_per_proc=requests_per_proc,
+        latency=latency,
         seed=seed,
         service_time=service_time,
+        think_time=think_time,
+        max_events=max_events,
     )
-    driver = _Driver(sim, result, think_time)
-
-    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
-        result.completions += 1
-        result.hops.append(hops)
-        result.latencies.append(when - result.issue_times[rid])
-        if hops == 0:
-            result.local_finds += 1
-
-    nodes = [
-        CentralizedNode(center, on_complete, notify_origin=True, reply_mode=True)
-        for _ in range(n)
-    ]
-    net.register_all(nodes)
-    nodes[center].init_center()
-
-    def make_ack_handler(proc: int):
-        def handler(msg: Message) -> None:
-            if msg.kind != "queue_reply":
-                raise ProtocolError(f"unexpected app message {msg.kind!r}")
-            driver.on_ack(proc, msg.payload["rid"], nodes[proc].initiate)
-
-        return handler
-
-    for p in range(n):
-        nodes[p].app_handler = make_ack_handler(p)
-    for p in range(n):
-        sim.call_at(0.0, driver.issue, p, nodes[p].initiate)
-
-    t0 = _wall.perf_counter()
-    sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
-    result.messages_sent = net.stats.messages_sent
-    _check_complete(result)
-    return result
 
 
 def _check_complete(result: ClosedLoopResult) -> None:

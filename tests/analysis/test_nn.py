@@ -82,3 +82,22 @@ def test_predict_empty_schedule():
     tree = SpanningTree([0], root=0)
     pred = predict_arrow_run(tree, RequestSchedule([]))
     assert pred.order == [] and pred.arrow_cost == 0.0
+
+
+# ----------------------------------------------------------------------
+# the O(|R|^2) NN path at experiment scales: the whole order comes back
+# ----------------------------------------------------------------------
+def test_nn_executor_on_large_schedule():
+    from repro.workloads.schedules import random_times
+
+    tree = SpanningTree([max(0, i - 1) for i in range(256)], root=0)
+    sched = random_times(256, 1500, horizon=500.0, seed=0)
+    assert len(predict_arrow_run(tree, sched).order) == 1500
+
+
+def test_nn_executor_on_lowerbound_instance():
+    from repro.lowerbound.layered import layered_instance
+
+    inst = layered_instance(1024, 5)
+    pred = predict_arrow_run(inst.tree, inst.schedule)
+    assert len(pred.order) == len(inst.schedule)

@@ -83,3 +83,21 @@ def test_concurrent_requests_all_complete(k16):
     sched = poisson(16, 120, rate=8.0, seed=3)
     res = run_centralized(k16, 0, sched, service_time=0.05)
     assert len(verify_total_order(res)) == 120
+
+
+@pytest.mark.parametrize("center", [9, -1])
+def test_out_of_range_center_rejected(center):
+    """One exception type and text on every centralized driver, raised
+    before anything runs (unchecked, 9 is an IndexError inside the run and
+    -1 initialises the last node as centre, then fails in routing)."""
+    from repro.core.fast_closed_loop import closed_loop_centralized_fast
+    from repro.errors import NetworkError
+    from repro.workloads.closed_loop import closed_loop_centralized
+
+    g = complete_graph(4)
+    text = rf"^center {center} out of range for 4 nodes$"
+    with pytest.raises(NetworkError, match=text):
+        run_centralized(g, center, RequestSchedule([(1, 0.0)]))
+    for closed in (closed_loop_centralized, closed_loop_centralized_fast):
+        with pytest.raises(NetworkError, match=text):
+            closed(g, center, requests_per_proc=1)

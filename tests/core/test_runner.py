@@ -7,7 +7,6 @@ from repro.core.runner import run_arrow, run_centralized
 from repro.errors import ScheduleError, TreeError
 from repro.graphs import complete_graph, path_graph
 from repro.net.latency import UniformLatency
-from repro.sim.trace import Tracer
 from repro.spanning import SpanningTree, balanced_binary_overlay
 from repro.workloads.schedules import poisson
 
@@ -50,12 +49,25 @@ def test_network_stats_reported():
 
 
 def test_tracer_records_protocol_messages():
+    # on_event is the one way to watch a run, NetworkStats the one set of
+    # counters (the test keeps its historical name).
     g = path_graph(4)
-    tr = Tracer()
-    run_arrow(g, chain_tree(4), RequestSchedule([(3, 0.0)]), tracer=tr)
-    sends = list(tr.of_kind("send"))
-    assert len(sends) == 3
-    assert all(r.payload["msg_kind"] == "queue" for r in sends)
+    events = []
+    res = run_arrow(
+        g,
+        chain_tree(4),
+        RequestSchedule([(3, 0.0)]),
+        on_event=lambda *ev: events.append(ev),
+    )
+    sends = [ev for ev in events if ev[0] == "send"]
+    assert sends == [
+        ("send", 0, 3, 2, 0.0),
+        ("send", 0, 2, 1, 1.0),
+        ("send", 0, 1, 0, 2.0),
+    ]
+    # Every message of an un-acknowledged arrow run is a queue message.
+    assert res.network_stats["messages_sent"] == len(sends)
+    assert res.network_stats["link_messages"] == len(sends)
 
 
 def test_async_latency_model_completes_and_is_bounded():
@@ -92,3 +104,77 @@ def test_service_time_delays_each_hop():
     g = path_graph(5)
     res = run_arrow(g, chain_tree(5), RequestSchedule([(4, 0.0)]), service_time=0.5)
     assert res.completions[0].completed_at == 4 * 1.5
+
+
+# ----------------------------------------------------------------------
+# the two message-level harnesses: one failure vocabulary on five runners
+# ----------------------------------------------------------------------
+def _five_runners():
+    """(label, node class, call(**kw), requests) for every configuration of
+    ``_run_open_loop`` / ``_run_closed_loop`` on K4 with four requests."""
+    from repro.core.adaptive import AdaptivePointerNode, run_adaptive
+    from repro.core.arrow import ArrowNode
+    from repro.core.centralized import CentralizedNode
+    from repro.spanning import bfs_tree
+    from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
+
+    g = complete_graph(4)
+    tree = bfs_tree(g, 0)
+    sched = RequestSchedule([(v, 0.0) for v in range(4)])
+    return [
+        ("arrow", ArrowNode, lambda **kw: run_arrow(g, tree, sched, **kw)),
+        ("centralized", CentralizedNode, lambda **kw: run_centralized(g, 0, sched, **kw)),
+        ("adaptive", AdaptivePointerNode, lambda **kw: run_adaptive(g, 0, sched, **kw)),
+        (
+            "closed loop",
+            ArrowNode,
+            lambda **kw: closed_loop_arrow(g, tree, requests_per_proc=1, **kw),
+        ),
+        (
+            "closed loop",
+            CentralizedNode,
+            lambda **kw: closed_loop_centralized(g, 0, requests_per_proc=1, **kw),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_max_events_livelock_guard_on_every_runner(which):
+    from repro.errors import SimulationError
+
+    _, _, call = _five_runners()[which]
+    with pytest.raises(
+        SimulationError,
+        match=r"^exceeded max_events=2; possible livelock in protocol code$",
+    ):
+        call(max_events=2)
+    call(max_events=1000)  # a generous budget is not a livelock
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_short_completion_count_on_every_runner(which, monkeypatch):
+    """A protocol that loses requests is reported, never returned."""
+    from repro.errors import ProtocolError
+
+    label, node_class, call = _five_runners()[which]
+    monkeypatch.setattr(node_class, "initiate", lambda self, rid: None)
+    who = label if label == "closed loop" else f"{label} run"
+    with pytest.raises(ProtocolError, match=rf"^{who} completed 0 of 4 requests$"):
+        call()
+
+
+def test_bad_schedule_node_text_on_every_open_loop_runner():
+    from repro.core.adaptive import run_adaptive
+    from repro.spanning import bfs_tree
+
+    g = complete_graph(4)
+    bad = RequestSchedule([(1, 0.0), (9, 1.0)])
+    for call in (
+        lambda: run_arrow(g, bfs_tree(g, 0), bad),
+        lambda: run_centralized(g, 0, bad),
+        lambda: run_adaptive(g, 0, bad),
+    ):
+        with pytest.raises(
+            ScheduleError, match=r"^request 1 at node 9 outside \[0, 4\)$"
+        ):
+            call()

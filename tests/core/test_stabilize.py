@@ -5,10 +5,9 @@ import pytest
 from repro.core.arrow import ArrowNode
 from repro.core.stabilize import (
     count_sinks,
-    find_violations,
-    is_legal_configuration,
+    find_violations_links,
     sink_reached_from,
-    stabilize,
+    stabilize_links,
 )
 from repro.graphs import random_geometric_graph
 from repro.net.network import Network
@@ -30,40 +29,50 @@ def chain_tree(n):
     return SpanningTree([max(0, i - 1) for i in range(n)], root=0)
 
 
+def links_of(nodes):
+    return [nd.link for nd in nodes]
+
+
+def is_legal(link, tree):
+    return not find_violations_links(link, tree)
+
+
 def test_initial_configuration_is_legal():
     tree = chain_tree(6)
     _, nodes = make_nodes(tree)
-    assert is_legal_configuration(nodes, tree)
-    assert count_sinks(nodes) == 1
-    assert sink_reached_from(nodes, 5, 6) == 0
+    link = links_of(nodes)
+    assert is_legal(link, tree)
+    assert count_sinks(link) == 1
+    assert sink_reached_from(link, 5, 6) == 0
 
 
 def test_two_cycle_detected_as_double():
     tree = chain_tree(4)
     _, nodes = make_nodes(tree)
     nodes[0].link = 1  # now 0 -> 1 and 1 -> 0
-    v = find_violations(nodes, tree)
+    v = find_violations_links(links_of(nodes), tree)
     assert any(x.kind == "double" for x in v)
-    assert sink_reached_from(nodes, 3, 4) is None  # walk enters the 2-cycle
+    assert sink_reached_from(links_of(nodes), 3, 4) is None  # walk enters the 2-cycle
 
 
 def test_abandoned_edge_detected_as_none():
     tree = chain_tree(4)
     _, nodes = make_nodes(tree)
     nodes[3].link = 3  # second sink; edge (3,2) crossed by nobody
-    v = find_violations(nodes, tree)
+    v = find_violations_links(links_of(nodes), tree)
     assert any(x.kind == "none" for x in v)
-    assert count_sinks(nodes) == 2
+    assert count_sinks(links_of(nodes)) == 2
 
 
 def test_stabilize_fixes_double():
     tree = chain_tree(4)
     _, nodes = make_nodes(tree)
     nodes[0].link = 1
-    fixes = stabilize(nodes, tree)
+    link = links_of(nodes)
+    fixes = stabilize_links(link, tree)
     assert fixes >= 1
-    assert is_legal_configuration(nodes, tree)
-    assert count_sinks(nodes) == 1
+    assert is_legal(link, tree)
+    assert count_sinks(link) == 1
 
 
 def test_stabilize_fixes_multiple_sinks():
@@ -71,18 +80,19 @@ def test_stabilize_fixes_multiple_sinks():
     _, nodes = make_nodes(tree)
     nodes[3].link = 3
     nodes[5].link = 5
-    stabilize(nodes, tree)
-    assert is_legal_configuration(nodes, tree)
-    assert count_sinks(nodes) == 1
-    sink = next(nd.node_id for nd in nodes if nd.link == nd.node_id)
+    link = links_of(nodes)
+    stabilize_links(link, tree)
+    assert is_legal(link, tree)
+    assert count_sinks(link) == 1
+    sink = next(v for v, target in enumerate(link) if target == v)
     for v in range(6):
-        assert sink_reached_from(nodes, v, 6) == sink
+        assert sink_reached_from(link, v, 6) == sink
 
 
 def test_stabilize_noop_on_legal_configuration():
     tree = chain_tree(8)
     _, nodes = make_nodes(tree)
-    assert stabilize(nodes, tree) == 0
+    assert stabilize_links(links_of(nodes), tree) == 0
 
 
 def test_protocol_works_after_stabilization():
@@ -92,8 +102,11 @@ def test_protocol_works_after_stabilization():
     # Corrupt arbitrarily: every node points at its first tree neighbour.
     for nd in nodes:
         nd.link = tree.neighbors(nd.node_id)[0]
-    stabilize(nodes, tree)
-    assert is_legal_configuration(nodes, tree)
+    link = links_of(nodes)
+    stabilize_links(link, tree)
+    assert is_legal(link, tree)
+    for nd, target in zip(nodes, link):  # write the repair back, as faults does
+        nd.link = target
     # Issue requests from every node; all must complete into one order.
     done = []
     for nd in nodes:
@@ -115,31 +128,37 @@ def test_stabilize_from_random_corruption(seed):
     for nd in nodes:
         choices = tree.neighbors(nd.node_id) + [nd.node_id]
         nd.link = choices[rng.integers(len(choices))]
-    stabilize(nodes, tree)
-    assert is_legal_configuration(nodes, tree)
-    assert count_sinks(nodes) == 1
+    link = links_of(nodes)
+    stabilize_links(link, tree)
+    assert is_legal(link, tree)
+    assert count_sinks(link) == 1
 
 
 # ----------------------------------------------------------------------
 # stabilisation as the live crash-repair step (driven by repro.faults)
 # ----------------------------------------------------------------------
-def test_stabilize_links_matches_node_based_stabilize():
-    from repro.core.stabilize import find_violations_links, stabilize_links
+def test_edge_rule_agrees_with_pointer_walk_oracle():
+    """One crossing per edge (the local rule) <=> one sink that every
+    pointer walk reaches (the global reading), before and after repair."""
     from repro.sim.rng import spawn_rng
 
     g = random_geometric_graph(18, 0.4, seed=11)
     tree = bfs_tree(g, 0)
-    _, nodes = make_nodes(tree, g)
+    n = tree.num_nodes
     rng = spawn_rng(11, "corrupt-links")
-    for nd in nodes:
-        choices = tree.neighbors(nd.node_id) + [nd.node_id]
-        nd.link = choices[rng.integers(len(choices))]
-    link = [nd.link for nd in nodes]
-    fixes_nodes = stabilize(nodes, tree)
-    fixes_links = stabilize_links(link, tree)
-    assert fixes_links == fixes_nodes
-    assert link == [nd.link for nd in nodes]
-    assert not find_violations_links(link, tree)
+    link = []
+    for v in range(n):
+        choices = tree.neighbors(v) + [v]
+        link.append(choices[rng.integers(len(choices))])
+
+    def walks_agree(link):
+        reached = {sink_reached_from(link, v, n) for v in range(n)}
+        return count_sinks(link) == 1 and None not in reached and len(reached) == 1
+
+    assert is_legal(link, tree) == walks_agree(link)
+    assert find_violations_links(link, tree)  # the corruption is real
+    stabilize_links(link, tree)
+    assert is_legal(link, tree) and walks_agree(link)
 
 
 @pytest.mark.parametrize("engine", ["fast", "message"])

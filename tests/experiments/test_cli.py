@@ -162,6 +162,110 @@ def test_fig9_engine_cross_check_command(capsys):
     assert "simulated cost (fast)" in capsys.readouterr().out
 
 
+# ----------------------------------------------------------------------
+# the two command tables, dispatched with stub producers
+# ----------------------------------------------------------------------
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Stub every producer ``_FIGURES`` / ``_EXPERIMENTS`` can reach.
+
+    The CLI resolves producers when a command runs, so patching the
+    packages is enough.  Returns the list of ``(producer, kwargs)`` calls.
+    """
+    import repro.experiments as experiments
+    import repro.sweep
+    from repro import cli
+    from repro.experiments import ExperimentResult, Fig9Report, Series
+
+    calls = []
+
+    def record(name):
+        def stub(**kwargs):
+            calls.append((name, kwargs))
+            return ExperimentResult(name, name, "x", [Series("s", [1.0], [2.0])])
+
+        return stub
+
+    for _, _, producers in cli._EXPERIMENTS.values():
+        for producer in producers:
+            if isinstance(producer, str):
+                monkeypatch.setattr(experiments, producer, record(producer))
+
+    def run_fig9(D, k, *, variant):
+        calls.append(("run_fig9", {"D": D, "k": k, "variant": variant}))
+        return Fig9Report(variant, D, k, 3, 4.0, 5.0, 2.0, 1.0, 1.5, 2.0, "*pic*", 4.0)
+
+    def iter_sweep(spec):
+        calls.append(("iter_sweep", {"families": {s.family for s in spec.schedules}}))
+        for n in (2.0, 4.0):
+            for s in spec.schedules:
+                yield {"schedule": s.family, "tree": "bfs", "graph": "complete",
+                       "n": n, "seed": 0, "makespan": n, "mean_hops": 0.5}
+
+    monkeypatch.setattr(experiments, "run_fig9", run_fig9)
+    monkeypatch.setattr(repro.sweep, "iter_sweep", iter_sweep)
+    return calls
+
+
+def _table_commands():
+    from repro import cli
+
+    return [*cli._FIGURES, *cli._EXPERIMENTS]
+
+
+def _documents_of(name):
+    """How many ``--json`` documents command ``name`` writes (one per producer)."""
+    from repro import cli
+
+    return len(cli._EXPERIMENTS[name][2]) if name in cli._EXPERIMENTS else 1
+
+
+@pytest.mark.parametrize("name", [*_table_commands(), "all"])
+def test_every_table_command_dispatches(stubbed, tmp_path, capsys, name):
+    path = tmp_path / "out.json"
+    assert main(["--json", str(path), name]) == 0
+    out = capsys.readouterr().out
+    docs = json.loads(path.read_text())
+    names = _table_commands() if name == "all" else [name]
+    assert len(docs) == sum(_documents_of(n) for n in names) > 0
+    assert f"wrote {path}" in out
+    # One producer call per document, in table order, with the parsed defaults.
+    ran = [c[0] for c in stubbed]
+    assert len(ran) == len(docs)
+    if name in ("fig9", "all"):
+        assert "*pic*" in out and "measured ratio" in out
+        (doc,) = (d for d in docs if d["experiment_id"] == "fig9")
+        assert [s["name"] for s in doc["series"]][:2] == ["arrow cost", "opt upper"]
+        assert ("run_fig9", {"D": 64, "k": 4, "variant": "layered"}) in stubbed
+    if name in ("thm319", "all"):
+        assert ("run_competitive_sweep", {"diameters": None, "requests": 60}) in stubbed
+    if name == "all":
+        assert ran[:3] == ["iter_sweep"] * 3 and ran[3] == "run_fig9"
+        assert [d["experiment_id"] for d in docs[:4]] == [
+            "fig10", "fig11", "directory", "fig9"]
+
+
+def test_experiment_flags_reach_the_producer(stubbed):
+    assert main(["thm42", "--stretches", "1,2"]) == 0
+    assert main(["thm321", "--diameters", "8", "--requests", "5"]) == 0
+    assert main(["fig9", "-D", "8", "-k", "2", "--variant", "literal"]) == 0
+    assert stubbed == [
+        ("run_theorem42_sweep", {"stretches": [1, 2]}),
+        ("run_async_comparison", {"diameters": [8], "requests": 5}),
+        ("run_fig9", {"D": 8, "k": 2, "variant": "literal"}),
+    ]
+
+
+def test_fig9_json_holds_the_record(tmp_path):
+    """fig9 prints a picture and a cost block of its own; its record must
+    still reach ``--json`` like every other command's."""
+    path = tmp_path / "fig9.json"
+    assert main(["--json", str(path), "fig9", "-D", "16", "-k", "2"]) == 0
+    (doc,) = json.loads(path.read_text())
+    assert doc["experiment_id"] == "fig9" and doc["params"]["k"] == 2
+    assert {s["name"]: s["ys"] for s in doc["series"]}["arrow cost"] == [34.0]
+
+
 def test_sweep_command_writes_and_resumes(tmp_path, capsys):
     out = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--grid", "fig11", "--sizes", "4,8", "--per-node", "5",

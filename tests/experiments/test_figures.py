@@ -97,6 +97,21 @@ def test_fig9_literal_and_layered_reports():
         run_fig9(64, 4, variant="nope")
 
 
+def test_fig9_paper_instance():
+    """Figure 9 at D = 64: the comb bound keeps the optimal cost O(D) while
+    arrow pays a growing factor more (see repro.lowerbound.layered)."""
+    literal = run_fig9(64, 6, variant="literal")
+    layered = run_fig9(64, 3, variant="layered")
+    # Opt stays linear in D on both variants (comb bound / heuristic).
+    assert literal.opt_upper <= 3 * 64
+    assert layered.opt_upper <= 3 * 64
+    # The comb spanning structure is O(D) as the proof requires.
+    assert literal.comb_weight <= 6 * 64
+    # Arrow pays a real factor more than opt on both.
+    assert literal.ratio >= 1.3
+    assert layered.ratio >= 2.0
+
+
 def test_fig9_picture_dimensions():
     rep = run_fig9(64, 4, variant="layered")
     lines = rep.picture.splitlines()
@@ -124,3 +139,16 @@ def test_sequential_experiment_bounds():
         assert c <= d + 1e-9  # Demmer-Herlihy per-op bound
     for r, s in zip(ratio, stretch):
         assert r <= s + 1e-9  # sequential competitive ratio <= stretch
+
+
+def test_sequential_experiment_paper_scale():
+    """The sequential regime baseline ([4], §1.1): per-op <= D, ratio <= s."""
+    res = run_sequential_experiment(num_requests=40, seed=0)
+    max_cost = res.series_by_name("max per-op latency").ys
+    diam = res.series_by_name("tree diameter D").ys
+    ratio = res.series_by_name("total ratio (vs seq opt)").ys
+    stretch = res.series_by_name("tree stretch s").ys
+    for c, d in zip(max_cost, diam):
+        assert c <= d + 1e-9
+    for r, s in zip(ratio, stretch):
+        assert r <= s + 1e-9

@@ -17,7 +17,6 @@ from repro.core.queueing import verify_total_order
 from repro.graphs import grid_graph, path_graph
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.sim.trace import Tracer
 from repro.spanning import SpanningTree, bfs_tree
 from repro.workloads.schedules import random_times
 
@@ -28,25 +27,27 @@ def test_queue_message_routes_follow_tree_paths():
     tree = bfs_tree(graph, 0)
     sched = random_times(20, 25, horizon=15.0, seed=3)
 
-    # Patch-level tracing: wrap Network.forward/send_link by running with a
-    # tracer and matching sends to requests via (time, src, dst) replay.
-    tracer = Tracer()
-    res = run_arrow(graph, tree, sched, tracer=tracer)
+    # Every queue-message link traversal is one ("send", rid, src, dst,
+    # time) tuple on the on_event stream.
+    events = []
+    res = run_arrow(graph, tree, sched, on_event=lambda *ev: events.append(ev))
     verify_total_order(res)
 
-    # Expected: multiset of traversed directed edges == union over
-    # requests of the direct tree path edges toward the informed node.
-    expected = defaultdict(int)
+    # Expected: each request's sends, in order, are the edges of the
+    # direct tree path toward the informed node (and so the multiset of
+    # traversed directed edges is the union of those paths).
+    routes = defaultdict(list)
+    for kind, rid, *rest in events:
+        if kind == "send":
+            src, dst, _when = rest
+            routes[rid].append((src, dst))
+    sends = 0
     for rid, rec in res.completions.items():
-        req = sched.by_rid(rid)
-        path = tree.path(req.node, rec.informed_node)
-        for a, b in zip(path, path[1:]):
-            expected[(a, b)] += 1
-    actual = defaultdict(int)
-    for rec in tracer.of_kind("send"):
-        if rec.payload["msg_kind"] == "queue":
-            actual[(rec.payload["src"], rec.payload["dst"])] += 1
-    assert actual == expected
+        path = tree.path(sched.by_rid(rid).node, rec.informed_node)
+        assert routes[rid] == list(zip(path, path[1:]))
+        sends += len(path) - 1
+    # on_event sees queue messages only, and all of them.
+    assert sends == res.network_stats["link_messages"]
 
 
 def test_paper_figures_1_to_5_walkthrough():
@@ -92,5 +93,6 @@ def test_paper_figures_1_to_5_walkthrough():
     # Every pointer chain now leads to the new tail (Fig. 5's invariant).
     from repro.core.stabilize import sink_reached_from
 
+    link = [nd.link for nd in nodes]
     for v in range(6):
-        assert sink_reached_from(nodes, v, 6) == loser_origin
+        assert sink_reached_from(link, v, 6) == loser_origin

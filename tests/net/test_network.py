@@ -8,7 +8,6 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
-from repro.sim.trace import Tracer
 
 
 class Recorder(ProtocolNode):
@@ -145,13 +144,17 @@ def test_node_accessor():
 
 
 def test_tracer_sees_sends_and_deliveries():
-    tr = Tracer()
-    net = Network(path_graph(2), Simulator(), tracer=tr)
+    # NetworkStats is the network's one set of counters (the test keeps
+    # its historical name).
+    net = Network(path_graph(2), Simulator())
     net.register_all([Recorder(), Recorder()])
     net.send_link(0, 1, "x")
+    assert net.stats.messages_sent == 1
+    assert net.stats.per_node_received == [0, 0]  # sent, not yet delivered
     net.sim.run()
-    assert tr.counts["send"] == 1
-    assert tr.counts["deliver"] == 1
+    assert net.stats.messages_sent == 1
+    assert net.stats.link_messages == 1
+    assert net.stats.per_node_received == [0, 1]
 
 
 def test_routed_unreachable_raises():

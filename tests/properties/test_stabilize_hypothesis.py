@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.arrow import ArrowNode
 from repro.core.stabilize import (
     count_sinks,
-    is_legal_configuration,
+    find_violations_links,
     sink_reached_from,
-    stabilize,
+    stabilize_links,
 )
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -28,33 +28,33 @@ def corrupted_configuration(draw, max_nodes=12):
     for nd in nodes:
         choices = tree.neighbors(nd.node_id) + [nd.node_id]
         nd.link = choices[draw(st.integers(0, len(choices) - 1))]
-    return tree, nodes
+    return tree, [nd.link for nd in nodes]
 
 
 @given(corrupted_configuration())
 @settings(max_examples=80, deadline=None)
 def test_one_pass_restores_legality(cfg):
-    tree, nodes = cfg
-    stabilize(nodes, tree)
-    assert is_legal_configuration(nodes, tree)
-    assert count_sinks(nodes) == 1
+    tree, link = cfg
+    stabilize_links(link, tree)
+    assert not find_violations_links(link, tree)
+    assert count_sinks(link) == 1
 
 
 @given(corrupted_configuration())
 @settings(max_examples=80, deadline=None)
 def test_all_chains_reach_the_unique_sink(cfg):
-    tree, nodes = cfg
-    stabilize(nodes, tree)
-    sinks = {nd.node_id for nd in nodes if nd.link == nd.node_id}
+    tree, link = cfg
+    stabilize_links(link, tree)
+    sinks = {v for v, target in enumerate(link) if target == v}
     assert len(sinks) == 1
     sink = sinks.pop()
     for v in range(tree.num_nodes):
-        assert sink_reached_from(nodes, v, tree.num_nodes) == sink
+        assert sink_reached_from(link, v, tree.num_nodes) == sink
 
 
 @given(corrupted_configuration())
 @settings(max_examples=40, deadline=None)
 def test_stabilize_is_idempotent(cfg):
-    tree, nodes = cfg
-    stabilize(nodes, tree)
-    assert stabilize(nodes, tree) == 0
+    tree, link = cfg
+    stabilize_links(link, tree)
+    assert stabilize_links(link, tree) == 0

@@ -100,16 +100,16 @@ def test_unknown_run_key_fails_cleanly(pipeline, capsys):
     assert "no stored run matches" in capsys.readouterr().err
 
 
-def test_store_flag_archives_experiment_documents(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    assert main(["--store", store, "fig9", "-D", "8", "-k", "2"]) == 0
-    assert "archived fig9" in capsys.readouterr().out
-    from repro.results import ResultsStore
-
-    result = ResultsStore(store).get_experiment("fig9")
-    assert result.experiment_id == "fig9"
-    # Idempotent: a second run rewrites nothing.
-    path = os.path.join(store, "experiments", "fig9.json")
-    mtime = os.path.getmtime(path)
-    assert main(["--store", store, "fig9", "-D", "8", "-k", "2"]) == 0
-    assert os.path.getmtime(path) == mtime
+def test_results_list_lists_runs_and_the_archive_flag_is_gone(pipeline, capsys):
+    """The experiment archive was write-only (no command read it back) and
+    ``--json`` writes the identical document: the top-level ``--store`` is a
+    usage error now, and ``results list`` prints runs only."""
+    _, _, store = pipeline
+    with pytest.raises(SystemExit) as exc:
+        main(["--store", store, "fig9", "-D", "8", "-k", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["results", "list", "--store", store]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("run ") and "smoke" in lines[0]
+    assert not os.path.exists(os.path.join(store, "experiments"))

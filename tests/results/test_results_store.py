@@ -161,23 +161,3 @@ def test_spec_hash_is_stable_and_sensitive(smoke_run):
     assert spec.spec_hash() != smoke_grid(engine="message").spec_hash()
     doc = json.dumps(spec.canonical())
     assert "monitor" not in doc  # monitors never change rows
-
-
-def test_experiment_documents_round_trip_idempotently(tmp_path):
-    from repro.experiments.records import ExperimentResult, Series
-
-    store = ResultsStore(str(tmp_path / "store"))
-    result = ExperimentResult(
-        experiment_id="figX",
-        title="t",
-        xlabel="n",
-        series=[Series("s", [1.0], [2.0])],
-    )
-    path = store.put_experiment(result)
-    mtime = os.path.getmtime(path)
-    assert store.put_experiment(result) == path
-    assert os.path.getmtime(path) == mtime
-    assert store.get_experiment("figX").to_json() == result.to_json()
-    assert store.list_experiments() == ["figX"]
-    with pytest.raises(ResultsError, match="no stored experiment"):
-        store.get_experiment("missing")

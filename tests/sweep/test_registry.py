@@ -165,6 +165,12 @@ def test_directory_home_out_of_range_home_fails_loudly():
         one_cell(ScheduleSpec.of("directory_home", home=99))
 
 
+@pytest.mark.parametrize("engine", ["fast", "message"])
+def test_closed_centralized_out_of_range_center_fails_at_build_time(engine):
+    with pytest.raises(SweepError, match="center 99 outside the graph's"):
+        one_cell(ScheduleSpec.of("closed_centralized", center=99), engine=engine)
+
+
 def test_directory_families_ignore_engine_axis():
     rows = [
         one_cell(

@@ -130,6 +130,17 @@ def test_negative_service_time_rejected(k8, run, protocol):
         run(*_topology(k8, protocol), requests_per_proc=3, service_time=-0.5)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("center", [9, -1])
+def test_out_of_range_center_rejected(engine, center):
+    # One exception type and text on both engines, before anything runs.
+    run = closed_loop_runner("centralized", engine)
+    with pytest.raises(
+        NetworkError, match=rf"^center {center} out of range for 4 nodes$"
+    ):
+        run(complete_graph(4), center, requests_per_proc=2)
+
+
 @pytest.mark.parametrize("run, protocol", DRIVERS)
 def test_zero_budget_is_an_empty_complete_run(k8, run, protocol):
     res = run(*_topology(k8, protocol), requests_per_proc=0, think_time=0.5)
