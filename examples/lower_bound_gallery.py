@@ -5,8 +5,8 @@ Renders the adversarial request instances as (position x time) dot
 pictures, runs arrow on them, and shows the measured arrow/optimal
 ratios growing with the path diameter — the Ω(log D / log log D) shape.
 Both the literal construction from the paper's text and the bitonic
-layered reconstruction are shown (see DESIGN.md / EXPERIMENTS.md for why
-the two exist).
+layered reconstruction are shown (the reproduction note in
+``repro.lowerbound.layered`` says why the two exist).
 
 Run:  python examples/lower_bound_gallery.py
 """

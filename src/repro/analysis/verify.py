@@ -105,8 +105,8 @@ def lemma_3_10_identity_gap(
 ) -> float:
     """|cost_arrow - (C_T - t_last)| for the given order.
 
-    Lemma 3.10 (as derived in its proof; see the DESIGN.md transcription
-    note): the ``c_T`` path total telescopes to
+    Lemma 3.10 (as derived in its proof): the ``c_T`` path total
+    telescopes to
     ``t_last + Σ d_T = t_last + cost_arrow``.  Returns the numeric gap,
     which should be ~0.
     """

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 from repro.core.arrow import ArrowNode
 from repro.core.requests import ROOT_RID
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError, ScheduleError
 from repro.graphs.graph import Graph
-from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import ProtocolNode
@@ -49,7 +49,7 @@ class DirectoryResult:
     messages_sent: int = 0
     #: (acquire_time, release_time, node) per acquisition, in handoff order.
     intervals: list[tuple[float, float, int]] = field(default_factory=list)
-    wall_seconds: float = 0.0
+    wall_seconds: float = field(default=0.0, compare=False)
 
     @property
     def total_acquisitions(self) -> int:
@@ -93,6 +93,22 @@ class DirectoryResult:
             "mean_wait": self.mean_wait,
             "exclusion_ok": self.exclusion_holds(),
         }
+
+
+def _check_directory_args(acquisitions_per_proc: int, cs_time: float) -> None:
+    """Reject out-of-range loop knobs; both directory drivers call this.
+
+    A negative budget would otherwise surface late as "completed 0 of -4
+    acquisitions" and a negative ``cs_time`` as the kernel refusing to
+    schedule a release into the past.  ``acquisitions_per_proc == 0`` is
+    legal: an empty, complete run.
+    """
+    if acquisitions_per_proc < 0:
+        raise ScheduleError(
+            f"acquisitions_per_proc must be >= 0, got {acquisitions_per_proc}"
+        )
+    if cs_time < 0:
+        raise ScheduleError(f"cs_time must be >= 0, got {cs_time}")
 
 
 class _ObjectState:
@@ -176,6 +192,7 @@ def arrow_directory(
     max_events: int | None = None,
 ) -> DirectoryResult:
     """Run the arrow-based directory under a closed acquire loop."""
+    _check_directory_args(acquisitions_per_proc, cs_time)
     n = graph.num_nodes
     result = DirectoryResult("arrow-directory", n, acquisitions_per_proc)
     shared = _ObjectState(result, cs_time)
@@ -183,7 +200,7 @@ def arrow_directory(
     net = Network(
         graph,
         sim,
-        latency if latency is not None else UnitLatency(),
+        latency,
         seed=seed,
         service_time=service_time,
     )
@@ -320,12 +337,15 @@ def home_directory(
 ) -> DirectoryResult:
     """Run the home-based directory under the same closed acquire loop."""
     n = graph.num_nodes
+    if not 0 <= home < n:
+        raise NetworkError(f"home {home} out of range for {n} nodes")
+    _check_directory_args(acquisitions_per_proc, cs_time)
     result = DirectoryResult("home-directory", n, acquisitions_per_proc)
     sim = Simulator(max_events=max_events)
     net = Network(
         graph,
         sim,
-        latency if latency is not None else UnitLatency(),
+        latency,
         seed=seed,
         service_time=service_time,
     )

@@ -3,8 +3,7 @@
 :class:`FastArrowEngine` executes arrow runs on a precomputed tree
 adjacency with a flat binary heap over ``(time, seq)`` tuples and plain
 int/float array node state (``link``, ``last_rid``) — no
-:class:`~repro.net.message.Message` objects, no per-event
-:class:`~repro.sim.events.Event` dataclasses, no
+:class:`~repro.net.message.Message` objects, no per-event callback, no
 :class:`~repro.net.network.Network` dispatch.  The produced
 :class:`~repro.core.queueing.RunResult` is bit-identical to
 :func:`repro.core.runner.run_arrow` (same completions, predecessors, hop
@@ -163,9 +162,8 @@ class FastArrowEngine:
     schedule with per-run mutable state only.
 
     Parameters mirror the :func:`~repro.core.runner.run_arrow` knobs it
-    supports; features that are inherently message-level (``notify_origin``
-    acknowledgement traffic, tracing) are not available here — use the
-    message simulator for those.
+    supports; ``notify_origin`` acknowledgement traffic is inherently
+    message-level and not available here — use the message simulator for it.
     """
 
     def __init__(
@@ -276,12 +274,12 @@ class FastArrowEngine:
 
         Why bit-identical is achievable
         -------------------------------
-        The message-level kernel orders events by ``(time, priority,
-        seq)`` with a single global sequence counter and every event of an
-        arrow run at the default priority, so the total order reduces to
-        ``(time, seq)``.  This loop schedules the *same* events in the
-        *same* order, each consuming the next sequence number at the
-        moment the message simulator would have scheduled it:
+        The message-level kernel (:class:`repro.sim.kernel.Simulator`)
+        orders events by ``(time, seq)`` with a single global sequence
+        counter — the key of this loop's heap.  This loop schedules the
+        *same* events in the *same* order, each consuming the next
+        sequence number at the moment the message simulator would have
+        scheduled it:
 
         * the ``m`` schedule initiations own seqs ``0..m-1`` and the
           events the caller seeded on ``heap`` (a plan's crashes, a closed

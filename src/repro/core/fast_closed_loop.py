@@ -6,8 +6,8 @@ replay the full closed-loop dynamics of :mod:`repro.workloads.closed_loop`
 per-node sequential ``service_time``, and the routed ``queue_reply``
 acknowledgements over ``G`` — on a flat binary heap over ``(time, seq)``
 tuples with plain array node state.  No :class:`~repro.net.message.Message`
-objects, no per-event :class:`~repro.sim.events.Event` dataclasses, no
-:class:`~repro.net.network.Network` dispatch.
+objects, no per-event callback, no :class:`~repro.net.network.Network`
+dispatch.
 
 The arrow run is a configuration of the one arrow event loop,
 :meth:`repro.core.fast_arrow.FastArrowEngine._arrow_loop` (seeded with the

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the design choices the paper calls out.
 
 * **Spanning-tree choice** (§1.1: MST suggested by [4], min-communication
   trees by [18]): same graph and workload, different trees — lower stretch

@@ -2,8 +2,7 @@
 
 An experiment produces an :class:`ExperimentResult`: a set of named series
 over a common x-axis plus free-form parameters and notes.  Results render
-as ASCII tables/plots (for the CLI and the benchmark logs) and serialise
-to JSON for archival; EXPERIMENTS.md is written from these records.
+as ASCII tables/plots (for the CLI) and serialise to JSON (``--json``).
 """
 
 from __future__ import annotations

@@ -454,21 +454,13 @@ class _FaultyNetwork(Network):
         super().__init__(*args, **kwargs)
         self._fs = fault_state
 
-    def send_link(self, src, dst, kind, payload=None):
+    def _send_link(self, src, dst, kind, payload, hops):
         fs = self._fs
-        if fs.drops_send(src, dst, (payload or {}).get("rid", -1), self.sim.now):
+        if fs.drops_send(src, dst, payload.get("rid", -1), self.sim.now):
             return None
-        msg = super().send_link(src, dst, kind, payload)
+        msg = super()._send_link(src, dst, kind, payload, hops)
         fs.in_flight += 1
         return msg
-
-    def forward(self, msg: Message, new_dst: int):
-        fs = self._fs
-        if fs.drops_send(msg.dst, new_dst, msg.payload.get("rid", -1), self.sim.now):
-            return None
-        nxt = super().forward(msg, new_dst)
-        fs.in_flight += 1
-        return nxt
 
     def _arrive(self, msg: Message) -> None:
         # Pre-service drop: a down node's queue never accepts the message.

@@ -1,6 +1,6 @@
 """Bitonic layered lower-bound instances (reconstruction; see note).
 
-**Reproduction note (also in EXPERIMENTS.md).**  The Theorem 4.1 proof in
+**Reproduction note.**  The Theorem 4.1 proof in
 the paper is a construction sketch: it asserts that arrow orders the
 recursive request set time-layer by time-layer, sweeping the whole path
 once per layer (cost ``k·D``).  Under the Lemma 3.8 nearest-neighbour
@@ -22,7 +22,8 @@ protection property behind the layer sweeps.  Finer rounds are issued
 earlier; round counts multiply by ``~2 log D`` per level, which is exactly
 why the paper's layer count tops out at ``k = Θ(log D / log log D)``.
 
-Measured behaviour (regenerated by ``benchmarks/test_lower_bound_growth``):
+Measured behaviour (``test_theorem41_sweep_paper_scale`` in
+``tests/experiments/test_sweeps.py``):
 the arrow/optimal ratio of these instances grows with ``D`` and tracks the
 paper's ``k(D) = log D / log log D`` target at simulable scales (≈2 at
 ``D = 64`` up to ≈3 at ``D = 1024``, where ``k(D) ≈ 3``), while the

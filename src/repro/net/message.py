@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["Message"]
-
-_msg_counter = itertools.count()
 
 
 @dataclass(slots=True)
@@ -26,6 +23,4 @@ class Message:
     src: int
     dst: int
     payload: dict[str, Any] = field(default_factory=dict)
-    sent_at: float = 0.0
     hops: int = 0
-    uid: int = field(default_factory=lambda: next(_msg_counter))

@@ -38,14 +38,13 @@ __all__ = ["Network", "NetworkStats"]
 class NetworkStats:
     """Aggregate message counters for one run."""
 
-    __slots__ = ("messages_sent", "link_messages", "routed_messages", "hops_total", "per_node_received")
+    __slots__ = ("messages_sent", "link_messages", "routed_messages", "hops_total")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self) -> None:
         self.messages_sent = 0
         self.link_messages = 0
         self.routed_messages = 0
         self.hops_total = 0
-        self.per_node_received = [0] * n
 
     def as_dict(self) -> dict[str, Any]:
         """Counters as a plain dict (for experiment records)."""
@@ -63,7 +62,7 @@ class Network:
     def __init__(
         self,
         graph: Graph,
-        sim: Simulator | None = None,
+        sim: Simulator,
         latency: LatencyModel | None = None,
         *,
         seed: int = 0,
@@ -72,11 +71,11 @@ class Network:
         if service_time < 0:
             raise NetworkError(f"service_time must be >= 0, got {service_time}")
         self.graph = graph
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = sim
         self.latency = latency if latency is not None else UnitLatency()
         self.rng: np.random.Generator = spawn_rng(seed, "network-latency")
         self.service_time = float(service_time)
-        self.stats = NetworkStats(graph.num_nodes)
+        self.stats = NetworkStats()
 
         self._nodes: list[ProtocolNode | None] = [None] * graph.num_nodes
         self._channels: dict[tuple[int, int], FifoChannel] = {}
@@ -118,16 +117,7 @@ class Network:
         self, src: int, dst: int, kind: str, payload: dict[str, Any] | None = None
     ) -> Message:
         """Send one message over the physical link ``src -> dst`` (FIFO)."""
-        if not self.graph.has_edge(src, dst):
-            raise NetworkError(f"no link between {src} and {dst}")
-        msg = Message(kind, src, dst, payload or {}, sent_at=self.sim.now)
-        msg.hops = 1  # this link traversal
-        ch = self._channel(src, dst)
-        self.stats.messages_sent += 1
-        self.stats.link_messages += 1
-        self.stats.hops_total += 1
-        ch.transmit(self.sim, self.latency, self.rng, msg, self._arrive)
-        return msg
+        return self._send_link(src, dst, kind, payload or {}, 0)
 
     def send_routed(
         self, src: int, dst: int, kind: str, payload: dict[str, Any] | None = None
@@ -138,7 +128,7 @@ class Network:
         count records the path length.  A message to self delivers after
         zero delay (still as its own atomic event).
         """
-        msg = Message(kind, src, dst, payload or {}, sent_at=self.sim.now)
+        msg = Message(kind, src, dst, payload or {})
         self.stats.messages_sent += 1
         self.stats.routed_messages += 1
         if src == dst:
@@ -159,23 +149,22 @@ class Network:
         Creates a fresh message that inherits the payload and accumulated
         hop count; arrow uses this as queue messages chase the sink.
         """
-        nxt = Message(
-            msg.kind,
-            msg.dst,
-            new_dst,
-            msg.payload,
-            sent_at=self.sim.now,
-            hops=msg.hops,
-        )
-        if not self.graph.has_edge(nxt.src, nxt.dst):
-            raise NetworkError(f"no link between {nxt.src} and {nxt.dst}")
-        ch = self._channel(nxt.src, nxt.dst)
+        return self._send_link(msg.dst, new_dst, msg.kind, msg.payload, msg.hops)
+
+    def _send_link(
+        self, src: int, dst: int, kind: str, payload: dict[str, Any], hops: int
+    ) -> Message:
+        """The one link-send path; ``hops`` is the count inherited so far."""
+        if not self.graph.has_edge(src, dst):
+            raise NetworkError(f"no link between {src} and {dst}")
+        msg = Message(kind, src, dst, payload, hops + 1)
         self.stats.messages_sent += 1
         self.stats.link_messages += 1
         self.stats.hops_total += 1
-        nxt.hops += 1
-        ch.transmit(self.sim, self.latency, self.rng, nxt, self._arrive)
-        return nxt
+        self._channel(src, dst).transmit(
+            self.sim, self.latency, self.rng, msg, self._arrive
+        )
+        return msg
 
     # ------------------------------------------------------------------
     # delivery
@@ -194,7 +183,6 @@ class Network:
         node = self._nodes[msg.dst]
         if node is None:
             raise NetworkError(f"message {msg.kind} delivered to empty node {msg.dst}")
-        self.stats.per_node_received[msg.dst] += 1
         node.on_message(msg)
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the virtual clock and the event queue.  All protocol
+:class:`Simulator` owns the virtual clock and the event heap.  All protocol
 code in this library is written as plain callbacks against this kernel; a
 callback runs atomically (no other event interleaves with it), which models
 the paper's atomic initiation / path-reversal steps directly.
@@ -13,16 +13,23 @@ Typical use::
     sim.run()                # drain all events
     print(sim.now)           # time of the last fired event
 
-The kernel is single-threaded and deterministic: ties are broken by
-``(priority, scheduling order)`` — see :mod:`repro.sim.events`.
+The kernel is single-threaded and deterministic.  The heap holds
+``(time, seq, fn, args)`` tuples and ``seq`` is the scheduling index, so the
+firing order is total: two events scheduled for the same time fire in the
+order they were scheduled, on every run, on every platform — the same
+``(time, seq)`` key the fast loops of :mod:`repro.core.fast_arrow` order
+their heap by.  The paper's model (Section 3.1) allows *arbitrary*
+processing order for simultaneously arriving messages; that freedom is
+explored by ``tie_break`` in :mod:`repro.analysis.nearest_neighbor`
+(Lemma 3.8), never by the kernel — each run stays reproducible.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue, PRIORITY_DEFAULT
 
 __all__ = ["Simulator"]
 
@@ -30,7 +37,7 @@ __all__ = ["Simulator"]
 class Simulator:
     """Single-threaded deterministic discrete-event simulator."""
 
-    __slots__ = ("_queue", "_now", "_running", "_fired", "_max_events")
+    __slots__ = ("_heap", "_seq", "_now", "_running", "_fired", "_max_events")
 
     def __init__(self, max_events: int | None = None) -> None:
         """Create a simulator.
@@ -42,100 +49,58 @@ class Simulator:
             :class:`SimulationError` after firing this many events.  Useful
             for catching accidental livelock in protocol code under test.
         """
-        self._queue = EventQueue()
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
+        self._seq = 0
         self._now = 0.0
         self._running = False
         self._fired = 0
         self._max_events = max_events
 
-    # ------------------------------------------------------------------
-    # clock & introspection
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time (time of the event being processed)."""
         return self._now
 
-    @property
-    def events_fired(self) -> int:
-        """Number of events processed so far (cancelled events excluded)."""
-        return self._fired
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still scheduled."""
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def call_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_DEFAULT,
-    ) -> Event:
+    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``.
 
         Scheduling into the past raises :class:`SimulationError`; scheduling
         exactly at :attr:`now` is allowed and the event fires after every
-        event already scheduled for the current instant with lower-or-equal
-        priority, preserving causality within a time step.
+        event already scheduled for the current instant, preserving
+        causality within a time step.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} (now is t={self._now})"
             )
-        return self._queue.push(time, fn, args, priority)
+        if time != time:  # NaN guard
+            raise SimulationError("event time is NaN")
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        self._seq += 1
 
-    def call_in(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_DEFAULT,
-    ) -> Event:
+    def call_in(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` after a non-negative relative ``delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, fn, args, priority)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (no-op if already fired)."""
-        if not event.cancelled:
-            event.cancel()
-            self._queue.note_cancelled()
+        self.call_at(self._now + delay, fn, *args)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the single earliest event.  Returns False if queue empty."""
-        if not self._queue:
-            return False
-        ev = self._queue.pop()
-        self._now = ev.time
-        self._fired += 1
-        ev.fn(*ev.args)
-        return True
-
-    def run(self, until: float | None = None) -> float:
-        """Run until the queue drains (or the clock passes ``until``).
-
-        Returns the final simulation time.  Events scheduled exactly at
-        ``until`` still fire; the first event strictly beyond it does not,
-        and remains queued.
-        """
+    def run(self) -> float:
+        """Run until the heap drains; returns the final simulation time."""
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
+        heap = self._heap
         try:
-            while self._queue:
-                if until is not None and self._queue.peek_time() > until:
-                    self._now = until
-                    break
-                self.step()
+            while heap:
+                self._now, _, fn, args = heapq.heappop(heap)
+                self._fired += 1
+                fn(*args)
                 if self._max_events is not None and self._fired > self._max_events:
                     raise SimulationError(
                         f"exceeded max_events={self._max_events}; "

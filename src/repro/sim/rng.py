@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RngRegistry", "spawn_rng"]
+__all__ = ["spawn_rng"]
 
 
 def spawn_rng(master_seed: int, name: str) -> np.random.Generator:
@@ -24,24 +24,3 @@ def spawn_rng(master_seed: int, name: str) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(seq))
 
-
-class RngRegistry:
-    """Lazily creates and caches named RNG streams for one experiment run."""
-
-    __slots__ = ("master_seed", "_streams")
-
-    def __init__(self, master_seed: int = 0) -> None:
-        self.master_seed = int(master_seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the (cached) generator for ``name``."""
-        rng = self._streams.get(name)
-        if rng is None:
-            rng = spawn_rng(self.master_seed, name)
-            self._streams[name] = rng
-        return rng
-
-    def reset(self) -> None:
-        """Drop all cached streams; subsequent draws restart their sequences."""
-        self._streams.clear()

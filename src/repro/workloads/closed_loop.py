@@ -11,7 +11,7 @@ so results are reported through :class:`ClosedLoopResult` (makespan,
 per-request hops, message totals) rather than a pre-built
 :class:`RequestSchedule`.
 
-Modelling notes (also in DESIGN.md):
+Modelling notes:
 
 * acknowledgements are application messages routed over ``G``
   (``queue_reply``); the paper's SP2 network is a complete unit-latency

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.directory import arrow_directory, home_directory
+from repro.errors import NetworkError, ScheduleError
 from repro.graphs import complete_graph, grid_graph
 from repro.net.latency import UniformLatency
 from repro.spanning import balanced_binary_overlay, bfs_tree
@@ -87,3 +88,41 @@ def test_directory_result_statistics(k8):
     assert res.total_acquisitions == 40
     assert res.mean_wait >= 0.0
     assert res.makespan > 0.0
+
+
+@pytest.mark.parametrize("home", [9, -1])
+def test_home_directory_rejects_out_of_range_home(home):
+    with pytest.raises(NetworkError, match=f"home {home} out of range for 4 nodes"):
+        home_directory(complete_graph(4), home, acquisitions_per_proc=2)
+
+
+def _run(protocol, g, tree, **kw):
+    if protocol == "arrow":
+        return arrow_directory(g, tree, **kw)
+    return home_directory(g, 0, **kw)
+
+
+@pytest.mark.parametrize("protocol", ["arrow", "home"])
+def test_directory_drivers_reject_negative_loop_knobs(k8, protocol):
+    g, tree = k8
+    with pytest.raises(ScheduleError, match="acquisitions_per_proc must be >= 0, got -1"):
+        _run(protocol, g, tree, acquisitions_per_proc=-1)
+    with pytest.raises(ScheduleError, match=r"cs_time must be >= 0, got -1\.0"):
+        _run(protocol, g, tree, acquisitions_per_proc=2, cs_time=-1.0)
+
+
+@pytest.mark.parametrize("protocol", ["arrow", "home"])
+def test_zero_acquisitions_is_an_empty_complete_run(k8, protocol):
+    g, tree = k8
+    res = _run(protocol, g, tree, acquisitions_per_proc=0)
+    assert (res.completions, res.makespan, res.messages_sent) == (0, 0.0, 0)
+
+
+@pytest.mark.parametrize("protocol", ["arrow", "home"])
+def test_identical_directory_runs_compare_equal(k8, protocol):
+    """``wall_seconds`` is measurement noise and excluded from comparison."""
+    g, tree = k8
+    kw = dict(acquisitions_per_proc=5, latency=UniformLatency(0.2, 1.0), seed=3)
+    a, b = _run(protocol, g, tree, **kw), _run(protocol, g, tree, **kw)
+    assert a == b
+    assert a.wall_seconds > 0.0 and b.wall_seconds > 0.0

@@ -3,9 +3,9 @@
 Includes the reproduction-note regression: the literal transcription's
 worst-case arrow cost is exactly ``2 D`` for deep recursions (it does not
 force one sweep per layer), while ``k = 2`` realises the full ``k·D``.
-This behaviour is documented in ``repro.lowerbound.layered`` and
-EXPERIMENTS.md; these tests pin it so any future reinterpretation of the
-construction shows up as a diff here.
+This behaviour is documented in ``repro.lowerbound.layered``; these tests
+pin it so any future reinterpretation of the construction shows up as a
+diff here.
 """
 
 import math

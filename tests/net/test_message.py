@@ -3,18 +3,10 @@
 from repro.net.message import Message
 
 
-def test_uids_are_unique_and_increasing():
-    msgs = [Message("m", 0, 1) for _ in range(10)]
-    uids = [m.uid for m in msgs]
-    assert len(set(uids)) == 10
-    assert uids == sorted(uids)
-
-
 def test_defaults():
     m = Message("queue", 2, 3)
     assert m.payload == {}
     assert m.hops == 0
-    assert m.sent_at == 0.0
 
 
 def test_payload_not_shared_between_messages():

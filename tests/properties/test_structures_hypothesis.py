@@ -4,7 +4,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import bfs_distances
-from repro.sim.events import EventQueue
+from repro.sim.kernel import Simulator
 from repro.spanning import SpanningTree, UnionFind
 
 
@@ -66,24 +66,22 @@ def test_union_find_matches_naive_partition(unions):
 
 @given(
     st.lists(
-        st.tuples(
+        st.one_of(
+            st.integers(0, 4).map(float),  # a small lattice: many ties
             st.floats(min_value=0, max_value=100, allow_nan=False),
-            st.integers(0, 3),
         ),
         min_size=1,
         max_size=50,
     )
 )
 @settings(max_examples=80, deadline=None)
-def test_event_queue_pops_in_total_order(items):
-    q = EventQueue()
-    for t, prio in items:
-        q.push(t, lambda: None, priority=prio)
-    popped = []
-    while q:
-        ev = q.pop()
-        popped.append((ev.time, ev.priority, ev.seq))
-    assert popped == sorted(popped)
+def test_simulator_fires_in_time_then_scheduling_order(times):
+    sim = Simulator()
+    fired = []
+    for i, t in enumerate(times):
+        sim.call_at(t, fired.append, (t, i))
+    sim.run()
+    assert fired == sorted((t, i) for i, t in enumerate(times))
 
 
 @given(parent_array(max_nodes=12))

@@ -2,8 +2,15 @@
 
 import pytest
 
+import repro.sim
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
+
+
+def test_public_surface():
+    assert repro.sim.__all__ == ["Simulator", "spawn_rng"]
+    public = [name for name in vars(Simulator) if not name.startswith("_")]
+    assert sorted(public) == ["call_at", "call_in", "now", "run"]
 
 
 def test_clock_starts_at_zero():
@@ -32,70 +39,66 @@ def test_call_in_is_relative():
 def test_scheduling_in_past_raises():
     sim = Simulator()
     sim.call_at(5.0, lambda: sim.call_at(1.0, lambda: None))
-    with pytest.raises(SimulationError):
+    with pytest.raises(
+        SimulationError, match=r"cannot schedule event at t=1\.0 \(now is t=5\.0\)"
+    ):
         sim.run()
 
 
 def test_negative_delay_raises():
     sim = Simulator()
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="negative delay -1.0"):
         sim.call_in(-1.0, lambda: None)
 
 
-def test_run_until_stops_before_later_events():
+def test_nan_time_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="event time is NaN"):
+        sim.call_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError, match="event time is NaN"):
+        sim.call_in(float("nan"), lambda: None)
+    assert sim.run() == 0.0  # nothing was scheduled
+
+
+def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
-    sim.call_at(1.0, fired.append, 1)
-    sim.call_at(5.0, fired.append, 5)
-    sim.run(until=3.0)
-    assert fired == [1]
-    assert sim.now == 3.0
-    assert sim.pending == 1
+    sim.call_at(3.0, fired.append, "c")
+    sim.call_at(1.0, fired.append, "a")
+    sim.call_at(2.0, fired.append, "b")
     sim.run()
-    assert fired == [1, 5]
+    assert fired == ["a", "b", "c"]
 
 
-def test_run_until_includes_boundary_events():
+def test_same_time_fires_in_scheduling_order():
     sim = Simulator()
-    fired = []
-    sim.call_at(3.0, fired.append, 3)
-    sim.run(until=3.0)
-    assert fired == [3]
-
-
-def test_events_fired_counter():
-    sim = Simulator()
-    for i in range(4):
-        sim.call_at(float(i), lambda: None)
+    order = []
+    for i in range(10):
+        sim.call_at(5.0, order.append, i)
     sim.run()
-    assert sim.events_fired == 4
+    assert order == list(range(10))
 
 
-def test_cancel_prevents_firing():
+def test_reentrant_run_raises():
     sim = Simulator()
-    fired = []
-    ev = sim.call_at(1.0, fired.append, "x")
-    sim.cancel(ev)
-    sim.run()
-    assert fired == []
-    assert sim.pending == 0
-
-
-def test_cancel_twice_is_safe():
-    sim = Simulator()
-    ev = sim.call_at(1.0, lambda: None)
-    sim.cancel(ev)
-    sim.cancel(ev)
-    assert sim.pending == 0
+    sim.call_at(1.0, sim.run)
+    with pytest.raises(SimulationError, match="already running"):
+        sim.run()
 
 
 def test_max_events_guard_detects_livelock():
     sim = Simulator(max_events=100)
+    fired = []
     def spin():
+        fired.append(sim.now)
         sim.call_in(0.0, spin)
     sim.call_at(0.0, spin)
-    with pytest.raises(SimulationError, match="livelock"):
+    with pytest.raises(
+        SimulationError,
+        match="exceeded max_events=100; possible livelock in protocol code",
+    ):
         sim.run()
+    assert len(fired) == 101  # the guard trips after the event that exceeds it
 
 
 def test_handler_exceptions_propagate():

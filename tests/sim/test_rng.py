@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.sim.rng import RngRegistry, spawn_rng
+from repro.sim.rng import spawn_rng
 
 
 def test_same_seed_and_name_reproduces():
@@ -21,25 +21,3 @@ def test_different_seeds_differ():
     a = spawn_rng(1, "latency").random(10)
     b = spawn_rng(2, "latency").random(10)
     assert not np.array_equal(a, b)
-
-
-def test_registry_caches_streams():
-    reg = RngRegistry(7)
-    assert reg.stream("x") is reg.stream("x")
-
-
-def test_registry_reset_restarts_sequences():
-    reg = RngRegistry(7)
-    first = reg.stream("x").random(5)
-    reg.reset()
-    second = reg.stream("x").random(5)
-    assert np.array_equal(first, second)
-
-
-def test_registry_streams_are_independent_of_creation_order():
-    r1 = RngRegistry(3)
-    a_first = r1.stream("a").random(4)
-    r2 = RngRegistry(3)
-    r2.stream("b")  # create b first this time
-    a_second = r2.stream("a").random(4)
-    assert np.array_equal(a_first, a_second)
