@@ -144,11 +144,12 @@ def check_direct_path_property(
     the hop count equals the hop distance.  Requires a unit-latency,
     zero-service-time run.
     """
-    for rid, rec in result.completions.items():
-        req = result.schedule.by_rid(rid)
-        want_lat = tree.distance(req.node, rec.informed_node)
-        want_hops = tree.hop_distance(req.node, rec.informed_node)
-        latency = rec.completed_at - req.time
-        if abs(latency - want_lat) > tol or rec.hops != want_hops:
+    nodes, times = result.schedule.nodes, result.schedule.times
+    for rid, informed, at, hops in zip(
+        result.rids, result.informed_nodes, result.completed_at, result.hops
+    ):
+        want_lat = tree.distance(nodes[rid], informed)
+        want_hops = tree.hop_distance(nodes[rid], informed)
+        if abs(at - times[rid] - want_lat) > tol or hops != want_hops:
             return False
     return True

@@ -24,6 +24,7 @@ import time as _wall
 from dataclasses import dataclass, field
 
 from repro.core.arrow import ArrowNode
+from repro.core.queueing import float_total
 from repro.core.requests import ROOT_RID
 from repro.errors import NetworkError, ProtocolError, ScheduleError
 from repro.graphs.graph import Graph
@@ -70,7 +71,7 @@ class DirectoryResult:
             return 0.0
         ordered = sorted(self.intervals)
         gaps = [a2 - r1 for (_, r1, _), (a2, _, _) in zip(ordered, ordered[1:])]
-        return sum(gaps) / len(gaps)
+        return float_total(gaps) / len(gaps)
 
     def row_metrics(self) -> dict[str, object]:
         """Sweep-row view of this run (scale-free, wall clock excluded).

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import time as _wall
 from heapq import heappop, heappush
+from itertools import islice
+from operator import eq
 
-from repro.core.queueing import CompletionRecord, RunResult
+from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import NetworkError, ProtocolError, SimulationError
 from repro.graphs.graph import Graph
@@ -129,19 +131,10 @@ _ACK_DISPATCH = 4  # its handler runs (_Driver.on_ack)
 _CRASH = 5  # a fault plan's node crash
 
 
-def _run_result(
-    schedule: RequestSchedule,
-    done: list[tuple[int, int, int, float, int]],
-    makespan: float,
-    messages: int,
-    wall: float,
-) -> RunResult:
-    """Build the result of an open-loop run from its raw completion rows."""
-    result = RunResult(schedule)
-    completions = result.completions
-    for row in done:
-        completions[row[0]] = CompletionRecord(*row)
-    if len(completions) != len(done):
+def _finish_result(result: RunResult, makespan: float, messages: int, wall: float) -> None:
+    """Check and complete the result an open-loop ``_arrow_loop`` filled."""
+    ordered = sorted(result.rids)
+    if any(map(eq, ordered, islice(ordered, 1, None))):
         raise ProtocolError("a request completed twice")
     result.makespan = makespan
     result.wall_seconds = wall
@@ -151,7 +144,6 @@ def _run_result(
         "routed_messages": 0,
         "hops_total": messages,
     }
-    return result
 
 
 class FastArrowEngine:
@@ -212,19 +204,17 @@ class FastArrowEngine:
         ``None`` (the default) keeps the hot loop emission-free.
         """
         schedule.validate_nodes(self._n)
-        # Raw completion rows (rid, pred, node, time, hops); the record
-        # dataclasses are built once, after the hot loop.
-        done: list[tuple[int, int, int, float, int]] = []
+        result = RunResult(schedule)
         rng = spawn_rng(self.seed, "network-latency") if self._det_up is None else None
         t0 = _wall.perf_counter()
         makespan, messages, _ = self._arrow_loop(
-            schedule.times, schedule.nodes, [], rng, max_events, on_event, done=done
+            schedule.times, schedule.nodes, [], rng, max_events, on_event, result=result
         )
         wall = _wall.perf_counter() - t0
-        result = _run_result(schedule, done, makespan, messages, wall)
-        if len(result.completions) != len(schedule):
+        _finish_result(result, makespan, messages, wall)
+        if len(result.rids) != len(schedule):
             raise ProtocolError(
-                f"arrow run completed {len(result.completions)} of "
+                f"arrow run completed {len(result.rids)} of "
                 f"{len(schedule)} requests"
             )
         return result
@@ -239,7 +229,7 @@ class FastArrowEngine:
         max_events: int | None,
         emit,
         *,
-        done: list[tuple[int, int, int, float, int]] | None = None,
+        result: RunResult | None = None,
         faults=None,
         driver=None,
     ) -> tuple[float, int, list[int]]:
@@ -266,7 +256,9 @@ class FastArrowEngine:
           lists, and the routed delay of a ``queue_reply``.  Completions
           are then acknowledged to their origin, and an acknowledgement
           triggers the processor's next request; without a driver they
-          are appended to ``done`` as ``(rid, pred, node, time, hops)``.
+          are appended to ``result``'s five columns (what
+          :meth:`RunResult.record` does, minus its per-call duplicate
+          check — the caller checks once, after the loop).
         * **emit** — the optional ``on_event`` sink.
 
         Every optional part is a test on a local, so an unused part costs
@@ -332,7 +324,11 @@ class FastArrowEngine:
                 reply_delay,
             ) = driver
         else:
-            append = done.append
+            add_rid = result.rids.append
+            add_pred = result.predecessors.append
+            add_node = result.informed_nodes.append
+            add_time = result.completed_at.append
+            add_hops = result.hops.append
 
         # Without a service time there is no service stage to pass through:
         # a message is scheduled straight as its dispatch.
@@ -441,7 +437,11 @@ class FastArrowEngine:
                 if emit is not None:
                     emit("complete", rid, pred, v, now, hops)
                 if driver is None:
-                    append((rid, pred, v, now, hops))
+                    add_rid(rid)
+                    add_pred(pred)
+                    add_node(v)
+                    add_time(now)
+                    add_hops(hops)
                     continue
                 hops_list.append(hops)
                 latencies.append(now - issue_times[rid])

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from repro.core.arrow import ArrowNode, CompletionCallback
 from repro.core.centralized import CentralizedNode, check_center
-from repro.core.queueing import CompletionRecord, RunResult
+from repro.core.queueing import RunResult
 from repro.core.requests import RequestSchedule
 from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
@@ -72,10 +72,7 @@ def _run_open_loop(
     net = Network(graph, sim, latency, seed=seed, service_time=service_time)
     result = RunResult(schedule)
 
-    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
-        result.record(CompletionRecord(rid, pred, node, when, hops))
-
-    nodes = [make_node(on_complete) for _ in range(graph.num_nodes)]
+    nodes = [make_node(result.record) for _ in range(graph.num_nodes)]
     net.register_all(nodes)  # attach assigns node ids
     init(nodes)
 
@@ -87,9 +84,9 @@ def _run_open_loop(
     result.wall_seconds = _wall.perf_counter() - t0
     result.network_stats = net.stats.as_dict()
 
-    if len(result.completions) != len(schedule):
+    if len(result.rids) != len(schedule):
         raise ProtocolError(
-            f"{protocol} run completed {len(result.completions)} of "
+            f"{protocol} run completed {len(result.rids)} of "
             f"{len(schedule)} requests"
         )
     return result

@@ -53,11 +53,11 @@ from repro.core.fast_arrow import (
     _CRASH,
     ENGINES,
     FastArrowEngine,
-    _run_result,
+    _finish_result,
     arrow_runner,
     engine_error_message,
 )
-from repro.core.queueing import CompletionRecord, RunResult
+from repro.core.queueing import RunResult
 from repro.core.requests import RequestSchedule
 from repro.core.stabilize import find_violations_links, stabilize_links
 from repro.errors import FaultPlanError, NetworkError, ProtocolError
@@ -420,7 +420,7 @@ def _run_flat_faulted(
     heap = [
         (t, m + k, _CRASH, v, -1, -1, 0) for k, (v, t) in enumerate(plan.crashes)
     ]
-    done: list[tuple[int, int, int, float, int]] = []
+    result = RunResult(schedule)
 
     t0 = _wall.perf_counter()
     makespan, messages, link = engine._arrow_loop(
@@ -430,13 +430,13 @@ def _run_flat_faulted(
         spawn_rng(seed, "network-latency"),
         max_events,
         on_event,
-        done=done,
+        result=result,
         faults=fs,
     )
     wall = _wall.perf_counter() - t0
 
-    result = _run_result(schedule, done, makespan, messages, wall)
-    return result, fs.finish(link, len(result.completions), m)
+    _finish_result(result, makespan, messages, wall)
+    return result, fs.finish(link, len(result.rids), m)
 
 
 # ----------------------------------------------------------------------
@@ -507,10 +507,7 @@ def _run_message_faulted(
     )
     result = RunResult(schedule)
 
-    def on_complete(rid: int, pred: int, node: int, when: float, hops: int) -> None:
-        result.record(CompletionRecord(rid, pred, node, when, hops))
-
-    nodes = [ArrowNode(on_complete) for _ in range(graph.num_nodes)]
+    nodes = [ArrowNode(result.record) for _ in range(graph.num_nodes)]
     net.register_all(nodes)
     for nd in nodes:
         nd.init_pointers(tree)
@@ -553,7 +550,7 @@ def _run_message_faulted(
     result.network_stats = net.stats.as_dict()
 
     report = fs.finish(
-        [nd.link for nd in nodes], len(result.completions), len(schedule)
+        [nd.link for nd in nodes], len(result.rids), len(schedule)
     )
     return result, report
 

@@ -29,6 +29,7 @@ from repro.apps.directory import arrow_directory, home_directory
 from repro.core.adaptive import run_adaptive
 from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
+from repro.core.queueing import float_total
 from repro.errors import SweepError
 from repro.faults import run_arrow_faulted
 from repro.monitors import ArrowMonitor
@@ -91,23 +92,16 @@ def _build_open_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
 
 def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
     """Metric columns shared by every open-loop :class:`RunResult` row."""
-    # One pass; the builtin ``sum`` over completion order keeps the bits of
-    # ``RunResult.total_latency`` / ``mean_hops`` / ``local_find_fraction``.
-    times = result.schedule.times
-    records = result.completions.values()
-    latencies = [rec.completed_at - times[rec.rid] for rec in records]
-    hops = [rec.hops for rec in records]
-    done = len(hops)
     return {
         "n": graph.num_nodes,
         "requests": requests,
         "makespan": result.makespan,
-        "total_latency": sum(latencies),
-        "mean_hops": sum(hops) / done if done else 0.0,
-        "local_find_fraction": hops.count(0) / done if done else 0.0,
+        "total_latency": result.total_latency,
+        "mean_hops": result.mean_hops,
+        "local_find_fraction": result.local_find_fraction,
         "messages_sent": result.network_stats["messages_sent"],
         "hops_total": result.network_stats["hops_total"],
-        **latency_columns(latencies),
+        **latency_columns(result.latencies),
     }
 
 
@@ -224,7 +218,7 @@ def _closed_loop_row(
         "n": graph.num_nodes,
         "requests": result.total_requests,
         "makespan": result.makespan,
-        "total_latency": sum(result.latencies),
+        "total_latency": float_total(result.latencies),
         "mean_hops": result.mean_hops,
         "local_find_fraction": result.local_find_fraction,
         "messages_sent": result.messages_sent,

@@ -16,14 +16,15 @@ Supervision model
 -----------------
 Each shard runs :func:`repro.sweep.executor.run_sweep` in its own child
 process (one writer per shard file, so the executor's ``flock`` guard
-and resume semantics apply unchanged).  The supervisor polls child
-liveness and shard-file growth; a child that exits non-zero or dies to a
-signal has the failure appended to the shard's in-memory failure log
-*and* to an on-disk ``<shard>.failures.log`` sidecar, then is relaunched
-while its retry budget (``max_retries`` per shard) lasts.  A shard that
-exhausts the budget raises :class:`repro.errors.ShardFailedError` once
-the surviving shards finish — partial work stays on disk and a rerun
-resumes it.
+and resume semantics apply unchanged).  The supervisor sleeps on the
+running children's process sentinels, so it wakes the moment one exits
+and otherwise once per ``poll_interval`` to report shard-file growth; a
+child that exits non-zero or dies to a signal has the failure appended
+to the shard's in-memory failure log *and* to an on-disk
+``<shard>.failures.log`` sidecar, then is relaunched while its retry
+budget (``max_retries`` per shard) lasts.  A shard that exhausts the
+budget raises :class:`repro.errors.ShardFailedError` once the surviving
+shards finish — partial work stays on disk and a rerun resumes it.
 
 Fault injection (testing only)
 ------------------------------
@@ -228,8 +229,11 @@ def orchestrate_sweep(
     killed shard is relaunched up to ``max_retries`` times, resuming
     from its per-shard JSONL.  ``progress`` (optional) receives event
     dicts — per-shard ``launch`` / ``shard-done`` / ``retry`` /
-    ``failed`` transitions plus periodic ``progress`` snapshots carrying
-    cells done / total and rows-per-second, per shard and overall.
+    ``failed`` transitions plus ``progress`` snapshots carrying cells
+    done / total and rows-per-second, per shard and overall — one whenever
+    a shard exits and at least one per ``poll_interval`` seconds (the
+    heartbeat; a finished shard's slot is refilled at once, not at the
+    next tick).
 
     Returns a summary dict (spec name, per-shard snapshots, retry count,
     merged row count).  Raises :class:`ShardFailedError` when any shard
@@ -264,6 +268,11 @@ def orchestrate_sweep(
             for stale in (state.path, state.path + ".failures.log"):
                 if os.path.exists(stale):
                     os.remove(stale)
+
+    # Imported here, not at module level: every CLI process imports this
+    # module, and ``multiprocessing.connection`` pulls in ``selectors`` and
+    # ``socket`` (+0.3 MB peak RSS) that only a supervised run needs.
+    from multiprocessing.connection import wait
 
     ctx = _pool_context()
     start = time.monotonic()
@@ -302,7 +311,8 @@ def orchestrate_sweep(
                     "total": state.total,
                 }
             )
-        time.sleep(poll_interval)
+        # Sleep until a running shard exits, or one heartbeat at most.
+        wait([proc.sentinel for proc in running.values()], timeout=poll_interval)
         for index in list(running):
             proc = running[index]
             if proc.is_alive():

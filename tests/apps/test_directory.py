@@ -1,5 +1,7 @@
 """Tests for the distributed-directory applications (§1 / §5.1)."""
 
+import sys
+
 import pytest
 
 from repro.apps.directory import arrow_directory, home_directory
@@ -88,6 +90,23 @@ def test_directory_result_statistics(k8):
     assert res.total_acquisitions == 40
     assert res.mean_wait >= 0.0
     assert res.makespan > 0.0
+
+
+def test_mean_wait_does_not_depend_on_the_builtin_sum():
+    """The gap total is one left-to-right accumulation: on this run the
+    compensated ``sum`` of CPython >= 3.12 gives a different mean, and a
+    ``mean_wait`` row column must not depend on the interpreter."""
+    res = home_directory(
+        complete_graph(9), 0, acquisitions_per_proc=10, cs_time=0.3, service_time=0.1
+    )
+    ordered = sorted(res.intervals)
+    gaps = [a2 - r1 for (_, r1, _), (a2, _, _) in zip(ordered, ordered[1:])]
+    total = 0.0
+    for gap in gaps:
+        total += gap
+    assert res.mean_wait == total / len(gaps)
+    if sys.version_info >= (3, 12):
+        assert sum(gaps) / len(gaps) != res.mean_wait
 
 
 @pytest.mark.parametrize("home", [9, -1])

@@ -5,12 +5,15 @@ import os
 
 import pytest
 
+from repro.core.fast_arrow import ENGINES, arrow_runner
+from repro.core.queueing import CompletionRecord
 from repro.core.requests import Request
 from repro.errors import ReproError
 from repro.sweep import (
     GraphSpec,
     ScheduleSpec,
     SweepSpec,
+    cell_seed,
     completed_ids,
     dumps_row,
     execute_cell,
@@ -19,6 +22,7 @@ from repro.sweep import (
     run_sweep,
     smoke_grid,
 )
+from repro.sweep.registry import get_family
 
 
 def tiny_spec(engine="fast"):
@@ -158,6 +162,20 @@ def requests_made(monkeypatch):
     return made
 
 
+@pytest.fixture
+def records_made(monkeypatch):
+    """The rid of every CompletionRecord built while the test runs."""
+    made = []
+    new = CompletionRecord.__new__
+
+    def counting(cls, rid, *fields):
+        made.append(rid)
+        return new(cls, rid, *fields)
+
+    monkeypatch.setattr(CompletionRecord, "__new__", counting)
+    return made
+
+
 def _one_cell(schedule, engine="fast", **spec_fields):
     return SweepSpec(
         name="columnar",
@@ -182,20 +200,24 @@ POISSON = ScheduleSpec.of("poisson", per_node=10, rate_per_node=0.5)
     ],
     ids=["poisson", "one_shot", "faulted+monitored"],
 )
-def test_fast_cells_allocate_no_request_object(requests_made, spec):
-    """Schedule → engine → row never leaves the two columns.  The count
-    repeats exactly, so this regression guard needs no wall clock."""
+def test_fast_cells_allocate_no_request_object(requests_made, records_made, spec):
+    """Schedule → engine → result → row never leaves the columns: no
+    ``Request`` on the way in, no ``CompletionRecord`` on the way out.  The
+    counts repeat exactly, so this regression guard needs no wall clock."""
     rows = [execute_cell(cell) for cell in spec.cells()]
     assert requests_made == []
+    assert records_made == []
     assert all(row["requests"] > 0 for row in rows)
 
 
-def test_message_cell_materialises_each_request_once(requests_made):
+def test_message_cell_materialises_each_request_once(requests_made, records_made):
     """The message runner's one ``for req in schedule`` is the only place a
     cell builds Request views: ``RunResult.latency`` and the row columns
-    read the time column."""
+    read the time column.  It records completions into the result's
+    columns, so it builds no ``CompletionRecord`` either."""
     (row,) = [execute_cell(c) for c in _one_cell(POISSON, engine="message").cells()]
     assert sorted(requests_made) == list(range(row["requests"])) and row["requests"] == 120
+    assert records_made == []
     requests_made.clear()
     (fast_row,) = [execute_cell(c) for c in _one_cell(POISSON).cells()]
     assert requests_made == []
@@ -203,3 +225,17 @@ def test_message_cell_materialises_each_request_once(requests_made):
     assert {k: v for k, v in fast_row.items() if k not in drop} == {
         k: v for k, v in row.items() if k not in drop
     }
+
+
+def test_completion_records_are_made_when_completions_is_read(records_made):
+    """Either engine's result mints its records on the first read of
+    ``completions`` — one per request, in completion order — and not again."""
+    (cell,) = _one_cell(POISSON).cells()
+    built = get_family(cell.schedule.family).build(cell, cell_seed(cell))
+    for engine in ENGINES:
+        result = arrow_runner(engine)(built["graph"], built["tree"], built["schedule"])
+        assert result.total_latency > 0 and result.order and records_made == []
+        assert list(result.completions) == result.rids == records_made
+        assert len(records_made) == len(built["schedule"]) == 120
+        assert result.completions[0].rid == 0 and len(records_made) == 120
+        records_made.clear()

@@ -5,6 +5,7 @@ bins and percentiles must be byte-identical across worker counts and
 across resume-from-partial, for open- and closed-loop cells alike.
 """
 
+import sys
 
 import pytest
 
@@ -13,7 +14,9 @@ from repro.sweep import (
     ScheduleSpec,
     SweepSpec,
     execute_cell,
+    families,
     fig10_grid,
+    fig11_grid,
     iter_rows,
     latency_columns,
     percentile_nearest_rank,
@@ -80,6 +83,41 @@ def test_latency_columns_order_independent():
     fwd = latency_columns([3.0, 0.5, 2.0, 0.5, 9.0])
     rev = latency_columns([9.0, 0.5, 2.0, 0.5, 3.0])
     assert fwd == rev
+
+
+# ----------------------------------------------------------------------
+# float totals: the same bits on every interpreter
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "spec",
+    [
+        fig11_grid(sizes=(8,), per_node=10, seeds=(0,)),
+        fig10_grid(sizes=(5,), requests_per_proc=8, seeds=(0,)),
+    ],
+    ids=["open", "closed"],
+)
+def test_total_latency_does_not_depend_on_the_builtin_sum(monkeypatch, spec):
+    """CPython 3.12 made ``sum`` over floats compensated, so a row total
+    taken with it depends on the interpreter that wrote the row.  These
+    cells' latencies are non-integer and their two summations differ
+    (re-summed under 3.12.1 and 3.13.0), so a leg that regresses to ``sum``
+    fails here on 3.12+."""
+    columns = []
+
+    def capture(latencies):
+        columns.append(list(latencies))
+        return latency_columns(columns[-1])
+
+    monkeypatch.setattr(families, "latency_columns", capture)
+    rows = [execute_cell(cell) for cell in spec.cells()]
+    assert len(columns) == len(rows) > 0
+    for row, column in zip(rows, columns):
+        total = 0.0
+        for latency in column:
+            total += latency
+        assert row["total_latency"] == total, row["cell_id"]
+        if sys.version_info >= (3, 12):
+            assert sum(column) != total, row["cell_id"]
 
 
 # ----------------------------------------------------------------------

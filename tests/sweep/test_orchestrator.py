@@ -19,6 +19,7 @@ from repro.sweep import (
     orchestrate_sweep,
     run_sweep,
     shard_path,
+    smoke_grid,
 )
 from repro.sweep.orchestrator import FAULT_ENV
 
@@ -64,6 +65,20 @@ def test_orchestrated_sweep_matches_one_shot_run(tmp_path):
     final = [e for e in events if e["event"] == "progress"][-1]
     assert final["done"] == 6 and final["total"] == 6
     assert all("rate" in s for s in final["shards"])
+
+
+def test_supervisor_wakes_when_a_shard_exits(tmp_path):
+    """The supervisor waits on the shards' exits, not on the heartbeat: with
+    a 30 s ``poll_interval`` the smoke grid (two waves of shards) still
+    returns before the first heartbeat is due.  A supervisor that sleeps
+    ``poll_interval`` between liveness checks cannot."""
+    heartbeat = 30.0
+    summary = orchestrate_sweep(
+        smoke_grid(), str(tmp_path / "orch.jsonl"), shards=4, workers=2,
+        poll_interval=heartbeat,
+    )
+    assert summary["rows"] == 4 and summary["retries_used"] == 0
+    assert summary["elapsed"] < heartbeat
 
 
 def test_killed_shard_is_retried_and_merge_is_byte_identical(
