@@ -48,7 +48,7 @@ class ArrowNode(ProtocolNode):
         "_on_complete",
         "_notify_origin",
         "app_handler",
-        "on_event",
+        "emit",
     )
 
     def __init__(
@@ -78,9 +78,11 @@ class ArrowNode(ProtocolNode):
         #: Optional hook receiving every non-``queue`` message (application
         #: traffic: ``queue_reply`` acknowledgements, object hand-offs...).
         self.app_handler: Callable[[Message], None] | None = None
-        #: Optional trace hook (see :mod:`repro.monitors` for the event
-        #: vocabulary).  ``None`` keeps the protocol path emission-free.
-        self.on_event: Callable[..., None] | None = None
+        #: The run's event-stream ``append``, set by the harness that owns
+        #: the :class:`~repro.core.event_stream.EventStream` (the event
+        #: vocabulary is in :mod:`repro.monitors`).  ``None`` keeps the
+        #: protocol path emission-free.
+        self.emit: Callable[[tuple], None] | None = None
 
     # ------------------------------------------------------------------
     def init_pointers(self, tree: SpanningTree) -> None:
@@ -105,9 +107,9 @@ class ArrowNode(ProtocolNode):
         times, so the protocol layer does not take one as an argument.
         """
         assert self.net is not None
-        emit = self.on_event
+        emit = self.emit
         if emit is not None:
-            emit("init", rid, self.node_id, self.net.sim.now)
+            emit(("init", rid, self.node_id, self.net.sim.now))
         if self.link == self.node_id:
             # Local find: this node is the sink, so the new request is
             # queued directly behind this node's previous request.
@@ -119,7 +121,7 @@ class ArrowNode(ProtocolNode):
         self.last_rid = rid
         self.link = self.node_id
         if emit is not None:
-            emit("send", rid, self.node_id, u1, self.net.sim.now)
+            emit(("send", rid, self.node_id, u1, self.net.sim.now))
         self.send("queue", u1, rid=rid, origin=self.node_id)
 
     def on_message(self, msg: Message) -> None:
@@ -132,14 +134,14 @@ class ArrowNode(ProtocolNode):
                 return  # acknowledgement with no consumer: drop silently
             raise ProtocolError(f"arrow node got unexpected message {msg.kind!r}")
         assert self.net is not None
-        emit = self.on_event
+        emit = self.emit
         if emit is not None:
-            emit("deliver", msg.payload["rid"], self.node_id, msg.src, self.net.sim.now)
+            emit(("deliver", msg.payload["rid"], self.node_id, msg.src, self.net.sim.now))
         x = self.link
         self.link = msg.src
         if x != self.node_id:
             if emit is not None:
-                emit("send", msg.payload["rid"], self.node_id, x, self.net.sim.now)
+                emit(("send", msg.payload["rid"], self.node_id, x, self.net.sim.now))
             self.net.forward(msg, x)
             return
         # This node is the sink: the request is queued behind our last
@@ -153,8 +155,8 @@ class ArrowNode(ProtocolNode):
         self, rid: int, pred: int, *, hops: int, origin: int | None = None
     ) -> None:
         assert self.net is not None
-        if self.on_event is not None:
-            self.on_event("complete", rid, pred, self.node_id, self.net.sim.now, hops)
+        if self.emit is not None:
+            self.emit(("complete", rid, pred, self.node_id, self.net.sim.now, hops))
         self._on_complete(rid, pred, self.node_id, self.net.sim.now, hops)
         if self._notify_origin:
             target = self.node_id if origin is None else origin

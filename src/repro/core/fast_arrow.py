@@ -25,6 +25,7 @@ from heapq import heappop, heappush
 from itertools import islice
 from operator import eq
 
+from repro.core.event_stream import EVENT_CHUNK, EventSink, EventStream
 from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import NetworkError, ProtocolError, SimulationError
@@ -199,9 +200,11 @@ class FastArrowEngine:
     ) -> RunResult:
         """Execute one schedule; returns a ``run_arrow``-identical result.
 
-        ``on_event``, when set, receives the protocol trace in the same
-        order the message engine emits it (see :mod:`repro.monitors`);
-        ``None`` (the default) keeps the hot loop emission-free.
+        ``on_event``, when set, is called with the protocol trace as lists
+        of event tuples, a chunk at a time and in the order the message
+        engine emits them (:mod:`repro.core.event_stream`; the vocabulary
+        is in :mod:`repro.monitors`); ``None`` (the default) keeps the hot
+        loop emission-free.
         """
         schedule.validate_nodes(self._n)
         result = RunResult(schedule)
@@ -227,7 +230,7 @@ class FastArrowEngine:
         heap: list[tuple[float, int, int, int, int, int, int]],
         rng,
         max_events: int | None,
-        emit,
+        on_event: EventSink | None,
         *,
         result: RunResult | None = None,
         faults=None,
@@ -259,7 +262,15 @@ class FastArrowEngine:
           are appended to ``result``'s five columns (what
           :meth:`RunResult.record` does, minus its per-call duplicate
           check — the caller checks once, after the loop).
-        * **emit** — the optional ``on_event`` sink.
+        * **on_event** — the optional sink.  With one, every site appends
+          its event tuple to an :class:`~repro.core.event_stream.EventStream`
+          (``emit`` is the chunk list's bound ``append``; a fault state
+          emits through the same one) and the sink gets the list whenever
+          it has reached ``EVENT_CHUNK`` at the start of a transition —
+          the ``init`` and ``deliver`` sites, so a chunk holds whole
+          transitions and the live buffer stays bounded even when no
+          request is issued for a long stretch — and once more in the
+          ``finally``, so an aborted run still shows what it emitted.
 
         Every optional part is a test on a local, so an unused part costs
         no call.
@@ -335,6 +346,14 @@ class FastArrowEngine:
         arrive, ack_arrive = (
             (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
         )
+        if on_event is not None:
+            stream = EventStream(on_event)
+            events = stream.events
+            emit = stream.append
+            if faults is not None:
+                faults.emit = emit
+        else:
+            emit = None
         limit = float("inf") if max_events is None else max_events
         m = len(init_times)
         seq = m + len(heap)
@@ -343,145 +362,153 @@ class FastArrowEngine:
         messages = 0
         now = 0.0
 
-        while True:
-            if i < m and (not heap or init_times[i] <= heap[0][0]):
-                now = init_times[i]
-                v = init_nodes[i]
-                rid = i
-                i += 1
-                tag = _ISSUE
-            elif heap:
-                now, _, tag, v, src, rid, hops = pop(heap)
-            else:
-                break
-            fired += 1
-            if fired > limit:
-                _raise_livelock(max_events)
+        try:
+            while True:
+                if i < m and (not heap or init_times[i] <= heap[0][0]):
+                    now = init_times[i]
+                    v = init_nodes[i]
+                    rid = i
+                    i += 1
+                    tag = _ISSUE
+                elif heap:
+                    now, _, tag, v, src, rid, hops = pop(heap)
+                else:
+                    break
+                fired += 1
+                if fired > limit:
+                    _raise_livelock(max_events)
 
-            if tag == _DISPATCH:
-                # Path reversal (ArrowNode.on_message).
-                if faults is not None:
-                    if faults.drops_arrival(src, v, rid, now):
-                        # v is down — with a service stage, it crashed
-                        # while the message waited for service.
-                        continue
-                    faults.in_flight -= 1
-                if emit is not None:
-                    emit("deliver", rid, v, src, now)
-            else:
-                if tag != _ISSUE:
-                    if tag == _ARRIVE or tag == _ACK_ARRIVE:
-                        # Serialise handling at v (Network._arrive): the
-                        # handler runs as its own dispatch event after the
-                        # service delay.
-                        if (
-                            faults is not None
-                            and tag == _ARRIVE
-                            and faults.drops_arrival(src, v, rid, now)
-                        ):
-                            # A down node's queue never accepts the message.
+                if tag == _DISPATCH:
+                    # Path reversal (ArrowNode.on_message).
+                    if faults is not None:
+                        if faults.drops_arrival(src, v, rid, now):
+                            # v is down — with a service stage, it crashed
+                            # while the message waited for service.
                             continue
-                        begin = busy_until[v]
-                        if now > begin:
-                            begin = now
-                        finish = begin + service
-                        busy_until[v] = finish
-                        push(heap, (finish, seq, tag + 1, v, src, rid, hops))
-                        seq += 1
-                        continue
-                    if tag == _CRASH:
-                        faults.crash(v, now)
-                        link[v] = v
-                        continue
-                    # An acknowledgement is handled at its origin
-                    # (_Driver.on_ack): record, then re-issue after the
-                    # think time — or, without one, right here.
-                    ack_times[rid] = now
-                    if think > 0.0:
-                        if remaining[v] > 0:
-                            push(heap, (now + think, seq, _ISSUE, v, -1, -1, 0))
+                        faults.in_flight -= 1
+                    if emit is not None:
+                        if len(events) >= EVENT_CHUNK:
+                            stream.flush()
+                        emit(("deliver", rid, v, src, now))
+                else:
+                    if tag != _ISSUE:
+                        if tag == _ARRIVE or tag == _ACK_ARRIVE:
+                            # Serialise handling at v (Network._arrive): the
+                            # handler runs as its own dispatch event after the
+                            # service delay.
+                            if (
+                                faults is not None
+                                and tag == _ARRIVE
+                                and faults.drops_arrival(src, v, rid, now)
+                            ):
+                                # A down node's queue never accepts the message.
+                                continue
+                            begin = busy_until[v]
+                            if now > begin:
+                                begin = now
+                            finish = begin + service
+                            busy_until[v] = finish
+                            push(heap, (finish, seq, tag + 1, v, src, rid, hops))
                             seq += 1
-                        continue
-                # Initiation (_Driver.issue + ArrowNode.initiate).
-                if driver is not None:
-                    if remaining[v] <= 0:
-                        continue
-                    remaining[v] -= 1
-                    rid = len(owners)
-                    owners.append(v)
-                    issue_times.append(now)
-                if faults is not None:
-                    # The quiescent-point repair check runs first, so the
-                    # request sees a consistent configuration whenever one
-                    # is restorable.
-                    if faults.repair_due():
-                        sink, er = faults.repair(link, now)
-                        last_rid[sink] = er
-                    if faults.down[v]:
-                        faults.drop_initiation(rid, v, now)
-                        continue
-                if emit is not None:
-                    emit("init", rid, v, now)
-                pred = last_rid[v]
-                last_rid[v] = rid
-                src = v
-                hops = 0
-
-            x = link[v]
-            link[v] = src
-            if x == v:
-                # v is the sink: rid is queued behind v's last request —
-                # its own previous one when rid never left v (hops == 0).
-                if hops:
+                            continue
+                        if tag == _CRASH:
+                            faults.crash(v, now)
+                            link[v] = v
+                            continue
+                        # An acknowledgement is handled at its origin
+                        # (_Driver.on_ack): record, then re-issue after the
+                        # think time — or, without one, right here.
+                        ack_times[rid] = now
+                        if think > 0.0:
+                            if remaining[v] > 0:
+                                push(heap, (now + think, seq, _ISSUE, v, -1, -1, 0))
+                                seq += 1
+                            continue
+                    # Initiation (_Driver.issue + ArrowNode.initiate).
+                    if driver is not None:
+                        if remaining[v] <= 0:
+                            continue
+                        remaining[v] -= 1
+                        rid = len(owners)
+                        owners.append(v)
+                        issue_times.append(now)
+                    if faults is not None:
+                        # The quiescent-point repair check runs first, so the
+                        # request sees a consistent configuration whenever one
+                        # is restorable.
+                        if faults.repair_due():
+                            sink, er = faults.repair(link, now)
+                            last_rid[sink] = er
+                        if faults.down[v]:
+                            faults.drop_initiation(rid, v, now)
+                            continue
+                    if emit is not None:
+                        if len(events) >= EVENT_CHUNK:
+                            stream.flush()
+                        emit(("init", rid, v, now))
                     pred = last_rid[v]
-                if emit is not None:
-                    emit("complete", rid, pred, v, now, hops)
-                if driver is None:
-                    add_rid(rid)
-                    add_pred(pred)
-                    add_node(v)
-                    add_time(now)
-                    add_hops(hops)
+                    last_rid[v] = rid
+                    src = v
+                    hops = 0
+
+                x = link[v]
+                link[v] = src
+                if x == v:
+                    # v is the sink: rid is queued behind v's last request —
+                    # its own previous one when rid never left v (hops == 0).
+                    if hops:
+                        pred = last_rid[v]
+                    if emit is not None:
+                        emit(("complete", rid, pred, v, now, hops))
+                    if driver is None:
+                        add_rid(rid)
+                        add_pred(pred)
+                        add_node(v)
+                        add_time(now)
+                        add_hops(hops)
+                        continue
+                    hops_list.append(hops)
+                    latencies.append(now - issue_times[rid])
+                    # Acknowledge the requester with one queue_reply routed
+                    # over G (send_routed); a self-reply delivers after zero
+                    # delay as its own event, with no latency samples.
+                    origin = owners[rid]
+                    at = now if origin == v else now + reply_delay(v, origin)[0]
+                    push(heap, (at, seq, ack_arrive, origin, -1, rid, 0))
+                    seq += 1
+                    messages += 1
                     continue
-                hops_list.append(hops)
-                latencies.append(now - issue_times[rid])
-                # Acknowledge the requester with one queue_reply routed
-                # over G (send_routed); a self-reply delivers after zero
-                # delay as its own event, with no latency samples.
-                origin = owners[rid]
-                at = now if origin == v else now + reply_delay(v, origin)[0]
-                push(heap, (at, seq, ack_arrive, origin, -1, rid, 0))
+
+                # One link traversal v -> x (send_link / forward + FifoChannel),
+                # fault checks first: a dropped send never transmits.
+                hops += 1
+                if emit is not None:
+                    emit(("send", rid, v, x, now))
+                if faults is not None:
+                    if faults.drops_send(v, x, rid, now):
+                        continue
+                    faults.in_flight += 1
+                downward = parent[x] == v
+                if det_up is None:
+                    delay = sample(v, x, weight[x if downward else v], rng)
+                else:
+                    delay = det_down[x] if downward else det_up[v]
+                chan = 2 * x + 1 if downward else 2 * v
+                at = now + delay
+                if at < last_delivery[chan]:
+                    at = last_delivery[chan]
+                last_delivery[chan] = at
+                push(heap, (at, seq, arrive, x, v, rid, hops))
                 seq += 1
                 messages += 1
-                continue
 
-            # One link traversal v -> x (send_link / forward + FifoChannel),
-            # fault checks first: a dropped send never transmits.
-            hops += 1
+            if faults is not None and faults.degraded:
+                # The heap drained, so the run is quiescent; no request follows
+                # to see the repaired sink's epoch restamp.
+                faults.repair(link, now)
+        finally:
             if emit is not None:
-                emit("send", rid, v, x, now)
-            if faults is not None:
-                if faults.drops_send(v, x, rid, now):
-                    continue
-                faults.in_flight += 1
-            downward = parent[x] == v
-            if det_up is None:
-                delay = sample(v, x, weight[x if downward else v], rng)
-            else:
-                delay = det_down[x] if downward else det_up[v]
-            chan = 2 * x + 1 if downward else 2 * v
-            at = now + delay
-            if at < last_delivery[chan]:
-                at = last_delivery[chan]
-            last_delivery[chan] = at
-            push(heap, (at, seq, arrive, x, v, rid, hops))
-            seq += 1
-            messages += 1
-
-        if faults is not None and faults.degraded:
-            # The heap drained, so the run is quiescent; no request follows
-            # to see the repaired sink's epoch restamp.
-            faults.repair(link, now)
+                stream.flush()
         return now, messages, link
 
 

@@ -189,9 +189,11 @@ def closed_loop_arrow_fast(
 ) -> ClosedLoopResult:
     """Closed-loop arrow run, bit-identical to ``closed_loop_arrow``.
 
-    ``on_event``, when set, receives the queuing-layer protocol trace
-    (see :mod:`repro.monitors`); acknowledgement traffic is application
-    level and not part of it.
+    ``on_event``, when set, is called with the queuing-layer protocol
+    trace as lists of event tuples, a chunk at a time
+    (:mod:`repro.core.event_stream`; the vocabulary is in
+    :mod:`repro.monitors`); acknowledgement traffic is application level
+    and not part of it.
     """
     _check_loop_args(requests_per_proc, service_time, think_time)
     engine = FastArrowEngine(

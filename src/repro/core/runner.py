@@ -6,7 +6,7 @@ simulation to completion and returns a
 :class:`repro.core.queueing.RunResult`; :func:`run_arrow`,
 :func:`run_centralized` and :func:`repro.core.adaptive.run_adaptive` are
 configurations of it (which node class, how it is initialised).  A run is
-watched through the nodes' ``on_event`` hook (:mod:`repro.monitors`) and
+watched through its ``on_event`` sink (:mod:`repro.core.event_stream`) and
 counted by :class:`repro.net.network.NetworkStats`; there is no other
 observation channel.
 
@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from repro.core.arrow import ArrowNode, CompletionCallback
 from repro.core.centralized import CentralizedNode, check_center
+from repro.core.event_stream import emitting_to
 from repro.core.queueing import RunResult
 from repro.core.requests import RequestSchedule
 from repro.errors import ProtocolError
@@ -54,7 +55,7 @@ def _run_open_loop(
     ``make_node(on_complete)`` builds one protocol node (called
     ``graph.num_nodes`` times); ``init(nodes)`` runs after the nodes are
     registered and know their ids (initial pointers, the centre's tail
-    record, the ``on_event`` hook).  Everything else — schedule check,
+    record, the nodes' ``emit``).  Everything else — schedule check,
     kernel, network, completion recording, one initiation event per
     request in schedule order, the timed run, counters and the
     every-request-completed check — is the same for every protocol.
@@ -111,27 +112,30 @@ def run_arrow(
     behaviour; ``service_time`` adds per-node sequential message handling
     (0 = the §3.1 analysis model); ``notify_origin`` adds the
     application-level acknowledgement used by closed-loop workloads.
-    ``on_event``, when set, receives the protocol trace (see
-    :mod:`repro.monitors`) and leaves the results untouched.
+    ``on_event``, when set, is called with the protocol trace as a list of
+    event tuples (:mod:`repro.core.event_stream`; the vocabulary is in
+    :mod:`repro.monitors`) — once, when the run ends or aborts — and
+    leaves the results untouched.
     """
     require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
+    with emitting_to(on_event) as emit:
 
-    def init(nodes: Sequence[ArrowNode]) -> None:
-        for nd in nodes:
-            nd.init_pointers(tree)
-            nd.on_event = on_event
+        def init(nodes: Sequence[ArrowNode]) -> None:
+            for nd in nodes:
+                nd.init_pointers(tree)
+                nd.emit = emit
 
-    return _run_open_loop(
-        "arrow",
-        graph,
-        schedule,
-        lambda on_complete: ArrowNode(on_complete, notify_origin=notify_origin),
-        init,
-        latency=latency,
-        seed=seed,
-        service_time=service_time,
-        max_events=max_events,
-    )
+        return _run_open_loop(
+            "arrow",
+            graph,
+            schedule,
+            lambda on_complete: ArrowNode(on_complete, notify_origin=notify_origin),
+            init,
+            latency=latency,
+            seed=seed,
+            service_time=service_time,
+            max_events=max_events,
+        )
 
 
 def run_centralized(

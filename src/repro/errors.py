@@ -7,6 +7,8 @@ still letting programming errors (``TypeError`` and friends) propagate.
 
 from __future__ import annotations
 
+from functools import partial
+
 __all__ = [
     "ReproError",
     "SimulationError",
@@ -77,16 +79,49 @@ class MonitorViolation(SweepError):
     violated invariant (``"one-pointer-per-edge"``, ``"unique-sink"``,
     ``"token-conservation"``, ``"total-order"`` or
     ``"completion-accounting"``) and ``at`` is the simulation time of the
-    offending event (``None`` for finalisation-time violations).
+    offending event (``None`` for finalisation-time violations).  A monitor
+    replays the stream a chunk at a time, so the exception can surface up
+    to a chunk after the transition it is about: ``event`` is that event's
+    0-based ordinal in the run's stream (``None`` at finalisation), also
+    appended to the message as ``(event #k)``.  ``cell_id`` is set by the
+    sweep executor when the monitored run was a grid cell.
 
     Lives under :class:`SweepError` so sweep drivers that already trap
     sweep-layer failures surface monitor findings through the same path.
     """
 
-    def __init__(self, message: str, *, monitor: str, at: float | None = None):
+    def __init__(
+        self,
+        message: str,
+        *,
+        monitor: str,
+        at: float | None = None,
+        event: int | None = None,
+        cell_id: str | None = None,
+    ):
         super().__init__(message)
         self.monitor = monitor
         self.at = at
+        self.event = event
+        self.cell_id = cell_id
+
+    def locate(self, event: int) -> None:
+        """Record which event of the stream the violation is about."""
+        self.event = event
+        self.args = (f"{self.args[0]} (event #{event})",)
+
+    def __reduce__(self):
+        # The default reduces to ``cls(*args)``, which cannot supply the
+        # keyword-only fields: a violation raised in a pool worker would
+        # fail to unpickle in the parent instead of reporting itself.
+        rebuild = partial(
+            MonitorViolation,
+            monitor=self.monitor,
+            at=self.at,
+            event=self.event,
+            cell_id=self.cell_id,
+        )
+        return rebuild, self.args
 
 
 class MergeError(SweepError):

@@ -49,6 +49,7 @@ import time as _wall
 from dataclasses import dataclass
 
 from repro.core.arrow import ArrowNode
+from repro.core.event_stream import emitting_to
 from repro.core.fast_arrow import (
     _CRASH,
     ENGINES,
@@ -274,14 +275,7 @@ class _FaultState:
         "emit",
     )
 
-    def __init__(
-        self,
-        tree: SpanningTree,
-        plan: FaultPlan,
-        seed: int,
-        *,
-        emit,
-    ) -> None:
+    def __init__(self, tree: SpanningTree, plan: FaultPlan, seed: int) -> None:
         self.tree = tree
         self.parent = tree.parent
         self.down = [False] * tree.num_nodes
@@ -297,7 +291,10 @@ class _FaultState:
         self.degraded_since = 0.0
         self.lost: set[int] = set()
         self.report = FaultReport()
-        self.emit = emit
+        #: The run's event-stream ``append``, set by whoever owns the
+        #: stream (``_arrow_loop`` / ``_run_message_faulted``) so fault and
+        #: protocol events land in one list, in order; ``None`` unwatched.
+        self.emit = None
 
     # -- degradation ----------------------------------------------------
     def _degrade(self, now: float) -> None:
@@ -310,7 +307,7 @@ class _FaultState:
         self.down[node] = True
         self._degrade(now)
         if self.emit is not None:
-            self.emit("crash", node, now)
+            self.emit(("crash", node, now))
 
     # -- drop decisions (checked in this order on both engines) ---------
     def drops_send(self, src: int, dst: int, rid: int, now: float) -> bool:
@@ -343,13 +340,13 @@ class _FaultState:
         self.lost.add(rid)
         self._degrade(now)
         if self.emit is not None:
-            self.emit("drop", rid, src, dst, now)
+            self.emit(("drop", rid, src, dst, now))
 
     def drop_initiation(self, rid: int, node: int, now: float) -> None:
         """A request issued on a down node is lost outright (no message)."""
         self.lost.add(rid)
         if self.emit is not None:
-            self.emit("drop", rid, -1, node, now)
+            self.emit(("drop", rid, -1, node, now))
 
     # -- repair ---------------------------------------------------------
     def repair_due(self) -> bool:
@@ -374,7 +371,7 @@ class _FaultState:
             self.down[v] = False
         self.degraded = False
         if self.emit is not None:
-            self.emit("repair", fixes, er, sink, now)
+            self.emit(("repair", fixes, er, sink, now))
         return sink, er
 
     # -- epilogue -------------------------------------------------------
@@ -412,7 +409,7 @@ def _run_flat_faulted(
     engine = FastArrowEngine(
         graph, tree, latency=latency, seed=seed, service_time=service_time
     )
-    fs = _FaultState(tree, plan, seed, emit=on_event)
+    fs = _FaultState(tree, plan, seed)
     m = len(schedule)
     # The message runner schedules the crash events right after the m
     # initiations, so they own seqs m..m+c-1; ``plan.crashes`` is in
@@ -496,7 +493,7 @@ def _run_message_faulted(
 ) -> tuple[RunResult, FaultReport]:
     """Genuine message-level run under the fault model."""
     sim = Simulator(max_events=max_events)
-    fs = _FaultState(tree, plan, seed, emit=on_event)
+    fs = _FaultState(tree, plan, seed)
     net = _FaultyNetwork(
         graph,
         sim,
@@ -511,7 +508,6 @@ def _run_message_faulted(
     net.register_all(nodes)
     for nd in nodes:
         nd.init_pointers(tree)
-        nd.on_event = on_event
 
     def repair_nodes(now: float) -> None:
         link = [nd.link for nd in nodes]
@@ -543,9 +539,13 @@ def _run_message_faulted(
         sim.call_at(t, crash, node)
 
     t0 = _wall.perf_counter()
-    result.makespan = sim.run()
-    if fs.degraded:
-        repair_nodes(result.makespan)
+    with emitting_to(on_event) as emit:
+        fs.emit = emit
+        for nd in nodes:
+            nd.emit = emit
+        result.makespan = sim.run()
+        if fs.degraded:
+            repair_nodes(result.makespan)
     result.wall_seconds = _wall.perf_counter() - t0
     result.network_stats = net.stats.as_dict()
 
@@ -578,7 +578,8 @@ def run_arrow_faulted(
     For the empty plan the returned :class:`RunResult` is bit-identical
     to the fault-free engines' — the run is in fact delegated to the
     selected stock engine, so an empty plan costs nothing beyond one
-    dispatch.  ``on_event`` receives the protocol trace *including* the
+    dispatch.  ``on_event`` is called with lists of event tuples
+    (:mod:`repro.core.event_stream`) — the protocol trace *including* the
     fault vocabulary (``drop``/``crash``/``repair``), so an attached
     :class:`repro.monitors.ArrowMonitor` audits the recovery path too.
     """

@@ -1,12 +1,15 @@
 """Declarative runtime monitors for arrow protocol traces.
 
-The arrow engines (message and fast — open and closed loop)
-accept an ``on_event`` hook and, when it is set, emit one call per
-protocol transition.  :class:`ArrowMonitor` consumes that stream and
-checks the Kuhn–Wattenhofer invariants *while the run executes*, by
-maintaining an independent mirror of the spec's state machine
-(``link`` pointers, ``last_rid`` tails, the set of in-flight ``queue``
-messages) and validating every event against it:
+The arrow engines (message and fast — open and closed loop) accept an
+``on_event`` *sink* — a callable taking a list of event tuples — and, when
+it is set, append one tuple per protocol transition to a chunk list and
+hand the list to the sink a chunk at a time
+(:mod:`repro.core.event_stream`; the engine reuses the list, so a sink
+must not retain it).  :class:`ArrowMonitor` is such a sink: it replays
+each chunk and checks the Kuhn–Wattenhofer invariants by maintaining an
+independent mirror of the spec's state machine (``link`` pointers,
+``last_rid`` tails, the set of in-flight ``queue`` messages) and
+validating every event against it:
 
 ``one-pointer-per-edge``
     every spanning-tree edge is crossed by exactly one arrow — a pointer
@@ -33,7 +36,11 @@ equal the mirrored pointer, delivery must match an in-flight message,
 a completion's predecessor must match the mirrored tail), which is both
 exact and O(1) per event.  ``deep=True`` additionally rescans the whole
 configuration after every atomic transition — O(n) per event, meant for
-the property-based fuzz harness's small instances.
+the property-based fuzz harness's small instances.  The monitor only ever
+reads its own mirror, so replaying a chunk after the engine has moved on
+is exactly the check it would have made at the time; only the moment of
+the raise moves, to the end of the chunk (or of the run, on the
+message-level harnesses).
 
 Fault events (:mod:`repro.faults`) put the monitor in a *degraded* mode
 in which the configuration invariants are suspended — a crash or a lost
@@ -44,8 +51,10 @@ cross-checks the engine's correction count and epoch bookkeeping, and
 re-arms the invariants.
 
 Violations raise :class:`repro.errors.MonitorViolation` (under
-``SweepError``).  Monitors never touch the run's results: a monitored
-fault-free sweep writes byte-identical JSONL to an unmonitored one.
+``SweepError``), which names the invariant, the simulation time and the
+ordinal of the offending event in the run's stream.  Monitors never touch
+the run's results: a monitored fault-free sweep writes byte-identical
+JSONL to an unmonitored one.
 """
 
 from __future__ import annotations
@@ -71,9 +80,11 @@ MONITOR_NAMES = (
 class ArrowMonitor:
     """Streaming invariant checker for one arrow run.
 
-    Attach by passing the instance as the engine's ``on_event``; call
-    :meth:`finalize` after the run returns.  The event vocabulary (all
-    times are simulation times):
+    Attach by passing the instance as the engine's ``on_event``: the
+    engine calls it with lists of event tuples, a chunk at a time (a
+    hand-built stream is checked the same way, ``monitor(events)``); call
+    :meth:`finalize` after the run returns.  The event tuples (all times
+    are simulation times):
 
     ``("init", rid, node, t)``
         request ``rid`` issued at ``node`` (atomic initiation);
@@ -166,130 +177,160 @@ class ArrowMonitor:
         raise AssertionError("unreachable")
 
     # ------------------------------------------------------------------
-    def __call__(self, kind: str, *args) -> None:
-        self._events += 1
-        if kind == "send":
-            self._on_send(*args)
-        elif kind == "deliver":
-            self._on_deliver(*args)
-        elif kind == "init":
-            self._on_init(*args)
-        elif kind == "complete":
-            self._on_complete(*args)
-        elif kind == "drop":
-            self._on_drop(*args)
-        elif kind == "crash":
-            self._on_crash(*args)
-        elif kind == "repair":
-            self._on_repair(*args)
-        else:
-            self._fail("token-conservation", None, f"unknown event {kind!r}")
-        if self.deep and not self._expect_send and not self._expect_complete:
-            self._check_config(args[-1] if args else None)
+    def __call__(self, events: list[tuple]) -> None:
+        """Replay one chunk of the run's event stream against the mirror.
 
-    # ------------------------------------------------------------------
-    def _on_init(self, rid: int, node: int, t: float) -> None:
-        if rid in self._issued:
-            self._fail(
-                "token-conservation", t, f"request {rid} issued twice"
-            )
-        self._issued.add(rid)
-        if node in self._down:
-            self._fail(
-                "token-conservation", t,
-                f"request {rid} issued on crashed node {node}",
-            )
-        x = self._link[node]
-        if x == node:
-            # Local find: the mirror mandates an immediate completion
-            # behind the node's previous request.
-            self._expect_complete[rid] = (self._last_rid[node], node)
-            self._last_rid[node] = rid
-            return
-        self._last_rid[node] = rid
-        self._link[node] = node
-        self._sinks += 1
-        self._expect_send[rid] = (node, x)
-
-    def _on_send(self, rid: int, src: int, dst: int, t: float) -> None:
-        want = self._expect_send.pop(rid, None)
-        if want is None:
-            self._fail(
-                "token-conservation", t,
-                f"request {rid}: send {src}->{dst} without a pending "
-                "initiation or forward",
-            )
-        if want != (src, dst):
-            self._fail(
-                "one-pointer-per-edge", t,
-                f"request {rid}: sent {src}->{dst} but the mirrored "
-                f"pointer mandates {want[0]}->{want[1]}",
-            )
-        self._in_flight[rid] = (src, dst)
-        self._edge_msgs[self._edge_child(src, dst, t)] += 1
-
-    def _on_deliver(self, rid: int, node: int, src: int, t: float) -> None:
-        flight = self._in_flight.pop(rid, None)
-        if flight is None:
-            self._fail(
-                "token-conservation", t,
-                f"request {rid} delivered at {node} but not in flight",
-            )
-        if flight != (src, node):
-            self._fail(
-                "token-conservation", t,
-                f"request {rid} delivered at {node} from {src} but was "
-                f"in flight {flight[0]}->{flight[1]}",
-            )
-        if node in self._down:
-            self._fail(
-                "token-conservation", t,
-                f"request {rid} delivered at crashed node {node}",
-            )
-        self._edge_msgs[self._edge_child(src, node, t)] -= 1
-        # Path reversal on the mirror.
-        x = self._link[node]
-        self._link[node] = src
-        if x == node:
-            self._sinks -= 1
-            self._expect_complete[rid] = (self._last_rid[node], node)
-        else:
-            self._expect_send[rid] = (node, x)
-
-    def _on_complete(
-        self, rid: int, pred: int, node: int, t: float, hops: int
-    ) -> None:
-        want = self._expect_complete.pop(rid, None)
-        if want is None:
-            self._fail(
-                "token-conservation", t,
-                f"request {rid} completed at {node} without reaching a sink",
-            )
-        if rid in self._completed:
-            self._fail(
-                "token-conservation", t, f"request {rid} completed twice"
-            )
-        want_pred, want_node = want
-        if node != want_node:
-            self._fail(
-                "unique-sink", t,
-                f"request {rid} completed at {node}, but the mirrored sink "
-                f"is {want_node}",
-            )
-        if want_pred is None or pred != want_pred:
-            self._fail(
-                "total-order", t,
-                f"request {rid} queued behind {pred}, but the sink's "
-                f"mirrored tail is {want_pred}",
-            )
-        if pred in self._succ:
-            self._fail(
-                "total-order", t,
-                f"requests {self._succ[pred]} and {rid} both queued "
-                f"behind {pred}",
-            )
-        self._succ[pred] = rid
-        self._completed.add(rid)
+        The sink side of ``on_event(events)``: the four hot kinds are
+        checked inline on locals, in frequency order; fault events go to
+        their methods.  The list is only read, never kept.  A violation
+        carries the ordinal of its event in the run's stream, and
+        ``events_seen`` counts up to and including that event.
+        """
+        link = self._link
+        last_rid = self._last_rid
+        parent = self._parent
+        edge_msgs = self._edge_msgs
+        in_flight = self._in_flight
+        expect_send = self._expect_send
+        expect_complete = self._expect_complete
+        issued = self._issued
+        completed = self._completed
+        succ = self._succ
+        down = self._down
+        deep = self.deep
+        sinks = self._sinks
+        first = self._events
+        i = -1
+        try:
+            for i, ev in enumerate(events):
+                kind = ev[0]
+                if kind == "complete":
+                    _, rid, pred, node, t, _hops = ev
+                    want = expect_complete.pop(rid, None)
+                    if want is None:
+                        self._fail(
+                            "token-conservation", t,
+                            f"request {rid} completed at {node} without reaching a sink",
+                        )
+                    if rid in completed:
+                        self._fail(
+                            "token-conservation", t, f"request {rid} completed twice"
+                        )
+                    want_pred, want_node = want
+                    if node != want_node:
+                        self._fail(
+                            "unique-sink", t,
+                            f"request {rid} completed at {node}, but the mirrored sink "
+                            f"is {want_node}",
+                        )
+                    if want_pred is None or pred != want_pred:
+                        self._fail(
+                            "total-order", t,
+                            f"request {rid} queued behind {pred}, but the sink's "
+                            f"mirrored tail is {want_pred}",
+                        )
+                    if pred in succ:
+                        self._fail(
+                            "total-order", t,
+                            f"requests {succ[pred]} and {rid} both queued "
+                            f"behind {pred}",
+                        )
+                    succ[pred] = rid
+                    completed.add(rid)
+                elif kind == "init":
+                    _, rid, node, t = ev
+                    if rid in issued:
+                        self._fail(
+                            "token-conservation", t, f"request {rid} issued twice"
+                        )
+                    issued.add(rid)
+                    if node in down:
+                        self._fail(
+                            "token-conservation", t,
+                            f"request {rid} issued on crashed node {node}",
+                        )
+                    x = link[node]
+                    if x == node:
+                        # Local find: the mirror mandates an immediate
+                        # completion behind the node's previous request.
+                        expect_complete[rid] = (last_rid[node], node)
+                    else:
+                        link[node] = node
+                        sinks += 1
+                        expect_send[rid] = (node, x)
+                    last_rid[node] = rid
+                elif kind == "send":
+                    _, rid, src, dst, t = ev
+                    want = expect_send.pop(rid, None)
+                    if want is None:
+                        self._fail(
+                            "token-conservation", t,
+                            f"request {rid}: send {src}->{dst} without a pending "
+                            "initiation or forward",
+                        )
+                    if want[0] != src or want[1] != dst:
+                        self._fail(
+                            "one-pointer-per-edge", t,
+                            f"request {rid}: sent {src}->{dst} but the mirrored "
+                            f"pointer mandates {want[0]}->{want[1]}",
+                        )
+                    in_flight[rid] = want
+                    edge_msgs[
+                        src if parent[src] == dst else self._edge_child(src, dst, t)
+                    ] += 1
+                elif kind == "deliver":
+                    _, rid, node, src, t = ev
+                    flight = in_flight.pop(rid, None)
+                    if flight is None:
+                        self._fail(
+                            "token-conservation", t,
+                            f"request {rid} delivered at {node} but not in flight",
+                        )
+                    if flight[0] != src or flight[1] != node:
+                        self._fail(
+                            "token-conservation", t,
+                            f"request {rid} delivered at {node} from {src} but was "
+                            f"in flight {flight[0]}->{flight[1]}",
+                        )
+                    if node in down:
+                        self._fail(
+                            "token-conservation", t,
+                            f"request {rid} delivered at crashed node {node}",
+                        )
+                    edge_msgs[
+                        src if parent[src] == node else self._edge_child(src, node, t)
+                    ] -= 1
+                    # Path reversal on the mirror.
+                    x = link[node]
+                    link[node] = src
+                    if x == node:
+                        sinks -= 1
+                        expect_complete[rid] = (last_rid[node], node)
+                    else:
+                        expect_send[rid] = (node, x)
+                else:
+                    # Fault events are rare and keep their methods; those
+                    # read and write the sink count on the instance.
+                    t = ev[-1]
+                    self._sinks = sinks
+                    if kind == "drop":
+                        self._on_drop(*ev[1:])
+                    elif kind == "crash":
+                        self._on_crash(*ev[1:])
+                    elif kind == "repair":
+                        self._on_repair(*ev[1:])
+                    else:
+                        self._fail("token-conservation", None, f"unknown event {kind!r}")
+                    sinks = self._sinks
+                if deep and not expect_send and not expect_complete:
+                    self._sinks = sinks
+                    self._check_config(t)
+        except MonitorViolation as exc:
+            exc.locate(first + i)
+            raise
+        finally:
+            self._sinks = sinks
+            self._events = first + i + 1
 
     # ------------------------------------------------------------------
     # fault events

@@ -22,7 +22,7 @@ import multiprocessing
 import os
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import SweepError
+from repro.errors import MonitorViolation, SweepError
 from repro.sweep import persist
 from repro.sweep.registry import get_family
 from repro.sweep.spec import SweepCell, SweepSpec, cell_seed
@@ -69,11 +69,23 @@ def execute_cell(cell: SweepCell) -> dict[str, Any]:
     cell, so rows are reproducible — and, for the arrow engines,
     engine-independent (fast and message are bit-identical;
     message-level-only families like the §5.1 directories ignore the
-    engine axis entirely).
+    engine axis entirely).  A monitored cell whose run breaks an invariant
+    raises the :class:`~repro.errors.MonitorViolation` with the cell's id
+    (``cell_id``, and at the head of the message).
     """
     family = get_family(cell.schedule.family)
     derived = cell_seed(cell)
-    return {**_axis_columns(cell, derived), **family.execute(cell, derived)}
+    try:
+        metrics = family.execute(cell, derived)
+    except MonitorViolation as exc:
+        raise MonitorViolation(
+            f"cell {cell.cell_id}: {exc}",
+            monitor=exc.monitor,
+            at=exc.at,
+            event=exc.event,
+            cell_id=cell.cell_id,
+        ) from exc
+    return {**_axis_columns(cell, derived), **metrics}
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ from typing import Callable, Sequence
 
 from repro.core.arrow import ArrowNode, CompletionCallback
 from repro.core.centralized import CentralizedNode, check_center
+from repro.core.event_stream import emitting_to
 from repro.errors import NetworkError, ProtocolError, ScheduleError
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel
@@ -247,28 +248,31 @@ def closed_loop_arrow(
 ) -> ClosedLoopResult:
     """Closed-loop arrow run; returns makespan and per-request hops.
 
-    ``on_event``, when set, receives the queuing-layer protocol trace
-    (see :mod:`repro.monitors`); the ``queue_reply`` acknowledgements are
-    application traffic and not part of it.
+    ``on_event``, when set, is called with the queuing-layer protocol
+    trace as a list of event tuples (:mod:`repro.core.event_stream`; the
+    vocabulary is in :mod:`repro.monitors`), once, when the run ends or
+    aborts; the ``queue_reply`` acknowledgements are application traffic
+    and not part of it.
     """
+    with emitting_to(on_event) as emit:
 
-    def init(nodes: Sequence[ArrowNode]) -> None:
-        for nd in nodes:
-            nd.init_pointers(tree)
-            nd.on_event = on_event
+        def init(nodes: Sequence[ArrowNode]) -> None:
+            for nd in nodes:
+                nd.init_pointers(tree)
+                nd.emit = emit
 
-    return _run_closed_loop(
-        "arrow",
-        graph,
-        lambda on_complete: ArrowNode(on_complete, notify_origin=True),
-        init,
-        requests_per_proc=requests_per_proc,
-        latency=latency,
-        seed=seed,
-        service_time=service_time,
-        think_time=think_time,
-        max_events=max_events,
-    )
+        return _run_closed_loop(
+            "arrow",
+            graph,
+            lambda on_complete: ArrowNode(on_complete, notify_origin=True),
+            init,
+            requests_per_proc=requests_per_proc,
+            latency=latency,
+            seed=seed,
+            service_time=service_time,
+            think_time=think_time,
+            max_events=max_events,
+        )
 
 
 def closed_loop_centralized(

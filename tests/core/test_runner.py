@@ -57,7 +57,7 @@ def test_tracer_records_protocol_messages():
         g,
         chain_tree(4),
         RequestSchedule([(3, 0.0)]),
-        on_event=lambda *ev: events.append(ev),
+        on_event=events.extend,
     )
     sends = [ev for ev in events if ev[0] == "send"]
     assert sends == [

@@ -30,7 +30,7 @@ def test_queue_message_routes_follow_tree_paths():
     # Every queue-message link traversal is one ("send", rid, src, dst,
     # time) tuple on the on_event stream.
     events = []
-    res = run_arrow(graph, tree, sched, on_event=lambda *ev: events.append(ev))
+    res = run_arrow(graph, tree, sched, on_event=events.extend)
     verify_total_order(res)
 
     # Expected: each request's sends, in order, are the edges of the

@@ -2,13 +2,17 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
+from repro.core.event_stream import EventStream
 from repro.core.fast_arrow import ENGINES, arrow_runner
 from repro.core.queueing import CompletionRecord
 from repro.core.requests import Request
-from repro.errors import ReproError
+from repro.errors import MonitorViolation, ReproError
+from repro.monitors import ArrowMonitor
+from repro.spanning import SpanningTree
 from repro.sweep import (
     GraphSpec,
     ScheduleSpec,
@@ -22,7 +26,7 @@ from repro.sweep import (
     run_sweep,
     smoke_grid,
 )
-from repro.sweep.registry import get_family
+from repro.sweep.registry import CellFamily, get_family, register_family
 
 
 def tiny_spec(engine="fast"):
@@ -176,6 +180,20 @@ def records_made(monkeypatch):
     return made
 
 
+@pytest.fixture
+def streams_made(monkeypatch):
+    """The sink of every EventStream (chunk list + ``emit``) built meanwhile."""
+    made = []
+    init = EventStream.__init__
+
+    def counting(self, sink):
+        made.append(sink)
+        init(self, sink)
+
+    monkeypatch.setattr(EventStream, "__init__", counting)
+    return made
+
+
 def _one_cell(schedule, engine="fast", **spec_fields):
     return SweepSpec(
         name="columnar",
@@ -210,6 +228,25 @@ def test_fast_cells_allocate_no_request_object(requests_made, records_made, spec
     assert all(row["requests"] > 0 for row in rows)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_only_a_monitored_cell_builds_an_event_stream(streams_made, engine):
+    """No sink, no chunk list and no ``emit``: every emission site of an
+    unwatched run is a test on ``None`` and no event tuple exists.  A
+    monitored cell builds exactly one stream, for its monitor."""
+    closed = ScheduleSpec.of("closed_arrow", requests_per_proc=3, think_time=0.1)
+    faults = ("crash@3.0:1,loss:0.02",)
+    for unwatched in (_one_cell(POISSON, engine), _one_cell(POISSON, engine, faults=faults),
+                      _one_cell(closed, engine)):
+        assert [execute_cell(cell)["requests"] for cell in unwatched.cells()] and not streams_made
+    for watched in (_one_cell(POISSON, engine, faults=("",) + faults, monitors=True),
+                    _one_cell(closed, engine, monitors=True)):
+        for cell in watched.cells():
+            execute_cell(cell)
+            (sink,) = streams_made
+            assert type(sink) is ArrowMonitor and sink.events_seen > 100
+            streams_made.clear()
+
+
 def test_message_cell_materialises_each_request_once(requests_made, records_made):
     """The message runner's one ``for req in schedule`` is the only place a
     cell builds Request views: ``RunResult.latency`` and the row columns
@@ -239,3 +276,45 @@ def test_completion_records_are_made_when_completions_is_read(records_made):
         assert len(records_made) == len(built["schedule"]) == 120
         assert result.completions[0].rid == 0 and len(records_made) == 120
         records_made.clear()
+
+
+# ----------------------------------------------------------------------
+# a monitored failure names its cell
+# ----------------------------------------------------------------------
+def test_monitor_violation_in_a_sweep_names_the_cell():
+    def to_row(cell, derived, built):
+        monitor = ArrowMonitor(built)
+        if cell.seed == 1:  # the grid's second cell replays a bad stream
+            monitor([("init", 0, 1, 1.0), ("send", 0, 1, 0, 1.0), ("deliver", 0, 0, 2, 2.5)])
+        return {"n": 4, "requests": 0}
+
+    register_family(
+        CellFamily(
+            name="test_bad_stream",
+            accepted=frozenset(),
+            build=lambda cell, derived: SpanningTree([0, 0, 1, 2], root=0),
+            to_row=to_row,
+        ),
+        replace=True,
+    )
+    spec = SweepSpec(
+        name="bad",
+        graphs=(GraphSpec.of("path", n=4),),
+        trees=("bfs",),
+        schedules=(ScheduleSpec.of("test_bad_stream"),),
+        seeds=(0, 1, 2),
+    )
+    bad = list(spec.cells())[1]
+    rows = iter_sweep(spec)
+    assert next(rows)["seed"] == 0
+    with pytest.raises(MonitorViolation) as exc:
+        next(rows)
+    err = exc.value
+    assert err.cell_id == bad.cell_id and str(err).startswith(f"cell {bad.cell_id}: [")
+    assert (err.monitor, err.at, err.event) == ("token-conservation", 2.5, 2)
+    assert str(err).endswith("but was in flight 1->0 (event #2)")
+    cause = err.__cause__
+    assert type(cause) is MonitorViolation and cause.cell_id is None
+    # A pool worker's violation must survive the trip to the parent.
+    copy = pickle.loads(pickle.dumps(err))
+    assert (str(copy), vars(copy)) == (str(err), vars(err))
