@@ -406,17 +406,17 @@ def _results_command(args, ingest_error) -> int:
             else:
                 print(format_table(result))
                 if args.percentiles:
-                    sketch = store.grid_sketch(args.run)
+                    grid = store.grid_sketch(args.run)
                     print()
-                    if sketch.count:
+                    if grid.count:
                         print(
                             format_kv(
                                 {
-                                    "requests": sketch.count,
-                                    "p50": round(sketch.quantile(50), 6),
-                                    "p90": round(sketch.quantile(90), 6),
-                                    "p99": round(sketch.quantile(99), 6),
-                                    "max": round(sketch.max_value(), 6),
+                                    "requests": grid.count,
+                                    "p50": round(grid.quantile(50), 6),
+                                    "p90": round(grid.quantile(90), 6),
+                                    "p99": round(grid.quantile(99), 6),
+                                    "max": round(grid.max_value(), 6),
                                 },
                                 title="grid latency percentiles "
                                       "(merged sketch, histogram-backed)",
@@ -559,8 +559,8 @@ def main(argv: list[str] | None = None) -> int:
     prt.add_argument("--metric", default=None,
                      help="row column to tabulate (default: per-figure)")
     prt.add_argument("--percentiles", action="store_true",
-                     help="append grid-level latency percentiles from the "
-                          "merged quantile sketch")
+                     help="append grid-level latency percentiles rebuilt "
+                          "from the stored histograms")
 
     prp = rsub.add_parser(
         "plot",

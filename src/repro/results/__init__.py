@@ -16,9 +16,10 @@ all surfaced through the ``repro-arrow results`` CLI subcommand group
 (``ingest`` / ``list`` / ``table`` / ``plot`` / ``compare``).
 
 Grid-level latency percentiles aggregate in one streaming pass: each
-stored row's histogram columns rebuild a mergeable
-:class:`~repro.sweep.stats.QuantileSketch`, and the merged sketch
-answers percentile queries with a documented rank tolerance.
+stored row's histogram is counted at its bucket midpoints
+(:class:`~repro.sweep.stats.MidpointCounts`) and percentiles are
+nearest-rank over those midpoints — within half a bucket width of the
+true value, the max exact.
 """
 
 from repro.results.compare import RowComparison, compare_rows

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.core.queueing import float_total
+
 __all__ = [
     "RowComparison",
     "compare_rows",
@@ -185,7 +187,7 @@ def compare_rows(
         cmp.columns[k] = {
             "cells": float(len(pcts)),
             "changed": float(len(changed)),
-            "mean_pct": sum(pcts) / len(pcts),
+            "mean_pct": float_total(pcts) / len(pcts),
             "max_abs_pct": max((abs(p) for p in pcts), default=0.0),
         }
     deltas.sort(key=lambda d: (-d[0], d[1], d[2]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.core.queueing import float_total
 from repro.errors import ResultsError
 from repro.experiments.records import ExperimentResult, Series
 
@@ -120,7 +121,7 @@ def figure_from_rows(
     series = []
     for key in sorted(buckets):
         xs = sorted(buckets[key])
-        ys = [sum(buckets[key][x]) / len(buckets[key][x]) for x in xs]
+        ys = [float_total(buckets[key][x]) / len(buckets[key][x]) for x in xs]
         series.append(Series(key, xs, ys, unit))
     notes = [f"built from {len(rows)} sweep row(s); metric: {column}"]
     if len(seeds) > 1:

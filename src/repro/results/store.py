@@ -28,7 +28,7 @@ from typing import Any, Iterator
 from repro.errors import ResultsError
 from repro.sweep import persist
 from repro.sweep.spec import SweepSpec
-from repro.sweep.stats import DEFAULT_COMPRESSION, QuantileSketch
+from repro.sweep.stats import MidpointCounts
 
 __all__ = ["IngestReport", "ResultsStore"]
 
@@ -261,28 +261,19 @@ class ResultsStore:
     # ------------------------------------------------------------------
     # grid-level aggregation
     # ------------------------------------------------------------------
-    def grid_sketch(
-        self,
-        key: str,
-        *,
-        prefix: str = "latency_",
-        compression: int = DEFAULT_COMPRESSION,
-    ) -> QuantileSketch:
-        """Merge every stored row's histogram into one quantile sketch.
+    def grid_sketch(self, key: str) -> MidpointCounts:
+        """Latency percentiles of one stored run, from its rows' histograms.
 
-        One streaming pass: each row's persisted ``{prefix}hist`` /
-        ``{prefix}max`` columns rebuild a per-cell sketch
-        (:meth:`QuantileSketch.from_histogram`), merged as they stream,
-        so grid-level percentiles over millions of requests never hold
-        more than ``O(compression)`` centroids.  Rows without histogram
+        One streaming pass: each row's persisted ``latency_hist`` /
+        ``latency_max`` columns are added to one
+        :class:`~repro.sweep.stats.MidpointCounts`, which holds a dict
+        entry per distinct bucket midpoint.  Rows without histogram
         columns (e.g. directory cells) are skipped.
         """
-        merged = QuantileSketch(compression)
+        grid = MidpointCounts()
         for row in self.rows(key):
-            hist = row.get(f"{prefix}hist")
-            hi = row.get(f"{prefix}max")
+            hist = row.get("latency_hist")
+            hi = row.get("latency_max")
             if isinstance(hist, list) and isinstance(hi, (int, float)):
-                merged = merged.merge(
-                    QuantileSketch.from_histogram(hist, float(hi))
-                )
-        return merged
+                grid.add_histogram(hist, float(hi))
+        return grid

@@ -67,11 +67,8 @@ from repro.sweep.spec import (
 )
 from repro.sweep.stats import (
     DEFAULT_BINS,
-    DEFAULT_COMPRESSION,
-    QuantileSketch,
     latency_columns,
     percentile_nearest_rank,
-    sketch_columns,
 )
 
 __all__ = [
@@ -108,9 +105,6 @@ __all__ = [
     "iter_rows",
     "merge_shards",
     "DEFAULT_BINS",
-    "DEFAULT_COMPRESSION",
-    "QuantileSketch",
     "latency_columns",
     "percentile_nearest_rank",
-    "sketch_columns",
 ]

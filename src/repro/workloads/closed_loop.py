@@ -106,11 +106,6 @@ class ClosedLoopResult:
         """Fraction of requests finding their predecessor locally."""
         return self.local_finds / self.completions if self.completions else 0.0
 
-    @property
-    def mean_latency(self) -> float:
-        """Average per-request completion latency."""
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
     def rids_of(self, proc: int) -> list[int]:
         """Request ids issued by ``proc``, in issue order."""
         return [rid for rid, p in enumerate(self.owners) if p == proc]

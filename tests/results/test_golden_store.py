@@ -52,3 +52,29 @@ def test_golden_rows_file_is_byte_canonical():
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     assert raw == "".join(dumps_row(r) + "\n" for r in iter_rows(path))
+
+
+def test_golden_percentiles_text_is_pinned(capsys):
+    """``results table smoke --percentiles`` over the fixture, to the byte
+    (the text the sketch-backed PR 21 printed: midpoints are nearest-rank
+    over the four rows' stored histograms, the max is a stored column)."""
+    from repro.cli import main
+
+    assert main(
+        ["results", "table", "smoke", "--store", GOLDEN, "--percentiles"]
+    ) == 0
+    assert capsys.readouterr().out == (
+        "== smoke: Grid 'smoke' summary ==\n"
+        "n (nodes) | poisson/complete | poisson/path\n"
+        "----------+------------------+-------------\n"
+        "        8 |           10.117 |       12.764\n"
+        "note: built from 4 sweep row(s); metric: makespan\n"
+        "note: each point averages 2 seed(s)\n"
+        "\n"
+        "== grid latency percentiles (merged sketch, histogram-backed) ==\n"
+        "requests : 170\n"
+        "p50      : 0.9375\n"
+        "p90      : 1.9375\n"
+        "p99      : 3.875\n"
+        "max      : 4.0\n"
+    )

@@ -145,13 +145,13 @@ def test_grid_sketch_merges_all_row_histograms(tmp_path, smoke_run):
     spec, path, rows = smoke_run
     store = ResultsStore(str(tmp_path / "store"))
     store.ingest(spec, path)
-    sketch = store.grid_sketch("smoke")
+    grid = store.grid_sketch("smoke")
     expected = sum(
         sum(r["latency_hist"]) for r in rows if "latency_hist" in r
     )
-    assert sketch.count == expected
-    assert sketch.max_value() == max(r["latency_max"] for r in rows)
-    assert 0.0 < sketch.quantile(50) <= sketch.max_value()
+    assert grid.count == expected
+    assert grid.max_value() == max(r["latency_max"] for r in rows)
+    assert 0.0 < grid.quantile(50) <= grid.quantile(99) <= grid.max_value()
 
 
 def test_spec_hash_is_stable_and_sensitive(smoke_run):

@@ -57,14 +57,13 @@ def test_percentile_nearest_rank_known_values():
 
 
 def test_latency_columns_summary_and_histogram():
-    cols = latency_columns([0.0, 1.0, 2.0, 3.0], bins=4)
+    cols = latency_columns([0.0, 1.0, 2.0, 3.0])
     assert set(cols) == LATENCY_KEYS
     assert cols["latency_mean"] == 1.5
     assert cols["latency_p50"] == 1.0  # nearest rank on 4 values
     assert cols["latency_max"] == 3.0
     # Equal-width buckets on [0, latency_max]; the top edge is inclusive.
-    assert cols["latency_hist"] == [1, 1, 1, 1]
-    assert sum(cols["latency_hist"]) == 4
+    assert cols["latency_hist"] == [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
 
 
 def test_latency_columns_empty_and_degenerate():
@@ -72,11 +71,9 @@ def test_latency_columns_empty_and_degenerate():
     assert empty["latency_hist"] == [0] * DEFAULT_BINS
     assert empty["latency_max"] == 0.0
     # All-zero latencies (every request a local find): one spike, bin 0.
-    zeros = latency_columns([0.0] * 7, bins=4)
-    assert zeros["latency_hist"] == [7, 0, 0, 0]
+    zeros = latency_columns([0.0] * 7)
+    assert zeros["latency_hist"] == [7] + [0] * (DEFAULT_BINS - 1)
     assert zeros["latency_max"] == 0.0
-    with pytest.raises(ValueError):
-        latency_columns([1.0], bins=0)
 
 
 def test_latency_columns_order_independent():

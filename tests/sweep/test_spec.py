@@ -12,6 +12,7 @@ from repro.sweep import (
     build_tree,
     cell_seed,
     directory_grid,
+    fig10_grid,
     fig11_grid,
     mixed_grid,
     smoke_grid,
@@ -183,3 +184,19 @@ def test_named_grids_expand():
     assert fig11_grid((8, 16), seeds=(0,)).num_cells() == 2
     assert smoke_grid().num_cells() == 4
     assert mixed_grid().num_cells() == 4 * 3 * 3 * 2
+
+
+def test_preset_grid_spec_hashes_are_pinned():
+    """The results store is keyed by ``spec_hash``: a change to
+    ``canonical()`` (or to a preset's defaults) re-keys every stored run,
+    and must show up here by name rather than as an empty store."""
+    assert {
+        grid.__name__: grid().spec_hash()
+        for grid in (smoke_grid, fig10_grid, fig11_grid, mixed_grid, directory_grid)
+    } == {
+        "smoke_grid": "4859b54f556b971206233a5766110d1f0f28a5e53b1bcf7f38304baffa650871",
+        "fig10_grid": "98e4d93264cf3d407ead4f977ec3fa3937122505b79e87f812e8e9eadab763ee",
+        "fig11_grid": "ac995c5cc9b48918fceaad037decc0658e9ca3948b83e7edfaea29524e9ad6d2",
+        "mixed_grid": "09cfb09db3355c60ccdcc6560c3ddd9be8a1dedd20ea811a1f118920de149230",
+        "directory_grid": "b03f3757604fec4385cd618d69e02f7f35afd234719dcb3886837a9bba182383",
+    }

@@ -73,20 +73,6 @@ def test_histogram_mass_always_equals_count():
     assert sum(cols["latency_hist"]) == len(vals)
 
 
-def test_custom_bins_and_prefix():
-    cols = latency_columns([1.0, 2.0, 4.0], bins=4, prefix="lat_")
-    assert len(cols["lat_hist"]) == 4
-    assert sum(cols["lat_hist"]) == 3
-    assert cols["lat_max"] == 4.0
-
-
-def test_bins_must_be_positive():
-    with pytest.raises(ValueError):
-        latency_columns([1.0], bins=0)
-    with pytest.raises(ValueError):
-        latency_columns([1.0], bins=-3)
-
-
 def test_percentile_nearest_rank_edges():
     vals = [1.0, 2.0, 3.0, 4.0]
     assert percentile_nearest_rank(vals, 100) == 4.0
