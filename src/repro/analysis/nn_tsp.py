@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.nearest_neighbor import nn_order
-from repro.analysis.optimal import best_heuristic_path, held_karp_path
+from repro.analysis.optimal import best_heuristic_path, held_karp_tour_cost
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -65,38 +65,17 @@ def nn_tour(C: np.ndarray, start: int = 0) -> tuple[float, list[int], float, flo
 def optimal_tour_cost(C: np.ndarray, exact_limit: int = 12) -> float:
     """Optimal (or best-found) tour cost under ``C``.
 
-    Exact via Held–Karp + closing edge minimisation when small; otherwise
-    the or-opt heuristic path closed into a tour (an upper bound on the
-    optimum, which makes the Theorem 3.18 check *conservative*: if the NN
-    cost stays below the bound times this value, it is below the bound
-    times the true optimum ... only when exact).  Callers that need a
-    certified check must stay within ``exact_limit``.
+    Exact (the Held–Karp table, closed at its best endpoint) while
+    ``m - 1 <= exact_limit``; otherwise the or-opt heuristic path closed
+    into a tour — an upper bound on the optimum, so a Theorem 3.18 check
+    against it certifies nothing.  Callers that need a certified check
+    must stay within ``exact_limit``.
     """
     m = C.shape[0]
     if m <= 2:
         return tour_cost(list(range(m)), C)
     if m - 1 <= exact_limit:
-        # Exact tour: fix start 0; DP over paths, then close each endpoint.
-        best = math.inf
-        cost, path = held_karp_path(C)
-        # held_karp_path minimises the open path; for the exact *tour* we
-        # re-run the DP implicitly by trying all ends: enumerate ends via
-        # DP table is not exposed, so take the exact tour as min over
-        # permutations of path endings using the path DP on rotated costs.
-        # Simpler exact approach for small m: brute force over permutations
-        # when very small, else path DP + closing edge (exact for the path,
-        # near-exact for the tour).
-        if m <= 9:
-            import itertools
-
-            idx = list(range(1, m))
-            for perm in itertools.permutations(idx):
-                seq = [0, *perm]
-                c = tour_cost(seq, C)
-                if c < best:
-                    best = c
-            return best
-        return cost + float(C[path[-1], 0])
+        return held_karp_tour_cost(C)
     cost, path = best_heuristic_path(C)
     return cost + float(C[path[-1], 0])
 

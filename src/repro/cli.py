@@ -485,7 +485,18 @@ def main(argv: list[str] | None = None) -> int:
                      help="attach runtime protocol monitors to every cell; "
                           "rows are unchanged, an invariant violation "
                           "aborts the sweep")
-    psw.add_argument("--workers", type=int, default=1)
+    psw.add_argument("--workers", type=int, default=1, metavar="K",
+                     help="shard processes to run at once (default 1: the "
+                          "whole grid in this process).  K > 1 partitions "
+                          "the grid into K round-robin shards (or --shards "
+                          "M), runs them in a supervised pool that retries "
+                          "killed/failed shards from their resumable files "
+                          "beside --out, then merges into --out — the same "
+                          "bytes as --workers 1 (exit 3: a shard exhausted "
+                          "its retries; exit 4: merge verification failed — "
+                          "distinct from argparse's usage-error exit 2, so "
+                          "rerun-on-shard-failure wrappers can't loop on a "
+                          "typo)")
     psw.add_argument("--out", default="sweep.jsonl", help="JSONL output path")
     psw.add_argument("--no-resume", action="store_true",
                      help="discard existing rows instead of resuming")
@@ -494,17 +505,12 @@ def main(argv: list[str] | None = None) -> int:
                           "into a per-shard file derived from --out; "
                           "reassemble with sweep-merge")
     psw.add_argument("--shards", type=int, default=None, metavar="M",
-                     help="orchestrate the whole grid locally: partition into "
-                          "M round-robin shards, run them in a supervised "
-                          "pool of --workers concurrent shard processes, "
-                          "retry killed/failed shards from their resumable "
-                          "files, then merge into --out (exit 3: a shard "
-                          "exhausted its retries; exit 4: merge verification "
-                          "failed — distinct from argparse's usage-error "
-                          "exit 2, so rerun-on-shard-failure wrappers can't "
-                          "loop on a typo)")
+                     help="partition into M shards instead of --workers "
+                          "many (more shards than workers balances uneven "
+                          "cells); supervised, retried and merged like any "
+                          "--workers run")
     psw.add_argument("--max-retries", type=int, default=2,
-                     help="per-shard retry budget for --shards runs "
+                     help="per-shard retry budget of a supervised run "
                           "(default: 2)")
 
     psv = sub.add_parser(
@@ -597,15 +603,16 @@ def main(argv: list[str] | None = None) -> int:
         from repro.sweep import run_sweep, shard_path
 
         spec = _build_grid_spec(args, psw.error)
-        if args.shards is not None:
-            if args.shard is not None:
-                psw.error("--shard and --shards are mutually exclusive "
-                          "(--shard runs one shard by hand, --shards "
-                          "orchestrates all of them)")
-            if args.shards < 1:
+        if args.workers < 1:
+            psw.error("--workers must be >= 1")
+        if args.shard is not None and (args.shards is not None or args.workers > 1):
+            psw.error("--shard runs one shard by hand, in one process; "
+                      "it excludes --shards and --workers > 1 (which "
+                      "supervise all the shards)")
+        if args.shards is not None or args.workers > 1:
+            shards = args.workers if args.shards is None else args.shards
+            if shards < 1:
                 psw.error("--shards must be >= 1")
-            if args.workers < 1:
-                psw.error("--workers must be >= 1")
             if args.max_retries < 0:
                 psw.error("--max-retries must be >= 0")
             from repro.errors import (
@@ -619,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
                 summary = orchestrate_sweep(
                     spec,
                     args.out,
-                    shards=args.shards,
+                    shards=shards,
                     workers=args.workers,
                     max_retries=args.max_retries,
                     resume=not args.no_resume,
@@ -629,17 +636,17 @@ def main(argv: list[str] | None = None) -> int:
                 for index, log in sorted(exc.failures.items()):
                     for entry in log:
                         print(f"shard {index}: {entry}", file=sys.stderr)
-                print(f"sweep --shards FAILED: {exc}", file=sys.stderr)
+                print(f"sweep FAILED: {exc}", file=sys.stderr)
                 return 3
             except MergeError as exc:
                 for p in exc.problems:
                     print(p, file=sys.stderr)
-                print(f"sweep --shards merge FAILED: {exc}", file=sys.stderr)
+                print(f"sweep merge FAILED: {exc}", file=sys.stderr)
                 return 4
             except OrchestratorError as exc:
                 # Driver misuse (e.g. a malformed REPRO_ORCH_FAULT):
                 # reason on stderr, never an unhandled traceback.
-                print(f"sweep --shards FAILED: {exc}", file=sys.stderr)
+                print(f"sweep FAILED: {exc}", file=sys.stderr)
                 return 1
             print(
                 f"sweep {summary['spec']}: {summary['rows']} rows merged "
@@ -653,8 +660,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.shard is not None:
             out = shard_path(args.out, *args.shard)
         summary = run_sweep(
-            spec, out, workers=args.workers, resume=not args.no_resume,
-            shard=args.shard,
+            spec, out, resume=not args.no_resume, shard=args.shard
         )
         shard_note = (
             f" (shard {summary['shard']})" if summary["shard"] is not None else ""

@@ -4,9 +4,8 @@ The sweep subsystem turns the experiment layer's hand-rolled parameter
 loops into data: a :class:`~repro.sweep.spec.SweepSpec` declares a grid
 (graph family × tree strategy × schedule family × seeds), the executor
 expands it into cells with deterministic per-cell seeds, runs them —
-optionally across worker processes, optionally as one shard of a
-partitioned grid — and persists one JSONL row per cell with
-resume-from-partial support.
+optionally as one shard of a partitioned grid — and persists one JSONL
+row per cell with resume-from-partial support.
 
 What each schedule-axis name *means* is pluggable: the cell-family
 registry (:mod:`repro.sweep.registry`) maps names to a validator,
@@ -23,7 +22,8 @@ by :func:`~repro.sweep.persist.merge_shards`, and
 :func:`~repro.sweep.orchestrator.orchestrate_sweep` drives a whole
 sharded grid in one call: a supervised local worker pool with per-shard
 progress, bounded retry of killed shards, and the automatic merge
-(``repro-arrow sweep --shards m --workers k``).
+(``repro-arrow sweep --workers k``) — the only way a sweep uses several
+cores.
 """
 
 from repro.sweep.executor import (

@@ -1,11 +1,11 @@
-"""Sweep execution: cells → result rows, optionally across processes.
+"""Sweep execution: cells → result rows, in one process.
 
-The executor is deliberately deterministic: cells are dispatched with an
-*ordered* ``imap``, so rows land in the file in grid order no matter how
-many workers raced to compute them, and every row's content depends only
-on the cell's axes and master seed (wall-clock timings never enter the
-persisted rows).  Running the same spec with 1 or 16 workers therefore
-produces byte-identical JSONL.
+The executor is deliberately deterministic: cells run in grid order, and
+every row's content depends only on the cell's axes and master seed
+(wall-clock timings never enter the persisted rows).  Several cores means
+several shard processes, each running :func:`run_sweep` on its own file
+under :func:`repro.sweep.orchestrator.orchestrate_sweep`; the merged file
+is byte-identical to a one-process run.
 
 What a cell *does* is not the executor's business: each schedule-axis
 name resolves to a :class:`~repro.sweep.registry.CellFamily` (builder +
@@ -18,7 +18,6 @@ lines of :func:`execute_cell`.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 from typing import Any, Callable, Iterable, Iterator
 
@@ -33,12 +32,6 @@ __all__ = [
     "run_sweep",
     "shard_path",
 ]
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, Linux default); fall back to spawn elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +140,6 @@ def _exclusive_writer(path: str) -> Iterator[None]:
 def iter_sweep(
     spec: SweepSpec,
     *,
-    workers: int = 1,
     skip: Iterable[str] = (),
     shard: tuple[int, int] | None = None,
 ) -> Iterator[dict[str, Any]]:
@@ -155,29 +147,19 @@ def iter_sweep(
 
     ``shard=(i, m)`` keeps only cells with ``index % m == i`` — the
     round-robin partition ``sweep-merge`` reassembles into grid order.
-    ``workers <= 1`` runs inline (no processes — the default for tests
-    and small grids); otherwise a process pool computes cells concurrently
-    while the ordered ``imap`` keeps the rows in grid order.
     """
     _check_shard(shard)
     skip_set = set(skip)
-    todo = [c for c in spec.cells() if c.cell_id not in skip_set]
-    if shard is not None:
-        index, count = shard
-        todo = [c for c in todo if c.index % count == index]
-    if workers <= 1 or len(todo) <= 1:
-        for cell in todo:
+    index, count = shard if shard is not None else (0, 1)
+    for cell in spec.cells():
+        if cell.index % count == index and cell.cell_id not in skip_set:
             yield execute_cell(cell)
-        return
-    with _pool_context().Pool(processes=min(workers, len(todo))) as pool:
-        yield from pool.imap(execute_cell, todo)
 
 
 def run_sweep(
     spec: SweepSpec,
     out_path: str,
     *,
-    workers: int = 1,
     resume: bool = True,
     shard: tuple[int, int] | None = None,
     on_row: Callable[[int], None] | None = None,
@@ -209,7 +191,7 @@ def run_sweep(
                 os.remove(out_path)
         written = 0
         with open(out_path, "a", encoding="utf-8") as fh:
-            for row in iter_sweep(spec, workers=workers, skip=done, shard=shard):
+            for row in iter_sweep(spec, skip=done, shard=shard):
                 fh.write(persist.dumps_row(row) + "\n")
                 fh.flush()
                 written += 1

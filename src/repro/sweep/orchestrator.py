@@ -1,11 +1,10 @@
-"""One-command multi-shard sweeps: supervised workers, retry, streaming merge.
+"""Sweeps on several cores: supervised shard workers, retry, streaming merge.
 
-PR 4 made grids shardable, but running a sharded grid still meant
-hand-launching ``sweep --shard i/m`` once per shard and merging by hand.
-:func:`orchestrate_sweep` closes that gap locally: it partitions the
-grid round-robin into ``shards`` per-shard JSONL files, runs them in a
-supervised pool of at most ``workers`` concurrent shard processes,
-streams per-shard progress (cells done / total, rows per second),
+:func:`orchestrate_sweep` is the one multi-process path of the sweep
+layer (``sweep --workers K``, ``sweep --shards M --workers K``): it
+partitions the grid round-robin into ``shards`` per-shard JSONL files,
+runs them in a supervised pool of at most ``workers`` concurrent shard
+processes, streams per-shard progress (cells done / total, rows per second),
 retries shards that exit non-zero or are killed — each retry resumes
 from the shard's own resumable JSONL, exactly like re-running
 ``sweep --shard i/m`` by hand — and, once every shard completes, invokes
@@ -54,7 +53,7 @@ from repro.errors import (
     SweepError,
 )
 from repro.sweep import persist
-from repro.sweep.executor import _pool_context, run_sweep, shard_path
+from repro.sweep.executor import run_sweep, shard_path
 from repro.sweep.spec import SweepSpec
 
 __all__ = ["ShardState", "orchestrate_sweep", "FAULT_ENV"]
@@ -175,10 +174,7 @@ def _shard_worker(
                     _sigkill_self()
 
     try:
-        run_sweep(
-            spec, path, workers=1, resume=True, shard=(index, count),
-            on_row=on_row,
-        )
+        run_sweep(spec, path, resume=True, shard=(index, count), on_row=on_row)
     except SweepError as exc:
         print(f"shard {index}/{count}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
@@ -219,7 +215,6 @@ def orchestrate_sweep(
     workers: int = 1,
     max_retries: int = 2,
     resume: bool = True,
-    merge: bool = True,
     poll_interval: float = 0.2,
     progress: ProgressFn | None = None,
 ) -> dict[str, Any]:
@@ -272,9 +267,12 @@ def orchestrate_sweep(
     # Imported here, not at module level: every CLI process imports this
     # module, and ``multiprocessing.connection`` pulls in ``selectors`` and
     # ``socket`` (+0.3 MB peak RSS) that only a supervised run needs.
+    import multiprocessing
     from multiprocessing.connection import wait
 
-    ctx = _pool_context()
+    # Prefer fork (cheap, Linux default); fall back to spawn elsewhere.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     start = time.monotonic()
     pending = deque(states)
     running: dict[int, Any] = {}
@@ -384,27 +382,23 @@ def orchestrate_sweep(
             failures={s.index: list(s.failures) for s in failed},
         )
 
-    merged_rows = None
-    if merge:
-        rows, problems = persist.merge_shards(
-            [s.path for s in states], out_path, expect_cells=total_cells
+    rows, problems = persist.merge_shards(
+        [s.path for s in states], out_path, expect_cells=total_cells
+    )
+    if problems:
+        raise MergeError(
+            f"merge of {shards} shard(s) into {out_path} failed "
+            f"verification with {len(problems)} problem(s)",
+            problems=problems,
         )
-        if problems:
-            raise MergeError(
-                f"merge of {shards} shard(s) into {out_path} failed "
-                f"verification with {len(problems)} problem(s)",
-                problems=problems,
-            )
-        merged_rows = rows
     return {
         "spec": spec.name,
         "path": out_path,
         "shards": shards,
         "workers": workers,
         "cells": total_cells,
-        "rows": merged_rows,
+        "rows": rows,
         "retries_used": retries_used,
-        "merged": merge,
         "elapsed": round(time.monotonic() - start, 3),
         "shard_states": [s.snapshot() for s in states],
     }

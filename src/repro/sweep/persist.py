@@ -41,29 +41,33 @@ def _lenient_rows(
 
     A corrupt *final* line is tolerated (partial write of an interrupted
     run); a corrupt line followed by more data indicates real damage and
-    raises :class:`ReproError`.  A dropped line is never silent: pass a
+    raises :class:`ReproError` — as does a line that parses to anything
+    but a JSON object, wherever it stands (a complete line is no torn
+    write).  A dropped line is never silent: pass a
     ``skipped`` list to receive one ``"path:lineno: ..."`` entry per
     damaged line that was tolerated, so resume/ingest callers can report
     "N damaged line(s) skipped" instead of quietly shrinking the file.
     """
-    pending_error: str | None = None
+    torn: int | None = None  # line number of an unparseable line
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
             continue
-        if pending_error is not None:
-            raise ReproError(pending_error)
+        if torn is not None:
+            raise ReproError(f"{path}:{torn}: corrupt JSONL row mid-file")
         try:
-            yield json.loads(stripped)
+            row = json.loads(stripped)
         except json.JSONDecodeError:
-            # Defer: only an error if any non-empty line follows.
-            pending_error = f"{path}:{lineno}: corrupt JSONL row mid-file"
-    if pending_error is not None and skipped is not None:
-        skipped.append(
-            pending_error.replace(
-                "corrupt JSONL row mid-file",
-                "torn trailing line dropped (interrupted run)",
+            torn = lineno  # only an error if any non-empty line follows
+            continue
+        if not isinstance(row, dict):
+            raise ReproError(
+                f"{path}:{lineno}: not a JSON object; not a sweep row"
             )
+        yield row
+    if torn is not None and skipped is not None:
+        skipped.append(
+            f"{path}:{torn}: torn trailing line dropped (interrupted run)"
         )
 
 

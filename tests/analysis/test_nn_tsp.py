@@ -1,5 +1,7 @@
 """Unit tests for the Theorem 3.18 machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -43,16 +45,42 @@ def test_nn_tour_includes_closing_edge():
     assert min_nonzero == 1.0
 
 
+def brute_force_tour(C):
+    """Cheapest closed tour by enumeration (every permutation, vectorised)."""
+    m = C.shape[0]
+    perms = np.array(list(itertools.permutations(range(1, m))), dtype=np.intp)
+    seq = np.hstack([np.zeros((len(perms), 1), dtype=np.intp), perms])
+    return float(C[seq, np.roll(seq, -1, axis=1)].sum(axis=1).min())
+
+
 def test_optimal_tour_exact_small():
     C = random_metric(6, 1)
     exact = optimal_tour_cost(C)
-    # Brute force oracle
-    import itertools
-
     best = min(
         tour_cost([0, *perm], C) for perm in itertools.permutations(range(1, 6))
     )
-    assert exact == pytest.approx(best)
+    assert exact == pytest.approx(best) == brute_force_tour(C)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_optimal_tour_is_the_brute_force_optimum_on_asymmetric_costs(m):
+    for seed in range(4):
+        C = spawn_rng(seed, "asymmetric").random((m, m)) * 10
+        np.fill_diagonal(C, 0.0)
+        assert optimal_tour_cost(C) == pytest.approx(brute_force_tour(C), abs=1e-12)
+
+
+def test_optimal_tour_is_exact_up_to_the_exact_limit():
+    # Ten points under the Manhattan metric: the cheapest *path* closed
+    # into a tour (what this returned for 10 <= m <= 13) costs 5.1421 here.
+    rng = np.random.default_rng(0)
+    rng.random((10, 2))
+    P = rng.random((10, 2))
+    C = np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2)
+    assert brute_force_tour(C) == pytest.approx(4.197733753930396, abs=1e-12)
+    assert optimal_tour_cost(C) == pytest.approx(4.197733753930396, abs=1e-12)
+    # Past the limit it is the heuristic's upper bound, never below.
+    assert optimal_tour_cost(C, exact_limit=8) >= 4.197733753930396 - 1e-12
 
 
 def test_validate_dominated_pair_accepts_valid():

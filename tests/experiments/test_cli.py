@@ -266,15 +266,27 @@ def test_fig9_json_holds_the_record(tmp_path):
     assert {s["name"]: s["ys"] for s in doc["series"]}["arrow cost"] == [34.0]
 
 
-def test_sweep_command_writes_and_resumes(tmp_path, capsys):
+def test_sweep_command_writes_and_resumes(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--grid", "fig11", "--sizes", "4,8", "--per-node", "5",
-            "--seeds", "0", "--workers", "2", "--out", str(out)]
+            "--seeds", "0", "--out", str(out)]
     assert main(argv) == 0
     assert "2 written" in capsys.readouterr().out
     first = out.read_bytes()
     assert main(argv) == 0
     assert "2 skipped" in capsys.readouterr().out
+    assert out.read_bytes() == first
+    # Several workers: the same bytes, merged from shard files beside
+    # --out; a rerun re-merges them and recomputes no cell.
+    out.unlink()
+    argv += ["--workers", "2"]
+    assert main(argv) == 0
+    assert "2 rows merged from 2 shard(s)" in capsys.readouterr().out
+    assert out.read_bytes() == first
+    out.unlink()
+    monkeypatch.setattr("repro.sweep.executor.execute_cell", None)
+    assert main(argv) == 0
+    assert "2 rows merged from 2 shard(s)" in capsys.readouterr().out
     assert out.read_bytes() == first
     docs = [json.loads(line) for line in out.read_text().strip().split("\n")]
     assert [d["graph"] for d in docs] == ["complete(n=4)", "complete(n=8)"]

@@ -23,6 +23,7 @@ from repro.sweep import (
     execute_cell,
     iter_rows,
     iter_sweep,
+    orchestrate_sweep,
     run_sweep,
     smoke_grid,
 )
@@ -43,15 +44,15 @@ def tiny_spec(engine="fast"):
 def test_one_vs_four_workers_identical_jsonl(tmp_path):
     p1 = tmp_path / "w1.jsonl"
     p4 = tmp_path / "w4.jsonl"
-    s1 = run_sweep(tiny_spec(), str(p1), workers=1)
-    s4 = run_sweep(tiny_spec(), str(p4), workers=4)
-    assert s1["written"] == s4["written"] == 6
+    s1 = run_sweep(tiny_spec(), str(p1))
+    s4 = orchestrate_sweep(tiny_spec(), str(p4), shards=4, workers=4)
+    assert s1["written"] == s4["rows"] == 6
     assert p1.read_bytes() == p4.read_bytes()
 
 
 def test_rows_are_in_grid_order_and_complete(tmp_path):
     p = tmp_path / "out.jsonl"
-    run_sweep(tiny_spec(), str(p), workers=2)
+    run_sweep(tiny_spec(), str(p))
     rows = list(iter_rows(str(p)))
     assert [r["index"] for r in rows] == list(range(6))
     assert {r["cell_id"] for r in rows} == {c.cell_id for c in tiny_spec().cells()}
@@ -62,46 +63,46 @@ def test_rows_are_in_grid_order_and_complete(tmp_path):
 
 def test_resume_skips_completed_cells(tmp_path):
     p = tmp_path / "out.jsonl"
-    full = run_sweep(tiny_spec(), str(p), workers=1)
+    full = run_sweep(tiny_spec(), str(p))
     assert full["skipped"] == 0
     whole = p.read_bytes()
     # Keep only the first two rows; resume must compute exactly the rest.
     lines = whole.decode().strip().split("\n")
     p.write_text("\n".join(lines[:2]) + "\n")
-    summary = run_sweep(tiny_spec(), str(p), workers=1)
+    summary = run_sweep(tiny_spec(), str(p))
     assert summary["skipped"] == 2 and summary["written"] == 4
     assert p.read_bytes() == whole
 
 
 def test_resume_drops_truncated_trailing_line(tmp_path):
     p = tmp_path / "out.jsonl"
-    run_sweep(tiny_spec(), str(p), workers=1)
+    run_sweep(tiny_spec(), str(p))
     whole = p.read_bytes()
     lines = whole.decode().strip().split("\n")
     p.write_text("\n".join(lines[:3]) + "\n" + lines[4][: len(lines[4]) // 2])
-    summary = run_sweep(tiny_spec(), str(p), workers=1)
+    summary = run_sweep(tiny_spec(), str(p))
     assert summary["skipped"] == 3
     assert p.read_bytes() == whole
 
 
 def test_resume_tolerates_blank_line_after_truncated_row(tmp_path):
     p = tmp_path / "out.jsonl"
-    run_sweep(tiny_spec(), str(p), workers=1)
+    run_sweep(tiny_spec(), str(p))
     whole = p.read_bytes()
     lines = whole.decode().strip().split("\n")
     # A killed run's partial row followed by a stray newline must still
     # resume (blank lines never promote the truncation to a hard error).
     p.write_text("\n".join(lines[:2]) + "\n" + lines[3][:20] + "\n\n")
-    summary = run_sweep(tiny_spec(), str(p), workers=1)
+    summary = run_sweep(tiny_spec(), str(p))
     assert summary["skipped"] == 2 and summary["written"] == 4
     assert p.read_bytes() == whole
 
 
 def test_no_resume_recomputes_from_scratch(tmp_path):
     p = tmp_path / "out.jsonl"
-    run_sweep(tiny_spec(), str(p), workers=1)
+    run_sweep(tiny_spec(), str(p))
     whole = p.read_bytes()
-    summary = run_sweep(tiny_spec(), str(p), workers=1, resume=False)
+    summary = run_sweep(tiny_spec(), str(p), resume=False)
     assert summary["written"] == 6 and summary["skipped"] == 0
     assert p.read_bytes() == whole
 
@@ -134,16 +135,18 @@ def test_completed_ids_of_missing_file_is_empty(tmp_path):
     assert completed_ids(str(tmp_path / "nope.jsonl")) == set()
 
 
-def test_iter_sweep_inline_matches_pool():
-    inline = list(iter_sweep(tiny_spec(), workers=1))
-    pooled = list(iter_sweep(tiny_spec(), workers=3))
+def test_iter_sweep_inline_matches_pool(tmp_path):
+    inline = list(iter_sweep(tiny_spec()))
+    p = tmp_path / "pooled.jsonl"
+    orchestrate_sweep(tiny_spec(), str(p), shards=3, workers=3)
+    pooled = list(iter_rows(str(p)))
     assert inline == pooled
     assert [r["index"] for r in pooled] == list(range(6))
 
 
 def test_smoke_grid_end_to_end(tmp_path):
     p = tmp_path / "smoke.jsonl"
-    summary = run_sweep(smoke_grid(), str(p), workers=2)
+    summary = run_sweep(smoke_grid(), str(p))
     assert summary["written"] == 4
     rows = [json.loads(line) for line in p.read_text().strip().split("\n")]
     assert all(row["engine"] == "fast" for row in rows)

@@ -19,8 +19,10 @@ from repro.sweep import (
     fig11_grid,
     iter_rows,
     latency_columns,
+    orchestrate_sweep,
     percentile_nearest_rank,
     run_sweep,
+    shard_path,
 )
 from repro.sweep.stats import DEFAULT_BINS
 
@@ -146,25 +148,35 @@ def test_closed_loop_rows_identical_across_engines():
 def test_closed_sweep_worker_count_never_changes_bytes(tmp_path):
     p1 = tmp_path / "w1.jsonl"
     p3 = tmp_path / "w3.jsonl"
-    s1 = run_sweep(closed_spec(), str(p1), workers=1)
-    s3 = run_sweep(closed_spec(), str(p3), workers=3)
-    assert s1["written"] == s3["written"] == 4
+    s1 = run_sweep(closed_spec(), str(p1))
+    s3 = orchestrate_sweep(closed_spec(), str(p3), shards=3, workers=3)
+    assert s1["written"] == s3["rows"] == 4
     assert p1.read_bytes() == p3.read_bytes()
     for row in iter_rows(str(p1)):
         assert LATENCY_KEYS <= set(row)
 
 
 def test_resume_preserves_histogram_bins_byte_identically(tmp_path):
-    """Truncate mid-grid, resume with a different worker count: same bytes."""
+    """Truncate mid-grid, resume — in one process or supervised: same bytes."""
     p = tmp_path / "resume.jsonl"
-    run_sweep(closed_spec(), str(p), workers=1)
+    run_sweep(closed_spec(), str(p))
     whole = p.read_bytes()
     lines = whole.decode().strip().split("\n")
     # Keep one complete row plus a truncated second one (killed-run shape).
     p.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 3])
-    summary = run_sweep(closed_spec(), str(p), workers=4)
+    summary = run_sweep(closed_spec(), str(p))
     assert summary["skipped"] == 1 and summary["written"] == 3
     assert p.read_bytes() == whole
+    # The same damage in a shard file of a two-worker run.
+    p2 = tmp_path / "resume2.jsonl"
+    orchestrate_sweep(closed_spec(), str(p2), shards=2, workers=2)
+    assert p2.read_bytes() == whole
+    shard0 = shard_path(str(p2), 0, 2)
+    with open(shard0, "w", encoding="utf-8") as fh:
+        fh.write(lines[0] + "\n" + lines[2][: len(lines[2]) // 3])
+    p2.unlink()
+    orchestrate_sweep(closed_spec(), str(p2), shards=2, workers=2)
+    assert p2.read_bytes() == whole
     hists = [row["latency_hist"] for row in iter_rows(str(p))]
     assert all(isinstance(h, list) and len(h) == DEFAULT_BINS for h in hists)
 
@@ -183,8 +195,8 @@ def test_closed_and_open_cells_mix_in_one_grid(tmp_path):
         seeds=(0,),
     )
     p = tmp_path / "mix.jsonl"
-    summary = run_sweep(spec, str(p), workers=2)
-    assert summary["written"] == 3
+    summary = orchestrate_sweep(spec, str(p), shards=2, workers=2)
+    assert summary["rows"] == 3
     rows = list(iter_rows(str(p)))
     assert [r["schedule"].split("(")[0] for r in rows] == [
         "one_shot",

@@ -55,7 +55,6 @@ def test_orchestrated_sweep_matches_one_shot_run(tmp_path):
     )
     assert summary["rows"] == 6
     assert summary["retries_used"] == 0
-    assert summary["merged"] is True
     assert out.read_bytes() == one_shot_bytes(tmp_path)
     # Shard files survive the merge for audit/resume.
     for i in range(3):
@@ -158,17 +157,6 @@ def test_no_resume_discards_stale_shard_files(tmp_path):
     )
     assert summary["rows"] == 6
     assert out.read_bytes() == one_shot_bytes(tmp_path)
-
-
-def test_merge_false_skips_the_merge(tmp_path):
-    out = tmp_path / "orch.jsonl"
-    summary = orchestrate_sweep(
-        tiny_spec(), str(out), shards=2, workers=2,
-        merge=False, poll_interval=POLL,
-    )
-    assert summary["rows"] is None and summary["merged"] is False
-    assert not out.exists()
-    assert os.path.exists(shard_path(str(out), 0, 2))
 
 
 def test_malformed_fault_env_fails_fast(tmp_path, monkeypatch):

@@ -26,11 +26,11 @@ def tiny_spec():
     )
 
 
-def run_shards(tmp_path, count, workers=1):
+def run_shards(tmp_path, count):
     paths = []
     for i in range(count):
         p = shard_path(str(tmp_path / "sweep.jsonl"), i, count)
-        summary = run_sweep(tiny_spec(), p, workers=workers, shard=(i, count))
+        summary = run_sweep(tiny_spec(), p, shard=(i, count))
         assert summary["shard"] == f"{i}/{count}"
         paths.append(p)
     return paths
