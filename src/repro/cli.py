@@ -253,7 +253,7 @@ def _figure(args):
 
     from repro.results import figure_from_rows
     from repro.sweep import iter_sweep
-    from repro.sweep.persist import _row_shape_problems
+    from repro.sweep.persist import verify_rows
 
     spec = _build_grid_spec(args, args.usage_error)
     if args.cmd == "fig11":
@@ -264,10 +264,8 @@ def _figure(args):
                 s for s in spec.schedules if s.family == "closed_arrow"
             ),
         )
-    rows = list(iter_sweep(spec))
-    problems = [
-        p for row in rows for p in _row_shape_problems(row, args.cmd)
-    ]
+    problems: list[str] = []
+    rows = list(verify_rows(iter_sweep(spec), args.cmd, problems.append))
     if problems:
         raise SystemExit(f"{args.cmd} FAILED: " + "; ".join(problems))
     return figure_from_rows(args.cmd, rows, metric=args.metric)
@@ -366,10 +364,10 @@ def _compare_side(store, key_or_path: str):
     """A compare operand is a JSONL path when it names a file, else a key."""
     import os
 
-    from repro.sweep import persist
+    from repro.results.store import finished_rows
 
     if os.path.isfile(key_or_path):
-        return persist.iter_rows(key_or_path)
+        return finished_rows(key_or_path)
     return store.rows(key_or_path)
 
 
@@ -393,7 +391,7 @@ def _results_command(args, ingest_error) -> int:
                     else f"partial {m.get('ingested')}/{m.get('cells')}"
                 )
                 print(f"run         {m['spec_hash'][:12]}  "
-                      f"{m.get('name', '?'):<12}{state}")
+                      f"{m['name']:<12}{state}")
             if not runs:
                 print(f"(empty store: {store.root})")
         elif args.results_cmd in ("table", "plot"):
@@ -448,7 +446,7 @@ def _results_command(args, ingest_error) -> int:
                 )
                 return 1
             print("results compare OK")
-    except (ReproError, OSError, json.JSONDecodeError) as exc:
+    except (ReproError, OSError) as exc:
         print(f"results {args.results_cmd} FAILED: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -665,10 +663,12 @@ def main(argv: list[str] | None = None) -> int:
         shard_note = (
             f" (shard {summary['shard']})" if summary["shard"] is not None else ""
         )
+        torn = summary["torn_dropped"]
         print(
             f"sweep {summary['spec']}{shard_note}: {summary['written']} written, "
-            f"{summary['skipped']} skipped of {summary['cells']} cells "
-            f"-> {summary['path']}"
+            f"{summary['skipped']} skipped of {summary['cells']} cells"
+            + (f" ({torn} torn trailing line dropped)" if torn else "")
+            + f" -> {summary['path']}"
         )
     elif args.cmd == "sweep-verify":
         from repro.errors import ReproError

@@ -24,7 +24,7 @@ from repro.spanning.construct import (
     star_overlay,
 )
 from repro.spanning.metrics import tree_stretch
-from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
+from repro.sweep import fig10_grid, iter_sweep
 from repro.workloads.schedules import poisson
 
 __all__ = [
@@ -106,40 +106,30 @@ def run_service_time_ablation(
     num_procs: int = 48,
     requests_per_proc: int = 150,
     service_times: list[float] | None = None,
-    seed: int = 0,
 ) -> ExperimentResult:
-    """Fig. 10 sensitivity: total time vs per-message CPU cost."""
+    """Fig. 10 sensitivity: total time vs per-message CPU cost.
+
+    One single-size :func:`~repro.sweep.fig10_grid` per service time
+    (think time = service time); the two series are its rows' makespans.
+    """
     sts = service_times if service_times is not None else [0.0, 0.05, 0.1, 0.2, 0.4]
-    graph = complete_graph(num_procs)
-    tree = balanced_binary_overlay(graph, 0)
-    arrow_t: list[float] = []
-    central_t: list[float] = []
+    makespans: dict[str, list[float]] = {"closed_arrow": [], "closed_centralized": []}
     for st in sts:
-        a = closed_loop_arrow(
-            graph,
-            tree,
+        grid = fig10_grid(
+            sizes=(num_procs,),
             requests_per_proc=requests_per_proc,
-            service_time=st,
             think_time=st,
-            seed=seed,
-        )
-        c = closed_loop_centralized(
-            graph,
-            0,
-            requests_per_proc=requests_per_proc,
             service_time=st,
-            think_time=st,
-            seed=seed,
         )
-        arrow_t.append(a.makespan)
-        central_t.append(c.makespan)
+        for row in iter_sweep(grid):
+            makespans[row["schedule"].split("(")[0]].append(row["makespan"])
     return ExperimentResult(
         experiment_id="ablation-service-time",
         title="Closed-loop total time vs per-message service time",
         xlabel="service time (fraction of link latency)",
         series=[
-            Series("arrow", sts, arrow_t, "sim time"),
-            Series("centralized", sts, central_t, "sim time"),
+            Series("arrow", sts, makespans["closed_arrow"], "sim time"),
+            Series("centralized", sts, makespans["closed_centralized"], "sim time"),
         ],
         params={"num_procs": num_procs, "requests_per_proc": requests_per_proc},
         notes=[

@@ -45,6 +45,7 @@ repairs — which the fault differential tests enforce.
 
 from __future__ import annotations
 
+import re
 import time as _wall
 from dataclasses import dataclass
 
@@ -90,7 +91,16 @@ def epoch_rid(k: int) -> int:
 
 
 def _fmt(x: float) -> str:
-    return format(x, "g")
+    """``%g`` where its six digits parse back to ``x``, else the shortest
+    text that does — a label must identify its plan."""
+    text = format(x, "g")
+    return text if float(text) == x else repr(x)
+
+
+#: What :func:`_fmt` can print.  A window is two of these around a ``-``,
+#: which an exponent may also contain (``1e-05-2``).
+_FLOAT = r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|nan)"
+_WINDOW = re.compile(rf"({_FLOAT})-({_FLOAT})", re.IGNORECASE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,9 +125,9 @@ class FaultPlan:
             node, t = int(node), float(t)
             if node < 0:
                 raise FaultPlanError(f"crash node must be >= 0, got {node}")
-            if t < 0:
-                raise FaultPlanError(f"crash time must be >= 0, got {t}")
-            crashes.append((node, t))
+            if not 0 <= t < float("inf"):  # NaN fails both comparisons
+                raise FaultPlanError(f"crash time must be finite and >= 0, got {t}")
+            crashes.append((node, t + 0.0))  # -0.0 is 0.0 under one label
         crashes.sort(key=lambda c: (c[1], c[0]))
         drops = []
         for u, v, t0, t1 in self.link_drops:
@@ -128,7 +138,7 @@ class FaultPlan:
                 raise FaultPlanError(
                     f"link window needs 0 <= t_down < t_up, got [{t0}, {t1})"
                 )
-            drops.append((min(u, v), max(u, v), t0, t1))
+            drops.append((min(u, v), max(u, v), t0 + 0.0, t1))
         drops.sort()
         rate = float(self.loss_rate)
         if not 0.0 <= rate < 1.0:
@@ -189,8 +199,10 @@ def parse_fault_plan(text: str) -> FaultPlan:
             elif term.startswith("link@"):
                 edge, _, window = term[len("link@"):].partition(":")
                 u, _, v = edge.partition("-")
-                t0, _, t1 = window.partition("-")
-                drops.append((int(u), int(v), float(t0), float(t1)))
+                times = _WINDOW.fullmatch(window)
+                if times is None:
+                    raise ValueError(f"window {window!r} is not <t0>-<t1>")
+                drops.append((int(u), int(v), float(times[1]), float(times[2])))
             elif term.startswith("loss:"):
                 if saw_loss:
                     raise FaultPlanError(f"duplicate loss term {term!r}")

@@ -16,6 +16,13 @@ rewritten; mtimes do not move), and ingesting a *partial* grid (one
 shard, an interrupted run) fills in per cell on resume: rows already
 present are kept, new cells slot into grid order, and the manifest
 tracks completeness against the spec's expected cell count.
+
+Reads follow :mod:`repro.sweep.persist`'s two policies.  The *source*
+file of an ingest may be a live shard: *resume* (a torn tail is dropped
+and counted), with its rows still held to the persisted invariants.  The
+store's own files are written atomically, so a damaged one is never a
+write in progress: ``rows.jsonl`` is read under *verify* and against the
+manifest's row count, and damage is a :class:`ResultsError` naming the file.
 """
 
 from __future__ import annotations
@@ -23,14 +30,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ResultsError
 from repro.sweep import persist
 from repro.sweep.spec import SweepSpec
 from repro.sweep.stats import MidpointCounts
 
-__all__ = ["IngestReport", "ResultsStore"]
+__all__ = ["IngestReport", "ResultsStore", "finished_rows"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ class IngestReport:
     new_rows: int
     total_rows: int
     expected_cells: int
-    #: Damaged JSONL lines the lenient source parse dropped (torn tails).
+    #: Torn trailing lines the resume-policy read of the source dropped.
     damaged_skipped: int
     #: True when any store file was (re)written by this ingest.
     updated: bool
@@ -65,6 +72,22 @@ class IngestReport:
             f"row(s), {self.total_rows}/{self.expected_cells} cells "
             f"({state}){damaged}"
         )
+
+
+def _refusing(verify: Callable[..., Iterator[dict[str, Any]]], *args: Any):
+    """Rows of ``verify(*args, report)``; its first report is raised."""
+    problems: list[str] = []
+    for row in verify(*args, problems.append):
+        if problems:
+            break
+        yield row
+    if problems:
+        raise ResultsError("; ".join(problems))
+
+
+def finished_rows(path: str) -> Iterator[dict[str, Any]]:
+    """Stream a finished sweep file; anything *verify* reports is an error."""
+    return _refusing(persist.iter_verified_rows, path)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -112,42 +135,48 @@ class ResultsStore:
         the spec-hash entry, re-ingesting already-stored cells changes
         nothing (not even an mtime), and cells missing from a partial
         file fill in on a later ingest.  Every source row must belong to
-        the grid — a foreign ``cell_id``, a mismatched ``index`` or two
-        conflicting versions of one cell raise :class:`ResultsError`
-        rather than silently polluting the entry.
+        the grid and satisfy the persisted row invariants — a foreign
+        ``cell_id``, a mismatched ``index``, a false ``exclusion_ok`` or
+        two conflicting versions of one cell raise :class:`ResultsError`
+        rather than silently polluting the entry, and so does any damage
+        to the rows already stored.
         """
         spec_hash = spec.spec_hash()
         cells = {c.cell_id: c.index for c in spec.cells()}
         expected = len(cells)
 
-        stored: dict[int, str] = {}  # index -> canonical line
-        rows_path = self.rows_path(spec_hash)
-        if os.path.exists(rows_path):
-            for row in persist.iter_rows(rows_path):
-                stored[row["index"]] = persist.dumps_row(row)
-
-        skipped: list[str] = []
-        new_rows = 0
-        for row in persist.iter_rows(jsonl_path, skipped=skipped):
+        def place(row: dict[str, Any], path: str) -> int:
             cid = row.get("cell_id")
             if not isinstance(cid, str) or cid not in cells:
                 raise ResultsError(
-                    f"{jsonl_path}: row with cell_id {cid!r} does not "
+                    f"{path}: row with cell_id {cid!r} does not "
                     f"belong to grid {spec.name!r} [{spec_hash[:12]}]; "
                     "is this file from a different spec?"
                 )
-            index = cells[cid]
-            if row.get("index") != index:
+            if row.get("index") != cells[cid]:
                 raise ResultsError(
-                    f"{jsonl_path}: cell {cid!r} carries index "
+                    f"{path}: cell {cid!r} carries index "
                     f"{row.get('index')!r} but the grid places it at "
-                    f"{index}; file and spec disagree"
+                    f"{cells[cid]}; file and spec disagree"
                 )
+            return cells[cid]
+
+        stored: dict[int, str] = {}  # index -> canonical line
+        rows_path = self.rows_path(spec_hash)
+        if os.path.exists(rows_path):
+            for row in finished_rows(rows_path):
+                stored[place(row, rows_path)] = persist.dumps_row(row)
+
+        skipped: list[str] = []
+        source = persist.iter_rows(jsonl_path, skipped=skipped)
+        new_rows = 0
+        for row in _refusing(persist.verify_rows, source, jsonl_path):
+            index = place(row, jsonl_path)
             line = persist.dumps_row(row)
             if index in stored:
                 if stored[index] != line:
                     raise ResultsError(
-                        f"{jsonl_path}: cell {cid!r} conflicts with the "
+                        f"{jsonl_path}: cell {row['cell_id']!r} conflicts with the "
                         f"already-stored row under [{spec_hash[:12]}] "
                         "(same grid, different content — engines are "
                         "bit-identical, so this means damaged input)"
@@ -210,53 +239,67 @@ class ResultsStore:
         if not os.path.isdir(runs_dir):
             return out
         for entry in sorted(os.listdir(runs_dir)):
-            manifest = os.path.join(runs_dir, entry, "manifest.json")
-            if os.path.exists(manifest):
-                with open(manifest, "r", encoding="utf-8") as fh:
-                    out.append(json.load(fh))
-        out.sort(key=lambda m: (m.get("name", ""), m.get("spec_hash", "")))
+            path = os.path.join(runs_dir, entry, "manifest.json")
+            if not os.path.exists(path):
+                continue
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    manifest = json.load(fh)
+            except ValueError:  # truncated, not JSON, not UTF-8
+                manifest = None
+            if (
+                not isinstance(manifest, dict)
+                or manifest.get("spec_hash") != entry
+                or not isinstance(manifest.get("name"), str)
+            ):
+                raise ResultsError(
+                    f"{path}: damaged manifest (not the named manifest of "
+                    f"run {entry}); re-ingest the run's source files"
+                )
+            out.append(manifest)
+        out.sort(key=lambda m: (m["name"], m["spec_hash"]))
         return out
 
-    def resolve(self, key: str) -> str:
-        """Resolve a run key — full hash, unique hash prefix, or grid name."""
+    def manifest(self, key: str) -> dict[str, Any]:
+        """Manifest of the run ``key`` names: a full hash, a unique hash
+        prefix, or a grid name."""
         runs = self.list_runs()
         matches = [
-            m["spec_hash"]
-            for m in runs
-            if m["spec_hash"].startswith(key) or m.get("name") == key
+            m for m in runs if m["spec_hash"].startswith(key) or m["name"] == key
         ]
         if len(matches) == 1:
             return matches[0]
         if not matches:
-            known = ", ".join(
-                f"{m.get('name')}[{m['spec_hash'][:12]}]" for m in runs
-            )
+            known = ", ".join(f"{m['name']}[{m['spec_hash'][:12]}]" for m in runs)
             raise ResultsError(
                 f"no stored run matches {key!r} in {self.root} "
                 f"(have: {known or 'none'})"
             )
         raise ResultsError(
             f"{key!r} is ambiguous in {self.root}: matches "
-            f"{[m[:12] for m in matches]}; use a longer hash prefix"
+            f"{[m['spec_hash'][:12] for m in matches]}; use a longer hash prefix"
         )
 
-    def manifest(self, key: str) -> dict[str, Any]:
-        """Manifest of one stored run (key resolved via :meth:`resolve`)."""
-        spec_hash = self.resolve(key)
-        with open(
-            os.path.join(self.run_dir(spec_hash), "manifest.json"),
-            "r",
-            encoding="utf-8",
-        ) as fh:
-            return json.load(fh)
+    def resolve(self, key: str) -> str:
+        """Spec hash of the run ``key`` names (see :meth:`manifest`)."""
+        return self.manifest(key)["spec_hash"]
 
     def rows(self, key: str) -> Iterator[dict[str, Any]]:
-        """Stream the stored rows of one run in grid order."""
-        spec_hash = self.resolve(key)
-        path = self.rows_path(spec_hash)
+        """Stream the stored rows of one run in grid order: the file must
+        verify and hold exactly the manifest's ``ingested`` rows, so a
+        figure is never built from fewer rows than were ingested."""
+        manifest = self.manifest(key)
+        path = self.rows_path(manifest["spec_hash"])
         if not os.path.exists(path):
             raise ResultsError(f"{path}: stored run has no rows yet")
-        yield from persist.iter_rows(path)
+        count = 0
+        for count, row in enumerate(finished_rows(path), 1):
+            yield row
+        if count != manifest.get("ingested"):
+            raise ResultsError(
+                f"{path}: holds {count} row(s) but manifest.json records "
+                f"{manifest.get('ingested')}; re-ingest the run"
+            )
 
     # ------------------------------------------------------------------
     # grid-level aggregation

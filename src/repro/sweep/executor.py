@@ -168,8 +168,9 @@ def run_sweep(
 
     With ``resume`` (the default) cells whose rows already exist in
     ``out_path`` are skipped and new rows are appended — a partially
-    written trailing line from a killed run is dropped first.  Without
-    it the file is truncated and the whole grid re-runs.
+    written trailing line from a killed run is dropped first and counted
+    in the summary's ``torn_dropped``.  Without it the file is truncated
+    and the whole grid re-runs.
 
     With ``shard=(i, m)`` only the cells of shard ``i`` run; each shard
     must write to its own file (see :func:`shard_path`), which a
@@ -182,9 +183,10 @@ def run_sweep(
     hook for progress and fault injection.
     """
     _check_shard(shard)
+    torn: list[str] = []
     with _exclusive_writer(out_path):
         if resume:
-            done = persist.compact(out_path)
+            done = persist.compact(out_path, skipped=torn)
         else:
             done = set()
             if os.path.exists(out_path):
@@ -207,5 +209,6 @@ def run_sweep(
         "cells": total,
         "written": written,
         "skipped": total - written,
+        "torn_dropped": len(torn),
         "shard": None if shard is None else f"{shard[0]}/{shard[1]}",
     }

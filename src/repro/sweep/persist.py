@@ -1,10 +1,17 @@
-"""JSONL persistence for sweep results.
+"""JSONL persistence for sweep results: one line format, one reader.
 
 One JSON object per line, serialised canonically (sorted keys, compact
 separators) so a sweep with a fixed seed produces byte-identical files
-regardless of worker count.  Files are append-only during a run; resume
-reads the valid prefix back and skips completed cells.  A truncated
-trailing line — the signature of a killed run — is dropped on load.
+regardless of worker count.  Files are append-only during a run.  Every
+consumer reads through :func:`_decode` under one of two policies:
+
+* **resume** (:func:`iter_rows`, :func:`compact`) — for a file a run may
+  still be appending to: a torn final line is dropped and counted, any
+  other damage raises :class:`ReproError` naming ``path:line``;
+* **verify** (:func:`iter_verified_rows`, behind :func:`diff_rows`,
+  :func:`merge_shards` and the results store's own files) — for a
+  finished file: every damaged line is a ``path:line`` problem and every
+  row is held to the persisted invariants (:func:`verify_rows`).
 """
 
 from __future__ import annotations
@@ -12,15 +19,19 @@ from __future__ import annotations
 import heapq
 import json
 import os
-from typing import Any, Iterable, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
+from repro.sweep.stats import DEFAULT_BINS
 
 __all__ = [
     "dumps_row",
     "iter_rows",
     "completed_ids",
     "compact",
+    "verify_rows",
+    "iter_verified_rows",
     "diff_rows",
     "merge_shards",
 ]
@@ -31,40 +42,57 @@ def dumps_row(row: dict[str, Any]) -> str:
     return json.dumps(row, sort_keys=True, separators=(",", ":"))
 
 
-def _lenient_rows(
-    lines: Iterable[str],
-    path: str,
-    *,
-    skipped: list[str] | None = None,
-) -> Iterator[dict[str, Any]]:
-    """Resume-oriented row parse shared by :func:`iter_rows`/:func:`compact`.
+#: How a non-blank line fails to be a row: not JSON (perhaps a write cut
+#: short), or a complete JSON value that is not an object (never one).
+_NOT_JSON = "corrupt JSONL row"
+_NOT_OBJECT = "not a JSON object; not a sweep row"
 
-    A corrupt *final* line is tolerated (partial write of an interrupted
-    run); a corrupt line followed by more data indicates real damage and
-    raises :class:`ReproError` — as does a line that parses to anything
-    but a JSON object, wherever it stands (a complete line is no torn
-    write).  A dropped line is never silent: pass a
-    ``skipped`` list to receive one ``"path:lineno: ..."`` entry per
-    damaged line that was tolerated, so resume/ingest callers can report
-    "N damaged line(s) skipped" instead of quietly shrinking the file.
+
+def _decode(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any] | None, str | None]]:
+    """The one reader: ``(lineno, row, damage)`` per non-blank line.
+
+    A line is what iterating a text stream yields: ``\n``, ``\r`` and
+    ``\r\n`` end one; ``\x0b``, ``\x0c``, ``\x1c``, ``\x85`` and ``\u2028``
+    do not.  One of ``row`` and ``damage`` is ``None``; what damage
+    *means* is the caller's policy.
     """
-    torn: int | None = None  # line number of an unparseable line
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
             continue
-        if torn is not None:
-            raise ReproError(f"{path}:{torn}: corrupt JSONL row mid-file")
         try:
             row = json.loads(stripped)
         except json.JSONDecodeError:
-            torn = lineno  # only an error if any non-empty line follows
+            yield lineno, None, _NOT_JSON
             continue
-        if not isinstance(row, dict):
-            raise ReproError(
-                f"{path}:{lineno}: not a JSON object; not a sweep row"
-            )
-        yield row
+        if isinstance(row, dict):
+            yield lineno, row, None
+        else:
+            yield lineno, None, _NOT_OBJECT
+
+
+def _resume(
+    lines: Iterable[str], path: str, skipped: list[str] | None
+) -> Iterator[dict[str, Any]]:
+    """*Resume* policy, for a file a run may still be appending to.
+
+    A non-JSON *final* line is tolerated (partial write of an interrupted
+    run); one followed by more data indicates real damage and raises
+    :class:`ReproError` — as does a line that parses to anything but a
+    JSON object, wherever it stands (a complete line is no torn write).
+    A dropped line is never silent: ``skipped`` (if given) receives one
+    ``"path:lineno: ..."`` entry for it, which resume and ingest report.
+    """
+    torn: int | None = None  # only an error if any non-blank line follows
+    for lineno, row, damage in _decode(lines):
+        if torn is not None:
+            raise ReproError(f"{path}:{torn}: {_NOT_JSON} mid-file")
+        if row is not None:
+            yield row
+        elif damage == _NOT_OBJECT:
+            raise ReproError(f"{path}:{lineno}: {damage}")
+        else:
+            torn = lineno
     if torn is not None and skipped is not None:
         skipped.append(
             f"{path}:{torn}: torn trailing line dropped (interrupted run)"
@@ -74,16 +102,12 @@ def _lenient_rows(
 def iter_rows(
     path: str, *, skipped: list[str] | None = None
 ) -> Iterator[dict[str, Any]]:
-    """Yield the valid rows of a JSONL file (lenient about a torn tail).
-
-    ``skipped`` (if given) collects a description of every damaged line
-    the lenient parse dropped — see :func:`_lenient_rows`.
-    """
+    """Yield the rows of a JSONL file under the *resume* policy (:func:`_resume`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from _lenient_rows(fh, path, skipped=skipped)
+        yield from _resume(fh, path, skipped)
 
 
-def _row_shape_problems(row: dict[str, Any], label: str) -> list[str]:
+def _row_shape_problems(row: dict[str, Any]) -> list[str]:
     """Structural invariants every executor row must satisfy.
 
     The latency histogram's bin counts must cover exactly the cell's
@@ -95,69 +119,57 @@ def _row_shape_problems(row: dict[str, Any], label: str) -> list[str]:
     persist the §5.1 mutual-exclusion invariant as ``exclusion_ok``; a
     ``false`` there is a protocol violation, never a valid measurement.
     """
-    from repro.sweep.stats import DEFAULT_BINS
-
     problems = []
     hist = row.get("latency_hist")
     if hist is not None:
         if len(hist) != DEFAULT_BINS:
             problems.append(
-                f"{label}: latency_hist has {len(hist)} bins, "
-                f"expected {DEFAULT_BINS}"
+                f"latency_hist has {len(hist)} bins, expected {DEFAULT_BINS}"
             )
         elif "requests" in row:
             completed = row["requests"] - row.get("requests_lost", 0)
             if sum(hist) != completed:
                 problems.append(
-                    f"{label}: latency_hist counts {sum(hist)} completed "
+                    f"latency_hist counts {sum(hist)} completed "
                     f"requests, row says {completed}"
                 )
     if row.get("exclusion_ok") is False:
         problems.append(
-            f"{label}: exclusion_ok is false — mutual exclusion violated "
+            "exclusion_ok is false — mutual exclusion violated "
             f"in cell {row.get('cell_id')}"
         )
     return problems
 
 
-def _strict_parse_line(
-    stripped: str, path: str, lineno: int, problems: list[str]
-) -> dict[str, Any] | None:
-    """Verification-grade parse of one non-blank JSONL line.
+def verify_rows(
+    rows: Iterable[dict[str, Any]], label: str, report: Callable[[str], None]
+) -> Iterator[dict[str, Any]]:
+    """Pass ``rows`` through; row ``k``'s broken persisted invariants are
+    reported, as ``"<label> row <k>: ..."``, before it is yielded."""
+    for k, row in enumerate(rows):
+        for problem in _row_shape_problems(row):
+            report(f"{label} row {k}: {problem}")
+        yield row
 
-    Returns the row dict, or ``None`` after recording *why* the line is
-    not a sweep row.  Shared by the buffering (:func:`_strict_rows`) and
-    streaming (:class:`_ShardReader`) verification readers so the
-    line-level rejection rules — and their messages — cannot diverge.
+
+def iter_verified_rows(path: str, report: Callable[[str], None]) -> Iterator[dict[str, Any]]:
+    """Yield the rows of a finished JSONL file under the *verify* policy.
+
+    Nothing is tolerated: ANY damaged line — including the torn tail a
+    killed run leaves — is reported as ``path:line: ...``, and every row
+    goes through :func:`verify_rows`.  The file verifies iff nothing was
+    reported by the time the iterator is exhausted.
     """
-    try:
-        row = json.loads(stripped)
-    except json.JSONDecodeError:
-        problems.append(f"{path}:{lineno}: corrupt JSONL row")
-        return None
-    if not isinstance(row, dict):
-        problems.append(f"{path}:{lineno}: not a JSON object; not a sweep row")
-        return None
-    return row
 
+    def undamaged(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
+        for lineno, row, damage in _decode(lines):
+            if row is None:
+                report(f"{path}:{lineno}: {damage}")
+            else:
+                yield row
 
-def _strict_rows(path: str, problems: list[str]) -> list[dict[str, Any]]:
-    """Load every row of ``path``, reporting ANY corrupt line as a problem.
-
-    Unlike :func:`iter_rows` — whose resume-oriented leniency drops a
-    torn trailing line — a *verification* read must flag it: a torn tail
-    is exactly the damage ``diff_rows`` exists to catch.
-    """
-    rows: list[dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            row = _strict_parse_line(stripped, path, lineno, problems)
-            if row is not None:
-                rows.append(row)
-    return rows
+        yield from verify_rows(undamaged(fh), path, report)
 
 
 def diff_rows(
@@ -171,17 +183,15 @@ def diff_rows(
 
     The engines' bit-identity contract means two sweeps of one grid must
     serialise to equal rows modulo the ``ignore`` columns (by default just
-    the ``engine`` label itself).  Beyond equality, every row is checked
-    against the executor's structural invariants
-    (:func:`_row_shape_problems`), corrupt lines — including the torn
-    trailing line a killed run leaves, which resume-mode reads tolerate —
-    are problems, and, when ``expect_cells`` is given, the files must
-    carry exactly that many rows.  An empty problem list means the files
-    verify.
+    the ``engine`` label itself).  Beyond equality, both files are read
+    under the *verify* policy (:func:`iter_verified_rows`: row invariants
+    checked, and the torn trailing line resume reads tolerate is a
+    problem), and, when ``expect_cells`` is given, the files must carry
+    exactly that many rows.  An empty problem list means the files verify.
     """
     problems: list[str] = []
-    rows_a = _strict_rows(path_a, problems)
-    rows_b = _strict_rows(path_b, problems)
+    rows_a = list(iter_verified_rows(path_a, problems.append))
+    rows_b = list(iter_verified_rows(path_b, problems.append))
     if expect_cells is not None and len(rows_a) != expect_cells:
         problems.append(
             f"{path_a}: expected {expect_cells} rows, found {len(rows_a)}"
@@ -202,11 +212,6 @@ def diff_rows(
                 if fa.get(key) != fb.get(key)
             )
             problems.append(f"row {k} ({cell}): columns differ: {', '.join(bad)}")
-    for path, rows in ((path_a, rows_a), (path_b, rows_b)):
-        for k, row in enumerate(rows):
-            problems.extend(
-                _row_shape_problems(row, f"{path} row {k}")
-            )
     return len(rows_a), problems
 
 
@@ -218,10 +223,8 @@ def completed_ids(path: str) -> set[str]:
 
 
 def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:
-    """Drop a truncated trailing line in place; return the completed ids.
-
-    ``skipped`` (if given) records the dropped line, as in
-    :func:`iter_rows`.
+    """Drop a truncated trailing line in place; return the completed ids
+    (*resume* policy; ``skipped`` as in :func:`_resume`).
 
     The file is read **once** and the parsed rows are compared against
     that same snapshot, then rewritten only when needed (atomic replace),
@@ -236,11 +239,13 @@ def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:
     """
     if not os.path.exists(path):
         return set()
-    with open(path, "r", encoding="utf-8") as fh:
-        current = fh.read()
-    rows = list(_lenient_rows(current.splitlines(), path, skipped=skipped))
+    # newline="": a ``\r`` line ending reads back as written, so a file
+    # carrying one is not mistaken for its canonical self.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    rows = list(_resume(lines, path, skipped))
     text = "".join(dumps_row(r) + "\n" for r in rows)
-    if current != text:
+    if "".join(lines) != text:
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -255,82 +260,47 @@ def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:
 _PROBLEMS_PER_FILE_CAP = 50
 
 
-class _ShardReader:
-    """Sequential one-row cursor over a shard JSONL file.
+def _shard_rows(
+    path: str, shard_count: int, problems: list[str], residues: set[int]
+) -> Iterator[dict[str, Any]]:
+    """One shard file's merge-eligible rows, verified, in file order.
 
-    The streaming merge holds exactly one of these per shard: one open
-    file handle, one parsed row at a time, plus O(shard-count) residue
-    bookkeeping — never a shard's full row list.  Damaged lines (corrupt
-    JSON, non-objects, rows without an integer ``index``) are recorded
-    as problems (capped per file, with a count of what was elided) and
-    skipped so the cursor keeps advancing and the file's damage gets
-    characterised without buffering it.
+    On top of the verify policy, a row without an integer ``index`` is a
+    problem and is skipped, an index that does not increase is a problem,
+    and ``residues`` collects the indices modulo ``shard_count``.
+    Problems are capped per file, with a count of what was elided.
     """
+    recorded = 0
 
-    def __init__(self, path: str, shard_count: int, problems: list[str]):
-        self.path = path
-        self._shard_count = shard_count
-        self._problems = problems
-        self._recorded = 0
-        self._suppressed = 0
-        self._fh = open(path, "r", encoding="utf-8")
-        self._lineno = 0
-        self._rowno = 0
-        self.last_index: int | None = None
-        self.residues: set[int] = set()
+    def report(message: str) -> None:
+        nonlocal recorded
+        if recorded < _PROBLEMS_PER_FILE_CAP:
+            problems.append(message)
+        recorded += 1
 
-    def _problem(self, message: str) -> None:
-        if self._recorded < _PROBLEMS_PER_FILE_CAP:
-            self._problems.append(message)
-            self._recorded += 1
-        else:
-            self._suppressed += 1
-
-    def next_row(self) -> dict[str, Any] | None:
-        """Advance to the next merge-eligible row (``None`` = exhausted)."""
-        while True:
-            line = self._fh.readline()
-            if not line:
-                return None
-            self._lineno += 1
-            stripped = line.strip()
-            if not stripped:
-                continue
-            scratch: list[str] = []
-            row = _strict_parse_line(stripped, self.path, self._lineno, scratch)
-            if row is None:
-                for message in scratch:
-                    self._problem(message)
-                continue
-            label = f"{self.path} row {self._rowno}"
-            self._rowno += 1
-            for message in _row_shape_problems(row, label):
-                self._problem(message)
-            index = row.get("index")
-            if not isinstance(index, int):
-                self._problem(
-                    f"{label}: no integer 'index' column; "
-                    "not a sweep shard row"
-                )
-                continue
-            self.residues.add(index % self._shard_count)
-            if self.last_index is not None and index <= self.last_index:
-                self._problem(
-                    f"{label}: index {index} out of order after "
-                    f"{self.last_index}; shard files are append-only in "
-                    "grid order (re-run the shard)"
-                )
-            self.last_index = index
-            return row
-
-    def close(self) -> None:
-        if self._suppressed:
-            self._problems.append(
-                f"{self.path}: {self._suppressed} further problem(s) "
-                f"suppressed (first {_PROBLEMS_PER_FILE_CAP} shown)"
+    last_index: int | None = None
+    for k, row in enumerate(iter_verified_rows(path, report)):
+        index = row.get("index")
+        if not isinstance(index, int):
+            report(
+                f"{path} row {k}: no integer 'index' column; "
+                "not a sweep shard row"
             )
-            self._suppressed = 0
-        self._fh.close()
+            continue
+        residues.add(index % shard_count)
+        if last_index is not None and index <= last_index:
+            report(
+                f"{path} row {k}: index {index} out of order after "
+                f"{last_index}; shard files are append-only in "
+                "grid order (re-run the shard)"
+            )
+        last_index = index
+        yield row
+    if recorded > _PROBLEMS_PER_FILE_CAP:
+        problems.append(
+            f"{path}: {recorded - _PROBLEMS_PER_FILE_CAP} further problem(s) "
+            f"suppressed (first {_PROBLEMS_PER_FILE_CAP} shown)"
+        )
 
 
 def _format_capped(values: list[int], dropped: int) -> str:
@@ -356,9 +326,8 @@ def merge_shards(
     their union must be exactly the contiguous index range ``0..N-1``
     with no duplicates, and each file's indices must share one residue
     modulo the shard count (mixing files from different shardings fails
-    here); every row must satisfy the executor's structural invariants
-    (:func:`_row_shape_problems`), and corrupt lines — including the torn
-    tail a killed shard leaves — are problems.
+    here); each file is read under the *verify* policy, so a broken row
+    invariant or a corrupt line — a killed shard's torn tail — is a problem.
 
     The merge **streams**: shard files are k-way merged through one read
     cursor each (rows verified and written one at a time), so peak
@@ -384,7 +353,15 @@ def merge_shards(
     shard_paths = list(shard_paths)
     shard_count = len(shard_paths)
     problems: list[str] = []
-    readers: list[_ShardReader | None] = []
+    residues: list[tuple[str, set[int]]] = []
+    streams = []
+    for path in shard_paths:
+        if not os.path.exists(path):
+            problems.append(f"{path}: missing shard file")
+            continue
+        found: set[int] = set()
+        residues.append((path, found))
+        streams.append(_shard_rows(path, shard_count, problems, found))
     total_rows = 0
     expected = 0
     dup_shown: list[int] = []
@@ -393,25 +370,11 @@ def merge_shards(
     missing_dropped = 0
     tmp = out_path + ".tmp"
     try:
-        for path in shard_paths:
-            if not os.path.exists(path):
-                problems.append(f"{path}: missing shard file")
-                readers.append(None)
-                continue
-            readers.append(_ShardReader(path, shard_count, problems))
-        # Prime the k-way merge with each shard's head row; ties on
-        # equal indices (duplicates) break by reader position so the
-        # heap never compares row dicts.
-        heap: list[tuple[int, int, dict[str, Any]]] = []
-        for pos, reader in enumerate(readers):
-            if reader is None:
-                continue
-            row = reader.next_row()
-            if row is not None:
-                heapq.heappush(heap, (row["index"], pos, row))
         with open(tmp, "w", encoding="utf-8") as out:
-            while heap:
-                index, pos, row = heapq.heappop(heap)
+            # A stable k-way merge: equal indices (duplicates) come out in
+            # shard order, and one row per shard is in memory.
+            for row in heapq.merge(*streams, key=itemgetter("index")):
+                index = row["index"]
                 if index == expected:
                     expected = index + 1
                 elif index < expected:
@@ -429,64 +392,50 @@ def merge_shards(
                     expected = index + 1
                 out.write(dumps_row(row) + "\n")
                 total_rows += 1
-                reader = readers[pos]
-                assert reader is not None
-                nxt = reader.next_row()
-                if nxt is not None:
-                    heapq.heappush(heap, (nxt["index"], pos, nxt))
-    except BaseException:
-        # A reader or the output failed mid-stream (ENOSPC, I/O error):
-        # don't leave a partial .tmp sidecar behind the exception.
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    finally:
-        for reader in readers:
-            if reader is not None:
-                reader.close()
-
-    # Round-robin partition: every file's indices share one residue
-    # modulo the shard count, and non-empty files cover distinct
-    # residues.  Catches files from a different sharding mixed in even
-    # when the union happens to be contiguous.
-    seen_residues: dict[int, str] = {}
-    for reader in readers:
-        if reader is None:
-            continue
-        if len(reader.residues) > 1:
-            problems.append(
-                f"{reader.path}: cell indices span residues "
-                f"{sorted(reader.residues)} modulo {shard_count} shards; "
-                "not one shard of this grid"
-            )
-        for residue in sorted(reader.residues):
-            if residue in seen_residues:
+        # Round-robin partition: every file's indices share one residue
+        # modulo the shard count, and non-empty files cover distinct
+        # residues.  Catches files from a different sharding mixed in even
+        # when the union happens to be contiguous.
+        seen_residues: dict[int, str] = {}
+        for path, found in residues:
+            if len(found) > 1:
                 problems.append(
-                    f"{reader.path}: same shard residue {residue} as "
-                    f"{seen_residues[residue]} (shard passed twice?)"
+                    f"{path}: cell indices span residues "
+                    f"{sorted(found)} modulo {shard_count} shards; "
+                    "not one shard of this grid"
                 )
-            else:
-                seen_residues[residue] = reader.path
-    if expect_cells is not None and total_rows != expect_cells:
-        problems.append(
-            f"merge: expected {expect_cells} rows across shards, "
-            f"found {total_rows}"
-        )
-    if dup_shown or dup_dropped:
-        problems.append(
-            "merge: duplicate cell indices across shards: "
-            f"{_format_capped(dup_shown, dup_dropped)} "
-            "(same shard run twice into different files?)"
-        )
-    if missing_shown or missing_dropped:
-        problems.append(
-            "merge: missing cell indices "
-            f"{_format_capped(missing_shown, missing_dropped)} "
-            "(a shard is absent or incomplete)"
-        )
-    if problems:
+            for residue in sorted(found):
+                if residue in seen_residues:
+                    problems.append(
+                        f"{path}: same shard residue {residue} as "
+                        f"{seen_residues[residue]} (shard passed twice?)"
+                    )
+                else:
+                    seen_residues[residue] = path
+        if expect_cells is not None and total_rows != expect_cells:
+            problems.append(
+                f"merge: expected {expect_cells} rows across shards, "
+                f"found {total_rows}"
+            )
+        if dup_shown or dup_dropped:
+            problems.append(
+                "merge: duplicate cell indices across shards: "
+                f"{_format_capped(dup_shown, dup_dropped)} "
+                "(same shard run twice into different files?)"
+            )
+        if missing_shown or missing_dropped:
+            problems.append(
+                "merge: missing cell indices "
+                f"{_format_capped(missing_shown, missing_dropped)} "
+                "(a shard is absent or incomplete)"
+            )
+        if not problems:
+            os.replace(tmp, out_path)
+    finally:
+        for stream in streams:
+            stream.close()
+        # Rejected, or a reader or the output failed mid-stream (ENOSPC,
+        # I/O error): no partial .tmp sidecar stays behind.
         if os.path.exists(tmp):
             os.remove(tmp)
-        return total_rows, problems
-    os.replace(tmp, out_path)
     return total_rows, problems

@@ -126,3 +126,141 @@ def test_truncation_at_every_byte_is_the_clean_outcome_or_a_named_problem(
             merged_out.unlink()
         else:
             assert problems and not merged_out.exists(), offset
+
+
+# ----------------------------------------------------------------------
+# whole-line damage: duplicated, dropped, moved and swapped lines, and
+# newlines replaced by characters only ``str.splitlines`` would break on
+# ----------------------------------------------------------------------
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x85", " ", "\r"]
+
+
+def line_mutations(lines):
+    """Every (name, text) one whole-line edit away from ``lines``."""
+    for i, line in enumerate(lines):
+        rest = lines[:i] + lines[i + 1:]
+        yield f"dup{i}", "".join(lines[: i + 1] + lines[i:])
+        yield f"drop{i}", "".join(rest)
+        for j in range(len(lines)):
+            if j != i:
+                yield f"move{i}to{j}", "".join(rest[:j] + [line] + rest[j:])
+        for sep in SEPARATORS:
+            yield f"sep{i}={sep!r}", "".join(
+                lines[:i] + [line[:-1] + sep] + lines[i + 1:]
+            )
+
+
+def outcome(read):
+    """What a reader returns, or the ``ReproError`` text it raises."""
+    try:
+        return read()
+    except ReproError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_whole_line_damage_is_the_clean_outcome_or_a_named_problem(
+    tmp_path, smoke_bytes
+):
+    spec = smoke_grid()
+    clean = tmp_path / "clean.jsonl"
+    clean.write_bytes(smoke_bytes)
+    clean_ids = {row["cell_id"] for row in iter_rows(str(clean))}
+    clean_store = ResultsStore(str(tmp_path / "clean_store"))
+    clean_store.ingest(spec, str(clean))
+    with open(clean_store.rows_path(spec.spec_hash()), "rb") as fh:
+        stored_bytes = fh.read()
+
+    bad = tmp_path / "bad.jsonl"
+    lines = smoke_bytes.decode().splitlines(keepends=True)
+    named = 0
+    for name, text in line_mutations(lines):
+        bad.write_text(text, encoding="utf-8", newline="")
+
+        # verify: the clean verdict, or problems.
+        rows, problems = diff_rows(str(bad), str(clean))
+        assert problems or rows == 4, name
+        named += bool(problems)
+
+        # ingest: the clean store, a report that says partial, or an error.
+        store = ResultsStore(str(tmp_path / f"store-{name}"))
+        report = outcome(lambda: store.ingest(spec, str(bad)))
+        if isinstance(report, str):
+            assert str(bad) in report, name
+        elif report.complete:
+            with open(store.rows_path(spec.spec_hash()), "rb") as fh:
+                assert fh.read() == stored_bytes, name
+        else:
+            assert report.total_rows < 4 and "(partial)" in report.summary(), name
+
+        # resume: both resume readers agree on every file ...
+        read = outcome(lambda: list(iter_rows(str(bad))))
+        ids = outcome(lambda: compact(str(bad)))
+        if isinstance(read, str):
+            assert ids == read and str(bad) in read, name
+            assert bad.read_bytes() == text.encode(), name  # nothing rewrote it
+            continue
+        assert ids == {row["cell_id"] for row in read}, name
+        # ... and a resumed run either heals the file to the clean bytes
+        # or leaves damage that verification still names — every cell is
+        # there either way, so nothing got silently shorter.
+        run_sweep(spec, str(bad))
+        assert {row["cell_id"] for row in iter_rows(str(bad))} == clean_ids, name
+        assert (
+            bad.read_bytes() == smoke_bytes
+            or diff_rows(str(bad), str(clean))[1]
+        ), name
+    # verify names every edit but the nine that change no row: a ``\r``
+    # is a line ending, a separator after the last row trailing whitespace.
+    assert named == 44 - 9
+
+
+def test_whole_line_damage_to_a_shard_never_merges_short(tmp_path, smoke_bytes):
+    spec = smoke_grid()
+    out = tmp_path / "merged.jsonl"
+    paths = [shard_path(str(out), i, 2) for i in range(2)]
+    shards = []
+    for i, path in enumerate(paths):
+        run_sweep(spec, path, shard=(i, 2))
+        with open(path, encoding="utf-8") as fh:
+            shards.append(fh.readlines())
+
+    def merged_or_refused(texts, name):
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        rows, problems = merge_shards(paths, str(out), expect_cells=4)
+        if problems:
+            assert not out.exists(), name
+        else:
+            assert rows == 4 and out.read_bytes() == smoke_bytes, name
+            out.unlink()
+        return bool(problems)
+
+    clean = ["".join(lines) for lines in shards]
+    assert not merged_or_refused(clean, "clean")
+    refused = 0
+    for k in range(2):
+        for name, text in line_mutations(shards[k]):
+            texts = list(clean)
+            texts[k] = text
+            refused += merged_or_refused(texts, f"shard{k}:{name}")
+    for i in range(2):
+        for j in range(2):
+            a, b = list(shards[0]), list(shards[1])
+            a[i], b[j] = b[j], a[i]
+            assert merged_or_refused(["".join(a), "".join(b)], f"swap{i}x{j}")
+    assert refused == 2 * (18 - 7)  # per shard, all but the seven row-preserving edits
+
+
+def test_a_resumed_sweep_says_it_dropped_a_torn_tail(tmp_path, capsys, smoke_bytes):
+    path = tmp_path / "smoke.jsonl"
+    path.write_bytes(smoke_bytes[:-25])
+    assert run_sweep(smoke_grid(), str(path))["torn_dropped"] == 1
+    assert run_sweep(smoke_grid(), str(path))["torn_dropped"] == 0
+
+    path.write_bytes(smoke_bytes[:-25])
+    capsys.readouterr()
+    assert main(["sweep", "--grid", "smoke", "--out", str(path)]) == 0
+    assert ("1 written, 3 skipped of 4 cells (1 torn trailing line dropped)"
+            in capsys.readouterr().out)
+    assert path.read_bytes() == smoke_bytes
