@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time as _wall
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import islice, repeat
 from operator import eq
 
 from repro.core.event_stream import EVENT_CHUNK, EventSink, EventStream
@@ -30,7 +30,7 @@ from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import NetworkError, ProtocolError, SimulationError
 from repro.graphs.graph import Graph
-from repro.graphs.validation import require_spanning_subgraph
+from repro.graphs.validation import tree_link_weights
 from repro.net.latency import LatencyModel, UnitLatency
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
@@ -78,23 +78,11 @@ def _raise_livelock(max_events: int | None) -> None:
     )
 
 
-def _tree_link_weights(graph: Graph, parent: list[int], root: int) -> list[float]:
-    """Per-link weights as the Network sees them.
-
-    Graph weights on the tree edges (``tree.edge_weight`` may legitimately
-    differ).
-    """
-    weight = [0.0] * len(parent)
-    for v in range(len(parent)):
-        if v != root:
-            weight[v] = graph.weight(v, parent[v])
-    return weight
-
-
 def _det_link_delays(
     model: LatencyModel,
-    parent: list[int],
-    weight: list[float],
+    links: list[int],
+    ups: list[int],
+    weights: list[float],
     root: int,
     rng,
 ) -> tuple[list[float] | None, list[float] | None]:
@@ -102,21 +90,17 @@ def _det_link_delays(
 
     Deterministic models may legally depend on the (src, dst) direction,
     so one delay per directed link: up[v] = v -> parent[v], down[v] =
-    parent[v] -> v.  ``(None, None)`` for stochastic models, which must
-    draw per send.
+    parent[v] -> v (``links`` are the non-root nodes in order, ``ups``
+    their parents, ``weights`` the link weights; 0.0 at the root).
+    ``(None, None)`` for stochastic models, which must draw per send.
     """
     if model.stochastic:
         return None, None
     sample = model.sample
-    n = len(parent)
-    det_up = [
-        sample(v, parent[v], weight[v], rng) if v != root else 0.0
-        for v in range(n)
-    ]
-    det_down = [
-        sample(parent[v], v, weight[v], rng) if v != root else 0.0
-        for v in range(n)
-    ]
+    det_up = list(map(sample, links, ups, weights, repeat(rng)))
+    det_down = list(map(sample, ups, links, weights, repeat(rng)))
+    det_up.insert(root, 0.0)
+    det_down.insert(root, 0.0)
     return det_up, det_down
 
 
@@ -170,7 +154,6 @@ class FastArrowEngine:
     ) -> None:
         if service_time < 0:
             raise NetworkError(f"service_time must be >= 0, got {service_time}")
-        require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
         self.graph = graph
         self.tree = tree
         self.latency = latency if latency is not None else UnitLatency()
@@ -178,17 +161,29 @@ class FastArrowEngine:
         self.service_time = float(service_time)
 
         n = tree.num_nodes
+        root = tree.root
         self._n = n
-        self._root = tree.root
-        self._parent = list(tree.parent)
-        self._weight = _tree_link_weights(graph, self._parent, self._root)
+        self._root = root
+        self._parent = parent = list(tree.parent)
+        # The tree links as columns: every non-root node and its parent.
+        links = list(range(n))
+        del links[root]
+        ups = parent[:]
+        del ups[root]
+        # Graph weights on the tree links, as the Network sees them
+        # (``tree.edge_weight`` may legitimately differ); one bulk read
+        # that also checks every link is a graph edge.
+        link_weights = tree_link_weights(graph, links, ups)
         self._det_up, self._det_down = _det_link_delays(
             self.latency,
-            self._parent,
-            self._weight,
-            self._root,
+            links,
+            ups,
+            link_weights,
+            root,
             spawn_rng(seed, "network-latency"),
         )
+        link_weights.insert(root, 0.0)
+        self._weight = link_weights
 
     # ------------------------------------------------------------------
     def run(

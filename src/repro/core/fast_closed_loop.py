@@ -152,7 +152,7 @@ class _Router:
         path.reverse()
         srcs = path[:-1]
         dsts = path[1:]
-        weights = [self.graph.weight(a, b) for a, b in zip(srcs, dsts)]
+        weights = self.graph.edge_weights(srcs, dsts)
         edges = (srcs, dsts, weights)
         self._paths[key] = edges
         return edges

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _checked_weight
 from repro.graphs.shortest_paths import is_connected
 from repro.sim.rng import spawn_rng
 
@@ -44,34 +44,26 @@ __all__ = [
 
 def path_graph(n: int, weight: float = 1.0) -> Graph:
     """Path ``0 - 1 - ... - n-1``."""
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1, weight)
-    return g
+    return Graph.from_columns(n, range(n - 1), range(1, n), weight)
 
 
 def cycle_graph(n: int, weight: float = 1.0) -> Graph:
     """Cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
-    g = path_graph(n, weight)
-    g.add_edge(n - 1, 0, weight)
-    return g
+    return Graph.from_columns(n, [*range(n - 1), n - 1], [*range(1, n), 0], weight)
 
 
 def star_graph(n: int, weight: float = 1.0) -> Graph:
     """Star with centre 0 and ``n - 1`` leaves."""
-    g = Graph(n)
-    for i in range(1, n):
-        g.add_edge(0, i, weight)
-    return g
+    return Graph.from_columns(n, [0] * (n - 1), range(1, n), weight)
 
 
 def complete_graph(n: int, weight: float = 1.0) -> Graph:
     """Complete graph ``K_n`` with uniform edge weight (SP2 model, §5)."""
     g = Graph(n)
-    if n > 1 and weight <= 0:
-        raise GraphError(f"edge weight must be positive, got {weight}")
+    if n > 1:
+        _checked_weight(weight)
     # Each ascending adjacency row written whole — what n(n-1)/2 add_edge
     # calls (two node checks and two dict stores each) would leave behind.
     full_row = dict.fromkeys(range(n), float(weight))
@@ -89,37 +81,43 @@ def balanced_binary_tree_graph(n: int, weight: float = 1.0) -> Graph:
     paper's experiments use as the arrow spanning tree ("a perfectly
     balanced binary tree (log2 n depth for n nodes)").
     """
-    g = Graph(n)
-    for i in range(1, n):
-        g.add_edge(i, (i - 1) // 2, weight)
-    return g
+    return Graph.from_columns(
+        n, range(1, n), [(i - 1) // 2 for i in range(1, n)], weight
+    )
+
+
+def _grid_columns(rows: int, cols: int) -> tuple[list[int], list[int]]:
+    """Mesh edges in row-major order, right link before down link."""
+    us: list[int] = []
+    vs: list[int] = []
+    for u in range(rows * cols):
+        r, c = divmod(u, cols)
+        if c + 1 < cols:
+            us.append(u)
+            vs.append(u + 1)
+        if r + 1 < rows:
+            us.append(u)
+            vs.append(u + cols)
+    return us, vs
 
 
 def grid_graph(rows: int, cols: int, weight: float = 1.0) -> Graph:
     """``rows x cols`` 2-D mesh; node ``(r, c)`` is ``r * cols + c``."""
     if rows < 1 or cols < 1:
         raise GraphError("grid needs positive dimensions")
-    g = Graph(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                g.add_edge(u, u + 1, weight)
-            if r + 1 < rows:
-                g.add_edge(u, u + cols, weight)
-    return g
+    us, vs = _grid_columns(rows, cols)
+    return Graph.from_columns(rows * cols, us, vs, weight)
 
 
 def torus_graph(rows: int, cols: int, weight: float = 1.0) -> Graph:
     """2-D torus (mesh with wraparound links); needs both dims >= 3."""
     if rows < 3 or cols < 3:
         raise GraphError("torus needs rows, cols >= 3")
-    g = grid_graph(rows, cols, weight)
-    for r in range(rows):
-        g.add_edge(r * cols, r * cols + cols - 1, weight)
-    for c in range(cols):
-        g.add_edge(c, (rows - 1) * cols + c, weight)
-    return g
+    us, vs = _grid_columns(rows, cols)
+    us += [r * cols for r in range(rows)] + list(range(cols))
+    vs += [r * cols + cols - 1 for r in range(rows)]
+    vs += [(rows - 1) * cols + c for c in range(cols)]
+    return Graph.from_columns(rows * cols, us, vs, weight)
 
 
 def hypercube_graph(dim: int, weight: float = 1.0) -> Graph:
@@ -127,13 +125,11 @@ def hypercube_graph(dim: int, weight: float = 1.0) -> Graph:
     if dim < 1:
         raise GraphError("hypercube needs dim >= 1")
     n = 1 << dim
-    g = Graph(n)
-    for u in range(n):
-        for b in range(dim):
-            v = u ^ (1 << b)
-            if v > u:
-                g.add_edge(u, v, weight)
-    return g
+    pairs = [(u, u ^ (1 << b)) for u in range(n) for b in range(dim)]
+    pairs = [(u, v) for u, v in pairs if v > u]
+    return Graph.from_columns(
+        n, [u for u, _ in pairs], [v for _, v in pairs], weight
+    )
 
 
 def random_geometric_graph(
@@ -147,34 +143,47 @@ def random_geometric_graph(
     ``euclidean_weights=True`` edges carry their Euclidean length, giving a
     "constant dimensional Euclidean graph" in the sense of §1.1.
     """
-    rng = spawn_rng(seed, f"geometric-{n}-{radius}")
-    pts = rng.random((n, 2))
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = math.dist(pts[u], pts[v])
-            if d <= radius:
-                g.add_edge(u, v, d if euclidean_weights else 1.0)
-    _stitch_components(g, pts, euclidean_weights)
-    return g
-
-
-def _stitch_components(g: Graph, pts: np.ndarray, euclidean_weights: bool) -> None:
-    """Connect a geometric graph's components via nearest cross-pairs."""
     from repro.graphs.shortest_paths import connected_components
 
+    rng = spawn_rng(seed, f"geometric-{n}-{radius}")
+    pts = rng.random((n, 2)).tolist()
+    us: list[int] = []
+    vs: list[int] = []
+    ds: list[float] = []
+    for u in range(n):
+        pu = pts[u]
+        for v in range(u + 1, n):
+            d = math.dist(pu, pts[v])
+            if d <= radius:
+                us.append(u)
+                vs.append(v)
+                ds.append(d)
+
+    def build() -> Graph:
+        return Graph.from_columns(n, us, vs, ds if euclidean_weights else 1.0)
+
+    g = build()
     comps = connected_components(g)
-    while len(comps) > 1:
-        a, b = comps[0], comps[1]
+    if len(comps) == 1:
+        return g
+    # Stitch: link the component of node 0 to the next component by their
+    # nearest cross pair, merge, repeat (components come ordered by their
+    # smallest node, so the merged one stays first).
+    merged = comps[0]
+    for other in comps[1:]:
         best = (math.inf, -1, -1)
-        for u in a:
-            for v in b:
-                d = math.dist(pts[u], pts[v])
+        for u in merged:
+            pu = pts[u]
+            for v in other:
+                d = math.dist(pu, pts[v])
                 if d < best[0]:
                     best = (d, u, v)
-        _, u, v = best
-        g.add_edge(u, v, best[0] if euclidean_weights else 1.0)
-        comps = connected_components(g)
+        d, u, v = best
+        us.append(u)
+        vs.append(v)
+        ds.append(d)
+        merged = sorted(merged + other)
+    return build()
 
 
 def gnp_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
@@ -187,12 +196,10 @@ def gnp_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
         raise GraphError(f"p must be in (0, 1], got {p}")
     rng = spawn_rng(seed, f"gnp-{n}-{p}")
     for _ in range(200):
-        g = Graph(n)
         mask = rng.random((n, n)) < p
-        for u in range(n):
-            for v in range(u + 1, n):
-                if mask[u, v]:
-                    g.add_edge(u, v)
+        # Row-major upper triangle: the order of a ``u < v`` nested loop.
+        us, vs = np.nonzero(np.triu(mask, 1))
+        g = Graph.from_columns(n, us.tolist(), vs.tolist(), 1.0)
         if is_connected(g):
             return g
     raise GraphError(f"could not sample a connected G({n}, {p}) in 200 tries")
@@ -201,26 +208,19 @@ def gnp_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
 def caterpillar_graph(spine: int, legs_per_node: int, weight: float = 1.0) -> Graph:
     """Path of ``spine`` nodes, each with ``legs_per_node`` pendant leaves."""
     n = spine * (1 + legs_per_node)
-    g = Graph(n)
-    for i in range(spine - 1):
-        g.add_edge(i, i + 1, weight)
-    nxt = spine
+    us = list(range(spine - 1))
+    vs = list(range(1, spine))
     for i in range(spine):
-        for _ in range(legs_per_node):
-            g.add_edge(i, nxt, weight)
-            nxt += 1
-    return g
+        us += [i] * legs_per_node
+    vs += range(spine, n)
+    return Graph.from_columns(n, us, vs, weight)
 
 
 def lollipop_graph(clique: int, tail: int, weight: float = 1.0) -> Graph:
     """Clique ``K_clique`` with a path of ``tail`` nodes hanging off node 0."""
     n = clique + tail
-    g = Graph(n)
-    for u in range(clique):
-        for v in range(u + 1, clique):
-            g.add_edge(u, v, weight)
-    prev = 0
-    for i in range(clique, n):
-        g.add_edge(prev, i, weight)
-        prev = i
-    return g
+    us = [u for u in range(clique) for _ in range(u + 1, clique)]
+    vs = [v for u in range(clique) for v in range(u + 1, clique)]
+    us += [0, *range(clique, n - 1)] if tail else []
+    vs += range(clique, n)
+    return Graph.from_columns(n, us, vs, weight)

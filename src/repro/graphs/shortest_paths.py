@@ -32,13 +32,15 @@ __all__ = [
 
 def bfs_distances(graph: Graph, source: int) -> list[float]:
     """Hop distances from ``source`` (ignores weights); ``inf`` if unreachable."""
+    graph._check_node(source)
+    adj = graph._adj
     dist = [math.inf] * graph.num_nodes
     dist[source] = 0.0
     q: deque[int] = deque([source])
     while q:
         u = q.popleft()
         du = dist[u]
-        for v in graph.neighbors(u):
+        for v in adj[u]:
             if dist[v] == math.inf:
                 dist[v] = du + 1.0
                 q.append(v)
@@ -52,21 +54,25 @@ def dijkstra(graph: Graph, source: int) -> tuple[list[float], list[int]]:
     shortest path from the source (``-1`` for the source and unreachable
     nodes).
     """
+    graph._check_node(source)
+    adj = graph._adj
     n = graph.num_nodes
     dist = [math.inf] * n
     pred = [-1] * n
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
+    pop = heapq.heappop
+    push = heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
-        for v, w in graph.neighbor_weights(u):
+        for v, w in adj[u].items():
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, v))
+                push(heap, (nd, v))
     return dist, pred
 
 
@@ -114,6 +120,7 @@ def is_connected(graph: Graph) -> bool:
 
 def connected_components(graph: Graph) -> list[list[int]]:
     """Connected components as sorted node lists."""
+    adj = graph._adj
     seen = [False] * graph.num_nodes
     comps: list[list[int]] = []
     for s in graph.nodes():
@@ -125,7 +132,7 @@ def connected_components(graph: Graph) -> list[list[int]]:
         while q:
             u = q.popleft()
             comp.append(u)
-            for v in graph.neighbors(u):
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     q.append(v)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
-from repro.graphs.generators import path_graph
 from repro.graphs.graph import Graph
 from repro.lowerbound.construction import default_k, theorem41_requests
 from repro.spanning.tree import SpanningTree
@@ -56,10 +55,13 @@ def theorem42_instance(D_over_s: int, s: int, k: int | None = None) -> Theorem42
     if k is None:
         k = default_k(D_over_s)
     D = s * D_over_s
-    graph = path_graph(D + 1)
+    # The path v_0..v_D, then (for s > 1) one shortcut per s path hops.
+    us = list(range(D))
+    vs = list(range(1, D + 1))
     if s > 1:
-        for i in range(1, D_over_s + 1):
-            graph.add_edge((i - 1) * s, i * s, 1.0)
+        us += range(0, D, s)
+        vs += range(s, D + 1, s)
+    graph = Graph.from_columns(D + 1, us, vs, 1.0)
     parent = [max(0, i - 1) for i in range(D + 1)]
     tree = SpanningTree(parent, root=0)
     # Requests of the path-(D/s) construction, placed s hops apart.

@@ -17,9 +17,11 @@ provides the constructions discussed in §1.1:
 from __future__ import annotations
 
 import heapq
+import math
 
-from repro.errors import GraphError, TreeError
+from repro.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.graphs.validation import tree_link_weights
 from repro.spanning.tree import SpanningTree
 from repro.sim.rng import spawn_rng
 
@@ -121,11 +123,17 @@ def bfs_tree(graph: Graph, root: int = 0) -> SpanningTree:
     from repro.graphs.shortest_paths import dijkstra
 
     dist, pred = dijkstra(graph, root)
-    if any(d == float("inf") for d in dist):
+    if math.inf in dist:
         raise GraphError("graph is disconnected; no spanning tree exists")
-    # The predecessor array already is the rooted tree's parent array.
+    # The predecessor array already is the rooted tree's parent array; the
+    # links are every other node and its predecessor.
+    links = list(graph.nodes())
+    del links[root]
+    ups = pred[:]
+    del ups[root]
+    weights = graph.edge_weights(links, ups)
+    weights.insert(root, 0.0)
     pred[root] = root
-    weights = [0.0 if v == root else graph.weight(v, pred[v]) for v in graph.nodes()]
     return SpanningTree(pred, root, weights)
 
 
@@ -143,29 +151,27 @@ def balanced_binary_overlay(graph: Graph, root: int = 0) -> SpanningTree:
     n = graph.num_nodes
     # Heap-order permutation placing `root` at position 0.
     order = [root] + [v for v in graph.nodes() if v != root]
-    edges = []
-    for i in range(1, n):
-        u, p = order[i], order[(i - 1) // 2]
-        if not graph.has_edge(u, p):
-            raise TreeError(
-                f"balanced overlay needs edge ({u}, {p}) which is absent; "
-                "use a complete graph or a BFS/MST tree instead"
-            )
-        edges.append((u, p, graph.weight(u, p)))
-    return SpanningTree.from_edges(n, edges, root)
+    us = order[1:]
+    ps = [order[(i - 1) // 2] for i in range(1, n)]
+    weights = tree_link_weights(
+        graph,
+        us,
+        ps,
+        "balanced overlay needs edge ({u}, {v}) which is absent; "
+        "use a complete graph or a BFS/MST tree instead",
+    )
+    return SpanningTree.from_edges(n, zip(us, ps, weights), root)
 
 
 def star_overlay(graph: Graph, center: int = 0) -> SpanningTree:
     """Star spanning tree centred at ``center`` (requires those edges)."""
     n = graph.num_nodes
-    edges = []
-    for v in graph.nodes():
-        if v == center:
-            continue
-        if not graph.has_edge(v, center):
-            raise TreeError(f"star overlay needs edge ({v}, {center})")
-        edges.append((v, center, graph.weight(v, center)))
-    return SpanningTree.from_edges(n, edges, center)
+    leaves = [v for v in graph.nodes() if v != center]
+    centers = [center] * len(leaves)
+    weights = tree_link_weights(
+        graph, leaves, centers, "star overlay needs edge ({u}, {v})"
+    )
+    return SpanningTree.from_edges(n, zip(leaves, centers, weights), center)
 
 
 def random_spanning_tree(graph: Graph, root: int = 0, seed: int = 0) -> SpanningTree:
@@ -199,7 +205,7 @@ def random_spanning_tree(graph: Graph, root: int = 0, seed: int = 0) -> Spanning
         while not in_tree[u]:
             in_tree[u] = True
             u = parent[u]
-    edges = [
-        (v, parent[v], graph.weight(v, parent[v])) for v in range(n) if v != root
-    ]
-    return SpanningTree.from_edges(n, edges, root)
+    links = [v for v in range(n) if v != root]
+    parents = [parent[v] for v in links]
+    weights = graph.edge_weights(links, parents)
+    return SpanningTree.from_edges(n, zip(links, parents, weights), root)

@@ -3,8 +3,9 @@
 The arrow protocol operates on a pre-selected spanning tree ``T`` of the
 network.  :class:`SpanningTree` stores the rooted structure (parents,
 children, depths), answers ``d_T(u, v)`` distance queries in ``O(log n)``
-via binary-lifting LCA, and exposes the path between two nodes (used by the
-tests that verify queue messages travel the direct tree path, [4]).
+via binary-lifting LCA (the table is built by the first query), and
+exposes the path between two nodes (used by the tests that verify queue
+messages travel the direct tree path, [4]).
 
 Trees may be weighted; ``depth`` counts hops while ``wdepth`` accumulates
 edge weights, and ``distance`` returns the weighted tree metric (which
@@ -13,6 +14,7 @@ collapses to hop count on unit-weighted trees — the synchronous model).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -54,7 +56,8 @@ class SpanningTree:
             The root node (initial queue tail / sink in the protocol).
         edge_weights:
             ``edge_weights[v]`` is the weight of the edge ``v — parent[v]``
-            (ignored at the root).  Defaults to all ones.
+            (ignored at the root); positive and finite.  Defaults to all
+            ones.
         """
         n = len(parent)
         if not 0 <= root < n:
@@ -63,45 +66,62 @@ class SpanningTree:
             raise TreeError("parent[root] must equal root")
         self._n = n
         self.root = root
-        self.parent = list(parent)
-        self.edge_weight = (
-            [1.0] * n if edge_weights is None else [float(w) for w in edge_weights]
-        )
-        self.edge_weight[root] = 0.0
+        self.parent = parent = list(parent)
+        if edge_weights is None:
+            weight = [1.0] * n
+        else:
+            weight = [float(w) for w in edge_weights]
+            weight[root] = 1.0  # ignored at the root: a value the check passes
+            if (
+                not 0.0 < min(weight) <= max(weight) < math.inf
+                or any(map(math.isnan, weight))
+            ):
+                v = next(v for v, w in enumerate(weight) if not 0.0 < w < math.inf)
+                raise TreeError(
+                    f"edge weight of ({v}, {parent[v]}) must be positive and "
+                    f"finite, got {weight[v]}"
+                )
+        weight[root] = 0.0
+        self.edge_weight = weight
 
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            p = self.parent[v]
+        self.children = children = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
             if v != root:
                 if not 0 <= p < n:
                     raise TreeError(f"parent[{v}]={p} out of range")
                 if p == v:
                     raise TreeError(f"non-root node {v} is its own parent")
-                self.children[p].append(v)
+                children[p].append(v)
 
         # BFS from the root: computes depths and validates that the parent
         # array encodes a single tree reaching every node (no cycles, no
         # disconnected pieces).
-        self.depth = [-1] * n
-        self.wdepth = [0.0] * n
-        self.depth[root] = 0
+        self.depth = depth = [-1] * n
+        self.wdepth = wdepth = [0.0] * n
+        depth[root] = 0
         q: deque[int] = deque([root])
+        pop = q.popleft
+        push = q.append
         seen = 1
         while q:
-            u = q.popleft()
-            for c in self.children[u]:
-                if self.depth[c] != -1:
+            u = pop()
+            du = depth[u] + 1
+            wu = wdepth[u]
+            for c in children[u]:
+                if depth[c] != -1:
                     raise TreeError(f"node {c} reached twice; parent array has a cycle")
-                self.depth[c] = self.depth[u] + 1
-                self.wdepth[c] = self.wdepth[u] + self.edge_weight[c]
-                seen += 1
-                q.append(c)
+                depth[c] = du
+                wdepth[c] = wu + weight[c]
+                push(c)
+            seen += len(children[u])
         if seen != n:
             raise TreeError(
                 f"parent array reaches only {seen}/{n} nodes (cycle or forest)"
             )
 
-        self._build_lifting()
+        # The binary-lifting table is built by the first lca() query.
+        self._up: list[list[int]] | None = None
+        self._log = 0
 
     # ------------------------------------------------------------------
     # constructors
@@ -117,7 +137,11 @@ class SpanningTree:
         adj: list[list[tuple[int, float]]] = [[] for _ in range(num_nodes)]
         count = 0
         for e in edges:
+            if not 2 <= len(e) <= 3:
+                raise TreeError(f"edge {e!r} must be (u, v) or (u, v, weight)")
             u, v = e[0], e[1]
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise TreeError(f"edge ({u}, {v}) has a node out of range [0, {num_nodes})")
             w = float(e[2]) if len(e) == 3 else 1.0
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -135,7 +159,7 @@ class SpanningTree:
                     parent[v] = u
                     weights[v] = w
                     q.append(v)
-        if any(p == -1 for p in parent):
+        if -1 in parent:
             raise TreeError("edge list does not form a connected tree")
         return cls(parent, root, weights)
 
@@ -180,6 +204,8 @@ class SpanningTree:
             u, v = v, u
         diff = self.depth[u] - self.depth[v]
         up = self._up
+        if up is None:
+            up = self._build_lifting()
         k = 0
         while diff:
             if diff & 1:
@@ -255,10 +281,13 @@ class SpanningTree:
 
     def to_graph(self) -> Graph:
         """The tree as an undirected :class:`Graph`."""
-        g = Graph(self._n)
-        for u, v, w in self.edges():
-            g.add_edge(u, v, w)
-        return g
+        links = [v for v in range(self._n) if v != self.root]
+        return Graph.from_columns(
+            self._n,
+            links,
+            [self.parent[v] for v in links],
+            [self.edge_weight[v] for v in links],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpanningTree(n={self._n}, root={self.root})"
@@ -266,12 +295,12 @@ class SpanningTree:
     # ------------------------------------------------------------------
     # internal: binary lifting table
     # ------------------------------------------------------------------
-    def _build_lifting(self) -> None:
-        n = self._n
+    def _build_lifting(self) -> list[list[int]]:
         log = max(1, (max(self.depth)).bit_length())
         up = [self.parent[:]]
-        for k in range(1, log):
-            prev = up[k - 1]
-            up.append([prev[prev[v]] for v in range(n)])
+        for _ in range(1, log):
+            prev = up[-1]
+            up.append([prev[p] for p in prev])
         self._up = up
         self._log = log
+        return up
