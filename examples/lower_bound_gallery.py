@@ -11,8 +11,8 @@ layered reconstruction are shown (the reproduction note in
 Run:  python examples/lower_bound_gallery.py
 """
 
-from repro.analysis import opt_bounds, predict_arrow_run
-from repro.experiments import render_instance, worst_case_arrow_cost
+from repro.analysis import opt_bounds, predict_arrow_run, worst_case_arrow_cost
+from repro.experiments import render_instance
 from repro.lowerbound import layered_instance, theorem41_instance
 
 

@@ -14,8 +14,10 @@ Public API tour
   nearest-neighbour characterisation, optimal-offline brackets,
   competitive-ratio reports;
 * adversarial inputs:   :mod:`repro.lowerbound` (Section 4 constructions);
-* paper figures:        :mod:`repro.experiments` and the ``repro-arrow``
-  command-line interface.
+* paper tables:         named grids in :mod:`repro.sweep` (``fig10_grid``,
+  ``thm319_grid``, ...) tabulated by :func:`repro.results.figure_from_rows`
+  and rendered by :mod:`repro.experiments`; the ``repro-arrow``
+  command-line interface runs them all.
 """
 
 from repro._version import __version__
@@ -40,7 +42,6 @@ from repro.spanning import (
     SpanningTree,
     balanced_binary_overlay,
     bfs_tree,
-    mst_kruskal,
     mst_prim,
     tree_diameter,
     tree_stretch,
@@ -67,7 +68,6 @@ __all__ = [
     "SpanningTree",
     "balanced_binary_overlay",
     "bfs_tree",
-    "mst_kruskal",
     "mst_prim",
     "tree_diameter",
     "tree_stretch",

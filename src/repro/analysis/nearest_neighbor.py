@@ -32,7 +32,13 @@ from repro.core.requests import RequestSchedule
 from repro.errors import AnalysisError
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["NNResult", "nn_order", "PredictedRun", "predict_arrow_run"]
+__all__ = [
+    "NNResult",
+    "nn_order",
+    "PredictedRun",
+    "predict_arrow_run",
+    "worst_case_arrow_cost",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,3 +149,15 @@ def predict_arrow_run(
         had_ties=nn.had_ties,
         max_ct_edge=nn.max_edge,
     )
+
+
+def worst_case_arrow_cost(tree: SpanningTree, schedule: RequestSchedule) -> float:
+    """Max arrow cost over the executor's tie-breaking policies.
+
+    Every tie-break policy corresponds to a legal arrow execution
+    (Lemma 3.8 leaves simultaneity resolution to the scheduler), so the
+    max over policies is a certified lower bound on the worst case.
+    """
+    lo = predict_arrow_run(tree, schedule, tie_break="min").arrow_cost
+    hi = predict_arrow_run(tree, schedule, tie_break="max").arrow_cost
+    return max(lo, hi)

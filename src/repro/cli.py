@@ -19,7 +19,7 @@ import sys
 import time
 
 from repro.core.fast_arrow import ENGINES
-from repro.experiments import format_kv, format_table, plot
+from repro.experiments import format_kv, format_table, plot, render_instance
 
 __all__ = ["main"]
 
@@ -243,17 +243,30 @@ _FIGURES = {
 }
 
 
-def _figure(args):
-    """One paper figure: sweep its grid in memory, tabulate the rows.
+def _table(name, specs, metric=None):
+    """One paper table: sweep its grid(s) in memory, tabulate the rows.
 
     A row that breaks a persisted invariant (``exclusion_ok`` false on a
     directory row) is a protocol violation, not a figure: exit 1.
     """
-    import dataclasses
-
     from repro.results import figure_from_rows
     from repro.sweep import iter_sweep
     from repro.sweep.persist import verify_rows
+
+    problems: list[str] = []
+    rows = [
+        row
+        for spec in specs
+        for row in verify_rows(iter_sweep(spec), name, problems.append)
+    ]
+    if problems:
+        raise SystemExit(f"{name} FAILED: " + "; ".join(problems))
+    return figure_from_rows(name, rows, metric=metric)
+
+
+def _figure(args):
+    """A measured figure: its grid from the shared grid flags."""
+    import dataclasses
 
     spec = _build_grid_spec(args, args.usage_error)
     if args.cmd == "fig11":
@@ -264,55 +277,17 @@ def _figure(args):
                 s for s in spec.schedules if s.family == "closed_arrow"
             ),
         )
-    problems: list[str] = []
-    rows = list(verify_rows(iter_sweep(spec), args.cmd, problems.append))
-    if problems:
-        raise SystemExit(f"{args.cmd} FAILED: " + "; ".join(problems))
-    return figure_from_rows(args.cmd, rows, metric=args.metric)
+    return _table(args.cmd, [spec], args.metric)
 
 
-def _fig9(D: int, k: int, variant: str):
-    """Fig. 9 is a picture and a cost block first, then a record like the rest."""
-    from repro.experiments import run_fig9
-    from repro.results import fig9_result
-
-    rep = run_fig9(D, k, variant=variant)
-    print(rep.picture)
-    print()
-    print(
-        format_kv(
-            {
-                "variant": rep.variant,
-                "D": rep.D,
-                "k": rep.k,
-                "requests": rep.num_requests,
-                "arrow cost": rep.arrow_cost,
-                "sweep target (k sweeps)": rep.sweep_target,
-                "opt upper bound": rep.opt_upper,
-                "opt lower bound": rep.opt_lower,
-                "comb Manhattan weight": rep.comb_weight,
-                "measured ratio": round(rep.ratio, 3),
-                "simulated cost (fast)": rep.sim_cost,
-            },
-            title="fig9",
-        )
-    )
-    print()
-    return fig9_result(rep)
-
-
-#: The paper's theorems and analyses that are not sweep grids: command ->
-#: (help text, flags, producers).  ``flags`` maps an option to its
-#: ``add_argument`` keywords; every producer is called with the parsed
-#: flags as keyword arguments and returns one ``ExperimentResult``.  A
-#: producer given by name is a function of :mod:`repro.experiments`,
-#: looked up when the command runs.  ``all`` runs ``_FIGURES`` then this
+#: The theorem and ablation tables as presets: command -> (help text,
+#: flags, grids).  ``flags`` maps an option to its ``add_argument``
+#: keywords; each grid names a preset of :mod:`repro.sweep`, called with
+#: the flags given (by destination name), that returns one ``SweepSpec``
+#: — or, for the service-time ablation, one per service time — and makes
+#: one table, the figure of its name.  ``all`` runs ``_FIGURES`` then this
 #: table, in order.
-_DIAMETER_FLAGS = {
-    "--diameters": {"type": _int_list, "default": None},
-    "--requests": {"type": int, "default": 60},
-}
-_EXPERIMENTS = {
+_PRESETS = {
     "fig9": (
         "lower-bound instance picture + costs",
         {
@@ -320,44 +295,53 @@ _EXPERIMENTS = {
             "-k": {"type": int, "default": 4},
             "--variant": {"choices": ["literal", "layered"], "default": "layered"},
         },
-        (_fig9,),
+        ("fig9_grid",),
     ),
-    "oneshot": ("one-shot concurrent case ([10])", {}, ("run_one_shot_analysis",)),
+    "oneshot": ("one-shot concurrent case ([10])", {}, ("oneshot_grid",)),
     "thm319": (
-        "competitive ratio sweep (sync)", _DIAMETER_FLAGS, ("run_competitive_sweep",)
+        "competitive ratio sweep (sync)",
+        {"--diameters": {"type": _int_list}, "--requests": {"type": int, "default": 60}},
+        ("thm319_grid",),
     ),
-    "thm321": ("asynchronous comparison", _DIAMETER_FLAGS, ("run_async_comparison",)),
-    "thm41": ("lower-bound ratio growth sweep", {}, ("run_theorem41_sweep",)),
-    "thm42": (
-        "lower bound vs stretch",
-        {"--stretches": {"type": _int_list, "default": None}},
-        ("run_theorem42_sweep",),
+    "thm321": (
+        "asynchronous comparison",
+        {"--diameters": {"type": _int_list}, "--requests": {"type": int, "default": 60}},
+        ("thm321_grid",),
     ),
-    "sequential": (
-        "sequential-regime baseline checks", {}, ("run_sequential_experiment",)
-    ),
+    "thm41": ("lower-bound ratio growth sweep", {}, ("thm41_grid",)),
+    "thm42": ("lower bound vs stretch", {"--stretches": {"type": _int_list}}, ("thm42_grid",)),
+    "sequential": ("sequential-regime baseline checks", {}, ("sequential_grid",)),
     "ablations": (
         "tree/protocol/service-time ablations",
         {},
-        ("run_tree_ablation", "run_protocol_ablation", "run_service_time_ablation"),
+        ("tree_ablation_grid", "protocol_ablation_grid", "service_time_grids"),
     ),
 }
 
 
 def _produce(args):
-    """Yield the results of one figure or experiment command, lazily."""
+    """Yield the tables of one paper command, lazily."""
     if args.cmd in _FIGURES:
         yield _figure(args)
         return
-    import repro.experiments as experiments
+    import repro.sweep
 
-    _, flags, producers = _EXPERIMENTS[args.cmd]
-    names = [option.lstrip("-") for option in flags]
-    kwargs = {name: getattr(args, name) for name in names}
-    for producer in producers:
-        if isinstance(producer, str):
-            producer = getattr(experiments, producer)
-        yield producer(**kwargs)
+    _, flags, grids = _PRESETS[args.cmd]
+    kwargs = {
+        name: value
+        for name in (option.lstrip("-") for option in flags)
+        if (value := getattr(args, name)) is not None
+    }
+    for grid in grids:
+        specs = getattr(repro.sweep, grid)(**kwargs)
+        specs = specs if isinstance(specs, tuple) else (specs,)
+        if args.cmd == "fig9":
+            # Fig. 9 is a picture first: the instance its one cell builds.
+            (cell,) = specs[0].cells()
+            built = repro.sweep.get_family(cell.schedule.family).build(cell, cell.seed)
+            print(render_instance(built["schedule"], args.D))
+            print()
+        yield _table(specs[0].name, specs)
 
 
 def _compare_side(store, key_or_path: str):
@@ -469,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--metric", default=None,
                        help="row column to tabulate (default: per-figure)")
 
-    for name, (text, flags, _) in _EXPERIMENTS.items():
+    for name, (text, flags, _) in _PRESETS.items():
         p = sub.add_parser(name, help=text)
         for option, keywords in flags.items():
             p.add_argument(option, **keywords)
@@ -593,9 +577,9 @@ def main(argv: list[str] | None = None) -> int:
     args = top.parse_args(argv)
 
     if args.cmd == "all":
-        runs = [top.parse_args([name]) for name in (*_FIGURES, *_EXPERIMENTS)]
+        runs = [top.parse_args([name]) for name in (*_FIGURES, *_PRESETS)]
         _emit((r for run in runs for r in _produce(run)), args)
-    elif args.cmd in _FIGURES or args.cmd in _EXPERIMENTS:
+    elif args.cmd in _FIGURES or args.cmd in _PRESETS:
         _emit(_produce(args), args)
     elif args.cmd == "sweep":
         from repro.sweep import run_sweep, shard_path

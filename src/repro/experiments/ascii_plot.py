@@ -2,14 +2,18 @@
 
 Good enough to eyeball the paper's figure shapes (flat vs linear growth in
 Fig. 10, sub-1 hop counts in Fig. 11) straight from the CLI or the bench
-logs, with no plotting dependency.
+logs, with no plotting dependency — plus the dot picture of a Section 4
+instance that Fig. 9 draws.
 """
 
 from __future__ import annotations
 
+import math
+
+from repro.core.requests import RequestSchedule
 from repro.experiments.records import ExperimentResult
 
-__all__ = ["plot"]
+__all__ = ["plot", "render_instance"]
 
 _MARKS = "ox+*#@%"
 
@@ -19,13 +23,17 @@ def plot(
 ) -> str:
     """Render all series of a result into one character grid.
 
-    Only complete ``(x, y)`` pairs are plotted: a series whose ``ys``
-    ran short of its ``xs`` (or that is empty outright) contributes its
-    paired prefix — possibly nothing — to the grid and the axis ranges,
-    and still gets a legend entry (marked ``no data`` when it plotted no
-    points) rather than crashing the whole plot on an empty ``min()``.
+    Only complete, finite ``(x, y)`` pairs are plotted: a series whose
+    ``ys`` ran short of its ``xs`` (or that is empty outright, or whose
+    values are ``inf`` / ``nan``) contributes its plottable points —
+    possibly none — to the grid and the axis ranges, and still gets a
+    legend entry (marked ``no data`` when it plotted no points) rather
+    than crashing the whole plot on an empty ``min()``.
     """
-    points = [list(zip(s.xs, s.ys)) for s in result.series]
+    points = [
+        [(x, y) for x, y in zip(s.xs, s.ys) if math.isfinite(x) and math.isfinite(y)]
+        for s in result.series
+    ]
     xs_all = [x for pts in points for x, _ in pts]
     ys_all = [y for pts in points for _, y in pts]
     if not xs_all or not ys_all:
@@ -53,4 +61,20 @@ def plot(
         for i, s in enumerate(result.series)
     )
     lines.append(" " + legend)
+    return "\n".join(lines)
+
+
+def render_instance(
+    schedule: RequestSchedule, D: int, *, width: int = 65
+) -> str:
+    """The (position, time) dot pattern of a path instance, Fig. 9 style."""
+    times = sorted({r.time for r in schedule})
+    scale = (width - 1) / max(1, D)
+    lines = []
+    for t in times:
+        row = [" "] * width
+        for r in schedule:
+            if r.time == t:
+                row[int(r.node * scale)] = "*"
+        lines.append(f"t={int(t):3d} |" + "".join(row) + "|")
     return "\n".join(lines)

@@ -65,16 +65,3 @@ class ExperimentResult:
             indent=2,
             sort_keys=True,
         )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "ExperimentResult":
-        """Inverse of :meth:`to_json`."""
-        d = json.loads(doc)
-        return cls(
-            experiment_id=d["experiment_id"],
-            title=d["title"],
-            xlabel=d["xlabel"],
-            series=[Series(s["name"], s["xs"], s["ys"], s.get("unit", "")) for s in d["series"]],
-            params=d.get("params", {}),
-            notes=d.get("notes", []),
-        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.experiments.records import ExperimentResult
 
 __all__ = ["format_table", "format_kv"]
@@ -67,6 +69,8 @@ def format_kv(pairs: dict, title: str = "") -> str:
 
 def _fmt(v, float_fmt: str) -> str:
     if isinstance(v, float):
+        if not math.isfinite(v):
+            return str(v)  # inf, -inf, nan: int(v) would raise
         if v == int(v) and abs(v) < 1e15:
             return str(int(v))
         return float_fmt.format(v)

@@ -16,7 +16,8 @@ times, right-to-left at odd times), for total cost ``Θ(k D)``; the comb-
 shaped Manhattan MST (see :mod:`repro.lowerbound.comb`) certifies the
 optimal cost is ``O(D)`` once ``k <= log D / log log D``.  Figure 9 of the
 paper draws the instance for ``D = 64, k = 6`` — regenerated by
-``repro.experiments.fig9``.
+``repro-arrow fig9`` (the ``lowerbound`` cell family of
+:mod:`repro.sweep.families`).
 """
 
 from __future__ import annotations

@@ -23,15 +23,15 @@ true value, the max exact.
 """
 
 from repro.results.compare import RowComparison, compare_rows
-from repro.results.figures import FIGURE_METRICS, fig9_result, figure_from_rows
+from repro.results.figures import FIGURES, Figure, figure_from_rows
 from repro.results.store import IngestReport, ResultsStore
 
 __all__ = [
-    "FIGURE_METRICS",
+    "FIGURES",
+    "Figure",
     "IngestReport",
     "ResultsStore",
     "RowComparison",
     "compare_rows",
-    "fig9_result",
     "figure_from_rows",
 ]

@@ -1,10 +1,8 @@
 """Spanning-tree substrate: rooted trees, constructions, quality metrics."""
 
 from repro.spanning.construct import (
-    UnionFind,
     balanced_binary_overlay,
     bfs_tree,
-    mst_kruskal,
     mst_prim,
     random_spanning_tree,
     star_overlay,
@@ -22,10 +20,8 @@ from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "SpanningTree",
-    "UnionFind",
     "balanced_binary_overlay",
     "bfs_tree",
-    "mst_kruskal",
     "mst_prim",
     "random_spanning_tree",
     "star_overlay",

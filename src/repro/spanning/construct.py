@@ -4,8 +4,8 @@ The choice of spanning tree determines the stretch ``s`` and diameter ``D``
 that appear in the paper's competitive ratio ``O(s log D)``.  This module
 provides the constructions discussed in §1.1:
 
-* **minimum spanning tree** (Demmer–Herlihy's suggestion) — Prim and
-  Kruskal variants, implemented from scratch;
+* **minimum spanning tree** (Demmer–Herlihy's suggestion) — Prim's
+  algorithm, implemented from scratch;
 * **BFS / shortest-path tree** — small depth from a chosen root;
 * **balanced binary overlay tree** — the tree the paper's own experiments
   use on the complete SP2 graph (§5);
@@ -27,46 +27,11 @@ from repro.sim.rng import spawn_rng
 
 __all__ = [
     "mst_prim",
-    "mst_kruskal",
     "bfs_tree",
     "balanced_binary_overlay",
     "star_overlay",
     "random_spanning_tree",
-    "UnionFind",
 ]
-
-
-class UnionFind:
-    """Disjoint-set forest with union by rank and path compression."""
-
-    __slots__ = ("parent", "rank", "components")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s set (with path compression)."""
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; False if already merged."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.components -= 1
-        return True
 
 
 def mst_prim(graph: Graph, root: int = 0) -> SpanningTree:
@@ -94,24 +59,6 @@ def mst_prim(graph: Graph, root: int = 0) -> SpanningTree:
     if not all(in_tree):
         raise GraphError("graph is disconnected; no spanning tree exists")
     return SpanningTree.from_edges(n, edges, root)
-
-
-def mst_kruskal(graph: Graph, root: int = 0) -> SpanningTree:
-    """Minimum spanning tree by Kruskal's algorithm, rooted at ``root``.
-
-    Ties are broken by ``(weight, u, v)`` so the result is deterministic.
-    """
-    n = graph.num_nodes
-    uf = UnionFind(n)
-    chosen: list[tuple[int, int, float]] = []
-    for u, v, w in sorted(graph.edges(), key=lambda e: (e[2], e[0], e[1])):
-        if uf.union(u, v):
-            chosen.append((u, v, w))
-            if len(chosen) == n - 1:
-                break
-    if len(chosen) != n - 1:
-        raise GraphError("graph is disconnected; no spanning tree exists")
-    return SpanningTree.from_edges(n, chosen, root)
 
 
 def bfs_tree(graph: Graph, root: int = 0) -> SpanningTree:

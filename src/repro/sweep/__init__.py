@@ -1,7 +1,7 @@
 """Declarative parameter sweeps over the arrow simulators.
 
-The sweep subsystem turns the experiment layer's hand-rolled parameter
-loops into data: a :class:`~repro.sweep.spec.SweepSpec` declares a grid
+The sweep subsystem turns parameter loops into data: a
+:class:`~repro.sweep.spec.SweepSpec` declares a grid
 (graph family × tree strategy × schedule family × seeds), the executor
 expands it into cells with deterministic per-cell seeds, runs them —
 optionally as one shard of a partitioned grid — and persists one JSONL
@@ -11,10 +11,12 @@ What each schedule-axis name *means* is pluggable: the cell-family
 registry (:mod:`repro.sweep.registry`) maps names to a validator,
 builder and runner-to-row, with the open-loop arrow replays, the §5
 closed loops (``closed_arrow``/``closed_centralized``), the §5.1
-directory designs (``directory_arrow``/``directory_home``) and the §1.1
-adaptive-pointer baseline registered out of the box
-(:mod:`repro.sweep.families`).  Rows from the arrow families carry
-per-request latency percentile and histogram columns
+directory designs (``directory_arrow``/``directory_home``), the §1.1
+adaptive-pointer baseline and the theorem families (``ratio``,
+``lowerbound``) registered out of the box (:mod:`repro.sweep.families`);
+every table the paper commands print is a named grid here.  Rows from
+the arrow families carry per-request latency percentile and histogram
+columns
 (:mod:`repro.sweep.stats`); directory rows persist the mutual-exclusion
 invariant as ``exclusion_ok``.  Sharded runs are reassembled — with
 completeness and row-shape verification, streaming one row at a time —
@@ -60,10 +62,20 @@ from repro.sweep.spec import (
     build_tree,
     cell_seed,
     directory_grid,
+    fig9_grid,
     fig10_grid,
     fig11_grid,
     mixed_grid,
+    oneshot_grid,
+    protocol_ablation_grid,
+    sequential_grid,
+    service_time_grids,
     smoke_grid,
+    thm319_grid,
+    thm321_grid,
+    thm41_grid,
+    thm42_grid,
+    tree_ablation_grid,
 )
 from repro.sweep.stats import (
     DEFAULT_BINS,
@@ -89,10 +101,20 @@ __all__ = [
     "build_schedule",
     "cell_seed",
     "directory_grid",
+    "fig9_grid",
     "fig10_grid",
     "fig11_grid",
     "mixed_grid",
+    "oneshot_grid",
+    "protocol_ablation_grid",
+    "sequential_grid",
+    "service_time_grids",
     "smoke_grid",
+    "thm319_grid",
+    "thm321_grid",
+    "thm41_grid",
+    "thm42_grid",
+    "tree_ablation_grid",
     "execute_cell",
     "iter_sweep",
     "run_sweep",

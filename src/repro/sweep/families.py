@@ -14,7 +14,11 @@ this module registers:
   acquire→use→release loop, with the mutual-exclusion invariant recorded
   as the ``exclusion_ok`` row column;
 * the §1.1 **adaptive-pointer** baseline (``adaptive``, NTA/Ivy path
-  shorting) driven by a nested open-loop schedule.
+  shorting) driven by a nested open-loop schedule;
+* the Section 3 **competitive ratio** (``ratio``) of an open-loop
+  protocol against the optimal offline bracket, and the Section 4
+  **lower-bound** instances (``lowerbound``) — the rows of the theorem
+  and ablation tables.
 
 The directory and adaptive families run at full message level only —
 they ignore the spec's ``engine`` axis (``uses_engine=False``) and tag
@@ -23,19 +27,35 @@ their rows with a ``protocol`` column instead.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
+from repro.analysis.competitive import theorem_319_ceiling
+from repro.analysis.nearest_neighbor import predict_arrow_run
+from repro.analysis.optimal import opt_bounds
 from repro.apps.directory import arrow_directory, home_directory
 from repro.core.adaptive import run_adaptive
 from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.queueing import float_total
+from repro.core.runner import run_centralized
 from repro.errors import SweepError
 from repro.faults import run_arrow_faulted
+from repro.lowerbound import (
+    comb_mst_weight,
+    default_k,
+    layered_instance,
+    theorem41_instance,
+    theorem42_instance,
+)
 from repro.monitors import ArrowMonitor
+from repro.net.latency import UniformLatency
+from repro.sim.rng import spawn_rng
+from repro.spanning.metrics import tree_diameter, tree_stretch
 from repro.sweep.registry import CellFamily, register_family
 from repro.sweep.spec import (
     CLOSED_LOOP_FAMILIES,
+    LOWERBOUND_AXES,
     OPEN_LOOP_SCHEDULES,
     ScheduleSpec,
     SweepCell,
@@ -44,11 +64,14 @@ from repro.sweep.spec import (
     build_tree,
 )
 from repro.sweep.stats import latency_columns
+from repro.workloads import schedules as _schedules
 
 __all__ = [
     "ADAPTIVE_PARAMS",
     "DIRECTORY_PARAMS",
     "DIRECTORY_HOME_PARAMS",
+    "LOWERBOUND_PARAMS",
+    "RATIO_PARAMS",
 ]
 
 
@@ -378,6 +401,195 @@ register_family(
         to_row=_adaptive_row,
         validate=_validate_adaptive,
         uses_engine=False,
+    ),
+    replace=True,
+)
+
+
+# ----------------------------------------------------------------------
+# Section 3 competitive ratio (Theorems 3.19 / 3.21, the one-shot and
+# sequential regimes, the §1.1 ablations)
+# ----------------------------------------------------------------------
+RATIO_PARAMS = frozenset({"schedule", "count", "rate", "latency_lo", "protocol"})
+
+
+def _require_choice(family: str, params: Mapping[str, object], key: str, known) -> None:
+    if key in params and params[key] not in known:
+        raise SweepError(f"{family}: {key} must be one of {list(known)}, got {params[key]!r}")
+
+
+def _validate_ratio(params: Mapping[str, object]) -> None:
+    _require_choice("ratio", params, "schedule", ("random", "poisson", "one_shot", "sequential"))
+    _require_choice("ratio", params, "protocol", ("arrow", "adaptive", "centralized"))
+    _require_positive(params, "count", "rate", "latency_lo")
+    if float(params.get("latency_lo", 1.0)) > 1.0:  # type: ignore[arg-type]
+        raise SweepError(f"ratio: latency_lo must be <= 1, got {params['latency_lo']!r}")
+
+
+def _ratio_schedule(params: Mapping[str, Any], n: int, D: float, seed: int):
+    """A ratio cell's workload on ``n`` nodes and a tree of diameter ``D``.
+
+    ``random`` is Theorem 3.19's: ``count`` requests uniform over the nodes
+    and ``[0, D]``, drawn from ``seed + D`` so each diameter of a sweep
+    draws its own.  ``poisson``: ``count`` arrivals at aggregate
+    ``rate``; ``one_shot``: ``count`` distinct nodes at time 0;
+    ``sequential``: ``count`` nodes ``2D + 2`` apart, never two active.
+    """
+    kind, count = params.get("schedule", "random"), int(params.get("count", n))
+    if kind == "random":
+        return _schedules.random_times(n, count, horizon=D, seed=seed + round(D))
+    if kind == "poisson":
+        return _schedules.poisson(n, count, float(params.get("rate", 1.0)), seed=seed)
+    rng = spawn_rng(seed, f"ratio-{kind}")
+    if kind == "one_shot":
+        return _schedules.one_shot(rng.choice(n, size=min(count, n), replace=False).tolist())
+    return _schedules.sequential(rng.integers(0, n, size=count).tolist(), gap=2.0 * D + 2.0)
+
+
+def _build_ratio(cell: SweepCell, derived: int) -> Mapping[str, Any]:
+    """Everything comes from the cell's master seed, not the derived cell
+    seed: cells that differ only in tree or protocol replay one graph and
+    one schedule — the ablations' paired comparisons."""
+    graph = build_graph(cell.graph, cell.seed)
+    tree = build_tree(cell.tree, graph, cell.seed)
+    D = tree_diameter(tree)
+    schedule = _ratio_schedule(cell.schedule.kwargs(), graph.num_nodes, D, cell.seed)
+    return {"graph": graph, "tree": tree, "schedule": schedule, "D": D}
+
+
+def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[str, Any]:
+    """The run's columns, ``protocol``, ``msgs_per_request`` and the tree's
+    ``stretch`` and ``diameter``.  ``adaptive`` and ``centralized`` run from
+    node 0 and ignore the tree.  With ``latency_lo`` delays are uniform in
+    ``[latency_lo, 1]`` and ``sync_latency`` is the unit-delay cost:
+    Theorem 3.21's comparison.
+
+    The competitive regimes (every workload but the ablations' ``poisson``)
+    add the opt bracket (``opt_lower`` / ``opt_upper``, exact up to 10
+    requests), the ratio bracket (``ratio_lo`` against the upper bound,
+    ``ratio_hi`` the lower) and Theorem 3.19's ``ceiling``; a one-shot row
+    also [10]'s ``oneshot_ceiling``, ``48 s log|R|``.
+    """
+    graph, tree, schedule, D = built["graph"], built["tree"], built["schedule"], built["D"]
+    params = cell.schedule.kwargs()
+    kind, protocol = params.get("schedule", "random"), params.get("protocol", "arrow")
+    lo = params.get("latency_lo")
+
+    def run(latency):
+        knobs = {"latency": latency, "seed": cell.seed, "service_time": cell.service_time}
+        if protocol == "arrow":
+            return arrow_runner(cell.engine)(graph, tree, schedule, **knobs)
+        runner = run_adaptive if protocol == "adaptive" else run_centralized
+        return runner(graph, 0, schedule, **knobs)
+
+    result = run(None if lo is None else UniformLatency(float(lo), 1.0))
+    stretch = tree_stretch(graph, tree).stretch
+    row = {
+        **_run_result_columns(graph, len(schedule), result),
+        "protocol": protocol,
+        "msgs_per_request": result.network_stats["messages_sent"] / len(schedule),
+        "stretch": stretch,
+        "diameter": D,
+    }
+    if lo is not None:
+        row["sync_latency"] = run(None).total_latency
+    if kind == "poisson":
+        return row
+    bounds = opt_bounds(graph, tree, schedule, stretch, exact_limit=10)
+    row["opt_lower"], row["opt_upper"] = bounds.lower, bounds.upper
+    row["ratio_lo"], row["ratio_hi"] = bounds.ratio_bracket(result.total_latency)
+    row["ceiling"] = theorem_319_ceiling(stretch, D)
+    if kind == "one_shot":
+        row["oneshot_ceiling"] = 4.0 * stretch * max(1.0, math.log2(len(schedule))) * 12.0
+    return row
+
+
+register_family(
+    CellFamily("ratio", RATIO_PARAMS, _build_ratio, _ratio_row, _validate_ratio),
+    replace=True,
+)
+
+
+# ----------------------------------------------------------------------
+# Section 4 lower-bound instances (Fig. 9, Theorems 4.1 / 4.2)
+# ----------------------------------------------------------------------
+LOWERBOUND_PARAMS = frozenset({"D", "variant", "k", "s"})
+
+
+def _validate_lowerbound(params: Mapping[str, object]) -> None:
+    _require_choice("lowerbound", params, "variant", ("literal", "layered", "stretch"))
+    _require_positive(params, "D", "k", "s")
+    if "D" not in params or int(params["D"]) % int(params.get("s", 1)):  # type: ignore[arg-type]
+        raise SweepError(f"lowerbound: D, a multiple of s, is required; got {params}")
+
+
+def _build_lowerbound(cell: SweepCell, derived: int) -> Mapping[str, Any]:
+    """The Section 4 instance of tree diameter ``D``.
+
+    The construction fixes graph, tree (the path ``v_0 .. v_D`` rooted at
+    ``v_0``) and schedule, so the other two axes must hold the placeholder
+    :data:`~repro.sweep.spec.LOWERBOUND_AXES`.  ``literal`` is Theorem
+    4.1's recursion as printed, ``layered`` the bitonic reconstruction (one
+    refinement level deeper by default: it sustains one more), ``stretch``
+    Theorem 4.2's shortcut graph over ``D / s`` segments of ``s`` hops;
+    ``k`` defaults to ``default_k``.
+    """
+    if (cell.graph, cell.tree) != LOWERBOUND_AXES:
+        raise SweepError(f"lowerbound: graph and tree axes must be {LOWERBOUND_AXES}")
+    params = cell.schedule.kwargs()
+    D, k, variant = int(params["D"]), params.get("k"), params.get("variant", "layered")
+    if variant == "literal":
+        inst = theorem41_instance(D, k)
+    elif variant == "layered":
+        inst = layered_instance(D, default_k(D) + 1 if k is None else k)
+    else:
+        s = int(params.get("s", 1))
+        inst = theorem42_instance(D // s, s, k)
+    return {key: getattr(inst, key) for key in ("graph", "tree", "schedule", "D", "k")}
+
+
+def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[str, Any]:
+    """Three costs over ``opt_upper``: ``arrow_ratio`` of ``arrow_cost``, the
+    fast executor's prediction with ties to the smaller id (Fig. 9's);
+    ``ratio`` of the worse of its two tie-break policies, each a legal
+    scheduler (Theorems 4.1 / 4.2's); ``sim_ratio`` of ``sim_cost``, the
+    kernel's realised execution (one more, so it may land on either side).
+    ``ratio_target`` is the theorems' growth term ``s log(D/s) / log
+    log(D/s)``, ``sweep_target`` the ``k D`` of one sweep per layer,
+    ``comb_weight`` the comb bound on opt."""
+    graph, tree, schedule = built["graph"], built["tree"], built["schedule"]
+    D, k = built["D"], built["k"]
+    stretch = tree_stretch(graph, tree).stretch
+    bounds = opt_bounds(graph, tree, schedule, stretch, exact_limit=0)
+    cost, other = (
+        predict_arrow_run(tree, schedule, tie_break=t).arrow_cost for t in ("min", "max")
+    )
+    run = arrow_runner(cell.engine)
+    sim = run(graph, tree, schedule, seed=cell.seed, service_time=cell.service_time).total_latency
+    log_base = math.log2(D / stretch)
+    return {
+        "n": graph.num_nodes,
+        "requests": len(schedule),
+        "variant": cell.schedule.kwargs().get("variant", "layered"),
+        "k": k,
+        "diameter": D,
+        "stretch": stretch,
+        "arrow_cost": cost,
+        "sim_cost": sim,
+        "opt_lower": bounds.lower,
+        "opt_upper": bounds.upper,
+        "arrow_ratio": cost / bounds.upper,
+        "ratio": max(cost, other) / bounds.upper,
+        "sim_ratio": sim / bounds.upper,
+        "ratio_target": stretch * log_base / max(1.0, math.log2(max(2.0, log_base))),
+        "sweep_target": float(k * D),
+        "comb_weight": comb_mst_weight(schedule),
+    }
+
+
+register_family(
+    CellFamily(
+        "lowerbound", LOWERBOUND_PARAMS, _build_lowerbound, _lowerbound_row, _validate_lowerbound
     ),
     replace=True,
 )

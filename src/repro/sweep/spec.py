@@ -9,7 +9,9 @@ reproducible regardless of how many workers execute it.
 
 Per-cell randomness derives from :func:`repro.sim.rng.spawn_rng` keyed by
 the cell's axes (not its position), so inserting a new axis value never
-perturbs the draws of existing cells.
+perturbs the draws of existing cells.  The theorem families (``ratio``,
+``lowerbound``) draw from the cell's master seed instead, so cells that
+differ only in tree or protocol replay one schedule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.fast_arrow import ENGINES, engine_error_message
 from repro.errors import SweepError
@@ -42,7 +44,6 @@ from repro.sweep import registry as _registry
 from repro.spanning.construct import (
     balanced_binary_overlay,
     bfs_tree,
-    mst_kruskal,
     mst_prim,
     random_spanning_tree,
     star_overlay,
@@ -57,6 +58,7 @@ __all__ = [
     "SweepSpec",
     "CLOSED_LOOP_FAMILIES",
     "GRAPH_BUILDERS",
+    "LOWERBOUND_AXES",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
     "build_graph",
@@ -64,10 +66,20 @@ __all__ = [
     "build_schedule",
     "cell_seed",
     "directory_grid",
+    "fig9_grid",
     "fig10_grid",
     "fig11_grid",
     "mixed_grid",
+    "oneshot_grid",
+    "protocol_ablation_grid",
+    "sequential_grid",
+    "service_time_grids",
     "smoke_grid",
+    "thm319_grid",
+    "thm321_grid",
+    "thm41_grid",
+    "thm42_grid",
+    "tree_ablation_grid",
 ]
 
 #: Graph family name -> generator (all from :mod:`repro.graphs.generators`).
@@ -92,7 +104,6 @@ _SEEDED_GRAPHS = frozenset({"geometric", "gnp"})
 TREE_BUILDERS = {
     "bfs": bfs_tree,
     "mst": mst_prim,
-    "kruskal": mst_kruskal,
     "binary": balanced_binary_overlay,
     "star": star_overlay,
     "random": random_spanning_tree,
@@ -616,4 +627,120 @@ def smoke_grid(
         schedules=(ScheduleSpec.of("poisson", per_node=5, rate_per_node=0.5),),
         seeds=tuple(seeds),
         engine=engine,
+    )
+
+
+# ----------------------------------------------------------------------
+# the theorem and ablation tables (``ratio`` / ``lowerbound`` families);
+# a grid's name is the figure that tabulates it
+# ----------------------------------------------------------------------
+#: The graph and tree axes of every ``lowerbound`` cell: the Section 4
+#: construction builds its own graph and tree, so these hold one fixed
+#: placeholder and the schedule axis names the instance.
+LOWERBOUND_AXES = (GraphSpec.of("path", n=1), "bfs")
+
+
+def _paper_grid(name, graphs, schedules, trees=("bfs",), seed=0) -> SweepSpec:
+    return SweepSpec(name, tuple(graphs), tuple(trees), tuple(schedules), (seed,))
+
+
+def _lowerbound_grid(name, instances) -> SweepSpec:
+    graph, tree = LOWERBOUND_AXES
+    schedules = [ScheduleSpec.of("lowerbound", **params) for params in instances]
+    return _paper_grid(name, [graph], schedules, (tree,))
+
+
+def fig9_grid(D: int = 64, k: int = 4, variant: str = "layered") -> SweepSpec:
+    """Fig. 9: one Section 4 instance of diameter ``D``."""
+    return _lowerbound_grid("fig9", [{"D": D, "k": k, "variant": variant}])
+
+
+def thm41_grid(diameters: tuple[int, ...] = (16, 64, 256, 1024)) -> SweepSpec:
+    """Theorem 4.1: the literal and the layered instance per diameter."""
+    instances = [{"D": D, "variant": v} for D in diameters for v in ("literal", "layered")]
+    return _lowerbound_grid("thm41", instances)
+
+
+def thm42_grid(stretches: tuple[int, ...] = (1, 2, 4, 8), *, D_over_s: int = 64) -> SweepSpec:
+    """Theorem 4.2: shortcut instances of stretch ``s`` and diameter ``s D_over_s``."""
+    instances = [{"D": s * D_over_s, "s": s, "variant": "stretch"} for s in stretches]
+    return _lowerbound_grid("thm42", instances)
+
+
+def _paths(diameters) -> list[GraphSpec]:
+    return [GraphSpec.of("path", n=D + 1) for D in diameters]
+
+
+def thm319_grid(
+    diameters: tuple[int, ...] = (8, 16, 32, 64, 128), *, requests: int = 60, seed: int = 0
+) -> SweepSpec:
+    """Theorem 3.19: the ratio bracket on paths (stretch 1, so the diameter
+    dependence is isolated) under the random workload."""
+    workload = ScheduleSpec.of("ratio", count=requests)
+    return _paper_grid("thm319", _paths(diameters), [workload], seed=seed)
+
+
+def thm321_grid(
+    diameters: tuple[int, ...] = (8, 16, 32, 64, 128), *, requests: int = 60, seed: int = 0
+) -> SweepSpec:
+    """Theorem 3.21: :func:`thm319_grid`'s schedules under delays uniform in
+    ``[0.2, 1]``, each row beside its unit-delay cost."""
+    workload = ScheduleSpec.of("ratio", count=requests, latency_lo=0.2)
+    return _paper_grid("thm321", _paths(diameters), [workload], seed=seed)
+
+
+def oneshot_grid() -> SweepSpec:
+    """The one-shot case ([10]): 4 to 64 simultaneous requests on the MST of
+    a 64-node random geometric graph."""
+    counts = (4, 8, 16, 32, 64)
+    workloads = [ScheduleSpec.of("ratio", schedule="one_shot", count=c) for c in counts]
+    graph = GraphSpec.of("geometric", n=64, radius=0.25)
+    return _paper_grid("oneshot", [graph], workloads, ("mst",))
+
+
+def sequential_grid(*, requests: int = 40, seed: int = 0) -> SweepSpec:
+    """The sequential regime ([4]): requests ``2D + 2`` apart on three
+    topologies' MSTs, where an op costs <= D and the ratio is <= s."""
+    graphs = [
+        GraphSpec.of("complete", n=32),
+        GraphSpec.of("grid", rows=6, cols=6),
+        GraphSpec.of("geometric", n=40, radius=0.35),
+    ]
+    workload = ScheduleSpec.of("ratio", schedule="sequential", count=requests)
+    return _paper_grid("sequential", graphs, [workload], ("mst",), seed)
+
+
+def tree_ablation_grid(*, n: int = 48, requests: int = 150, seed: int = 0) -> SweepSpec:
+    """§1.1 tree choice: one geometric graph and Poisson workload under the
+    MST ([4]), the BFS tree and a random spanning tree."""
+    workload = ScheduleSpec.of("ratio", schedule="poisson", count=requests, rate=3.0)
+    graph = GraphSpec.of("geometric", n=n, radius=0.3)
+    return _paper_grid("ablation-trees", [graph], [workload], ("mst", "bfs", "random"), seed)
+
+
+def protocol_ablation_grid(*, n: int = 32, requests: int = 200, seed: int = 0) -> SweepSpec:
+    """§1.1 protocols on K_n under one Poisson workload, on the binary and
+    the star tree: arrow, NTA/Ivy pointers and §5's centralized protocol
+    (these two ignore the tree; the figure reads them off the binary cells)."""
+    workloads = [
+        ScheduleSpec.of("ratio", schedule="poisson", count=requests, rate=4.0, protocol=p)
+        for p in ("arrow", "adaptive", "centralized")
+    ]
+    graph = GraphSpec.of("complete", n=n)
+    return _paper_grid("ablation-protocols", [graph], workloads, ("binary", "star"), seed)
+
+
+def service_time_grids(
+    *, n: int = 48, requests_per_proc: int = 150, service_times=(0.0, 0.05, 0.1, 0.2, 0.4)
+) -> tuple[SweepSpec, ...]:
+    """Fig. 10 against the per-message CPU cost: one single-size
+    :func:`fig10_grid` per service time (think time = service time).  The
+    service time applies to a whole grid, so this one table is several
+    grids: the results store keeps each as its own run."""
+    return tuple(
+        replace(
+            fig10_grid((n,), requests_per_proc=requests_per_proc, think_time=st, service_time=st),
+            name="ablation-service-time",
+        )
+        for st in service_times
     )

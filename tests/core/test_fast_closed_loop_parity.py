@@ -55,7 +55,6 @@ from repro.net.latency import (
 from repro.spanning.construct import (
     balanced_binary_overlay,
     bfs_tree,
-    mst_kruskal,
     mst_prim,
     random_spanning_tree,
     star_overlay,
@@ -81,7 +80,6 @@ GRAPH_FAMILIES = {
 TREE_BUILDERS = {
     "bfs": lambda g, seed: bfs_tree(g, seed % g.num_nodes),
     "mst": lambda g, seed: mst_prim(g, seed % g.num_nodes),
-    "kruskal": lambda g, seed: mst_kruskal(g, 0),
     "binary": lambda g, seed: balanced_binary_overlay(g, 0),
     "star": lambda g, seed: star_overlay(g, 0),
     "random": lambda g, seed: random_spanning_tree(

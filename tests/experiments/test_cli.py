@@ -91,6 +91,114 @@ def test_bare_figure_commands_keep_the_published_defaults(
     assert picked["ys"][-1] == last_y
 
 
+#: Every series of the theorem and ablation commands at their published
+#: defaults, by ``--json`` document.  All but ``oneshot`` and
+#: ``sequential`` are bit for bit what the hand-written experiment loops
+#: these commands ran before they became grid presets printed; those two
+#: drew all their x points from one shared RNG stream, which independent
+#: cells cannot replay.
+PINNED_TABLES = {
+    "fig9": {
+        "fig9": {
+            "arrow cost": [164.0],
+            "sweep target (k sweeps)": [256.0],
+            "opt upper bound": [66.0],
+            "opt lower bound": [64.0],
+            "comb Manhattan weight": [71.0],
+            "measured ratio": [2.484848484848485],
+            "simulated cost (fast)": [66.0],
+        },
+    },
+    "oneshot": {
+        "oneshot": {
+            "ratio (vs opt upper bd)": [
+                1.4444444444444444, 2.1666666666666665, 1.9166666666666667,
+                2.0555555555555554, 1.838235294117647],
+            "ratio (vs opt lower bd)": [
+                1.4444444444444444, 2.1666666666666665, 2.7058823529411766,
+                2.3870967741935485, 1.9841269841269842],
+            "s log|R| ceiling": [1248.0, 1872.0, 2496.0, 3120.0, 3744.0],
+        },
+    },
+    "thm319": {
+        "thm319": {
+            "ratio (vs opt upper bd)": [
+                1.2515435453751758, 1.434791622114084, 1.0862979698561461,
+                1.3261603463274145, 1.1310140550764718],
+            "ratio (vs opt lower bd)": [
+                4.75, 6.0, 3.5436587836543683, 4.454376360260899,
+                4.053283289090023],
+            "O(s log D) ceiling": [372.0, 444.0, 516.0, 588.0, 660.0],
+        },
+    },
+    "thm321": {
+        "thm321": {
+            "sync total latency": [38.0, 96.0, 164.0, 368.0, 667.0],
+            "async total latency": [
+                31.217291411054823, 70.70419411179158, 131.55009065536635,
+                257.568679241642, 555.4533263514262],
+            "async ratio (vs opt lower bd)": [
+                3.902161426381853, 4.419012131986974, 2.8424916722037645,
+                3.1176843368412834, 3.37542681494708],
+        },
+    },
+    "thm41": {
+        "thm41": {
+            "literal construction": [
+                2.0, 2.0, 1.8351254480286738, 1.9284369114877589],
+            "bitonic layered": [
+                2.588235294117647, 2.523076923076923, 2.857142857142857,
+                2.963972736124635],
+            "log D / log log D target": [
+                2.0, 2.3211168434072498, 2.6666666666666665, 3.010299956639812],
+            "literal (simulated)": [
+                1.0, 1.0, 1.842293906810036, 1.9303201506591336],
+            "layered (simulated)": [
+                1.0, 1.0, 0.9961389961389961, 0.9990262901655307],
+        },
+    },
+    "thm42": {
+        "thm42": {
+            "measured ratio": [2.0, 2.0, 4.0, 8.0],
+            "measured tree stretch": [1.0, 2.0, 4.0, 8.0],
+            "simulated ratio": [1.0, 2.0, 4.0, 8.0],
+        },
+    },
+    "sequential": {
+        "sequential": {
+            "max per-op latency": [2.0, 12.0, 7.0],
+            "tree diameter D": [2.0, 15.0, 7.0],
+            "total ratio (vs opt upper bd)": [
+                1.8717948717948718, 1.5753424657534247, 1.7160493827160495],
+            "tree stretch s": [2.0, 11.0, 7.0],
+        },
+    },
+    "ablations": {
+        "ablation-trees": {
+            "stretch": [6.0, 9.0, 20.0],
+            "arrow total latency": [337.0, 343.0, 373.0],
+        },
+        "ablation-protocols": {
+            "messages/op": [1.95, 1.525, 1.87, 1.98],
+            "latency/op": [1.95, 1.525, 1.87, 1.955],
+        },
+        "ablation-service-time": {
+            "closed_arrow": [
+                41.0, 297.2500000000042, 378.10000000000304, 495.999999999994,
+                658.5999999999913],
+            "closed_centralized": [
+                300.0, 361.5500000000477, 721.6000000000953,
+                1441.6000000001904, 2881.800000000381],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+def test_paper_commands_print_pinned_values(published, command):
+    assert published(command) == PINNED_TABLES[command]
+
+
 def test_directory_command_fails_on_exclusion_violation(monkeypatch):
     from repro.apps.directory import DirectoryResult
 
@@ -163,61 +271,57 @@ def test_fig9_engine_cross_check_command(capsys):
 
 
 # ----------------------------------------------------------------------
-# the two command tables, dispatched with stub producers
+# the two command tables, dispatched over a stub sweep
 # ----------------------------------------------------------------------
 @pytest.fixture
 def stubbed(monkeypatch):
-    """Stub every producer ``_FIGURES`` / ``_EXPERIMENTS`` can reach.
+    """Stub the sweep every table command runs; returns the swept specs.
 
-    The CLI resolves producers when a command runs, so patching the
-    packages is enough.  Returns the list of ``(producer, kwargs)`` calls.
+    The stub yields one row per cell carrying every column a figure
+    reads, so each command's tables render without simulating anything.
     """
-    import repro.experiments as experiments
     import repro.sweep
-    from repro import cli
-    from repro.experiments import ExperimentResult, Fig9Report, Series
+    from repro.results import FIGURES
 
-    calls = []
-
-    def record(name):
-        def stub(**kwargs):
-            calls.append((name, kwargs))
-            return ExperimentResult(name, name, "x", [Series("s", [1.0], [2.0])])
-
-        return stub
-
-    for _, _, producers in cli._EXPERIMENTS.values():
-        for producer in producers:
-            if isinstance(producer, str):
-                monkeypatch.setattr(experiments, producer, record(producer))
-
-    def run_fig9(D, k, *, variant):
-        calls.append(("run_fig9", {"D": D, "k": k, "variant": variant}))
-        return Fig9Report(variant, D, k, 3, 4.0, 5.0, 2.0, 1.0, 1.5, 2.0, "*pic*", 4.0)
+    columns = set()
+    for fig in FIGURES.values():
+        columns |= {fig.metric, fig.x}
+        columns |= {col for _, col, *_ in fig.series}
+    specs = []
 
     def iter_sweep(spec):
-        calls.append(("iter_sweep", {"families": {s.family for s in spec.schedules}}))
-        for n in (2.0, 4.0):
-            for s in spec.schedules:
-                yield {"schedule": s.family, "tree": "bfs", "graph": "complete",
-                       "n": n, "seed": 0, "makespan": n, "mean_hops": 0.5}
+        specs.append(spec)
+        for cell in spec.cells():
+            yield {
+                **dict.fromkeys(columns, 2.0),
+                "schedule": cell.schedule.label(),
+                "tree": cell.tree,
+                "graph": cell.graph.label(),
+                "seed": cell.seed,
+                "variant": cell.schedule.kwargs().get("variant"),
+                "protocol": cell.schedule.kwargs().get("protocol", "arrow"),
+            }
 
-    monkeypatch.setattr(experiments, "run_fig9", run_fig9)
     monkeypatch.setattr(repro.sweep, "iter_sweep", iter_sweep)
-    return calls
+    return specs
 
 
 def _table_commands():
     from repro import cli
 
-    return [*cli._FIGURES, *cli._EXPERIMENTS]
+    return [*cli._FIGURES, *cli._PRESETS]
 
 
-def _documents_of(name):
-    """How many ``--json`` documents command ``name`` writes (one per producer)."""
+def _tables_of(name):
+    """The figures command ``name`` prints (one ``--json`` document each):
+    a preset's grids name their figures."""
+    import repro.sweep
     from repro import cli
 
-    return len(cli._EXPERIMENTS[name][2]) if name in cli._EXPERIMENTS else 1
+    if name not in cli._PRESETS:
+        return [name]
+    specs = [getattr(repro.sweep, grid)() for grid in cli._PRESETS[name][2]]
+    return [(s if isinstance(s, tuple) else (s,))[0].name for s in specs]
 
 
 @pytest.mark.parametrize("name", [*_table_commands(), "all"])
@@ -227,43 +331,47 @@ def test_every_table_command_dispatches(stubbed, tmp_path, capsys, name):
     out = capsys.readouterr().out
     docs = json.loads(path.read_text())
     names = _table_commands() if name == "all" else [name]
-    assert len(docs) == sum(_documents_of(n) for n in names) > 0
+    tables = [t for n in names for t in _tables_of(n)]
+    assert [d["experiment_id"] for d in docs] == tables
+    assert all(d["series"] for d in docs)
     assert f"wrote {path}" in out
-    # One producer call per document, in table order, with the parsed defaults.
-    ran = [c[0] for c in stubbed]
-    assert len(ran) == len(docs)
+    # One in-memory sweep per grid; the service-time ablation is five.
+    assert len(stubbed) == sum(5 if t == "ablation-service-time" else 1 for t in tables)
     if name in ("fig9", "all"):
-        assert "*pic*" in out and "measured ratio" in out
+        assert "t=  0 |*" in out and "measured ratio" in out  # picture + table
         (doc,) = (d for d in docs if d["experiment_id"] == "fig9")
-        assert [s["name"] for s in doc["series"]][:2] == ["arrow cost", "opt upper"]
-        assert ("run_fig9", {"D": 64, "k": 4, "variant": "layered"}) in stubbed
+        assert [s["name"] for s in doc["series"]][:2] == [
+            "arrow cost", "sweep target (k sweeps)"]
     if name in ("thm319", "all"):
-        assert ("run_competitive_sweep", {"diameters": None, "requests": 60}) in stubbed
-    if name == "all":
-        assert ran[:3] == ["iter_sweep"] * 3 and ran[3] == "run_fig9"
-        assert [d["experiment_id"] for d in docs[:4]] == [
-            "fig10", "fig11", "directory", "fig9"]
+        (spec,) = (s for s in stubbed if s.name == "thm319")
+        assert [g.label() for g in spec.graphs][0] == "path(n=9)"
+        assert [s.label() for s in spec.schedules] == ["ratio(count=60)"]
 
 
 def test_experiment_flags_reach_the_producer(stubbed):
     assert main(["thm42", "--stretches", "1,2"]) == 0
     assert main(["thm321", "--diameters", "8", "--requests", "5"]) == 0
     assert main(["fig9", "-D", "8", "-k", "2", "--variant", "literal"]) == 0
-    assert stubbed == [
-        ("run_theorem42_sweep", {"stretches": [1, 2]}),
-        ("run_async_comparison", {"diameters": [8], "requests": 5}),
-        ("run_fig9", {"D": 8, "k": 2, "variant": "literal"}),
+    assert [
+        ([g.label() for g in s.graphs], [c.label() for c in s.schedules])
+        for s in stubbed
+    ] == [
+        (["path(n=1)"], ["lowerbound(D=64,s=1,variant=stretch)",
+                          "lowerbound(D=128,s=2,variant=stretch)"]),
+        (["path(n=9)"], ["ratio(count=5,latency_lo=0.2)"]),
+        (["path(n=1)"], ["lowerbound(D=8,k=2,variant=literal)"]),
     ]
 
 
 def test_fig9_json_holds_the_record(tmp_path):
-    """fig9 prints a picture and a cost block of its own; its record must
-    still reach ``--json`` like every other command's."""
+    """fig9 prints a picture of its own; its table must still reach
+    ``--json`` like every other command's."""
     path = tmp_path / "fig9.json"
     assert main(["--json", str(path), "fig9", "-D", "16", "-k", "2"]) == 0
     (doc,) = json.loads(path.read_text())
-    assert doc["experiment_id"] == "fig9" and doc["params"]["k"] == 2
-    assert {s["name"]: s["ys"] for s in doc["series"]}["arrow cost"] == [34.0]
+    assert doc["experiment_id"] == "fig9" and doc["xlabel"] == "D"
+    ys = {s["name"]: s["ys"] for s in doc["series"]}
+    assert ys["arrow cost"] == [34.0] and ys["sweep target (k sweeps)"] == [32.0]
 
 
 def test_sweep_command_writes_and_resumes(tmp_path, capsys, monkeypatch):
@@ -441,3 +549,25 @@ def test_sweep_verify_flags_torn_trailing_line(tmp_path, capsys):
     assert main(["sweep-verify", "--a", str(a), "--b", str(b)]) == 1
     err = capsys.readouterr().err
     assert "corrupt JSONL row" in err
+
+
+@pytest.mark.parametrize(
+    "grid, command", [("thm42_grid", "thm42"), ("protocol_ablation_grid", "ablations")]
+)
+def test_results_table_of_a_stored_theorem_grid_is_the_command_table(
+    tmp_path, capsys, grid, command
+):
+    """One producer: a paper grid swept to a file and ingested into the
+    results store tabulates and plots exactly as its command prints."""
+    import repro.sweep
+    from repro.results import ResultsStore
+
+    spec, rows, store = getattr(repro.sweep, grid)(), tmp_path / "rows.jsonl", tmp_path / "s"
+    repro.sweep.run_sweep(spec, str(rows))
+    assert ResultsStore(str(store)).ingest(spec, str(rows)).complete
+    stored = []
+    for sub in ("table", "plot"):
+        assert main(["results", sub, spec.name, "--store", str(store)]) == 0
+        stored.append(capsys.readouterr().out)
+    assert main([command]) == 0
+    assert "\n".join(stored) in capsys.readouterr().out

@@ -1,17 +1,25 @@
 """Experiment-harness tests: each paper figure's qualitative shape.
 
-Fig. 10, Fig. 11 and the §5.1 directory comparison are tabulated from
-their sweep-grid rows — the one producer behind ``repro-arrow
-fig10|fig11|directory`` — at the paper's sizes and at a reduced scale;
-a regression in any figure's *shape* is caught by ``pytest tests/``.
+Fig. 10, Fig. 11, the §5.1 directory comparison, Fig. 9 and the
+sequential regime are tabulated from their sweep-grid rows — the one
+producer behind ``repro-arrow fig10|fig11|directory|fig9|sequential`` —
+at the paper's sizes and at a reduced scale; a regression in any
+figure's *shape* is caught by ``pytest tests/``.
 """
 
 import pytest
 
-from repro.experiments.fig9 import render_instance, run_fig9
-from repro.experiments.sequential import run_sequential_experiment
+from repro.errors import SweepError
+from repro.experiments import render_instance
+from repro.lowerbound import layered_instance
 from repro.results import figure_from_rows
-from repro.sweep import directory_grid, fig10_grid, iter_sweep
+from repro.sweep import (
+    directory_grid,
+    fig9_grid,
+    fig10_grid,
+    iter_sweep,
+    sequential_grid,
+)
 
 #: scale -> (system sizes, requests/processor, centralized slowdown floor
 #: from the smallest to the largest size).
@@ -87,34 +95,62 @@ def test_directory_shape():
     )
 
 
+def _fig9(D, k, variant):
+    """The one lower-bound row of a Fig. 9 grid."""
+    (row,) = iter_sweep(fig9_grid(D, k, variant))
+    return row
+
+
 def test_fig9_literal_and_layered_reports():
-    lit = run_fig9(64, 4, variant="literal")
-    lay = run_fig9(64, 4, variant="layered")
-    assert lit.num_requests > 0 and lay.num_requests > 0
-    assert lay.ratio > lit.ratio * 0.9
-    assert lay.opt_upper <= 3 * 64
-    with pytest.raises(ValueError):
-        run_fig9(64, 4, variant="nope")
+    lit = _fig9(64, 4, "literal")
+    lay = _fig9(64, 4, "layered")
+    assert lit["requests"] > 0 and lay["requests"] > 0
+    assert lay["arrow_ratio"] > lit["arrow_ratio"] * 0.9
+    assert lay["opt_upper"] <= 3 * 64
+    with pytest.raises(SweepError, match="variant"):
+        fig9_grid(64, 4, "nope")
+
+
+def test_lowerbound_cells_are_named_by_their_instance():
+    """The schedule axis names the Section 4 instance; the construction
+    fixes graph and tree, so those axes hold one placeholder and nothing
+    else."""
+    from repro.sweep import GraphSpec, ScheduleSpec, SweepSpec
+
+    (cell,) = fig9_grid(64, 4, "layered").cells()
+    assert cell.cell_id == "path(n=1)/bfs/lowerbound(D=64,k=4,variant=layered)/s0"
+    instance = ScheduleSpec.of("lowerbound", D=64)
+    for graph, tree in ((GraphSpec.of("path", n=65), "bfs"), (GraphSpec.of("path", n=1), "mst")):
+        spec = SweepSpec("x", (graph,), (tree,), (instance,), (0,))
+        with pytest.raises(SweepError, match="graph and tree axes"):
+            list(iter_sweep(spec))
+    for bad in ({}, {"D": 64, "s": 3}):
+        with pytest.raises(SweepError, match="D, a multiple of s"):
+            ScheduleSpec.of("lowerbound", **bad)
 
 
 def test_fig9_paper_instance():
     """Figure 9 at D = 64: the comb bound keeps the optimal cost O(D) while
     arrow pays a growing factor more (see repro.lowerbound.layered)."""
-    literal = run_fig9(64, 6, variant="literal")
-    layered = run_fig9(64, 3, variant="layered")
+    literal = _fig9(64, 6, "literal")
+    layered = _fig9(64, 3, "layered")
     # Opt stays linear in D on both variants (comb bound / heuristic).
-    assert literal.opt_upper <= 3 * 64
-    assert layered.opt_upper <= 3 * 64
+    assert literal["opt_upper"] <= 3 * 64
+    assert layered["opt_upper"] <= 3 * 64
     # The comb spanning structure is O(D) as the proof requires.
-    assert literal.comb_weight <= 6 * 64
+    assert literal["comb_weight"] <= 6 * 64
     # Arrow pays a real factor more than opt on both.
-    assert literal.ratio >= 1.3
-    assert layered.ratio >= 2.0
+    assert literal["arrow_ratio"] >= 1.3
+    assert layered["arrow_ratio"] >= 2.0
 
 
-def test_fig9_picture_dimensions():
-    rep = run_fig9(64, 4, variant="layered")
-    lines = rep.picture.splitlines()
+def test_fig9_picture_dimensions(capsys):
+    from repro.cli import main
+
+    assert main(["fig9", "-D", "64", "-k", "4"]) == 0
+    picture = capsys.readouterr().out.split("\n\n")[0]
+    assert picture == render_instance(layered_instance(64, 4).schedule, 64)
+    lines = picture.splitlines()
     assert len(lines) == 5  # one row per time layer 0..4
     assert all("*" in line for line in lines)
 
@@ -129,26 +165,21 @@ def test_render_instance_marks_requests():
     assert rows[1].count("*") == 1
 
 
-def test_sequential_experiment_bounds():
-    res = run_sequential_experiment(num_requests=15, seed=1)
-    max_cost = res.series_by_name("max per-op latency").ys
-    diam = res.series_by_name("tree diameter D").ys
-    ratio = res.series_by_name("total ratio (vs seq opt)").ys
-    stretch = res.series_by_name("tree stretch s").ys
-    for c, d in zip(max_cost, diam):
-        assert c <= d + 1e-9  # Demmer-Herlihy per-op bound
-    for r, s in zip(ratio, stretch):
-        assert r <= s + 1e-9  # sequential competitive ratio <= stretch
-
-
-def test_sequential_experiment_paper_scale():
-    """The sequential regime baseline ([4], §1.1): per-op <= D, ratio <= s."""
-    res = run_sequential_experiment(num_requests=40, seed=0)
-    max_cost = res.series_by_name("max per-op latency").ys
-    diam = res.series_by_name("tree diameter D").ys
-    ratio = res.series_by_name("total ratio (vs seq opt)").ys
-    stretch = res.series_by_name("tree stretch s").ys
-    for c, d in zip(max_cost, diam):
+def _sequential_holds(res):
+    """Demmer–Herlihy: every op costs <= D, and the ratio is <= s."""
+    for c, d in zip(res["max per-op latency"], res["tree diameter D"]):
         assert c <= d + 1e-9
-    for r, s in zip(ratio, stretch):
+    ratio = res["total ratio (vs opt upper bd)"]
+    for r, s in zip(ratio, res["tree stretch s"], strict=True):
         assert r <= s + 1e-9
+
+
+def test_sequential_experiment_bounds():
+    rows = list(iter_sweep(sequential_grid(requests=15, seed=1)))
+    fig = figure_from_rows("sequential", rows)
+    _sequential_holds({s.name: s.ys for s in fig.series})
+
+
+def test_sequential_experiment_paper_scale(published):
+    """The sequential regime baseline ([4], §1.1): per-op <= D, ratio <= s."""
+    _sequential_holds(published("sequential")["sequential"])

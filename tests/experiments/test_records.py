@@ -1,5 +1,7 @@
 """Unit tests for experiment records and rendering."""
 
+import json
+
 import pytest
 
 from repro.experiments.records import ExperimentResult, Series
@@ -34,12 +36,14 @@ def test_series_by_name():
 
 
 def test_json_roundtrip():
+    """``--json`` writes ``to_json``'s document; it holds the whole record."""
     r = sample_result()
-    back = ExperimentResult.from_json(r.to_json())
-    assert back.experiment_id == r.experiment_id
-    assert back.series[0].ys == r.series[0].ys
-    assert back.notes == r.notes
-    assert back.params == {"seed": 0}
+    back = json.loads(r.to_json())
+    assert back["experiment_id"] == r.experiment_id
+    assert back["series"][0] == {
+        "name": "a", "xs": [1.0, 2.0, 3.0], "ys": [10.0, 20.0, 30.0], "unit": "ms"}
+    assert back["notes"] == r.notes
+    assert back["params"] == {"seed": 0}
 
 
 def test_format_table_contains_all_cells():

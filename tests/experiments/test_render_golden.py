@@ -8,6 +8,8 @@ plot's empty/partial-series guards all have one canonical rendering.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.experiments.ascii_plot import plot
@@ -147,3 +149,67 @@ def test_plot_partial_series_plots_only_paired_prefix():
 def test_series_constructor_still_validates_lengths():
     with pytest.raises(ValueError, match="2 xs vs 1 ys"):
         Series("s", [1.0, 2.0], [1.0])
+
+
+def test_table_renders_non_finite_values():
+    """``inf`` / ``-inf`` / ``nan`` cells print as such; ``int(v)`` used to
+    raise OverflowError / ValueError on them."""
+    result = ExperimentResult(
+        "t", "T", "x",
+        series=[Series("s", [1.0, 2.0, 3.0], [math.inf, -math.inf, math.nan])],
+    )
+    assert format_table(result) == (
+        "== t: T ==\n"
+        "x | s   \n"
+        "--+-----\n"
+        "1 |  inf\n"
+        "2 | -inf\n"
+        "3 |  nan"
+    )
+
+
+def test_plot_skips_non_finite_points():
+    """A non-finite x or y is skipped like an unpaired point."""
+    result = ExperimentResult(
+        "p", "Gaps", "n",
+        series=[
+            Series("a", [0.0, 1.0, 2.0, math.nan], [0.0, math.inf, 2.0, 1.0]),
+            Series("b", [1.0], [math.nan]),
+        ],
+    )
+    assert plot(result, width=8, height=4) == (
+        "Gaps  (y: 0..2)\n"
+        "|       o\n"
+        "|        \n"
+        "|        \n"
+        "|o       \n"
+        "+--------\n"
+        " x: n 0..2\n"
+        " o a  x b (no data)"
+    )
+
+
+def test_an_infinite_ratio_row_renders():
+    """A request at the root costs 0 against an opt lower bound of 0: the
+    ratio bracket is ``inf``, and the row still tabulates and plots."""
+    from repro.analysis import measure_competitive_ratio
+    from repro.graphs import path_graph
+    from repro.results import figure_from_rows
+    from repro.spanning import bfs_tree
+    from repro.workloads.schedules import one_shot
+
+    g = path_graph(5)
+    rep = measure_competitive_ratio(g, bfs_tree(g, 0), one_shot([0]))
+    assert rep.ratio_upper == math.inf
+    row = {
+        "diameter": rep.diameter,
+        "ratio_lo": rep.ratio_lower,
+        "ratio_hi": rep.ratio_upper,
+        "ceiling": rep.ceiling,
+    }
+    fig = figure_from_rows("thm319", [row])
+    assert format_table(fig).splitlines()[3] == (
+        "              4 |                     inf |                     inf"
+        " |                300"
+    )
+    assert plot(fig).endswith("+ O(s log D) ceiling")

@@ -1,29 +1,40 @@
-"""Experiment-harness tests: theorem sweeps and ablations.
+"""Theorem and ablation tables: the paper's claims as assertions on rows.
 
-Each producer is checked twice: at a small scale, and (``*_paper_scale``)
-at the scale of the paper's claim — Theorems 3.19, 3.21, 4.1 and 4.2, the
-one-shot case and the ablations; the latter are the assertions of the
-retired ``benchmarks/test_*.py``, without the timing fixture.
+Each table is checked twice: at a small scale, through its named grid and
+:func:`~repro.results.figure_from_rows`, and (``*_paper_scale``) at the
+scale of the paper's claim — Theorems 3.19, 3.21, 4.1 and 4.2, the
+one-shot case and the ablations.  A paper-scale check at a command's
+published defaults reads the session's one run of that command
+(``published``), the same run ``test_cli``'s pinned values come from.
 """
 
 import math
 
-from repro.experiments.ablations import (
-    run_protocol_ablation,
-    run_service_time_ablation,
-    run_tree_ablation,
+from repro.results import figure_from_rows
+from repro.sweep import (
+    iter_sweep,
+    protocol_ablation_grid,
+    service_time_grids,
+    thm41_grid,
+    thm42_grid,
+    thm319_grid,
+    thm321_grid,
+    tree_ablation_grid,
 )
-from repro.experiments.competitive import run_async_comparison, run_competitive_sweep
-from repro.experiments.lowerbound_sweep import run_theorem41_sweep, run_theorem42_sweep
-from repro.experiments.one_shot_analysis import run_one_shot_analysis
+
+
+def _table(name, *specs):
+    """``{series: ys}`` of figure ``name`` over the rows of ``specs``."""
+    rows = [row for spec in specs for row in iter_sweep(spec)]
+    return {s.name: s.ys for s in figure_from_rows(name, rows).series}
 
 
 def test_competitive_sweep_within_ceiling():
-    res = run_competitive_sweep([8, 16, 32], requests=25, seed=1)
-    hi = res.series_by_name("ratio (vs opt lower bd)").ys
-    ceil = res.series_by_name("O(s log D) ceiling").ys
+    res = _table("thm319", thm319_grid((8, 16, 32), requests=25, seed=1))
+    hi = res["ratio (vs opt lower bd)"]
+    ceil = res["O(s log D) ceiling"]
     assert all(h <= c for h, c in zip(hi, ceil))
-    lo = res.series_by_name("ratio (vs opt upper bd)").ys
+    lo = res["ratio (vs opt upper bd)"]
     assert all(l <= h for l, h in zip(lo, hi))
     # lo may dip slightly below 1 (the heuristic upper bound overshoots
     # the true optimum); it must stay positive and near-or-above 1.
@@ -34,9 +45,9 @@ def test_competitive_sweep_paper_scale():
     """Theorem 3.19: under the proof-chain ceiling at every diameter, and
     growing at most logarithmically."""
     diameters = [8, 16, 32, 64, 128, 256]
-    res = run_competitive_sweep(diameters, requests=60, seed=0)
-    hi = res.series_by_name("ratio (vs opt lower bd)").ys
-    ceil = res.series_by_name("O(s log D) ceiling").ys
+    res = _table("thm319", thm319_grid(diameters, requests=60, seed=0))
+    hi = res["ratio (vs opt lower bd)"]
+    ceil = res["O(s log D) ceiling"]
     # The bound holds everywhere.
     assert all(h <= c for h, c in zip(hi, ceil))
     # Growth is at most logarithmic: ratio(D) / log2(D) does not blow up.
@@ -47,50 +58,51 @@ def test_competitive_sweep_paper_scale():
 
 
 def test_async_comparison_costs_positive_and_bounded():
-    res = run_async_comparison([8, 16], requests=20, seed=2)
-    sync = res.series_by_name("sync total latency").ys
-    asyn = res.series_by_name("async total latency").ys
+    res = _table("thm321", thm321_grid((8, 16), requests=20, seed=2))
+    sync = res["sync total latency"]
+    asyn = res["async total latency"]
     assert all(a > 0 for a in asyn)
     # Hop-for-hop delays are <= 1, so async total is at most ~sync total
     # plus reordering slack; sanity: within 2x.
     assert all(a <= 2.0 * s + 1e-9 for a, s in zip(asyn, sync))
 
 
-def test_async_comparison_paper_scale():
+def test_async_comparison_paper_scale(published):
     """Theorem 3.21: the same O(s log D) bound under asynchronous delays."""
     diameters = [8, 16, 32, 64, 128]
-    res = run_async_comparison(diameters, requests=60, seed=0)
-    sync = res.series_by_name("sync total latency").ys
-    asyn = res.series_by_name("async total latency").ys
-    ratio = res.series_by_name("async ratio (vs opt lower bd)").ys
+    res = published("thm321")["thm321"]
+    sync = res["sync total latency"]
+    asyn = res["async total latency"]
+    ratio = res["async ratio (vs opt lower bd)"]
     # Async per-message delays are <= the synchronous unit, so the total
     # stays within a reordering-slack factor of the sync run.
     assert all(a <= 2.0 * s for a, s in zip(asyn, sync))
     # The Theorem 3.21 ceiling is the 3.19 one; measured ratios are small.
-    for r, d in zip(ratio, diameters):
+    for r, d in zip(ratio, diameters, strict=True):
         assert r <= (6 * math.ceil(math.log2(3 * d)) + 1) * 12
 
 
 def test_theorem41_sweep_layered_dominates_literal():
-    res = run_theorem41_sweep([16, 64, 256])
-    lit = res.series_by_name("literal construction").ys
-    lay = res.series_by_name("bitonic layered").ys
+    res = _table("thm41", thm41_grid((16, 64, 256)))
+    lit = res["literal construction"]
+    lay = res["bitonic layered"]
     assert lay[-1] > lit[-1]
     assert lay[-1] > lay[0] - 0.25  # non-degenerate growth trend
     # The simulated execution is one more legal scheduler, not one of the
     # two the tie-break bracket maximises over: at D = 256 it lands above.
-    sim = res.series_by_name("literal (simulated)").ys
+    sim = res["literal (simulated)"]
     assert (lit[-1], sim[-1]) == (1.8351254480286738, 1.842293906810036)
 
 
-def test_theorem41_sweep_paper_scale():
+def test_theorem41_sweep_paper_scale(published):
     """Theorem 4.1: the bitonic layered reconstruction's ratio grows with D
     and tracks log D / log log D at simulable scales; the literal
     transcription stays at its flat factor (documented reproduction note)."""
-    res = run_theorem41_sweep([16, 64, 256, 1024])
-    lit = res.series_by_name("literal construction").ys
-    lay = res.series_by_name("bitonic layered").ys
-    target = res.series_by_name("log D / log log D target").ys
+    res = published("thm41")["thm41"]
+    lit = res["literal construction"]
+    lay = res["bitonic layered"]
+    target = res["log D / log log D target"]
+    assert len(lay) == 4  # D = 16, 64, 256, 1024
     # The layered instances separate arrow from opt by a growing factor.
     assert lay[-1] > lay[0]
     assert lay[-1] >= 2.8
@@ -101,20 +113,20 @@ def test_theorem41_sweep_paper_scale():
 
 
 def test_theorem42_sweep_ratio_scales_with_stretch():
-    res = run_theorem42_sweep([1, 2, 4], D_over_s=16)
-    ratios = res.series_by_name("measured ratio").ys
-    stretch = res.series_by_name("measured tree stretch").ys
+    res = _table("thm42", thm42_grid((1, 2, 4), D_over_s=16))
+    ratios = res["measured ratio"]
+    stretch = res["measured tree stretch"]
     assert stretch == [1.0, 2.0, 4.0]
     assert ratios[2] >= 2.0 * ratios[0] - 1e-9
-    assert res.series_by_name("simulated ratio").ys == [1.0, 2.0, 4.0]
+    assert res["simulated ratio"] == [1.0, 2.0, 4.0]
 
 
-def test_theorem42_sweep_paper_scale():
+def test_theorem42_sweep_paper_scale(published):
     """Theorem 4.2: the lower bound scales with the tree's stretch."""
     stretches = [1, 2, 4, 8]
-    res = run_theorem42_sweep(stretches, D_over_s=64)
-    ratios = res.series_by_name("measured ratio").ys
-    stretch = res.series_by_name("measured tree stretch").ys
+    res = published("thm42")["thm42"]
+    ratios = res["measured ratio"]
+    stretch = res["measured tree stretch"]
     # The constructions realise their prescribed stretch exactly.
     assert stretch == [float(s) for s in stretches]
     # Ratio grows linearly with s once the stretch term dominates the
@@ -124,30 +136,31 @@ def test_theorem42_sweep_paper_scale():
     assert all(r >= s for r, s in zip(ratios, stretch))
 
 
-def test_one_shot_analysis_paper_scale():
+def test_one_shot_analysis_paper_scale(published):
     """The one-shot concurrent case ([10]): ratio vs |R| under s log|R|."""
-    res = run_one_shot_analysis([4, 8, 16, 32, 64], seed=0)
-    hi = res.series_by_name("ratio (vs opt lower bd)").ys
-    ceil = res.series_by_name("s log|R| ceiling").ys
+    res = published("oneshot")["oneshot"]
+    hi = res["ratio (vs opt lower bd)"]
+    ceil = res["s log|R| ceiling"]
+    assert len(hi) == 5  # |R| = 4 .. 64
     assert all(h <= c for h, c in zip(hi, ceil))
     # Measured one-shot ratios are modest and grow at most ~log |R|.
     assert hi[-1] <= 4.0 * hi[0] + 4.0
 
 
 def test_tree_ablation_lower_stretch_lower_cost():
-    res = run_tree_ablation(num_nodes=30, requests=80, seed=1)
-    stretch = res.series_by_name("stretch").ys
-    cost = res.series_by_name("arrow total latency").ys
+    res = _table("ablation-trees", tree_ablation_grid(n=30, requests=80, seed=1))
+    stretch = res["stretch"]
+    cost = res["arrow total latency"]
     # The min-stretch tree should not lose to the max-stretch tree.
     best, worst = stretch.index(min(stretch)), stretch.index(max(stretch))
     if stretch[best] < stretch[worst]:
         assert cost[best] <= cost[worst] * 1.25
 
 
-def test_tree_ablation_paper_scale():
-    res = run_tree_ablation(num_nodes=48, requests=150, seed=0)
-    stretch = res.series_by_name("stretch").ys
-    cost = res.series_by_name("arrow total latency").ys
+def test_tree_ablation_paper_scale(published):
+    res = published("ablations")["ablation-trees"]
+    stretch = res["stretch"]
+    cost = res["arrow total latency"]
     assert all(s >= 1.0 for s in stretch)
     assert all(c > 0 for c in cost)
     # The minimum-stretch candidate is within 30% of the best cost: the
@@ -157,8 +170,8 @@ def test_tree_ablation_paper_scale():
 
 
 def test_protocol_ablation_message_counts():
-    res = run_protocol_ablation(num_nodes=24, requests=120, seed=2)
-    msgs = res.series_by_name("messages/op").ys
+    res = _table("ablation-protocols", protocol_ablation_grid(n=24, requests=120, seed=2))
+    msgs = res["messages/op"]
     arrow_bin, arrow_star, nta, central = msgs
     # Centralized: <= 2 messages/op by construction; NTA compresses paths.
     assert central <= 2.0 + 1e-9
@@ -166,11 +179,30 @@ def test_protocol_ablation_message_counts():
     assert all(m >= 0 for m in msgs)
 
 
+def test_ablation_cells_replay_one_schedule_without_the_opt_bracket():
+    """Cells that differ only in tree or protocol build one schedule from
+    the master seed; the ablations' Poisson rows skip the opt bracket the
+    competitive rows carry."""
+    from repro.sweep import get_family
+
+    spec = protocol_ablation_grid(n=12, requests=20)
+    built = [get_family("ratio").build(cell, cell.seed) for cell in spec.cells()]
+    assert len({(tuple(b["schedule"].nodes), tuple(b["schedule"].times)) for b in built}) == 1
+    rows = list(iter_sweep(spec))
+    assert [(r["tree"], r["protocol"]) for r in rows] == [
+        (t, p) for t in ("binary", "star") for p in ("arrow", "adaptive", "centralized")
+    ]
+    assert not any("opt_upper" in r or "ceiling" in r for r in rows)
+    (row,) = iter_sweep(thm319_grid((8,), requests=5))
+    assert row["ratio_lo"] <= row["ratio_hi"] <= row["ceiling"]
+    assert "oneshot_ceiling" not in row
+
+
 def test_protocol_ablation_paper_scale():
     """Arrow vs NTA/Ivy adaptive pointers vs centralized (§1.1): messages
     per operation on a complete network under a contended Poisson load."""
-    res = run_protocol_ablation(num_nodes=48, requests=300, seed=0)
-    arrow_bin, arrow_star, nta, central = res.series_by_name("messages/op").ys
+    res = _table("ablation-protocols", protocol_ablation_grid(n=48, requests=300, seed=0))
+    arrow_bin, arrow_star, nta, central = res["messages/op"]
     # Centralized: exactly <= 2 messages per op.
     assert central <= 2.0 + 1e-9
     # NTA/Ivy pointers: around O(log n) forwards per op.
@@ -182,22 +214,26 @@ def test_protocol_ablation_paper_scale():
 
 
 def test_service_time_ablation_widens_gap():
-    res = run_service_time_ablation(
-        num_procs=24, requests_per_proc=60, service_times=[0.0, 0.3]
+    res = _table(
+        "ablation-service-time",
+        *service_time_grids(n=24, requests_per_proc=60, service_times=(0.0, 0.3)),
     )
-    a = res.series_by_name("arrow").ys
-    c = res.series_by_name("centralized").ys
+    a = res["closed_arrow"]
+    c = res["closed_centralized"]
     gap_low = c[0] - a[0]
     gap_high = c[1] - a[1]
     assert gap_high > gap_low
 
 
 def test_service_time_ablation_paper_scale():
-    res = run_service_time_ablation(
-        num_procs=48, requests_per_proc=100, service_times=[0.0, 0.1, 0.2, 0.4]
+    res = _table(
+        "ablation-service-time",
+        *service_time_grids(
+            n=48, requests_per_proc=100, service_times=(0.0, 0.1, 0.2, 0.4)
+        ),
     )
-    arrow = res.series_by_name("arrow").ys
-    central = res.series_by_name("centralized").ys
+    arrow = res["closed_arrow"]
+    central = res["closed_centralized"]
     gaps = [c - a for a, c in zip(arrow, central)]
     # The centralized disadvantage grows monotonically with CPU cost.
     assert all(g2 >= g1 - 1e-9 for g1, g2 in zip(gaps, gaps[1:]))

@@ -34,7 +34,7 @@ def test_invalid_stretch_rejected():
 
 
 def test_ratio_scales_with_stretch():
-    from repro.experiments.lowerbound_sweep import worst_case_arrow_cost
+    from repro.analysis import worst_case_arrow_cost
     from repro.analysis.optimal import opt_bounds
 
     ratios = []

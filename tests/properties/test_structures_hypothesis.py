@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import bfs_distances
 from repro.sim.kernel import Simulator
-from repro.spanning import SpanningTree, UnionFind
+from repro.spanning import SpanningTree
 
 
 @st.composite
@@ -40,28 +40,6 @@ def test_tree_path_is_simple_and_adjacent(parent):
     assert len(set(path)) == len(path)
     for a, b in zip(path, path[1:]):
         assert tree.parent[a] == b or tree.parent[b] == a
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 19), st.integers(0, 19)), min_size=0, max_size=40
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_union_find_matches_naive_partition(unions):
-    uf = UnionFind(20)
-    naive = {i: {i} for i in range(20)}
-    for a, b in unions:
-        uf.union(a, b)
-        sa, sb = naive[a], naive[b]
-        if sa is not sb:
-            merged = sa | sb
-            for x in merged:
-                naive[x] = merged
-    for a in range(20):
-        for b in range(20):
-            assert (uf.find(a) == uf.find(b)) == (naive[a] is naive[b])
-    assert uf.components == len({id(s) for s in naive.values()})
 
 
 @given(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ResultsError
-from repro.results import figure_from_rows, fig9_result
+from repro.results import FIGURES, Figure, figure_from_rows
 
 
 def row(**kw):
@@ -86,18 +86,39 @@ def test_missing_metric_lists_numeric_columns():
 
 
 def test_fig9_result_adapter():
-    from repro.experiments import run_fig9
+    """Fig. 9's record is its lower-bound row through fixed series: one x
+    point (the instance diameter ``D``), one series per cost measure."""
+    from repro.sweep import fig9_grid, iter_sweep
 
-    rep = run_fig9(16, 2, variant="layered")
-    result = fig9_result(rep)
-    assert result.experiment_id == "fig9"
+    (row,) = iter_sweep(fig9_grid(16, 2, "layered"))
+    result = figure_from_rows("fig9", [row])
+    assert result.experiment_id == "fig9" and result.xlabel == "D"
     names = [s.name for s in result.series]
-    assert "arrow cost" in names and "ratio" in names
-    assert all(s.xs == [float(rep.D)] for s in result.series)
-    assert result.params["variant"] == "layered"
-    # Round-trips through the records JSON codec (store format).
-    from repro.experiments.records import ExperimentResult
+    assert "arrow cost" in names and "measured ratio" in names
+    assert all(s.xs == [16.0] for s in result.series)
+    assert result.series_by_name("arrow cost").ys == [row["arrow_cost"]]
+    assert result.params["metric"] is None  # fixed series, no one metric
 
-    assert ExperimentResult.from_json(result.to_json()).series[0].ys == (
-        result.series[0].ys
-    )
+
+def test_fixed_series_filter_rows_and_categorical_cases(monkeypatch):
+    rows = [
+        row(variant="a", diameter=4, ratio=2.0),
+        row(variant="b", diameter=4, ratio=3.0),
+        row(variant="b", diameter=8, ratio=5.0),
+    ]
+    series = (("b only", "ratio", ("variant", "b")), ("all", "ratio"))
+    monkeypatch.setitem(FIGURES, "demo", Figure("Demo", x="diameter", series=series))
+    result = figure_from_rows("demo", rows)
+    assert [(s.name, s.xs, s.ys) for s in result.series] == [
+        ("b only", [4.0, 8.0], [3.0, 5.0]),
+        ("all", [4.0, 8.0], [2.5, 5.0]),
+    ]
+    # Cases: a row's x is the first case it meets; a row meeting none drops.
+    cases = ((("variant", "b"), ("diameter", 8)), (("variant", "a"),))
+    fig = Figure("Demo", series=(("r", "ratio"),), cases=cases)
+    monkeypatch.setitem(FIGURES, "demo", fig)
+    (only,) = figure_from_rows("demo", rows).series
+    assert (only.xs, only.ys) == ([0.0, 1.0], [5.0, 2.0])
+    monkeypatch.setitem(FIGURES, "demo", Figure("Demo", series=(("m", "nope"),)))
+    with pytest.raises(ResultsError, match="no 'nope' column"):
+        figure_from_rows("demo", rows)

@@ -16,10 +16,8 @@ from repro.graphs import (
 )
 from repro.spanning import (
     SpanningTree,
-    UnionFind,
     balanced_binary_overlay,
     bfs_tree,
-    mst_kruskal,
     mst_prim,
     random_spanning_tree,
     star_overlay,
@@ -48,19 +46,11 @@ def test_mst_prim_matches_networkx_weight(weighted_graph):
     assert ours == pytest.approx(theirs)
 
 
-def test_mst_kruskal_matches_prim(weighted_graph):
-    assert tree_weight(mst_kruskal(weighted_graph, 0)) == pytest.approx(
-        tree_weight(mst_prim(weighted_graph, 0))
-    )
-
-
 def test_mst_on_disconnected_raises():
     g = Graph(4)
     g.add_edge(0, 1)
     with pytest.raises(GraphError):
         mst_prim(g, 0)
-    with pytest.raises(GraphError):
-        mst_kruskal(g, 0)
 
 
 def test_bfs_tree_preserves_root_distances():
@@ -125,18 +115,6 @@ def test_random_spanning_trees_vary_with_seed():
     g = grid_graph(5, 5)
     trees = {tuple(random_spanning_tree(g, 0, seed=s).parent) for s in range(6)}
     assert len(trees) > 1
-
-
-def test_union_find_basics():
-    uf = UnionFind(5)
-    assert uf.union(0, 1)
-    assert not uf.union(1, 0)
-    assert uf.find(0) == uf.find(1)
-    assert uf.components == 4
-    uf.union(2, 3)
-    uf.union(0, 3)
-    assert uf.find(2) == uf.find(1)
-    assert uf.components == 2
 
 
 @pytest.mark.parametrize("seed", [0, 3])
