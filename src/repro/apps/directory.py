@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.arrow import ArrowNode
 from repro.core.queueing import float_total
 from repro.core.requests import ROOT_RID
-from repro.errors import NetworkError, ProtocolError, ScheduleError
+from repro.errors import NetworkError, ProtocolError, ScheduleError, require_time
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
@@ -100,16 +100,15 @@ def _check_directory_args(acquisitions_per_proc: int, cs_time: float) -> None:
     """Reject out-of-range loop knobs; both directory drivers call this.
 
     A negative budget would otherwise surface late as "completed 0 of -4
-    acquisitions" and a negative ``cs_time`` as the kernel refusing to
-    schedule a release into the past.  ``acquisitions_per_proc == 0`` is
-    legal: an empty, complete run.
+    acquisitions", a negative ``cs_time`` as the kernel refusing to
+    schedule a release into the past and a NaN one as a NaN event time.
+    ``acquisitions_per_proc == 0`` is legal: an empty, complete run.
     """
     if acquisitions_per_proc < 0:
         raise ScheduleError(
             f"acquisitions_per_proc must be >= 0, got {acquisitions_per_proc}"
         )
-    if cs_time < 0:
-        raise ScheduleError(f"cs_time must be >= 0, got {cs_time}")
+    require_time("cs_time", cs_time, ScheduleError)
 
 
 class _ObjectState:

@@ -7,9 +7,10 @@ the central node, and one back."
 Concretely: a requester sends ``creq`` to the centre (routed over ``G``);
 the centre swaps its tail record and informs the *previous* tail's issuer
 of its successor (``cinform``), which is the completion event of
-Definition 3.2.  With ``notify_origin`` the centre also acknowledges the
-requester (``queue_reply``) so closed-loop drivers can issue the next
-request — the "one back" message of the paper's measurement loop.
+Definition 3.2.  In ``reply_mode`` — the closed loop's — the centre
+records the completion itself and acknowledges the requester with one
+``queue_reply``, so the driver can issue the next request: the "one
+back" message of the paper's measurement loop.
 
 The centre handles every request in the system, so with a positive
 per-node service time it saturates as the system grows — the linear
@@ -41,7 +42,6 @@ class CentralizedNode(ProtocolNode):
     __slots__ = (
         "center",
         "_on_complete",
-        "_notify_origin",
         "_reply_mode",
         "tail_rid",
         "tail_node",
@@ -54,23 +54,21 @@ class CentralizedNode(ProtocolNode):
         center: int,
         on_complete: CompletionCallback,
         *,
-        notify_origin: bool = False,
         reply_mode: bool = False,
     ) -> None:
         """Create a node of the centralized protocol.
 
-        With ``reply_mode`` the protocol uses exactly the paper's two
-        messages per request — ``creq`` to the centre and one reply back to
-        the requester carrying the predecessor's identity — and the
-        completion is recorded at the centre (which maintains the whole
-        queue).  Without it, the centre informs the predecessor's issuer
-        directly (``cinform``), matching Definition 3.2's completion event
-        at the cost of one extra message when ``notify_origin`` is also on.
+        With ``reply_mode`` (the closed loop) the protocol uses exactly
+        the paper's two messages per request — ``creq`` to the centre and
+        one ``queue_reply`` back to the requester carrying the
+        predecessor's identity — and the completion is recorded at the
+        centre (which maintains the whole queue).  Without it (the open
+        loop), the centre informs the predecessor's issuer directly
+        (``cinform``): Definition 3.2's completion event.
         """
         super().__init__()
         self.center = center
         self._on_complete = on_complete
-        self._notify_origin = notify_origin
         self._reply_mode = reply_mode
         self.is_center = False
         # Tail record, meaningful at the centre only.
@@ -117,13 +115,6 @@ class CentralizedNode(ProtocolNode):
                 self.net.sim.now,
                 msg.payload["hops"] + msg.hops,
             )
-            if self._notify_origin:
-                self.send_routed(
-                    "queue_reply",
-                    msg.payload["origin"],
-                    rid=msg.payload["rid"],
-                    predecessor=msg.payload["predecessor"],
-                )
         else:
             if self.app_handler is not None:
                 self.app_handler(msg)
@@ -142,10 +133,7 @@ class CentralizedNode(ProtocolNode):
             # Two-message discipline (§5): record completion at the centre
             # and acknowledge the requester with its predecessor's identity.
             self._on_complete(rid, pred_rid, self.node_id, self.net.sim.now, hops)
-            if self._notify_origin:
-                self.send_routed(
-                    "queue_reply", origin, rid=rid, predecessor=pred_rid
-                )
+            self.send_routed("queue_reply", origin, rid=rid, predecessor=pred_rid)
             return
         # Inform the predecessor's issuer of its successor (completion).
         self.send_routed(

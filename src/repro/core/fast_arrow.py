@@ -7,9 +7,9 @@ int/float array node state (``link``, ``last_rid``) — no
 :class:`~repro.net.network.Network` dispatch.  The produced
 :class:`~repro.core.queueing.RunResult` is bit-identical to
 :func:`repro.core.runner.run_arrow` (same completions, predecessors, hop
-counts, makespan and tie-breaking), which the differential suite in
-``tests/core/test_fast_arrow_differential.py`` enforces instance by
-instance.
+counts, makespan, tie-breaking and event stream), which the small-model
+oracle in ``tests/small_models.py`` checks on every small instance it
+enumerates.
 
 There is one event loop, :meth:`FastArrowEngine._arrow_loop`; its
 docstring says why bit-identity holds.  Open-loop runs (:meth:`run`),
@@ -28,7 +28,7 @@ from operator import eq
 from repro.core.event_stream import EVENT_CHUNK, EventSink, EventStream
 from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
-from repro.errors import NetworkError, ProtocolError, SimulationError
+from repro.errors import NetworkError, ProtocolError, SimulationError, require_time
 from repro.graphs.graph import Graph
 from repro.graphs.validation import tree_link_weights
 from repro.net.latency import LatencyModel, UnitLatency
@@ -138,9 +138,7 @@ class FastArrowEngine:
     delays of deterministic latency models; :meth:`run` then replays a
     schedule with per-run mutable state only.
 
-    Parameters mirror the :func:`~repro.core.runner.run_arrow` knobs it
-    supports; ``notify_origin`` acknowledgement traffic is inherently
-    message-level and not available here — use the message simulator for it.
+    Parameters are the :func:`~repro.core.runner.run_arrow` knobs.
     """
 
     def __init__(
@@ -152,13 +150,11 @@ class FastArrowEngine:
         seed: int = 0,
         service_time: float = 0.0,
     ) -> None:
-        if service_time < 0:
-            raise NetworkError(f"service_time must be >= 0, got {service_time}")
+        self.service_time = require_time("service_time", service_time, NetworkError)
         self.graph = graph
         self.tree = tree
         self.latency = latency if latency is not None else UnitLatency()
         self.seed = seed
-        self.service_time = float(service_time)
 
         n = tree.num_nodes
         root = tree.root
@@ -288,16 +284,25 @@ class FastArrowEngine:
           re-issue; with ``think_time == 0`` the re-issue runs *inside*
           the acknowledgement dispatch (no event of its own), exactly like
           ``_Driver.on_ack``;
-        * a dropped send consumes no sequence number, no latency draw and
-          no FIFO clamp — the message engine never reaches ``transmit``
-          for it either — while crash events and dropped initiations are
-          fired events and count towards ``max_events``;
-        * FIFO clamping per directed tree link, the per-node busy-until
-          service model and the acknowledgements' shortest-path routing
-          are replayed arithmetically, and stochastic latency models draw
-          from the same ``spawn_rng(seed, "network-latency")`` stream in
-          the same order as :class:`~repro.net.network.Network` would —
-          one draw per tree-link traversal, one per edge of a routed path.
+        * a dropped send consumes no sequence number and no latency draw —
+          the message engine never reaches ``transmit`` for it either —
+          while crash events and dropped initiations are fired events and
+          count towards ``max_events``;
+        * the per-node busy-until service model and the acknowledgements'
+          shortest-path routing are replayed arithmetically, and
+          stochastic latency models draw from the same ``spawn_rng(seed,
+          "network-latency")`` stream in the same order as
+          :class:`~repro.net.network.Network` would — one draw per
+          tree-link traversal, one per edge of a routed path;
+        * the message engine's per-link FIFO clamp
+          (:class:`~repro.net.channel.FifoChannel`) never fires on queue
+          traffic, so there is nothing to replay: a tree edge is crossed
+          by at most one arrow — a pointer or an in-flight message — a
+          send turns the sender's pointer into the message, a delivery
+          turns it back, and a drop or a crash only removes arrows.  No
+          edge ever carries two queue messages, so none can overtake
+          another.  ``tests/small_models.py`` asserts this on every
+          instance it enumerates, degraded runs included.
         """
         n = self._n
         parent = self._parent
@@ -313,9 +318,6 @@ class FastArrowEngine:
         link[self._root] = self._root
         last_rid = [NO_RID] * n
         last_rid[self._root] = ROOT_RID
-        # FIFO clamp per directed tree link: 2v = v -> parent[v],
-        # 2v + 1 = parent[v] -> v (FifoChannel._last_delivery, flattened).
-        last_delivery = [0.0] * (2 * n)
         busy_until = [0.0] * n  # Network._busy_until
 
         if driver is not None:
@@ -474,8 +476,8 @@ class FastArrowEngine:
                     messages += 1
                     continue
 
-                # One link traversal v -> x (send_link / forward + FifoChannel),
-                # fault checks first: a dropped send never transmits.
+                # One link traversal v -> x (send_link / forward), fault
+                # checks first: a dropped send never transmits.
                 hops += 1
                 if emit is not None:
                     emit(("send", rid, v, x, now))
@@ -488,12 +490,7 @@ class FastArrowEngine:
                     delay = sample(v, x, weight[x if downward else v], rng)
                 else:
                     delay = det_down[x] if downward else det_up[v]
-                chan = 2 * x + 1 if downward else 2 * v
-                at = now + delay
-                if at < last_delivery[chan]:
-                    at = last_delivery[chan]
-                last_delivery[chan] = at
-                push(heap, (at, seq, arrive, x, v, rid, hops))
+                push(heap, (now + delay, seq, arrive, x, v, rid, hops))
                 seq += 1
                 messages += 1
 
@@ -518,11 +515,10 @@ def run_arrow_fast(
     max_events: int | None = None,
     on_event=None,
 ) -> RunResult:
-    """Drop-in fast replacement for the supported ``run_arrow`` subset.
+    """Drop-in fast replacement for :func:`repro.core.runner.run_arrow`.
 
-    Accepts the same model knobs as :func:`repro.core.runner.run_arrow`
-    except ``notify_origin`` (a message-level feature); the returned
-    result is bit-identical to the message simulator's.
+    Accepts the same knobs; the returned result is bit-identical to the
+    message simulator's.
     """
     engine = FastArrowEngine(
         graph, tree, latency=latency, seed=seed, service_time=service_time

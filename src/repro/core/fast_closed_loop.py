@@ -17,9 +17,9 @@ baseline is a different protocol and keeps its own, much smaller loop.
 The produced :class:`~repro.workloads.closed_loop.ClosedLoopResult` is
 **bit-identical** to the message-level drivers' (same makespan, per-request
 hops and latencies, issue/ack times, message totals, tie-breaking and RNG
-draws), which ``tests/core/test_fast_closed_loop_parity.py`` enforces
-instance by instance; ``_arrow_loop``'s docstring says why that is
-achievable, and the same argument covers the centralized loop.
+draws), which the small-model oracle (``tests/small_models.py``) checks on
+every small closed loop it enumerates; ``_arrow_loop``'s docstring says
+why that is achievable, and the same argument covers the centralized loop.
 """
 
 from __future__ import annotations

@@ -101,7 +101,6 @@ def run_arrow(
     latency: LatencyModel | None = None,
     seed: int = 0,
     service_time: float = 0.0,
-    notify_origin: bool = False,
     max_events: int | None = None,
     on_event=None,
 ) -> RunResult:
@@ -110,10 +109,9 @@ def run_arrow(
     Parameters mirror the paper's model knobs: ``latency`` selects
     synchronous (:class:`UnitLatency`, the default) or asynchronous
     behaviour; ``service_time`` adds per-node sequential message handling
-    (0 = the §3.1 analysis model); ``notify_origin`` adds the
-    application-level acknowledgement used by closed-loop workloads.
-    ``on_event``, when set, is called with the protocol trace as a list of
-    event tuples (:mod:`repro.core.event_stream`; the vocabulary is in
+    (0 = the §3.1 analysis model).  ``on_event``, when set, is called with
+    the protocol trace as a list of event tuples
+    (:mod:`repro.core.event_stream`; the vocabulary is in
     :mod:`repro.monitors`) — once, when the run ends or aborts — and
     leaves the results untouched.
     """
@@ -129,7 +127,7 @@ def run_arrow(
             "arrow",
             graph,
             schedule,
-            lambda on_complete: ArrowNode(on_complete, notify_origin=notify_origin),
+            ArrowNode,
             init,
             latency=latency,
             seed=seed,
@@ -146,8 +144,6 @@ def run_centralized(
     latency: LatencyModel | None = None,
     seed: int = 0,
     service_time: float = 0.0,
-    notify_origin: bool = False,
-    reply_mode: bool = False,
     max_events: int | None = None,
 ) -> RunResult:
     """Run the §5 centralized baseline; same result interface as arrow."""
@@ -156,9 +152,7 @@ def run_centralized(
         "centralized",
         graph,
         schedule,
-        lambda on_complete: CentralizedNode(
-            center, on_complete, notify_origin=notify_origin, reply_mode=reply_mode
-        ),
+        lambda on_complete: CentralizedNode(center, on_complete),
         lambda nodes: nodes[center].init_center(),
         latency=latency,
         seed=seed,

@@ -3,10 +3,12 @@
 Every error raised by this library derives from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
 still letting programming errors (``TypeError`` and friends) propagate.
+:func:`require_time` is the one range check for time-valued knobs.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "ShardFailedError",
     "AnalysisError",
     "ResultsError",
+    "require_time",
 ]
 
 
@@ -170,3 +173,16 @@ class ResultsError(ReproError):
     Covers ingest problems (rows that do not belong to the spec being
     ingested, index/cell-id mismatches), lookups that resolve to no — or
     more than one — stored run, and malformed store directories."""
+
+
+def require_time(name: str, value: float, error: type[ReproError]) -> float:
+    """``value`` as a float if it is a finite duration >= 0, else ``error``.
+
+    The one check and message for the service, think and critical-section
+    times wherever they enter; each entry point keeps its own error type.
+    A NaN fails both comparisons.
+    """
+    t = float(value)
+    if not 0.0 <= t < math.inf:
+        raise error(f"{name} must be finite and >= 0, got {value}")
+    return t

@@ -40,7 +40,9 @@ docstring says why bit-identity holds); ``engine="message"`` runs the
 genuine :class:`~repro.net.network.Network` simulation with a fault-aware
 subclass driving the same state machine.  Both produce identical results
 for identical inputs — the same event order, the same drops, the same
-repairs — which the fault differential tests enforce.
+repairs — which the small-model oracle (``tests/small_models.py``) checks
+on every single and double crash, link window and seeded loss plan it
+enumerates.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from repro.core.fast_arrow import (
 from repro.core.queueing import RunResult
 from repro.core.requests import RequestSchedule
 from repro.core.stabilize import find_violations_links, stabilize_links
-from repro.errors import FaultPlanError, NetworkError, ProtocolError
+from repro.errors import FaultPlanError, NetworkError, ProtocolError, require_time
 from repro.graphs.graph import Graph
 from repro.graphs.validation import require_spanning_subgraph
 from repro.net.latency import LatencyModel, UnitLatency
@@ -599,8 +601,7 @@ def run_arrow_faulted(
         raise ValueError(engine_error_message(engine))
     if isinstance(plan, str):
         plan = parse_fault_plan(plan)
-    if service_time < 0:
-        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    service_time = require_time("service_time", service_time, NetworkError)
     schedule.validate_nodes(graph.num_nodes)
     require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
     plan.validate_nodes(graph.num_nodes)
@@ -612,7 +613,7 @@ def run_arrow_faulted(
             schedule,
             latency=model,
             seed=seed,
-            service_time=float(service_time),
+            service_time=service_time,
             max_events=max_events,
             on_event=on_event,
         )
@@ -625,7 +626,7 @@ def run_arrow_faulted(
         plan,
         latency=model,
         seed=seed,
-        service_time=float(service_time),
+        service_time=service_time,
         max_events=max_events,
         on_event=on_event,
     )

@@ -36,7 +36,8 @@ equal the mirrored pointer, delivery must match an in-flight message,
 a completion's predecessor must match the mirrored tail), which is both
 exact and O(1) per event.  ``deep=True`` additionally rescans the whole
 configuration after every atomic transition — O(n) per event, meant for
-the property-based fuzz harness's small instances.  The monitor only ever
+small instances such as the small-model oracle's
+(``tests/small_models.py``).  The monitor only ever
 reads its own mirror, so replaying a chunk after the engine has moved on
 is exactly the check it would have made at the time; only the moment of
 the raise moves, to the end of the chunk (or of the run, on the

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, require_time
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.net.channel import FifoChannel
@@ -68,13 +68,11 @@ class Network:
         seed: int = 0,
         service_time: float = 0.0,
     ) -> None:
-        if service_time < 0:
-            raise NetworkError(f"service_time must be >= 0, got {service_time}")
+        self.service_time = require_time("service_time", service_time, NetworkError)
         self.graph = graph
         self.sim = sim
         self.latency = latency if latency is not None else UnitLatency()
         self.rng: np.random.Generator = spawn_rng(seed, "network-latency")
-        self.service_time = float(service_time)
         self.stats = NetworkStats()
 
         self._nodes: list[ProtocolNode | None] = [None] * graph.num_nodes

@@ -11,9 +11,9 @@ What each schedule-axis name *means* is pluggable: the cell-family
 registry (:mod:`repro.sweep.registry`) maps names to a validator,
 builder and runner-to-row, with the open-loop arrow replays, the §5
 closed loops (``closed_arrow``/``closed_centralized``), the §5.1
-directory designs (``directory_arrow``/``directory_home``), the §1.1
-adaptive-pointer baseline and the theorem families (``ratio``,
-``lowerbound``) registered out of the box (:mod:`repro.sweep.families`);
+directory designs (``directory_arrow``/``directory_home``) and the
+theorem families (``ratio``, ``lowerbound``) registered out of the box
+(:mod:`repro.sweep.families`);
 every table the paper commands print is a named grid here.  Rows from
 the arrow families carry per-request latency percentile and histogram
 columns

@@ -13,16 +13,15 @@ this module registers:
   ``directory_home``), the paper's motivating application under a closed
   acquire→use→release loop, with the mutual-exclusion invariant recorded
   as the ``exclusion_ok`` row column;
-* the §1.1 **adaptive-pointer** baseline (``adaptive``, NTA/Ivy path
-  shorting) driven by a nested open-loop schedule;
 * the Section 3 **competitive ratio** (``ratio``) of an open-loop
-  protocol against the optimal offline bracket, and the Section 4
-  **lower-bound** instances (``lowerbound``) — the rows of the theorem
+  protocol — arrow, the §1.1 NTA/Ivy adaptive-pointer baseline or the
+  centralized one — against the optimal offline bracket, and the Section
+  4 **lower-bound** instances (``lowerbound``) — the rows of the theorem
   and ablation tables.
 
-The directory and adaptive families run at full message level only —
-they ignore the spec's ``engine`` axis (``uses_engine=False``) and tag
-their rows with a ``protocol`` column instead.
+The directory families run at full message level only — they ignore the
+spec's ``engine`` axis (``uses_engine=False``) and tag their rows with a
+``protocol`` column instead.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.queueing import float_total
 from repro.core.runner import run_centralized
-from repro.errors import SweepError
+from repro.errors import SweepError, require_time
 from repro.faults import run_arrow_faulted
 from repro.lowerbound import (
     comb_mst_weight,
@@ -57,7 +56,6 @@ from repro.sweep.spec import (
     CLOSED_LOOP_FAMILIES,
     LOWERBOUND_AXES,
     OPEN_LOOP_SCHEDULES,
-    ScheduleSpec,
     SweepCell,
     build_graph,
     build_schedule,
@@ -67,7 +65,6 @@ from repro.sweep.stats import latency_columns
 from repro.workloads import schedules as _schedules
 
 __all__ = [
-    "ADAPTIVE_PARAMS",
     "DIRECTORY_PARAMS",
     "DIRECTORY_HOME_PARAMS",
     "LOWERBOUND_PARAMS",
@@ -93,8 +90,8 @@ def _require_positive(params: Mapping[str, object], *keys: str) -> None:
 
 def _require_non_negative(params: Mapping[str, object], *keys: str) -> None:
     for key in keys:
-        if key in params and float(params[key]) < 0:  # type: ignore[arg-type]
-            raise SweepError(f"{key} must be >= 0, got {params[key]!r}")
+        if key in params:
+            require_time(key, params[key], SweepError)  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
@@ -336,70 +333,6 @@ register_family(
         build=_build_directory_home,
         to_row=_directory_row,
         validate=_validate_directory,
-        uses_engine=False,
-    ),
-    replace=True,
-)
-
-
-# ----------------------------------------------------------------------
-# §1.1 adaptive-pointer baseline (NTA / Ivy path shorting)
-# ----------------------------------------------------------------------
-ADAPTIVE_PARAMS = frozenset({"schedule"}).union(*OPEN_LOOP_SCHEDULES.values())
-
-
-def _validate_adaptive(params: Mapping[str, object]) -> None:
-    inner = str(params.get("schedule", "poisson"))
-    if inner not in OPEN_LOOP_SCHEDULES:
-        raise SweepError(
-            f"adaptive: nested schedule must be an open-loop family "
-            f"({sorted(OPEN_LOOP_SCHEDULES)}), got {inner!r}"
-        )
-    unknown = set(params) - {"schedule"} - OPEN_LOOP_SCHEDULES[inner]
-    if unknown:
-        raise SweepError(
-            f"adaptive: schedule family {inner!r} does not accept "
-            f"{sorted(unknown)}; known parameters: "
-            f"{sorted(OPEN_LOOP_SCHEDULES[inner])}"
-        )
-    _validate_open_loop(params)
-
-
-def _build_adaptive(cell: SweepCell, derived: int) -> Mapping[str, Any]:
-    """Adaptive pointers need no spanning tree: the tree axis only keys
-    the cell id; requests chase ``last`` pointers from root 0 instead."""
-    graph = build_graph(cell.graph, derived)
-    params = cell.schedule.kwargs()
-    inner = str(params.pop("schedule", "poisson"))
-    schedule = build_schedule(
-        ScheduleSpec.of(inner, **params), graph.num_nodes, derived
-    )
-    return {"graph": graph, "schedule": schedule}
-
-
-def _adaptive_row(
-    cell: SweepCell, derived: int, built: Mapping[str, Any]
-) -> dict[str, Any]:
-    result = run_adaptive(
-        built["graph"],
-        0,
-        built["schedule"],
-        seed=derived,
-        service_time=cell.service_time,
-    )
-    return {
-        "protocol": "adaptive",
-        **_run_result_columns(built["graph"], len(built["schedule"]), result),
-    }
-
-
-register_family(
-    CellFamily(
-        name="adaptive",
-        accepted=ADAPTIVE_PARAMS,
-        build=_build_adaptive,
-        to_row=_adaptive_row,
-        validate=_validate_adaptive,
         uses_engine=False,
     ),
     replace=True,

@@ -10,7 +10,7 @@ for its row, and prepends the axis identity columns.
 
 Built-in registrations live in :mod:`repro.sweep.families` (the six
 open-loop schedule families, the §5 closed loops, the §5.1 directory
-designs and the §1.1 adaptive-pointer baseline) and are loaded lazily on
+designs and the theorem families) and are loaded lazily on
 first lookup, so importing :mod:`repro.sweep.spec` alone is enough to
 validate any builtin family name.  Third-party code extends the sweep by
 calling :func:`register_family` with its own :class:`CellFamily`; with
@@ -48,7 +48,7 @@ class CellFamily:
     cell into runnable inputs; ``to_row`` executes them and returns the
     metric columns.  ``uses_engine`` documents whether the family honours
     the spec's ``engine`` axis — message-level-only families (the
-    directory designs, the adaptive baseline) ignore it, and their rows
+    directory designs) ignore it, and their rows
     carry a ``protocol`` column naming what actually ran.
     ``supports_faults`` marks families whose ``to_row`` honours a
     non-empty ``cell.faults`` plan (the open-loop arrow families); specs

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, replace
 
 from repro.core.fast_arrow import ENGINES, engine_error_message
-from repro.errors import SweepError
+from repro.errors import SweepError, require_time
 from repro.faults import parse_fault_plan
 from repro.graphs.generators import (
     balanced_binary_tree_graph,
@@ -262,6 +262,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             raise SweepError(engine_error_message(self.engine))
+        # Checked, not converted: the value as given is part of spec_hash.
+        require_time("service_time", self.service_time, SweepError)
         for t in self.trees:
             if t not in TREE_BUILDERS:
                 raise SweepError(

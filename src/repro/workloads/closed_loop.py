@@ -31,11 +31,12 @@ Parity contract
 heap without message objects; its results are **bit-identical** to the
 ones produced here — every comparing field of :class:`ClosedLoopResult`
 (makespan, completions, per-request hops/latencies/issue/ack times,
-message totals), the same tie-breaking, the same RNG draws.  The suite in
-``tests/core/test_fast_closed_loop_parity.py`` enforces the contract
-instance by instance, so any semantic change to this module must be
-mirrored there.  ``wall_seconds`` is the one field excluded from
-comparison: it is wall-clock measurement noise, never simulation state.
+message totals), the same tie-breaking, the same RNG draws.  The
+small-model oracle (``tests/small_models.py``) checks the contract on
+every small closed loop it enumerates, so any semantic change to this
+module must be mirrored there.  ``wall_seconds`` is the one field
+excluded from comparison: it is wall-clock measurement noise, never
+simulation state.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Callable, Sequence
 from repro.core.arrow import ArrowNode, CompletionCallback
 from repro.core.centralized import CentralizedNode, check_center
 from repro.core.event_stream import emitting_to
-from repro.errors import NetworkError, ProtocolError, ScheduleError
+from repro.errors import NetworkError, ProtocolError, ScheduleError, require_time
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
@@ -117,17 +118,15 @@ def _check_loop_args(
     """Reject out-of-range loop knobs; every closed-loop driver calls this.
 
     A negative budget would otherwise surface late as "completed 0 of -32
-    requests" and a negative think time would silently run as zero.
-    ``requests_per_proc == 0`` is legal: an empty, complete run.
+    requests", and a negative or NaN think time would silently run as
+    zero.  ``requests_per_proc == 0`` is legal: an empty, complete run.
     """
-    if service_time < 0:
-        raise NetworkError(f"service_time must be >= 0, got {service_time}")
+    require_time("service_time", service_time, NetworkError)
     if requests_per_proc < 0:
         raise ScheduleError(
             f"requests_per_proc must be >= 0, got {requests_per_proc}"
         )
-    if think_time < 0:
-        raise ScheduleError(f"think_time must be >= 0, got {think_time}")
+    require_time("think_time", think_time, ScheduleError)
 
 
 class _Driver:
@@ -286,9 +285,7 @@ def closed_loop_centralized(
     return _run_closed_loop(
         "centralized",
         graph,
-        lambda on_complete: CentralizedNode(
-            center, on_complete, notify_origin=True, reply_mode=True
-        ),
+        lambda on_complete: CentralizedNode(center, on_complete, reply_mode=True),
         lambda nodes: nodes[center].init_center(),
         requests_per_proc=requests_per_proc,
         latency=latency,

@@ -1,5 +1,6 @@
 """Tests for the distributed-directory applications (§1 / §5.1)."""
 
+import math
 import sys
 
 import pytest
@@ -126,8 +127,9 @@ def test_directory_drivers_reject_negative_loop_knobs(k8, protocol):
     g, tree = k8
     with pytest.raises(ScheduleError, match="acquisitions_per_proc must be >= 0, got -1"):
         _run(protocol, g, tree, acquisitions_per_proc=-1)
-    with pytest.raises(ScheduleError, match=r"cs_time must be >= 0, got -1\.0"):
-        _run(protocol, g, tree, acquisitions_per_proc=2, cs_time=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ScheduleError, match=f"^cs_time must be finite and >= 0, got {bad}$"):
+            _run(protocol, g, tree, acquisitions_per_proc=2, cs_time=bad)
 
 
 @pytest.mark.parametrize("protocol", ["arrow", "home"])

@@ -16,6 +16,7 @@ from repro.graphs import path_graph
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.spanning import SpanningTree
+from repro.workloads.closed_loop import closed_loop_arrow
 
 
 def chain_tree(n, root=0):
@@ -162,10 +163,11 @@ def test_initiate_takes_only_a_rid_and_completes_at_sim_now():
 
 
 def test_notify_origin_sends_reply():
-    g = path_graph(3)
-    tree = chain_tree(3, root=0)
-    sched = RequestSchedule([(2, 0.0)])
-    res = run_arrow(g, tree, sched, notify_origin=True)
-    # 2 queue hops + 2 reply hops routed back.
-    assert res.network_stats["routed_messages"] == 1
-    assert res.network_stats["hops_total"] == 4
+    """The closed loop's nodes acknowledge every request with one routed
+    ``queue_reply`` from the sink to the origin (to itself after a local
+    find)."""
+    res = closed_loop_arrow(path_graph(3), chain_tree(3, root=0), requests_per_proc=1)
+    assert res.hops == [0, 1, 1]
+    assert res.messages_sent == sum(res.hops) + res.completions == 5
+    # Both remote requests complete after one hop; the reply takes one more.
+    assert res.ack_times == [0.0, 2.0, 2.0]

@@ -6,6 +6,7 @@ from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_centralized
 from repro.graphs import complete_graph, path_graph
+from repro.workloads.closed_loop import closed_loop_centralized
 from repro.workloads.schedules import poisson
 
 
@@ -27,14 +28,10 @@ def test_center_own_request_skips_first_leg():
 
 
 def test_two_messages_per_request_in_reply_mode():
-    g = complete_graph(6)
-    sched = poisson(6, 20, rate=0.5, seed=1)
-    res = run_centralized(g, 0, sched, reply_mode=True, notify_origin=True)
-    verify_total_order(res)
-    # creq + queue_reply per non-centre request; centre requests use fewer.
-    non_center = sum(1 for r in sched if r.node != 0)
-    center_own = len(sched) - non_center
-    assert res.network_stats["messages_sent"] == 2 * non_center + center_own
+    res = closed_loop_centralized(complete_graph(6), 0, requests_per_proc=3)
+    # creq + queue_reply per non-centre request; the centre's own requests
+    # send only the reply, to itself.
+    assert res.messages_sent == 2 * 5 * 3 + 3
 
 
 def test_inform_mode_completion_at_predecessor_issuer():
@@ -46,10 +43,11 @@ def test_inform_mode_completion_at_predecessor_issuer():
 
 
 def test_reply_mode_completion_at_center():
-    g = complete_graph(5)
-    sched = RequestSchedule([(1, 0.0), (2, 10.0)])
-    res = run_centralized(g, 0, sched, reply_mode=True)
-    assert res.completions[1].informed_node == 0
+    res = closed_loop_centralized(complete_graph(5), 0, requests_per_proc=1)
+    # A request completes when its creq reaches the centre (one hop), not
+    # when an inform reaches its predecessor's issuer (two).
+    assert res.latencies == [0.0, 1.0, 1.0, 1.0, 1.0]
+    assert res.hops == [0, 1, 1, 1, 1]
 
 
 def test_latency_includes_both_legs():

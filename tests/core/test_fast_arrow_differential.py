@@ -4,8 +4,10 @@ The fast engine's contract is *bit-identical* output:
 same completions (order, predecessors, hop counts, times), same
 makespan, same message counters, same tie-breaking — on every graph
 family, spanning-tree strategy, schedule family and latency model the
-runner supports.  Every instance here runs on both engines and asserts
-they agree.  The suite enforces the contract three ways:
+runner supports.  ``tests/small_models.py`` checks it, with raw event
+streams and a deep monitor, on every small instance it enumerates (trees
+up to n = 6).  This file samples the sizes beyond the corpus: every
+instance here runs on both engines and asserts they agree, three ways:
 
 * a seeded cross-product grid (every graph generator × every schedule
   family × several seeds — well over 200 instances) with randomized
@@ -13,7 +15,8 @@ they agree.  The suite enforces the contract three ways:
 * Hypothesis property tests drawing instance shape, tree strategy,
   latency model and service time freely;
 * pinned regression cases for tie-heavy one-shot instances, where
-  the deterministic tie-breaking is the whole story.
+  the deterministic tie-breaking is the whole story, and a grid-scale
+  run whose per-link message chains are long.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from repro.workloads.schedules import (
     random_times,
     sequential,
 )
+from small_models import DirectedLatency
 
 #: Every repro.graphs.generators family, at small sizes.
 GRAPH_FAMILIES = {
@@ -227,7 +231,7 @@ def test_pinned_integer_latency_ties():
 
 
 def test_pinned_hop_heavy_path_at_grid_scale():
-    """4,000 requests on a 128-node path: long FIFO chains per link."""
+    """4,000 requests on a 128-node path: long message chains per link."""
     g = path_graph(128)
     tree = bfs_tree(g, 0)
     sched = poisson(128, 4_000, rate=4.0, seed=2)
@@ -236,22 +240,12 @@ def test_pinned_hop_heavy_path_at_grid_scale():
     assert a.network_stats["messages_sent"] == 15_529
 
 
-class _AsymmetricLatency(UnitLatency):
-    """Deterministic but direction-dependent: the ABC permits this."""
-
-    def sample(self, src, dst, weight, rng):
-        return 1.0 if src < dst else 2.0
-
-    def max_delay(self, weight):
-        return 2.0
-
-
 def test_differential_direction_dependent_deterministic_model():
     """Deterministic models may depend on (src, dst); parity must hold."""
     g = grid_graph(4, 4)
     tree = bfs_tree(g, root=5)
     sched = poisson(16, 60, rate=6.0, seed=3)
-    kw = dict(latency=_AsymmetricLatency())
+    kw = dict(latency=DirectedLatency())
     a = assert_parity(g, tree, sched, **kw)
     # The asymmetry must actually be visible, or this test checks nothing.
     sym = run_arrow_fast(g, tree, sched)

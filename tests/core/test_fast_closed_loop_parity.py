@@ -5,9 +5,12 @@ The fast closed-loop engine's contract is
 issue/ack times, owners, message totals and tie-breaking — on every
 graph family, spanning-tree strategy, latency model and (think_time,
 service_time, requests_per_proc) point the drivers support, for both the
-arrow and the centralized protocol.  Every instance runs on both
-engines and asserts they agree.  The suite enforces
-the contract the same three ways as the open-loop differential suite
+arrow and the centralized protocol.  ``tests/small_models.py`` checks
+it on every small closed loop it enumerates (up to 3 processors × 3
+requests, raw event streams and a deep monitor included); this file
+samples the sizes beyond the corpus.  Every instance runs on both
+engines and asserts they agree.  The suite enforces the contract the
+same three ways as the open-loop differential suite
 (``test_fast_arrow_differential.py``):
 
 * a seeded cross-product grid (every graph generator × seeds × both

@@ -5,13 +5,16 @@ The fault layer's contract has three parts, each tested here:
 * the fault-plan mini-language round-trips through its canonical label
   and rejects malformed plans at parse time;
 * both engines produce *identical* results and recovery reports
-  under the same plan (the bit-identity contract extends to faults), and
-  the empty plan is bit-identical to the fault-free engines;
+  under the same plan (the bit-identity contract extends to faults;
+  ``tests/small_models.py``'s ``faults`` axis checks every small plan),
+  and the empty plan is bit-identical to the fault-free engines;
 * recovery metrics for a small crash+loss grid are pinned to exact
   deterministic-seed values, so any change to fault semantics — drop
   ordering, repair timing, RNG stream — fails loudly instead of
   silently shifting published numbers.
 """
+
+import math
 
 import pytest
 
@@ -166,11 +169,19 @@ def test_negative_service_time_rejected():
     graph = complete_graph(4)
     tree = bfs_tree(graph, 0)
     schedule = poisson(4, 8, 2.0, seed=0)
-    # The same error the stock engines and Network raise for this knob,
-    # with or without a plan to apply.
-    for plan in ("", "loss:0.1"):
-        with pytest.raises(NetworkError):
-            run_arrow_faulted(graph, tree, schedule, plan, service_time=-1.0)
+    # The same error and text the stock engines and Network raise for this
+    # knob, with or without a plan to apply, on either engine.  A NaN one
+    # used to run as 0 on the fast engine and fail mid-run on the message
+    # engine.
+    for bad in (-1.0, math.nan, math.inf):
+        for plan in ("", "loss:0.1"):
+            for engine in ENGINES:
+                with pytest.raises(
+                    NetworkError, match=f"^service_time must be finite and >= 0, got {bad}$"
+                ):
+                    run_arrow_faulted(
+                        graph, tree, schedule, plan, engine=engine, service_time=bad
+                    )
 
 
 @pytest.mark.parametrize(

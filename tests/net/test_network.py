@@ -1,5 +1,7 @@
 """Unit tests for the Network layer: sends, routing, service times, stats."""
 
+import math
+
 import pytest
 
 from repro.errors import NetworkError
@@ -96,8 +98,9 @@ def test_zero_service_time_processes_in_parallel():
 
 
 def test_negative_service_time_rejected():
-    with pytest.raises(NetworkError):
-        Network(path_graph(2), Simulator(), service_time=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(NetworkError, match=f"^service_time must be finite and >= 0, got {bad}$"):
+            Network(path_graph(2), Simulator(), service_time=bad)
 
 
 def test_stats_count_messages_and_hops():

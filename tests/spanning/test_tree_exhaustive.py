@@ -2,12 +2,12 @@
 
 ``SpanningTree`` builds its binary-lifting table on the first ``lca``
 query; the exhaustive comparison against a naive parent walk covers the
-lazily built table on every labelled tree (all Prüfer sequences) rooted
-at every node.  The rest pins the validations the set-up chain keeps:
-weights, node ids, tree links that must be graph edges.
+lazily built table on every labelled tree (all Prüfer sequences, from
+the small-model corpus in ``tests/small_models.py``) rooted at every
+node.  The rest pins the validations the set-up chain keeps: weights,
+node ids, tree links that must be graph edges.
 """
 
-import itertools
 import math
 
 import pytest
@@ -20,28 +20,7 @@ from repro.faults import run_arrow_faulted
 from repro.graphs import dijkstra, path_graph
 from repro.spanning import SpanningTree, bfs_tree
 from repro.sweep import GraphSpec, ScheduleSpec, SweepSpec, run_sweep
-
-
-def prufer_edges(seq, n):
-    """The labelled tree on ``0..n-1`` encoded by Prüfer sequence ``seq``."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    for x in seq:
-        leaf = min(i for i in range(n) if degree[i] == 1)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-    if n >= 2:
-        edges.append(tuple(i for i in range(n) if degree[i] == 1))
-    return edges
-
-
-def labelled_trees(n):
-    """Every labelled tree on ``n`` nodes as an edge list (n^(n-2) of them)."""
-    for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
-        yield prufer_edges(seq, n)
+from small_models import labelled_trees
 
 
 def ancestors(tree, u):

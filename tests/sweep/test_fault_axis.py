@@ -89,7 +89,7 @@ def test_empty_fault_axis_rejected():
         ("closed_arrow", {"requests_per_proc": 3}),
         ("closed_centralized", {"requests_per_proc": 3}),
         ("directory_arrow", {"acquisitions_per_proc": 2}),
-        ("adaptive", {}),
+        ("ratio", {"schedule": "one_shot"}),
     ],
 )
 def test_non_open_loop_families_reject_faults(family, params):

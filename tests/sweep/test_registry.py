@@ -49,7 +49,8 @@ def test_builtin_families_registered():
         "closed_centralized",
         "directory_arrow",
         "directory_home",
-        "adaptive",
+        "ratio",
+        "lowerbound",
     ):
         assert expected in names
 
@@ -132,9 +133,9 @@ def test_validator_hook_rejects_bad_values():
     with pytest.raises(SweepError):
         ScheduleSpec.of("closed_arrow", requests_per_proc=-5)
     with pytest.raises(SweepError):
-        ScheduleSpec.of("adaptive", schedule="closed_arrow")
+        ScheduleSpec.of("ratio", schedule="closed_arrow")
     with pytest.raises(SweepError):
-        ScheduleSpec.of("adaptive", schedule="sequential", rate=2.0)
+        ScheduleSpec.of("ratio", protocol="ivy")
 
 
 # ----------------------------------------------------------------------
@@ -186,18 +187,23 @@ def test_directory_families_ignore_engine_axis():
 
 
 # ----------------------------------------------------------------------
-# adaptive family (§1.1 NTA/Ivy baseline)
+# the §1.1 NTA/Ivy adaptive-pointer baseline, a protocol of ``ratio``
 # ----------------------------------------------------------------------
+def adaptive_and_arrow(n, **params):
+    g = GraphSpec.of("complete", n=n)
+    return [
+        one_cell(ScheduleSpec.of("ratio", protocol=p, **params), graph=g)
+        for p in ("adaptive", "arrow")
+    ]
+
+
 def test_adaptive_vs_arrow_message_sanity_on_complete_graphs():
     """Path shorting keeps per-op messages logarithmic; same ballpark as
     arrow on a complete graph (where the tree overlay is shallow too)."""
     for n in (8, 32):
-        g = GraphSpec.of("complete", n=n)
-        sched_kwargs = dict(per_node=10, rate_per_node=0.5)
-        adaptive = one_cell(
-            ScheduleSpec.of("adaptive", **sched_kwargs), graph=g
+        adaptive, arrow = adaptive_and_arrow(
+            n, schedule="poisson", count=10 * n, rate=0.5 * n
         )
-        arrow = one_cell(ScheduleSpec.of("poisson", **sched_kwargs), graph=g)
         assert adaptive["requests"] == arrow["requests"] == 10 * n
         per_op = adaptive["messages_sent"] / adaptive["requests"]
         assert 0 < per_op <= 2.0 * math.log2(n)
@@ -208,14 +214,15 @@ def test_adaptive_vs_arrow_message_sanity_on_complete_graphs():
 def test_adaptive_rows_carry_latency_histogram_invariant():
     from repro.sweep import DEFAULT_BINS
 
-    row = one_cell(ScheduleSpec.of("adaptive", per_node=5, rate_per_node=0.5))
+    row, _ = adaptive_and_arrow(8, schedule="poisson", count=40, rate=4.0)
     assert row["protocol"] == "adaptive"
     assert len(row["latency_hist"]) == DEFAULT_BINS
     assert sum(row["latency_hist"]) == row["requests"]
 
 
 def test_adaptive_nested_schedule_families():
-    row = one_cell(ScheduleSpec.of("adaptive", schedule="one_shot"))
-    assert row["requests"] == 8
-    row = one_cell(ScheduleSpec.of("adaptive", schedule="sequential", gap=8.0))
-    assert row["requests"] == 8
+    for schedule in ("one_shot", "sequential"):
+        adaptive, arrow = adaptive_and_arrow(8, schedule=schedule)
+        assert adaptive["requests"] == arrow["requests"] == 8
+        # The paired cells replay one schedule against one opt bracket.
+        assert adaptive["opt_upper"] == arrow["opt_upper"]

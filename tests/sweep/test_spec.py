@@ -1,5 +1,7 @@
 """Sweep spec tests: grid expansion, ordering, per-cell seed derivation."""
 
+import math
+
 import pytest
 
 from repro.errors import ScheduleError, SweepError
@@ -139,6 +141,20 @@ def test_explicit_zero_count_and_rate_rejected():
         build_schedule(ScheduleSpec("poisson", (("rate", 0.0),)), 8, 0)
     # Positive explicit values still win over the per-node defaults.
     assert len(build_schedule(ScheduleSpec.of("poisson", count=7), 8, 0)) == 7
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_time_knobs_must_be_finite_and_non_negative_at_spec_build(bad):
+    """A NaN service time used to write a ``/stnan`` row holding the
+    service-0 run's metrics, an infinite one ``Infinity`` makespans; a NaN
+    think time ran as 0."""
+    text = rf"must be finite and >= 0, got {bad}"
+    with pytest.raises(SweepError, match=rf"^service_time {text}$"):
+        fig11_grid((8,), per_node=2, seeds=(0,), service_time=bad)
+    with pytest.raises(SweepError, match=rf"^think_time {text}$"):
+        ScheduleSpec.of("closed_arrow", think_time=bad)
+    with pytest.raises(SweepError, match=rf"^cs_time {text}$"):
+        ScheduleSpec.of("directory_arrow", cs_time=bad)
 
 
 def test_directory_grid_expands_both_designs():

@@ -1,5 +1,7 @@
 """Unit tests for the closed-loop driver (§5 measurement loop)."""
 
+import math
+
 import pytest
 
 from repro.core.fast_arrow import ENGINES
@@ -120,14 +122,21 @@ def _topology(k8, protocol):
 def test_out_of_range_budgets_rejected(k8, run, protocol, bad):
     (name, value), = bad.items()
     kw = {"requests_per_proc": 3, **bad}
-    with pytest.raises(ScheduleError, match=rf"{name} must be >= 0, got {value}"):
+    finite = "finite and " if name == "think_time" else ""
+    with pytest.raises(ScheduleError, match=rf"{name} must be {finite}>= 0, got {value}"):
         run(*_topology(k8, protocol), **kw)
 
 
 @pytest.mark.parametrize("run, protocol", DRIVERS)
 def test_negative_service_time_rejected(k8, run, protocol):
-    with pytest.raises(NetworkError, match="service_time"):
-        run(*_topology(k8, protocol), requests_per_proc=3, service_time=-0.5)
+    # NaN used to run as 0 on the fast loops and fail mid-run on the
+    # message ones; a NaN think time ran as 0 on both.
+    for bad in (-0.5, math.nan, math.inf):
+        text = f"must be finite and >= 0, got {bad}$"
+        with pytest.raises(NetworkError, match="^service_time " + text):
+            run(*_topology(k8, protocol), requests_per_proc=3, service_time=bad)
+        with pytest.raises(ScheduleError, match="^think_time " + text):
+            run(*_topology(k8, protocol), requests_per_proc=3, think_time=bad)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
