@@ -14,6 +14,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -119,6 +120,21 @@ def _emit(results, args) -> None:
         print(f"wrote {args.json}")
 
 
+#: The grid flags: option strings -> ``add_argument`` keywords.  Each
+#: reaches the ``--grid`` preset as the keyword parameter named by its
+#: destination (:func:`_call_preset`); a preset without that parameter
+#: makes the flag a usage error.
+_GRID_FLAGS = {
+    ("--sizes", "--procs"): {"type": _int_list, "help": "system sizes"},
+    ("--per-node",): {"type": int, "help": "requests per node"},
+    ("--requests-per-proc",): {"type": int, "help": "closed-loop requests per processor"},
+    ("--think-time",): {"type": float, "help": "closed-loop think time"},
+    ("--acquisitions-per-proc",): {"type": int, "help": "directory acquisitions per processor"},
+    ("--seeds",): {"type": _int_list},
+    ("--engine",): {"choices": ENGINES, "default": "fast"},
+}
+
+
 def _add_grid_arguments(parser) -> None:
     """Grid-identity flags shared by ``sweep``, ``results ingest`` and the
     per-figure commands.
@@ -137,19 +153,8 @@ def _add_grid_arguments(parser) -> None:
                  "centralized, directory = §5.1 arrow vs home-based "
                  "directory)",
         )
-    parser.add_argument("--sizes", "--procs", type=_int_list, default=None,
-                        help="system sizes (fig10/fig11/directory grids only)")
-    parser.add_argument("--per-node", type=int, default=None,
-                        help="requests per node (fig11 grid only)")
-    parser.add_argument("--requests-per-proc", type=int, default=None,
-                        help="closed-loop requests per processor "
-                             "(fig10 grid only)")
-    parser.add_argument("--think-time", type=float, default=None,
-                        help="closed-loop think time (fig10 grid only)")
-    parser.add_argument("--acquisitions-per-proc", type=int, default=None,
-                        help="directory acquisitions per processor "
-                             "(directory grid only)")
-    parser.add_argument("--seeds", type=_int_list, default=None)
+    for options, keywords in _GRID_FLAGS.items():
+        parser.add_argument(*options, **{"default": None, **keywords})
     parser.add_argument("--faults", action="append", default=None,
                         metavar="PLAN",
                         help="fault plan applied to every cell: "
@@ -157,74 +162,50 @@ def _add_grid_arguments(parser) -> None:
                              "loss:RATE terms (open-loop grids only; repeat "
                              "the flag to sweep a fault axis of several "
                              "plans)")
-    parser.add_argument("--engine", choices=ENGINES,
-                        default="fast")
+
+
+def _call_preset(preset, args, options, error):
+    """``preset`` called with the given flags among ``options``.
+
+    A flag lands on the preset's keyword parameter of its destination
+    name, read from the signature as :meth:`GraphSpec.of` reads a
+    generator's; omitted flags fall through to the preset's defaults.  A
+    flag the preset lacks, or a ``SweepError`` while it builds the grid,
+    is a usage error (exit 2), raised before any output file is opened.
+    """
+    from repro.errors import SweepError
+
+    accepted = inspect.signature(preset).parameters
+    kwargs = {}
+    for option in options:
+        name = option.lstrip("-").replace("-", "_")
+        if (value := getattr(args, name)) is None:
+            continue
+        if name not in accepted:
+            error(f"{option} does not apply to {preset.__name__}")
+        kwargs[name] = value
+    try:
+        return preset(**kwargs)
+    except SweepError as exc:
+        error(str(exc))
 
 
 def _build_grid_spec(args, error):
     """Expand the preset + overrides into a SweepSpec (or ``error`` out)."""
-    from repro.sweep import (
-        directory_grid,
-        fig10_grid,
-        fig11_grid,
-        mixed_grid,
-        smoke_grid,
-    )
+    import dataclasses
 
-    if args.sizes is not None and args.grid not in (
-        "fig10", "fig11", "directory"
-    ):
-        error("--sizes only applies to --grid fig10/fig11/directory")
-    if args.grid != "fig11" and args.per_node is not None:
-        error("--per-node only applies to --grid fig11")
-    if args.grid != "fig10" and (
-        args.requests_per_proc is not None or args.think_time is not None
-    ):
-        error("--requests-per-proc/--think-time only apply to --grid fig10")
-    if args.grid != "directory" and args.acquisitions_per_proc is not None:
-        error("--acquisitions-per-proc only applies to --grid directory")
-    # Omitted flags fall through to the preset's own defaults.
-    kwargs: dict = {"engine": args.engine}
-    if args.seeds is not None:
-        kwargs["seeds"] = tuple(args.seeds)
-    if args.sizes is not None:
-        kwargs["sizes"] = tuple(args.sizes)
-    if args.grid == "fig10":
-        if args.requests_per_proc is not None:
-            kwargs["requests_per_proc"] = args.requests_per_proc
-        if args.think_time is not None:
-            kwargs["think_time"] = args.think_time
-        spec = fig10_grid(**kwargs)
-    elif args.grid == "fig11":
-        if args.per_node is not None:
-            kwargs["per_node"] = args.per_node
-        spec = fig11_grid(**kwargs)
-    elif args.grid == "directory":
-        if args.acquisitions_per_proc is not None:
-            kwargs["acquisitions_per_proc"] = args.acquisitions_per_proc
-        spec = directory_grid(**kwargs)
-    elif args.grid == "mixed":
-        spec = mixed_grid(**kwargs)
-    else:
-        spec = smoke_grid(**kwargs)
-    if args.faults or getattr(args, "monitors", False):
-        import dataclasses
+    import repro.sweep
+    from repro.errors import SweepError
 
-        from repro.errors import SweepError
-
-        try:
-            spec = dataclasses.replace(
-                spec,
-                **({"faults": tuple(args.faults)} if args.faults else {}),
-                **(
-                    {"monitors": True}
-                    if getattr(args, "monitors", False)
-                    else {}
-                ),
-            )
-        except SweepError as exc:
-            error(str(exc))
-    return spec
+    options = [options[0] for options in _GRID_FLAGS]
+    spec = _call_preset(getattr(repro.sweep, f"{args.grid}_grid"), args, options, error)
+    axes = {"faults": tuple(args.faults)} if args.faults else {}
+    if getattr(args, "monitors", False):
+        axes["monitors"] = True
+    try:
+        return dataclasses.replace(spec, **axes) if axes else spec
+    except SweepError as exc:
+        error(str(exc))
 
 
 #: The paper's measured figures as presets over the shared grid flags:
@@ -327,13 +308,8 @@ def _produce(args):
     import repro.sweep
 
     _, flags, grids = _PRESETS[args.cmd]
-    kwargs = {
-        name: value
-        for name in (option.lstrip("-") for option in flags)
-        if (value := getattr(args, name)) is not None
-    }
     for grid in grids:
-        specs = getattr(repro.sweep, grid)(**kwargs)
+        specs = _call_preset(getattr(repro.sweep, grid), args, flags, args.usage_error)
         specs = specs if isinstance(specs, tuple) else (specs,)
         if args.cmd == "fig9":
             # Fig. 9 is a picture first: the instance its one cell builds.
@@ -455,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for name, (text, flags, _) in _PRESETS.items():
         p = sub.add_parser(name, help=text)
+        p.set_defaults(usage_error=p.error)
         for option, keywords in flags.items():
             p.add_argument(option, **keywords)
     sub.add_parser("all", help="run every experiment at default scale")

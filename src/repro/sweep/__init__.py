@@ -7,14 +7,15 @@ expands it into cells with deterministic per-cell seeds, runs them —
 optionally as one shard of a partitioned grid — and persists one JSONL
 row per cell with resume-from-partial support.
 
-What each schedule-axis name *means* is pluggable: the cell-family
-registry (:mod:`repro.sweep.registry`) maps names to a validator,
-builder and runner-to-row, with the open-loop arrow replays, the §5
-closed loops (``closed_arrow``/``closed_centralized``), the §5.1
+What each schedule-axis name *means* is one table,
+:data:`repro.sweep.families.FAMILIES`: a name maps to a
+:class:`~repro.sweep.registry.CellFamily` — its parameters and their
+kinds, a builder and a runner-to-row — for the open-loop arrow replays,
+the §5 closed loops (``closed_arrow``/``closed_centralized``), the §5.1
 directory designs (``directory_arrow``/``directory_home``) and the
-theorem families (``ratio``, ``lowerbound``) registered out of the box
-(:mod:`repro.sweep.families`);
-every table the paper commands print is a named grid here.  Rows from
+theorem families (``ratio``, ``lowerbound``).  The table loads on the
+first family lookup, not on import; every table the paper commands
+print is a named grid here.  Rows from
 the arrow families carry per-request latency percentile and histogram
 columns
 (:mod:`repro.sweep.stats`); directory rows persist the mutual-exclusion
@@ -42,14 +43,8 @@ from repro.sweep.persist import (
     iter_rows,
     merge_shards,
 )
-from repro.sweep.registry import (
-    CellFamily,
-    family_names,
-    get_family,
-    register_family,
-)
+from repro.sweep.registry import CellFamily, get_family
 from repro.sweep.spec import (
-    CLOSED_LOOP_FAMILIES,
     GRAPH_BUILDERS,
     OPEN_LOOP_SCHEDULES,
     TREE_BUILDERS,
@@ -89,10 +84,7 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "CellFamily",
-    "register_family",
     "get_family",
-    "family_names",
-    "CLOSED_LOOP_FAMILIES",
     "GRAPH_BUILDERS",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",

@@ -1,10 +1,14 @@
-"""Built-in cell families: the behaviours behind every schedule-axis name.
+"""The cell families: the behaviour behind every schedule-axis name.
 
-Imported lazily by :mod:`repro.sweep.registry` on first lookup; importing
-this module registers:
+:data:`FAMILIES` is the one table, name -> :class:`CellFamily`; each
+entry declares its parameters once, as ``{name: kind}`` (the kinds are in
+:mod:`repro.sweep.registry`), and adding a family is adding an entry.
+:func:`repro.sweep.registry.get_family` imports this module on first
+lookup.  The families:
 
-* the six **open-loop** schedule families (``one_shot`` … ``random``) —
-  one shared behaviour: build a request schedule, replay it through the
+* the six **open-loop** schedule families (``one_shot`` … ``random``,
+  parameters in :data:`repro.sweep.spec.OPEN_LOOP_SCHEDULES`) — one
+  shared behaviour: build a request schedule, replay it through the
   selected arrow engine (fast/message, bit-identical);
 * the §5 **closed-loop** workloads (``closed_arrow`` /
   ``closed_centralized``), whose request times are generated by the
@@ -38,7 +42,7 @@ from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.queueing import float_total
 from repro.core.runner import run_centralized
-from repro.errors import SweepError, require_time
+from repro.errors import SweepError
 from repro.faults import run_arrow_faulted
 from repro.lowerbound import (
     comb_mst_weight,
@@ -51,9 +55,15 @@ from repro.monitors import ArrowMonitor
 from repro.net.latency import UniformLatency
 from repro.sim.rng import spawn_rng
 from repro.spanning.metrics import tree_diameter, tree_stretch
-from repro.sweep.registry import CellFamily, register_family
+from repro.sweep.registry import (
+    CellFamily,
+    choice,
+    count,
+    duration,
+    node,
+    positive_real,
+)
 from repro.sweep.spec import (
-    CLOSED_LOOP_FAMILIES,
     LOWERBOUND_AXES,
     OPEN_LOOP_SCHEDULES,
     SweepCell,
@@ -64,45 +74,12 @@ from repro.sweep.spec import (
 from repro.sweep.stats import latency_columns
 from repro.workloads import schedules as _schedules
 
-__all__ = [
-    "DIRECTORY_PARAMS",
-    "DIRECTORY_HOME_PARAMS",
-    "LOWERBOUND_PARAMS",
-    "RATIO_PARAMS",
-]
-
-
-def _require_positive(params: Mapping[str, object], *keys: str) -> None:
-    """Reject explicit non-positive sizes/rates at spec-build time.
-
-    These keys all have per-node or documented defaults; an explicit
-    ``count=0`` or ``rate=0.0`` used to be silently rerouted to the
-    default by a falsy-fallback, running a different workload than the
-    cell id claimed.
-    """
-    for key in keys:
-        if key in params and float(params[key]) <= 0:  # type: ignore[arg-type]
-            raise SweepError(
-                f"{key} must be positive, got {params[key]!r} "
-                f"(omit {key} to use its default)"
-            )
-
-
-def _require_non_negative(params: Mapping[str, object], *keys: str) -> None:
-    for key in keys:
-        if key in params:
-            require_time(key, params[key], SweepError)  # type: ignore[arg-type]
+__all__ = ["FAMILIES"]
 
 
 # ----------------------------------------------------------------------
 # open-loop arrow (six schedule families, one behaviour)
 # ----------------------------------------------------------------------
-def _validate_open_loop(params: Mapping[str, object]) -> None:
-    _require_positive(
-        params, "count", "per_node", "rate", "rate_per_node", "gap", "horizon"
-    )
-
-
 def _build_open_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     graph = build_graph(cell.graph, derived)
     tree = build_tree(cell.tree, graph, derived)
@@ -162,45 +139,22 @@ def _open_loop_row(
     }
 
 
-# Builtins register with replace=True: if this module's import fails
-# partway (broken environment) the registry retries it on the next
-# lookup, and the already-registered prefix must not mask the real error.
-for _name, _accepted in OPEN_LOOP_SCHEDULES.items():
-    register_family(
-        CellFamily(
-            name=_name,
-            accepted=_accepted,
-            build=_build_open_loop,
-            to_row=_open_loop_row,
-            validate=_validate_open_loop,
-            supports_faults=True,
-        ),
-        replace=True,
-    )
-
-
 # ----------------------------------------------------------------------
 # §5 closed loops
 # ----------------------------------------------------------------------
-def _validate_closed_loop(params: Mapping[str, object]) -> None:
-    _require_positive(params, "requests_per_proc")
-    _require_non_negative(params, "think_time", "center")
-
-
-def _build_closed_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
+def _build_closed(cell: SweepCell, derived: int) -> Mapping[str, Any]:
+    """The graph, plus the tree of an arrow design or the centre node of
+    the other (``center`` / ``home``, default 0; the graph must have it).
+    The directory designs build the same way."""
     graph = build_graph(cell.graph, derived)
-    built: dict[str, Any] = {"graph": graph}
-    if cell.schedule.family == "closed_arrow":
-        built["tree"] = build_tree(cell.tree, graph, derived)
-    else:
-        center = int(cell.schedule.kwargs().get("center", 0))
-        if center >= graph.num_nodes:
-            raise SweepError(
-                f"closed_centralized: center {center} outside the graph's "
-                f"{graph.num_nodes} nodes"
-            )
-        built["center"] = center
-    return built
+    family = cell.schedule.family
+    if family.endswith("_arrow"):
+        return {"graph": graph, "tree": build_tree(cell.tree, graph, derived)}
+    key = "home" if family == "directory_home" else "center"
+    center = int(cell.schedule.kwargs().get(key, 0))
+    if center >= graph.num_nodes:
+        raise SweepError(f"{family}: {key} {center} outside the graph's {graph.num_nodes} nodes")
+    return {"graph": graph, "center": center}
 
 
 def _closed_loop_row(
@@ -247,47 +201,9 @@ def _closed_loop_row(
     }
 
 
-for _name, _accepted in CLOSED_LOOP_FAMILIES.items():
-    register_family(
-        CellFamily(
-            name=_name,
-            accepted=_accepted,
-            build=_build_closed_loop,
-            to_row=_closed_loop_row,
-            validate=_validate_closed_loop,
-        ),
-        replace=True,
-    )
-
-
 # ----------------------------------------------------------------------
 # §5.1 directory designs
 # ----------------------------------------------------------------------
-DIRECTORY_PARAMS = frozenset({"acquisitions_per_proc", "cs_time"})
-DIRECTORY_HOME_PARAMS = DIRECTORY_PARAMS | {"home"}
-
-
-def _validate_directory(params: Mapping[str, object]) -> None:
-    _require_positive(params, "acquisitions_per_proc")
-    _require_non_negative(params, "cs_time", "home")
-
-
-def _build_directory_arrow(cell: SweepCell, derived: int) -> Mapping[str, Any]:
-    graph = build_graph(cell.graph, derived)
-    return {"graph": graph, "tree": build_tree(cell.tree, graph, derived)}
-
-
-def _build_directory_home(cell: SweepCell, derived: int) -> Mapping[str, Any]:
-    graph = build_graph(cell.graph, derived)
-    home = int(cell.schedule.kwargs().get("home", 0))
-    if home >= graph.num_nodes:
-        raise SweepError(
-            f"directory_home: home {home} outside the graph's "
-            f"{graph.num_nodes} nodes"
-        )
-    return {"graph": graph, "home": home}
-
-
 def _directory_row(
     cell: SweepCell, derived: int, built: Mapping[str, Any]
 ) -> dict[str, Any]:
@@ -306,7 +222,7 @@ def _directory_row(
     else:
         result = home_directory(
             built["graph"],
-            built["home"],
+            built["center"],
             acquisitions_per_proc=acquisitions,
             cs_time=cs_time,
             seed=derived,
@@ -315,47 +231,12 @@ def _directory_row(
     return {"n": built["graph"].num_nodes, **result.row_metrics()}
 
 
-register_family(
-    CellFamily(
-        name="directory_arrow",
-        accepted=DIRECTORY_PARAMS,
-        build=_build_directory_arrow,
-        to_row=_directory_row,
-        validate=_validate_directory,
-        uses_engine=False,
-    ),
-    replace=True,
-)
-register_family(
-    CellFamily(
-        name="directory_home",
-        accepted=DIRECTORY_HOME_PARAMS,
-        build=_build_directory_home,
-        to_row=_directory_row,
-        validate=_validate_directory,
-        uses_engine=False,
-    ),
-    replace=True,
-)
-
-
 # ----------------------------------------------------------------------
 # Section 3 competitive ratio (Theorems 3.19 / 3.21, the one-shot and
 # sequential regimes, the §1.1 ablations)
 # ----------------------------------------------------------------------
-RATIO_PARAMS = frozenset({"schedule", "count", "rate", "latency_lo", "protocol"})
-
-
-def _require_choice(family: str, params: Mapping[str, object], key: str, known) -> None:
-    if key in params and params[key] not in known:
-        raise SweepError(f"{family}: {key} must be one of {list(known)}, got {params[key]!r}")
-
-
-def _validate_ratio(params: Mapping[str, object]) -> None:
-    _require_choice("ratio", params, "schedule", ("random", "poisson", "one_shot", "sequential"))
-    _require_choice("ratio", params, "protocol", ("arrow", "adaptive", "centralized"))
-    _require_positive(params, "count", "rate", "latency_lo")
-    if float(params.get("latency_lo", 1.0)) > 1.0:  # type: ignore[arg-type]
+def _check_ratio(params: Mapping[str, Any]) -> None:
+    if params.get("latency_lo", 1.0) > 1.0:
         raise SweepError(f"ratio: latency_lo must be <= 1, got {params['latency_lo']!r}")
 
 
@@ -437,22 +318,11 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
     return row
 
 
-register_family(
-    CellFamily("ratio", RATIO_PARAMS, _build_ratio, _ratio_row, _validate_ratio),
-    replace=True,
-)
-
-
 # ----------------------------------------------------------------------
 # Section 4 lower-bound instances (Fig. 9, Theorems 4.1 / 4.2)
 # ----------------------------------------------------------------------
-LOWERBOUND_PARAMS = frozenset({"D", "variant", "k", "s"})
-
-
-def _validate_lowerbound(params: Mapping[str, object]) -> None:
-    _require_choice("lowerbound", params, "variant", ("literal", "layered", "stretch"))
-    _require_positive(params, "D", "k", "s")
-    if "D" not in params or int(params["D"]) % int(params.get("s", 1)):  # type: ignore[arg-type]
+def _check_lowerbound(params: Mapping[str, Any]) -> None:
+    if "D" not in params or params["D"] % params.get("s", 1):
         raise SweepError(f"lowerbound: D, a multiple of s, is required; got {params}")
 
 
@@ -520,9 +390,45 @@ def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> 
     }
 
 
-register_family(
-    CellFamily(
-        "lowerbound", LOWERBOUND_PARAMS, _build_lowerbound, _lowerbound_row, _validate_lowerbound
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+_CLOSED = {"requests_per_proc": count, "think_time": duration}
+_DIRECTORY = {"acquisitions_per_proc": count, "cs_time": duration}
+
+FAMILIES: dict[str, CellFamily] = {
+    **{
+        name: CellFamily(name, params, _build_open_loop, _open_loop_row, supports_faults=True)
+        for name, params in OPEN_LOOP_SCHEDULES.items()
+    },
+    "closed_arrow": CellFamily("closed_arrow", _CLOSED, _build_closed, _closed_loop_row),
+    "closed_centralized": CellFamily(
+        "closed_centralized", {**_CLOSED, "center": node}, _build_closed, _closed_loop_row
     ),
-    replace=True,
-)
+    "directory_arrow": CellFamily(
+        "directory_arrow", _DIRECTORY, _build_closed, _directory_row, uses_engine=False
+    ),
+    "directory_home": CellFamily(
+        "directory_home", {**_DIRECTORY, "home": node}, _build_closed, _directory_row, uses_engine=False
+    ),
+    "ratio": CellFamily(
+        "ratio",
+        {
+            "schedule": choice("random", "poisson", "one_shot", "sequential"),
+            "count": count,
+            "rate": positive_real,
+            "latency_lo": positive_real,
+            "protocol": choice("arrow", "adaptive", "centralized"),
+        },
+        _build_ratio,
+        _ratio_row,
+        _check_ratio,
+    ),
+    "lowerbound": CellFamily(
+        "lowerbound",
+        {"D": count, "variant": choice("literal", "layered", "stretch"), "k": count, "s": count},
+        _build_lowerbound,
+        _lowerbound_row,
+        _check_lowerbound,
+    ),
+}

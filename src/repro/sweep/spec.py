@@ -20,6 +20,8 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, replace
+from itertools import product
+from math import prod
 
 from repro.core.fast_arrow import ENGINES, engine_error_message
 from repro.errors import SweepError, require_time
@@ -40,7 +42,15 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.sim.rng import spawn_rng
-from repro.sweep import registry as _registry
+from repro.sweep.registry import (
+    count,
+    duration,
+    fraction,
+    get_family,
+    nodes,
+    non_negative_int,
+    positive_real,
+)
 from repro.spanning.construct import (
     balanced_binary_overlay,
     bfs_tree,
@@ -56,7 +66,6 @@ __all__ = [
     "ScheduleSpec",
     "SweepCell",
     "SweepSpec",
-    "CLOSED_LOOP_FAMILIES",
     "GRAPH_BUILDERS",
     "LOWERBOUND_AXES",
     "OPEN_LOOP_SCHEDULES",
@@ -109,32 +118,27 @@ TREE_BUILDERS = {
     "random": random_spanning_tree,
 }
 
-#: Closed-loop workload kinds: the schedule axis can also carry a §5
-#: measurement loop instead of an open-loop request schedule.  These
-#: cells have no :class:`RequestSchedule` — the request times are
-#: generated by the acknowledgement dynamics — so the executor routes
-#: them through :mod:`repro.workloads.closed_loop` /
-#: :mod:`repro.core.fast_closed_loop` rather than :func:`build_schedule`.
-CLOSED_LOOP_FAMILIES = {
-    "closed_arrow": frozenset({"requests_per_proc", "think_time"}),
-    "closed_centralized": frozenset({"requests_per_proc", "think_time", "center"}),
-}
-
-#: Open-loop schedule family names, with the parameters each accepts.
-#: These all share one cell family (the open-loop arrow runner) in the
-#: registry; :func:`build_schedule` instantiates the actual
-#: :class:`~repro.core.requests.RequestSchedule`.
+#: Open-loop schedule family names, with the parameters each accepts and
+#: their kinds.  These all share one cell family behaviour (the open-loop
+#: arrow runner, :mod:`repro.sweep.families`); :func:`build_schedule`
+#: instantiates the actual :class:`~repro.core.requests.RequestSchedule`.
+#: Absolute ``count`` / ``rate`` win over the relative ``per_node`` /
+#: ``rate_per_node``.
+_SIZE = {"count": count, "per_node": count}
+_RATE = {"rate": positive_real, "rate_per_node": positive_real}
 OPEN_LOOP_SCHEDULES = {
-    "one_shot": frozenset(),
-    "sequential": frozenset({"gap"}),
-    "poisson": frozenset({"count", "rate", "per_node", "rate_per_node"}),
-    "bursty": frozenset(
-        {"count", "per_node", "bursts", "burst_size", "burst_span", "idle_gap"}
-    ),
-    "hotspot": frozenset(
-        {"count", "rate", "per_node", "rate_per_node", "hot_nodes", "hot_fraction"}
-    ),
-    "random": frozenset({"count", "per_node", "horizon"}),
+    "one_shot": {},
+    "sequential": {"gap": positive_real},
+    "poisson": {**_SIZE, **_RATE},
+    "bursty": {
+        **_SIZE,
+        "bursts": non_negative_int,
+        "burst_size": non_negative_int,
+        "burst_span": duration,
+        "idle_gap": duration,
+    },
+    "hotspot": {**_SIZE, **_RATE, "hot_nodes": nodes, "hot_fraction": fraction},
+    "random": {**_SIZE, "horizon": positive_real},
 }
 
 
@@ -196,12 +200,13 @@ class ScheduleSpec:
     def of(cls, family: str, **params: object) -> "ScheduleSpec":
         """Build a spec from keyword schedule parameters.
 
-        The family name and parameters are validated against the cell
-        family registered under that name (:mod:`repro.sweep.registry`),
-        so unknown names, typo'd keys and bad values (``count=0``...) all
-        fail at spec-build time instead of inside a worker mid-sweep.
+        The family name, the parameter names and each value's kind are
+        checked against the cell family of that name
+        (:data:`repro.sweep.families.FAMILIES`), so unknown names, typo'd
+        keys and bad values (``count=0``, ``count=7.9``...) all fail at
+        spec-build time instead of inside a worker mid-sweep.
         """
-        _registry.get_family(family).validate_params(params)
+        get_family(family).validate_params(params)
         return cls(family, tuple(sorted(params.items())))
 
     def kwargs(self) -> dict[str, object]:
@@ -274,11 +279,25 @@ class SweepSpec:
                 "faults axis must not be empty; use ('',) for a "
                 "fault-free grid"
             )
-        for f in self.faults:
-            # Parse errors (FaultPlanError) are SweepErrors already.
-            if not parse_fault_plan(f).empty:
+        # Parse errors (FaultPlanError) are SweepErrors already.
+        plans = [parse_fault_plan(f) for f in self.faults]
+        # A repeated axis value would give two cells one cell id.
+        for axis, keys in (
+            ("graphs", [g.label() for g in self.graphs]),
+            ("trees", self.trees),
+            ("schedules", [s.label() for s in self.schedules]),
+            ("seeds", self.seeds),
+            ("faults", [p.label() for p in plans]),
+        ):
+            seen: set = set()
+            for key in keys:
+                if key in seen:
+                    raise SweepError(f"{axis} axis repeats {key!r}: every cell id must be distinct")
+                seen.add(key)
+        for f, plan in zip(self.faults, plans):
+            if not plan.empty:
                 for s in self.schedules:
-                    if not _registry.get_family(s.family).supports_faults:
+                    if not get_family(s.family).supports_faults:
                         raise SweepError(
                             f"cell family {s.family!r} does not support the "
                             f"fault axis (plan {f!r}); faults apply to the "
@@ -298,41 +317,26 @@ class SweepSpec:
         """
         st = f"/st{self.service_time}" if self.service_time else ""
         fault_labels = [parse_fault_plan(f).label() for f in self.faults]
-        out: list[SweepCell] = []
-        i = 0
-        for g in self.graphs:
-            for t in self.trees:
-                for s in self.schedules:
-                    for seed in self.seeds:
-                        for fl in fault_labels:
-                            fx = f"/f[{fl}]" if fl else ""
-                            cid = f"{g.label()}/{t}/{s.label()}/s{seed}{st}{fx}"
-                            out.append(
-                                SweepCell(
-                                    index=i,
-                                    cell_id=cid,
-                                    graph=g,
-                                    tree=t,
-                                    schedule=s,
-                                    seed=seed,
-                                    engine=self.engine,
-                                    service_time=self.service_time,
-                                    faults=fl,
-                                    monitors=self.monitors,
-                                )
-                            )
-                            i += 1
-        return out
+        axes = product(self.graphs, self.trees, self.schedules, self.seeds, fault_labels)
+        return [
+            SweepCell(
+                index=i,
+                cell_id=f"{g.label()}/{t}/{s.label()}/s{seed}{st}" + (f"/f[{fl}]" if fl else ""),
+                graph=g,
+                tree=t,
+                schedule=s,
+                seed=seed,
+                engine=self.engine,
+                service_time=self.service_time,
+                faults=fl,
+                monitors=self.monitors,
+            )
+            for i, (g, t, s, seed, fl) in enumerate(axes)
+        ]
 
     def num_cells(self) -> int:
         """Grid size without expanding."""
-        return (
-            len(self.graphs)
-            * len(self.trees)
-            * len(self.schedules)
-            * len(self.seeds)
-            * len(self.faults)
-        )
+        return prod(map(len, (self.graphs, self.trees, self.schedules, self.seeds, self.faults)))
 
     def canonical(self) -> dict:
         """JSON-able canonical identity document of this grid.
@@ -418,7 +422,7 @@ def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
         raise SweepError(
             f"{spec.family!r} is not an open-loop schedule family: its cell "
             "family generates its own request dynamics (the sweep executor "
-            "runs these cells through the registry, not build_schedule)"
+            "runs these cells through its cell family, not build_schedule)"
         )
     p = spec.kwargs()
     # Explicit absolute sizes win over the per-node defaults, but a
@@ -507,17 +511,9 @@ def fig10_grid(
         name="fig10",
         graphs=tuple(GraphSpec.of("complete", n=n) for n in sizes),
         trees=("binary",),
-        schedules=(
-            ScheduleSpec.of(
-                "closed_arrow",
-                requests_per_proc=requests_per_proc,
-                think_time=think_time,
-            ),
-            ScheduleSpec.of(
-                "closed_centralized",
-                requests_per_proc=requests_per_proc,
-                think_time=think_time,
-            ),
+        schedules=tuple(
+            ScheduleSpec.of(family, requests_per_proc=requests_per_proc, think_time=think_time)
+            for family in ("closed_arrow", "closed_centralized")
         ),
         seeds=tuple(seeds),
         engine=engine,
@@ -600,17 +596,9 @@ def directory_grid(
         name="directory",
         graphs=tuple(GraphSpec.of("complete", n=n) for n in sizes),
         trees=("binary",),
-        schedules=(
-            ScheduleSpec.of(
-                "directory_arrow",
-                acquisitions_per_proc=acquisitions_per_proc,
-                cs_time=cs_time,
-            ),
-            ScheduleSpec.of(
-                "directory_home",
-                acquisitions_per_proc=acquisitions_per_proc,
-                cs_time=cs_time,
-            ),
+        schedules=tuple(
+            ScheduleSpec.of(family, acquisitions_per_proc=acquisitions_per_proc, cs_time=cs_time)
+            for family in ("directory_arrow", "directory_home")
         ),
         seeds=tuple(seeds),
         engine=engine,

@@ -421,6 +421,34 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--grid", "fig11", "--per-node", "0"], "per_node must be a positive integer"),
+        (["sweep", "--grid", "fig10", "--requests-per-proc", "0"], "requests_per_proc must be"),
+        (["sweep", "--grid", "smoke", "--seeds", "0,0"], "seeds axis repeats 0"),
+        (["sweep", "--grid", "smoke", "--sizes", "4,8"], "--sizes does not apply"),
+        (["results", "ingest", "x.jsonl", "--grid", "fig11", "--per-node", "0"], "per_node must"),
+        (["thm319", "--requests", "0"], "count must be a positive integer"),
+        (["fig10", "--per-node", "3"], "--per-node does not apply"),
+    ],
+)
+def test_a_bad_grid_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    """A grid that cannot be built ends in one usage line (exit 2), never a
+    traceback, and before any output file exists."""
+    out = tmp_path / "x.jsonl"
+    argv = [str(out) if a == "x.jsonl" else a for a in argv]
+    if argv[0] == "sweep":
+        argv += ["--out", str(out)]
+    if argv[0] == "results":
+        argv += ["--store", str(tmp_path / "store")]
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", str(tmp_path / "t.json"), *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_verify_accepts_identical_files(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

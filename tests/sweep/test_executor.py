@@ -27,7 +27,8 @@ from repro.sweep import (
     run_sweep,
     smoke_grid,
 )
-from repro.sweep.registry import CellFamily, get_family, register_family
+from repro.sweep.families import FAMILIES
+from repro.sweep.registry import CellFamily, get_family
 
 
 def tiny_spec(engine="fast"):
@@ -284,21 +285,22 @@ def test_completion_records_are_made_when_completions_is_read(records_made):
 # ----------------------------------------------------------------------
 # a monitored failure names its cell
 # ----------------------------------------------------------------------
-def test_monitor_violation_in_a_sweep_names_the_cell():
+def test_monitor_violation_in_a_sweep_names_the_cell(monkeypatch):
     def to_row(cell, derived, built):
         monitor = ArrowMonitor(built)
         if cell.seed == 1:  # the grid's second cell replays a bad stream
             monitor([("init", 0, 1, 1.0), ("send", 0, 1, 0, 1.0), ("deliver", 0, 0, 2, 2.5)])
         return {"n": 4, "requests": 0}
 
-    register_family(
+    monkeypatch.setitem(
+        FAMILIES,
+        "test_bad_stream",
         CellFamily(
             name="test_bad_stream",
-            accepted=frozenset(),
+            params={},
             build=lambda cell, derived: SpanningTree([0, 0, 1, 2], root=0),
             to_row=to_row,
         ),
-        replace=True,
     )
     spec = SweepSpec(
         name="bad",

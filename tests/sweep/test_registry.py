@@ -1,6 +1,9 @@
-"""Cell-family registry tests: builtins, new families, custom plugins."""
+"""Cell-family table tests: builtins, kinds, injected families."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,12 +15,12 @@ from repro.sweep import (
     SweepSpec,
     directory_grid,
     execute_cell,
-    family_names,
     get_family,
     iter_rows,
-    register_family,
     run_sweep,
 )
+from repro.sweep.families import FAMILIES
+from repro.sweep.registry import count
 
 
 def one_cell(schedule, *, graph=None, tree="bfs", seed=0, engine="fast"):
@@ -34,10 +37,10 @@ def one_cell(schedule, *, graph=None, tree="bfs", seed=0, engine="fast"):
 
 
 # ----------------------------------------------------------------------
-# registry mechanics
+# the table
 # ----------------------------------------------------------------------
 def test_builtin_families_registered():
-    names = family_names()
+    names = sorted(FAMILIES)
     for expected in (
         "one_shot",
         "sequential",
@@ -76,9 +79,6 @@ def test_bootstrap_failure_is_not_latched(monkeypatch):
     decay into 'unknown cell family ... know []'."""
     import builtins
 
-    from repro.sweep import registry as reg
-
-    monkeypatch.setattr(reg, "_BOOTSTRAPPED", False)
     real_import = builtins.__import__
 
     def broken(name, *a, **kw):
@@ -89,7 +89,7 @@ def test_bootstrap_failure_is_not_latched(monkeypatch):
     monkeypatch.setattr(builtins, "__import__", broken)
     with pytest.raises(ImportError, match="transient"):
         get_family("poisson")
-    # Same real error again — the flag was not latched by the failure.
+    # Same real error again — nothing latched the failure.
     with pytest.raises(ImportError, match="transient"):
         get_family("poisson")
     monkeypatch.setattr(builtins, "__import__", real_import)
@@ -97,34 +97,32 @@ def test_bootstrap_failure_is_not_latched(monkeypatch):
 
 
 def test_duplicate_registration_rejected_unless_replace():
-    family = get_family("one_shot")
-    with pytest.raises(SweepError):
-        register_family(family)
-    # replace=True re-registers the identical family: a no-op.
-    assert register_family(family, replace=True) is family
+    """One table, no runtime registration: every entry is filed under its
+    own name, so a lookup can never return another family."""
+    for name, family in FAMILIES.items():
+        assert family.name == name
+        assert get_family(name) is family
 
 
-def test_custom_family_runs_through_executor(tmp_path):
+def test_custom_family_runs_through_executor(monkeypatch):
     def build(cell, derived):
         return {"n": 5}
 
     def to_row(cell, derived, built):
         return {"n": built["n"], "requests": 1, "answer": derived % 97}
 
-    register_family(
-        CellFamily(
-            name="test_constant",
-            accepted=frozenset({"level"}),
-            build=build,
-            to_row=to_row,
-        ),
-        replace=True,
+    monkeypatch.setitem(
+        FAMILIES,
+        "test_constant",
+        CellFamily(name="test_constant", params={"level": count}, build=build, to_row=to_row),
     )
     row = one_cell(ScheduleSpec.of("test_constant", level=3))
     assert row["answer"] == row["cell_seed"] % 97
     assert row["schedule"] == "test_constant(level=3)"
     with pytest.raises(SweepError):
         ScheduleSpec.of("test_constant", levle=3)
+    with pytest.raises(SweepError, match="level must be a positive integer"):
+        ScheduleSpec.of("test_constant", level=2.5)
 
 
 def test_validator_hook_rejects_bad_values():
@@ -136,6 +134,47 @@ def test_validator_hook_rejects_bad_values():
         ScheduleSpec.of("ratio", schedule="closed_arrow")
     with pytest.raises(SweepError):
         ScheduleSpec.of("ratio", protocol="ivy")
+
+
+_NO_FAMILIES = """
+import sys
+import repro.results, repro.sweep
+assert "repro.sweep.families" not in sys.modules, "loaded on import"
+if sys.argv[1:]:
+    from repro.cli import main
+    assert main(sys.argv[1:]) == 0
+    assert "repro.sweep.families" not in sys.modules, sys.argv[1:]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["results", "table", "smoke", "--percentiles"],
+        ["results", "plot", "smoke"],
+        ["results", "compare", "--a", "smoke", "--b", "smoke", "--max-delta-pct", "0"],
+    ],
+)
+def test_families_load_on_first_lookup_only(tmp_path, argv):
+    """Importing the sweep and results packages, and reading a stored run
+    back, compile none of the simulators behind the cell families."""
+    import shutil
+    from pathlib import Path
+
+    import repro
+
+    store = tmp_path / "store"
+    shutil.copytree(Path(__file__).parents[1] / "golden" / "results_store", store)
+    src = str(Path(repro.__file__).parents[1])
+    argv = [*argv, "--store", str(store)] if argv else []
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_FAMILIES, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

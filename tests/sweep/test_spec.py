@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+
+import repro.sweep
 
 from repro.errors import ScheduleError, SweepError
 from repro.sweep import (
@@ -216,3 +219,60 @@ def test_preset_grid_spec_hashes_are_pinned():
         "mixed_grid": "09cfb09db3355c60ccdcc6560c3ddd9be8a1dedd20ea811a1f118920de149230",
         "directory_grid": "b03f3757604fec4385cd618d69e02f7f35afd234719dcb3886837a9bba182383",
     }
+
+
+#: Values that used to truncate (an integer parameter given a bool or a
+#: non-integral number) or pass the spec only to fail inside a worker.
+BAD_PARAMS = [
+    ("poisson", {"count": 7.9}, "count"),
+    ("poisson", {"count": True}, "count"),
+    ("poisson", {"per_node": 2.5}, "per_node"),
+    ("closed_centralized", {"center": 1.5}, "center"),
+    ("directory_home", {"home": 2.7}, "home"),
+    ("hotspot", {"hot_fraction": 1.5}, "hot_fraction"),
+    ("bursty", {"burst_span": -1.0}, "burst_span"),
+    ("ratio", {"latency_lo": math.nan}, "latency_lo"),
+]
+
+
+@pytest.mark.parametrize("family,params,name", BAD_PARAMS)
+def test_bad_family_params_fail_at_spec_build_naming_the_parameter(family, params, name):
+    with pytest.raises(SweepError, match=rf"^{name} must be"):
+        ScheduleSpec.of(family, **params)
+
+
+def test_legal_family_params_still_build():
+    for family, params in [
+        ("bursty", {"bursts": 0}),
+        ("bursty", {"burst_size": 0}),
+        ("closed_arrow", {"think_time": 0}),
+        ("closed_centralized", {"center": 0}),
+        ("poisson", {"count": np.int64(7)}),
+    ]:
+        assert ScheduleSpec.of(family, **params).kwargs() == params
+    presets = [getattr(repro.sweep, name) for name in repro.sweep.__all__ if name.endswith("_grid")]
+    assert len(presets) == 14
+    for preset in [*presets, repro.sweep.service_time_grids]:
+        specs = preset()
+        for spec in specs if isinstance(specs, tuple) else (specs,):
+            assert spec.num_cells() == len({c.cell_id for c in spec.cells()})
+
+
+@pytest.mark.parametrize(
+    "axis, change, repeated",
+    [
+        ("graphs", {"graphs": (GraphSpec.of("complete", n=8),) * 2}, "complete(n=8)"),
+        ("trees", {"trees": ("bfs", "bfs")}, "bfs"),
+        ("schedules", {"schedules": (ScheduleSpec.of("one_shot"),) * 2}, "one_shot()"),
+        ("seeds", {"seeds": (0, 0)}, 0),
+        ("faults", {"faults": ("crash@1:0", "crash@1.0:0")}, "crash@1:0"),
+    ],
+)
+def test_a_repeated_axis_value_is_rejected(axis, change, repeated):
+    """Two cells with one cell id: a resume skipped the second and an
+    ingest of the file refused it."""
+    import dataclasses
+    import re
+
+    with pytest.raises(SweepError, match=rf"^{axis} axis repeats {re.escape(repr(repeated))}"):
+        dataclasses.replace(smoke_grid(seeds=(0,)), **change)
