@@ -20,6 +20,7 @@ import sys
 import time
 
 from repro.core.fast_arrow import ENGINES
+from repro.errors import MergeError, OrchestratorError, ReproError, ShardFailedError, SweepError
 from repro.experiments import format_kv, format_table, plot, render_instance
 
 __all__ = ["main"]
@@ -173,8 +174,6 @@ def _call_preset(preset, args, options, error):
     flag the preset lacks, or a ``SweepError`` while it builds the grid,
     is a usage error (exit 2), raised before any output file is opened.
     """
-    from repro.errors import SweepError
-
     accepted = inspect.signature(preset).parameters
     kwargs = {}
     for option in options:
@@ -195,7 +194,6 @@ def _build_grid_spec(args, error):
     import dataclasses
 
     import repro.sweep
-    from repro.errors import SweepError
 
     options = [options[0] for options in _GRID_FLAGS]
     spec = _call_preset(getattr(repro.sweep, f"{args.grid}_grid"), args, options, error)
@@ -333,7 +331,6 @@ def _compare_side(store, key_or_path: str):
 
 def _results_command(args, ingest_error) -> int:
     """Dispatch the ``results`` subcommand group; returns an exit code."""
-    from repro.errors import ReproError
     from repro.results import ResultsStore, compare_rows, figure_from_rows
 
     store = ResultsStore(args.store)
@@ -574,11 +571,6 @@ def main(argv: list[str] | None = None) -> int:
                 psw.error("--shards must be >= 1")
             if args.max_retries < 0:
                 psw.error("--max-retries must be >= 0")
-            from repro.errors import (
-                MergeError,
-                OrchestratorError,
-                ShardFailedError,
-            )
             from repro.sweep.orchestrator import orchestrate_sweep
 
             try:
@@ -618,9 +610,15 @@ def main(argv: list[str] | None = None) -> int:
         out = args.out
         if args.shard is not None:
             out = shard_path(args.out, *args.shard)
-        summary = run_sweep(
-            spec, out, resume=not args.no_resume, shard=args.shard
-        )
+        try:
+            summary = run_sweep(
+                spec, out, resume=not args.no_resume, shard=args.shard
+            )
+        except ReproError as exc:
+            if exc.cell_id is None:  # damage in a result file names its line
+                raise
+            print(f"sweep FAILED: {exc}", file=sys.stderr)
+            return 1
         shard_note = (
             f" (shard {summary['shard']})" if summary["shard"] is not None else ""
         )
@@ -632,7 +630,6 @@ def main(argv: list[str] | None = None) -> int:
             + f" -> {summary['path']}"
         )
     elif args.cmd == "sweep-verify":
-        from repro.errors import ReproError
         from repro.sweep.persist import diff_rows
 
         try:
@@ -656,7 +653,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"sweep-verify OK: {rows} rows identical across {args.a} and {args.b}")
     elif args.cmd == "sweep-merge":
-        from repro.errors import ReproError
         from repro.sweep.persist import merge_shards
 
         if args.expect_cells is None:

@@ -34,6 +34,9 @@ __all__ = [
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
+    #: The sweep cell whose run raised it (set by the sweep executor).
+    cell_id: str | None = None
+
 
 class SimulationError(ReproError):
     """Raised for misuse of the discrete-event simulation kernel."""
@@ -130,10 +133,10 @@ class MonitorViolation(SweepError):
 class MergeError(SweepError):
     """Raised when merging or verifying sweep result files finds problems.
 
-    Carries the individual verification failures (one human-readable
-    string per problem, each naming the offending file and reason) in
-    ``problems`` so callers — the CLI, the orchestrator — can report
-    every rejection rather than just the first.
+    Carries the verification failures (one human-readable string per
+    problem, naming the offending file and reason) in ``problems`` for
+    callers — the CLI, the orchestrator — to report; a merge stops at its
+    first problem, so it leaves one, naming the ``path:line``.
     """
 
     def __init__(self, message: str, problems: tuple[str, ...] | list[str] = ()):

@@ -21,7 +21,7 @@ import contextlib
 import os
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import MonitorViolation, SweepError
+from repro.errors import MonitorViolation, ReproError, SweepError
 from repro.sweep import persist
 from repro.sweep.registry import get_family
 from repro.sweep.spec import SweepCell, SweepSpec, cell_seed
@@ -62,9 +62,10 @@ def execute_cell(cell: SweepCell) -> dict[str, Any]:
     cell, so rows are reproducible — and, for the arrow engines,
     engine-independent (fast and message are bit-identical;
     message-level-only families like the §5.1 directories ignore the
-    engine axis entirely).  A monitored cell whose run breaks an invariant
-    raises the :class:`~repro.errors.MonitorViolation` with the cell's id
-    (``cell_id``, and at the head of the message).
+    engine axis entirely).  A :class:`~repro.errors.ReproError` out of a
+    cell's run carries the cell's id (``cell_id``, and at the head of the
+    message); a :class:`~repro.errors.MonitorViolation` is re-raised as a
+    new one, chained to the monitor's own.
     """
     family = get_family(cell.schedule.family)
     derived = cell_seed(cell)
@@ -78,6 +79,10 @@ def execute_cell(cell: SweepCell) -> dict[str, Any]:
             event=exc.event,
             cell_id=cell.cell_id,
         ) from exc
+    except ReproError as exc:
+        exc.cell_id = cell.cell_id
+        exc.args = (f"cell {cell.cell_id}: {exc}",)
+        raise
     return {**_axis_columns(cell, derived), **metrics}
 
 

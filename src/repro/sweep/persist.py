@@ -8,18 +8,20 @@ consumer reads through :func:`_decode` under one of two policies:
 * **resume** (:func:`iter_rows`, :func:`compact`) — for a file a run may
   still be appending to: a torn final line is dropped and counted, any
   other damage raises :class:`ReproError` naming ``path:line``;
-* **verify** (:func:`iter_verified_rows`, behind :func:`diff_rows`,
-  :func:`merge_shards` and the results store's own files) — for a
-  finished file: every damaged line is a ``path:line`` problem and every
-  row is held to the persisted invariants (:func:`verify_rows`).
+* **verify** (:func:`iter_verified_rows`, behind :func:`diff_rows` and
+  the results store's own files) — for a finished file: every damaged
+  line is a ``path:line`` problem and every row is held to the persisted
+  invariants (:func:`verify_rows`).  :func:`merge_shards` interleaves
+  shard files under it — row ``k`` must carry index ``k`` — and stops
+  at the first problem.
 """
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import json
 import os
-from operator import itemgetter
+from itertools import chain, zip_longest
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
@@ -188,31 +190,32 @@ def diff_rows(
     checked, and the torn trailing line resume reads tolerate is a
     problem), and, when ``expect_cells`` is given, the files must carry
     exactly that many rows.  An empty problem list means the files verify.
+
+    The files are walked in lockstep, one row of each in memory, so peak
+    memory does not grow with file size.
     """
     problems: list[str] = []
-    rows_a = list(iter_verified_rows(path_a, problems.append))
-    rows_b = list(iter_verified_rows(path_b, problems.append))
-    if expect_cells is not None and len(rows_a) != expect_cells:
-        problems.append(
-            f"{path_a}: expected {expect_cells} rows, found {len(rows_a)}"
-        )
-    if len(rows_a) != len(rows_b):
-        problems.append(
-            f"row count differs: {path_a} has {len(rows_a)}, "
-            f"{path_b} has {len(rows_b)}"
-        )
-    for k, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+    count_a = count_b = 0
+    pairs = zip_longest(
+        iter_verified_rows(path_a, problems.append),
+        iter_verified_rows(path_b, problems.append),
+    )
+    for k, (ra, rb) in enumerate(pairs):
+        count_a += ra is not None
+        count_b += rb is not None
+        if ra is None or rb is None:
+            continue
         fa = {key: v for key, v in ra.items() if key not in ignore}
         fb = {key: v for key, v in rb.items() if key not in ignore}
         if fa != fb:
             cell = ra.get("cell_id", f"row {k}")
-            bad = sorted(
-                key
-                for key in fa.keys() | fb.keys()
-                if fa.get(key) != fb.get(key)
-            )
+            bad = sorted(key for key in fa.keys() | fb.keys() if fa.get(key) != fb.get(key))
             problems.append(f"row {k} ({cell}): columns differ: {', '.join(bad)}")
-    return len(rows_a), problems
+    if expect_cells is not None and count_a != expect_cells:
+        problems.append(f"{path_a}: expected {expect_cells} rows, found {count_a}")
+    if count_a != count_b:
+        problems.append(f"row count differs: {path_a} has {count_a}, {path_b} has {count_b}")
+    return count_a, problems
 
 
 def completed_ids(path: str) -> set[str]:
@@ -253,65 +256,25 @@ def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:
     return {row["cell_id"] for row in rows if "cell_id" in row}
 
 
-#: Per-shard-file cap on recorded problem strings: keeps a wholly
-#: damaged shard of a million-cell grid from buffering millions of
-#: messages — the constant-memory contract must hold on the reject path
-#: too.  The suppression notice still says how much was elided.
-_PROBLEMS_PER_FILE_CAP = 50
+class _Refused(Exception):
+    """A merge's first problem, as ``path:line: reason``."""
 
 
-def _shard_rows(
-    path: str, shard_count: int, problems: list[str], residues: set[int]
-) -> Iterator[dict[str, Any]]:
-    """One shard file's merge-eligible rows, verified, in file order.
-
-    On top of the verify policy, a row without an integer ``index`` is a
-    problem and is skipped, an index that does not increase is a problem,
-    and ``residues`` collects the indices modulo ``shard_count``.
-    Problems are capped per file, with a count of what was elided.
-    """
-    recorded = 0
-
-    def report(message: str) -> None:
-        nonlocal recorded
-        if recorded < _PROBLEMS_PER_FILE_CAP:
-            problems.append(message)
-        recorded += 1
-
-    last_index: int | None = None
-    for k, row in enumerate(iter_verified_rows(path, report)):
-        index = row.get("index")
-        if not isinstance(index, int):
-            report(
-                f"{path} row {k}: no integer 'index' column; "
-                "not a sweep shard row"
-            )
-            continue
-        residues.add(index % shard_count)
-        if last_index is not None and index <= last_index:
-            report(
-                f"{path} row {k}: index {index} out of order after "
-                f"{last_index}; shard files are append-only in "
-                "grid order (re-run the shard)"
-            )
-        last_index = index
-        yield row
-    if recorded > _PROBLEMS_PER_FILE_CAP:
-        problems.append(
-            f"{path}: {recorded - _PROBLEMS_PER_FILE_CAP} further problem(s) "
-            f"suppressed (first {_PROBLEMS_PER_FILE_CAP} shown)"
-        )
+_Rows = Iterator[tuple[str, int, dict[str, Any]]]  # (path:line, index, row)
 
 
-def _format_capped(values: list[int], dropped: int) -> str:
-    """Render a capped problem-index list, noting how many were elided."""
-    return f"{values}" + (f" (+{dropped} more)" if dropped else "")
-
-
-#: How many offending cell indices a merge problem names before eliding —
-#: keeps error messages (and the memory behind them) bounded even when a
-#: whole shard of a million-cell grid is missing or duplicated.
-_PROBLEM_INDEX_CAP = 10
+def _indexed_rows(path: str, lines: Iterable[str]) -> _Rows:
+    """A finished shard file's rows under the *verify* policy; the first
+    damaged line, broken row invariant or row without an integer
+    ``index`` raises :class:`_Refused` naming its line."""
+    for lineno, row, damage in _decode(lines):
+        problems = [damage] if row is None else _row_shape_problems(row)
+        # Not ``isinstance``: JSON's ``true`` is a bool, and a bool an int.
+        if not problems and type(index := row.get("index")) is not int:
+            problems = [f"no integer 'index' column (found {index!r})"]
+        if problems:
+            raise _Refused(f"{path}:{lineno}: {problems[0]}")
+        yield f"{path}:{lineno}", index, row
 
 
 def merge_shards(
@@ -320,122 +283,70 @@ def merge_shards(
     *,
     expect_cells: int | None = None,
 ) -> tuple[int, list[str]]:
-    """Merge sharded sweep files back into grid order; return (rows, problems).
+    """Interleave sharded sweep files into grid order; return (rows, problems).
 
-    The shards of one grid partition its cells round-robin by index, so
-    their union must be exactly the contiguous index range ``0..N-1``
-    with no duplicates, and each file's indices must share one residue
-    modulo the shard count (mixing files from different shardings fails
-    here); each file is read under the *verify* policy, so a broken row
-    invariant or a corrupt line — a killed shard's torn tail — is a problem.
+    The ``m`` shards of a grid split it round-robin and each is appended
+    in grid order, so row ``p`` of the file with residue ``r`` carries
+    index ``r + p*m``.  A file's residue is its first row's index mod
+    ``m`` (any file order; an empty file is a shard with no cells), and
+    merged row ``k`` is the next row of the file with residue ``k mod m``.
+    One row per file is in memory, whatever the grid size.
 
-    The merge **streams**: shard files are k-way merged through one read
-    cursor each (rows verified and written one at a time), so peak
-    memory is independent of grid size — a million-cell merge holds one
-    row per shard, never a shard's full row list.  Because ``run_sweep``
-    appends rows in grid order, each shard file must be internally
-    ordered by index; a file that is not (only possible by hand-editing
-    holes into it) is rejected.
+    The walk stops at its first problem and reports that one, naming its
+    ``path:line``: a damaged line or broken row invariant (the *verify*
+    policy), a residue claimed twice, a row whose index is not ``k``, or
+    a row left once index ``k`` is in no file.  A shard that lost only
+    *trailing* cells still looks like a smaller grid; ``expect_cells``
+    (= ``SweepSpec.num_cells()``, the CLI's ``--expect-cells``) closes that.
 
-    One gap is undetectable from row content alone: a shard that lost
-    only *trailing* cells, when no surviving row carries a higher index,
-    looks like a complete merge of a smaller grid.  Pass ``expect_cells``
-    (= ``SweepSpec.num_cells()``; the CLI's ``--expect-cells``) to close
-    it — without that the merge certifies internal consistency, not grid
-    completeness.
-
-    Only a clean merge is kept (written atomically) at ``out_path``;
-    rows stream into a ``.tmp`` sidecar that is discarded when any
-    problem surfaces.  Because rows are serialised canonically and
-    emitted in index order, the merged file is byte-identical to an
-    unsharded run of the same grid.
+    Rows stream into a ``.tmp`` sidecar, renamed to ``out_path`` on a
+    clean merge and removed otherwise.  Rows are serialised canonically in
+    index order, so the merged file is byte-identical to an unsharded run.
     """
-    shard_paths = list(shard_paths)
-    shard_count = len(shard_paths)
-    problems: list[str] = []
-    residues: list[tuple[str, set[int]]] = []
-    streams = []
-    for path in shard_paths:
-        if not os.path.exists(path):
-            problems.append(f"{path}: missing shard file")
-            continue
-        found: set[int] = set()
-        residues.append((path, found))
-        streams.append(_shard_rows(path, shard_count, problems, found))
-    total_rows = 0
-    expected = 0
-    dup_shown: list[int] = []
-    dup_dropped = 0
-    missing_shown: list[int] = []
-    missing_dropped = 0
+    paths = list(shard_paths)
+    m = len(paths)
     tmp = out_path + ".tmp"
+    k = 0  # the index due next, = rows written
     try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            # A stable k-way merge: equal indices (duplicates) come out in
-            # shard order, and one row per shard is in memory.
-            for row in heapq.merge(*streams, key=itemgetter("index")):
-                index = row["index"]
-                if index == expected:
-                    expected = index + 1
-                elif index < expected:
-                    if dup_shown and dup_shown[-1] == index:
-                        pass  # already recorded this duplicated index
-                    elif len(dup_shown) < _PROBLEM_INDEX_CAP:
-                        dup_shown.append(index)
-                    else:
-                        dup_dropped += 1
-                else:
-                    gap = range(expected, index)
-                    take = max(0, _PROBLEM_INDEX_CAP - len(missing_shown))
-                    missing_shown.extend(gap[:take])
-                    missing_dropped += len(gap) - min(take, len(gap))
-                    expected = index + 1
+        with contextlib.ExitStack() as files:
+            if not paths:
+                raise _Refused("merge: no shard files given")
+            shards: dict[int, tuple[str, _Rows]] = {}  # residue -> (path, rows)
+            for path in paths:
+                if not os.path.exists(path):
+                    raise _Refused(f"{path}: missing shard file")
+                rows = _indexed_rows(path, files.enter_context(open(path, encoding="utf-8")))
+                if (first := next(rows, None)) is not None:
+                    where, index, _ = first
+                    if (r := index % m) in shards:
+                        raise _Refused(f"{where}: index {index} is residue {r} of {m}, "
+                                       f"as in {shards[r][0]} (a shard passed twice?)")
+                    shards[r] = (path, chain([first], rows))
+            out = files.enter_context(open(tmp, "w", encoding="utf-8"))
+            while (shard := shards.get(k % m)) and (entry := next(shard[1], None)):
+                where, index, row = entry
+                if index != k:
+                    raise _Refused(f"{where}: index {index} out of order, expected {k} "
+                                   "(a row missing, duplicated or moved, or another sharding)")
+                if k == expect_cells:
+                    raise _Refused(f"{where}: expected {expect_cells} rows, found more")
                 out.write(dumps_row(row) + "\n")
-                total_rows += 1
-        # Round-robin partition: every file's indices share one residue
-        # modulo the shard count, and non-empty files cover distinct
-        # residues.  Catches files from a different sharding mixed in even
-        # when the union happens to be contiguous.
-        seen_residues: dict[int, str] = {}
-        for path, found in residues:
-            if len(found) > 1:
-                problems.append(
-                    f"{path}: cell indices span residues "
-                    f"{sorted(found)} modulo {shard_count} shards; "
-                    "not one shard of this grid"
-                )
-            for residue in sorted(found):
-                if residue in seen_residues:
-                    problems.append(
-                        f"{path}: same shard residue {residue} as "
-                        f"{seen_residues[residue]} (shard passed twice?)"
-                    )
-                else:
-                    seen_residues[residue] = path
-        if expect_cells is not None and total_rows != expect_cells:
-            problems.append(
-                f"merge: expected {expect_cells} rows across shards, "
-                f"found {total_rows}"
-            )
-        if dup_shown or dup_dropped:
-            problems.append(
-                "merge: duplicate cell indices across shards: "
-                f"{_format_capped(dup_shown, dup_dropped)} "
-                "(same shard run twice into different files?)"
-            )
-        if missing_shown or missing_dropped:
-            problems.append(
-                "merge: missing cell indices "
-                f"{_format_capped(missing_shown, missing_dropped)} "
-                "(a shard is absent or incomplete)"
-            )
-        if not problems:
-            os.replace(tmp, out_path)
+                k += 1
+            # Index k is in no file, so no file may hold another row.
+            for _, rows in shards.values():
+                if (left := next(rows, None)) is not None:
+                    raise _Refused(f"{left[0]}: index {left[1]} out of order, "
+                                   f"but no shard holds index {k} (a shard missing or short)")
+            if expect_cells is not None and k != expect_cells:
+                where = shards[k % m][0] if k % m in shards else "merge"
+                raise _Refused(f"{where}: expected {expect_cells} rows across shards, "
+                               f"found {k}; index {k} is missing")
+        os.replace(tmp, out_path)
+    except _Refused as problem:
+        return k, [str(problem)]
     finally:
-        for stream in streams:
-            stream.close()
         # Rejected, or a reader or the output failed mid-stream (ENOSPC,
         # I/O error): no partial .tmp sidecar stays behind.
         if os.path.exists(tmp):
             os.remove(tmp)
-    return total_rows, problems
+    return k, []

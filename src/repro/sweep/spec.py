@@ -269,6 +269,8 @@ class SweepSpec:
             raise SweepError(engine_error_message(self.engine))
         # Checked, not converted: the value as given is part of spec_hash.
         require_time("service_time", self.service_time, SweepError)
+        for seed in self.seeds:
+            non_negative_int("seeds", seed)
         for t in self.trees:
             if t not in TREE_BUILDERS:
                 raise SweepError(

@@ -431,6 +431,7 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
         (["results", "ingest", "x.jsonl", "--grid", "fig11", "--per-node", "0"], "per_node must"),
         (["thm319", "--requests", "0"], "count must be a positive integer"),
         (["fig10", "--per-node", "3"], "--per-node does not apply"),
+        (["sweep", "--grid", "smoke", "--seeds", "-1"], "seeds must be an integer >= 0, got -1"),
     ],
 )
 def test_a_bad_grid_flag_is_a_usage_error(tmp_path, capsys, argv, message):
@@ -447,6 +448,14 @@ def test_a_bad_grid_flag_is_a_usage_error(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_cell_ends_the_sweep_in_one_line_naming_it(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert main(["sweep", "--grid", "fig11", "--sizes", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sweep FAILED: cell complete(n=0)/") and err.count("\n") == 1
+    assert err.endswith(": graph needs at least one node, got 0\n")
 
 
 def test_sweep_verify_accepts_identical_files(tmp_path, capsys):

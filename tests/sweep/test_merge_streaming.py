@@ -3,8 +3,9 @@
 ``tests/sweep/test_shard.py`` covers the merge's historical rejection
 paths (contiguity, duplicates, torn lines, mixed shardings, histogram
 invariants) against real sweep output; this module pins down what the
-streaming rewrite adds — peak memory independent of grid size, bounded
-problem messages, in-file ordering — on synthetic shard files.
+interleave adds — peak memory independent of grid size, one problem
+naming the first offending line, in-file ordering — on synthetic shard
+files, and that ``diff_rows`` streams too.
 """
 
 import os
@@ -63,6 +64,24 @@ def test_peak_memory_independent_of_grid_size(tmp_path):
             assert f'"index":{expected}' in line.replace(" ", "")
 
 
+def test_diff_rows_peak_memory_independent_of_file_size(tmp_path):
+    pad = 2000
+    peaks = []
+    for n in (60, 3000):
+        path = write_shard(tmp_path / f"g{n}.jsonl", range(n), pad=pad)
+        tracemalloc.start()
+        try:
+            rows, problems = diff_rows(path, path, expect_cells=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (rows, problems) == (n, [])
+    small_peak, large_peak = peaks
+    # Two buffered files of 3000 fat rows would hold ~36MB of dicts.
+    assert large_peak < 1_500_000, f"peak {large_peak} bytes looks buffered"
+    assert large_peak < max(4 * small_peak, 1_000_000)
+
+
 def test_merged_bytes_match_single_writer_output(tmp_path):
     shards = round_robin_shards(tmp_path, 10, 2)
     reference = write_shard(tmp_path / "reference.jsonl", range(10))
@@ -89,41 +108,57 @@ def test_non_object_rows_are_problems_not_crashes(tmp_path):
     assert any("not a JSON object" in p for p in problems)
 
 
+def refused(shards, out):
+    """The merge's one problem; ``out`` and its ``.tmp`` were not written."""
+    rows, problems = merge_shards(shards, str(out))
+    assert len(problems) == 1, problems
+    assert not out.exists() and not os.path.exists(str(out) + ".tmp")
+    return problems[0]
+
+
 def test_problem_index_lists_are_capped(tmp_path):
-    # Only the even-residue shard of a 200-cell 2-sharding exists: the
-    # odd indices are missing (99 detectable gaps — the final index 199
-    # trails every surviving row, the documented expect_cells blind
-    # spot), but the message names at most 10 of them.
-    shards = [
-        write_shard(tmp_path / "s0-2.jsonl", range(0, 200, 2)),
-        str(tmp_path / "s1-2.jsonl"),  # never written
-    ]
-    rows, problems = merge_shards(shards, str(tmp_path / "merged.jsonl"))
-    missing = [p for p in problems if "missing cell indices" in p]
-    assert len(missing) == 1
-    assert "(+89 more)" in missing[0]
-    assert missing[0].count(",") <= 10
+    # Only the even-residue shard of a 200-cell 2-sharding has rows: 100
+    # indices are missing, and the merge names the first row that shows
+    # it — index 2 standing where index 1 belongs — in one problem.
+    even = write_shard(tmp_path / "s0-2.jsonl", range(0, 200, 2))
+    odd = write_shard(tmp_path / "s1-2.jsonl", [])
+    problem = refused([even, odd], tmp_path / "merged.jsonl")
+    assert problem.startswith(f"{even}:2: index 2 out of order")
+    assert "no shard holds index 1" in problem
 
 
 def test_duplicate_index_lists_are_capped(tmp_path):
+    # 20 duplicated indices, one problem: the second file's first line
+    # claims the residue the first file already holds.
     same = write_shard(tmp_path / "dup.jsonl", range(0, 40, 2))
-    shards = [same, write_shard(tmp_path / "dup2.jsonl", range(0, 40, 2))]
-    rows, problems = merge_shards(shards, str(tmp_path / "merged.jsonl"))
-    dupes = [p for p in problems if "duplicate cell indices" in p]
-    assert len(dupes) == 1
-    assert "(+10 more)" in dupes[0]  # 20 duplicated indices, 10 shown
+    again = write_shard(tmp_path / "dup2.jsonl", range(0, 40, 2))
+    problem = refused([same, again], tmp_path / "merged.jsonl")
+    assert problem.startswith(f"{again}:1: index 0 is residue 0 of 2, as in {same}")
 
 
 def test_wholly_damaged_shard_problems_are_capped(tmp_path):
-    # Constant memory must hold on the reject path too: a shard of 500
-    # corrupt lines records a bounded problem list plus one suppression
-    # notice, not one string per line.
+    # Constant memory holds on the reject path too: a shard of 500
+    # corrupt lines is one problem, its first line.
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n" * 500, encoding="utf-8")
-    rows, problems = merge_shards([str(bad)], str(tmp_path / "merged.jsonl"))
-    per_file = [p for p in problems if "bad.jsonl" in p]
-    assert len(per_file) <= 51  # _PROBLEMS_PER_FILE_CAP + suppression notice
-    assert any("450 further problem(s) suppressed" in p for p in problems)
+    problem = refused([str(bad)], tmp_path / "merged.jsonl")
+    assert problem == f"{bad}:1: corrupt JSONL row"
+
+
+def test_no_input_is_refused(tmp_path):
+    assert refused([], tmp_path / "merged.jsonl") == "merge: no shard files given"
+
+
+def test_boolean_index_is_not_a_cell_index(tmp_path):
+    # ``true`` is a bool, and a bool is an int: without the exact type
+    # check it would merge as cell 1.
+    shard = tmp_path / "s0-1.jsonl"
+    shard.write_text(
+        dumps_row({"index": 0}) + "\n" + dumps_row({"index": True}) + "\n",
+        encoding="utf-8",
+    )
+    problem = refused([str(shard)], tmp_path / "merged.jsonl")
+    assert problem == f"{shard}:2: no integer 'index' column (found True)"
 
 
 def test_no_tmp_sidecar_left_behind_on_rejection(tmp_path):

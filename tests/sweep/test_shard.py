@@ -13,6 +13,7 @@ from repro.sweep import (
     merge_shards,
     run_sweep,
     shard_path,
+    smoke_grid,
 )
 
 
@@ -74,35 +75,50 @@ def test_shard_resumes_like_an_unsharded_file(tmp_path):
     assert open(shard1, "rb").read() == whole
 
 
+def refused(shards, out):
+    """The merge's one problem; ``out`` and its ``.tmp`` were not written."""
+    rows, problems = merge_shards(shards, str(out))
+    assert len(problems) == 1, problems
+    assert not out.exists() and not (out.parent / (out.name + ".tmp")).exists()
+    return problems[0]
+
+
 def test_merge_rejects_missing_shard(tmp_path):
     shards = run_shards(tmp_path, 2)
-    merged = tmp_path / "merged.jsonl"
-    rows, problems = merge_shards(
-        [shards[0], str(tmp_path / "nope.jsonl")], str(merged)
-    )
-    assert any("missing shard file" in p for p in problems)
-    assert any("missing cell indices" in p for p in problems)
-    assert not merged.exists()
+    nope = str(tmp_path / "nope.jsonl")
+    problem = refused([shards[0], nope], tmp_path / "merged.jsonl")
+    assert problem == f"{nope}: missing shard file"
 
 
 def test_merge_rejects_duplicate_rows(tmp_path):
     shards = run_shards(tmp_path, 2)
-    rows, problems = merge_shards(
-        [shards[0], shards[0], shards[1]], str(tmp_path / "merged.jsonl")
+    problem = refused([shards[0], shards[0], shards[1]], tmp_path / "merged.jsonl")
+    assert problem.startswith(
+        f"{shards[0]}:1: index 0 is residue 0 of 3, as in {shards[0]}"
     )
-    assert any("duplicate cell indices" in p for p in problems)
 
 
 def test_merge_rejects_mixed_shardings(tmp_path):
-    """A file whose indices span several residues is not one shard of
-    this grid — e.g. an unsharded file passed alongside real shards."""
+    """An unsharded file passed alongside real shards holds index 1
+    where the interleave expects 2."""
     shards = run_shards(tmp_path, 2)
     whole = tmp_path / "whole.jsonl"
     run_sweep(tiny_spec(), str(whole))
-    rows, problems = merge_shards(
-        [str(whole), shards[1]], str(tmp_path / "merged.jsonl")
-    )
-    assert any("span residues" in p for p in problems)
+    problem = refused([str(whole), shards[1]], tmp_path / "merged.jsonl")
+    assert problem.startswith(f"{whole}:2: index 1 out of order, expected 2")
+
+
+def test_merge_is_independent_of_file_order_and_empty_shards(tmp_path):
+    whole = tmp_path / "whole.jsonl"
+    run_sweep(smoke_grid(), str(whole))
+    merged = tmp_path / "merged.jsonl"
+    for count in (2, 8):  # 8 shards of the 4-cell grid: four empty files
+        paths = [shard_path(str(tmp_path / "s.jsonl"), i, count) for i in range(count)]
+        for i, path in enumerate(paths):
+            run_sweep(smoke_grid(), path, shard=(i, count))
+        rows, problems = merge_shards(paths[::-1], str(merged), expect_cells=4)
+        assert (rows, problems) == (4, [])
+        assert merged.read_bytes() == whole.read_bytes()
 
 
 def test_merge_detects_lost_tail_via_expect_cells(tmp_path):
@@ -137,8 +153,8 @@ def test_merge_rejects_torn_tail_and_rowless_lines(tmp_path):
 def test_merge_rejects_rows_without_index(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(dumps_row({"cell_id": "x"}) + "\n")
-    rows, problems = merge_shards([str(bad)], str(tmp_path / "merged.jsonl"))
-    assert any("no integer 'index'" in p for p in problems)
+    problem = refused([str(bad)], tmp_path / "merged.jsonl")
+    assert problem == f"{bad}:1: no integer 'index' column (found None)"
 
 
 def test_invalid_shard_tuples_rejected(tmp_path):

@@ -160,6 +160,15 @@ def test_time_knobs_must_be_finite_and_non_negative_at_spec_build(bad):
         ScheduleSpec.of("directory_arrow", cs_time=bad)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_seeds_must_be_non_negative_integers_at_spec_build(bad):
+    """A negative seed used to die in numpy's seeding, after the output
+    file was created."""
+    with pytest.raises(SweepError, match=rf"^seeds must be an integer >= 0, got {bad!r}$"):
+        smoke_grid(seeds=(bad,))
+    assert smoke_grid(seeds=(np.int64(3),)).seeds == (3,)
+
+
 def test_directory_grid_expands_both_designs():
     spec = directory_grid(sizes=(2, 4), acquisitions_per_proc=5)
     assert spec.num_cells() == 4
