@@ -20,7 +20,7 @@ import sys
 import time
 
 from repro.core.fast_arrow import ENGINES
-from repro.errors import MergeError, OrchestratorError, ReproError, ShardFailedError, SweepError
+from repro.errors import MergeError, ReproError, ShardFailedError, SweepError
 from repro.experiments import format_kv, format_table, plot, render_instance
 
 __all__ = ["main"]
@@ -465,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
                           "many (more shards than workers balances uneven "
                           "cells); supervised, retried and merged like any "
                           "--workers run")
-    psw.add_argument("--max-retries", type=int, default=2,
-                     help="per-shard retry budget of a supervised run "
-                          "(default: 2)")
 
     psv = sub.add_parser(
         "sweep-verify",
@@ -569,8 +566,6 @@ def main(argv: list[str] | None = None) -> int:
             shards = args.workers if args.shards is None else args.shards
             if shards < 1:
                 psw.error("--shards must be >= 1")
-            if args.max_retries < 0:
-                psw.error("--max-retries must be >= 0")
             from repro.sweep.orchestrator import orchestrate_sweep
 
             try:
@@ -579,7 +574,6 @@ def main(argv: list[str] | None = None) -> int:
                     args.out,
                     shards=shards,
                     workers=args.workers,
-                    max_retries=args.max_retries,
                     resume=not args.no_resume,
                     progress=_orchestrator_progress(),
                 )
@@ -594,11 +588,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(p, file=sys.stderr)
                 print(f"sweep merge FAILED: {exc}", file=sys.stderr)
                 return 4
-            except OrchestratorError as exc:
-                # Driver misuse (e.g. a malformed REPRO_ORCH_FAULT):
-                # reason on stderr, never an unhandled traceback.
-                print(f"sweep FAILED: {exc}", file=sys.stderr)
-                return 1
             print(
                 f"sweep {summary['spec']}: {summary['rows']} rows merged "
                 f"from {summary['shards']} shard(s), "

@@ -147,7 +147,7 @@ class MergeError(SweepError):
 class OrchestratorError(SweepError):
     """Raised by the multi-shard sweep orchestrator.
 
-    Covers driver misuse (bad shard/worker/retry arguments) and
+    Covers caller misuse (a shard or worker count below 1) and
     supervision failures; the retry-budget case gets the more specific
     :class:`ShardFailedError`.
     """

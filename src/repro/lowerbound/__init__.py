@@ -2,31 +2,28 @@
 
 from repro.lowerbound.comb import comb_cost_bound_formula, comb_mst_weight, comb_order
 from repro.lowerbound.construction import (
-    Theorem41Instance,
+    LowerBoundInstance,
     default_k,
     theorem41_instance,
     theorem41_requests,
 )
 from repro.lowerbound.layered import (
-    LayeredInstance,
     layer_sweep_order,
     layered_instance,
     layered_requests,
 )
-from repro.lowerbound.stretch_graph import Theorem42Instance, theorem42_instance
+from repro.lowerbound.stretch_graph import theorem42_instance
 
 __all__ = [
     "comb_cost_bound_formula",
     "comb_mst_weight",
     "comb_order",
-    "Theorem41Instance",
+    "LowerBoundInstance",
     "default_k",
     "theorem41_instance",
     "theorem41_requests",
-    "LayeredInstance",
     "layer_sweep_order",
     "layered_instance",
     "layered_requests",
-    "Theorem42Instance",
     "theorem42_instance",
 ]

@@ -34,7 +34,7 @@ from repro.spanning.tree import SpanningTree
 __all__ = [
     "default_k",
     "theorem41_requests",
-    "Theorem41Instance",
+    "LowerBoundInstance",
     "theorem41_instance",
 ]
 
@@ -89,23 +89,20 @@ def theorem41_requests(D: int, k: int | None = None) -> list[tuple[int, float]]:
 
 
 @dataclass(frozen=True, slots=True)
-class Theorem41Instance:
-    """A ready-to-run lower-bound instance."""
+class LowerBoundInstance:
+    """A ready-to-run Section 4 instance: the path ``v_0 .. v_D`` as tree,
+    its graph (the path itself, or Theorem 4.2's shortcut graph of stretch
+    ``s``), the schedule, and the layer count ``k``."""
 
     graph: Graph
     tree: SpanningTree
     schedule: RequestSchedule
     D: int
     k: int
-
-    @property
-    def predicted_arrow_cost(self) -> float:
-        """The construction's arrow cost target ``k * D`` (the paper's
-        count; the realised cost is ``Θ(k D)`` — one sweep per layer)."""
-        return float(self.k * self.D)
+    s: int = 1
 
 
-def theorem41_instance(D: int, k: int | None = None) -> Theorem41Instance:
+def theorem41_instance(D: int, k: int | None = None) -> LowerBoundInstance:
     """Build graph (= path), tree (= path rooted at ``v_0``) and schedule.
 
     The communication graph equals the tree ("G = T"; adding edges could
@@ -118,4 +115,4 @@ def theorem41_instance(D: int, k: int | None = None) -> Theorem41Instance:
     graph = path_graph(D + 1)
     parent = [max(0, i - 1) for i in range(D + 1)]
     tree = SpanningTree(parent, root=0)
-    return Theorem41Instance(graph, tree, RequestSchedule(pairs), D, k)
+    return LowerBoundInstance(graph, tree, RequestSchedule(pairs), D, k)

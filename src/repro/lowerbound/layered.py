@@ -32,15 +32,13 @@ literal transcription stays at a flat factor 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
 from repro.graphs.generators import path_graph
-from repro.graphs.graph import Graph
+from repro.lowerbound.construction import LowerBoundInstance
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["LayeredInstance", "layered_requests", "layered_instance", "layer_sweep_order"]
+__all__ = ["layered_requests", "layered_instance", "layer_sweep_order"]
 
 
 def layered_requests(D: int, k: int) -> list[tuple[int, float]]:
@@ -80,33 +78,12 @@ def layered_requests(D: int, k: int) -> list[tuple[int, float]]:
     return [(p, float(t)) for (p, t) in sorted(pairs, key=lambda x: (x[1], x[0]))]
 
 
-@dataclass(frozen=True, slots=True)
-class LayeredInstance:
-    """A ready-to-run bitonic layered instance (graph = tree = path)."""
-
-    graph: Graph
-    tree: SpanningTree
-    schedule: RequestSchedule
-    D: int
-    k: int
-
-    @property
-    def sweep_cost_target(self) -> float:
-        """Full layer-sweep cost ``k · D``.
-
-        One sweep per refinement layer ``0 .. k-1``; the final layer is the
-        single request ``(v_D, k)`` at the end of layer ``k-1``'s sweep, so
-        it adds only a constant.
-        """
-        return float(self.k * self.D)
-
-
-def layered_instance(D: int, k: int) -> LayeredInstance:
+def layered_instance(D: int, k: int) -> LowerBoundInstance:
     """Build graph (= path), tree (= path rooted at ``v_0``) and schedule."""
     pairs = layered_requests(D, k)
     graph = path_graph(D + 1)
     tree = SpanningTree([max(0, i - 1) for i in range(D + 1)], root=0)
-    return LayeredInstance(graph, tree, RequestSchedule(pairs), D, k)
+    return LowerBoundInstance(graph, tree, RequestSchedule(pairs), D, k)
 
 
 def layer_sweep_order(schedule: RequestSchedule) -> list[int]:

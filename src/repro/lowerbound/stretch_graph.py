@@ -15,35 +15,20 @@ units — either way a ratio of ``Ω(s · log(D/s)/log log(D/s))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
 from repro.graphs.graph import Graph
-from repro.lowerbound.construction import default_k, theorem41_requests
+from repro.lowerbound.construction import (
+    LowerBoundInstance,
+    default_k,
+    theorem41_requests,
+)
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["Theorem42Instance", "theorem42_instance"]
+__all__ = ["theorem42_instance"]
 
 
-@dataclass(frozen=True, slots=True)
-class Theorem42Instance:
-    """A stretch-``s`` lower-bound instance."""
-
-    graph: Graph
-    tree: SpanningTree
-    schedule: RequestSchedule
-    D: int
-    s: int
-    k: int
-
-    @property
-    def predicted_arrow_cost(self) -> float:
-        """Arrow pays ``k`` sweeps of the full path: ``Θ(k D)``."""
-        return float(self.k * self.D)
-
-
-def theorem42_instance(D_over_s: int, s: int, k: int | None = None) -> Theorem42Instance:
+def theorem42_instance(D_over_s: int, s: int, k: int | None = None) -> LowerBoundInstance:
     """Build the Theorem 4.2 instance with tree diameter ``D = s * D_over_s``.
 
     ``D_over_s`` must be a power of two; ``s >= 1``.  The tree is the full
@@ -68,4 +53,4 @@ def theorem42_instance(D_over_s: int, s: int, k: int | None = None) -> Theorem42
     pairs = [
         (pos * s, t) for (pos, t) in theorem41_requests(D_over_s, k)
     ]
-    return Theorem42Instance(graph, tree, RequestSchedule(pairs), D, s, k)
+    return LowerBoundInstance(graph, tree, RequestSchedule(pairs), D, k, s)

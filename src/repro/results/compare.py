@@ -108,6 +108,23 @@ def _numeric_items(row: dict[str, Any], ignore: tuple[str, ...]):
             yield k, float(v)
 
 
+def _by_cell_id(
+    rows: Iterable[dict[str, Any]], side: str, problems: list[str]
+) -> dict[str, dict[str, Any]]:
+    """Index one side's rows by ``cell_id``; every row that cannot be
+    paired (no string id, or a repeated one) is a problem naming it."""
+    by_id: dict[str, dict[str, Any]] = {}
+    for n, row in enumerate(rows, 1):
+        cid = row.get("cell_id")
+        if not isinstance(cid, str):
+            problems.append(f"{side} row {n}: no string cell_id, cannot be compared")
+        elif cid in by_id:
+            problems.append(f"{side} row {n}: cell_id {cid!r} repeated")
+        else:
+            by_id[cid] = row
+    return by_id
+
+
 def compare_rows(
     rows_a: Iterable[dict[str, Any]],
     rows_b: Iterable[dict[str, Any]],
@@ -118,18 +135,22 @@ def compare_rows(
     """Diff two row sets cell by cell; returns a :class:`RowComparison`.
 
     Rows pair up by ``cell_id``; a cell present on only one side is a
-    problem (the runs cover different grids or one is partial).  Every
+    problem (the runs cover different grids or one is partial), and so is
+    a row without a string ``cell_id`` or one repeating a ``cell_id`` of
+    its side — a row is compared or reported, never silently dropped.  Every
     shared numeric column (minus ``ignore``) gets a percent delta
     ``(b - a) / a * 100`` — a zero baseline with a non-zero fresh value
     reports as a problem rather than an infinite percentage.  Non-numeric
     columns (cell ids, fault labels, ``exclusion_ok``...) must be equal.
     """
-    by_id_a = {r["cell_id"]: r for r in rows_a if "cell_id" in r}
-    by_id_b = {r["cell_id"]: r for r in rows_b if "cell_id" in r}
+    problems: list[str] = []
+    by_id_a = _by_cell_id(rows_a, "A", problems)
+    by_id_b = _by_cell_id(rows_b, "B", problems)
     cmp = RowComparison(
         cells_a=len(by_id_a),
         cells_b=len(by_id_b),
         compared=0,
+        problems=problems,
         max_delta_pct=max_delta_pct,
     )
     only_a = sorted(set(by_id_a) - set(by_id_b))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import MonitorViolation, ReproError, SweepError
 from repro.sweep import persist
@@ -167,7 +167,6 @@ def run_sweep(
     *,
     resume: bool = True,
     shard: tuple[int, int] | None = None,
-    on_row: Callable[[int], None] | None = None,
 ) -> dict[str, Any]:
     """Run a sweep to a JSONL file; returns a small summary dict.
 
@@ -182,10 +181,6 @@ def run_sweep(
     ``sweep-merge`` stitches back into the grid-order equivalent of an
     unsharded run.  A per-file lock enforces the one-writer-per-shard
     contract on POSIX systems.
-
-    ``on_row`` (if given) is called after each row is flushed, with the
-    count of rows written *by this run* — the orchestrator's in-process
-    hook for progress and fault injection.
     """
     _check_shard(shard)
     torn: list[str] = []
@@ -202,8 +197,6 @@ def run_sweep(
                 fh.write(persist.dumps_row(row) + "\n")
                 fh.flush()
                 written += 1
-                if on_row is not None:
-                    on_row(written)
     total = spec.num_cells()
     if shard is not None:
         index, count = shard

@@ -17,24 +17,16 @@ Each shard runs :func:`repro.sweep.executor.run_sweep` in its own child
 process (one writer per shard file, so the executor's ``flock`` guard
 and resume semantics apply unchanged).  The supervisor sleeps on the
 running children's process sentinels, so it wakes the moment one exits
-and otherwise once per ``poll_interval`` to report shard-file growth; a
-child that exits non-zero or dies to a signal has the failure appended
+and otherwise once per :data:`POLL_INTERVAL` to report shard-file growth;
+a child that exits non-zero or dies to a signal has the failure appended
 to the shard's in-memory failure log *and* to an on-disk
 ``<shard>.failures.log`` sidecar, then is relaunched while its retry
-budget (``max_retries`` per shard) lasts.  A shard that exhausts the
+budget (:data:`MAX_RETRIES` per shard) lasts.  A shard that exhausts the
 budget raises :class:`repro.errors.ShardFailedError` once the surviving
-shards finish — partial work stays on disk and a rerun resumes it.
-
-Fault injection (testing only)
-------------------------------
-The CI smoke that proves supervision works needs a shard to die
-mid-run deterministically.  Setting ``REPRO_ORCH_FAULT="I:R"`` makes
-shard ``I``'s worker append a torn half-row and ``SIGKILL`` itself after
-writing ``R`` rows — but only when the shard file held fewer than ``R``
-rows at start, so the retry that resumes past the threshold survives.
-``REPRO_ORCH_FAULT="I:always"`` kills shard ``I`` at the start of every
-attempt (retry-budget exhaustion tests).  POSIX only; never set this
-outside tests.
+shards finish — partial work stays on disk and a rerun resumes it.  If
+the supervisor itself raises (a ``progress`` sink that fails, a
+``KeyboardInterrupt``), it terminates and joins every running child
+first, so no writer outlives it holding a shard file's lock.
 """
 
 from __future__ import annotations
@@ -56,10 +48,13 @@ from repro.sweep import persist
 from repro.sweep.executor import run_sweep, shard_path
 from repro.sweep.spec import SweepSpec
 
-__all__ = ["ShardState", "orchestrate_sweep", "FAULT_ENV"]
+__all__ = ["MAX_RETRIES", "POLL_INTERVAL", "ShardState", "orchestrate_sweep"]
 
-#: Environment variable enabling the kill-a-shard-mid-run fault hook.
-FAULT_ENV = "REPRO_ORCH_FAULT"
+#: Relaunches a failed or killed shard gets before the sweep fails.
+MAX_RETRIES = 2
+
+#: Seconds between progress heartbeats while no shard exits.
+POLL_INTERVAL = 0.2
 
 #: Progress-event callback: receives small dicts with an ``event`` key
 #: (``launch`` / ``progress`` / ``shard-done`` / ``retry`` / ``failed``).
@@ -124,57 +119,12 @@ def _count_rows(state: ShardState) -> None:
             state._offset += len(chunk)
 
 
-def _parse_fault(shard_index: int) -> tuple[bool, int | None]:
-    """Decode ``REPRO_ORCH_FAULT`` for this shard: (kill_now, kill_after).
-
-    The whole value is validated before the shard match, so the
-    supervisor can fail fast on a malformed variable (by parsing for a
-    shard index that can never match) instead of burning the retry
-    budget on children that die to the same parse error.
-    """
-    raw = os.environ.get(FAULT_ENV)
-    if not raw:
-        return False, None
-    try:
-        target_text, trigger = raw.split(":")
-        target = int(target_text)
-        kill_after = None if trigger == "always" else int(trigger)
-    except ValueError:
-        raise OrchestratorError(
-            f"{FAULT_ENV} must be 'I:R' or 'I:always', got {raw!r}"
-        ) from None
-    if target != shard_index:
-        return False, None
-    return kill_after is None, kill_after
-
-
-def _sigkill_self() -> None:  # pragma: no cover - dies by design
-    import signal
-
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _shard_worker(
     spec: SweepSpec, path: str, index: int, count: int
 ) -> None:
-    """Child-process entry point: run one shard, honouring the fault hook."""
-    kill_now, kill_after = _parse_fault(index)
-    if kill_now:
-        _sigkill_self()
-    on_row = None
-    if kill_after is not None:
-        rows_at_start = len(persist.completed_ids(path))
-        if rows_at_start < kill_after:
-            threshold = kill_after - rows_at_start
-
-            def on_row(written: int) -> None:
-                if written >= threshold:  # pragma: no cover - child dies
-                    with open(path, "a", encoding="utf-8") as fh:
-                        fh.write('{"torn":')  # a killed run's half-row
-                    _sigkill_self()
-
+    """Child-process entry point: run one shard, resuming its file."""
     try:
-        run_sweep(spec, path, resume=True, shard=(index, count), on_row=on_row)
+        run_sweep(spec, path, resume=True, shard=(index, count))
     except SweepError as exc:
         print(f"shard {index}/{count}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
@@ -213,20 +163,18 @@ def orchestrate_sweep(
     *,
     shards: int,
     workers: int = 1,
-    max_retries: int = 2,
     resume: bool = True,
-    poll_interval: float = 0.2,
     progress: ProgressFn | None = None,
 ) -> dict[str, Any]:
     """Run ``spec`` as ``shards`` supervised local shard runs, then merge.
 
     At most ``workers`` shard processes run concurrently; each failed or
-    killed shard is relaunched up to ``max_retries`` times, resuming
+    killed shard is relaunched up to :data:`MAX_RETRIES` times, resuming
     from its per-shard JSONL.  ``progress`` (optional) receives event
     dicts — per-shard ``launch`` / ``shard-done`` / ``retry`` /
     ``failed`` transitions plus ``progress`` snapshots carrying cells
     done / total and rows-per-second, per shard and overall — one whenever
-    a shard exits and at least one per ``poll_interval`` seconds (the
+    a shard exits and at least one per :data:`POLL_INTERVAL` seconds (the
     heartbeat; a finished shard's slot is refilled at once, not at the
     next tick).
 
@@ -243,9 +191,6 @@ def orchestrate_sweep(
         raise OrchestratorError(f"shards must be >= 1, got {shards}")
     if workers < 1:
         raise OrchestratorError(f"workers must be >= 1, got {workers}")
-    if max_retries < 0:
-        raise OrchestratorError(f"max_retries must be >= 0, got {max_retries}")
-    _parse_fault(-1)  # fail fast on a malformed fault hook (never matches)
     emit: ProgressFn = progress if progress is not None else lambda event: None
     total_cells = spec.num_cells()
     states = [
@@ -297,80 +242,90 @@ def orchestrate_sweep(
             }
         )
 
-    while pending or running:
-        while pending and len(running) < workers:
-            state = pending.popleft()
-            running[state.index] = _launch(ctx, spec, state, shards)
-            emit(
-                {
-                    "event": "launch",
-                    "shard": state.index,
-                    "attempt": state.attempts,
-                    "total": state.total,
-                }
-            )
-        # Sleep until a running shard exits, or one heartbeat at most.
-        wait([proc.sentinel for proc in running.values()], timeout=poll_interval)
-        for index in list(running):
-            proc = running[index]
-            if proc.is_alive():
-                continue
-            proc.join()
-            code = proc.exitcode
-            proc.close()
-            del running[index]
-            state = states[index]
-            # Full recount from byte 0: the incremental cursor can
-            # undercount when a retry's resume-compaction shrank the
-            # file and appends regrew it past the old offset between
-            # polls — exit-time counts must be exact.
-            state._offset = 0
-            state.done = 0
-            _count_rows(state)
-            if code == 0:
-                state.status = "done"
-                state.rate = 0.0
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                state = pending.popleft()
+                running[state.index] = _launch(ctx, spec, state, shards)
                 emit(
                     {
-                        "event": "shard-done",
-                        "shard": index,
-                        "done": state.done,
+                        "event": "launch",
+                        "shard": state.index,
+                        "attempt": state.attempts,
                         "total": state.total,
-                        "attempts": state.attempts,
                     }
                 )
-                continue
-            reason = (
-                f"killed by signal {-code}" if code and code < 0
-                else f"exit code {code}"
-            )
-            entry = f"attempt {state.attempts}: {reason}"
-            _log_failure(state, entry)
-            if state.attempts <= max_retries:
-                retries_used += 1
-                state.status = "pending"
-                pending.append(state)
-                emit(
-                    {
-                        "event": "retry",
-                        "shard": index,
-                        "reason": reason,
-                        "retries_used": state.attempts,
-                        "max_retries": max_retries,
-                    }
+            # Sleep until a running shard exits, or one heartbeat at most.
+            wait([proc.sentinel for proc in running.values()], timeout=POLL_INTERVAL)
+            for index in list(running):
+                proc = running[index]
+                if proc.is_alive():
+                    continue
+                proc.join()
+                code = proc.exitcode
+                proc.close()
+                del running[index]
+                state = states[index]
+                # Full recount from byte 0: the incremental cursor can
+                # undercount when a retry's resume-compaction shrank the
+                # file and appends regrew it past the old offset between
+                # polls — exit-time counts must be exact.
+                state._offset = 0
+                state.done = 0
+                _count_rows(state)
+                if code == 0:
+                    state.status = "done"
+                    state.rate = 0.0
+                    emit(
+                        {
+                            "event": "shard-done",
+                            "shard": index,
+                            "done": state.done,
+                            "total": state.total,
+                            "attempts": state.attempts,
+                        }
+                    )
+                    continue
+                reason = (
+                    f"killed by signal {-code}" if code and code < 0
+                    else f"exit code {code}"
                 )
-            else:
-                state.status = "failed"
-                failed.append(state)
-                emit(
-                    {
-                        "event": "failed",
-                        "shard": index,
-                        "reason": reason,
-                        "failures": list(state.failures),
-                    }
-                )
-        poll_progress()
+                entry = f"attempt {state.attempts}: {reason}"
+                _log_failure(state, entry)
+                if state.attempts <= MAX_RETRIES:
+                    retries_used += 1
+                    state.status = "pending"
+                    pending.append(state)
+                    emit(
+                        {
+                            "event": "retry",
+                            "shard": index,
+                            "reason": reason,
+                            "retries_used": state.attempts,
+                            "max_retries": MAX_RETRIES,
+                        }
+                    )
+                else:
+                    state.status = "failed"
+                    failed.append(state)
+                    emit(
+                        {
+                            "event": "failed",
+                            "shard": index,
+                            "reason": reason,
+                            "failures": list(state.failures),
+                        }
+                    )
+            poll_progress()
+    finally:
+        # Reached with children still running only when the loop raised:
+        # stop them, so no writer outlives the supervisor holding its
+        # shard file's lock.
+        for proc in running.values():
+            proc.terminate()
+        for proc in running.values():
+            proc.join()
+            proc.close()
 
     if failed:
         detail = "; ".join(
@@ -378,7 +333,7 @@ def orchestrate_sweep(
         )
         raise ShardFailedError(
             f"{len(failed)} shard(s) exhausted their retry budget "
-            f"({max_retries} retries): {detail}",
+            f"({MAX_RETRIES} retries): {detail}",
             failures={s.index: list(s.failures) for s in failed},
         )
 

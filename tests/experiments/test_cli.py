@@ -551,8 +551,8 @@ def test_sweep_orchestrated_rejects_bad_pool_arguments(tmp_path):
         main(["sweep", "--grid", "smoke", "--shards", "2", "--workers", "0",
               "--out", str(tmp_path / "x.jsonl")])
     with pytest.raises(SystemExit):
-        main(["sweep", "--grid", "smoke", "--shards", "2",
-              "--max-retries", "-1", "--out", str(tmp_path / "x.jsonl")])
+        main(["sweep", "--grid", "smoke", "--shards", "0",
+              "--out", str(tmp_path / "x.jsonl")])
 
 
 def test_sweep_merge_unwritable_output_exits_cleanly(tmp_path, capsys):

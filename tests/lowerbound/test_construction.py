@@ -77,7 +77,7 @@ def test_instance_wires_graph_tree_schedule():
     inst = theorem41_instance(16, 2)
     assert inst.graph.num_nodes == 17
     assert inst.tree.root == 0
-    assert inst.predicted_arrow_cost == 32.0
+    assert inst.k * inst.D == 32
     assert isinstance(inst.schedule, RequestSchedule)
 
 

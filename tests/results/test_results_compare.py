@@ -59,3 +59,39 @@ def test_missing_cells_and_zero_baseline_are_problems():
     cmp = compare_rows(a, b)
     assert not cmp.ok
     assert "percent delta undefined" in cmp.problems[0]
+
+
+def test_rows_without_a_cell_id_are_problems_not_skipped():
+    cmp = compare_rows([{"x": 1}], [{"x": 2}])
+    assert not cmp.ok
+    assert cmp.problems == [
+        "A row 1: no string cell_id, cannot be compared",
+        "B row 1: no string cell_id, cannot be compared",
+    ]
+    a = rows_a() + [{"index": 2, "makespan": 5.0}]
+    b = rows_a() + [{"index": 2, "makespan": 9.0}]
+    cmp = compare_rows(a, b, max_delta_pct=0.0)
+    assert not cmp.ok and cmp.compared == 2
+    assert "A row 3: no string cell_id" in cmp.problems[0]
+
+
+def test_a_repeated_cell_id_is_a_problem_naming_side_and_row():
+    b = rows_a() + [dict(rows_a()[0], makespan=99.0)]
+    cmp = compare_rows(rows_a(), b, max_delta_pct=0.0)
+    assert not cmp.ok
+    assert cmp.problems == ["B row 3: cell_id 'c0' repeated"]
+    # A non-string id cannot pair either.
+    cmp = compare_rows([{"cell_id": 0, "x": 1}], [{"cell_id": 0, "x": 1}])
+    assert not cmp.ok and cmp.compared == 0
+
+
+def test_cli_compare_fails_on_rows_it_cannot_pair(tmp_path, capsys):
+    from repro.cli import main
+
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text('{"x": 1}\n')
+    b.write_text('{"x": 2}\n')
+    assert main(["results", "compare", "--store", str(tmp_path / "store"),
+                 "--a", str(a), "--b", str(b)]) == 1
+    err = capsys.readouterr().err
+    assert "A row 1: no string cell_id" in err and "results compare FAILED" in err

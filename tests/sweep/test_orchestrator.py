@@ -1,11 +1,13 @@
 """Orchestrator tests: supervised shard pool, retry, streaming auto-merge.
 
-The kill-and-retry scenarios use the orchestrator's fault-injection hook
-(``REPRO_ORCH_FAULT``), which SIGKILLs a shard worker mid-run — the same
-mechanism the CI orchestrator smoke drives through the CLI.  Signal
+The kill-and-retry scenarios use the ``kill_shard`` fixture
+(``conftest.py``), which patches the ``run_sweep`` the forked shard
+workers inherit so that one of them SIGKILLs itself mid-run — the same
+patch the CI orchestrator smoke installs around the CLI.  Signal
 semantics make these POSIX-only.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -16,18 +18,17 @@ from repro.sweep import (
     ScheduleSpec,
     SweepSpec,
     dumps_row,
+    mixed_grid,
     orchestrate_sweep,
     run_sweep,
     shard_path,
     smoke_grid,
 )
-from repro.sweep.orchestrator import FAULT_ENV
+from repro.sweep import orchestrator
 
 pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="worker supervision relies on POSIX signals"
 )
-
-POLL = 0.05
 
 
 def tiny_spec():
@@ -50,8 +51,7 @@ def test_orchestrated_sweep_matches_one_shot_run(tmp_path):
     out = tmp_path / "orch.jsonl"
     events = []
     summary = orchestrate_sweep(
-        tiny_spec(), str(out), shards=3, workers=2,
-        poll_interval=POLL, progress=events.append,
+        tiny_spec(), str(out), shards=3, workers=2, progress=events.append
     )
     assert summary["rows"] == 6
     assert summary["retries_used"] == 0
@@ -66,53 +66,48 @@ def test_orchestrated_sweep_matches_one_shot_run(tmp_path):
     assert all("rate" in s for s in final["shards"])
 
 
-def test_supervisor_wakes_when_a_shard_exits(tmp_path):
+def test_supervisor_wakes_when_a_shard_exits(tmp_path, monkeypatch):
     """The supervisor waits on the shards' exits, not on the heartbeat: with
-    a 30 s ``poll_interval`` the smoke grid (two waves of shards) still
+    a 30 s ``POLL_INTERVAL`` the smoke grid (two waves of shards) still
     returns before the first heartbeat is due.  A supervisor that sleeps
-    ``poll_interval`` between liveness checks cannot."""
+    ``POLL_INTERVAL`` between liveness checks cannot."""
     heartbeat = 30.0
+    monkeypatch.setattr(orchestrator, "POLL_INTERVAL", heartbeat)
     summary = orchestrate_sweep(
-        smoke_grid(), str(tmp_path / "orch.jsonl"), shards=4, workers=2,
-        poll_interval=heartbeat,
+        smoke_grid(), str(tmp_path / "orch.jsonl"), shards=4, workers=2
     )
     assert summary["rows"] == 4 and summary["retries_used"] == 0
     assert summary["elapsed"] < heartbeat
 
 
 def test_killed_shard_is_retried_and_merge_is_byte_identical(
-    tmp_path, monkeypatch
+    tmp_path, kill_shard
 ):
     # Shard 0 of 2 (cells 0, 2, 4) dies to SIGKILL after one row, leaving
     # a torn half-row; the retry must resume its file and finish.
-    monkeypatch.setenv(FAULT_ENV, "0:1")
+    kill_shard(0)
     out = tmp_path / "orch.jsonl"
-    summary = orchestrate_sweep(
-        tiny_spec(), str(out), shards=2, workers=2,
-        max_retries=2, poll_interval=POLL,
-    )
+    summary = orchestrate_sweep(tiny_spec(), str(out), shards=2, workers=2)
     assert summary["retries_used"] == 1
     assert out.read_bytes() == one_shot_bytes(tmp_path)
     state0 = summary["shard_states"][0]
     assert state0["attempts"] == 2 and state0["status"] == "done"
-    assert "killed by signal" in state0["failures"][0]
+    assert state0["failures"] == ["attempt 1: killed by signal 9"]
     sidecar = shard_path(str(out), 0, 2) + ".failures.log"
-    assert "killed by signal" in open(sidecar).read()
+    with open(sidecar, encoding="utf-8") as fh:
+        assert fh.read() == "attempt 1: killed by signal 9\n"
 
 
 def test_retry_budget_exhaustion_raises_with_failure_log(
-    tmp_path, monkeypatch
+    tmp_path, kill_shard
 ):
-    monkeypatch.setenv(FAULT_ENV, "1:always")
+    kill_shard(1, always=True)
     out = tmp_path / "orch.jsonl"
     with pytest.raises(ShardFailedError) as excinfo:
-        orchestrate_sweep(
-            tiny_spec(), str(out), shards=2, workers=2,
-            max_retries=1, poll_interval=POLL,
-        )
-    # 1 first attempt + 1 retry, both logged for the failed shard.
+        orchestrate_sweep(tiny_spec(), str(out), shards=2, workers=2)
+    # The first attempt and every retry, all logged for the failed shard.
     assert list(excinfo.value.failures) == [1]
-    assert len(excinfo.value.failures[1]) == 2
+    assert len(excinfo.value.failures[1]) == orchestrator.MAX_RETRIES + 1
     # The surviving shard's completed work stays on disk for a rerun.
     healthy = shard_path(str(out), 0, 2)
     assert os.path.exists(healthy) and os.path.getsize(healthy) > 0
@@ -121,9 +116,7 @@ def test_retry_budget_exhaustion_raises_with_failure_log(
 
 def test_more_shards_than_cells_still_merges(tmp_path):
     out = tmp_path / "orch.jsonl"
-    summary = orchestrate_sweep(
-        tiny_spec(), str(out), shards=8, workers=3, poll_interval=POLL
-    )
+    summary = orchestrate_sweep(tiny_spec(), str(out), shards=8, workers=3)
     assert summary["rows"] == 6
     assert out.read_bytes() == one_shot_bytes(tmp_path)
     # Shards beyond the grid ran zero cells but still produced files.
@@ -138,9 +131,7 @@ def test_stale_alien_rows_fail_the_final_merge(tmp_path):
     with open(stale, "w", encoding="utf-8") as fh:
         fh.write(dumps_row({"index": 99, "cell_id": "alien"}) + "\n")
     with pytest.raises(MergeError) as excinfo:
-        orchestrate_sweep(
-            tiny_spec(), str(out), shards=2, workers=2, poll_interval=POLL
-        )
+        orchestrate_sweep(tiny_spec(), str(out), shards=2, workers=2)
     assert excinfo.value.problems
     assert not out.exists()
 
@@ -152,22 +143,31 @@ def test_no_resume_discards_stale_shard_files(tmp_path):
     with open(stale, "w", encoding="utf-8") as fh:
         fh.write(dumps_row({"index": 99, "cell_id": "alien"}) + "\n")
     summary = orchestrate_sweep(
-        tiny_spec(), str(out), shards=2, workers=2,
-        resume=False, poll_interval=POLL,
+        tiny_spec(), str(out), shards=2, workers=2, resume=False
     )
     assert summary["rows"] == 6
     assert out.read_bytes() == one_shot_bytes(tmp_path)
 
 
-def test_malformed_fault_env_fails_fast(tmp_path, monkeypatch):
-    # A typo'd hook must fail in the supervisor with the real message,
-    # not burn the retry budget on children dying to the parse error.
-    monkeypatch.setenv(FAULT_ENV, "0-1")
-    with pytest.raises(OrchestratorError, match="I:R"):
-        orchestrate_sweep(
-            tiny_spec(), str(tmp_path / "orch.jsonl"), shards=2,
-            poll_interval=POLL,
-        )
+def test_a_raising_supervisor_stops_its_shard_writers(tmp_path):
+    # A progress sink that raises while shards run must not leave their
+    # writers appending (and holding the shard files' locks) behind it.
+    spec = mixed_grid(seeds=(0, 1, 2))
+    out = tmp_path / "orch.jsonl"
+
+    def sink(event):
+        if event["event"] == "launch" and event["shard"] == 1:
+            raise RuntimeError("sink failed")
+
+    with pytest.raises(RuntimeError, match="sink failed"):
+        orchestrate_sweep(spec, str(out), shards=2, workers=2, progress=sink)
+    assert multiprocessing.active_children() == []
+    # Nothing holds a shard file, so a rerun resumes and merges.
+    summary = orchestrate_sweep(spec, str(out), shards=2, workers=2)
+    assert summary["rows"] == spec.num_cells()
+    whole = tmp_path / "whole.jsonl"
+    run_sweep(spec, str(whole))
+    assert out.read_bytes() == whole.read_bytes()
 
 
 def test_bad_arguments_rejected(tmp_path):
@@ -176,8 +176,6 @@ def test_bad_arguments_rejected(tmp_path):
         orchestrate_sweep(tiny_spec(), out, shards=0)
     with pytest.raises(OrchestratorError):
         orchestrate_sweep(tiny_spec(), out, shards=2, workers=0)
-    with pytest.raises(OrchestratorError):
-        orchestrate_sweep(tiny_spec(), out, shards=2, max_retries=-1)
 
 
 def test_orchestrator_errors_are_sweep_errors():

@@ -1,7 +1,7 @@
 """``sweep --workers K``: several cores always means the shard supervisor.
 
-The kill-and-retry case drives the orchestrator's ``REPRO_ORCH_FAULT``
-hook through the plain ``--workers 2`` command line — no ``--shards`` —
+The kill-and-retry case drives a ``kill_shard`` worker (``conftest.py``)
+through the plain ``--workers 2`` command line — no ``--shards`` —
 because the default parallel path is the one that must survive a killed
 worker.  POSIX-only, like ``test_orchestrator.py``.
 """
@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.sweep import iter_sweep, orchestrate_sweep, run_sweep, shard_path
-from repro.sweep.orchestrator import FAULT_ENV
 
 pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="worker supervision relies on POSIX signals"
@@ -27,10 +26,10 @@ def sweep_bytes(tmp_path, name, *flags):
 
 
 def test_killed_worker_is_retried_on_the_default_parallel_path(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, kill_shard
 ):
     whole = sweep_bytes(tmp_path, "one.jsonl", "--workers", "1")
-    monkeypatch.setenv(FAULT_ENV, "0:1")
+    kill_shard(0)
     capsys.readouterr()
     assert sweep_bytes(tmp_path, "two.jsonl", "--workers", "2") == whole
     captured = capsys.readouterr()
@@ -75,4 +74,7 @@ def test_usage_errors_exit_2(tmp_path, flags):
 def test_the_removed_parameters_stay_removed():
     assert "workers" not in inspect.signature(run_sweep).parameters
     assert "workers" not in inspect.signature(iter_sweep).parameters
-    assert "merge" not in inspect.signature(orchestrate_sweep).parameters
+    assert "on_row" not in inspect.signature(run_sweep).parameters
+    orchestrate_params = inspect.signature(orchestrate_sweep).parameters
+    for name in ("merge", "max_retries", "poll_interval"):
+        assert name not in orchestrate_params
