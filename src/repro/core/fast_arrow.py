@@ -21,7 +21,7 @@ configurations of it.
 from __future__ import annotations
 
 import time as _wall
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from itertools import islice, repeat
 from operator import eq
 
@@ -284,6 +284,15 @@ class FastArrowEngine:
           re-issue; with ``think_time == 0`` the re-issue runs *inside*
           the acknowledgement dispatch (no event of its own), exactly like
           ``_Driver.on_ack``;
+        * a transition schedules at most one event, and the loop holds it
+          in ``nxt`` instead of pushing it: the next event is
+          ``heappushpop(heap, nxt)``, one sift (none when ``nxt`` is the
+          earliest).  Its seq is taken when it is scheduled and the keys
+          are unique, so the minimum of ``nxt`` and the heap is exactly
+          what push-then-pop would give.  An initiation due at or before
+          both the heap's top and ``nxt`` fires first — initiation seqs
+          are below every heap seq, so it wins a time tie — and only then
+          is ``nxt`` pushed;
         * a dropped send consumes no sequence number and no latency draw —
           the message engine never reaches ``transmit`` for it either —
           while crash events and dropped initiations are fired events and
@@ -311,7 +320,7 @@ class FastArrowEngine:
         det_down = self._det_down
         sample = self.latency.sample
         service = self.service_time
-        push, pop = heappush, heappop
+        push, pop, pushpop = heappush, heappop, heappushpop
 
         # Protocol state (ArrowNode.init_pointers, flattened).
         link = parent[:]
@@ -359,14 +368,25 @@ class FastArrowEngine:
         messages = 0
         now = 0.0
 
+        nxt = None  # the event the last transition scheduled, not yet pushed
         try:
             while True:
-                if i < m and (not heap or init_times[i] <= heap[0][0]):
+                if (
+                    i < m
+                    and (not heap or init_times[i] <= heap[0][0])
+                    and (nxt is None or init_times[i] <= nxt[0])
+                ):
+                    if nxt is not None:
+                        push(heap, nxt)
+                        nxt = None
                     now = init_times[i]
                     v = init_nodes[i]
                     rid = i
                     i += 1
                     tag = _ISSUE
+                elif nxt is not None:
+                    now, _, tag, v, src, rid, hops = pushpop(heap, nxt)
+                    nxt = None
                 elif heap:
                     now, _, tag, v, src, rid, hops = pop(heap)
                 else:
@@ -405,7 +425,7 @@ class FastArrowEngine:
                                 begin = now
                             finish = begin + service
                             busy_until[v] = finish
-                            push(heap, (finish, seq, tag + 1, v, src, rid, hops))
+                            nxt = (finish, seq, tag + 1, v, src, rid, hops)
                             seq += 1
                             continue
                         if tag == _CRASH:
@@ -418,7 +438,7 @@ class FastArrowEngine:
                         ack_times[rid] = now
                         if think > 0.0:
                             if remaining[v] > 0:
-                                push(heap, (now + think, seq, _ISSUE, v, -1, -1, 0))
+                                nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
                                 seq += 1
                             continue
                     # Initiation (_Driver.issue + ArrowNode.initiate).
@@ -471,7 +491,7 @@ class FastArrowEngine:
                     # delay as its own event, with no latency samples.
                     origin = owners[rid]
                     at = now if origin == v else now + reply_delay(v, origin)[0]
-                    push(heap, (at, seq, ack_arrive, origin, -1, rid, 0))
+                    nxt = (at, seq, ack_arrive, origin, -1, rid, 0)
                     seq += 1
                     messages += 1
                     continue
@@ -490,7 +510,7 @@ class FastArrowEngine:
                     delay = sample(v, x, weight[x if downward else v], rng)
                 else:
                     delay = det_down[x] if downward else det_up[v]
-                push(heap, (now + delay, seq, arrive, x, v, rid, hops))
+                nxt = (now + delay, seq, arrive, x, v, rid, hops)
                 seq += 1
                 messages += 1
 

@@ -12,7 +12,13 @@ dispatch.
 The arrow run is a configuration of the one arrow event loop,
 :meth:`repro.core.fast_arrow.FastArrowEngine._arrow_loop` (seeded with the
 n initial issue events and handed the driver state); the centralized
-baseline is a different protocol and keeps its own, much smaller loop.
+baseline is a different protocol with its own loop in
+:func:`closed_loop_centralized_fast`: one flat ``while`` over the same
+heap tuples, whose branches are the issue, the service stage, the
+enqueue at the centre and the acknowledgement.  Both loops hold the one
+event a transition schedules and take the next with ``heappushpop`` —
+one sift per event (see ``_arrow_loop``'s docstring for why the order
+is unchanged).
 
 The produced :class:`~repro.workloads.closed_loop.ClosedLoopResult` is
 **bit-identical** to the message-level drivers' (same makespan, per-request
@@ -25,7 +31,7 @@ why that is achievable, and the same argument covers the centralized loop.
 from __future__ import annotations
 
 import time as _wall
-from heapq import heappop, heappush
+from heapq import heappop, heappushpop
 
 from repro.core.centralized import check_center
 from repro.core.fast_arrow import (
@@ -252,90 +258,91 @@ def closed_loop_centralized_fast(
     _check_loop_args(requests_per_proc, service_time, think_time)
     result = ClosedLoopResult("centralized", n, requests_per_proc)
     model = latency if latency is not None else UnitLatency()
-    router = _Router(graph, model, spawn_rng(seed, "network-latency"))
+    delay_hops = _Router(graph, model, spawn_rng(seed, "network-latency")).delay_hops
     service = float(service_time)
     think = float(think_time)
+    # As in _arrow_loop: without a service time a message is scheduled
+    # straight as its dispatch.
+    arrive, ack_arrive = (
+        (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
+    )
 
     busy_until = [0.0] * n
     heap, remaining = _driver_state(result)
-    issue_times, owners, ack_times = result.issue_times, result.owners, result.ack_times
-    hops_list, latencies = result.hops, result.latencies
+    issue_times, ack_times = result.issue_times, result.ack_times
+    add_owner = result.owners.append
+    add_issue = issue_times.append
+    add_hops = result.hops.append
+    add_latency = result.latencies.append
     seq = n
     next_rid = 0
     messages = 0
-    makespan = 0.0
     fired = 0
+    now = 0.0
+    nxt = None  # the event the last transition scheduled, not yet pushed
     limit = float("inf") if max_events is None else max_events
 
-    def enqueue_at_center(rid: int, origin: int, hops: int, now: float) -> None:
-        # The §5 two-message discipline (CentralizedNode._enqueue_at_center
-        # in reply_mode): record the completion at the centre, then
-        # acknowledge the requester with one routed queue_reply.
-        nonlocal seq, messages
-        hops_list.append(hops)
-        latencies.append(now - issue_times[rid])
-        messages += 1
-        if origin == center:
-            at = now
-        else:
-            delay, _ = router.delay_hops(center, origin)
-            at = now + delay
-        heappush(heap, (at, seq, _ACK_ARRIVE, origin, -1, rid, 0))
-        seq += 1
-
-    def issue(p: int, now: float) -> None:
-        nonlocal seq, next_rid, messages
-        if remaining[p] <= 0:
-            return
-        remaining[p] -= 1
-        rid = next_rid
-        next_rid += 1
-        owners.append(p)
-        issue_times.append(now)
-        if p == center:
-            # The centre skips the first leg and enqueues locally.
-            enqueue_at_center(rid, p, 0, now)
-            return
-        # One routed creq to the centre.
-        messages += 1
-        delay, hops = router.delay_hops(p, center)
-        heappush(heap, (now + delay, seq, _ARRIVE, center, p, rid, hops))
-        seq += 1
-
     t0 = _wall.perf_counter()
-    while heap:
-        now, _, tag, v, src, rid, hops = heappop(heap)
+    while True:
+        if nxt is not None:
+            now, _, tag, v, src, rid, hops = heappushpop(heap, nxt)
+            nxt = None
+        elif heap:
+            now, _, tag, v, src, rid, hops = heappop(heap)
+        else:
+            break
         fired += 1
         if fired > limit:
             _raise_livelock(max_events)
-        if tag == _ARRIVE and service > 0.0:
-            # creq arrivals serialise at the centre — the Fig. 10 bottleneck.
+
+        if tag == _ARRIVE or tag == _ACK_ARRIVE:
+            # Serialise handling at v (Network._arrive); creqs queueing at
+            # the centre are the Fig. 10 bottleneck.
             begin = busy_until[v]
             if now > begin:
                 begin = now
             finish = begin + service
             busy_until[v] = finish
-            heappush(heap, (finish, seq, _DISPATCH, v, src, rid, hops))
+            nxt = (finish, seq, tag + 1, v, src, rid, hops)
             seq += 1
-        elif tag == _ARRIVE or tag == _DISPATCH:
-            enqueue_at_center(rid, src, hops, now)
-        elif tag == _ACK_ARRIVE and service > 0.0:
-            begin = busy_until[v]
-            if now > begin:
-                begin = now
-            finish = begin + service
-            busy_until[v] = finish
-            heappush(heap, (finish, seq, _ACK_DISPATCH, v, -1, rid, 0))
-            seq += 1
-        elif tag == _ACK_ARRIVE or tag == _ACK_DISPATCH:
+            continue
+        if tag == _ACK_DISPATCH:
+            # The acknowledgement at its origin (_Driver.on_ack): record,
+            # then re-issue after the think time — or, without one, here.
             ack_times[rid] = now
-            makespan = now
-            if remaining[v] > 0:
-                if think > 0:
-                    heappush(heap, (now + think, seq, _ISSUE, v, -1, -1, 0))
+            if think > 0.0:
+                if remaining[v] > 0:
+                    nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
                     seq += 1
-                else:
-                    issue(v, now)
-        else:  # _ISSUE
-            issue(v, now)
-    return _fill_result(result, makespan, messages, _wall.perf_counter() - t0)
+                continue
+        if tag != _DISPATCH:
+            # Issue (_Driver.issue): one routed creq to the centre.
+            if remaining[v] <= 0:
+                continue
+            remaining[v] -= 1
+            rid = next_rid
+            next_rid += 1
+            add_owner(v)
+            add_issue(now)
+            if v != center:
+                delay, hops = delay_hops(v, center)
+                nxt = (now + delay, seq, arrive, center, v, rid, hops)
+                seq += 1
+                messages += 1
+                continue
+            # The centre skips the creq leg and enqueues locally.
+            src = v
+            hops = 0
+        # Enqueue at the centre, the §5 two-message discipline
+        # (CentralizedNode._enqueue_at_center in reply_mode): record the
+        # completion, then acknowledge the requester with one routed
+        # queue_reply.
+        add_hops(hops)
+        add_latency(now - issue_times[rid])
+        at = now if src == center else now + delay_hops(center, src)[0]
+        nxt = (at, seq, ack_arrive, src, -1, rid, 0)
+        seq += 1
+        messages += 1
+    # The last event of a closed loop is an acknowledgement's dispatch, so
+    # the loop's final time is the makespan.
+    return _fill_result(result, now, messages, _wall.perf_counter() - t0)

@@ -240,6 +240,17 @@ def test_pinned_hop_heavy_path_at_grid_scale():
     assert a.network_stats["messages_sent"] == 15_529
 
 
+def test_pinned_fig11_poisson_on_k64():
+    """A Fig. 11 cell (K_64, binary overlay, service 0.1, rate 1 per
+    node): thousands of initiations fall due while the loop holds an
+    event over a heap of dozens, at float-drifted times."""
+    g = complete_graph(64)
+    tree = balanced_binary_overlay(g, 0)
+    sched = poisson(64, 64 * 60, rate=64.0, seed=1)
+    a = assert_parity(g, tree, sched, service_time=0.1)
+    assert len(a.completions) == 64 * 60
+
+
 def test_differential_direction_dependent_deterministic_model():
     """Deterministic models may depend on (src, dst); parity must hold."""
     g = grid_graph(4, 4)

@@ -364,6 +364,74 @@ def test_max_events_matches_message_driver():
     assert full.completions == 20
 
 
+#: (requests_per_proc, think_time, service_time) of the threshold test,
+#: and the thresholds: arrow, then centralized (either centre).
+THRESHOLD_SETTINGS = [
+    (2, 0.5, 0.0, 57, 58),
+    (3, 0.0, 0.3, 118, 124),
+    (3, 0.5, 0.2, 142, 144),
+]
+
+
+def smallest_completing_limit(run):
+    """Binary-search the least ``max_events`` with which ``run`` completes."""
+    from repro.errors import SimulationError
+
+    lo, hi = 0, 10_000  # run(lo) raises, run(hi) completes
+    run(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except SimulationError:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("rpp,think,service,arrow,centralized", THRESHOLD_SETTINGS)
+@pytest.mark.parametrize("protocol", ["arrow", "centralized@0", "centralized@4"])
+def test_max_events_threshold_matches_message_driver(
+    protocol, rpp, think, service, arrow, centralized
+):
+    """Both engines fire the same number of events, to the exact event.
+
+    The least ``max_events`` that lets a run complete is its event count:
+    issues, arrivals, dispatches and think-time re-issues.  A loop that
+    skips, merges or adds an event moves it.
+    """
+    g = path_graph(10)
+    kw = dict(requests_per_proc=rpp, think_time=think, service_time=service)
+    if protocol == "arrow":
+        tree = bfs_tree(g, 0)
+        engines = [
+            lambda limit, fn=fn: fn(g, tree, max_events=limit, **kw)
+            for fn in (closed_loop_arrow, closed_loop_arrow_fast)
+        ]
+    else:
+        center = int(protocol.split("@")[1])
+        engines = [
+            lambda limit, fn=fn: fn(g, center, max_events=limit, **kw)
+            for fn in (closed_loop_centralized, closed_loop_centralized_fast)
+        ]
+    message, fast = map(smallest_completing_limit, engines)
+    assert fast == message == (arrow if protocol == "arrow" else centralized)
+
+
+def test_parity_at_fig10_scale():
+    """The SP2 cell of Fig. 10 (K_32, binary overlay, service = think =
+    0.1), both protocols: deep heaps and float-drifted near-ties that
+    the small-model corpus (at most 3 processors) never builds."""
+    g = complete_graph(32)
+    kw = dict(requests_per_proc=10, service_time=0.1, think_time=0.1)
+    a, b = run_both_arrow(g, balanced_binary_overlay(g, 0), **kw)
+    assert_identical(a, b)
+    assert b.completions == 320
+    c, d = run_both_centralized(g, 0, **kw)
+    assert_identical(c, d)
+    assert d.completions == 320
+
+
 def test_closed_loop_runner_resolves_and_rejects():
     from repro.workloads.closed_loop import (
         closed_loop_arrow as msg_arrow,
