@@ -21,11 +21,11 @@ from repro.sweep import fig10_grid, iter_sweep
 
 def main() -> None:
     rpp = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    procs = (2, 4, 8, 16, 32, 48, 64, 76)
 
-    # One closed-loop sweep feeds both figures: Fig. 10 tabulates the
-    # rows' makespan, Fig. 11 the arrow rows' hops per operation.
-    rows = list(iter_sweep(fig10_grid(procs, requests_per_proc=rpp)))
+    # One closed-loop sweep over the published sizes feeds both figures:
+    # Fig. 10 tabulates the rows' makespan, Fig. 11 the arrow rows' hops
+    # per operation.
+    rows = list(iter_sweep(fig10_grid(requests_per_proc=rpp)))
     fig10 = figure_from_rows("fig10", rows)
     print(format_table(fig10))
     print()

@@ -7,6 +7,7 @@ Examples::
     repro-arrow fig9 --variant layered -D 64 -k 4
     repro-arrow thm319 --diameters 8,16,32,64
     repro-arrow thm41
+    repro-arrow sweep --grid thm41 --diameters 16,64 --workers 2 --out thm41.jsonl
     repro-arrow ablations
     repro-arrow all --json results.json
 """
@@ -14,6 +15,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import sys
@@ -122,9 +124,10 @@ def _emit(results, args) -> None:
 
 
 #: The grid flags: option strings -> ``add_argument`` keywords.  Each
-#: reaches the ``--grid`` preset as the keyword parameter named by its
+#: reaches the grid's preset as the keyword parameter named by its
 #: destination (:func:`_call_preset`); a preset without that parameter
-#: makes the flag a usage error.
+#: makes the flag a usage error.  No flag has a default of its own, so an
+#: omitted flag leaves the preset's default in place.
 _GRID_FLAGS = {
     ("--sizes", "--procs"): {"type": _int_list, "help": "system sizes"},
     ("--per-node",): {"type": int, "help": "requests per node"},
@@ -132,41 +135,41 @@ _GRID_FLAGS = {
     ("--think-time",): {"type": float, "help": "closed-loop think time"},
     ("--acquisitions-per-proc",): {"type": int, "help": "directory acquisitions per processor"},
     ("--seeds",): {"type": _int_list},
-    ("--engine",): {"choices": ENGINES, "default": "fast"},
+    ("--engine",): {"choices": ENGINES},
+    ("-D",): {"type": int, "help": "lower-bound instance diameter"},
+    ("-k",): {"type": int, "help": "lower-bound instance sweeps"},
+    ("--variant",): {"choices": ["literal", "layered"]},
+    ("--diameters",): {"type": _int_list},
+    ("--requests",): {"type": int},
+    ("--stretches",): {"type": _int_list},
 }
 
 
-def _add_grid_arguments(parser) -> None:
-    """Grid-identity flags shared by ``sweep``, ``results ingest`` and the
-    per-figure commands.
+def _grid_flags() -> argparse.ArgumentParser:
+    """The grid-identity flags shared by ``sweep``, ``results ingest`` and
+    the paper commands, as a parent parser.
 
     Everything here feeds :func:`_build_grid_spec`, so the commands
     cannot drift apart: the spec an ingest hashes is built by the same
-    code path as the spec the sweep ran.  A figure command has already
-    fixed its grid with ``set_defaults(grid=...)`` and gets no ``--grid``.
+    code path as the spec the sweep ran.  ``sweep`` and ``results
+    ingest`` add ``--grid``; a paper command's grids are fixed by
+    :data:`_COMMANDS`.
     """
-    if parser.get_default("grid") is None:
-        parser.add_argument(
-            "--grid",
-            choices=["fig10", "fig11", "mixed", "smoke", "directory"],
-            default="smoke",
-            help="named grid preset (fig10 = closed-loop arrow vs "
-                 "centralized, directory = §5.1 arrow vs home-based "
-                 "directory)",
-        )
+    parent = argparse.ArgumentParser(add_help=False)
     for options, keywords in _GRID_FLAGS.items():
-        parser.add_argument(*options, **{"default": None, **keywords})
-    parser.add_argument("--faults", action="append", default=None,
+        parent.add_argument(*options, **{"default": None, **keywords})
+    parent.add_argument("--faults", action="append", default=None,
                         metavar="PLAN",
                         help="fault plan applied to every cell: "
                              "comma-separated crash@T:NODE, link@U-V:T0-T1, "
                              "loss:RATE terms (open-loop grids only; repeat "
                              "the flag to sweep a fault axis of several "
                              "plans)")
+    return parent
 
 
-def _call_preset(preset, args, options, error):
-    """``preset`` called with the given flags among ``options``.
+def _call_preset(preset, args, error):
+    """``preset`` called with the grid flags given.
 
     A flag lands on the preset's keyword parameter of its destination
     name, read from the signature as :meth:`GraphSpec.of` reads a
@@ -176,7 +179,7 @@ def _call_preset(preset, args, options, error):
     """
     accepted = inspect.signature(preset).parameters
     kwargs = {}
-    for option in options:
+    for option, *_ in _GRID_FLAGS:
         name = option.lstrip("-").replace("-", "_")
         if (value := getattr(args, name)) is None:
             continue
@@ -189,14 +192,11 @@ def _call_preset(preset, args, options, error):
         error(str(exc))
 
 
-def _build_grid_spec(args, error):
-    """Expand the preset + overrides into a SweepSpec (or ``error`` out)."""
-    import dataclasses
+def _build_grid_spec(args, grid, error):
+    """The grid named ``grid`` with the flags given (or ``error`` out)."""
+    from repro.sweep import GRIDS
 
-    import repro.sweep
-
-    options = [options[0] for options in _GRID_FLAGS]
-    spec = _call_preset(getattr(repro.sweep, f"{args.grid}_grid"), args, options, error)
+    spec = _call_preset(GRIDS[grid], args, error)
     axes = {"faults": tuple(args.faults)} if args.faults else {}
     if getattr(args, "monitors", False):
         axes["monitors"] = True
@@ -206,116 +206,68 @@ def _build_grid_spec(args, error):
         error(str(exc))
 
 
-#: The paper's measured figures as presets over the shared grid flags:
-#: command -> (grid preset, help text, parser defaults).  The defaults
-#: are the figures' published sizes; every grid flag still overrides.
-_SP2_LOOP = {"sizes": [2, 4, 8, 16, 32, 48, 64, 76], "requests_per_proc": 300}
-_FIGURES = {
-    "fig10": ("fig10", "arrow vs centralized closed-loop latency", _SP2_LOOP),
-    # Fig. 11 is the same closed loop, tabulated on hops instead of time.
-    "fig11": ("fig10", "arrow hops per operation", _SP2_LOOP),
-    "directory": (
-        "directory",
-        "arrow vs home-based directory (5.1)",
-        {"sizes": [2, 4, 8, 12, 16], "acquisitions_per_proc": 50},
-    ),
+#: The paper commands, in ``all`` order: command -> the names of the
+#: grids it tabulates, one table each, the figure of the grid's name
+#: (:data:`repro.results.FIGURES`, whose title is the command's help).
+#: Two exceptions: ``fig11`` is the ``fig10`` grid's ``closed_arrow``
+#: cells tabulated as Fig. 11, and ``ablation-service-time`` is not in
+#: :data:`repro.sweep.GRIDS` but five grids, :func:`service_time_grids`.
+_COMMANDS = {
+    "fig10": ("fig10",),
+    "fig11": ("fig10",),
+    "directory": ("directory",),
+    "fig9": ("fig9",),
+    "oneshot": ("oneshot",),
+    "thm319": ("thm319",),
+    "thm321": ("thm321",),
+    "thm41": ("thm41",),
+    "thm42": ("thm42",),
+    "sequential": ("sequential",),
+    "ablations": ("ablation-trees", "ablation-protocols", "ablation-service-time"),
 }
 
 
-def _table(name, specs, metric=None):
-    """One paper table: sweep its grid(s) in memory, tabulate the rows.
+def _figures_of(command) -> list[str]:
+    """The figures ``command`` prints, in order."""
+    return ["fig11"] if command == "fig11" else list(_COMMANDS[command])
+
+
+def _produce(args):
+    """Yield the tables of one paper command, lazily: each grid swept in
+    memory and tabulated as ``results table`` tabulates a stored run.
 
     A row that breaks a persisted invariant (``exclusion_ok`` false on a
     directory row) is a protocol violation, not a figure: exit 1.
     """
+    import repro.sweep
     from repro.results import figure_from_rows
-    from repro.sweep import iter_sweep
     from repro.sweep.persist import verify_rows
 
-    problems: list[str] = []
-    rows = [
-        row
-        for spec in specs
-        for row in verify_rows(iter_sweep(spec), name, problems.append)
-    ]
-    if problems:
-        raise SystemExit(f"{name} FAILED: " + "; ".join(problems))
-    return figure_from_rows(name, rows, metric=metric)
-
-
-def _figure(args):
-    """A measured figure: its grid from the shared grid flags."""
-    import dataclasses
-
-    spec = _build_grid_spec(args, args.usage_error)
-    if args.cmd == "fig11":
-        # Only arrow's hops are plotted: skip the centralized cells.
-        spec = dataclasses.replace(
-            spec,
-            schedules=tuple(
-                s for s in spec.schedules if s.family == "closed_arrow"
-            ),
-        )
-    return _table(args.cmd, [spec], args.metric)
-
-
-#: The theorem and ablation tables as presets: command -> (help text,
-#: flags, grids).  ``flags`` maps an option to its ``add_argument``
-#: keywords; each grid names a preset of :mod:`repro.sweep`, called with
-#: the flags given (by destination name), that returns one ``SweepSpec``
-#: — or, for the service-time ablation, one per service time — and makes
-#: one table, the figure of its name.  ``all`` runs ``_FIGURES`` then this
-#: table, in order.
-_PRESETS = {
-    "fig9": (
-        "lower-bound instance picture + costs",
-        {
-            "-D": {"type": int, "default": 64},
-            "-k": {"type": int, "default": 4},
-            "--variant": {"choices": ["literal", "layered"], "default": "layered"},
-        },
-        ("fig9_grid",),
-    ),
-    "oneshot": ("one-shot concurrent case ([10])", {}, ("oneshot_grid",)),
-    "thm319": (
-        "competitive ratio sweep (sync)",
-        {"--diameters": {"type": _int_list}, "--requests": {"type": int, "default": 60}},
-        ("thm319_grid",),
-    ),
-    "thm321": (
-        "asynchronous comparison",
-        {"--diameters": {"type": _int_list}, "--requests": {"type": int, "default": 60}},
-        ("thm321_grid",),
-    ),
-    "thm41": ("lower-bound ratio growth sweep", {}, ("thm41_grid",)),
-    "thm42": ("lower bound vs stretch", {"--stretches": {"type": _int_list}}, ("thm42_grid",)),
-    "sequential": ("sequential-regime baseline checks", {}, ("sequential_grid",)),
-    "ablations": (
-        "tree/protocol/service-time ablations",
-        {},
-        ("tree_ablation_grid", "protocol_ablation_grid", "service_time_grids"),
-    ),
-}
-
-
-def _produce(args):
-    """Yield the tables of one paper command, lazily."""
-    if args.cmd in _FIGURES:
-        yield _figure(args)
-        return
-    import repro.sweep
-
-    _, flags, grids = _PRESETS[args.cmd]
-    for grid in grids:
-        specs = _call_preset(getattr(repro.sweep, grid), args, flags, args.usage_error)
-        specs = specs if isinstance(specs, tuple) else (specs,)
-        if args.cmd == "fig9":
+    for grid, figure in zip(_COMMANDS[args.cmd], _figures_of(args.cmd)):
+        if grid == "ablation-service-time":
+            specs = _call_preset(repro.sweep.service_time_grids, args, args.usage_error)
+        else:
+            specs = (_build_grid_spec(args, grid, args.usage_error),)
+        if figure == "fig11":
+            # Only arrow's hops are plotted: skip the centralized cells.
+            (spec,) = specs
+            arrow = tuple(s for s in spec.schedules if s.family == "closed_arrow")
+            specs = (dataclasses.replace(spec, schedules=arrow),)
+        if grid == "fig9":
             # Fig. 9 is a picture first: the instance its one cell builds.
             (cell,) = specs[0].cells()
             built = repro.sweep.get_family(cell.schedule.family).build(cell, cell.seed)
-            print(render_instance(built["schedule"], args.D))
+            print(render_instance(built["schedule"], cell.schedule.kwargs()["D"]))
             print()
-        yield _table(specs[0].name, specs)
+        problems: list[str] = []
+        rows = [
+            row
+            for spec in specs
+            for row in verify_rows(repro.sweep.iter_sweep(spec), figure, problems.append)
+        ]
+        if problems:
+            raise SystemExit(f"{figure} FAILED: " + "; ".join(problems))
+        yield figure_from_rows(figure, rows, metric=args.metric)
 
 
 def _compare_side(store, key_or_path: str):
@@ -336,7 +288,7 @@ def _results_command(args, ingest_error) -> int:
     store = ResultsStore(args.store)
     try:
         if args.results_cmd == "ingest":
-            spec = _build_grid_spec(args, ingest_error)
+            spec = _build_grid_spec(args, args.grid, ingest_error)
             for path in args.jsonl:
                 print(store.ingest(spec, path).summary())
         elif args.results_cmd == "list":
@@ -418,25 +370,29 @@ def main(argv: list[str] | None = None) -> int:
     top.add_argument("--json", help="also write results to this JSON file")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    for name, (grid, text, defaults) in _FIGURES.items():
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(grid=grid)
-        _add_grid_arguments(p)
-        p.set_defaults(usage_error=p.error, **defaults)
+    from repro.results import FIGURES
+    from repro.sweep import GRIDS
+
+    grid_flags = _grid_flags()
+    named_grid = argparse.ArgumentParser(add_help=False)
+    named_grid.add_argument("--grid", choices=sorted(GRIDS), default="smoke",
+                            help="named grid (repro.sweep.GRIDS)")
+    for name in _COMMANDS:
+        p = sub.add_parser(
+            name,
+            parents=[grid_flags],
+            help="; ".join(FIGURES[t].title for t in _figures_of(name)),
+        )
+        p.set_defaults(usage_error=p.error)
         p.add_argument("--metric", default=None,
                        help="row column to tabulate (default: per-figure)")
-
-    for name, (text, flags, _) in _PRESETS.items():
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(usage_error=p.error)
-        for option, keywords in flags.items():
-            p.add_argument(option, **keywords)
     sub.add_parser("all", help="run every experiment at default scale")
 
     psw = sub.add_parser(
-        "sweep", help="declarative parameter sweep over graphs/trees/schedules"
+        "sweep",
+        parents=[named_grid, grid_flags],
+        help="declarative parameter sweep over graphs/trees/schedules",
     )
-    _add_grid_arguments(psw)
     psw.add_argument("--monitors", action="store_true",
                      help="attach runtime protocol monitors to every cell; "
                           "rows are unchanged, an invariant violation "
@@ -498,13 +454,13 @@ def main(argv: list[str] | None = None) -> int:
 
     pri = rsub.add_parser(
         "ingest",
+        parents=[named_grid, grid_flags],
         help="ingest merged sweep JSONL into the store under the grid's "
              "spec hash (idempotent; partial grids fill in on re-ingest)",
     )
     pri.add_argument("jsonl", nargs="+", help="sweep JSONL file(s) to ingest")
     pri.add_argument("--store", default="results", metavar="DIR",
                      help="store root directory (default: results)")
-    _add_grid_arguments(pri)
 
     prl = rsub.add_parser("list", help="list stored runs")
     prl.add_argument("--store", default="results", metavar="DIR")
@@ -548,14 +504,14 @@ def main(argv: list[str] | None = None) -> int:
     args = top.parse_args(argv)
 
     if args.cmd == "all":
-        runs = [top.parse_args([name]) for name in (*_FIGURES, *_PRESETS)]
+        runs = [top.parse_args([name]) for name in _COMMANDS]
         _emit((r for run in runs for r in _produce(run)), args)
-    elif args.cmd in _FIGURES or args.cmd in _PRESETS:
+    elif args.cmd in _COMMANDS:
         _emit(_produce(args), args)
     elif args.cmd == "sweep":
         from repro.sweep import run_sweep, shard_path
 
-        spec = _build_grid_spec(args, psw.error)
+        spec = _build_grid_spec(args, args.grid, psw.error)
         if args.workers < 1:
             psw.error("--workers must be >= 1")
         if args.shard is not None and (args.shards is not None or args.workers > 1):

@@ -14,10 +14,10 @@ kinds, a builder and a runner-to-row — for the open-loop arrow replays,
 the §5 closed loops (``closed_arrow``/``closed_centralized``), the §5.1
 directory designs (``directory_arrow``/``directory_home``) and the
 theorem families (``ratio``, ``lowerbound``).  The table loads on the
-first family lookup, not on import; every table the paper commands
-print is a named grid here.  Rows from
-the arrow families carry per-request latency percentile and histogram
-columns
+first family lookup, not on import.  Every single-grid table the paper
+commands print is a named grid, one entry of
+:data:`~repro.sweep.spec.GRIDS`.  Rows from the arrow families carry
+per-request latency percentile and histogram columns
 (:mod:`repro.sweep.stats`); directory rows persist the mutual-exclusion
 invariant as ``exclusion_ok``.  Sharded runs are reassembled — with
 completeness and row-shape verification, streaming one row at a time —
@@ -37,7 +37,6 @@ from repro.sweep.executor import (
 )
 from repro.sweep.orchestrator import ShardState, orchestrate_sweep
 from repro.sweep.persist import (
-    completed_ids,
     diff_rows,
     dumps_row,
     iter_rows,
@@ -46,6 +45,7 @@ from repro.sweep.persist import (
 from repro.sweep.registry import CellFamily, get_family
 from repro.sweep.spec import (
     GRAPH_BUILDERS,
+    GRIDS,
     OPEN_LOOP_SCHEDULES,
     TREE_BUILDERS,
     GraphSpec,
@@ -86,6 +86,7 @@ __all__ = [
     "CellFamily",
     "get_family",
     "GRAPH_BUILDERS",
+    "GRIDS",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
     "build_graph",
@@ -113,7 +114,6 @@ __all__ = [
     "shard_path",
     "ShardState",
     "orchestrate_sweep",
-    "completed_ids",
     "diff_rows",
     "dumps_row",
     "iter_rows",

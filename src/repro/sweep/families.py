@@ -25,7 +25,8 @@ lookup.  The families:
 
 The directory families run at full message level only — they ignore the
 spec's ``engine`` axis (``uses_engine=False``) and tag their rows with a
-``protocol`` column instead.
+``protocol`` column instead.  Only the open-loop families and
+``closed_arrow`` attach a monitor (``supports_monitors``).
 """
 
 from __future__ import annotations
@@ -398,10 +399,15 @@ _DIRECTORY = {"acquisitions_per_proc": count, "cs_time": duration}
 
 FAMILIES: dict[str, CellFamily] = {
     **{
-        name: CellFamily(name, params, _build_open_loop, _open_loop_row, supports_faults=True)
+        name: CellFamily(
+            name, params, _build_open_loop, _open_loop_row,
+            supports_faults=True, supports_monitors=True,
+        )
         for name, params in OPEN_LOOP_SCHEDULES.items()
     },
-    "closed_arrow": CellFamily("closed_arrow", _CLOSED, _build_closed, _closed_loop_row),
+    "closed_arrow": CellFamily(
+        "closed_arrow", _CLOSED, _build_closed, _closed_loop_row, supports_monitors=True
+    ),
     "closed_centralized": CellFamily(
         "closed_centralized", {**_CLOSED, "center": node}, _build_closed, _closed_loop_row
     ),

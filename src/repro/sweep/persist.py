@@ -30,7 +30,6 @@ from repro.sweep.stats import DEFAULT_BINS
 __all__ = [
     "dumps_row",
     "iter_rows",
-    "completed_ids",
     "compact",
     "verify_rows",
     "iter_verified_rows",
@@ -216,13 +215,6 @@ def diff_rows(
     if count_a != count_b:
         problems.append(f"row count differs: {path_a} has {count_a}, {path_b} has {count_b}")
     return count_a, problems
-
-
-def completed_ids(path: str) -> set[str]:
-    """Cell ids already recorded in a (possibly partial) result file."""
-    if not os.path.exists(path):
-        return set()
-    return {row["cell_id"] for row in iter_rows(path) if "cell_id" in row}
 
 
 def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:

@@ -117,8 +117,11 @@ class CellFamily:
     directory designs) ignore it, and their rows carry a ``protocol``
     column naming what actually ran.  ``supports_faults`` marks families
     whose ``to_row`` honours a non-empty ``cell.faults`` plan (the
-    open-loop arrow families); specs reject fault plans on any other
-    family at build time.
+    open-loop arrow families), ``supports_monitors`` those that attach an
+    :class:`~repro.monitors.ArrowMonitor` when ``cell.monitors`` is set
+    (those and ``closed_arrow``).  Specs reject a fault plan on any
+    other family, and monitors on a grid with none of them, at build
+    time.
     """
 
     name: str
@@ -128,6 +131,7 @@ class CellFamily:
     validate: Validator | None = None
     uses_engine: bool = True
     supports_faults: bool = False
+    supports_monitors: bool = False
 
     def validate_params(self, params: Mapping[str, object]) -> None:
         """Reject unknown parameter names, values of the wrong kind, then

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
+from typing import Callable
 
 from repro.core.fast_arrow import ENGINES, engine_error_message
 from repro.errors import SweepError, require_time
@@ -67,6 +68,7 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "GRAPH_BUILDERS",
+    "GRIDS",
     "LOWERBOUND_AXES",
     "OPEN_LOOP_SCHEDULES",
     "TREE_BUILDERS",
@@ -258,8 +260,9 @@ class SweepSpec:
     #: default single empty plan keeps the grid fault-free and its cell
     #: ids/rows byte-identical to pre-fault-axis sweeps.
     faults: tuple[str, ...] = ("",)
-    #: Attach runtime protocol monitors to every cell (open-loop and
-    #: ``closed_arrow`` families).  Output rows are unchanged; an
+    #: Attach runtime protocol monitors to every cell of the families
+    #: that support them (open-loop and ``closed_arrow``); a grid with
+    #: none of those is rejected.  Output rows are unchanged; an
     #: invariant violation aborts the sweep with
     #: :class:`repro.errors.MonitorViolation`.
     monitors: bool = False
@@ -305,6 +308,13 @@ class SweepSpec:
                             f"fault axis (plan {f!r}); faults apply to the "
                             "open-loop arrow families only"
                         )
+        if self.monitors and not any(get_family(s.family).supports_monitors for s in self.schedules):
+            families = sorted({s.family for s in self.schedules})
+            raise SweepError(
+                f"monitors would watch no cell: cell families {families} attach "
+                "none; monitors apply to the open-loop arrow families and "
+                "closed_arrow only"
+            )
 
     def cells(self) -> list[SweepCell]:
         """Expand the grid: graphs → trees → schedules → seeds → faults.
@@ -489,12 +499,12 @@ def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
 
 
 # ----------------------------------------------------------------------
-# named grids (CLI presets)
+# named grids (the presets of :data:`GRIDS`)
 # ----------------------------------------------------------------------
 def fig10_grid(
-    sizes: tuple[int, ...] = (8, 16, 32, 48, 64, 76),
+    sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 48, 64, 76),
     *,
-    requests_per_proc: int = 100,
+    requests_per_proc: int = 300,
     think_time: float = 0.1,
     seeds: tuple[int, ...] = (0,),
     engine: str = "fast",
@@ -507,7 +517,8 @@ def fig10_grid(
     simulated SP2 (complete unit-latency graph, balanced binary overlay,
     per-node service time).  Rows carry the latency histogram/percentile
     columns, so one sweep yields both the Fig. 10 separation and the
-    tail-latency view the paper does not plot.
+    tail-latency view the paper does not plot.  The defaults are the
+    published sizes and 300 requests per processor.
     """
     return SweepSpec(
         name="fig10",
@@ -736,3 +747,27 @@ def service_time_grids(
         )
         for st in service_times
     )
+
+
+#: Grid name -> its preset, the one list of named grids.  Each key is the
+#: ``name`` of the spec its preset builds, which is also the figure that
+#: tabulates it (:data:`repro.results.FIGURES`); ``sweep --grid``,
+#: ``results ingest --grid`` and the paper commands look names up here
+#: and pass their flags to the preset as keyword arguments.
+#: :func:`service_time_grids` is not here: its one table is five grids.
+GRIDS: dict[str, Callable[..., SweepSpec]] = {
+    "smoke": smoke_grid,
+    "mixed": mixed_grid,
+    "fig10": fig10_grid,
+    "fig11": fig11_grid,
+    "directory": directory_grid,
+    "fig9": fig9_grid,
+    "oneshot": oneshot_grid,
+    "thm319": thm319_grid,
+    "thm321": thm321_grid,
+    "thm41": thm41_grid,
+    "thm42": thm42_grid,
+    "sequential": sequential_grid,
+    "ablation-trees": tree_ablation_grid,
+    "ablation-protocols": protocol_ablation_grid,
+}

@@ -271,7 +271,7 @@ def test_fig9_engine_cross_check_command(capsys):
 
 
 # ----------------------------------------------------------------------
-# the two command tables, dispatched over a stub sweep
+# the command table, dispatched over a stub sweep
 # ----------------------------------------------------------------------
 @pytest.fixture
 def stubbed(monkeypatch):
@@ -309,19 +309,16 @@ def stubbed(monkeypatch):
 def _table_commands():
     from repro import cli
 
-    return [*cli._FIGURES, *cli._PRESETS]
+    return list(cli._COMMANDS)
 
 
 def _tables_of(name):
     """The figures command ``name`` prints (one ``--json`` document each):
-    a preset's grids name their figures."""
-    import repro.sweep
+    a grid names its figure, except that ``fig11`` tabulates the ``fig10``
+    grid as Fig. 11."""
     from repro import cli
 
-    if name not in cli._PRESETS:
-        return [name]
-    specs = [getattr(repro.sweep, grid)() for grid in cli._PRESETS[name][2]]
-    return [(s if isinstance(s, tuple) else (s,))[0].name for s in specs]
+    return ["fig11"] if name == "fig11" else list(cli._COMMANDS[name])
 
 
 @pytest.mark.parametrize("name", [*_table_commands(), "all"])
@@ -432,6 +429,11 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
         (["thm319", "--requests", "0"], "count must be a positive integer"),
         (["fig10", "--per-node", "3"], "--per-node does not apply"),
         (["sweep", "--grid", "smoke", "--seeds", "-1"], "seeds must be an integer >= 0, got -1"),
+        (["sweep", "--grid", "thm41", "--sizes", "4"], "--sizes does not apply to thm41_grid"),
+        (["thm319", "--seeds", "1"], "--seeds does not apply to thm319_grid"),
+        (["fig10", "--requests", "5"], "--requests does not apply to fig10_grid"),
+        (["sweep", "--grid", "directory", "--sizes", "2", "--acquisitions-per-proc", "2",
+          "--monitors"], "cell families ['directory_arrow', 'directory_home'] attach none"),
     ],
 )
 def test_a_bad_grid_flag_is_a_usage_error(tmp_path, capsys, argv, message):
@@ -608,3 +610,94 @@ def test_results_table_of_a_stored_theorem_grid_is_the_command_table(
         stored.append(capsys.readouterr().out)
     assert main([command]) == 0
     assert "\n".join(stored) in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# every single-grid table is a ``sweep --grid`` name
+# ----------------------------------------------------------------------
+#: Each single-grid paper table at small flags: (grid, the command that
+#: prints it, flags).  The two ablation grids take their defaults, since
+#: ``ablations`` also sweeps the service-time grids, which take neither.
+STORABLE_TABLES = [
+    ("fig9", "fig9", ["-D", "16", "-k", "2"]),
+    ("fig10", "fig10", ["--sizes", "2,6", "--requests-per-proc", "20"]),
+    ("directory", "directory", ["--sizes", "2,4", "--acquisitions-per-proc", "10"]),
+    ("oneshot", "oneshot", []),
+    ("thm319", "thm319", ["--diameters", "8,16", "--requests", "12"]),
+    ("thm321", "thm321", ["--diameters", "8,16", "--requests", "12"]),
+    ("thm41", "thm41", ["--diameters", "16,64"]),
+    ("thm42", "thm42", ["--stretches", "1,2"]),
+    ("sequential", "sequential", ["--requests", "10"]),
+    ("ablation-trees", "ablations", []),
+    ("ablation-protocols", "ablations", []),
+]
+
+
+def _table_block(out, name):
+    """Table ``name`` as a paper command prints it: the lines before its plot."""
+    (block,) = (b for b in out.split("\n\n") if b.startswith(f"== {name}: "))
+    return block + "\n"
+
+
+@pytest.mark.parametrize("grid, command, flags", STORABLE_TABLES, ids=[t[0] for t in STORABLE_TABLES])
+def test_every_single_grid_table_is_stored_and_read_back_as_printed(
+    tmp_path, capsys, grid, command, flags
+):
+    rows, store = str(tmp_path / "rows.jsonl"), str(tmp_path / "store")
+    assert main(["sweep", "--grid", grid, *flags, "--out", rows]) == 0
+    assert main(["results", "ingest", rows, "--grid", grid, *flags, "--store", store]) == 0
+    capsys.readouterr()
+    assert main(["results", "table", grid, "--store", store]) == 0
+    stored = capsys.readouterr().out
+    assert main([command, *flags]) == 0
+    assert stored == _table_block(capsys.readouterr().out, grid)
+
+
+def test_a_sharded_theorem_sweep_writes_the_one_process_bytes(tmp_path):
+    argv = ["sweep", "--grid", "thm41", "--diameters", "16,64"]
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    assert main([*argv, "--workers", "1", "--out", str(one)]) == 0
+    assert main([*argv, "--workers", "2", "--out", str(two)]) == 0
+    assert two.read_bytes() == one.read_bytes()
+    assert len(one.read_text().splitlines()) == 4
+
+
+def test_grid_choices_are_the_grid_table(monkeypatch):
+    """``--grid`` offers exactly :data:`repro.sweep.GRIDS`, each key the
+    name of the spec its preset builds."""
+    import argparse
+
+    from repro.sweep import GRIDS
+
+    built = []
+
+    def capture(self, *args, **kwargs):
+        built.append(self)
+        raise SystemExit(0)
+
+    def commands(parser):
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def grid_choices(parser):
+        (action,) = (a for a in parser._actions if "--grid" in a.option_strings)
+        return action.choices
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        main(["sweep"])
+    (top,) = built
+    ingest = commands(commands(top)["results"])["ingest"]
+    assert grid_choices(commands(top)["sweep"]) == grid_choices(ingest) == sorted(GRIDS)
+    assert {name: GRIDS[name]().name for name in GRIDS} == {name: name for name in GRIDS}
+    assert len(GRIDS) == 14
+
+
+@pytest.mark.parametrize("command", [c for c in _table_commands() if c not in ("fig11", "ablations")])
+def test_a_bare_paper_command_sweeps_its_bare_grid(stubbed, command):
+    """A preset's defaults are the published ones: ``repro-arrow NAME``
+    and ``sweep --grid NAME`` build one grid."""
+    from repro.sweep import GRIDS
+
+    assert main([command]) == 0
+    assert stubbed == [GRIDS[command]()]

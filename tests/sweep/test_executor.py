@@ -18,7 +18,6 @@ from repro.sweep import (
     ScheduleSpec,
     SweepSpec,
     cell_seed,
-    completed_ids,
     dumps_row,
     execute_cell,
     iter_rows,
@@ -130,10 +129,6 @@ def test_corrupt_mid_file_raises():
             list(iter_rows(path))
     finally:
         os.unlink(path)
-
-
-def test_completed_ids_of_missing_file_is_empty(tmp_path):
-    assert completed_ids(str(tmp_path / "nope.jsonl")) == set()
 
 
 def test_iter_sweep_inline_matches_pool(tmp_path):

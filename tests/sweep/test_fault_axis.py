@@ -7,13 +7,17 @@ open-loop arrow families accept a fault plan at all.
 """
 
 import dataclasses
+import re
 
 import pytest
 
 from repro.errors import SweepError
 from repro.sweep.executor import execute_cell
+from repro.sweep.families import FAMILIES
 from repro.sweep.registry import get_family
 from repro.sweep.spec import (
+    GRIDS,
+    OPEN_LOOP_SCHEDULES,
     GraphSpec,
     ScheduleSpec,
     SweepSpec,
@@ -140,3 +144,23 @@ def test_monitors_flag_reaches_cells_without_changing_identity():
     assert cell.monitors is True
     (bare,) = open_spec().cells()
     assert cell.cell_id == bare.cell_id
+
+
+@pytest.mark.parametrize("grid", ["directory", "fig9", "thm319", "oneshot", "ablation-trees"])
+def test_monitors_on_a_grid_that_attaches_none_are_refused(grid):
+    """Monitors are never a silent no-op: a grid with no family that
+    attaches one refuses them and names its families."""
+    spec = GRIDS[grid]()
+    families = sorted({s.family for s in spec.schedules})
+    with pytest.raises(SweepError, match=re.escape(f"cell families {families!r} attach none")):
+        dataclasses.replace(spec, monitors=True)
+
+
+@pytest.mark.parametrize("grid", ["fig10", "fig11", "mixed", "smoke"])
+def test_monitors_stay_legal_where_a_family_attaches_one(grid):
+    assert dataclasses.replace(GRIDS[grid](), monitors=True).monitors
+
+
+def test_the_monitored_families_are_the_open_loop_ones_and_closed_arrow():
+    monitored = {name for name, f in FAMILIES.items() if f.supports_monitors}
+    assert monitored == {*OPEN_LOOP_SCHEDULES, "closed_arrow"}

@@ -223,7 +223,7 @@ def test_preset_grid_spec_hashes_are_pinned():
         for grid in (smoke_grid, fig10_grid, fig11_grid, mixed_grid, directory_grid)
     } == {
         "smoke_grid": "4859b54f556b971206233a5766110d1f0f28a5e53b1bcf7f38304baffa650871",
-        "fig10_grid": "98e4d93264cf3d407ead4f977ec3fa3937122505b79e87f812e8e9eadab763ee",
+        "fig10_grid": "a1cda86bdaa377551d99e0bc78f30b728b66e57f8462d40eff499daf9b2509cf",
         "fig11_grid": "ac995c5cc9b48918fceaad037decc0658e9ca3948b83e7edfaea29524e9ad6d2",
         "mixed_grid": "09cfb09db3355c60ccdcc6560c3ddd9be8a1dedd20ea811a1f118920de149230",
         "directory_grid": "b03f3757604fec4385cd618d69e02f7f35afd234719dcb3886837a9bba182383",
