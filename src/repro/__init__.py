@@ -11,8 +11,8 @@ Public API tour
   :func:`repro.core.run_centralized`, :func:`repro.core.run_adaptive`,
   and the closed-loop drivers in :mod:`repro.workloads`;
 * analyse (Section 3):  :mod:`repro.analysis` — cost measures, the
-  nearest-neighbour characterisation, optimal-offline brackets,
-  competitive-ratio reports;
+  nearest-neighbour characterisation, optimal-offline brackets and
+  Theorem 3.19's ceiling (a ``ratio`` grid cell measures the bracket);
 * adversarial inputs:   :mod:`repro.lowerbound` (Section 4 constructions);
 * paper tables:         named grids in :mod:`repro.sweep` (``fig10_grid``,
   ``thm319_grid``, ...) tabulated by :func:`repro.results.figure_from_rows`
@@ -21,11 +21,7 @@ Public API tour
 """
 
 from repro._version import __version__
-from repro.analysis import (
-    CompetitiveReport,
-    measure_competitive_ratio,
-    predict_arrow_run,
-)
+from repro.analysis import predict_arrow_run
 from repro.core import (
     RequestSchedule,
     RunResult,
@@ -50,8 +46,6 @@ from repro.workloads import closed_loop_arrow, closed_loop_centralized
 
 __all__ = [
     "__version__",
-    "CompetitiveReport",
-    "measure_competitive_ratio",
     "predict_arrow_run",
     "RequestSchedule",
     "RunResult",

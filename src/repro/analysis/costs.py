@@ -26,9 +26,6 @@ most ``s`` times ``c_Opt`` with graph distances.
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
 import numpy as np
 
 from repro.core.requests import RequestSchedule
@@ -39,7 +36,6 @@ from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "augmented_nodes_times",
-    "tree_node_distances",
     "graph_node_distances",
     "request_distance_matrix",
     "c_a_matrix",
@@ -56,42 +52,9 @@ def augmented_nodes_times(
     schedule: RequestSchedule, root: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node and time vectors with the virtual root request at index 0."""
-    nodes = np.empty(len(schedule) + 1, dtype=np.int64)
-    times = np.empty(len(schedule) + 1, dtype=np.float64)
-    nodes[0] = root
-    times[0] = 0.0
-    for r in schedule:
-        nodes[r.rid + 1] = r.node
-        times[r.rid + 1] = r.time
+    nodes = np.array([root, *schedule.nodes], dtype=np.int64)
+    times = np.array([0.0, *schedule.times], dtype=np.float64)
     return nodes, times
-
-
-def tree_node_distances(tree: SpanningTree, needed: np.ndarray) -> dict[int, np.ndarray]:
-    """Weighted tree distances from each distinct node in ``needed``.
-
-    One O(n) traversal per distinct source — cheaper than pairwise LCA
-    queries when requests repeat nodes, which they do in every workload.
-    """
-    out: dict[int, np.ndarray] = {}
-    n = tree.num_nodes
-    for src in {int(x) for x in needed}:
-        dist = np.full(n, np.inf)
-        dist[src] = 0.0
-        dq: deque[int] = deque([src])
-        while dq:
-            u = dq.popleft()
-            du = dist[u]
-            for v in tree.neighbors(u):
-                if math.isinf(dist[v]):
-                    w = (
-                        tree.edge_weight[v]
-                        if tree.parent[v] == u
-                        else tree.edge_weight[u]
-                    )
-                    dist[v] = du + w
-                    dq.append(v)
-        out[src] = dist
-    return out
 
 
 def graph_node_distances(graph: Graph, needed: np.ndarray) -> dict[int, np.ndarray]:
@@ -112,7 +75,7 @@ def request_distance_matrix(
     :class:`Graph`).
     """
     if isinstance(metric, SpanningTree):
-        per_src = tree_node_distances(metric, nodes)
+        per_src = {src: metric.distances_from(src) for src in {int(x) for x in nodes}}
     elif isinstance(metric, Graph):
         per_src = graph_node_distances(metric, nodes)
     else:  # pragma: no cover - defensive

@@ -52,12 +52,7 @@ __all__ = [
     "manhattan_mst_weight",
     "OptBounds",
     "opt_bounds",
-    "HELD_KARP_LIMIT",
 ]
-
-#: Largest number of requests (excluding the root) for which the exact
-#: Held–Karp solver is attempted by default (2^m states).
-HELD_KARP_LIMIT = 14
 
 
 def _held_karp_table(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,12 +242,14 @@ def opt_bounds(
     schedule: RequestSchedule,
     stretch: float,
     *,
-    exact_limit: int = HELD_KARP_LIMIT,
+    exact_limit: int,
 ) -> OptBounds:
     """Bracket the optimal offline cost of a schedule (see module docs).
 
     ``stretch`` is the tree's stretch w.r.t. the graph (Definition 3.1);
     it enters the Manhattan-MST lower bound via Lemma 3.17's chain.
+    Schedules of at most ``exact_limit`` requests are solved exactly by
+    Held–Karp (``2^m`` states); ``0`` never solves exactly.
     """
     if len(schedule) == 0:
         return OptBounds(0.0, 0.0, True, {})

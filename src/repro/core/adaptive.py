@@ -16,9 +16,13 @@ tail, and every visited node re-points its ``last`` at ``v`` (the incoming
 tail).  :class:`AdaptivePointerNode` implements exactly that discipline;
 the ablation benches compare its message counts against arrow's.
 
-Correctness relies on atomic handling plus FIFO channels, as with arrow:
-when the request reaches a node that is its own ``last`` (the current
-tail), it has found its predecessor.
+Each node handles a message atomically; when the request reaches a node
+that is its own ``last`` (the current tail), it has found its
+predecessor.  ``nta_req`` messages are routed sends, which no FIFO
+channel clamps: only under a deterministic delay does every routed send
+between one pair take the same time, so that two such sends arrive in
+the order they left (equal times run in the kernel's send order).  The
+``ratio`` cell family runs ``adaptive`` only at unit delay.
 """
 
 from __future__ import annotations

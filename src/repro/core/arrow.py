@@ -87,11 +87,9 @@ class ArrowNode(ProtocolNode):
     # ------------------------------------------------------------------
     def init_pointers(self, tree: SpanningTree) -> None:
         """Point the arrow toward the root (initial configuration, Fig. 1)."""
+        self.link = tree.parent[self.node_id]  # parent[root] == root: the sink
         if self.node_id == tree.root:
-            self.link = self.node_id
             self.last_rid = ROOT_RID
-        else:
-            self.link = tree.next_hop_towards(self.node_id, tree.root)
 
     @property
     def is_sink(self) -> bool:

@@ -10,9 +10,7 @@ from repro.spanning.construct import (
 from repro.spanning.metrics import (
     StretchReport,
     average_stretch,
-    tree_center,
     tree_diameter,
-    tree_radius,
     tree_stretch,
     tree_stretch_brute_force,
 )
@@ -27,9 +25,7 @@ __all__ = [
     "star_overlay",
     "StretchReport",
     "average_stretch",
-    "tree_center",
     "tree_diameter",
-    "tree_radius",
     "tree_stretch",
     "tree_stretch_brute_force",
 ]

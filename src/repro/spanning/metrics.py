@@ -1,4 +1,4 @@
-"""Quality metrics for spanning trees: stretch, diameter, radius.
+"""Quality metrics for spanning trees: stretch and diameter.
 
 Definition 3.1 of the paper: given graph ``G`` and spanning tree ``T``, the
 stretch is ``s = max_{u,v} d_T(u, v) / d_G(u, v)``.  For the maximum it
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TreeError
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import all_pairs_distances
@@ -29,8 +31,6 @@ __all__ = [
     "tree_stretch_brute_force",
     "average_stretch",
     "tree_diameter",
-    "tree_radius",
-    "tree_center",
 ]
 
 
@@ -93,62 +93,8 @@ def average_stretch(graph: Graph, tree: SpanningTree) -> float:
 def tree_diameter(tree: SpanningTree) -> float:
     """Weighted diameter ``D`` of the tree (double sweep).
 
-    Two passes of the standard farthest-node sweep; exact on trees.
+    The node farthest from the root (largest ``wdepth``) ends a longest
+    path, so its largest distance is the diameter; exact on trees.
     """
-    far, _ = _farthest(tree, tree.root)
-    _, dist = _farthest(tree, far)
-    return dist
-
-
-def tree_radius(tree: SpanningTree) -> float:
-    """Weighted radius: ``min_u max_v d_T(u, v)``."""
-    _, ecc = tree_center(tree)
-    return ecc
-
-
-def tree_center(tree: SpanningTree) -> tuple[int, float]:
-    """A center node and its eccentricity.
-
-    The weighted center lies on the diameter path at the point minimising
-    the maximum distance to the two diameter endpoints.
-    """
-    a, _ = _farthest(tree, tree.root)
-    b, diam = _farthest(tree, a)
-    path = tree.path(a, b)
-    best_node = a
-    best_ecc = diam
-    run = 0.0
-    for i, x in enumerate(path):
-        if i > 0:
-            run += _edge_w(tree, path[i - 1], x)
-        ecc = max(run, diam - run)
-        if ecc < best_ecc:
-            best_ecc = ecc
-            best_node = x
-    return best_node, best_ecc
-
-
-def _edge_w(tree: SpanningTree, u: int, v: int) -> float:
-    if tree.parent[u] == v:
-        return tree.edge_weight[u]
-    if tree.parent[v] == u:
-        return tree.edge_weight[v]
-    raise TreeError(f"({u}, {v}) is not a tree edge")
-
-
-def _farthest(tree: SpanningTree, src: int) -> tuple[int, float]:
-    """Farthest node from ``src`` and its distance, by DFS."""
-    n = tree.num_nodes
-    dist = [-1.0] * n
-    dist[src] = 0.0
-    stack = [src]
-    best_node, best_dist = src, 0.0
-    while stack:
-        u = stack.pop()
-        for v in tree.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + _edge_w(tree, u, v)
-                if dist[v] > best_dist:
-                    best_node, best_dist = v, dist[v]
-                stack.append(v)
-    return best_node, best_dist
+    far = int(np.argmax(tree.wdepth))
+    return float(tree.distances_from(far).max())

@@ -6,6 +6,8 @@ children, depths), answers ``d_T(u, v)`` distance queries in ``O(log n)``
 via binary-lifting LCA (the table is built by the first query), and
 exposes the path between two nodes (used by the tests that verify queue
 messages travel the direct tree path, [4]).
+:meth:`~SpanningTree.distances_from` is the same query for every target
+at once, the form the cost matrices and the tree diameter read.
 
 Trees may be weighted; ``depth`` counts hops while ``wdepth`` accumulates
 edge weights, and ``distance`` returns the weighted tree metric (which
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import TreeError
 from repro.graphs.graph import Graph
@@ -36,6 +40,7 @@ class SpanningTree:
         "wdepth",
         "edge_weight",
         "_up",
+        "_up_array",
         "_log",
     )
 
@@ -119,8 +124,9 @@ class SpanningTree:
                 f"parent array reaches only {seen}/{n} nodes (cycle or forest)"
             )
 
-        # The binary-lifting table is built by the first lca() query.
+        # The binary-lifting table is built by the first distance query.
         self._up: list[list[int]] | None = None
+        self._up_array: np.ndarray | None = None
         self._log = 0
 
     # ------------------------------------------------------------------
@@ -225,6 +231,32 @@ class SpanningTree:
         a = self.lca(u, v)
         return self.wdepth[u] + self.wdepth[v] - 2.0 * self.wdepth[a]
 
+    def distances_from(self, src: int) -> np.ndarray:
+        """``d_T(src, v)`` for every node ``v``, as one float64 array.
+
+        :meth:`lca` run on every pair ``(src, v)`` at once over the same
+        lifting table, then :meth:`distance`'s formula in the same order,
+        so entry ``v`` equals ``distance(src, v)`` exactly.
+        """
+        if self._up_array is None:
+            self._build_lifting()
+        up = self._up_array
+        depth = np.asarray(self.depth)
+        wdepth = np.asarray(self.wdepth)
+        u = np.full(self._n, src)
+        v = np.arange(self._n)
+        swap = depth[src] < depth  # lca() lifts the deeper endpoint
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        diff = depth[u] - depth[v]
+        for k in range(self._log):
+            u = np.where(diff >> k & 1, up[k][u], u)
+        for k in range(self._log - 1, -1, -1):
+            uk, vk = up[k][u], up[k][v]
+            differ = uk != vk
+            u, v = np.where(differ, uk, u), np.where(differ, vk, v)
+        a = np.where(u == v, u, up[0][u])
+        return wdepth[src] + wdepth - 2.0 * wdepth[a]
+
     def hop_distance(self, u: int, v: int) -> int:
         """Unweighted (hop) tree distance."""
         a = self.lca(u, v)
@@ -244,24 +276,6 @@ class SpanningTree:
             right.append(x)
             x = self.parent[x]
         return left + [a] + list(reversed(right))
-
-    def next_hop_towards(self, u: int, target: int) -> int:
-        """The tree neighbour of ``u`` on the path to ``target``.
-
-        Used to initialise arrow pointers (everything points toward the
-        initial root) and by tests that replay message routes.
-        """
-        if u == target:
-            return u
-        a = self.lca(u, target)
-        if u == a:
-            # target is in u's subtree: step to the child whose subtree
-            # contains target.
-            x = target
-            while self.parent[x] != u:
-                x = self.parent[x]
-            return x
-        return self.parent[u]
 
     def subtree_nodes(self, u: int) -> list[int]:
         """All nodes in the subtree rooted at ``u`` (preorder)."""
@@ -296,11 +310,14 @@ class SpanningTree:
     # internal: binary lifting table
     # ------------------------------------------------------------------
     def _build_lifting(self) -> list[list[int]]:
+        """``up[k][v]``, the ``2^k``-th ancestor of ``v``: an array for
+        :meth:`distances_from` and the same table as lists for :meth:`lca`."""
         log = max(1, (max(self.depth)).bit_length())
-        up = [self.parent[:]]
-        for _ in range(1, log):
-            prev = up[-1]
-            up.append([prev[p] for p in prev])
-        self._up = up
+        up = np.empty((log, self._n), dtype=np.intp)
+        up[0] = self.parent
+        for k in range(1, log):
+            up[k] = up[k - 1][up[k - 1]]
+        self._up_array = up
+        self._up = up.tolist()
         self._log = log
-        return up
+        return self._up

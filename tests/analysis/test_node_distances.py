@@ -1,33 +1,25 @@
-"""Unit tests for the per-source node distance helpers."""
+"""Unit tests for the per-source node distances behind the cost matrices."""
 
 import numpy as np
-import pytest
 
-from repro.analysis.costs import graph_node_distances, tree_node_distances
+from repro.analysis.costs import graph_node_distances, request_distance_matrix
 from repro.graphs import grid_graph, random_geometric_graph
-from repro.spanning import SpanningTree, bfs_tree, mst_prim
+from repro.spanning import SpanningTree, mst_prim
 
 
 def test_tree_node_distances_weighted():
     tree = SpanningTree([0, 0, 1], root=0, edge_weights=[0.0, 2.0, 3.0])
-    d = tree_node_distances(tree, np.array([2]))
-    assert d[2][0] == 5.0 and d[2][1] == 3.0 and d[2][2] == 0.0
-
-
-def test_tree_node_distances_only_computes_requested_sources():
-    g = grid_graph(4, 4)
-    tree = bfs_tree(g, 0)
-    d = tree_node_distances(tree, np.array([3, 3, 7]))
-    assert set(d) == {3, 7}
+    assert tree.distances_from(2).tolist() == [5.0, 3.0, 0.0]
 
 
 def test_tree_node_distances_match_lca_queries():
-    g = random_geometric_graph(20, 0.4, seed=6)
+    g = random_geometric_graph(20, 0.4, seed=6, euclidean_weights=True)
     tree = mst_prim(g, 0)
-    d = tree_node_distances(tree, np.array([5, 11]))
-    for src in (5, 11):
-        for v in range(20):
-            assert d[src][v] == pytest.approx(tree.distance(src, v))
+    nodes = np.array([0, 5, 11, 5, 19])
+    D = request_distance_matrix(tree, nodes)
+    for i, u in enumerate(nodes):
+        for j, v in enumerate(nodes):
+            assert D[i, j] == tree.distance(int(u), int(v))
 
 
 def test_graph_node_distances_match_dijkstra():

@@ -9,6 +9,7 @@ from repro.analysis.costs import c_m_matrix
 from repro.analysis.optimal import (
     best_heuristic_path,
     held_karp_path,
+    held_karp_tour_cost,
     manhattan_mst_weight,
     opt_bounds,
     or_opt_improve,
@@ -54,6 +55,27 @@ def test_held_karp_asymmetric_costs():
     cost, path = held_karp_path(C)
     assert path == [0, 1, 2]
     assert cost == 2.0
+
+
+def brute_force_tour(C):
+    m = C.shape[0]
+    return min(
+        sum(C[a, b] for a, b in zip(seq, seq[1:]))
+        for seq in ([0, *perm, 0] for perm in itertools.permutations(range(1, m)))
+    )
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_held_karp_tour_matches_brute_force(m):
+    for seed in range(3):
+        C = spawn_rng(seed, f"hk-tour-{m}").random((m, m)) * 10
+        np.fill_diagonal(C, 0.0)
+        assert held_karp_tour_cost(C) == pytest.approx(brute_force_tour(C))
+
+
+def test_held_karp_tour_trivial_sizes():
+    assert held_karp_tour_cost(np.zeros((0, 0))) == 0.0
+    assert held_karp_tour_cost(np.zeros((1, 1))) == 0.0
 
 
 def test_held_karp_trivial_sizes():
@@ -114,7 +136,7 @@ def test_opt_bounds_exact_small_instance():
     g = complete_graph(6)
     tree = balanced_binary_overlay(g, 0)
     sched = RequestSchedule([(3, 0.0), (5, 1.0), (2, 1.5)])
-    b = opt_bounds(g, tree, sched, stretch=2.0)
+    b = opt_bounds(g, tree, sched, stretch=2.0, exact_limit=10)
     assert b.exact
     assert b.lower == b.upper
     assert "exact" in b.parts
@@ -144,7 +166,7 @@ def test_opt_bounds_mst_chain_is_valid_lower_bound():
         from repro.spanning import tree_stretch
 
         s = tree_stretch(g, tree).stretch
-        b = opt_bounds(g, tree, sched, stretch=s)
+        b = opt_bounds(g, tree, sched, stretch=s, exact_limit=10)
         assert b.exact
         assert b.parts["mst_manhattan"] <= b.parts["exact"] + 1e-9
         assert b.parts["per_request_min"] <= b.parts["exact"] + 1e-9
@@ -154,5 +176,5 @@ def test_opt_bounds_mst_chain_is_valid_lower_bound():
 def test_opt_bounds_empty_schedule():
     g = complete_graph(3)
     tree = balanced_binary_overlay(g, 0)
-    b = opt_bounds(g, tree, RequestSchedule([]), stretch=1.0)
+    b = opt_bounds(g, tree, RequestSchedule([]), stretch=1.0, exact_limit=10)
     assert b.lower == b.upper == 0.0

@@ -59,9 +59,9 @@ def test_opt_not_increased_by_compression():
     g = path_graph(7)
     tree = chain_tree(7)
     sched = RequestSchedule([(6, 0.0), (1, 1.0), (4, 30.0), (2, 31.0)])
-    before = opt_bounds(g, tree, sched, 1.0)
+    before = opt_bounds(g, tree, sched, 1.0, exact_limit=10)
     rep = compress_idle_time(tree, sched)
-    after = opt_bounds(g, tree, rep.schedule, 1.0)
+    after = opt_bounds(g, tree, rep.schedule, 1.0, exact_limit=10)
     assert before.exact and after.exact
     assert after.upper <= before.upper + 1e-9
 

@@ -1,5 +1,6 @@
 """CLI smoke tests (tiny parameter sets)."""
 
+import hashlib
 import json
 
 import pytest
@@ -616,20 +617,35 @@ def test_results_table_of_a_stored_theorem_grid_is_the_command_table(
 # every single-grid table is a ``sweep --grid`` name
 # ----------------------------------------------------------------------
 #: Each single-grid paper table at small flags: (grid, the command that
-#: prints it, flags).  The two ablation grids take their defaults, since
-#: ``ablations`` also sweeps the service-time grids, which take neither.
+#: prints it, flags, the SHA-256 of the rows file ``sweep --grid`` writes).
+#: The two ablation grids take their defaults, since ``ablations`` also
+#: sweeps the service-time grids, which take neither.  The digests pin the
+#: columns no table prints (``opt_lower``, ``opt_upper``, ``diameter``,
+#: ``stretch``, ``comb_weight``, ``sync_latency``, ...); a change that
+#: moves a row on purpose updates its digest and says why.
 STORABLE_TABLES = [
-    ("fig9", "fig9", ["-D", "16", "-k", "2"]),
-    ("fig10", "fig10", ["--sizes", "2,6", "--requests-per-proc", "20"]),
-    ("directory", "directory", ["--sizes", "2,4", "--acquisitions-per-proc", "10"]),
-    ("oneshot", "oneshot", []),
-    ("thm319", "thm319", ["--diameters", "8,16", "--requests", "12"]),
-    ("thm321", "thm321", ["--diameters", "8,16", "--requests", "12"]),
-    ("thm41", "thm41", ["--diameters", "16,64"]),
-    ("thm42", "thm42", ["--stretches", "1,2"]),
-    ("sequential", "sequential", ["--requests", "10"]),
-    ("ablation-trees", "ablations", []),
-    ("ablation-protocols", "ablations", []),
+    ("fig9", "fig9", ["-D", "16", "-k", "2"],
+     "b1d6ea2e1f95827f0182d6a6b1b5b3490cb6b7bd259bb17e824fb24ec2813709"),
+    ("fig10", "fig10", ["--sizes", "2,6", "--requests-per-proc", "20"],
+     "8560b756c00dff2290da11fe10356a7d46b57682feea68ad4daac4a77e96f000"),
+    ("directory", "directory", ["--sizes", "2,4", "--acquisitions-per-proc", "10"],
+     "aeedde9cc27c9f1ca84cfd2dc743774f9fe050c73ffb23b9f0055d04fa89c2df"),
+    ("oneshot", "oneshot", [],
+     "243c78eefb8d3fdc374a6bd6627b211d6d94844b167068a8eb9a64c464ce7943"),
+    ("thm319", "thm319", ["--diameters", "8,16", "--requests", "12"],
+     "80b52f73edccecc360ce5a217c3c6f091880ab076d5ab0b0c3138e964d71edd2"),
+    ("thm321", "thm321", ["--diameters", "8,16", "--requests", "12"],
+     "b7ee7330afb046b3ce948cce1075708b678894ef2053906b0489387744ded7df"),
+    ("thm41", "thm41", ["--diameters", "16,64"],
+     "0b32ec7bdd8c02a9ab9a73c1fa8eee77b30e8b1df6dede86bd2d0dd60228f459"),
+    ("thm42", "thm42", ["--stretches", "1,2"],
+     "0e10b5725799f26830daf15f95135f9a3af87978e3e666423addd793792b5c99"),
+    ("sequential", "sequential", ["--requests", "10"],
+     "d48dd888fb66be226d53ba469aa162009fe929d58d4b2d495d3025c804a1c1c3"),
+    ("ablation-trees", "ablations", [],
+     "f1ea1b936812f3ebc2a5f153ad37e97d690195051edee75879481dd640e0a1c9"),
+    ("ablation-protocols", "ablations", [],
+     "b17393878e0112ef93a08b083b82377ea3ca5c9b68929cab2be038f33e43a031"),
 ]
 
 
@@ -639,12 +655,15 @@ def _table_block(out, name):
     return block + "\n"
 
 
-@pytest.mark.parametrize("grid, command, flags", STORABLE_TABLES, ids=[t[0] for t in STORABLE_TABLES])
+@pytest.mark.parametrize(
+    "grid, command, flags, digest", STORABLE_TABLES, ids=[t[0] for t in STORABLE_TABLES]
+)
 def test_every_single_grid_table_is_stored_and_read_back_as_printed(
-    tmp_path, capsys, grid, command, flags
+    tmp_path, capsys, grid, command, flags, digest
 ):
     rows, store = str(tmp_path / "rows.jsonl"), str(tmp_path / "store")
     assert main(["sweep", "--grid", grid, *flags, "--out", rows]) == 0
+    assert hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest() == digest
     assert main(["results", "ingest", rows, "--grid", grid, *flags, "--store", store]) == 0
     capsys.readouterr()
     assert main(["results", "table", grid, "--store", store]) == 0

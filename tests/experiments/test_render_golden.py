@@ -192,21 +192,20 @@ def test_plot_skips_non_finite_points():
 def test_an_infinite_ratio_row_renders():
     """A request at the root costs 0 against an opt lower bound of 0: the
     ratio bracket is ``inf``, and the row still tabulates and plots."""
-    from repro.analysis import measure_competitive_ratio
+    from repro.analysis import opt_bounds, theorem_319_ceiling
+    from repro.core.fast_arrow import run_arrow_fast
     from repro.graphs import path_graph
     from repro.results import figure_from_rows
-    from repro.spanning import bfs_tree
+    from repro.spanning import bfs_tree, tree_diameter
     from repro.workloads.schedules import one_shot
 
     g = path_graph(5)
-    rep = measure_competitive_ratio(g, bfs_tree(g, 0), one_shot([0]))
-    assert rep.ratio_upper == math.inf
-    row = {
-        "diameter": rep.diameter,
-        "ratio_lo": rep.ratio_lower,
-        "ratio_hi": rep.ratio_upper,
-        "ceiling": rep.ceiling,
-    }
+    tree, sched = bfs_tree(g, 0), one_shot([0])
+    bounds = opt_bounds(g, tree, sched, 1.0, exact_limit=10)
+    lo, hi = bounds.ratio_bracket(run_arrow_fast(g, tree, sched).total_latency)
+    assert hi == math.inf
+    D = tree_diameter(tree)
+    row = {"diameter": D, "ratio_lo": lo, "ratio_hi": hi, "ceiling": theorem_319_ceiling(1.0, D)}
     fig = figure_from_rows("thm319", [row])
     assert format_table(fig).splitlines()[3] == (
         "              4 |                     inf |                     inf"

@@ -8,12 +8,12 @@ ceiling of Theorem 3.21 holds against the offline bracket.
 
 import pytest
 
-from repro.analysis.competitive import measure_competitive_ratio
+from repro.analysis import opt_bounds, theorem_319_ceiling
 from repro.core.queueing import verify_total_order
 from repro.core.runner import run_arrow
 from repro.graphs import complete_graph, grid_graph
 from repro.net.latency import ExponentialCappedLatency, UniformLatency
-from repro.spanning import balanced_binary_overlay, bfs_tree
+from repro.spanning import balanced_binary_overlay, bfs_tree, tree_diameter, tree_stretch
 from repro.workloads.schedules import one_shot, poisson
 
 MODELS = [
@@ -69,7 +69,9 @@ def test_theorem_321_ceiling_holds_async():
     graph = grid_graph(4, 4)
     tree = bfs_tree(graph, 0)
     sched = poisson(16, 14, rate=2.0, seed=2)
-    rep = measure_competitive_ratio(
-        graph, tree, sched, latency=UniformLatency(0.2, 1.0), seed=4, exact_limit=14
-    )
-    assert rep.within_ceiling
+    stretch = tree_stretch(graph, tree).stretch
+    cost = run_arrow(graph, tree, sched, latency=UniformLatency(0.2, 1.0), seed=4).total_latency
+    bounds = opt_bounds(graph, tree, sched, stretch, exact_limit=14)
+    assert bounds.exact
+    _, hi = bounds.ratio_bracket(cost)
+    assert hi <= theorem_319_ceiling(stretch, tree_diameter(tree)) + 1e-9

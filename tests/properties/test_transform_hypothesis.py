@@ -59,8 +59,8 @@ def test_arrow_cost_invariant(inst):
 def test_exact_opt_not_increased(inst):
     tree, sched = inst
     g = tree.to_graph()
-    before = opt_bounds(g, tree, sched, 1.0)
+    before = opt_bounds(g, tree, sched, 1.0, exact_limit=10)
     rep = compress_idle_time(tree, sched)
-    after = opt_bounds(g, tree, rep.schedule, 1.0)
+    after = opt_bounds(g, tree, rep.schedule, 1.0, exact_limit=10)
     assert before.exact and after.exact
     assert after.upper <= before.upper + 1e-9

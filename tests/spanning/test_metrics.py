@@ -1,4 +1,4 @@
-"""Unit tests for tree quality metrics: stretch, diameter, radius, center."""
+"""Unit tests for tree quality metrics: stretch and diameter."""
 
 import networkx as nx
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.graphs import (
     complete_graph,
     cycle_graph,
-    grid_graph,
     path_graph,
     random_geometric_graph,
 )
@@ -17,9 +16,7 @@ from repro.spanning import (
     bfs_tree,
     mst_prim,
     star_overlay,
-    tree_center,
     tree_diameter,
-    tree_radius,
     tree_stretch,
     tree_stretch_brute_force,
 )
@@ -98,17 +95,12 @@ def test_weighted_diameter():
     assert tree_diameter(t) == 7.0
 
 
-def test_radius_and_center_of_chain():
-    chain = SpanningTree([max(0, i - 1) for i in range(9)], root=0)
-    center, ecc = tree_center(chain)
-    assert center == 4
-    assert ecc == 4.0
-    assert tree_radius(chain) == 4.0
-
-
-def test_radius_le_diameter_le_twice_radius():
+def test_weighted_diameter_is_the_largest_pairwise_distance():
     for seed in range(3):
-        g = grid_graph(4, 6)
-        t = bfs_tree(g, seed)
-        r, d = tree_radius(t), tree_diameter(t)
-        assert r <= d <= 2 * r
+        g = random_geometric_graph(25, 0.35, seed=seed, euclidean_weights=True)
+        for root in (0, 7):
+            t = mst_prim(g, root)
+            n = t.num_nodes
+            assert tree_diameter(t) == max(
+                t.distance(u, v) for u in range(n) for v in range(n)
+            )

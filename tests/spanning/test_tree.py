@@ -67,14 +67,6 @@ def test_path_endpoints_and_adjacency():
     assert t2.path(3, 6) == [3, 1, 0, 2, 6]
 
 
-def test_next_hop_towards():
-    t = SpanningTree([0, 0, 0, 1, 1, 2, 2], root=0)
-    assert t.next_hop_towards(3, 0) == 1
-    assert t.next_hop_towards(0, 3) == 1
-    assert t.next_hop_towards(1, 4) == 4
-    assert t.next_hop_towards(2, 2) == 2
-
-
 def test_neighbors_and_degree():
     t = SpanningTree([0, 0, 0, 1], root=0)
     assert sorted(t.neighbors(0)) == [1, 2]

@@ -1,10 +1,11 @@
 """Tree queries on every labelled tree with n <= 6, plus the set-up checks.
 
-``SpanningTree`` builds its binary-lifting table on the first ``lca``
+``SpanningTree`` builds its binary-lifting table on the first distance
 query; the exhaustive comparison against a naive parent walk covers the
 lazily built table on every labelled tree (all Prüfer sequences, from
 the small-model corpus in ``tests/small_models.py``) rooted at every
-node.  The rest pins the validations the set-up chain keeps: weights,
+node, and checks that ``distances_from``, the array form the analysis
+layer reads, equals the scalar ``distance`` exactly.  The rest pins the validations the set-up chain keeps: weights,
 node ids, tree links that must be graph edges.
 """
 
@@ -51,6 +52,7 @@ def test_queries_match_naive_parent_walk_on_every_labelled_tree(n):
             assert tree._up is None
             chains = [ancestors(tree, u) for u in range(n)]
             for u in range(n):
+                row = tree.distances_from(u)
                 for v in range(n):
                     path = naive_path(chains[u], chains[v])
                     a = min(path, key=tree.depth.__getitem__)
@@ -63,8 +65,7 @@ def test_queries_match_naive_parent_walk_on_every_labelled_tree(n):
                             for x, y in zip(path, path[1:])
                         )
                     )
-                    step = path[1] if len(path) > 1 else u
-                    assert tree.next_hop_towards(u, v) == step
+                    assert row[v] == tree.distance(u, v)
 
 
 def test_lifting_table_is_built_by_first_query_only():
@@ -74,6 +75,7 @@ def test_lifting_table_is_built_by_first_query_only():
     up = tree._up
     assert up is not None and up[0] == tree.parent
     tree.lca(2, 7)
+    tree.distances_from(4)
     assert tree._up is up
 
 
