@@ -3,7 +3,7 @@
 from repro.core.adaptive import AdaptivePointerNode, run_adaptive
 from repro.core.arrow import ArrowNode
 from repro.core.centralized import CentralizedNode
-from repro.core.fast_arrow import FastArrowEngine, run_arrow_fast
+from repro.core.fast_arrow import run_arrow_fast
 from repro.core.fast_closed_loop import (
     closed_loop_arrow_fast,
     closed_loop_centralized_fast,
@@ -25,7 +25,6 @@ __all__ = [
     "run_adaptive",
     "ArrowNode",
     "CentralizedNode",
-    "FastArrowEngine",
     "run_arrow_fast",
     "closed_loop_arrow_fast",
     "closed_loop_centralized_fast",

@@ -18,10 +18,10 @@ the ablation benches compare its message counts against arrow's.
 
 Each node handles a message atomically; when the request reaches a node
 that is its own ``last`` (the current tail), it has found its
-predecessor.  ``nta_req`` messages are routed sends, which no FIFO
-channel clamps: only under a deterministic delay does every routed send
-between one pair take the same time, so that two such sends arrive in
-the order they left (equal times run in the kernel's send order).  The
+predecessor.  ``nta_req`` messages are routed sends, and the network
+keeps no per-pair send order: only under a deterministic delay does every
+routed send between one pair take the same time, so that two such sends
+arrive in the order they left (equal times run in the kernel's send order).  The
 ``ratio`` cell family runs ``adaptive`` only at unit delay.
 """
 

@@ -10,7 +10,7 @@ and the list is handed to the sink a chunk at a time; without one, a site
 costs a single ``is not None`` test and nothing is allocated.
 
 :class:`EventStream` owns the chunk list and the flush.  The fast loop
-(:meth:`repro.core.fast_arrow.FastArrowEngine._arrow_loop`) flushes
+(:func:`repro.core.fast_arrow._arrow_loop`) flushes
 whenever the list has reached :data:`EVENT_CHUNK` at the start of a
 transition and once more when the run ends; the message-level harnesses,
 the small-instance oracle, flush once at the end.  Either way the last

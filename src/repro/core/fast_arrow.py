@@ -1,7 +1,7 @@
 """Fast-path arrow engine: ``run_arrow`` semantics without the message layer.
 
-:class:`FastArrowEngine` executes arrow runs on a precomputed tree
-adjacency with a flat binary heap over ``(time, seq)`` tuples and plain
+:func:`run_arrow_fast` executes arrow runs on the tree's parent array
+with a flat binary heap over ``(time, seq)`` tuples and plain
 int/float array node state (``link``, ``last_rid``) — no
 :class:`~repro.net.message.Message` objects, no per-event callback, no
 :class:`~repro.net.network.Network` dispatch.  The produced
@@ -11,11 +11,11 @@ counts, makespan, tie-breaking and event stream), which the small-model
 oracle in ``tests/small_models.py`` checks on every small instance it
 enumerates.
 
-There is one event loop, :meth:`FastArrowEngine._arrow_loop`; its
-docstring says why bit-identity holds.  Open-loop runs (:meth:`run`),
-the §5 closed loop (:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`)
-and faulted runs (:func:`repro.faults.run_arrow_faulted`) are
-configurations of it.
+There is one event loop, the plain function :func:`_arrow_loop`; its
+docstring says why bit-identity holds.  Open-loop runs
+(:func:`run_arrow_fast`), the §5 closed loop
+(:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`) and faulted
+runs (:func:`repro.faults.run_arrow_faulted`) are configurations of it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "ENGINES",
-    "FastArrowEngine",
     "arrow_runner",
     "engine_error_message",
     "run_arrow_fast",
@@ -45,8 +44,8 @@ __all__ = [
 
 
 #: Every arrow engine name, defined once: the sweep spec's ``engine``
-#: check, the runner resolvers, the fault entry point and the CLI's
-#: ``--engine`` choices all derive from this tuple.
+#: check, the two runner resolvers (which the fault entry point goes
+#: through) and the CLI's ``--engine`` choices all derive from this tuple.
 ENGINES = ("fast", "message")
 
 
@@ -57,11 +56,13 @@ def engine_error_message(engine: object) -> str:
 
 
 def arrow_runner(engine: str):
-    """Resolve an engine name to its run function.
+    """Resolve an engine name (one of :data:`ENGINES`) to its open-loop runner.
 
-    The single validation point for open-loop ``engine`` names (one of
-    :data:`ENGINES`) — unknown names raise instead of silently falling
-    back to one of the engines.
+    The open-loop sweep families and :func:`repro.faults.run_arrow_faulted`
+    resolve their engine here.  A sweep's name was already checked when
+    its :class:`~repro.sweep.spec.SweepSpec` was built; a library caller's
+    is checked here, and an unknown name raises :func:`engine_error_message`'s
+    text instead of falling back to one of the engines.
     """
     if engine == "fast":
         return run_arrow_fast
@@ -78,30 +79,33 @@ def _raise_livelock(max_events: int | None) -> None:
     )
 
 
-def _det_link_delays(
-    model: LatencyModel,
-    links: list[int],
-    ups: list[int],
-    weights: list[float],
-    root: int,
-    rng,
-) -> tuple[list[float] | None, list[float] | None]:
-    """Per-directed-tree-link delays of a deterministic latency model.
+def _link_tables(
+    graph: Graph, parent: list[int], root: int, latency: LatencyModel, rng
+) -> tuple[list[float], list[float] | None, list[float] | None]:
+    """Node-indexed tree-link weights and deterministic delays (0.0 at the root).
 
-    Deterministic models may legally depend on the (src, dst) direction,
-    so one delay per directed link: up[v] = v -> parent[v], down[v] =
-    parent[v] -> v (``links`` are the non-root nodes in order, ``ups``
-    their parents, ``weights`` the link weights; 0.0 at the root).
+    The weights are the graph's on the tree links, as the Network sees
+    them (``tree.edge_weight`` may legitimately differ), read in one bulk
+    call that also checks every link is a graph edge.  Deterministic
+    models may legally depend on the (src, dst) direction, so one delay
+    per directed link: up[v] = v -> parent[v], down[v] = parent[v] -> v;
     ``(None, None)`` for stochastic models, which must draw per send.
     """
-    if model.stochastic:
-        return None, None
-    sample = model.sample
-    det_up = list(map(sample, links, ups, weights, repeat(rng)))
-    det_down = list(map(sample, ups, links, weights, repeat(rng)))
-    det_up.insert(root, 0.0)
-    det_down.insert(root, 0.0)
-    return det_up, det_down
+    # The tree links as columns: every non-root node and its parent.
+    links = list(range(len(parent)))
+    del links[root]
+    ups = parent[:]
+    del ups[root]
+    weight = tree_link_weights(graph, links, ups)
+    det_up = det_down = None
+    if not latency.stochastic:
+        sample = latency.sample
+        det_up = list(map(sample, links, ups, weight, repeat(rng)))
+        det_down = list(map(sample, ups, links, weight, repeat(rng)))
+        det_up.insert(root, 0.0)
+        det_down.insert(root, 0.0)
+    weight.insert(root, 0.0)
+    return weight, det_up, det_down
 
 
 # Event tags of the loops' heap tuples ``(time, seq, tag, node, src, rid,
@@ -131,397 +135,322 @@ def _finish_result(result: RunResult, makespan: float, messages: int, wall: floa
     }
 
 
-class FastArrowEngine:
-    """Reusable fast executor for arrow runs on one ``(graph, tree)`` pair.
+def _arrow_loop(
+    graph: Graph,
+    tree: SpanningTree,
+    latency: LatencyModel,
+    service_time: float,
+    rng,
+    init_times: list[float],
+    init_nodes: list[int],
+    heap: list[tuple[float, int, int, int, int, int, int]],
+    max_events: int | None,
+    on_event: EventSink | None,
+    *,
+    result: RunResult | None = None,
+    faults=None,
+    driver=None,
+) -> tuple[float, int, list[int]]:
+    """The one arrow event loop; every fast run is a configuration of it.
 
-    Precomputes the tree adjacency (parent pointers) and the per-link
-    delays of deterministic latency models; :meth:`run` then replays a
-    schedule with per-run mutable state only.
+    Returns ``(time of the last event, messages sent, final pointers)``.
+    ``graph``, ``tree``, ``latency`` (a model, not ``None``),
+    ``service_time`` and ``max_events`` are the
+    :func:`~repro.core.runner.run_arrow` knobs; ``rng`` is the run's
+    ``spawn_rng(seed, "network-latency")`` stream, which a closed loop
+    shares with its acknowledgement router.
 
-    Parameters are the :func:`~repro.core.runner.run_arrow` knobs.
+    * **Delay source** — per-directed-link tables, built before the loop,
+      for deterministic latency models (which never draw from ``rng``),
+      else one ``sample`` draw from ``rng`` per send.
+    * **Request source** — the canonical schedule arrays ``init_times``
+      / ``init_nodes`` (rid = index) and/or ``_ISSUE`` events on
+      ``heap``, which is all a closed loop's driver is.  Schedule
+      initiations stay out of the heap: canonical ``(time, rid)``
+      order is exactly the kernel's ``(time, seq)`` order for them,
+      and every other event carries a larger sequence number, so on a
+      time tie the initiation fires first.
+    * **faults** — a :class:`repro.faults._FaultState`: drop checks on
+      every send and arrival, repair at quiescent points (checked
+      before each initiation, and once when the heap has drained), and
+      the plan's ``_CRASH`` events, which the caller seeds on ``heap``.
+    * **driver** — the closed loop's ``(remaining, issue_times,
+      owners, ack_times, hops, latencies, think_time,
+      reply_delay)``: per-processor budgets, the rid-indexed result
+      lists, and the routed delay of a ``queue_reply``.  Completions
+      are then acknowledged to their origin, and an acknowledgement
+      triggers the processor's next request; without a driver they
+      are appended to ``result``'s five columns (what
+      :meth:`RunResult.record` does, minus its per-call duplicate
+      check — the caller checks once, after the loop).
+    * **on_event** — the optional sink.  With one, every site appends
+      its event tuple to an :class:`~repro.core.event_stream.EventStream`
+      (``emit`` is the chunk list's bound ``append``; a fault state
+      emits through the same one) and the sink gets the list whenever
+      it has reached ``EVENT_CHUNK`` at the start of a transition —
+      the ``init`` and ``deliver`` sites, so a chunk holds whole
+      transitions and the live buffer stays bounded even when no
+      request is issued for a long stretch — and once more in the
+      ``finally``, so an aborted run still shows what it emitted.
+
+    Every optional part is a test on a local, so an unused part costs
+    no call.
+
+    Why bit-identical is achievable
+    -------------------------------
+    The message-level kernel (:class:`repro.sim.kernel.Simulator`)
+    orders events by ``(time, seq)`` with a single global sequence
+    counter — the key of this loop's heap.  This loop schedules the
+    *same* events in the *same* order, each consuming the next
+    sequence number at the moment the message simulator would have
+    scheduled it:
+
+    * the ``m`` schedule initiations own seqs ``0..m-1`` and the
+      events the caller seeded on ``heap`` (a plan's crashes, a closed
+      loop's n initial issues) own ``m..m+len(heap)-1`` — the order
+      the message runners schedule them in;
+    * then one event per message delivery (plus one dispatch per
+      delivery when ``service_time > 0``) and one per think-time
+      re-issue; with ``think_time == 0`` the re-issue runs *inside*
+      the acknowledgement dispatch (no event of its own), exactly like
+      ``_Driver.on_ack``;
+    * a transition schedules at most one event, and the loop holds it
+      in ``nxt`` instead of pushing it: the next event is
+      ``heappushpop(heap, nxt)``, one sift (none when ``nxt`` is the
+      earliest).  Its seq is taken when it is scheduled and the keys
+      are unique, so the minimum of ``nxt`` and the heap is exactly
+      what push-then-pop would give.  An initiation due at or before
+      both the heap's top and ``nxt`` fires first — initiation seqs
+      are below every heap seq, so it wins a time tie — and only then
+      is ``nxt`` pushed;
+    * a dropped send consumes no sequence number and no latency draw —
+      the message engine never reaches the latency draw for it either —
+      while crash events and dropped initiations are fired events and
+      count towards ``max_events``;
+    * the per-node busy-until service model and the acknowledgements'
+      shortest-path routing are replayed arithmetically, and
+      stochastic latency models draw from the same ``spawn_rng(seed,
+      "network-latency")`` stream in the same order as
+      :class:`~repro.net.network.Network` would — one draw per
+      tree-link traversal, one per edge of a routed path;
+    * neither engine clamps a link's deliveries to its send order, and
+      neither needs to: a tree edge is crossed by at most one arrow — a
+      pointer or an in-flight message — a send turns the sender's
+      pointer into the message, a delivery turns it back, and a drop or
+      a crash only removes arrows.  No edge ever carries two queue
+      messages, so none can overtake another.  ``tests/small_models.py``
+      asserts this on every instance it enumerates, degraded runs
+      included, and :class:`repro.monitors.ArrowMonitor` on every run it
+      watches.
     """
+    service = require_time("service_time", service_time, NetworkError)
+    n = tree.num_nodes
+    root = tree.root
+    parent = list(tree.parent)
+    weight, det_up, det_down = _link_tables(graph, parent, root, latency, rng)
+    sample = latency.sample
+    push, pop, pushpop = heappush, heappop, heappushpop
 
-    def __init__(
-        self,
-        graph: Graph,
-        tree: SpanningTree,
-        *,
-        latency: LatencyModel | None = None,
-        seed: int = 0,
-        service_time: float = 0.0,
-    ) -> None:
-        self.service_time = require_time("service_time", service_time, NetworkError)
-        self.graph = graph
-        self.tree = tree
-        self.latency = latency if latency is not None else UnitLatency()
-        self.seed = seed
+    # Protocol state (ArrowNode.init_pointers, flattened).
+    link = parent[:]
+    link[root] = root
+    last_rid = [NO_RID] * n
+    last_rid[root] = ROOT_RID
+    busy_until = [0.0] * n  # Network._busy_until
 
-        n = tree.num_nodes
-        root = tree.root
-        self._n = n
-        self._root = root
-        self._parent = parent = list(tree.parent)
-        # The tree links as columns: every non-root node and its parent.
-        links = list(range(n))
-        del links[root]
-        ups = parent[:]
-        del ups[root]
-        # Graph weights on the tree links, as the Network sees them
-        # (``tree.edge_weight`` may legitimately differ); one bulk read
-        # that also checks every link is a graph edge.
-        link_weights = tree_link_weights(graph, links, ups)
-        self._det_up, self._det_down = _det_link_delays(
-            self.latency,
-            links,
-            ups,
-            link_weights,
-            root,
-            spawn_rng(seed, "network-latency"),
-        )
-        link_weights.insert(root, 0.0)
-        self._weight = link_weights
+    if driver is not None:
+        (
+            remaining,
+            issue_times,
+            owners,
+            ack_times,
+            hops_list,
+            latencies,
+            think,
+            reply_delay,
+        ) = driver
+    else:
+        add_rid = result.rids.append
+        add_pred = result.predecessors.append
+        add_node = result.informed_nodes.append
+        add_time = result.completed_at.append
+        add_hops = result.hops.append
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        schedule: RequestSchedule,
-        *,
-        max_events: int | None = None,
-        on_event=None,
-    ) -> RunResult:
-        """Execute one schedule; returns a ``run_arrow``-identical result.
+    # Without a service time there is no service stage to pass through:
+    # a message is scheduled straight as its dispatch.
+    arrive, ack_arrive = (
+        (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
+    )
+    if on_event is not None:
+        stream = EventStream(on_event)
+        events = stream.events
+        emit = stream.append
+        if faults is not None:
+            faults.emit = emit
+    else:
+        emit = None
+    limit = float("inf") if max_events is None else max_events
+    m = len(init_times)
+    seq = m + len(heap)
+    i = 0
+    fired = 0
+    messages = 0
+    now = 0.0
 
-        ``on_event``, when set, is called with the protocol trace as lists
-        of event tuples, a chunk at a time and in the order the message
-        engine emits them (:mod:`repro.core.event_stream`; the vocabulary
-        is in :mod:`repro.monitors`); ``None`` (the default) keeps the hot
-        loop emission-free.
-        """
-        schedule.validate_nodes(self._n)
-        result = RunResult(schedule)
-        rng = spawn_rng(self.seed, "network-latency") if self._det_up is None else None
-        t0 = _wall.perf_counter()
-        makespan, messages, _ = self._arrow_loop(
-            schedule.times, schedule.nodes, [], rng, max_events, on_event, result=result
-        )
-        wall = _wall.perf_counter() - t0
-        _finish_result(result, makespan, messages, wall)
-        if len(result.rids) != len(schedule):
-            raise ProtocolError(
-                f"arrow run completed {len(result.rids)} of "
-                f"{len(schedule)} requests"
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    def _arrow_loop(
-        self,
-        init_times: list[float],
-        init_nodes: list[int],
-        heap: list[tuple[float, int, int, int, int, int, int]],
-        rng,
-        max_events: int | None,
-        on_event: EventSink | None,
-        *,
-        result: RunResult | None = None,
-        faults=None,
-        driver=None,
-    ) -> tuple[float, int, list[int]]:
-        """The one arrow event loop; every fast run is a configuration of it.
-
-        Returns ``(time of the last event, messages sent, final pointers)``.
-
-        * **Delay source** — the engine's per-link tables for deterministic
-          latency models, else one ``sample`` draw from ``rng`` per send.
-        * **Request source** — the canonical schedule arrays ``init_times``
-          / ``init_nodes`` (rid = index) and/or ``_ISSUE`` events on
-          ``heap``, which is all a closed loop's driver is.  Schedule
-          initiations stay out of the heap: canonical ``(time, rid)``
-          order is exactly the kernel's ``(time, seq)`` order for them,
-          and every other event carries a larger sequence number, so on a
-          time tie the initiation fires first.
-        * **faults** — a :class:`repro.faults._FaultState`: drop checks on
-          every send and arrival, repair at quiescent points (checked
-          before each initiation, and once when the heap has drained), and
-          the plan's ``_CRASH`` events, which the caller seeds on ``heap``.
-        * **driver** — the closed loop's ``(remaining, issue_times,
-          owners, ack_times, hops, latencies, think_time,
-          reply_delay)``: per-processor budgets, the rid-indexed result
-          lists, and the routed delay of a ``queue_reply``.  Completions
-          are then acknowledged to their origin, and an acknowledgement
-          triggers the processor's next request; without a driver they
-          are appended to ``result``'s five columns (what
-          :meth:`RunResult.record` does, minus its per-call duplicate
-          check — the caller checks once, after the loop).
-        * **on_event** — the optional sink.  With one, every site appends
-          its event tuple to an :class:`~repro.core.event_stream.EventStream`
-          (``emit`` is the chunk list's bound ``append``; a fault state
-          emits through the same one) and the sink gets the list whenever
-          it has reached ``EVENT_CHUNK`` at the start of a transition —
-          the ``init`` and ``deliver`` sites, so a chunk holds whole
-          transitions and the live buffer stays bounded even when no
-          request is issued for a long stretch — and once more in the
-          ``finally``, so an aborted run still shows what it emitted.
-
-        Every optional part is a test on a local, so an unused part costs
-        no call.
-
-        Why bit-identical is achievable
-        -------------------------------
-        The message-level kernel (:class:`repro.sim.kernel.Simulator`)
-        orders events by ``(time, seq)`` with a single global sequence
-        counter — the key of this loop's heap.  This loop schedules the
-        *same* events in the *same* order, each consuming the next
-        sequence number at the moment the message simulator would have
-        scheduled it:
-
-        * the ``m`` schedule initiations own seqs ``0..m-1`` and the
-          events the caller seeded on ``heap`` (a plan's crashes, a closed
-          loop's n initial issues) own ``m..m+len(heap)-1`` — the order
-          the message runners schedule them in;
-        * then one event per message delivery (plus one dispatch per
-          delivery when ``service_time > 0``) and one per think-time
-          re-issue; with ``think_time == 0`` the re-issue runs *inside*
-          the acknowledgement dispatch (no event of its own), exactly like
-          ``_Driver.on_ack``;
-        * a transition schedules at most one event, and the loop holds it
-          in ``nxt`` instead of pushing it: the next event is
-          ``heappushpop(heap, nxt)``, one sift (none when ``nxt`` is the
-          earliest).  Its seq is taken when it is scheduled and the keys
-          are unique, so the minimum of ``nxt`` and the heap is exactly
-          what push-then-pop would give.  An initiation due at or before
-          both the heap's top and ``nxt`` fires first — initiation seqs
-          are below every heap seq, so it wins a time tie — and only then
-          is ``nxt`` pushed;
-        * a dropped send consumes no sequence number and no latency draw —
-          the message engine never reaches ``transmit`` for it either —
-          while crash events and dropped initiations are fired events and
-          count towards ``max_events``;
-        * the per-node busy-until service model and the acknowledgements'
-          shortest-path routing are replayed arithmetically, and
-          stochastic latency models draw from the same ``spawn_rng(seed,
-          "network-latency")`` stream in the same order as
-          :class:`~repro.net.network.Network` would — one draw per
-          tree-link traversal, one per edge of a routed path;
-        * the message engine's per-link FIFO clamp
-          (:class:`~repro.net.channel.FifoChannel`) never fires on queue
-          traffic, so there is nothing to replay: a tree edge is crossed
-          by at most one arrow — a pointer or an in-flight message — a
-          send turns the sender's pointer into the message, a delivery
-          turns it back, and a drop or a crash only removes arrows.  No
-          edge ever carries two queue messages, so none can overtake
-          another.  ``tests/small_models.py`` asserts this on every
-          instance it enumerates, degraded runs included.
-        """
-        n = self._n
-        parent = self._parent
-        weight = self._weight
-        det_up = self._det_up
-        det_down = self._det_down
-        sample = self.latency.sample
-        service = self.service_time
-        push, pop, pushpop = heappush, heappop, heappushpop
-
-        # Protocol state (ArrowNode.init_pointers, flattened).
-        link = parent[:]
-        link[self._root] = self._root
-        last_rid = [NO_RID] * n
-        last_rid[self._root] = ROOT_RID
-        busy_until = [0.0] * n  # Network._busy_until
-
-        if driver is not None:
-            (
-                remaining,
-                issue_times,
-                owners,
-                ack_times,
-                hops_list,
-                latencies,
-                think,
-                reply_delay,
-            ) = driver
-        else:
-            add_rid = result.rids.append
-            add_pred = result.predecessors.append
-            add_node = result.informed_nodes.append
-            add_time = result.completed_at.append
-            add_hops = result.hops.append
-
-        # Without a service time there is no service stage to pass through:
-        # a message is scheduled straight as its dispatch.
-        arrive, ack_arrive = (
-            (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
-        )
-        if on_event is not None:
-            stream = EventStream(on_event)
-            events = stream.events
-            emit = stream.append
-            if faults is not None:
-                faults.emit = emit
-        else:
-            emit = None
-        limit = float("inf") if max_events is None else max_events
-        m = len(init_times)
-        seq = m + len(heap)
-        i = 0
-        fired = 0
-        messages = 0
-        now = 0.0
-
-        nxt = None  # the event the last transition scheduled, not yet pushed
-        try:
-            while True:
-                if (
-                    i < m
-                    and (not heap or init_times[i] <= heap[0][0])
-                    and (nxt is None or init_times[i] <= nxt[0])
-                ):
-                    if nxt is not None:
-                        push(heap, nxt)
-                        nxt = None
-                    now = init_times[i]
-                    v = init_nodes[i]
-                    rid = i
-                    i += 1
-                    tag = _ISSUE
-                elif nxt is not None:
-                    now, _, tag, v, src, rid, hops = pushpop(heap, nxt)
+    nxt = None  # the event the last transition scheduled, not yet pushed
+    try:
+        while True:
+            if (
+                i < m
+                and (not heap or init_times[i] <= heap[0][0])
+                and (nxt is None or init_times[i] <= nxt[0])
+            ):
+                if nxt is not None:
+                    push(heap, nxt)
                     nxt = None
-                elif heap:
-                    now, _, tag, v, src, rid, hops = pop(heap)
-                else:
-                    break
-                fired += 1
-                if fired > limit:
-                    _raise_livelock(max_events)
+                now = init_times[i]
+                v = init_nodes[i]
+                rid = i
+                i += 1
+                tag = _ISSUE
+            elif nxt is not None:
+                now, _, tag, v, src, rid, hops = pushpop(heap, nxt)
+                nxt = None
+            elif heap:
+                now, _, tag, v, src, rid, hops = pop(heap)
+            else:
+                break
+            fired += 1
+            if fired > limit:
+                _raise_livelock(max_events)
 
-                if tag == _DISPATCH:
-                    # Path reversal (ArrowNode.on_message).
-                    if faults is not None:
-                        if faults.drops_arrival(src, v, rid, now):
-                            # v is down — with a service stage, it crashed
-                            # while the message waited for service.
-                            continue
-                        faults.in_flight -= 1
-                    if emit is not None:
-                        if len(events) >= EVENT_CHUNK:
-                            stream.flush()
-                        emit(("deliver", rid, v, src, now))
-                else:
-                    if tag != _ISSUE:
-                        if tag == _ARRIVE or tag == _ACK_ARRIVE:
-                            # Serialise handling at v (Network._arrive): the
-                            # handler runs as its own dispatch event after the
-                            # service delay.
-                            if (
-                                faults is not None
-                                and tag == _ARRIVE
-                                and faults.drops_arrival(src, v, rid, now)
-                            ):
-                                # A down node's queue never accepts the message.
-                                continue
-                            begin = busy_until[v]
-                            if now > begin:
-                                begin = now
-                            finish = begin + service
-                            busy_until[v] = finish
-                            nxt = (finish, seq, tag + 1, v, src, rid, hops)
-                            seq += 1
-                            continue
-                        if tag == _CRASH:
-                            faults.crash(v, now)
-                            link[v] = v
-                            continue
-                        # An acknowledgement is handled at its origin
-                        # (_Driver.on_ack): record, then re-issue after the
-                        # think time — or, without one, right here.
-                        ack_times[rid] = now
-                        if think > 0.0:
-                            if remaining[v] > 0:
-                                nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
-                                seq += 1
-                            continue
-                    # Initiation (_Driver.issue + ArrowNode.initiate).
-                    if driver is not None:
-                        if remaining[v] <= 0:
-                            continue
-                        remaining[v] -= 1
-                        rid = len(owners)
-                        owners.append(v)
-                        issue_times.append(now)
-                    if faults is not None:
-                        # The quiescent-point repair check runs first, so the
-                        # request sees a consistent configuration whenever one
-                        # is restorable.
-                        if faults.repair_due():
-                            sink, er = faults.repair(link, now)
-                            last_rid[sink] = er
-                        if faults.down[v]:
-                            faults.drop_initiation(rid, v, now)
-                            continue
-                    if emit is not None:
-                        if len(events) >= EVENT_CHUNK:
-                            stream.flush()
-                        emit(("init", rid, v, now))
-                    pred = last_rid[v]
-                    last_rid[v] = rid
-                    src = v
-                    hops = 0
-
-                x = link[v]
-                link[v] = src
-                if x == v:
-                    # v is the sink: rid is queued behind v's last request —
-                    # its own previous one when rid never left v (hops == 0).
-                    if hops:
-                        pred = last_rid[v]
-                    if emit is not None:
-                        emit(("complete", rid, pred, v, now, hops))
-                    if driver is None:
-                        add_rid(rid)
-                        add_pred(pred)
-                        add_node(v)
-                        add_time(now)
-                        add_hops(hops)
-                        continue
-                    hops_list.append(hops)
-                    latencies.append(now - issue_times[rid])
-                    # Acknowledge the requester with one queue_reply routed
-                    # over G (send_routed); a self-reply delivers after zero
-                    # delay as its own event, with no latency samples.
-                    origin = owners[rid]
-                    at = now if origin == v else now + reply_delay(v, origin)[0]
-                    nxt = (at, seq, ack_arrive, origin, -1, rid, 0)
-                    seq += 1
-                    messages += 1
-                    continue
-
-                # One link traversal v -> x (send_link / forward), fault
-                # checks first: a dropped send never transmits.
-                hops += 1
-                if emit is not None:
-                    emit(("send", rid, v, x, now))
+            if tag == _DISPATCH:
+                # Path reversal (ArrowNode.on_message).
                 if faults is not None:
-                    if faults.drops_send(v, x, rid, now):
+                    if faults.drops_arrival(src, v, rid, now):
+                        # v is down — with a service stage, it crashed
+                        # while the message waited for service.
                         continue
-                    faults.in_flight += 1
-                downward = parent[x] == v
-                if det_up is None:
-                    delay = sample(v, x, weight[x if downward else v], rng)
-                else:
-                    delay = det_down[x] if downward else det_up[v]
-                nxt = (now + delay, seq, arrive, x, v, rid, hops)
+                    faults.in_flight -= 1
+                if emit is not None:
+                    if len(events) >= EVENT_CHUNK:
+                        stream.flush()
+                    emit(("deliver", rid, v, src, now))
+            else:
+                if tag != _ISSUE:
+                    if tag == _ARRIVE or tag == _ACK_ARRIVE:
+                        # Serialise handling at v (Network._arrive): the
+                        # handler runs as its own dispatch event after the
+                        # service delay.
+                        if (
+                            faults is not None
+                            and tag == _ARRIVE
+                            and faults.drops_arrival(src, v, rid, now)
+                        ):
+                            # A down node's queue never accepts the message.
+                            continue
+                        begin = busy_until[v]
+                        if now > begin:
+                            begin = now
+                        finish = begin + service
+                        busy_until[v] = finish
+                        nxt = (finish, seq, tag + 1, v, src, rid, hops)
+                        seq += 1
+                        continue
+                    if tag == _CRASH:
+                        faults.crash(v, now)
+                        link[v] = v
+                        continue
+                    # An acknowledgement is handled at its origin
+                    # (_Driver.on_ack): record, then re-issue after the
+                    # think time — or, without one, right here.
+                    ack_times[rid] = now
+                    if think > 0.0:
+                        if remaining[v] > 0:
+                            nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
+                            seq += 1
+                        continue
+                # Initiation (_Driver.issue + ArrowNode.initiate).
+                if driver is not None:
+                    if remaining[v] <= 0:
+                        continue
+                    remaining[v] -= 1
+                    rid = len(owners)
+                    owners.append(v)
+                    issue_times.append(now)
+                if faults is not None:
+                    # The quiescent-point repair check runs first, so the
+                    # request sees a consistent configuration whenever one
+                    # is restorable.
+                    if faults.repair_due():
+                        sink, er = faults.repair(link, now)
+                        last_rid[sink] = er
+                    if faults.down[v]:
+                        faults.drop_initiation(rid, v, now)
+                        continue
+                if emit is not None:
+                    if len(events) >= EVENT_CHUNK:
+                        stream.flush()
+                    emit(("init", rid, v, now))
+                pred = last_rid[v]
+                last_rid[v] = rid
+                src = v
+                hops = 0
+
+            x = link[v]
+            link[v] = src
+            if x == v:
+                # v is the sink: rid is queued behind v's last request —
+                # its own previous one when rid never left v (hops == 0).
+                if hops:
+                    pred = last_rid[v]
+                if emit is not None:
+                    emit(("complete", rid, pred, v, now, hops))
+                if driver is None:
+                    add_rid(rid)
+                    add_pred(pred)
+                    add_node(v)
+                    add_time(now)
+                    add_hops(hops)
+                    continue
+                hops_list.append(hops)
+                latencies.append(now - issue_times[rid])
+                # Acknowledge the requester with one queue_reply routed
+                # over G (send_routed); a self-reply delivers after zero
+                # delay as its own event, with no latency samples.
+                origin = owners[rid]
+                at = now if origin == v else now + reply_delay(v, origin)[0]
+                nxt = (at, seq, ack_arrive, origin, -1, rid, 0)
                 seq += 1
                 messages += 1
+                continue
 
-            if faults is not None and faults.degraded:
-                # The heap drained, so the run is quiescent; no request follows
-                # to see the repaired sink's epoch restamp.
-                faults.repair(link, now)
-        finally:
+            # One link traversal v -> x (send_link / forward), fault
+            # checks first: a dropped send never transmits.
+            hops += 1
             if emit is not None:
-                stream.flush()
-        return now, messages, link
+                emit(("send", rid, v, x, now))
+            if faults is not None:
+                if faults.drops_send(v, x, rid, now):
+                    continue
+                faults.in_flight += 1
+            downward = parent[x] == v
+            if det_up is None:
+                delay = sample(v, x, weight[x if downward else v], rng)
+            else:
+                delay = det_down[x] if downward else det_up[v]
+            nxt = (now + delay, seq, arrive, x, v, rid, hops)
+            seq += 1
+            messages += 1
+
+        if faults is not None and faults.degraded:
+            # The heap drained, so the run is quiescent; no request follows
+            # to see the repaired sink's epoch restamp.
+            faults.repair(link, now)
+    finally:
+        if emit is not None:
+            stream.flush()
+    return now, messages, link
 
 
 def run_arrow_fast(
@@ -538,9 +467,32 @@ def run_arrow_fast(
     """Drop-in fast replacement for :func:`repro.core.runner.run_arrow`.
 
     Accepts the same knobs; the returned result is bit-identical to the
-    message simulator's.
+    message simulator's.  ``on_event``, when set, is called with the
+    protocol trace as lists of event tuples, a chunk at a time and in the
+    order the message engine emits them (:mod:`repro.core.event_stream`;
+    the vocabulary is in :mod:`repro.monitors`); ``None`` (the default)
+    keeps the hot loop emission-free.
     """
-    engine = FastArrowEngine(
-        graph, tree, latency=latency, seed=seed, service_time=service_time
+    schedule.validate_nodes(tree.num_nodes)
+    result = RunResult(schedule)
+    t0 = _wall.perf_counter()
+    makespan, messages, _ = _arrow_loop(
+        graph,
+        tree,
+        latency if latency is not None else UnitLatency(),
+        service_time,
+        spawn_rng(seed, "network-latency"),
+        schedule.times,
+        schedule.nodes,
+        [],
+        max_events,
+        on_event,
+        result=result,
     )
-    return engine.run(schedule, max_events=max_events, on_event=on_event)
+    _finish_result(result, makespan, messages, _wall.perf_counter() - t0)
+    if len(result.rids) != len(schedule):
+        raise ProtocolError(
+            f"arrow run completed {len(result.rids)} of "
+            f"{len(schedule)} requests"
+        )
+    return result

@@ -10,7 +10,7 @@ objects, no per-event callback, no :class:`~repro.net.network.Network`
 dispatch.
 
 The arrow run is a configuration of the one arrow event loop,
-:meth:`repro.core.fast_arrow.FastArrowEngine._arrow_loop` (seeded with the
+:func:`repro.core.fast_arrow._arrow_loop` (seeded with the
 n initial issue events and handed the driver state); the centralized
 baseline is a different protocol with its own loop in
 :func:`closed_loop_centralized_fast`: one flat ``while`` over the same
@@ -40,7 +40,7 @@ from repro.core.fast_arrow import (
     _ARRIVE,
     _DISPATCH,
     _ISSUE,
-    FastArrowEngine,
+    _arrow_loop,
     _raise_livelock,
     engine_error_message,
 )
@@ -66,9 +66,11 @@ __all__ = [
 def closed_loop_runner(protocol: str, engine: str):
     """Resolve ``(protocol, engine)`` to a closed-loop run function.
 
-    The single validation point for closed-loop ``engine`` names (one of
-    :data:`repro.core.fast_arrow.ENGINES`) — unknown names raise instead
-    of silently falling back.
+    The closed-loop sweep families resolve their engine here.  A sweep's
+    ``engine`` (one of :data:`repro.core.fast_arrow.ENGINES`) was already
+    checked when its :class:`~repro.sweep.spec.SweepSpec` was built; a
+    library caller's is checked here, and an unknown protocol or engine
+    raises instead of falling back to one of them.
     """
     if protocol not in ("arrow", "centralized"):
         raise ValueError(
@@ -202,25 +204,27 @@ def closed_loop_arrow_fast(
     and not part of it.
     """
     _check_loop_args(requests_per_proc, service_time, think_time)
-    engine = FastArrowEngine(
-        graph, tree, latency=latency, seed=seed, service_time=service_time
-    )
     result = ClosedLoopResult("arrow", graph.num_nodes, requests_per_proc)
+    model = latency if latency is not None else UnitLatency()
     # One stream for tree-link sends and routed replies, drawn in event
     # order, like the Network's.
     rng = spawn_rng(seed, "network-latency")
-    router = _Router(graph, engine.latency, rng)
+    router = _Router(graph, model, rng)
     heap, remaining = _driver_state(result)
 
     t0 = _wall.perf_counter()
     # No schedule: the n issue events on the heap are the request source.
     # The last event of a closed loop is an acknowledgement's dispatch, so
     # the loop's final time is the makespan.
-    makespan, messages, _ = engine._arrow_loop(
+    makespan, messages, _ = _arrow_loop(
+        graph,
+        tree,
+        model,
+        service_time,
+        rng,
         [],
         [],
         heap,
-        rng,
         max_events,
         on_event,
         driver=(

@@ -35,7 +35,7 @@ lost, time from first degradation to repair) come back in the
 
 Engine parity: ``engine="fast"`` hands the run's :class:`_FaultState` to
 the one arrow event loop
-(:meth:`repro.core.fast_arrow.FastArrowEngine._arrow_loop`, whose
+(:func:`repro.core.fast_arrow._arrow_loop`, whose
 docstring says why bit-identity holds); ``engine="message"`` runs the
 genuine :class:`~repro.net.network.Network` simulation with a fault-aware
 subclass driving the same state machine.  Both produce identical results
@@ -55,11 +55,10 @@ from repro.core.arrow import ArrowNode
 from repro.core.event_stream import emitting_to
 from repro.core.fast_arrow import (
     _CRASH,
-    ENGINES,
-    FastArrowEngine,
+    _arrow_loop,
     _finish_result,
     arrow_runner,
-    engine_error_message,
+    run_arrow_fast,
 )
 from repro.core.queueing import RunResult
 from repro.core.requests import RequestSchedule
@@ -420,9 +419,6 @@ def _run_flat_faulted(
     on_event,
 ) -> tuple[RunResult, FaultReport]:
     """The fast engine's open loop under the fault model."""
-    engine = FastArrowEngine(
-        graph, tree, latency=latency, seed=seed, service_time=service_time
-    )
     fs = _FaultState(tree, plan, seed)
     m = len(schedule)
     # The message runner schedules the crash events right after the m
@@ -434,11 +430,15 @@ def _run_flat_faulted(
     result = RunResult(schedule)
 
     t0 = _wall.perf_counter()
-    makespan, messages, link = engine._arrow_loop(
+    makespan, messages, link = _arrow_loop(
+        graph,
+        tree,
+        latency,
+        service_time,
+        spawn_rng(seed, "network-latency"),
         schedule.times,
         schedule.nodes,
         heap,
-        spawn_rng(seed, "network-latency"),
         max_events,
         on_event,
         result=result,
@@ -456,7 +456,7 @@ def _run_flat_faulted(
 class _FaultyNetwork(Network):
     """A :class:`Network` that applies a :class:`_FaultState` to queue traffic.
 
-    Drop checks run before any stats/latency/FIFO side effect, so a
+    Drop checks run before any stats or latency side effect, so a
     dropped message is observationally absent — exactly like the fast
     engine, which never transmits it.
     """
@@ -597,8 +597,7 @@ def run_arrow_faulted(
     fault vocabulary (``drop``/``crash``/``repair``), so an attached
     :class:`repro.monitors.ArrowMonitor` audits the recovery path too.
     """
-    if engine not in ENGINES:
-        raise ValueError(engine_error_message(engine))
+    runner = arrow_runner(engine)
     if isinstance(plan, str):
         plan = parse_fault_plan(plan)
     service_time = require_time("service_time", service_time, NetworkError)
@@ -607,7 +606,7 @@ def run_arrow_faulted(
     plan.validate_nodes(graph.num_nodes)
     model = latency if latency is not None else UnitLatency()
     if plan.empty:
-        result = arrow_runner(engine)(
+        result = runner(
             graph,
             tree,
             schedule,
@@ -618,7 +617,7 @@ def run_arrow_faulted(
             on_event=on_event,
         )
         return result, FaultReport()
-    run = _run_flat_faulted if engine == "fast" else _run_message_faulted
+    run = _run_flat_faulted if runner is run_arrow_fast else _run_message_faulted
     return run(
         graph,
         tree,

@@ -1,7 +1,7 @@
 """Undirected weighted graph with adjacency-list storage.
 
 This is the network model of the paper: ``G = (V, E)`` where ``V`` is the
-set of processors and ``E`` the point-to-point FIFO communication links.
+set of processors and ``E`` the point-to-point communication links.
 Nodes are integers ``0..n-1``; edges carry positive weights (communication
 latencies).  The class is intentionally minimal — just what the protocol,
 spanning-tree and analysis layers need — and is implemented from scratch

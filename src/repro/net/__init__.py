@@ -1,6 +1,5 @@
-"""Message-passing network substrate: FIFO links, latency models, nodes."""
+"""Message-passing network substrate: links, latency models, nodes."""
 
-from repro.net.channel import FifoChannel
 from repro.net.latency import (
     ExponentialCappedLatency,
     LatencyModel,
@@ -14,7 +13,6 @@ from repro.net.network import Network, NetworkStats
 from repro.net.node import ProtocolNode
 
 __all__ = [
-    "FifoChannel",
     "ExponentialCappedLatency",
     "LatencyModel",
     "ScaledWeightLatency",

@@ -10,8 +10,10 @@ The paper analyses two communication models:
   produce such executions.
 
 A latency model maps ``(src, dst, edge_weight, rng)`` to a delay sample.
-Deterministic models ignore the RNG.  FIFO ordering per directed link is
-enforced by the channel layer, not here.
+Deterministic models ignore the RNG.  Nothing reorders the samples: a
+later message on a link may draw the smaller delay and arrive first,
+which arrow never meets because no tree edge carries two of its queue
+messages at once.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""The network: graph + simulator + channels + protocol nodes.
+"""The network: graph + simulator + protocol nodes.
 
 :class:`Network` wires everything together:
 
-* **single-hop sends** (:meth:`send_link`) traverse one FIFO channel — the
-  only kind of send the arrow protocol itself performs (its messages hop
-  between spanning-tree neighbours, which are physical links);
+* **single-hop sends** (:meth:`send_link`) cross one physical link after
+  one latency draw — the only kind of send the arrow protocol itself
+  performs (its messages hop between spanning-tree neighbours).  A link
+  keeps no per-link state: arrow never puts two queue messages on one
+  tree edge at once, so none can overtake another
+  (``tests/small_models.py`` and :class:`repro.monitors.ArrowMonitor`
+  assert it), and no other protocol here sends over links;
 * **routed sends** (:meth:`send_routed`) deliver along a shortest path of
   ``G`` with the summed per-edge delays — used by the centralized baseline
   and by application-level replies (object hand-off, completion notices),
@@ -25,7 +29,6 @@ import numpy as np
 from repro.errors import NetworkError, require_time
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
-from repro.net.channel import FifoChannel
 from repro.net.latency import LatencyModel, UnitLatency
 from repro.net.message import Message
 from repro.net.node import ProtocolNode
@@ -76,7 +79,6 @@ class Network:
         self.stats = NetworkStats()
 
         self._nodes: list[ProtocolNode | None] = [None] * graph.num_nodes
-        self._channels: dict[tuple[int, int], FifoChannel] = {}
         # Sequential-service state: when the next message may begin service.
         self._busy_until: list[float] = [0.0] * graph.num_nodes
         # Routed-path cache: source -> (dist, pred) from Dijkstra.
@@ -114,7 +116,7 @@ class Network:
     def send_link(
         self, src: int, dst: int, kind: str, payload: dict[str, Any] | None = None
     ) -> Message:
-        """Send one message over the physical link ``src -> dst`` (FIFO)."""
+        """Send one message over the physical link ``src -> dst``."""
         return self._send_link(src, dst, kind, payload or {}, 0)
 
     def send_routed(
@@ -159,9 +161,8 @@ class Network:
         self.stats.messages_sent += 1
         self.stats.link_messages += 1
         self.stats.hops_total += 1
-        self._channel(src, dst).transmit(
-            self.sim, self.latency, self.rng, msg, self._arrive
-        )
+        delay = self.latency.sample(src, dst, self.graph.weight(src, dst), self.rng)
+        self.sim.call_in(delay, self._arrive, msg)
         return msg
 
     # ------------------------------------------------------------------
@@ -186,14 +187,6 @@ class Network:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _channel(self, src: int, dst: int) -> FifoChannel:
-        key = (src, dst)
-        ch = self._channels.get(key)
-        if ch is None:
-            ch = FifoChannel(src, dst, self.graph.weight(src, dst))
-            self._channels[key] = ch
-        return ch
-
     def _route(self, src: int, dst: int) -> list[int]:
         cached = self._route_cache.get(src)
         if cached is None:

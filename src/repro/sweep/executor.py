@@ -9,10 +9,10 @@ is byte-identical to a one-process run.
 
 What a cell *does* is not the executor's business: each schedule-axis
 name resolves to a :class:`~repro.sweep.registry.CellFamily` (builder +
-runner-to-row), so the open-loop arrow replays, the §5 closed loops, the
-§5.1 directory designs and the theorem families — plus any family
-registered by third-party code — all execute through the same three
-lines of :func:`execute_cell`.
+runner-to-row) in the one ``FAMILIES`` table of
+:mod:`repro.sweep.families`, so the open-loop arrow replays, the §5
+closed loops, the §5.1 directory designs and the theorem families all
+execute through the same three lines of :func:`execute_cell`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fast_arrow import FastArrowEngine, run_arrow_fast
+from repro.core.fast_arrow import run_arrow_fast
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
@@ -43,6 +43,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
+from repro.monitors import ArrowMonitor
 from repro.net.latency import (
     ExponentialCappedLatency,
     ScaledWeightLatency,
@@ -146,13 +147,22 @@ def test_differential_latency_models(latency, service_time, tree_builder):
     """Latency-model × service-time coverage, incl. stochastic models.
 
     Stochastic models work because the fast engine replays the Network's
-    named RNG stream draw-for-draw in kernel event order.
+    named RNG stream draw-for-draw in kernel event order.  Neither engine
+    clamps a link's deliveries to its send order, so both runs are also
+    watched: the monitor's one-arrow-per-edge check holds beyond the
+    small-model corpus's sizes, under stochastic delays too.
     """
     g = grid_graph(4, 5)
     tree = tree_builder(g, 0)
     sched = poisson(20, 80, rate=8.0, seed=5)
     kw = dict(latency=latency, seed=11, service_time=service_time)
-    assert_parity(g, tree, sched, **kw)
+    monitors = [ArrowMonitor(tree), ArrowMonitor(tree)]
+    a = run_arrow(g, tree, sched, on_event=monitors[0], **kw)
+    b = run_arrow_fast(g, tree, sched, on_event=monitors[1], **kw)
+    assert_identical(a, b)
+    for monitor in monitors:
+        monitor.finalize(expected=len(sched))
+        assert monitor.violation_count == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,20 +274,18 @@ def test_differential_direction_dependent_deterministic_model():
 
 
 # ----------------------------------------------------------------------
-# engine-object behaviour
+# run-function behaviour
 # ----------------------------------------------------------------------
 def test_engine_is_reusable_across_runs():
-    """One engine instance replays many schedules independently."""
+    """Runs on one (graph, tree) pair share no state: each matches run_arrow."""
     g = complete_graph(10)
     tree = balanced_binary_overlay(g, 0)
-    eng = FastArrowEngine(g, tree)
     for seed in range(3):
         sched = poisson(10, 50, rate=5.0, seed=seed)
-        a = run_arrow(g, tree, sched)
-        assert_identical(a, eng.run(sched))
+        assert_parity(g, tree, sched)
     # Repeating the same schedule gives the same answer (no state leak).
     sched = poisson(10, 50, rate=5.0, seed=0)
-    assert eng.run(sched).completions == eng.run(sched).completions
+    assert_identical(run_arrow_fast(g, tree, sched), run_arrow_fast(g, tree, sched))
 
 
 def test_engine_rejects_non_spanning_tree():
@@ -287,7 +295,7 @@ def test_engine_rejects_non_spanning_tree():
     g = path_graph(5)
     bad = SpanningTree([0, 0, 0, 0, 0], root=0)  # star edges absent from path
     with pytest.raises(GraphError):
-        FastArrowEngine(g, bad)
+        run_arrow_fast(g, bad, one_shot([1, 2]))
 
 
 def test_engine_max_events_matches_runner():

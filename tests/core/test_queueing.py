@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from repro.core.fast_arrow import FastArrowEngine, run_arrow_fast
+from repro.core import fast_arrow
+from repro.core.fast_arrow import run_arrow_fast
 from repro.core.queueing import (
     CompletionRecord,
     RunResult,
@@ -142,13 +143,11 @@ def test_fast_and_message_results_are_the_same_columns():
 # ----------------------------------------------------------------------
 # the fast engine's checks on what its loop reported
 # ----------------------------------------------------------------------
-class _ScriptedEngine(FastArrowEngine):
-    """A fast engine whose loop reports the given completions."""
+def _run_scripted(monkeypatch, rows):
+    """``run_arrow_fast`` with a loop that reports the given completions."""
 
-    rows: list = []
-
-    def _arrow_loop(self, *args, result, **kwargs):
-        for row in self.rows:
+    def scripted_loop(*args, result, **kwargs):
+        for row in rows:
             result.rids.append(row[0])
             result.predecessors.append(row[1])
             result.informed_nodes.append(row[2])
@@ -156,24 +155,21 @@ class _ScriptedEngine(FastArrowEngine):
             result.hops.append(row[4])
         return 0.0, 0, []
 
-
-def _scripted(rows):
+    monkeypatch.setattr(fast_arrow, "_arrow_loop", scripted_loop)
     g = path_graph(3)
-    engine = _ScriptedEngine(g, bfs_tree(g, 0))
-    engine.rows = rows
-    return engine
+    return run_arrow_fast(g, bfs_tree(g, 0), sched3())
 
 
-def test_fast_engine_rejects_a_duplicate_completion():
-    engine = _scripted([(0, ROOT_RID, 0, 0.0, 0), (1, 0, 0, 1.0, 1), (0, 1, 1, 2.0, 1)])
+def test_fast_engine_rejects_a_duplicate_completion(monkeypatch):
+    rows = [(0, ROOT_RID, 0, 0.0, 0), (1, 0, 0, 1.0, 1), (0, 1, 1, 2.0, 1)]
     with pytest.raises(ProtocolError, match="^a request completed twice$"):
-        engine.run(sched3())
+        _run_scripted(monkeypatch, rows)
 
 
-def test_fast_engine_rejects_a_short_run():
-    engine = _scripted([(0, ROOT_RID, 0, 0.0, 0), (2, 0, 0, 1.0, 1)])
+def test_fast_engine_rejects_a_short_run(monkeypatch):
+    rows = [(0, ROOT_RID, 0, 0.0, 0), (2, 0, 0, 1.0, 1)]
     with pytest.raises(ProtocolError, match="^arrow run completed 2 of 3 requests$"):
-        engine.run(sched3())
+        _run_scripted(monkeypatch, rows)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ the message harness, and asserts:
 * ``ArrowMonitor(deep=True)`` passes on both streams, ``finalize``
   included;
 * no tree edge ever carries two queue messages, degraded runs included —
-  the reason the fast loop needs no per-link FIFO clamp;
+  the reason neither engine clamps a link's deliveries to its send order;
 * after a fault plan: no illegal edge is left, completions + lost ==
   requests, and the monitor's lost set is the report's;
 * on fault-free synchronous runs (unit delay or delay = integer weight,

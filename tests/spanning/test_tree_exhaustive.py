@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.core.fast_arrow import FastArrowEngine
+from repro.core.fast_arrow import run_arrow_fast
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.errors import GraphError, TreeError
@@ -148,12 +148,16 @@ def _star_on_path():
 def test_engine_rejects_tree_link_missing_from_graph():
     g, star = _star_on_path()
     with pytest.raises(TreeError, match=MISSING_LINK):
-        FastArrowEngine(g, star)
+        run_arrow_fast(g, star, RequestSchedule([(1, 0.0)]))
 
 
 def test_engine_rejects_tree_larger_than_graph():
     with pytest.raises(GraphError, match="out of range"):
-        FastArrowEngine(path_graph(3), SpanningTree([0, 0, 1, 2], root=0))
+        run_arrow_fast(
+            path_graph(3),
+            SpanningTree([0, 0, 1, 2], root=0),
+            RequestSchedule([(1, 0.0)]),
+        )
 
 
 @pytest.mark.parametrize("plan", ["", "crash@5.0:3"])
