@@ -5,66 +5,38 @@ Distributed Protocol* (SPAA 2004; Theory of Computing Systems 39, 2006).
 
 Public API tour
 ---------------
-* build a network:      :mod:`repro.graphs` (topologies) and
-  :mod:`repro.spanning` (spanning trees, stretch/diameter metrics);
-* run protocols:        :func:`repro.core.run_arrow`,
-  :func:`repro.core.run_centralized`, :func:`repro.core.run_adaptive`,
-  and the closed-loop drivers in :mod:`repro.workloads`;
-* analyse (Section 3):  :mod:`repro.analysis` — cost measures, the
-  nearest-neighbour characterisation, optimal-offline brackets and
-  Theorem 3.19's ceiling (a ``ratio`` grid cell measures the bracket);
+Each name has one import path: a package re-exports only the names the
+command-line interface, the examples or the benchmark import through it.
+
+* build a network:      generators in :mod:`repro.graphs`, spanning trees
+  and their stretch / diameter in :mod:`repro.spanning`;
+* run protocols:        :func:`repro.run_arrow` and
+  :func:`repro.run_centralized` on a :class:`repro.RequestSchedule`,
+  checked by :func:`repro.verify_total_order`;
+  :func:`repro.core.adaptive.run_adaptive`, and the closed-loop drivers in
+  :mod:`repro.workloads.closed_loop`;
+* analyse (Section 3):  :func:`repro.analysis.predict_arrow_run` (the
+  nearest-neighbour characterisation) and
+  :func:`repro.analysis.opt_bounds` (the optimal-offline bracket; a
+  ``ratio`` grid cell measures the competitive bracket);
 * adversarial inputs:   :mod:`repro.lowerbound` (Section 4 constructions);
 * paper tables:         named grids in :mod:`repro.sweep` (``fig10_grid``,
-  ``thm319_grid``, ...) tabulated by :func:`repro.results.figure_from_rows`
+  ``GRIDS``, ...) tabulated by :func:`repro.results.figure_from_rows`
   and rendered by :mod:`repro.experiments`; the ``repro-arrow``
   command-line interface runs them all.
 """
 
 from repro._version import __version__
-from repro.analysis import predict_arrow_run
-from repro.core import (
-    RequestSchedule,
-    RunResult,
-    run_adaptive,
-    run_arrow,
-    run_centralized,
-    verify_total_order,
-)
-from repro.errors import ReproError
-from repro.graphs import Graph
-from repro.net import Network, UniformLatency, UnitLatency
-from repro.sim import Simulator
-from repro.spanning import (
-    SpanningTree,
-    balanced_binary_overlay,
-    bfs_tree,
-    mst_prim,
-    tree_diameter,
-    tree_stretch,
-)
-from repro.workloads import closed_loop_arrow, closed_loop_centralized
+from repro.core.queueing import verify_total_order
+from repro.core.requests import RequestSchedule
+from repro.core.runner import run_arrow, run_centralized
+from repro.net.latency import UniformLatency
 
 __all__ = [
     "__version__",
-    "predict_arrow_run",
     "RequestSchedule",
-    "RunResult",
-    "run_adaptive",
+    "UniformLatency",
     "run_arrow",
     "run_centralized",
     "verify_total_order",
-    "ReproError",
-    "Graph",
-    "Network",
-    "UniformLatency",
-    "UnitLatency",
-    "Simulator",
-    "SpanningTree",
-    "balanced_binary_overlay",
-    "bfs_tree",
-    "mst_prim",
-    "tree_diameter",
-    "tree_stretch",
-    "closed_loop_arrow",
-    "closed_loop_centralized",
 ]

@@ -1,91 +1,7 @@
 """Analysis machinery of Sections 3–4: costs, NN characterisation, bounds."""
 
-from repro.analysis.competitive import theorem_319_ceiling
-from repro.analysis.costs import (
-    augmented_nodes_times,
-    c_a_matrix,
-    c_m_matrix,
-    c_o_matrix,
-    c_t_matrix,
-    graph_node_distances,
-    indices_to_order,
-    order_to_indices,
-    path_cost,
-    request_distance_matrix,
-)
-from repro.analysis.nearest_neighbor import (
-    NNResult,
-    PredictedRun,
-    nn_order,
-    predict_arrow_run,
-    worst_case_arrow_cost,
-)
-from repro.analysis.nn_tsp import (
-    Theorem318Report,
-    check_theorem_318,
-    nn_tour,
-    optimal_tour_cost,
-    tour_cost,
-    validate_dominated_pair,
-)
-from repro.analysis.optimal import (
-    OptBounds,
-    best_heuristic_path,
-    held_karp_path,
-    manhattan_mst_weight,
-    opt_bounds,
-    or_opt_improve,
-)
-from repro.analysis.transform import TransformReport, compress_idle_time, max_gap_slack
-from repro.analysis.verify import (
-    arrow_cost_of_order,
-    check_direct_path_property,
-    check_fact_3_6,
-    check_lemma_3_8,
-    check_lemma_3_9,
-    is_nn_path,
-    lemma_3_10_identity_gap,
-    max_ct_edge_on_order,
-)
+from repro.analysis.nearest_neighbor import predict_arrow_run, worst_case_arrow_cost
+from repro.analysis.optimal import opt_bounds
+from repro.analysis.verify import check_lemma_3_8
 
-__all__ = [
-    "theorem_319_ceiling",
-    "augmented_nodes_times",
-    "c_a_matrix",
-    "c_m_matrix",
-    "c_o_matrix",
-    "c_t_matrix",
-    "graph_node_distances",
-    "indices_to_order",
-    "order_to_indices",
-    "path_cost",
-    "request_distance_matrix",
-    "NNResult",
-    "PredictedRun",
-    "nn_order",
-    "predict_arrow_run",
-    "worst_case_arrow_cost",
-    "Theorem318Report",
-    "check_theorem_318",
-    "nn_tour",
-    "optimal_tour_cost",
-    "tour_cost",
-    "validate_dominated_pair",
-    "OptBounds",
-    "best_heuristic_path",
-    "held_karp_path",
-    "manhattan_mst_weight",
-    "opt_bounds",
-    "or_opt_improve",
-    "TransformReport",
-    "compress_idle_time",
-    "max_gap_slack",
-    "arrow_cost_of_order",
-    "check_direct_path_property",
-    "check_fact_3_6",
-    "check_lemma_3_8",
-    "check_lemma_3_9",
-    "is_nn_path",
-    "lemma_3_10_identity_gap",
-    "max_ct_edge_on_order",
-]
+__all__ = ["check_lemma_3_8", "opt_bounds", "predict_arrow_run", "worst_case_arrow_cost"]

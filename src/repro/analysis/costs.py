@@ -44,7 +44,6 @@ __all__ = [
     "c_o_matrix",
     "path_cost",
     "order_to_indices",
-    "indices_to_order",
 ]
 
 
@@ -132,13 +131,6 @@ def c_o_matrix(D: np.ndarray, times: np.ndarray) -> np.ndarray:
 def order_to_indices(order_rids: list[int]) -> list[int]:
     """Queuing order (rids) -> augmented matrix indices, prepending root."""
     return [0] + [rid + 1 for rid in order_rids]
-
-
-def indices_to_order(indices: list[int]) -> list[int]:
-    """Augmented matrix indices -> queuing order (rids), dropping root."""
-    if not indices or indices[0] != 0:
-        raise AnalysisError("augmented index path must start at the root (0)")
-    return [i - 1 for i in indices[1:]]
 
 
 def path_cost(indices: list[int], C: np.ndarray) -> float:

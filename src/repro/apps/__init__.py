@@ -1,5 +1,1 @@
 """Applications built on distributed queuing (§1 / §5.1 of the paper)."""
-
-from repro.apps.directory import DirectoryResult, arrow_directory, home_directory
-
-__all__ = ["DirectoryResult", "arrow_directory", "home_directory"]

@@ -20,7 +20,6 @@ never overlap).
 
 from __future__ import annotations
 
-import time as _wall
 from dataclasses import dataclass, field
 
 from repro.core.arrow import ArrowNode
@@ -50,7 +49,6 @@ class DirectoryResult:
     messages_sent: int = 0
     #: (acquire_time, release_time, node) per acquisition, in handoff order.
     intervals: list[tuple[float, float, int]] = field(default_factory=list)
-    wall_seconds: float = field(default=0.0, compare=False)
 
     @property
     def total_acquisitions(self) -> int:
@@ -74,7 +72,7 @@ class DirectoryResult:
         return float_total(gaps) / len(gaps)
 
     def row_metrics(self) -> dict[str, object]:
-        """Sweep-row view of this run (scale-free, wall clock excluded).
+        """Sweep-row view of this run (scale-free).
 
         The ``exclusion_ok`` column persists the mutual-exclusion
         invariant with every row, so a sweep file is auditable after the
@@ -240,9 +238,7 @@ def arrow_directory(
     for p in range(n):
         sim.call_at(0.0, issue, p)
 
-    t0 = _wall.perf_counter()
     sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
     result.messages_sent = net.stats.messages_sent
     if result.completions != result.total_acquisitions:
         raise ProtocolError(
@@ -369,9 +365,7 @@ def home_directory(
     for p in range(n):
         sim.call_at(0.0, issue, p)
 
-    t0 = _wall.perf_counter()
     sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
     result.messages_sent = net.stats.messages_sent
     if result.completions != result.total_acquisitions:
         raise ProtocolError(

@@ -20,7 +20,6 @@ runs (:func:`repro.faults.run_arrow_faulted`) are configurations of it.
 
 from __future__ import annotations
 
-import time as _wall
 from heapq import heappop, heappush, heappushpop
 from itertools import islice, repeat
 from operator import eq
@@ -120,13 +119,12 @@ _ACK_DISPATCH = 4  # its handler runs (_Driver.on_ack)
 _CRASH = 5  # a fault plan's node crash
 
 
-def _finish_result(result: RunResult, makespan: float, messages: int, wall: float) -> None:
+def _finish_result(result: RunResult, makespan: float, messages: int) -> None:
     """Check and complete the result an open-loop ``_arrow_loop`` filled."""
     ordered = sorted(result.rids)
     if any(map(eq, ordered, islice(ordered, 1, None))):
         raise ProtocolError("a request completed twice")
     result.makespan = makespan
-    result.wall_seconds = wall
     result.network_stats = {
         "messages_sent": messages,
         "link_messages": messages,
@@ -475,7 +473,6 @@ def run_arrow_fast(
     """
     schedule.validate_nodes(tree.num_nodes)
     result = RunResult(schedule)
-    t0 = _wall.perf_counter()
     makespan, messages, _ = _arrow_loop(
         graph,
         tree,
@@ -489,7 +486,7 @@ def run_arrow_fast(
         on_event,
         result=result,
     )
-    _finish_result(result, makespan, messages, _wall.perf_counter() - t0)
+    _finish_result(result, makespan, messages)
     if len(result.rids) != len(schedule):
         raise ProtocolError(
             f"arrow run completed {len(result.rids)} of "

@@ -30,7 +30,6 @@ why that is achievable, and the same argument covers the centralized loop.
 
 from __future__ import annotations
 
-import time as _wall
 from heapq import heappop, heappushpop
 
 from repro.core.centralized import check_center
@@ -108,15 +107,12 @@ def _driver_state(result: ClosedLoopResult):
     return heap, [result.requests_per_proc] * n
 
 
-def _fill_result(
-    result: ClosedLoopResult, makespan: float, messages: int, wall: float
-) -> ClosedLoopResult:
+def _fill_result(result: ClosedLoopResult, makespan: float, messages: int) -> ClosedLoopResult:
     """Derive the aggregate fields and sanity-check (shared run epilogue)."""
     result.makespan = makespan
     result.completions = len(result.hops)
     result.local_finds = result.hops.count(0)
     result.messages_sent = messages
-    result.wall_seconds = wall
     _check_complete(result)
     return result
 
@@ -212,7 +208,6 @@ def closed_loop_arrow_fast(
     router = _Router(graph, model, rng)
     heap, remaining = _driver_state(result)
 
-    t0 = _wall.perf_counter()
     # No schedule: the n issue events on the heap are the request source.
     # The last event of a closed loop is an acknowledgement's dispatch, so
     # the loop's final time is the makespan.
@@ -238,7 +233,7 @@ def closed_loop_arrow_fast(
             router.delay_hops,
         ),
     )
-    return _fill_result(result, makespan, messages, _wall.perf_counter() - t0)
+    return _fill_result(result, makespan, messages)
 
 
 def closed_loop_centralized_fast(
@@ -286,7 +281,6 @@ def closed_loop_centralized_fast(
     nxt = None  # the event the last transition scheduled, not yet pushed
     limit = float("inf") if max_events is None else max_events
 
-    t0 = _wall.perf_counter()
     while True:
         if nxt is not None:
             now, _, tag, v, src, rid, hops = heappushpop(heap, nxt)
@@ -349,4 +343,4 @@ def closed_loop_centralized_fast(
         messages += 1
     # The last event of a closed loop is an acknowledgement's dispatch, so
     # the loop's final time is the makespan.
-    return _fill_result(result, now, messages, _wall.perf_counter() - t0)
+    return _fill_result(result, now, messages)

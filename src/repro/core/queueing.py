@@ -84,10 +84,6 @@ class RunResult:
     makespan: float = 0.0
     #: Aggregate network counters (messages, hops), protocol-specific.
     network_stats: dict[str, int] = field(default_factory=dict)
-    #: Wall-clock seconds spent simulating (for throughput reporting).
-    #: Excluded from equality: wall clock is measurement noise, and two
-    #: bit-identical runs must compare equal however long they took.
-    wall_seconds: float = field(default=0.0, compare=False)
     # Derived from the columns on demand, never part of a result's value:
     # rid -> position in the columns, and the ``completions`` view.
     _positions: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -54,7 +54,7 @@ class RequestSchedule:
     *is* its index.  :attr:`nodes` and :attr:`times` return the schedule's
     own lists (the fast engine reads them in place) and must not be
     mutated.  :class:`Request` objects are views made on demand by
-    iteration, indexing, :meth:`by_rid` and :meth:`restricted_to_times`.
+    iteration, indexing and :meth:`by_rid`.
     """
 
     __slots__ = ("_nodes", "_times")
@@ -141,10 +141,6 @@ class RequestSchedule:
         rid_set = set(rids)
         times = [t + delta if rid in rid_set else t for rid, t in enumerate(self._times)]
         return RequestSchedule.from_columns(self._nodes, times)
-
-    def restricted_to_times(self, lo: float, hi: float) -> list[Request]:
-        """Requests with issue time in ``[lo, hi]`` (canonical order)."""
-        return [r for r in self if lo <= r.time <= hi]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestSchedule(len={len(self)}, span=[0, {self.max_time()}])"

@@ -18,7 +18,6 @@ instances — an invariant the integration tests enforce.
 
 from __future__ import annotations
 
-import time as _wall
 from typing import Callable, Sequence
 
 from repro.core.arrow import ArrowNode, CompletionCallback
@@ -80,9 +79,7 @@ def _run_open_loop(
     for req in schedule:
         sim.call_at(req.time, nodes[req.node].initiate, req.rid)
 
-    t0 = _wall.perf_counter()
     result.makespan = sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
     result.network_stats = net.stats.as_dict()
 
     if len(result.rids) != len(schedule):

@@ -3,18 +3,11 @@
 Every table is a sweep grid's rows tabulated by
 :func:`repro.results.figure_from_rows` (the grids are named presets in
 :mod:`repro.sweep`); this package only renders the resulting
-:class:`ExperimentResult` — and draws the Fig. 9 instance picture.
+:class:`~repro.experiments.records.ExperimentResult` — and draws the Fig. 9
+instance picture.
 """
 
 from repro.experiments.ascii_plot import plot, render_instance
-from repro.experiments.records import ExperimentResult, Series
 from repro.experiments.tables import format_kv, format_table
 
-__all__ = [
-    "plot",
-    "render_instance",
-    "ExperimentResult",
-    "Series",
-    "format_kv",
-    "format_table",
-]
+__all__ = ["format_kv", "format_table", "plot", "render_instance"]

@@ -48,7 +48,6 @@ enumerates.
 from __future__ import annotations
 
 import re
-import time as _wall
 from dataclasses import dataclass
 
 from repro.core.arrow import ArrowNode
@@ -428,8 +427,6 @@ def _run_flat_faulted(
         (t, m + k, _CRASH, v, -1, -1, 0) for k, (v, t) in enumerate(plan.crashes)
     ]
     result = RunResult(schedule)
-
-    t0 = _wall.perf_counter()
     makespan, messages, link = _arrow_loop(
         graph,
         tree,
@@ -444,9 +441,7 @@ def _run_flat_faulted(
         result=result,
         faults=fs,
     )
-    wall = _wall.perf_counter() - t0
-
-    _finish_result(result, makespan, messages, wall)
+    _finish_result(result, makespan, messages)
     return result, fs.finish(link, len(result.rids), m)
 
 
@@ -552,7 +547,6 @@ def _run_message_faulted(
     for node, t in plan.crashes:
         sim.call_at(t, crash, node)
 
-    t0 = _wall.perf_counter()
     with emitting_to(on_event) as emit:
         fs.emit = emit
         for nd in nodes:
@@ -560,7 +554,6 @@ def _run_message_faulted(
         result.makespan = sim.run()
         if fs.degraded:
             repair_nodes(result.makespan)
-    result.wall_seconds = _wall.perf_counter() - t0
     result.network_stats = net.stats.as_dict()
 
     report = fs.finish(

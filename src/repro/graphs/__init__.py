@@ -1,63 +1,11 @@
 """Graph substrate: topologies, shortest paths, validation."""
 
 from repro.graphs.generators import (
-    balanced_binary_tree_graph,
-    caterpillar_graph,
     complete_graph,
-    cycle_graph,
-    gnp_connected_graph,
     grid_graph,
     hypercube_graph,
-    lollipop_graph,
-    path_graph,
     random_geometric_graph,
-    star_graph,
-    torus_graph,
 )
-from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import (
-    all_pairs_distances,
-    bfs_distances,
-    connected_components,
-    dijkstra,
-    eccentricity,
-    graph_diameter,
-    is_connected,
-    shortest_path,
-    single_source_distances,
-)
-from repro.graphs.validation import (
-    is_tree,
-    require_connected,
-    require_spanning_subgraph,
-    require_tree,
-)
+from repro.graphs.shortest_paths import dijkstra
 
-__all__ = [
-    "Graph",
-    "balanced_binary_tree_graph",
-    "caterpillar_graph",
-    "complete_graph",
-    "cycle_graph",
-    "gnp_connected_graph",
-    "grid_graph",
-    "hypercube_graph",
-    "lollipop_graph",
-    "path_graph",
-    "random_geometric_graph",
-    "star_graph",
-    "torus_graph",
-    "all_pairs_distances",
-    "bfs_distances",
-    "connected_components",
-    "dijkstra",
-    "eccentricity",
-    "graph_diameter",
-    "is_connected",
-    "shortest_path",
-    "single_source_distances",
-    "is_tree",
-    "require_connected",
-    "require_spanning_subgraph",
-    "require_tree",
-]
+__all__ = ["complete_graph", "dijkstra", "grid_graph", "hypercube_graph", "random_geometric_graph"]

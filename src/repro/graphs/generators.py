@@ -12,7 +12,7 @@ Provides the network shapes used throughout the paper and its experiments:
   and property tests to exercise the protocol on diverse shapes.
 
 All generators take node counts and an optional seed and return
-:class:`repro.graphs.Graph`.
+:class:`repro.graphs.graph.Graph`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shortest-path algorithms over :class:`repro.graphs.Graph`.
+"""Shortest-path algorithms over :class:`repro.graphs.graph.Graph`.
 
 Provides BFS (unit weights), Dijkstra (general positive weights), and
 all-pairs distance matrices.  The analysis layer uses ``d_G`` distances to
@@ -14,7 +14,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
 __all__ = [
@@ -22,11 +21,9 @@ __all__ = [
     "dijkstra",
     "single_source_distances",
     "all_pairs_distances",
-    "shortest_path",
     "is_connected",
     "connected_components",
     "eccentricity",
-    "graph_diameter",
 ]
 
 
@@ -98,21 +95,6 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
     return out
 
 
-def shortest_path(graph: Graph, source: int, target: int) -> list[int]:
-    """One shortest path from ``source`` to ``target`` as a node list.
-
-    Raises :class:`GraphError` when the target is unreachable.
-    """
-    dist, pred = dijkstra(graph, source)
-    if math.isinf(dist[target]):
-        raise GraphError(f"node {target} unreachable from {source}")
-    path = [target]
-    while path[-1] != source:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return path
-
-
 def is_connected(graph: Graph) -> bool:
     """True iff the graph is connected."""
     return not math.isinf(max(bfs_distances(graph, 0)))
@@ -143,13 +125,3 @@ def connected_components(graph: Graph) -> list[list[int]]:
 def eccentricity(graph: Graph, u: int) -> float:
     """Maximum distance from ``u`` to any node."""
     return max(single_source_distances(graph, u))
-
-
-def graph_diameter(graph: Graph) -> float:
-    """Maximum pairwise distance (``inf`` for disconnected graphs)."""
-    best = 0.0
-    for u in graph.nodes():
-        ecc = eccentricity(graph, u)
-        if ecc > best:
-            best = ecc
-    return best

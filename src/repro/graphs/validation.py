@@ -6,35 +6,12 @@ from repro.errors import GraphError, TreeError
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import is_connected
 
-__all__ = [
-    "require_connected",
-    "is_tree",
-    "require_tree",
-    "require_spanning_subgraph",
-    "tree_link_weights",
-]
-
-
-def require_connected(graph: Graph) -> None:
-    """Raise :class:`GraphError` unless the graph is connected."""
-    if not is_connected(graph):
-        raise GraphError("graph is not connected")
+__all__ = ["is_tree", "require_spanning_subgraph", "tree_link_weights"]
 
 
 def is_tree(graph: Graph) -> bool:
     """True iff the graph is connected and has exactly ``n - 1`` edges."""
     return graph.num_edges == graph.num_nodes - 1 and is_connected(graph)
-
-
-def require_tree(graph: Graph) -> None:
-    """Raise :class:`TreeError` unless the graph is a tree."""
-    if graph.num_edges != graph.num_nodes - 1:
-        raise TreeError(
-            f"tree on {graph.num_nodes} nodes must have {graph.num_nodes - 1} "
-            f"edges, found {graph.num_edges}"
-        )
-    if not is_connected(graph):
-        raise TreeError("candidate tree is disconnected")
 
 
 def require_spanning_subgraph(graph: Graph, tree_edges: list[tuple[int, int]]) -> None:

@@ -22,16 +22,8 @@ nearest-rank over those midpoints — within half a bucket width of the
 true value, the max exact.
 """
 
-from repro.results.compare import RowComparison, compare_rows
-from repro.results.figures import FIGURES, Figure, figure_from_rows
-from repro.results.store import IngestReport, ResultsStore
+from repro.results.compare import compare_rows
+from repro.results.figures import FIGURES, figure_from_rows
+from repro.results.store import ResultsStore
 
-__all__ = [
-    "FIGURES",
-    "Figure",
-    "IngestReport",
-    "ResultsStore",
-    "RowComparison",
-    "compare_rows",
-    "figure_from_rows",
-]
+__all__ = ["FIGURES", "ResultsStore", "compare_rows", "figure_from_rows"]

@@ -280,10 +280,6 @@ class ResultsStore:
             f"{[m['spec_hash'][:12] for m in matches]}; use a longer hash prefix"
         )
 
-    def resolve(self, key: str) -> str:
-        """Spec hash of the run ``key`` names (see :meth:`manifest`)."""
-        return self.manifest(key)["spec_hash"]
-
     def rows(self, key: str) -> Iterator[dict[str, Any]]:
         """Stream the stored rows of one run in grid order: the file must
         verify and hold exactly the manifest's ``ingested`` rows, so a

@@ -4,8 +4,3 @@ The kernel substitutes for the paper's IBM SP2 testbed: all protocol code
 runs as atomic callbacks over a deterministic virtual clock
 (:mod:`repro.sim.kernel` says what "deterministic" means here).
 """
-
-from repro.sim.kernel import Simulator
-from repro.sim.rng import spawn_rng
-
-__all__ = ["Simulator", "spawn_rng"]

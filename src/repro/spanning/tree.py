@@ -277,22 +277,6 @@ class SpanningTree:
             x = self.parent[x]
         return left + [a] + list(reversed(right))
 
-    def subtree_nodes(self, u: int) -> list[int]:
-        """All nodes in the subtree rooted at ``u`` (preorder)."""
-        out = []
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(reversed(self.children[x]))
-        return out
-
-    def leaves(self) -> list[int]:
-        """All leaf nodes (nodes with no children; root excluded if it has)."""
-        return [v for v in range(self._n) if not self.children[v] and v != self.root] + (
-            [self.root] if not self.children[self.root] and self._n > 1 else []
-        )
-
     def to_graph(self) -> Graph:
         """The tree as an undirected :class:`Graph`."""
         links = [v for v in range(self._n) if v != self.root]

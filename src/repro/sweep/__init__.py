@@ -29,96 +29,51 @@ progress, bounded retry of killed shards, and the automatic merge
 cores.
 """
 
-from repro.sweep.executor import (
-    execute_cell,
-    iter_sweep,
-    run_sweep,
-    shard_path,
-)
-from repro.sweep.orchestrator import ShardState, orchestrate_sweep
-from repro.sweep.persist import (
-    diff_rows,
-    dumps_row,
-    iter_rows,
-    merge_shards,
-)
-from repro.sweep.registry import CellFamily, get_family
+from repro.sweep.executor import execute_cell, iter_sweep, run_sweep, shard_path
+from repro.sweep.orchestrator import orchestrate_sweep
+from repro.sweep.persist import dumps_row
+from repro.sweep.registry import get_family
 from repro.sweep.spec import (
-    GRAPH_BUILDERS,
     GRIDS,
     OPEN_LOOP_SCHEDULES,
-    TREE_BUILDERS,
     GraphSpec,
     ScheduleSpec,
-    SweepCell,
     SweepSpec,
     build_graph,
     build_schedule,
     build_tree,
     cell_seed,
     directory_grid,
-    fig9_grid,
     fig10_grid,
     fig11_grid,
     mixed_grid,
-    oneshot_grid,
-    protocol_ablation_grid,
-    sequential_grid,
     service_time_grids,
     smoke_grid,
-    thm319_grid,
-    thm321_grid,
-    thm41_grid,
-    thm42_grid,
-    tree_ablation_grid,
 )
-from repro.sweep.stats import (
-    DEFAULT_BINS,
-    latency_columns,
-    percentile_nearest_rank,
-)
+from repro.sweep.stats import latency_columns
 
 __all__ = [
-    "GraphSpec",
-    "ScheduleSpec",
-    "SweepCell",
-    "SweepSpec",
-    "CellFamily",
-    "get_family",
-    "GRAPH_BUILDERS",
     "GRIDS",
     "OPEN_LOOP_SCHEDULES",
-    "TREE_BUILDERS",
+    "GraphSpec",
+    "ScheduleSpec",
+    "SweepSpec",
     "build_graph",
-    "build_tree",
     "build_schedule",
+    "build_tree",
     "cell_seed",
     "directory_grid",
-    "fig9_grid",
+    "dumps_row",
+    "execute_cell",
     "fig10_grid",
     "fig11_grid",
-    "mixed_grid",
-    "oneshot_grid",
-    "protocol_ablation_grid",
-    "sequential_grid",
-    "service_time_grids",
-    "smoke_grid",
-    "thm319_grid",
-    "thm321_grid",
-    "thm41_grid",
-    "thm42_grid",
-    "tree_ablation_grid",
-    "execute_cell",
+    "get_family",
     "iter_sweep",
-    "run_sweep",
-    "shard_path",
-    "ShardState",
-    "orchestrate_sweep",
-    "diff_rows",
-    "dumps_row",
-    "iter_rows",
-    "merge_shards",
-    "DEFAULT_BINS",
     "latency_columns",
-    "percentile_nearest_rank",
+    "mixed_grid",
+    "orchestrate_sweep",
+    "run_sweep",
+    "service_time_grids",
+    "shard_path",
+    "smoke_grid",
 ]

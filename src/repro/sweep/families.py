@@ -241,8 +241,9 @@ def _check_ratio(params: Mapping[str, Any]) -> None:
         raise SweepError(f"ratio: latency_lo must be <= 1, got {params['latency_lo']!r}")
 
 
-def _ratio_schedule(params: Mapping[str, Any], n: int, D: float, seed: int):
-    """A ratio cell's workload on ``n`` nodes and a tree of diameter ``D``.
+def _ratio_schedule(kind: str, params: Mapping[str, Any], n: int, D: float, seed: int):
+    """A ratio cell's ``kind`` of workload on ``n`` nodes and a tree of
+    diameter ``D``.
 
     ``random`` is Theorem 3.19's: ``count`` requests uniform over the nodes
     and ``[0, D]``, drawn from ``seed + D`` so each diameter of a sweep
@@ -250,7 +251,7 @@ def _ratio_schedule(params: Mapping[str, Any], n: int, D: float, seed: int):
     ``rate``; ``one_shot``: ``count`` distinct nodes at time 0;
     ``sequential``: ``count`` nodes ``2D + 2`` apart, never two active.
     """
-    kind, count = params.get("schedule", "random"), int(params.get("count", n))
+    count = int(params.get("count", n))
     if kind == "random":
         return _schedules.random_times(n, count, horizon=D, seed=seed + round(D))
     if kind == "poisson":
@@ -268,8 +269,10 @@ def _build_ratio(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     graph = build_graph(cell.graph, cell.seed)
     tree = build_tree(cell.tree, graph, cell.seed)
     D = tree_diameter(tree)
-    schedule = _ratio_schedule(cell.schedule.kwargs(), graph.num_nodes, D, cell.seed)
-    return {"graph": graph, "tree": tree, "schedule": schedule, "D": D}
+    params = cell.schedule.kwargs()
+    kind = params.get("schedule", "random")
+    schedule = _ratio_schedule(kind, params, graph.num_nodes, D, cell.seed)
+    return {"graph": graph, "tree": tree, "schedule": schedule, "D": D, "kind": kind}
 
 
 def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[str, Any]:
@@ -286,9 +289,9 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
     also [10]'s ``oneshot_ceiling``, ``48 s log|R|``.
     """
     graph, tree, schedule, D = built["graph"], built["tree"], built["schedule"], built["D"]
+    kind = built["kind"]
     params = cell.schedule.kwargs()
-    kind, protocol = params.get("schedule", "random"), params.get("protocol", "arrow")
-    lo = params.get("latency_lo")
+    protocol, lo = params.get("protocol", "arrow"), params.get("latency_lo")
 
     def run(latency):
         knobs = {"latency": latency, "seed": cell.seed, "service_time": cell.service_time}
@@ -349,7 +352,8 @@ def _build_lowerbound(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     else:
         s = int(params.get("s", 1))
         inst = theorem42_instance(D // s, s, k)
-    return {key: getattr(inst, key) for key in ("graph", "tree", "schedule", "D", "k")}
+    built = {key: getattr(inst, key) for key in ("graph", "tree", "schedule", "D", "k")}
+    return {**built, "variant": variant}
 
 
 def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[str, Any]:
@@ -374,7 +378,7 @@ def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> 
     return {
         "n": graph.num_nodes,
         "requests": len(schedule),
-        "variant": cell.schedule.kwargs().get("variant", "layered"),
+        "variant": built["variant"],
         "k": k,
         "diameter": D,
         "stretch": stretch,

@@ -1,27 +1,5 @@
 """Workload generators: request schedules and the closed-loop driver."""
 
-from repro.workloads.closed_loop import (
-    ClosedLoopResult,
-    closed_loop_arrow,
-    closed_loop_centralized,
-)
-from repro.workloads.schedules import (
-    bursty,
-    hotspot,
-    one_shot,
-    poisson,
-    random_times,
-    sequential,
-)
+from repro.workloads.schedules import poisson
 
-__all__ = [
-    "ClosedLoopResult",
-    "closed_loop_arrow",
-    "closed_loop_centralized",
-    "bursty",
-    "hotspot",
-    "one_shot",
-    "poisson",
-    "random_times",
-    "sequential",
-]
+__all__ = ["poisson"]

@@ -29,19 +29,16 @@ Parity contract
 ---------------
 :mod:`repro.core.fast_closed_loop` reimplements both drivers on a flat
 heap without message objects; its results are **bit-identical** to the
-ones produced here — every comparing field of :class:`ClosedLoopResult`
+ones produced here — every field of :class:`ClosedLoopResult`
 (makespan, completions, per-request hops/latencies/issue/ack times,
 message totals), the same tie-breaking, the same RNG draws.  The
 small-model oracle (``tests/small_models.py``) checks the contract on
 every small closed loop it enumerates, so any semantic change to this
-module must be mirrored there.  ``wall_seconds`` is the one field
-excluded from comparison: it is wall-clock measurement noise, never
-simulation state.
+module must be mirrored there.
 """
 
 from __future__ import annotations
 
-import time as _wall
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -87,10 +84,6 @@ class ClosedLoopResult:
     #: Per-request completion latency (Definition 3.2: completion time
     #: minus issue time), appended in completion order like ``hops``.
     latencies: list[float] = field(default_factory=list)
-    #: Wall-clock seconds spent simulating.  Excluded from equality: it is
-    #: measurement noise, not simulation state, and two bit-identical runs
-    #: must compare equal regardless of how long they took to execute.
-    wall_seconds: float = field(default=0.0, compare=False)
 
     @property
     def total_requests(self) -> int:
@@ -220,9 +213,7 @@ def _run_closed_loop(
     for p in range(n):
         sim.call_at(0.0, driver.issue, p, nodes[p].initiate)
 
-    t0 = _wall.perf_counter()
     sim.run()
-    result.wall_seconds = _wall.perf_counter() - t0
     result.messages_sent = net.stats.messages_sent
     _check_complete(result)
     return result

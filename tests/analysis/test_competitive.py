@@ -2,18 +2,20 @@
 
 import pytest
 
-from repro.analysis import opt_bounds, predict_arrow_run, theorem_319_ceiling
+from repro.analysis import opt_bounds, predict_arrow_run
+from repro.analysis.competitive import theorem_319_ceiling
 from repro.core.fast_arrow import run_arrow_fast
 from repro.core.requests import RequestSchedule
 from repro.errors import SweepError
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.net.latency import UniformLatency
 from repro.spanning import (
-    SpanningTree,
     balanced_binary_overlay,
     tree_diameter,
     tree_stretch,
 )
+from repro.spanning.tree import SpanningTree
 from repro.sweep import GraphSpec, ScheduleSpec, SweepSpec, execute_cell
 from repro.workloads.schedules import poisson, random_times
 

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.nearest_neighbor import nn_order, predict_arrow_run
 from repro.core.requests import RequestSchedule
 from repro.errors import AnalysisError
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 
 def test_nn_order_simple_matrix():

@@ -140,7 +140,7 @@ def test_theorem_318_on_arrow_cost_pair():
         request_distance_matrix,
     )
     from repro.core.requests import RequestSchedule
-    from repro.spanning import SpanningTree
+    from repro.spanning.tree import SpanningTree
 
     tree = SpanningTree([max(0, i - 1) for i in range(8)], root=0)
     sched = RequestSchedule([(7, 0.0), (3, 1.0), (5, 2.0), (1, 2.5), (6, 4.0)])
@@ -160,7 +160,7 @@ def test_theorem_318_measured_factors_stay_below_the_bound():
         c_t_matrix,
         request_distance_matrix,
     )
-    from repro.spanning import SpanningTree
+    from repro.spanning.tree import SpanningTree
     from repro.workloads.schedules import random_times
 
     reports = []

@@ -4,7 +4,8 @@ import numpy as np
 
 from repro.analysis.costs import graph_node_distances, request_distance_matrix
 from repro.graphs import grid_graph, random_geometric_graph
-from repro.spanning import SpanningTree, mst_prim
+from repro.spanning import mst_prim
+from repro.spanning.tree import SpanningTree
 
 
 def test_tree_node_distances_weighted():

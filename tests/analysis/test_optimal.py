@@ -16,9 +16,11 @@ from repro.analysis.optimal import (
 )
 from repro.core.requests import RequestSchedule
 from repro.errors import AnalysisError
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.sim.rng import spawn_rng
-from repro.spanning import SpanningTree, balanced_binary_overlay
+from repro.spanning import balanced_binary_overlay
+from repro.spanning.tree import SpanningTree
 
 
 def brute_force_path(C):

@@ -7,8 +7,9 @@ from repro.analysis.optimal import opt_bounds
 from repro.analysis.transform import compress_idle_time, max_gap_slack
 from repro.analysis.verify import max_ct_edge_on_order
 from repro.core.requests import RequestSchedule
-from repro.graphs import path_graph
-from repro.spanning import SpanningTree, tree_diameter
+from repro.graphs.generators import path_graph
+from repro.spanning import tree_diameter
+from repro.spanning.tree import SpanningTree
 
 
 def chain_tree(n):

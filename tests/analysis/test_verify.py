@@ -15,8 +15,8 @@ from repro.analysis.verify import (
 )
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
-from repro.graphs import path_graph
-from repro.spanning import SpanningTree
+from repro.graphs.generators import path_graph
+from repro.spanning.tree import SpanningTree
 
 
 def chain_tree(n):

@@ -141,9 +141,7 @@ def test_zero_acquisitions_is_an_empty_complete_run(k8, protocol):
 
 @pytest.mark.parametrize("protocol", ["arrow", "home"])
 def test_identical_directory_runs_compare_equal(k8, protocol):
-    """``wall_seconds`` is measurement noise and excluded from comparison."""
     g, tree = k8
     kw = dict(acquisitions_per_proc=5, latency=UniformLatency(0.2, 1.0), seed=3)
     a, b = _run(protocol, g, tree, **kw), _run(protocol, g, tree, **kw)
     assert a == b
-    assert a.wall_seconds > 0.0 and b.wall_seconds > 0.0

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import complete_graph, grid_graph, path_graph
-from repro.spanning import SpanningTree, balanced_binary_overlay, bfs_tree
+from repro.graphs import complete_graph, grid_graph
+from repro.graphs.generators import path_graph
+from repro.spanning import balanced_binary_overlay, bfs_tree
+from repro.spanning.tree import SpanningTree
 
 
 @pytest.fixture

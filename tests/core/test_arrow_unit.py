@@ -12,10 +12,10 @@ from repro.core.requests import ROOT_RID, RequestSchedule
 from repro.core.runner import run_arrow
 from repro.core.queueing import verify_total_order
 from repro.errors import ProtocolError
-from repro.graphs import path_graph
+from repro.graphs.generators import path_graph
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 from repro.workloads.closed_loop import closed_loop_arrow
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_centralized
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.workloads.closed_loop import closed_loop_centralized
 from repro.workloads.schedules import poisson
 

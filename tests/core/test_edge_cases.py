@@ -14,8 +14,10 @@ from repro.errors import (
     SimulationError,
     TreeError,
 )
-from repro.graphs import complete_graph, path_graph
-from repro.spanning import SpanningTree, balanced_binary_overlay
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
+from repro.spanning import balanced_binary_overlay
+from repro.spanning.tree import SpanningTree
 
 
 def chain_tree(n):

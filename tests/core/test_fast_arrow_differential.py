@@ -97,7 +97,7 @@ SEEDS = [0, 1, 2]
 
 
 def assert_identical(a, b):
-    """Field-for-field equality of two RunResults (wall clock excluded)."""
+    """Field-for-field equality of two RunResults."""
     assert a.completions == b.completions
     assert list(a.completions) == list(b.completions)  # completion order
     assert a.makespan == b.makespan

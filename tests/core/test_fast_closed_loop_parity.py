@@ -113,10 +113,10 @@ FIELDS = (
 
 
 def assert_identical(a, b):
-    """Field-for-field equality of two ClosedLoopResults (wall clock excluded)."""
+    """Field-for-field equality of two ClosedLoopResults."""
     for f in FIELDS:
         assert getattr(a, f) == getattr(b, f), f"field {f!r} differs"
-    # The dataclass eq must agree (wall_seconds is compare=False).
+    # The dataclass eq must agree.
     assert a == b
 
 
@@ -331,19 +331,8 @@ def test_pinned_unit_think_ack_queue_collisions():
 
 
 # ----------------------------------------------------------------------
-# wall-clock exclusion and error parity
+# error parity
 # ----------------------------------------------------------------------
-def test_wall_seconds_excluded_from_comparison():
-    """Two identical runs compare equal despite different wall clocks."""
-    g = complete_graph(8)
-    tree = balanced_binary_overlay(g, 0)
-    a = closed_loop_arrow(g, tree, requests_per_proc=5)
-    b = closed_loop_arrow(g, tree, requests_per_proc=5)
-    assert a.wall_seconds >= 0.0 and b.wall_seconds >= 0.0
-    a.wall_seconds, b.wall_seconds = 1.0, 2.0
-    assert a == b  # wall time is measurement noise, not simulation state
-
-
 def test_max_events_matches_message_driver():
     from repro.errors import SimulationError
 

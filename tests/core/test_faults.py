@@ -25,7 +25,8 @@ from repro.faults import (
     parse_fault_plan,
     run_arrow_faulted,
 )
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.monitors import ArrowMonitor
 from repro.spanning import balanced_binary_overlay, bfs_tree
 from repro.workloads.schedules import poisson

@@ -17,9 +17,11 @@ from repro.core.requests import ROOT_RID
 from repro.core.runner import run_arrow
 from repro.errors import MonitorViolation, SimulationError, SweepError
 from repro.faults import run_arrow_faulted
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.monitors import MONITOR_NAMES, ArrowMonitor
-from repro.spanning import SpanningTree, balanced_binary_overlay, bfs_tree
+from repro.spanning import balanced_binary_overlay, bfs_tree
+from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import poisson
 
 ENGINES = {

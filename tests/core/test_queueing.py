@@ -15,7 +15,8 @@ from repro.core.queueing import (
 from repro.core.requests import ROOT_RID, RequestSchedule
 from repro.core.runner import run_arrow
 from repro.errors import ProtocolError
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.spanning import bfs_tree
 from repro.workloads import poisson
 

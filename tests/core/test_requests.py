@@ -68,12 +68,6 @@ def test_shifted_reindexes_canonically():
     assert sorted(r.rid for r in s2) == [0, 1]
 
 
-def test_restricted_to_times():
-    s = RequestSchedule([(0, 0.0), (1, 2.0), (2, 4.0)])
-    got = s.restricted_to_times(1.0, 3.0)
-    assert [r.node for r in got] == [1]
-
-
 def test_reserved_ids_distinct():
     assert ROOT_RID != NO_RID
     assert ROOT_RID < 0 and NO_RID < 0
@@ -122,7 +116,6 @@ def test_schedule_is_the_reference_order(pairs):
     for i, view in enumerate(views):
         assert s[i] == s.by_rid(i) == view
     assert s.max_time() == (want[-1][1] if want else 0.0)
-    assert s.restricted_to_times(0.5, 2.5) == [r for r in views if 0.5 <= r.time <= 2.5]
     # Sequence indexing keeps tuple semantics ...
     assert s[0:1] == tuple(views[0:1])
     assert s[::-2] == tuple(views[::-2])

@@ -5,9 +5,11 @@ import pytest
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow, run_centralized
 from repro.errors import ScheduleError, TreeError
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.net.latency import UniformLatency
-from repro.spanning import SpanningTree, balanced_binary_overlay
+from repro.spanning import balanced_binary_overlay
+from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import poisson
 
 
@@ -35,11 +37,10 @@ def test_empty_schedule_runs_cleanly():
     assert res.makespan == 0.0
 
 
-def test_makespan_and_wall_seconds_populated():
+def test_makespan_populated():
     g = path_graph(5)
     res = run_arrow(g, chain_tree(5), RequestSchedule([(4, 0.0)]))
     assert res.makespan == 4.0
-    assert res.wall_seconds >= 0.0
 
 
 def test_network_stats_reported():

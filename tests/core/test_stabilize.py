@@ -12,7 +12,8 @@ from repro.core.stabilize import (
 from repro.graphs import random_geometric_graph
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.spanning import SpanningTree, bfs_tree
+from repro.spanning import bfs_tree
+from repro.spanning.tree import SpanningTree
 
 
 def make_nodes(tree, graph=None):

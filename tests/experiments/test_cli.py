@@ -599,10 +599,10 @@ def test_results_table_of_a_stored_theorem_grid_is_the_command_table(
 ):
     """One producer: a paper grid swept to a file and ingested into the
     results store tabulates and plots exactly as its command prints."""
-    import repro.sweep
+    import repro.sweep.spec
     from repro.results import ResultsStore
 
-    spec, rows, store = getattr(repro.sweep, grid)(), tmp_path / "rows.jsonl", tmp_path / "s"
+    spec, rows, store = getattr(repro.sweep.spec, grid)(), tmp_path / "rows.jsonl", tmp_path / "s"
     repro.sweep.run_sweep(spec, str(rows))
     assert ResultsStore(str(store)).ingest(spec, str(rows)).complete
     stored = []

@@ -15,11 +15,10 @@ from repro.lowerbound import layered_instance
 from repro.results import figure_from_rows
 from repro.sweep import (
     directory_grid,
-    fig9_grid,
     fig10_grid,
     iter_sweep,
-    sequential_grid,
 )
+from repro.sweep.spec import fig9_grid, sequential_grid
 
 #: scale -> (system sizes, requests/processor, centralized slowdown floor
 #: from the smallest to the largest size).

@@ -192,9 +192,10 @@ def test_plot_skips_non_finite_points():
 def test_an_infinite_ratio_row_renders():
     """A request at the root costs 0 against an opt lower bound of 0: the
     ratio bracket is ``inf``, and the row still tabulates and plots."""
-    from repro.analysis import opt_bounds, theorem_319_ceiling
+    from repro.analysis import opt_bounds
+    from repro.analysis.competitive import theorem_319_ceiling
     from repro.core.fast_arrow import run_arrow_fast
-    from repro.graphs import path_graph
+    from repro.graphs.generators import path_graph
     from repro.results import figure_from_rows
     from repro.spanning import bfs_tree, tree_diameter
     from repro.workloads.schedules import one_shot

@@ -13,12 +13,14 @@ import math
 from repro.results import figure_from_rows
 from repro.sweep import (
     iter_sweep,
-    protocol_ablation_grid,
     service_time_grids,
-    thm41_grid,
-    thm42_grid,
+)
+from repro.sweep.spec import (
+    protocol_ablation_grid,
     thm319_grid,
     thm321_grid,
+    thm41_grid,
+    thm42_grid,
     tree_ablation_grid,
 )
 

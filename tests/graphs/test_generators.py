@@ -5,22 +5,24 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs import (
-    Graph,
-    balanced_binary_tree_graph,
-    caterpillar_graph,
     complete_graph,
-    cycle_graph,
-    gnp_connected_graph,
     grid_graph,
     hypercube_graph,
-    is_connected,
-    is_tree,
+    random_geometric_graph,
+)
+from repro.graphs.generators import (
+    balanced_binary_tree_graph,
+    caterpillar_graph,
+    cycle_graph,
+    gnp_connected_graph,
     lollipop_graph,
     path_graph,
-    random_geometric_graph,
     star_graph,
     torus_graph,
 )
+from repro.graphs.graph import Graph
+from repro.graphs.shortest_paths import is_connected
+from repro.graphs.validation import is_tree
 
 
 def to_nx(g):

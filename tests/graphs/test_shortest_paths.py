@@ -5,21 +5,19 @@ import math
 import networkx as nx
 import pytest
 
-from repro.errors import GraphError
 from repro.graphs import (
-    Graph,
+    dijkstra,
+    grid_graph,
+    random_geometric_graph,
+)
+from repro.graphs.generators import gnp_connected_graph, path_graph
+from repro.graphs.graph import Graph
+from repro.graphs.shortest_paths import (
     all_pairs_distances,
     bfs_distances,
     connected_components,
-    dijkstra,
     eccentricity,
-    gnp_connected_graph,
-    graph_diameter,
-    grid_graph,
     is_connected,
-    path_graph,
-    random_geometric_graph,
-    shortest_path,
     single_source_distances,
 )
 
@@ -69,22 +67,6 @@ def test_all_pairs_matrix_symmetric_and_correct():
             assert M[u, v] == M[v, u]
 
 
-def test_shortest_path_endpoints_and_length():
-    g = grid_graph(4, 4)
-    p = shortest_path(g, 0, 15)
-    assert p[0] == 0 and p[-1] == 15
-    assert len(p) - 1 == 6  # Manhattan distance in the mesh
-    for a, b in zip(p, p[1:]):
-        assert g.has_edge(a, b)
-
-
-def test_shortest_path_unreachable_raises():
-    g = Graph(3)
-    g.add_edge(0, 1)
-    with pytest.raises(GraphError):
-        shortest_path(g, 0, 2)
-
-
 def test_connected_components():
     g = Graph(5)
     g.add_edge(0, 1)
@@ -98,9 +80,9 @@ def test_eccentricity_and_diameter():
     g = path_graph(7)
     assert eccentricity(g, 0) == 6
     assert eccentricity(g, 3) == 3
-    assert graph_diameter(g) == 6
+    assert max(eccentricity(g, u) for u in g.nodes()) == 6
 
 
 def test_diameter_matches_networkx_on_random_graph():
     g = gnp_connected_graph(20, 0.2, seed=11)
-    assert graph_diameter(g) == nx.diameter(to_nx(g))
+    assert max(eccentricity(g, u) for u in g.nodes()) == nx.diameter(to_nx(g))

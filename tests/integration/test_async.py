@@ -8,7 +8,8 @@ ceiling of Theorem 3.21 holds against the offline bracket.
 
 import pytest
 
-from repro.analysis import opt_bounds, theorem_319_ceiling
+from repro.analysis import opt_bounds
+from repro.analysis.competitive import theorem_319_ceiling
 from repro.core.queueing import verify_total_order
 from repro.core.runner import run_arrow
 from repro.graphs import complete_graph, grid_graph

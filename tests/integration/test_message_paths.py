@@ -14,10 +14,12 @@ from repro.core.arrow import ArrowNode
 from repro.core.requests import ROOT_RID
 from repro.core.runner import run_arrow
 from repro.core.queueing import verify_total_order
-from repro.graphs import grid_graph, path_graph
+from repro.graphs import grid_graph
+from repro.graphs.generators import path_graph
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.spanning import SpanningTree, bfs_tree
+from repro.spanning import bfs_tree
+from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import random_times
 
 

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.errors import NetworkError
-from repro.graphs import complete_graph, path_graph
+from repro.graphs import complete_graph
+from repro.graphs.generators import path_graph
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import ProtocolNode

@@ -6,7 +6,7 @@ from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.net.latency import UniformLatency
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 
 @st.composite

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.requests import RequestSchedule
 from repro.faults import FaultPlan, run_arrow_faulted
 from repro.monitors import ArrowMonitor
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 ENGINES = ("fast", "message")
 

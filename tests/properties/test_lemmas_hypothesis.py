@@ -19,7 +19,7 @@ from repro.analysis.verify import (
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 
 @st.composite

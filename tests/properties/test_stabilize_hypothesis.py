@@ -11,7 +11,7 @@ from repro.core.stabilize import (
 )
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 
 @st.composite

@@ -3,9 +3,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import bfs_distances
+from repro.graphs.shortest_paths import bfs_distances
 from repro.sim.kernel import Simulator
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 
 @st.composite

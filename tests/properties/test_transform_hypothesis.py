@@ -6,7 +6,7 @@ from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
 from repro.analysis.transform import compress_idle_time, max_gap_slack
 from repro.core.requests import RequestSchedule
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 
 
 @st.composite

@@ -48,7 +48,7 @@ def test_golden_rows_file_is_byte_canonical():
     from repro.sweep.persist import dumps_row
 
     store = ResultsStore(GOLDEN)
-    path = store.rows_path(store.resolve("smoke"))
+    path = store.rows_path(store.manifest("smoke")["spec_hash"])
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     assert raw == "".join(dumps_row(r) + "\n" for r in iter_rows(path))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ResultsError
-from repro.results import FIGURES, Figure, figure_from_rows
+from repro.results import FIGURES, figure_from_rows
+from repro.results.figures import Figure
 
 
 def row(**kw):
@@ -88,7 +89,8 @@ def test_missing_metric_lists_numeric_columns():
 def test_fig9_result_adapter():
     """Fig. 9's record is its lower-bound row through fixed series: one x
     point (the instance diameter ``D``), one series per cost measure."""
-    from repro.sweep import fig9_grid, iter_sweep
+    from repro.sweep import iter_sweep
+    from repro.sweep.spec import fig9_grid
 
     (row,) = iter_sweep(fig9_grid(16, 2, "layered"))
     result = figure_from_rows("fig9", [row])

@@ -132,13 +132,12 @@ def test_resolve_by_hash_prefix_name_and_failures(tmp_path, smoke_run):
     store = ResultsStore(str(tmp_path / "store"))
     store.ingest(spec, path)
     full = spec.spec_hash()
-    assert store.resolve(full) == full
-    assert store.resolve(full[:8]) == full
-    assert store.resolve("smoke") == full
+    for key in (full, full[:8], "smoke"):
+        assert store.manifest(key)["spec_hash"] == full
     with pytest.raises(ResultsError, match="no stored run matches"):
-        store.resolve("fig10")
+        store.manifest("fig10")
     with pytest.raises(ResultsError, match="no stored run matches"):
-        ResultsStore(str(tmp_path / "empty")).resolve("smoke")
+        ResultsStore(str(tmp_path / "empty")).manifest("smoke")
 
 
 def test_grid_sketch_merges_all_row_histograms(tmp_path, smoke_run):

@@ -2,13 +2,11 @@
 
 import pytest
 
-import repro.sim
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
 
 def test_public_surface():
-    assert repro.sim.__all__ == ["Simulator", "spawn_rng"]
     public = [name for name in vars(Simulator) if not name.startswith("_")]
     assert sorted(public) == ["call_at", "call_in", "now", "run"]
 

@@ -91,8 +91,8 @@ from repro.net.latency import (
     UnitLatency,
     WeightLatency,
 )
-from repro.spanning import SpanningTree
 from repro.spanning.metrics import tree_diameter
+from repro.spanning.tree import SpanningTree
 
 # ----------------------------------------------------------------------
 # trees and schedules

@@ -7,21 +7,21 @@ import pytest
 
 from repro.errors import GraphError, TreeError
 from repro.graphs import (
-    Graph,
     complete_graph,
     dijkstra,
-    gnp_connected_graph,
     grid_graph,
     random_geometric_graph,
 )
+from repro.graphs.generators import gnp_connected_graph
+from repro.graphs.graph import Graph
 from repro.spanning import (
-    SpanningTree,
     balanced_binary_overlay,
     bfs_tree,
     mst_prim,
     random_spanning_tree,
-    star_overlay,
 )
+from repro.spanning.construct import star_overlay
+from repro.spanning.tree import SpanningTree
 
 
 def to_nx(g):
@@ -56,7 +56,7 @@ def test_mst_on_disconnected_raises():
 def test_bfs_tree_preserves_root_distances():
     g = grid_graph(5, 5)
     t = bfs_tree(g, 12)
-    from repro.graphs import bfs_distances
+    from repro.graphs.shortest_paths import bfs_distances
 
     oracle = bfs_distances(g, 12)
     for v in range(25):
@@ -84,7 +84,7 @@ def test_balanced_overlay_respects_root():
 
 
 def test_balanced_overlay_requires_edges():
-    from repro.graphs import path_graph
+    from repro.graphs.generators import path_graph
 
     with pytest.raises(TreeError):
         balanced_binary_overlay(path_graph(7), root=0)
@@ -95,7 +95,7 @@ def test_star_overlay():
     t = star_overlay(g, center=2)
     assert t.root == 2
     assert all(t.distance(2, v) == 1 for v in range(6) if v != 2)
-    from repro.graphs import path_graph
+    from repro.graphs.generators import path_graph
 
     with pytest.raises(TreeError):
         star_overlay(path_graph(5), center=0)

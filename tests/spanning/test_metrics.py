@@ -5,21 +5,19 @@ import pytest
 
 from repro.graphs import (
     complete_graph,
-    cycle_graph,
-    path_graph,
     random_geometric_graph,
 )
+from repro.graphs.generators import cycle_graph, path_graph
 from repro.spanning import (
-    SpanningTree,
-    average_stretch,
     balanced_binary_overlay,
     bfs_tree,
     mst_prim,
-    star_overlay,
     tree_diameter,
     tree_stretch,
-    tree_stretch_brute_force,
 )
+from repro.spanning.construct import star_overlay
+from repro.spanning.metrics import average_stretch, tree_stretch_brute_force
+from repro.spanning.tree import SpanningTree
 
 
 def test_stretch_of_path_in_itself_is_one():

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import TreeError
-from repro.graphs import bfs_distances, random_geometric_graph
-from repro.spanning import SpanningTree, mst_prim
+from repro.graphs import random_geometric_graph
+from repro.graphs.shortest_paths import bfs_distances
+from repro.spanning import mst_prim
+from repro.spanning.tree import SpanningTree
 
 
 def chain_tree(n, root=0):
@@ -97,17 +99,6 @@ def test_reroot_preserves_distances():
     for u in range(6):
         for v in range(6):
             assert t.distance(u, v) == r.distance(u, v)
-
-
-def test_subtree_nodes():
-    t = SpanningTree([0, 0, 0, 1, 1, 2, 2], root=0)
-    assert sorted(t.subtree_nodes(1)) == [1, 3, 4]
-    assert sorted(t.subtree_nodes(0)) == list(range(7))
-
-
-def test_leaves():
-    t = SpanningTree([0, 0, 0, 1, 1, 2, 2], root=0)
-    assert sorted(t.leaves()) == [3, 4, 5, 6]
 
 
 def test_to_graph_roundtrip():

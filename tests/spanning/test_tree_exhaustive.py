@@ -18,8 +18,10 @@ from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.errors import GraphError, TreeError
 from repro.faults import run_arrow_faulted
-from repro.graphs import dijkstra, path_graph
-from repro.spanning import SpanningTree, bfs_tree
+from repro.graphs import dijkstra
+from repro.graphs.generators import path_graph
+from repro.spanning import bfs_tree
+from repro.spanning.tree import SpanningTree
 from repro.sweep import GraphSpec, ScheduleSpec, SweepSpec, run_sweep
 from small_models import labelled_trees
 

@@ -12,7 +12,7 @@ from repro.core.queueing import CompletionRecord
 from repro.core.requests import Request
 from repro.errors import MonitorViolation, ReproError
 from repro.monitors import ArrowMonitor
-from repro.spanning import SpanningTree
+from repro.spanning.tree import SpanningTree
 from repro.sweep import (
     GraphSpec,
     ScheduleSpec,
@@ -20,13 +20,13 @@ from repro.sweep import (
     cell_seed,
     dumps_row,
     execute_cell,
-    iter_rows,
     iter_sweep,
     orchestrate_sweep,
     run_sweep,
     smoke_grid,
 )
 from repro.sweep.families import FAMILIES
+from repro.sweep.persist import iter_rows
 from repro.sweep.registry import CellFamily, get_family
 
 

@@ -17,14 +17,13 @@ from repro.sweep import (
     families,
     fig10_grid,
     fig11_grid,
-    iter_rows,
     latency_columns,
     orchestrate_sweep,
-    percentile_nearest_rank,
     run_sweep,
     shard_path,
 )
-from repro.sweep.stats import DEFAULT_BINS
+from repro.sweep.persist import iter_rows
+from repro.sweep.stats import DEFAULT_BINS, percentile_nearest_rank
 
 LATENCY_KEYS = {
     "latency_mean",

@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
-from repro.sweep import dumps_row, merge_shards
-from repro.sweep.persist import diff_rows
+from repro.sweep import dumps_row
+from repro.sweep.persist import diff_rows, merge_shards
 
 
 def write_shard(path, indices, pad=0):

@@ -9,18 +9,17 @@ import pytest
 
 from repro.errors import ReproError, ScheduleError, SweepError
 from repro.sweep import (
-    CellFamily,
     GraphSpec,
     ScheduleSpec,
     SweepSpec,
     directory_grid,
     execute_cell,
     get_family,
-    iter_rows,
     run_sweep,
 )
 from repro.sweep.families import FAMILIES
-from repro.sweep.registry import count
+from repro.sweep.persist import iter_rows
+from repro.sweep.registry import CellFamily, count
 
 
 def one_cell(schedule, *, graph=None, tree="bfs", seed=0, engine="fast"):
@@ -251,7 +250,7 @@ def test_adaptive_vs_arrow_message_sanity_on_complete_graphs():
 
 
 def test_adaptive_rows_carry_latency_histogram_invariant():
-    from repro.sweep import DEFAULT_BINS
+    from repro.sweep.stats import DEFAULT_BINS
 
     row, _ = adaptive_and_arrow(8, schedule="poisson", count=40, rate=4.0)
     assert row["protocol"] == "adaptive"

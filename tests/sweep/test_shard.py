@@ -10,11 +10,11 @@ from repro.sweep import (
     ScheduleSpec,
     SweepSpec,
     dumps_row,
-    merge_shards,
     run_sweep,
     shard_path,
     smoke_grid,
 )
+from repro.sweep.persist import merge_shards
 
 
 def tiny_spec():

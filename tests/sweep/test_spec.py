@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import repro.sweep
+import repro.sweep.spec
 
 from repro.errors import ScheduleError, SweepError
 from repro.sweep import (
@@ -259,9 +259,10 @@ def test_legal_family_params_still_build():
         ("poisson", {"count": np.int64(7)}),
     ]:
         assert ScheduleSpec.of(family, **params).kwargs() == params
-    presets = [getattr(repro.sweep, name) for name in repro.sweep.__all__ if name.endswith("_grid")]
+    module = repro.sweep.spec
+    presets = [getattr(module, name) for name in module.__all__ if name.endswith("_grid")]
     assert len(presets) == 14
-    for preset in [*presets, repro.sweep.service_time_grids]:
+    for preset in [*presets, module.service_time_grids]:
         specs = preset()
         for spec in specs if isinstance(specs, tuple) else (specs,):
             assert spec.num_cells() == len({c.cell_id for c in spec.cells()})
