@@ -69,7 +69,7 @@ from repro.net.latency import LatencyModel, UnitLatency
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from repro.sim.rng import spawn_rng
+from repro.sim.rng import DrawStream, spawn_rng
 from repro.spanning.tree import SpanningTree
 
 __all__ = [
@@ -278,7 +278,7 @@ class _FaultState:
         "down",
         "windows",
         "loss_rate",
-        "loss",
+        "loss_coin",
         "in_flight",
         "degraded",
         "degraded_since",
@@ -295,8 +295,10 @@ class _FaultState:
         self.loss_rate = plan.loss_rate
         # The dedicated ``fault-loss`` stream: one uniform [0, 1) draw
         # per send that survives the link windows, in send order.
-        self.loss = (
-            spawn_rng(seed, "fault-loss") if plan.loss_rate > 0.0 else None
+        self.loss_coin = (
+            DrawStream(spawn_rng(seed, "fault-loss")).random
+            if plan.loss_rate > 0.0
+            else None
         )
         self.in_flight = 0
         self.degraded = False
@@ -334,7 +336,7 @@ class _FaultState:
             if t0 <= now < t1:
                 self._record_drop(rid, src, dst, now)
                 return True
-        if self.loss is not None and self.loss.random() < self.loss_rate:
+        if self.loss_coin is not None and self.loss_coin() < self.loss_rate:
             self._record_drop(rid, src, dst, now)
             return True
         return False

@@ -197,7 +197,9 @@ class Graph:
 
     def is_unit_weighted(self) -> bool:
         """True iff every edge has weight exactly 1 (the synchronous model)."""
-        return all(w == 1.0 for _, _, w in self.edges())
+        # Every row's weights within {1.0}: one C-level subset test per row.
+        unit = {1.0}
+        return all(map(unit.issuperset, map(dict.values, self._adj)))
 
     def copy(self) -> "Graph":
         """Deep copy of the graph, rows in the same insertion order."""

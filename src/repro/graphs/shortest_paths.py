@@ -18,6 +18,7 @@ from repro.graphs.graph import Graph
 
 __all__ = [
     "bfs_distances",
+    "bfs_predecessors",
     "dijkstra",
     "single_source_distances",
     "all_pairs_distances",
@@ -42,6 +43,36 @@ def bfs_distances(graph: Graph, source: int) -> list[float]:
                 dist[v] = du + 1.0
                 q.append(v)
     return dist
+
+
+def bfs_predecessors(graph: Graph, source: int) -> tuple[list[float], list[int]]:
+    """:func:`dijkstra`'s ``(dist, pred)`` on a unit-weighted graph, by BFS.
+
+    Each level is expanded in ascending node id, the ``(dist, id)`` order in
+    which Dijkstra pops unit-weight nodes, so ``pred[v]`` is the smallest-id
+    neighbour one hop closer — Dijkstra's choice — and both lists are equal
+    to Dijkstra's.  The caller checks the weights.
+    """
+    graph._check_node(source)
+    adj = graph._adj
+    n = graph.num_nodes
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[source] = 0.0
+    level = [source]
+    d = 0.0
+    while level:
+        d += 1.0
+        nxt: list[int] = []
+        for u in level:
+            for v in adj[u]:
+                if dist[v] == math.inf:
+                    dist[v] = d
+                    pred[v] = u
+                    nxt.append(v)
+        nxt.sort()
+        level = nxt
+    return dist, pred
 
 
 def dijkstra(graph: Graph, source: int) -> tuple[list[float], list[int]]:

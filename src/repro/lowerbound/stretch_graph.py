@@ -1,16 +1,15 @@
 """The Theorem 4.2 construction: lower bounds at a prescribed stretch.
 
 For any stretch ``s`` and tree diameter ``D`` (with ``D/s`` a power of
-two), build the graph ``G`` as the path ``v_0..v_D`` plus shortcut edges
-``(v_{(i-1)s}, v_{is})`` of weight ``s`` for ``i = 1..D/s``; the path is a
-spanning tree of ``G`` with stretch exactly ``s`` (each shortcut of weight
-``s``... wait — shortcuts have weight 1 in hops?  The paper adds plain
-edges, making ``d_G(v_{(i-1)s}, v_{is}) = 1`` while the tree needs ``s``
-hops, so the stretch is ``s``).  The Theorem 4.1 request set for a path of
-length ``D/s`` is placed on the shortcut endpoints ``v_0, v_s, v_2s, ...``;
-arrow pays ``Θ(D log(D/s)/log log(D/s))`` while the optimal algorithm uses
-the shortcuts and pays ``O(D/s)``... precisely, ``O(D)`` in tree-distance
-units — either way a ratio of ``Ω(s · log(D/s)/log log(D/s))``.
+two), the graph ``G`` is the path ``v_0..v_D`` plus one unit-weight
+shortcut ``(v_{(i-1)s}, v_{is})`` for each ``i = 1..D/s``.  The path is a
+spanning tree of ``G`` with stretch exactly ``s``: each shortcut joins two
+nodes one hop apart in ``G`` and ``s`` hops apart in the tree.  The
+Theorem 4.1 request set for a path of length ``D/s`` is placed on the
+shortcut endpoints ``v_0, v_s, v_2s, ...``.  Arrow, confined to the tree,
+pays ``s`` times its cost on that shorter path, while the optimal
+algorithm travels the shortcuts and pays no more than there, so the ratio
+is ``Ω(s · log(D/s) / log log(D/s))``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import tree_link_weights
 from repro.spanning.tree import SpanningTree
-from repro.sim.rng import spawn_rng
+from repro.sim.rng import DrawStream, spawn_rng
 
 __all__ = [
     "mst_prim",
@@ -67,9 +67,12 @@ def bfs_tree(graph: Graph, root: int = 0) -> SpanningTree:
     Guarantees ``d_T(root, v) = d_G(root, v)`` for every ``v``, hence tree
     diameter at most twice the graph's eccentricity of the root.
     """
-    from repro.graphs.shortest_paths import dijkstra
+    from repro.graphs.shortest_paths import bfs_predecessors, dijkstra
 
-    dist, pred = dijkstra(graph, root)
+    if graph.is_unit_weighted():
+        dist, pred = bfs_predecessors(graph, root)
+    else:
+        dist, pred = dijkstra(graph, root)
     if math.inf in dist:
         raise GraphError("graph is disconnected; no spanning tree exists")
     # The predecessor array already is the rooted tree's parent array; the
@@ -129,7 +132,7 @@ def random_spanning_tree(graph: Graph, root: int = 0, seed: int = 0) -> Spanning
     the tests need: unbiased random tree shapes.
     """
     n = graph.num_nodes
-    rng = spawn_rng(seed, f"wilson-{n}")
+    pick = DrawStream(spawn_rng(seed, f"wilson-{n}")).integers
     in_tree = [False] * n
     parent = [-1] * n
     in_tree[root] = True
@@ -144,7 +147,7 @@ def random_spanning_tree(graph: Graph, root: int = 0, seed: int = 0) -> Spanning
         while not in_tree[u]:
             if not nbrs[u]:
                 raise GraphError("graph is disconnected; no spanning tree exists")
-            nxt = nbrs[u][rng.integers(len(nbrs[u]))]
+            nxt = nbrs[u][pick(len(nbrs[u]))]
             parent[u] = nxt
             u = nxt
         # Retrace the erased walk and attach it to the tree.

@@ -17,10 +17,11 @@ produce the families used by the experiments and tests:
 All generators take a seed and are deterministic given their arguments.
 They emit columns: the arrays they draw go to
 :meth:`RequestSchedule.from_columns` as they are, with no per-request
-Python object in between.  Only ``hotspot`` draws its nodes one scalar
-call at a time: whether a request takes a hot or a uniform draw depends
-on its own coin flip, so vectorising would reorder the stream and change
-every seeded ``hotspot`` schedule.
+Python object in between.  ``hotspot``'s node draws are sequential —
+whether a request takes a hot or a uniform draw depends on its own coin
+flip, and a single hot node draws nothing — so they come from a
+:class:`~repro.sim.rng.DrawStream`, which replays the generator's scalar
+draws value for value at Python-int cost.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
-from repro.sim.rng import spawn_rng
+from repro.sim.rng import DrawStream, spawn_rng
 
 __all__ = [
     "one_shot",
@@ -140,12 +141,14 @@ def hotspot(
     _check_args(num_nodes, count=count, rate=rate)
     rng = spawn_rng(seed, f"hotspot-{num_nodes}-{count}")
     times = np.cumsum(rng.exponential(1.0 / rate, size=count))
-    nodes = []
-    for _ in range(count):
-        if rng.random() < hot_fraction:
-            nodes.append(hot_nodes[int(rng.integers(0, len(hot_nodes)))])
-        else:
-            nodes.append(int(rng.integers(0, num_nodes)))
+    draws = DrawStream(rng)
+    coin = draws.random
+    pick = draws.integers
+    hot = len(hot_nodes)
+    nodes = [
+        hot_nodes[pick(hot)] if coin() < hot_fraction else pick(num_nodes)
+        for _ in range(count)
+    ]
     return RequestSchedule.from_columns(nodes, times)
 
 

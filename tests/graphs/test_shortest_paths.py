@@ -1,6 +1,7 @@
 """Unit tests for shortest paths vs networkx oracles."""
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -15,6 +16,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
     all_pairs_distances,
     bfs_distances,
+    bfs_predecessors,
     connected_components,
     eccentricity,
     is_connected,
@@ -47,6 +49,27 @@ def test_dijkstra_matches_networkx_weighted():
     want = nx.single_source_dijkstra_path_length(G, 0)
     for v in range(25):
         assert dist[v] == pytest.approx(want[v])
+
+
+def _shuffled_unit_graph(seed):
+    """A unit-weight graph whose rows are filled in a random order, so a
+    BFS that followed row order instead of node ids would show."""
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 30), rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    return Graph.from_columns(n, [u for u, _ in pairs], [v for _, v in pairs], 1.0)
+
+
+@pytest.mark.parametrize("seed", range(0, 300, 5))
+def test_bfs_predecessors_equal_dijkstra_on_unit_weights(seed):
+    """Dijkstra pops unit-weight nodes in ``(dist, id)`` order; the level
+    walk must reproduce its ``(dist, pred)`` exactly, from every source
+    (disconnected samples included: ``inf`` / ``-1`` where unreached)."""
+    g = _shuffled_unit_graph(seed)
+    for source in g.nodes():
+        assert bfs_predecessors(g, source) == dijkstra(g, source)
 
 
 def test_single_source_dispatches_by_weights():

@@ -1,5 +1,6 @@
 """Unit tests for spanning-tree constructions (networkx MST as oracle)."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -12,7 +13,7 @@ from repro.graphs import (
     grid_graph,
     random_geometric_graph,
 )
-from repro.graphs.generators import gnp_connected_graph
+from repro.graphs.generators import gnp_connected_graph, hypercube_graph
 from repro.graphs.graph import Graph
 from repro.spanning import (
     balanced_binary_overlay,
@@ -117,6 +118,34 @@ def test_random_spanning_trees_vary_with_seed():
     assert len(trees) > 1
 
 
+#: SHA-256 of ``repr(parent)`` for Wilson's trees on the mixed grid's
+#: graphs, seeds 0-4 x roots 0 and 7 (the gnp graph drawn with the same
+#: seed), recorded before the walk's draws moved to ``DrawStream``: the
+#: replay must pick the same neighbour at every step.
+WILSON_DIGESTS = {
+    "complete-24": "cde498967dac58c26aaa38f8dcbd105b1864190f72b8a417bbff47a1ec72a575",
+    "grid-5x5": "982d4a48be898c0f217eb68f6e6ea54c67c0be88e9308eb3f107c19d2986f6cb",
+    "hypercube-5": "5cb0b962c09a328784588d8c8330190f6307bf61f740a0ac5c29a9c190d2a6f3",
+    "gnp-24-0.3": "97e9992d8f5f6012e24c2cd4eed65d2f40ac1d88ac83489bc864bc915cd87154",
+}
+WILSON_GRAPHS = {
+    "complete-24": lambda seed: complete_graph(24),
+    "grid-5x5": lambda seed: grid_graph(5, 5),
+    "hypercube-5": lambda seed: hypercube_graph(5),
+    "gnp-24-0.3": lambda seed: gnp_connected_graph(24, 0.3, seed=seed),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(WILSON_DIGESTS))
+def test_random_spanning_trees_are_pinned(graph):
+    h = hashlib.sha256()
+    for seed in range(5):
+        g = WILSON_GRAPHS[graph](seed)
+        for root in (0, 7):
+            h.update(repr(list(random_spanning_tree(g, root, seed=seed).parent)).encode())
+    assert h.hexdigest() == WILSON_DIGESTS[graph]
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("root", [0, 11])
 def test_bfs_tree_is_from_edges_of_the_dijkstra_edges(seed, root):
@@ -141,6 +170,18 @@ def test_bfs_tree_is_from_edges_of_the_dijkstra_edges(seed, root):
     assert {type(w) for w in t.edge_weight} == {float}
     # The caller-visible Dijkstra contract (-1 at the source) is untouched.
     assert dijkstra(g, root)[1][root] == -1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bfs_tree_on_unit_weights_is_the_dijkstra_tree(seed):
+    """The unit-weight branch (level walk) builds Dijkstra's tree."""
+    g = gnp_connected_graph(30, 0.15, seed=seed)
+    for root in g.nodes():
+        dist, pred = dijkstra(g, root)
+        pred[root] = root
+        t = bfs_tree(g, root)
+        assert t.parent == pred
+        assert t.depth == [int(d) for d in dist]
 
 
 def test_bfs_tree_single_node():
