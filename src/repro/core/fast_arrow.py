@@ -156,7 +156,9 @@ def _arrow_loop(
     ``service_time`` and ``max_events`` are the
     :func:`~repro.core.runner.run_arrow` knobs; ``rng`` is the run's
     ``spawn_rng(seed, "network-latency")`` stream, which a closed loop
-    shares with its acknowledgement router.
+    shares with the :class:`~repro.net.network.Router` of its
+    acknowledgements — the class a :class:`~repro.net.network.Network`
+    routes every routed send through.
 
     * **Delay source** — per-directed-link tables, built before the loop,
       for deterministic latency models (which never draw from ``rng``),
@@ -175,7 +177,8 @@ def _arrow_loop(
     * **driver** — the closed loop's ``(remaining, issue_times,
       owners, ack_times, hops, latencies, think_time,
       reply_delay)``: per-processor budgets, the rid-indexed result
-      lists, and the routed delay of a ``queue_reply``.  Completions
+      lists, and ``Router.delay_hops``, the routed delay and hop
+      count of a ``queue_reply``.  Completions
       are then acknowledged to their origin, and an acknowledgement
       triggers the processor's next request; without a driver they
       are appended to ``result``'s five columns (what
@@ -225,8 +228,9 @@ def _arrow_loop(
       the message engine never reaches the latency draw for it either —
       while crash events and dropped initiations are fired events and
       count towards ``max_events``;
-    * the per-node busy-until service model and the acknowledgements'
-      shortest-path routing are replayed arithmetically, and
+    * the per-node busy-until service model is replayed
+      arithmetically, the acknowledgements' shortest-path routing is
+      the network's own :class:`~repro.net.network.Router`, and
       stochastic latency models draw from the same ``spawn_rng(seed,
       "network-latency")`` stream in the same order as
       :class:`~repro.net.network.Network` would — one draw per

@@ -7,7 +7,10 @@ per-node sequential ``service_time``, and the routed ``queue_reply``
 acknowledgements over ``G`` — on a flat binary heap over ``(time, seq)``
 tuples with plain array node state.  No :class:`~repro.net.message.Message`
 objects, no per-event callback, no :class:`~repro.net.network.Network`
-dispatch.
+dispatch.  Routed delays are the network's own: each run builds one
+:class:`~repro.net.network.Router` over its ``"network-latency"``
+stream, as a ``Network`` does, so a routed send reads the same cached
+route and makes the same draws in both engines.
 
 The arrow run is a configuration of the one arrow event loop,
 :func:`repro.core.fast_arrow._arrow_loop` (seeded with the
@@ -43,10 +46,9 @@ from repro.core.fast_arrow import (
     _raise_livelock,
     engine_error_message,
 )
-from repro.errors import NetworkError
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import dijkstra
 from repro.net.latency import LatencyModel, UnitLatency
+from repro.net.network import Router
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 from repro.workloads.closed_loop import (
@@ -117,68 +119,6 @@ def _fill_result(result: ClosedLoopResult, makespan: float, messages: int) -> Cl
     return result
 
 
-class _Router:
-    """Shortest-path routing over ``G``, mirroring :meth:`Network._route`.
-
-    Caches the Dijkstra predecessor array per source and the reconstructed
-    path per ``(src, dst)`` pair.  For deterministic latency models the
-    summed path delay is cached outright; stochastic models re-sample every
-    edge per send, in path order, exactly as ``send_routed`` does.
-    """
-
-    __slots__ = ("graph", "latency", "rng", "_sssp", "_paths", "_det")
-
-    def __init__(self, graph: Graph, latency: LatencyModel, rng) -> None:
-        self.graph = graph
-        self.latency = latency
-        self.rng = rng
-        self._sssp: dict[int, list[int]] = {}
-        self._paths: dict[tuple[int, int], tuple[list[int], list[int], list[float]]] = {}
-        self._det: dict[tuple[int, int], tuple[float, int]] = {}
-
-    def _path_edges(
-        self, src: int, dst: int
-    ) -> tuple[list[int], list[int], list[float]]:
-        key = (src, dst)
-        cached = self._paths.get(key)
-        if cached is not None:
-            return cached
-        pred = self._sssp.get(src)
-        if pred is None:
-            _, pred = dijkstra(self.graph, src)
-            self._sssp[src] = pred
-        path = [dst]
-        while path[-1] != src:
-            nxt = pred[path[-1]]
-            if nxt < 0:
-                raise NetworkError(f"node {dst} unreachable from {src}")
-            path.append(nxt)
-        path.reverse()
-        srcs = path[:-1]
-        dsts = path[1:]
-        weights = self.graph.edge_weights(srcs, dsts)
-        edges = (srcs, dsts, weights)
-        self._paths[key] = edges
-        return edges
-
-    def delay_hops(self, src: int, dst: int) -> tuple[float, int]:
-        """Summed per-edge delay and hop count of one routed send."""
-        if not self.latency.stochastic:
-            cached = self._det.get((src, dst))
-            if cached is not None:
-                return cached
-        srcs, dsts, weights = self._path_edges(src, dst)
-        sample = self.latency.sample
-        rng = self.rng
-        delay = 0.0
-        for a, b, w in zip(srcs, dsts, weights):
-            delay += sample(a, b, w, rng)
-        out = (delay, len(srcs))
-        if not self.latency.stochastic:
-            self._det[(src, dst)] = out
-        return out
-
-
 def closed_loop_arrow_fast(
     graph: Graph,
     tree: SpanningTree,
@@ -205,7 +145,7 @@ def closed_loop_arrow_fast(
     # One stream for tree-link sends and routed replies, drawn in event
     # order, like the Network's.
     rng = spawn_rng(seed, "network-latency")
-    router = _Router(graph, model, rng)
+    router = Router(graph, model, rng)
     heap, remaining = _driver_state(result)
 
     # No schedule: the n issue events on the heap are the request source.
@@ -257,7 +197,7 @@ def closed_loop_centralized_fast(
     _check_loop_args(requests_per_proc, service_time, think_time)
     result = ClosedLoopResult("centralized", n, requests_per_proc)
     model = latency if latency is not None else UnitLatency()
-    delay_hops = _Router(graph, model, spawn_rng(seed, "network-latency")).delay_hops
+    delay_hops = Router(graph, model, spawn_rng(seed, "network-latency")).delay_hops
     service = float(service_time)
     think = float(think_time)
     # As in _arrow_loop: without a service time a message is scheduled

@@ -12,7 +12,11 @@
 * **routed sends** (:meth:`send_routed`) deliver along a shortest path of
   ``G`` with the summed per-edge delays — used by the centralized baseline
   and by application-level replies (object hand-off, completion notices),
-  which the paper routes over the network rather than the tree;
+  which the paper routes over the network rather than the tree.  A routed
+  send is one :meth:`Router.delay_hops` call on the network's
+  :class:`Router`, which caches each ``(src, dst)`` route (its delay for
+  a deterministic latency model, else its path) and is the same class
+  the fast closed loops route through;
 * an optional **per-node service time** serialises message handling at each
   node, modelling CPU occupancy.  The synchronous analysis model (§3.1)
   corresponds to ``service_time == 0`` ("a node can process up to deg(v)
@@ -35,7 +39,7 @@ from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng
 
-__all__ = ["Network", "NetworkStats"]
+__all__ = ["Network", "NetworkStats", "Router"]
 
 
 class NetworkStats:
@@ -59,6 +63,74 @@ class NetworkStats:
         }
 
 
+class Router:
+    """Shortest-path routing over ``G``: the one source of routed delays.
+
+    Caches the Dijkstra predecessor array per source and one route per
+    ``(src, dst)`` pair: for a deterministic latency model the summed
+    path delay and hop count, else the path's edge columns, which a
+    stochastic model re-samples per send, edge by edge in path order,
+    from the one ``rng`` it is given.  :class:`Network` routes
+    :meth:`~Network.send_routed` through one, and the fast closed loops
+    (:mod:`repro.core.fast_closed_loop`) build one over the same
+    ``"network-latency"`` stream.
+    """
+
+    __slots__ = ("graph", "latency", "rng", "_sssp", "_routes", "_values")
+
+    def __init__(self, graph: Graph, latency: LatencyModel, rng) -> None:
+        self.graph = graph
+        self.latency = latency
+        self.rng = rng
+        self._sssp: dict[int, list[int]] = {}
+        self._routes: dict[tuple[int, int], tuple] = {}
+        self._values: dict[tuple[float, int], tuple[float, int]] = {}
+
+    def _path_edges(
+        self, src: int, dst: int
+    ) -> tuple[list[int], list[int], list[float]]:
+        pred = self._sssp.get(src)
+        if pred is None:
+            _, pred = dijkstra(self.graph, src)
+            self._sssp[src] = pred
+        path = [dst]
+        while path[-1] != src:
+            nxt = pred[path[-1]]
+            if nxt < 0:
+                raise NetworkError(f"node {dst} unreachable from {src}")
+            path.append(nxt)
+        path.reverse()
+        srcs = path[:-1]
+        dsts = path[1:]
+        return srcs, dsts, self.graph.edge_weights(srcs, dsts)
+
+    def _sample(
+        self, srcs: list[int], dsts: list[int], weights: list[float]
+    ) -> tuple[float, int]:
+        sample = self.latency.sample
+        rng = self.rng
+        delay = 0.0
+        for a, b, w in zip(srcs, dsts, weights):
+            delay += sample(a, b, w, rng)
+        return delay, len(srcs)
+
+    def delay_hops(self, src: int, dst: int) -> tuple[float, int]:
+        """Summed per-edge delay and hop count of one routed send."""
+        key = (src, dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._path_edges(src, dst)
+            if not self.latency.stochastic:
+                route = self._sample(*route)
+                # Deterministic routes repeat one value many times (every
+                # one-hop unit route is (1.0, 1)): keep one tuple per value.
+                route = self._values.setdefault(route, route)
+            self._routes[key] = route
+        if self.latency.stochastic:
+            return self._sample(*route)
+        return route
+
+
 class Network:
     """Message-passing network over a graph, driven by a simulator."""
 
@@ -76,13 +148,12 @@ class Network:
         self.sim = sim
         self.latency = latency if latency is not None else UnitLatency()
         self.rng: np.random.Generator = spawn_rng(seed, "network-latency")
+        self._router = Router(graph, self.latency, self.rng)
         self.stats = NetworkStats()
 
         self._nodes: list[ProtocolNode | None] = [None] * graph.num_nodes
         # Sequential-service state: when the next message may begin service.
         self._busy_until: list[float] = [0.0] * graph.num_nodes
-        # Routed-path cache: source -> (dist, pred) from Dijkstra.
-        self._route_cache: dict[int, tuple[list[float], list[int]]] = {}
 
     # ------------------------------------------------------------------
     # setup
@@ -128,18 +199,12 @@ class Network:
         count records the path length.  A message to self delivers after
         zero delay (still as its own atomic event).
         """
-        msg = Message(kind, src, dst, payload or {})
-        self.stats.messages_sent += 1
-        self.stats.routed_messages += 1
-        if src == dst:
-            self.sim.call_in(0.0, self._arrive, msg)
-            return msg
-        path = self._route(src, dst)
-        delay = 0.0
-        for a, b in zip(path, path[1:]):
-            delay += self.latency.sample(a, b, self.graph.weight(a, b), self.rng)
-        msg.hops = len(path) - 1
-        self.stats.hops_total += msg.hops
+        delay, hops = self._router.delay_hops(src, dst)
+        msg = Message(kind, src, dst, payload or {}, hops)
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.routed_messages += 1
+        stats.hops_total += hops
         self.sim.call_in(delay, self._arrive, msg)
         return msg
 
@@ -173,30 +238,13 @@ class Network:
         if self.service_time == 0.0:
             self._dispatch(msg)
             return
-        begin = max(self.sim.now, self._busy_until[msg.dst])
-        finish = begin + self.service_time
-        self._busy_until[msg.dst] = finish
-        self.sim.call_at(finish, self._dispatch, msg)
+        sim, busy, dst = self.sim, self._busy_until, msg.dst
+        begin = busy[dst] if busy[dst] > sim.now else sim.now
+        busy[dst] = finish = begin + self.service_time
+        sim.call_at(finish, self._dispatch, msg)
 
     def _dispatch(self, msg: Message) -> None:
         node = self._nodes[msg.dst]
         if node is None:
             raise NetworkError(f"message {msg.kind} delivered to empty node {msg.dst}")
         node.on_message(msg)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _route(self, src: int, dst: int) -> list[int]:
-        cached = self._route_cache.get(src)
-        if cached is None:
-            cached = dijkstra(self.graph, src)
-            self._route_cache[src] = cached
-        dist, pred = cached
-        if dist[dst] == float("inf"):
-            raise NetworkError(f"node {dst} unreachable from {src}")
-        path = [dst]
-        while path[-1] != src:
-            path.append(pred[path[-1]])
-        path.reverse()
-        return path

@@ -35,9 +35,14 @@ __all__ = ["Simulator"]
 
 
 class Simulator:
-    """Single-threaded deterministic discrete-event simulator."""
+    """Single-threaded deterministic discrete-event simulator.
 
-    __slots__ = ("_heap", "_seq", "_now", "_running", "_fired", "_max_events")
+    ``now`` is the current simulation time: the time of the event being
+    processed, or of the last one fired.  It is a plain slot, read on
+    every message, that only :meth:`run` writes.
+    """
+
+    __slots__ = ("_heap", "_seq", "now", "_running", "_fired", "_max_events")
 
     def __init__(self, max_events: int | None = None) -> None:
         """Create a simulator.
@@ -51,15 +56,10 @@ class Simulator:
         """
         self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = 0
-        self._now = 0.0
+        self.now = 0.0
         self._running = False
         self._fired = 0
         self._max_events = max_events
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (time of the event being processed)."""
-        return self._now
 
     # ------------------------------------------------------------------
     # scheduling
@@ -72,9 +72,9 @@ class Simulator:
         event already scheduled for the current instant, preserving
         causality within a time step.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} (now is t={self._now})"
+                f"cannot schedule event at t={time} (now is t={self.now})"
             )
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
@@ -85,7 +85,11 @@ class Simulator:
         """Schedule ``fn(*args)`` after a non-negative relative ``delay``."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.call_at(self._now + delay, fn, *args)
+        time = self.now + delay
+        if time != time:  # NaN guard
+            raise SimulationError("event time is NaN")
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        self._seq += 1
 
     # ------------------------------------------------------------------
     # execution
@@ -96,16 +100,20 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         heap = self._heap
+        pop = heapq.heappop
+        fired = self._fired
+        limit = float("inf") if self._max_events is None else self._max_events
         try:
             while heap:
-                self._now, _, fn, args = heapq.heappop(heap)
-                self._fired += 1
+                self.now, _, fn, args = pop(heap)
+                fired += 1
                 fn(*args)
-                if self._max_events is not None and self._fired > self._max_events:
+                if fired > limit:
                     raise SimulationError(
                         f"exceeded max_events={self._max_events}; "
                         "possible livelock in protocol code"
                     )
         finally:
+            self._fired = fired
             self._running = False
-        return self._now
+        return self.now

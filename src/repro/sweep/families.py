@@ -53,7 +53,7 @@ from repro.lowerbound import (
     theorem42_instance,
 )
 from repro.monitors import ArrowMonitor
-from repro.net.latency import UniformLatency
+from repro.net.latency import UniformLatency, WeightLatency
 from repro.sim.rng import spawn_rng
 from repro.spanning.metrics import tree_diameter, tree_stretch
 from repro.sweep.registry import (
@@ -278,8 +278,10 @@ def _build_ratio(cell: SweepCell, derived: int) -> Mapping[str, Any]:
 def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[str, Any]:
     """The run's columns, ``protocol``, ``msgs_per_request`` and the tree's
     ``stretch`` and ``diameter``.  ``adaptive`` and ``centralized`` run from
-    node 0 and ignore the tree.  With ``latency_lo`` delays are uniform in
-    ``[latency_lo, 1]`` and ``sync_latency`` is the unit-delay cost:
+    node 0 and ignore the tree.  A link's delay is its weight (unit delay
+    on a unit-weight graph), the unit every distance in the row is in.
+    With ``latency_lo`` delays are uniform in ``[latency_lo, 1]`` times
+    the weight and ``sync_latency`` is the delay-equals-weight cost:
     Theorem 3.21's comparison.
 
     The competitive regimes (every workload but the ablations' ``poisson``)
@@ -300,7 +302,8 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
         runner = run_adaptive if protocol == "adaptive" else run_centralized
         return runner(graph, 0, schedule, **knobs)
 
-    result = run(None if lo is None else UniformLatency(float(lo), 1.0))
+    sync = None if graph.is_unit_weighted() else WeightLatency()
+    result = run(sync if lo is None else UniformLatency(float(lo), 1.0))
     stretch = tree_stretch(graph, tree).stretch
     row = {
         **_run_result_columns(graph, len(schedule), result),
@@ -310,7 +313,7 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
         "diameter": D,
     }
     if lo is not None:
-        row["sync_latency"] = run(None).total_latency
+        row["sync_latency"] = run(sync).total_latency
     if kind == "poisson":
         return row
     bounds = opt_bounds(graph, tree, schedule, stretch, exact_limit=10)

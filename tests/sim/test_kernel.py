@@ -122,3 +122,68 @@ def test_zero_delay_event_runs_at_same_instant_after_current():
     sim.call_at(2.0, first)
     sim.run()
     assert seq == [("first", 2.0), ("second", 2.0)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_max_events_exact_threshold(k):
+    sim = Simulator(max_events=k)
+    for i in range(k):
+        sim.call_at(float(i), lambda: None)
+    sim.run()
+    assert sim._fired == k  # k events under max_events=k run
+
+    sim = Simulator(max_events=k)
+    fired = []
+    for i in range(k + 1):
+        sim.call_at(float(i), fired.append, i)
+    with pytest.raises(SimulationError, match=f"^exceeded max_events={k}; "):
+        sim.run()
+    assert fired == list(range(k + 1))  # ... and the (k + 1)-th raises
+
+
+def test_fired_count_spans_runs_and_failed_handlers():
+    sim = Simulator(max_events=3)
+    sim.call_at(1.0, lambda: None)
+    sim.call_at(2.0, lambda: None)
+    sim.run()
+    assert sim._fired == 2
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.call_at(3.0, boom)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert sim._fired == 3  # the raising handler's event counts
+    # The budget belongs to the simulator, not to one run: the fourth
+    # event overall exceeds it.
+    sim.call_at(4.0, lambda: None)
+    with pytest.raises(SimulationError, match="exceeded max_events=3"):
+        sim.run()
+    assert sim._fired == 4
+
+
+def test_call_in_zero_and_call_at_now_fire_in_scheduling_order():
+    sim = Simulator()
+    order = []
+
+    def start():
+        sim.call_at(sim.now, order.append, "at-1")
+        sim.call_in(0.0, order.append, "in-1")
+        sim.call_at(sim.now, order.append, "at-2")
+        sim.call_in(0.0, order.append, "in-2")
+
+    sim.call_in(0.0, order.append, "first")
+    sim.call_at(0.0, order.append, "second")
+    sim.call_at(2.0, start)
+    sim.call_at(2.0, order.append, "queued-before-start-ran")
+    sim.run()
+    assert order == [
+        "first",
+        "second",
+        "queued-before-start-ran",
+        "at-1",
+        "in-1",
+        "at-2",
+        "in-2",
+    ]

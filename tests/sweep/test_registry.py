@@ -264,3 +264,36 @@ def test_adaptive_nested_schedule_families():
         assert adaptive["requests"] == arrow["requests"] == 8
         # The paired cells replay one schedule against one opt bracket.
         assert adaptive["opt_upper"] == arrow["opt_upper"]
+
+
+# ----------------------------------------------------------------------
+# ratio rows on weighted graphs: every column in one unit
+# ----------------------------------------------------------------------
+def ratio_on_path(weight, **params):
+    return one_cell(
+        ScheduleSpec.of("ratio", count=8, **params),
+        graph=GraphSpec.of("path", n=17, weight=weight),
+    )
+
+
+@pytest.mark.parametrize("protocol", ["arrow", "adaptive", "centralized"])
+@pytest.mark.parametrize("schedule", ["one_shot", "sequential"])
+def test_ratio_bracket_is_unit_free_on_weighted_paths(protocol, schedule):
+    """Delays follow the weights, so doubling every weight doubles cost and
+    opt alike: the weight-2 path's exact bracket is the unit path's.  (The
+    ``random`` workload draws from ``seed + D`` and so differs by design.)"""
+    unit, doubled = (
+        ratio_on_path(w, protocol=protocol, schedule=schedule) for w in (1.0, 2.0)
+    )
+    assert doubled["total_latency"] == 2.0 * unit["total_latency"]
+    assert (doubled["ratio_lo"], doubled["ratio_hi"]) == (unit["ratio_lo"], unit["ratio_hi"])
+    assert doubled["ratio_lo"] == doubled["ratio_hi"] >= 1.0
+
+
+@pytest.mark.parametrize("protocol", ["arrow", "adaptive", "centralized"])
+def test_ratio_sync_latency_runs_at_delay_equals_weight(protocol):
+    unit, doubled = (
+        ratio_on_path(w, protocol=protocol, schedule="one_shot", latency_lo=0.5)
+        for w in (1.0, 2.0)
+    )
+    assert doubled["sync_latency"] == 2.0 * unit["sync_latency"]
