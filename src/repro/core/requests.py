@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.errors import ScheduleError
 
@@ -77,20 +76,37 @@ class RequestSchedule:
         return self
 
     def _set_columns(self, nodes: Sequence[int], times: Sequence[float]) -> None:
-        """Check the times and store both columns in canonical order."""
-        v = np.asarray(nodes, dtype=np.int64)
-        t = np.asarray(times, dtype=np.float64)
-        if v.ndim != 1 or v.shape != t.shape:
-            raise ScheduleError(f"need one time per node, got {v.size} nodes and {t.size} times")
-        bad = ~((t >= 0) & (t < np.inf))
-        if bad.any():
-            i = int(bad.argmax())
-            raise ScheduleError(f"request time must be finite and >= 0, got {t[i]} for pair {i}")
+        """Check both columns and store them in canonical order.
+
+        A node must be integral (``1.7`` or ``"3"`` is refused, not cast) and
+        a time real, finite and non-negative; both columns are copied into
+        plain Python ``int`` / ``float`` lists, so no numpy type reaches a row.
+        """
+        nodes, times = _column(nodes), _column(times)
+        if len(nodes) != len(times):
+            raise ScheduleError(
+                f"need one time per node, got {len(nodes)} nodes and {len(times)} times"
+            )
+        if not {*map(type, nodes)} <= {int}:
+            nodes = [_node(v, i) for i, v in enumerate(nodes)]
+        if not {*map(type, times)} <= {float}:
+            times = [_time(t, i) for i, t in enumerate(times)]
+        # A NaN or an infinity makes the sum NaN or infinite; only then (or
+        # for a negative minimum) look for the first offender.
+        if times and not (0.0 <= min(times) and sum(times) < math.inf):
+            for i, t in enumerate(times):
+                if not 0.0 <= t < math.inf:
+                    raise ScheduleError(
+                        f"request time must be finite and >= 0, got {t} for pair {i}"
+                    )
         # A stable sort on time alone is the (time, insertion order) sort;
-        # tolist() yields Python scalars, so no numpy type reaches a row.
-        order = np.argsort(t, kind="stable")
-        self._nodes: list[int] = v[order].tolist()
-        self._times: list[float] = t[order].tolist()
+        # times already in order, as most generators draw them, skip it.
+        if times != sorted(times):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            nodes = [nodes[i] for i in order]
+            times = [times[i] for i in order]
+        self._nodes: list[int] = nodes
+        self._times: list[float] = times
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -144,3 +160,24 @@ class RequestSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestSchedule(len={len(self)}, span=[0, {self.max_time()}])"
+
+
+def _column(values: Sequence) -> list:
+    """A private list copy of a column: ``tolist()`` turns a numpy array's
+    elements into Python scalars in one call."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def _node(value, pair: int) -> int:
+    if isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer()):
+        return int(value)
+    raise ScheduleError(f"request node must be an integer, got {value!r} for pair {pair}")
+
+
+def _time(value, pair: int) -> float:
+    if not isinstance(value, Real):
+        raise ScheduleError(f"request time must be a real number, got {value!r} for pair {pair}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range: infinitely late
+        return math.inf

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, _checked_weight
 from repro.graphs.shortest_paths import is_connected
@@ -192,6 +190,8 @@ def gnp_connected_graph(n: int, p: float, seed: int = 0) -> Graph:
     Draws samples until connected (probability of failure shrinks fast for
     ``p`` above the connectivity threshold); gives up after 200 attempts.
     """
+    import numpy as np
+
     if not 0.0 < p <= 1.0:
         raise GraphError(f"p must be in (0, 1], got {p}")
     rng = spawn_rng(seed, f"gnp-{n}-{p}")

@@ -11,10 +11,12 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "bfs_distances",
@@ -117,6 +119,8 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
     O(n·(m + n log n)); fine for the experiment scales in this repository
     (n up to a few thousand).
     """
+    import numpy as np
+
     n = graph.num_nodes
     out = np.empty((n, n), dtype=np.float64)
     unit = graph.is_unit_weighted()

@@ -19,10 +19,12 @@ messages at once.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import NetworkError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LatencyModel",

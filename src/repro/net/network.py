@@ -26,9 +26,7 @@
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import NetworkError, require_time
 from repro.graphs.graph import Graph
@@ -38,6 +36,9 @@ from repro.net.message import Message
 from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Network", "NetworkStats", "Router"]
 

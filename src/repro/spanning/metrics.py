@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import TreeError
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import all_pairs_distances
@@ -96,5 +94,5 @@ def tree_diameter(tree: SpanningTree) -> float:
     The node farthest from the root (largest ``wdepth``) ends a longest
     path, so its largest distance is the diameter; exact on trees.
     """
-    far = int(np.argmax(tree.wdepth))
+    far = max(range(tree.num_nodes), key=tree.wdepth.__getitem__)  # the first, as argmax
     return float(tree.distances_from(far).max())

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import TreeError
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SpanningTree"]
 
@@ -238,9 +239,11 @@ class SpanningTree:
         lifting table, then :meth:`distance`'s formula in the same order,
         so entry ``v`` equals ``distance(src, v)`` exactly.
         """
-        if self._up_array is None:
-            self._build_lifting()
+        import numpy as np
+
         up = self._up_array
+        if up is None:
+            up = self._up_array = np.array(self._up or self._build_lifting(), dtype=np.intp)
         depth = np.asarray(self.depth)
         wdepth = np.asarray(self.wdepth)
         u = np.full(self._n, src)
@@ -294,14 +297,13 @@ class SpanningTree:
     # internal: binary lifting table
     # ------------------------------------------------------------------
     def _build_lifting(self) -> list[list[int]]:
-        """``up[k][v]``, the ``2^k``-th ancestor of ``v``: an array for
-        :meth:`distances_from` and the same table as lists for :meth:`lca`."""
+        """``up[k][v]``, the ``2^k``-th ancestor of ``v``, as lists for
+        :meth:`lca` (:meth:`distances_from` reads it as one array)."""
         log = max(1, (max(self.depth)).bit_length())
-        up = np.empty((log, self._n), dtype=np.intp)
-        up[0] = self.parent
-        for k in range(1, log):
-            up[k] = up[k - 1][up[k - 1]]
-        self._up_array = up
-        self._up = up.tolist()
+        up = [list(self.parent)]
+        for _ in range(1, log):
+            prev = up[-1]
+            up.append([prev[x] for x in prev])
+        self._up = up
         self._log = log
-        return self._up
+        return up

@@ -34,9 +34,6 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
-from repro.analysis.competitive import theorem_319_ceiling
-from repro.analysis.nearest_neighbor import predict_arrow_run
-from repro.analysis.optimal import opt_bounds
 from repro.apps.directory import arrow_directory, home_directory
 from repro.core.adaptive import run_adaptive
 from repro.core.fast_arrow import arrow_runner
@@ -90,16 +87,17 @@ def _build_open_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
 
 def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
     """Metric columns shared by every open-loop :class:`RunResult` row."""
+    latencies = result.latencies  # built from the columns on each access
     return {
         "n": graph.num_nodes,
         "requests": requests,
         "makespan": result.makespan,
-        "total_latency": result.total_latency,
+        "total_latency": float_total(latencies),  # RunResult.total_latency
         "mean_hops": result.mean_hops,
         "local_find_fraction": result.local_find_fraction,
         "messages_sent": result.network_stats["messages_sent"],
         "hops_total": result.network_stats["hops_total"],
-        **latency_columns(result.latencies),
+        **latency_columns(latencies),
     }
 
 
@@ -290,6 +288,10 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
     ``ratio_hi`` the lower) and Theorem 3.19's ``ceiling``; a one-shot row
     also [10]'s ``oneshot_ceiling``, ``48 s log|R|``.
     """
+    # The analysis layer is numpy matrices: imported by the rows that use it.
+    from repro.analysis.competitive import theorem_319_ceiling
+    from repro.analysis.optimal import opt_bounds
+
     graph, tree, schedule, D = built["graph"], built["tree"], built["schedule"], built["D"]
     kind = built["kind"]
     params = cell.schedule.kwargs()
@@ -368,6 +370,9 @@ def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> 
     ``ratio_target`` is the theorems' growth term ``s log(D/s) / log
     log(D/s)``, ``sweep_target`` the ``k D`` of one sweep per layer,
     ``comb_weight`` the comb bound on opt."""
+    from repro.analysis.nearest_neighbor import predict_arrow_run
+    from repro.analysis.optimal import opt_bounds
+
     graph, tree, schedule = built["graph"], built["tree"], built["schedule"]
     D, k = built["D"], built["k"]
     stretch = tree_stretch(graph, tree).stretch

@@ -218,6 +218,12 @@ def orchestrate_sweep(
     # Prefer fork (cheap, Linux default); fall back to spawn elsewhere.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    if ctx.get_start_method() == "fork":
+        # A shard that draws a numpy variate imports numpy on first use;
+        # importing it once here lets every forked shard inherit it instead.
+        # Not numpy.random, which numpy loads lazily: pre-loading it too
+        # raised a sharded sweep's peak resident memory by about 2 MB.
+        import numpy  # noqa: F401
     start = time.monotonic()
     pending = deque(states)
     running: dict[int, Any] = {}

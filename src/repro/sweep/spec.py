@@ -42,7 +42,7 @@ from repro.graphs.generators import (
     torus_graph,
 )
 from repro.graphs.graph import Graph
-from repro.sim.rng import spawn_rng
+from repro.sim.rng import first_integer
 from repro.sweep.registry import (
     count,
     duration,
@@ -400,12 +400,14 @@ class SweepSpec:
 def cell_seed(cell: SweepCell) -> int:
     """Deterministic per-cell seed, independent of execution order.
 
-    Spawned from the cell's master seed and its axis labels via
-    :func:`repro.sim.rng.spawn_rng`, so every worker process derives the
-    identical value and distinct cells get independent streams.
+    The first ``integers(0, 2**31 - 1)`` of the stream
+    :func:`repro.sim.rng.spawn_rng` spawns from the cell's master seed and
+    its axis labels, so every worker process derives the identical value
+    and distinct cells get independent streams.
+    :func:`~repro.sim.rng.first_integer` replays that draw without numpy.
     """
     name = f"sweep/{cell.graph.label()}/{cell.tree}/{cell.schedule.label()}"
-    return int(spawn_rng(cell.seed, name).integers(0, 2**31 - 1))
+    return first_integer(cell.seed, name, 2**31 - 1)
 
 
 def build_graph(spec: GraphSpec, seed: int) -> Graph:

@@ -26,8 +26,6 @@ draws value for value at Python-int cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
 from repro.sim.rng import DrawStream, spawn_rng
@@ -87,6 +85,8 @@ def poisson(
     ``rate`` is the aggregate arrival rate (requests per time unit);
     issuing nodes are uniform over ``nodes`` (default: all nodes).
     """
+    import numpy as np
+
     pool = np.arange(num_nodes) if nodes is None else np.asarray(nodes)
     _check_args(len(pool), count=count, rate=rate)
     rng = spawn_rng(seed, f"poisson-{num_nodes}-{count}-{rate}")
@@ -138,6 +138,8 @@ def hotspot(
         raise ScheduleError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
     if not hot_nodes:
         raise ScheduleError("hot_nodes must be non-empty")
+    import numpy as np
+
     _check_args(num_nodes, count=count, rate=rate)
     rng = spawn_rng(seed, f"hotspot-{num_nodes}-{count}")
     times = np.cumsum(rng.exponential(1.0 / rate, size=count))

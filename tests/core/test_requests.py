@@ -199,3 +199,40 @@ def test_shift_below_zero_still_rejected():
     s = RequestSchedule([(0, 0.0), (1, 5.0)])
     with pytest.raises(ScheduleError):
         s.shifted([1], -6.0)
+
+
+# ----------------------------------------------------------------------
+# column types: integral nodes and real times, checked rather than cast
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "nodes, times, match",
+    [
+        ([1.7], [0.0], r"node must be an integer, got 1\.7 for pair 0"),
+        ([0, "3"], [0.0, 1.0], r"node must be an integer, got '3' for pair 1"),
+        ([0, math.nan], [0.0, 1.0], "node must be an integer"),
+        ([0], ["1.5"], r"time must be a real number, got '1\.5' for pair 0"),
+        ([0, 1], [0.5, 1j], "time must be a real number"),
+        ([0, 1], [0.5, 10**400], "time must be finite and >= 0, got inf for pair 1"),
+    ],
+)
+def test_from_columns_refuses_what_it_used_to_cast(nodes, times, match):
+    with pytest.raises(ScheduleError, match=match):
+        RequestSchedule.from_columns(nodes, times)
+    with pytest.raises(ScheduleError, match=match):
+        RequestSchedule(zip(nodes, times))
+
+
+def test_a_node_past_64_bits_is_an_out_of_range_node_not_an_overflow():
+    s = RequestSchedule.from_columns([2**63, 1], [0.0, 1.0])
+    assert s.nodes == [2**63, 1]
+    with pytest.raises(ScheduleError, match=f"request 0 at node {2**63} outside"):
+        s.validate_nodes(4)
+
+
+def test_numpy_columns_of_either_kind_give_python_scalars():
+    s = RequestSchedule.from_columns(np.array([3.0, 1.0, 2.0]), np.array([2, 0, 1], dtype=np.int64))
+    assert (s.nodes, s.times) == ([1, 2, 3], [0.0, 1.0, 2.0])
+    assert {type(v) for v in s.nodes} == {int} and {type(t) for t in s.times} == {float}
+    mixed = RequestSchedule.from_columns([np.int32(4), True], [np.float32(0.5), np.float64(0.25)])
+    assert (mixed.nodes, mixed.times) == ([1, 4], [0.25, 0.5])
+    assert {type(v) for v in mixed.nodes} == {int} and {type(t) for t in mixed.times} == {float}

@@ -1,17 +1,20 @@
 """Unit tests for seeded RNG streams.
 
-The ``DrawStream`` and ``spawn_rng`` contracts are checked against
-whichever numpy is installed (CI also runs this file at the declared
-numpy floor): the replay must equal the ``Generator``'s own scalar draws,
-and the array spawn key must give the state the per-character tuple did.
+The ``DrawStream``, ``first_integer`` and ``spawn_rng`` contracts are
+checked against whichever numpy is installed (CI also runs this file at
+the declared numpy floor): the replays must equal the ``Generator``'s own
+draws, the array spawn key must give the state the per-character tuple
+did, and the generator ``spawn_rng`` builds on first use must be the one
+direct construction gives.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import DrawStream, spawn_rng
+from repro.sim.rng import DrawStream, first_integer, spawn_rng
+from repro.sweep import GRIDS, cell_seed
 
 
 def test_same_seed_and_name_reproduces():
@@ -134,3 +137,89 @@ def test_a_bound_of_one_draws_nothing():
 def test_bounds_outside_the_32_bit_draw_raise(high):
     with pytest.raises(ValueError, match="high"):
         DrawStream(spawn_rng(0, "replay")).integers(high)
+
+
+# ----------------------------------------------------------------------
+# first_integer: SeedSequence -> PCG64 -> integers(0, high), in Python
+# ----------------------------------------------------------------------
+#: Where the seed's entropy grows a word: past 2**128 it runs beyond the
+#: four-word pool and is mixed in after the pairwise mixing.
+SEED_BOUNDARIES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**130 - 1)
+#: 2**31 - 1 is the cell-seed bound; 2**32 takes a raw half-word.
+FIRST_HIGHS = (2, 3, 2**31 - 1, 2**32)
+
+_NAMES = st.one_of(
+    st.just(""),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+    st.text(st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, exclude_categories=["Cs"])),
+    st.text(st.characters(min_codepoint=0x10000), min_size=1),
+    # lone surrogates: SeedSequence sees their code points like any other
+    st.text(st.sampled_from(["\ud800", "\udfff", "a"]), min_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**130 - 1), st.sampled_from(SEED_BOUNDARIES)),
+    name=_NAMES,
+    high=st.sampled_from(FIRST_HIGHS),
+)
+@example(seed=2**128, name="", high=2)
+@example(seed=2**128 + 1, name="sweep/complete(n=8)/bfs/one_shot()", high=2**31 - 1)
+def test_first_integer_is_numpys_first_draw(seed, name, high):
+    assert first_integer(seed, name, high) == int(_tuple_key_rng(seed, name).integers(0, high))
+
+
+@pytest.mark.parametrize("seed", SEED_BOUNDARIES)
+@pytest.mark.parametrize("name", STREAM_NAMES + ("x\udc80y",))
+def test_first_integer_at_the_entropy_word_boundaries(seed, name):
+    for high in FIRST_HIGHS:
+        want = int(_tuple_key_rng(seed, name).integers(0, high))
+        assert first_integer(seed, name, high) == want
+
+
+def test_negative_seed_raises_like_numpy():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        first_integer(-1, "sweep", 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_rng(-1, "sweep")
+
+
+def test_cell_seed_is_numpys_draw_for_every_preset_cell():
+    """Every cell of every named grid at its default arguments."""
+    cells = [cell for preset in GRIDS.values() for cell in preset().cells()]
+    assert len(cells) > 100
+    for cell in cells:
+        name = f"sweep/{cell.graph.label()}/{cell.tree}/{cell.schedule.label()}"
+        want = int(_tuple_key_rng(cell.seed, name).integers(0, 2**31 - 1))
+        assert cell_seed(cell) == want, cell
+
+
+# ----------------------------------------------------------------------
+# spawn_rng: the generator built on first use is direct construction's
+# ----------------------------------------------------------------------
+_DRAWS = {
+    "random": lambda g: g.random(),
+    "integers": lambda g: g.integers(0, 1000),
+    "exponential": lambda g: g.exponential(0.5),
+    "uniform": lambda g: g.uniform(0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+@pytest.mark.parametrize("name", ["network-latency", "", "pfeil-\U0001d4d0"])
+def test_lazy_generator_is_direct_construction(draw, name):
+    lazy, direct = spawn_rng(2**70 + 9, name), _tuple_key_rng(2**70 + 9, name)
+    assert lazy.bit_generator.state == direct.bit_generator.state
+    call = _DRAWS[draw]
+    assert [call(lazy) for _ in range(1000)] == [call(direct) for _ in range(1000)]
+    assert lazy.bit_generator.state == direct.bit_generator.state
+
+
+def test_lazy_generator_caches_the_bound_methods():
+    rng = spawn_rng(3, "network-latency")
+    first = rng.uniform
+    assert rng.uniform is first  # a dict hit, not a rebuilt bound method
+    assert rng.integers(0, 10, size=4).shape == (4,)
