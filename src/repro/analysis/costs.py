@@ -7,8 +7,9 @@ All measures are materialised as dense ``(m x m)`` numpy matrices over the
 immediately after request ``i`` in a queuing order.
 
 Implemented measures (``times`` is the issue-time vector, ``D`` a distance
-matrix between the requests' nodes — tree distances ``d_T`` or graph
-distances ``d_G`` depending on the caller):
+matrix between the requests' nodes from :func:`request_distance_matrix` —
+tree distances ``d_T`` off the tree's LCA table or graph distances ``d_G``
+from :mod:`repro.graphs.shortest_paths`, depending on the caller):
 
 * ``c_A`` (eq. 1):   ``D[i, j]`` — arrow's latency for consecutive requests;
 * ``c_T`` (Def. 3.5): ``t_j - t_i + D`` if non-negative, else
@@ -31,12 +32,11 @@ import numpy as np
 from repro.core.requests import RequestSchedule
 from repro.errors import AnalysisError
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.shortest_paths import bfs_distances, dijkstra
 from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "augmented_nodes_times",
-    "graph_node_distances",
     "request_distance_matrix",
     "c_a_matrix",
     "c_t_matrix",
@@ -56,27 +56,25 @@ def augmented_nodes_times(
     return nodes, times
 
 
-def graph_node_distances(graph: Graph, needed: np.ndarray) -> dict[int, np.ndarray]:
-    """Shortest-path ``d_G`` distances from each distinct node in ``needed``."""
-    out: dict[int, np.ndarray] = {}
-    for src in {int(x) for x in needed}:
-        out[src] = np.asarray(dijkstra(graph, src)[0], dtype=np.float64)
-    return out
-
-
 def request_distance_matrix(
     metric: SpanningTree | Graph, nodes: np.ndarray
 ) -> np.ndarray:
     """Dense distance matrix between the requests' issuing nodes.
 
     ``metric`` selects the tree metric ``d_T`` (pass a
-    :class:`SpanningTree`) or the graph metric ``d_G`` (pass a
-    :class:`Graph`).
+    :class:`SpanningTree`: rows from its LCA table) or the graph metric
+    ``d_G`` (pass a :class:`Graph`: rows by BFS when every weight is 1,
+    by Dijkstra otherwise, decided once per matrix).
     """
+    sources = {int(x) for x in nodes}
     if isinstance(metric, SpanningTree):
-        per_src = {src: metric.distances_from(src) for src in {int(x) for x in nodes}}
+        per_src = {src: metric.distances_from(src) for src in sources}
     elif isinstance(metric, Graph):
-        per_src = graph_node_distances(metric, nodes)
+        unit = metric.is_unit_weighted()
+        per_src = {
+            src: np.asarray(bfs_distances(metric, src) if unit else dijkstra(metric, src)[0])
+            for src in sources
+        }
     else:  # pragma: no cover - defensive
         raise AnalysisError(f"unsupported metric object {type(metric)!r}")
     m = len(nodes)

@@ -36,6 +36,9 @@ __all__ = [
     "validate_dominated_pair",
 ]
 
+#: Slack for float noise in :func:`validate_dominated_pair`'s hypothesis checks.
+TOL = 1e-9
+
 
 def tour_cost(indices: list[int], C: np.ndarray) -> float:
     """Cost of the closed tour visiting ``indices`` and returning to start."""
@@ -94,7 +97,7 @@ class Theorem318Report:
     min_nonzero_edge: float
 
 
-def validate_dominated_pair(Dn: np.ndarray, Do: np.ndarray, tol: float = 1e-9) -> None:
+def validate_dominated_pair(Dn: np.ndarray, Do: np.ndarray) -> None:
     """Check the theorem's hypotheses on ``(d_n, d_o)``.
 
     ``d_o`` symmetric, triangle inequality, zero diagonal;
@@ -102,19 +105,19 @@ def validate_dominated_pair(Dn: np.ndarray, Do: np.ndarray, tol: float = 1e-9) -
     """
     if Dn.shape != Do.shape or Dn.shape[0] != Dn.shape[1]:
         raise AnalysisError("distance matrices must be square and same shape")
-    if not np.allclose(Do, Do.T, atol=tol):
+    if not np.allclose(Do, Do.T, atol=TOL):
         raise AnalysisError("d_o must be symmetric")
-    if not np.all(np.abs(np.diag(Do)) <= tol):
+    if not np.all(np.abs(np.diag(Do)) <= TOL):
         raise AnalysisError("d_o must have zero diagonal")
-    if np.any(Dn < -tol):
+    if np.any(Dn < -TOL):
         raise AnalysisError("d_n must be non-negative")
-    if np.any(Dn > Do + tol):
+    if np.any(Dn > Do + TOL):
         raise AnalysisError("d_n must be dominated by d_o")
     # Triangle inequality: d_o(u,w) <= d_o(u,v) + d_o(v,w) for all v.
     m = Do.shape[0]
     for v in range(m):
         via = Do[:, v][:, None] + Do[v, :][None, :]
-        if np.any(Do > via + tol):
+        if np.any(Do > via + TOL):
             raise AnalysisError("d_o violates the triangle inequality")
 
 
@@ -124,11 +127,12 @@ def check_theorem_318(
     *,
     start: int = 0,
     exact_limit: int = 12,
-    validate: bool = True,
 ) -> Theorem318Report:
-    """Verify ``C_N <= (3/2) ceil(log2(D_NN/d_NN)) C_O`` on one instance."""
-    if validate:
-        validate_dominated_pair(Dn, Do)
+    """Verify ``C_N <= (3/2) ceil(log2(D_NN/d_NN)) C_O`` on one instance.
+
+    The pair's hypotheses are checked first (:func:`validate_dominated_pair`).
+    """
+    validate_dominated_pair(Dn, Do)
     nn_cost, _, max_edge, min_nonzero = nn_tour(Dn, start=start)
     opt_cost = optimal_tour_cost(Do, exact_limit=exact_limit)
     if max_edge <= 0.0:

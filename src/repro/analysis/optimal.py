@@ -15,14 +15,18 @@ This module provides:
   minimum-cost Hamiltonian path / closed tour under any asymmetric cost
   matrix (one bitmask DP, exponential: use for ≤ ~14 requests);
 * :func:`best_heuristic_path` — NN + or-opt improvement, a certified
-  *upper* bound on ``cost_Opt`` for larger instances;
+  *upper* bound on ``cost_Opt`` for larger instances (:func:`or_opt_improve`
+  scores every insertion point of an element in one array expression);
 * :func:`manhattan_mst_weight` — MST weight under the Manhattan metric,
   powering the paper's *lower*-bound chain (Lemmas 3.15–3.17):
 
       cost_Opt  >=  C_O(π_O) / s  >=  C_M(π_O) / (12 s)  >=  MST_M / (12 s);
 
 * :func:`opt_bounds` / :class:`OptBounds` — both sides bundled, used by the
-  competitive-ratio experiments to bracket the true ratio.
+  competitive-ratio experiments to bracket the true ratio, with two
+  elementary lower bounds beside the chain: each request's cheapest
+  incoming ``c_Opt`` arc (one column minimum of ``C_Opt`` with its
+  diagonal masked) summed, and the root's furthest request.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ __all__ = [
     "OptBounds",
     "opt_bounds",
 ]
+
+#: Or-opt's passes over the path at most.
+OR_OPT_ROUNDS = 8
 
 
 def _held_karp_table(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,60 +128,43 @@ def held_karp_path(C: np.ndarray) -> tuple[float, list[int]]:
     return best, path
 
 
-def or_opt_improve(
-    indices: list[int], C: np.ndarray, max_rounds: int = 8
-) -> tuple[float, list[int]]:
+def or_opt_improve(indices: list[int], C: np.ndarray) -> tuple[float, list[int]]:
     """Or-opt local search: relocate single elements (asymmetric-safe).
 
     2-opt segment reversal is invalid under asymmetric costs (reversing a
     segment changes its internal cost), so we use single-element
     relocation, which only touches three splice points.  The root (index
-    position 0) never moves.
+    position 0) never moves.  The gains of all insertion points of
+    ``path[i]`` are one array expression; the first point with the largest
+    gain above ``1e-12`` wins.
     """
     path = list(indices)
     m = len(path)
     if m <= 2:
         return path_cost(path, C), path
-
-    def splice_gain(i: int, j: int) -> float:
-        # Remove path[i] and re-insert between path[j] and path[j+1]
-        # (positions refer to the path *after* removal when j >= i).
-        a, b, c = path[i - 1], path[i], path[i + 1] if i + 1 < m else None
-        if c is None:
-            removed = C[a, b]
-            broken = 0.0
-        else:
-            removed = C[a, b] + C[b, c]
-            broken = C[a, c]
-        u = path[j]
-        v = path[j + 1] if j + 1 < m else None
-        if v is None:
-            added = C[u, b]
-            old = 0.0
-        else:
-            added = C[u, b] + C[b, v]
-            old = C[u, v]
-        return (removed - broken) - (added - old)
-
     improved = True
     rounds = 0
-    while improved and rounds < max_rounds:
+    while improved and rounds < OR_OPT_ROUNDS:
         improved = False
         rounds += 1
         for i in range(1, m):
-            best_gain = 1e-12
-            best_j = -1
-            for j in range(0, m):
-                if j in (i - 1, i):
-                    continue
-                g = splice_gain(i, j)
-                if g > best_gain:
-                    best_gain = g
-                    best_j = j
-            if best_j >= 0:
-                b = path.pop(i)
-                jj = best_j if best_j < i else best_j - 1
-                path.insert(jj + 1, b)
+            P = np.asarray(path)
+            a, b = P[i - 1], P[i]
+            if i + 1 < m:
+                c = P[i + 1]
+                removed, broken = C[a, b] + C[b, c], C[a, c]
+            else:
+                removed, broken = C[a, b], 0.0
+            # added[j] / old[j]: the arcs that inserting b after path[j]
+            # creates / breaks; after the last element nothing breaks.
+            added = C[P, b]
+            added[:-1] += C[b, P[1:]]
+            old = np.append(C[P[:-1], P[1:]], 0.0)
+            gain = (removed - broken) - (added - old)
+            gain[i - 1 : i + 1] = -np.inf  # b's own slot: no move
+            j = int(np.argmax(gain))
+            if gain[j] > 1e-12:
+                path.insert(j + 1 if j < i else j, path.pop(i))
                 improved = True
     return path_cost(path, C), path
 
@@ -264,12 +254,8 @@ def opt_bounds(
     parts["mst_manhattan"] = manhattan_mst_weight(CM_tree) / (12.0 * stretch)
     # Elementary bounds: the furthest request from the root must be reached,
     # and each request's own best-case latency is its cheapest c_Opt entry.
-    m = DG.shape[0]
-    col_min = np.empty(m - 1)
-    for j in range(1, m):
-        col = np.delete(C_opt[:, j], j)
-        col_min[j - 1] = col.min()
-    parts["per_request_min"] = float(col_min.sum())
+    off_diagonal = np.where(np.eye(len(C_opt), dtype=bool), np.inf, C_opt)
+    parts["per_request_min"] = float(off_diagonal[:, 1:].min(axis=0).sum())
     parts["root_reach"] = float(DG[0].max())
 
     if len(schedule) <= exact_limit:

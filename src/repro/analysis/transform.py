@@ -25,6 +25,10 @@ from repro.spanning.tree import SpanningTree
 
 __all__ = ["TransformReport", "compress_idle_time", "max_gap_slack"]
 
+#: Safety cap on Lemma 3.11 shifts (each closes one gap; the loop ends long
+#: before this on any finite schedule).
+MAX_SHIFTS = 10_000
+
 
 @dataclass(frozen=True, slots=True)
 class TransformReport:
@@ -65,9 +69,7 @@ def max_gap_slack(tree: SpanningTree, schedule: RequestSchedule) -> float:
     return float(slacks.max()) if len(slacks) else 0.0
 
 
-def compress_idle_time(
-    tree: SpanningTree, schedule: RequestSchedule, *, max_iters: int = 10_000
-) -> TransformReport:
+def compress_idle_time(tree: SpanningTree, schedule: RequestSchedule) -> TransformReport:
     """Apply Lemma 3.11 shifts until no gap has positive slack.
 
     Each iteration closes the earliest positive gap; the number of distinct
@@ -78,7 +80,7 @@ def compress_idle_time(
     current = schedule
     shifts = 0
     total = 0.0
-    for _ in range(max_iters):
+    for _ in range(MAX_SHIFTS):
         if len(current) == 0:
             break
         nodes, times = augmented_nodes_times(current, tree.root)

@@ -31,8 +31,11 @@ __all__ = [
     "arrow_cost_of_order",
 ]
 
+#: Slack for float noise when comparing a path step or a latency to its claim.
+TOL = 1e-9
 
-def is_nn_path(indices: list[int], C: np.ndarray, tol: float = 1e-9) -> bool:
+
+def is_nn_path(indices: list[int], C: np.ndarray) -> bool:
     """True iff each step of the path goes to *a* nearest unvisited node.
 
     This is the correct check in the presence of ties: the path need not
@@ -48,7 +51,7 @@ def is_nn_path(indices: list[int], C: np.ndarray, tol: float = 1e-9) -> bool:
         cur, nxt = indices[pos], indices[pos + 1]
         row = C[cur]
         best = row[remaining].min()
-        if row[nxt] > best + tol:
+        if row[nxt] > best + TOL:
             return False
         remaining[nxt] = False
     return True
@@ -134,9 +137,7 @@ def max_ct_edge_on_order(
     return float(CT[arr[:-1], arr[1:]].max())
 
 
-def check_direct_path_property(
-    tree: SpanningTree, result: RunResult, *, tol: float = 1e-9
-) -> bool:
+def check_direct_path_property(tree: SpanningTree, result: RunResult) -> bool:
     """Synchronous direct-path theorem ([4], eq. 1).
 
     In the synchronous model each request's latency equals the tree
@@ -150,6 +151,6 @@ def check_direct_path_property(
     ):
         want_lat = tree.distance(nodes[rid], informed)
         want_hops = tree.hop_distance(nodes[rid], informed)
-        if abs(at - times[rid] - want_lat) > tol or hops != want_hops:
+        if abs(at - times[rid] - want_lat) > TOL or hops != want_hops:
             return False
     return True

@@ -36,6 +36,9 @@ from repro.spanning.tree import SpanningTree
 
 __all__ = ["DirectoryResult", "arrow_directory", "home_directory"]
 
+#: Slack for float noise when two holding intervals touch.
+EXCLUSION_TOL = 1e-9
+
 
 @dataclass(slots=True)
 class DirectoryResult:
@@ -55,11 +58,11 @@ class DirectoryResult:
         """Total acquisitions across all processors."""
         return self.num_procs * self.acquisitions_per_proc
 
-    def exclusion_holds(self, tol: float = 1e-9) -> bool:
+    def exclusion_holds(self) -> bool:
         """True iff no two holding intervals overlap."""
         ordered = sorted(self.intervals)
         return all(
-            r1 <= a2 + tol for (a1, r1, _), (a2, r2, _) in zip(ordered, ordered[1:])
+            r1 <= a2 + EXCLUSION_TOL for (a1, r1, _), (a2, r2, _) in zip(ordered, ordered[1:])
         )
 
     @property

@@ -429,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     psv.add_argument("--a", required=True, help="first JSONL file")
     psv.add_argument("--b", required=True, help="second JSONL file")
-    psv.add_argument("--ignore", default="engine",
-                     help="comma-separated row columns excluded from the "
-                          "comparison (default: engine)")
     psv.add_argument("--expect-cells", type=int, default=None,
                      help="also require exactly this many rows per file")
 
@@ -581,7 +578,6 @@ def main(argv: list[str] | None = None) -> int:
             rows, problems = diff_rows(
                 args.a,
                 args.b,
-                ignore=tuple(x.strip() for x in args.ignore.split(",") if x.strip()),
                 expect_cells=args.expect_cells,
             )
         except (ReproError, OSError) as exc:

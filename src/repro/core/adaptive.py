@@ -27,7 +27,7 @@ arrive in the order they left (equal times run in the kernel's send order).  The
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.arrow import CompletionCallback
 from repro.core.queueing import RunResult
@@ -45,14 +45,13 @@ __all__ = ["AdaptivePointerNode", "run_adaptive"]
 class AdaptivePointerNode(ProtocolNode):
     """NTA/Ivy-style queuing node on a completely connected network."""
 
-    __slots__ = ("last", "last_rid", "_on_complete", "app_handler")
+    __slots__ = ("last", "last_rid", "_on_complete")
 
     def __init__(self, on_complete: CompletionCallback) -> None:
         super().__init__()
         self.last: int = -1
         self.last_rid: int = ROOT_RID  # overwritten for non-roots at init
         self._on_complete = on_complete
-        self.app_handler: Callable[[Message], None] | None = None
 
     def init_pointers(self, root: int) -> None:
         """Point every node's ``last`` at the initial tail owner."""
@@ -83,9 +82,6 @@ class AdaptivePointerNode(ProtocolNode):
         """Forward toward the probable tail, re-pointing at the requester."""
         assert self.net is not None
         if msg.kind != "nta_req":
-            if self.app_handler is not None:
-                self.app_handler(msg)
-                return
             raise ProtocolError(f"unexpected message {msg.kind!r}")
         rid = msg.payload["rid"]
         origin = msg.payload["origin"]

@@ -128,8 +128,6 @@ class ArrowNode(ProtocolNode):
             if self.app_handler is not None:
                 self.app_handler(msg)
                 return
-            if msg.kind == "queue_reply":
-                return  # acknowledgement with no consumer: drop silently
             raise ProtocolError(f"arrow node got unexpected message {msg.kind!r}")
         assert self.net is not None
         emit = self.emit

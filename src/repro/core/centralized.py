@@ -119,8 +119,6 @@ class CentralizedNode(ProtocolNode):
             if self.app_handler is not None:
                 self.app_handler(msg)
                 return
-            if msg.kind == "queue_reply":
-                return  # acknowledgement with no consumer: drop silently
             raise ProtocolError(f"unexpected message {msg.kind!r}")
 
     # ------------------------------------------------------------------

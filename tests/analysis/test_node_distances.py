@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.analysis.costs import graph_node_distances, request_distance_matrix
-from repro.graphs import grid_graph, random_geometric_graph
+from repro.analysis.costs import request_distance_matrix
+from repro.graphs import dijkstra, grid_graph, random_geometric_graph
 from repro.spanning import mst_prim
 from repro.spanning.tree import SpanningTree
 
@@ -24,10 +24,13 @@ def test_tree_node_distances_match_lca_queries():
 
 
 def test_graph_node_distances_match_dijkstra():
-    g = grid_graph(3, 5)
-    d = graph_node_distances(g, np.array([0, 14]))
-    from repro.graphs import dijkstra
-
-    for src in (0, 14):
-        want = dijkstra(g, src)[0]
-        assert list(d[src]) == want
+    """``d_G`` rows equal Dijkstra's on the unit grid (BFS branch) and on a
+    Euclidean geometric graph (the Dijkstra branch no shipped grid takes)."""
+    unit = grid_graph(3, 5)
+    weighted = random_geometric_graph(20, 0.4, seed=6, euclidean_weights=True)
+    assert unit.is_unit_weighted() and not weighted.is_unit_weighted()
+    for g, nodes in ((unit, [0, 14, 7, 0]), (weighted, [0, 5, 11, 5, 19])):
+        D = request_distance_matrix(g, np.array(nodes))
+        for i, src in enumerate(nodes):
+            want = dijkstra(g, src)[0]
+            assert D[i].tolist() == [want[v] for v in nodes]

@@ -5,7 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.analysis.costs import c_m_matrix
+from repro.analysis.costs import (
+    augmented_nodes_times,
+    c_m_matrix,
+    c_o_matrix,
+    request_distance_matrix,
+)
 from repro.analysis.optimal import (
     best_heuristic_path,
     held_karp_path,
@@ -16,10 +21,10 @@ from repro.analysis.optimal import (
 )
 from repro.core.requests import RequestSchedule
 from repro.errors import AnalysisError
-from repro.graphs import complete_graph
+from repro.graphs import complete_graph, grid_graph
 from repro.graphs.generators import path_graph
 from repro.sim.rng import spawn_rng
-from repro.spanning import balanced_binary_overlay
+from repro.spanning import balanced_binary_overlay, bfs_tree
 from repro.spanning.tree import SpanningTree
 
 
@@ -102,6 +107,109 @@ def test_or_opt_never_worsens_and_stays_valid(seed):
     improved_cost, path = or_opt_improve(nn.indices, C)
     assert improved_cost <= nn.total_cost + 1e-9
     assert sorted(path) == list(range(10)) and path[0] == 0
+
+
+def scalar_or_opt(indices, C, max_rounds=8):
+    """The scalar Or-opt: one Python gain per insertion point (the oracle)."""
+    from repro.analysis.costs import path_cost
+
+    path = list(indices)
+    m = len(path)
+    if m <= 2:
+        return path_cost(path, C), path
+
+    def splice_gain(i, j):
+        # Remove path[i] and re-insert between path[j] and path[j+1]
+        # (positions refer to the path *after* removal when j >= i).
+        a, b, c = path[i - 1], path[i], path[i + 1] if i + 1 < m else None
+        if c is None:
+            removed = C[a, b]
+            broken = 0.0
+        else:
+            removed = C[a, b] + C[b, c]
+            broken = C[a, c]
+        u = path[j]
+        v = path[j + 1] if j + 1 < m else None
+        if v is None:
+            added = C[u, b]
+            old = 0.0
+        else:
+            added = C[u, b] + C[b, v]
+            old = C[u, v]
+        return (removed - broken) - (added - old)
+
+    improved = True
+    rounds = 0
+    while improved and rounds < max_rounds:
+        improved = False
+        rounds += 1
+        for i in range(1, m):
+            best_gain = 1e-12
+            best_j = -1
+            for j in range(0, m):
+                if j in (i - 1, i):
+                    continue
+                g = splice_gain(i, j)
+                if g > best_gain:
+                    best_gain = g
+                    best_j = j
+            if best_j >= 0:
+                b = path.pop(i)
+                jj = best_j if best_j < i else best_j - 1
+                path.insert(jj + 1, b)
+                improved = True
+    return path_cost(path, C), path
+
+
+ORACLE_GRID = grid_graph(4, 5)
+
+
+def c_opt_instance(m, seed):
+    """``m - 1`` requests on a 4x5 grid and their ``C_Opt`` (root 0 first)."""
+    rng = spawn_rng(seed, f"c-opt-{m}")
+    sched = RequestSchedule.from_columns(
+        rng.integers(0, 20, m - 1).tolist(), (rng.random(m - 1) * m / 3).tolist()
+    )
+    nodes, times = augmented_nodes_times(sched, 0)
+    return sched, c_o_matrix(request_distance_matrix(ORACLE_GRID, nodes), times)
+
+
+def oracle_matrix(kind, m, seed):
+    if kind == "c_opt":
+        return c_opt_instance(m, seed)[1]
+    rng = spawn_rng(seed, f"oropt-{kind}-{m}")
+    if kind == "uniform":
+        C = rng.random((m, m)) * 10
+    else:  # integer-valued: many equal gains, so the tie rule decides
+        C = rng.integers(0, 4, (m, m)).astype(float)
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "c_opt"])
+def test_or_opt_matches_the_scalar_oracle(kind):
+    """Same cost and path, float for float and tie for tie, as the scalar
+    Or-opt from the NN path, on 360 matrices per kind (m = 1..45)."""
+    from repro.analysis.nearest_neighbor import nn_order
+
+    for seed in range(8):
+        for m in range(1, 46):
+            C = oracle_matrix(kind, m, seed)
+            start = nn_order(C, start=0).indices
+            assert or_opt_improve(start, C) == scalar_or_opt(start, C), (m, seed)
+
+
+def test_per_request_min_is_the_off_diagonal_column_minimum():
+    """``opt_bounds``' per-request bound equals the per-column formula."""
+    tree = bfs_tree(ORACLE_GRID, 0)
+    for seed in range(8):
+        for m in range(2, 46):
+            sched, C = c_opt_instance(m, seed)
+            col_min = np.empty(m - 1)
+            for j in range(1, m):
+                col_min[j - 1] = np.delete(C[:, j], j).min()
+            b = opt_bounds(ORACLE_GRID, tree, sched, stretch=1.0, exact_limit=0)
+            assert b.parts["per_request_min"] == float(col_min.sum())
 
 
 def test_best_heuristic_upper_bounds_exact():

@@ -135,6 +135,17 @@ def test_unknown_message_kind_raises():
         nodes[0].on_message(Message("bogus", 1, 0))
 
 
+def test_queue_reply_without_app_handler_raises():
+    """Only the closed loop asks for replies, and it always installs a
+    handler: a stray ``queue_reply`` is a protocol error, not dropped."""
+    sim, nodes, _ = setup_line(2, root=0)
+    from repro.net.message import Message
+
+    assert nodes[0].app_handler is None
+    with pytest.raises(ProtocolError, match="queue_reply"):
+        nodes[0].on_message(Message("queue_reply", 1, 0, {"rid": 0, "predecessor": -1}))
+
+
 def test_app_handler_receives_non_queue_messages():
     sim, nodes, _ = setup_line(2, root=0)
     from repro.net.message import Message

@@ -78,6 +78,24 @@ def test_creq_to_wrong_node_raises():
         nodes[1].on_message(Message("creq", 2, 1, {"rid": 0, "origin": 2}))
 
 
+def test_queue_reply_without_app_handler_raises():
+    """A stray ``queue_reply`` is a protocol error, not silently dropped."""
+    from repro.core.centralized import CentralizedNode
+    from repro.errors import ProtocolError
+    from repro.net.message import Message
+    from repro.net.network import Network
+    from repro.sim.kernel import Simulator
+
+    net = Network(complete_graph(3), Simulator())
+    nodes = [CentralizedNode(0, lambda *a: None) for _ in range(3)]
+    net.register_all(nodes)
+    nodes[0].init_center()
+    for node in nodes:
+        assert node.app_handler is None
+        with pytest.raises(ProtocolError, match="queue_reply"):
+            node.on_message(Message("queue_reply", 0, node.node_id, {"rid": 0}))
+
+
 def test_concurrent_requests_all_complete(k16):
     sched = poisson(16, 120, rate=8.0, seed=3)
     res = run_centralized(k16, 0, sched, service_time=0.05)
