@@ -123,7 +123,11 @@ class PredictedRun:
 
 
 def predict_arrow_run(
-    tree: SpanningTree, schedule: RequestSchedule, tie_break: str = "min"
+    tree: SpanningTree,
+    schedule: RequestSchedule,
+    tie_break: str = "min",
+    *,
+    tree_distances: np.ndarray | None = None,
 ) -> PredictedRun:
     """Predict arrow's order and cost via the NN characterisation.
 
@@ -132,10 +136,12 @@ def predict_arrow_run(
     (Lemma 3.10, as derived in its proof) is verified by the tests against
     both this executor and the message-level simulation.  ``tie_break``
     selects the simulated message scheduler among the legal ones (see
-    :func:`nn_order`).
+    :func:`nn_order`).  ``tree_distances`` is the request ``d_T`` matrix
+    when the caller already built it (as in
+    :func:`~repro.analysis.optimal.opt_bounds`).
     """
     nodes, times = augmented_nodes_times(schedule, tree.root)
-    D = request_distance_matrix(tree, nodes)
+    D = request_distance_matrix(tree, nodes) if tree_distances is None else tree_distances
     CT = c_t_matrix(D, times)
     nn = nn_order(CT, start=0, tie_break=tie_break)
     order = [i - 1 for i in nn.indices[1:]]

@@ -233,6 +233,7 @@ def opt_bounds(
     stretch: float,
     *,
     exact_limit: int,
+    tree_distances: np.ndarray | None = None,
 ) -> OptBounds:
     """Bracket the optimal offline cost of a schedule (see module docs).
 
@@ -240,12 +241,15 @@ def opt_bounds(
     it enters the Manhattan-MST lower bound via Lemma 3.17's chain.
     Schedules of at most ``exact_limit`` requests are solved exactly by
     Held–Karp (``2^m`` states); ``0`` never solves exactly.
+    ``tree_distances`` is the request ``d_T`` matrix when the caller
+    already built it (``request_distance_matrix`` over the
+    :func:`~repro.analysis.costs.augmented_nodes_times` nodes).
     """
     if len(schedule) == 0:
         return OptBounds(0.0, 0.0, True, {})
     nodes, times = augmented_nodes_times(schedule, tree.root)
     DG = request_distance_matrix(graph, nodes)
-    DT = request_distance_matrix(tree, nodes)
+    DT = request_distance_matrix(tree, nodes) if tree_distances is None else tree_distances
     C_opt = c_o_matrix(DG, times)
     CM_tree = c_m_matrix(DT, times)
 

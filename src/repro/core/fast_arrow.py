@@ -1,8 +1,8 @@
 """Fast-path arrow engine: ``run_arrow`` semantics without the message layer.
 
 :func:`run_arrow_fast` executes arrow runs on the tree's parent array
-with a flat binary heap over ``(time, seq)`` tuples and plain
-int/float array node state (``link``, ``last_rid``) — no
+with one event queue over ``(time, seq)`` tuples and plain int/float
+array node state (``link``, ``last_rid``) — no
 :class:`~repro.net.message.Message` objects, no per-event callback, no
 :class:`~repro.net.network.Network` dispatch.  The produced
 :class:`~repro.core.queueing.RunResult` is bit-identical to
@@ -12,7 +12,10 @@ oracle in ``tests/small_models.py`` checks on every small instance it
 enumerates.
 
 There is one event loop, the plain function :func:`_arrow_loop`; its
-docstring says why bit-identity holds.  Open-loop runs
+docstring says why bit-identity holds.  Its queue is a flat binary heap,
+or a FIFO ``deque`` in the paper's synchronous model (one delay on every
+tree link, no service time, no closed loop, no crash events), where
+events are scheduled in the order they fire.  Open-loop runs
 (:func:`run_arrow_fast`), the §5 closed loop
 (:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`) and faulted
 runs (:func:`repro.faults.run_arrow_faulted`) are configurations of it.
@@ -20,9 +23,9 @@ runs (:func:`repro.faults.run_arrow_faulted`) are configurations of it.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush, heappushpop
-from itertools import islice, repeat
-from operator import eq
+from itertools import repeat
 
 from repro.core.event_stream import EVENT_CHUNK, EventSink, EventStream
 from repro.core.queueing import RunResult
@@ -80,7 +83,7 @@ def _raise_livelock(max_events: int | None) -> None:
 
 def _link_tables(
     graph: Graph, parent: list[int], root: int, latency: LatencyModel, rng
-) -> tuple[list[float], list[float] | None, list[float] | None]:
+) -> tuple[list[float], list[float] | None, list[float] | None, bool]:
     """Node-indexed tree-link weights and deterministic delays (0.0 at the root).
 
     The weights are the graph's on the tree links, as the Network sees
@@ -89,6 +92,8 @@ def _link_tables(
     models may legally depend on the (src, dst) direction, so one delay
     per directed link: up[v] = v -> parent[v], down[v] = parent[v] -> v;
     ``(None, None)`` for stochastic models, which must draw per send.
+    The last value says whether every directed link has one and the same
+    delay — the synchronous model, where ``_arrow_loop`` can use a FIFO.
     """
     # The tree links as columns: every non-root node and its parent.
     links = list(range(len(parent)))
@@ -97,14 +102,22 @@ def _link_tables(
     del ups[root]
     weight = tree_link_weights(graph, links, ups)
     det_up = det_down = None
+    one_delay = False
     if not latency.stochastic:
         sample = latency.sample
         det_up = list(map(sample, links, ups, weight, repeat(rng)))
         det_down = list(map(sample, ups, links, weight, repeat(rng)))
+        one_delay = len({*det_up, *det_down}) <= 1
         det_up.insert(root, 0.0)
         det_down.insert(root, 0.0)
     weight.insert(root, 0.0)
-    return weight, det_up, det_down
+    return weight, det_up, det_down, one_delay
+
+
+def _fifo_pushpop(queue: deque, event: tuple) -> tuple:
+    """``heappushpop`` for a queue whose events arrive in key order."""
+    queue.append(event)
+    return queue.popleft()
 
 
 # Event tags of the loops' heap tuples ``(time, seq, tag, node, src, rid,
@@ -121,8 +134,8 @@ _CRASH = 5  # a fault plan's node crash
 
 def _finish_result(result: RunResult, makespan: float, messages: int) -> None:
     """Check and complete the result an open-loop ``_arrow_loop`` filled."""
-    ordered = sorted(result.rids)
-    if any(map(eq, ordered, islice(ordered, 1, None))):
+    rids = result.rids
+    if len(set(rids)) != len(rids):
         raise ProtocolError("a request completed twice")
     result.makespan = makespan
     result.network_stats = {
@@ -224,6 +237,15 @@ def _arrow_loop(
       both the heap's top and ``nxt`` fires first — initiation seqs
       are below every heap seq, so it wins a time tie — and only then
       is ``nxt`` pushed;
+    * in the synchronous model — every tree link has one delay ``d`` in
+      both directions, ``service_time == 0``, no driver, nothing seeded
+      on ``heap`` — the queue is a ``deque``: each transition schedules
+      at most one event, at ``now + d`` with the next seq, and ``now``
+      never decreases, so events are appended in ``(time, seq)`` order
+      and the front is always the heap's minimum.  The same event fires
+      with the same seq, and ``max_events`` counts the same events.
+      The queue is chosen before the loop, so the heap path pays no
+      per-event test;
     * a dropped send consumes no sequence number and no latency draw —
       the message engine never reaches the latency draw for it either —
       while crash events and dropped initiations are fired events and
@@ -249,9 +271,17 @@ def _arrow_loop(
     n = tree.num_nodes
     root = tree.root
     parent = list(tree.parent)
-    weight, det_up, det_down = _link_tables(graph, parent, root, latency, rng)
+    weight, det_up, det_down, one_delay = _link_tables(
+        graph, parent, root, latency, rng
+    )
     sample = latency.sample
-    push, pop, pushpop = heappush, heappop, heappushpop
+    if one_delay and service == 0.0 and driver is None and not heap:
+        # The synchronous model: events arrive in (time, seq) order, so a
+        # FIFO's front is the heap's minimum (see "Why bit-identical").
+        heap = deque()
+        push, pop, pushpop = deque.append, deque.popleft, _fifo_pushpop
+    else:
+        push, pop, pushpop = heappush, heappop, heappushpop
 
     # Protocol state (ArrowNode.init_pointers, flattened).
     link = parent[:]

@@ -41,7 +41,7 @@ class SpanningTree:
         "wdepth",
         "edge_weight",
         "_up",
-        "_up_array",
+        "_arrays",
         "_log",
     )
 
@@ -125,9 +125,10 @@ class SpanningTree:
                 f"parent array reaches only {seen}/{n} nodes (cycle or forest)"
             )
 
-        # The binary-lifting table is built by the first distance query.
+        # The binary-lifting table is built by the first distance query, and
+        # its array form, with depth and wdepth, by the first distances_from.
         self._up: list[list[int]] | None = None
-        self._up_array: np.ndarray | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._log = 0
 
     # ------------------------------------------------------------------
@@ -241,11 +242,14 @@ class SpanningTree:
         """
         import numpy as np
 
-        up = self._up_array
-        if up is None:
-            up = self._up_array = np.array(self._up or self._build_lifting(), dtype=np.intp)
-        depth = np.asarray(self.depth)
-        wdepth = np.asarray(self.wdepth)
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = (
+                np.array(self._up or self._build_lifting(), dtype=np.intp),
+                np.asarray(self.depth),
+                np.asarray(self.wdepth),
+            )
+        up, depth, wdepth = arrays
         u = np.full(self._n, src)
         v = np.arange(self._n)
         swap = depth[src] < depth  # lca() lifts the deeper endpoint

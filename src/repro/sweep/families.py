@@ -370,15 +370,19 @@ def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> 
     ``ratio_target`` is the theorems' growth term ``s log(D/s) / log
     log(D/s)``, ``sweep_target`` the ``k D`` of one sweep per layer,
     ``comb_weight`` the comb bound on opt."""
+    from repro.analysis.costs import augmented_nodes_times, request_distance_matrix
     from repro.analysis.nearest_neighbor import predict_arrow_run
     from repro.analysis.optimal import opt_bounds
 
     graph, tree, schedule = built["graph"], built["tree"], built["schedule"]
     D, k = built["D"], built["k"]
     stretch = tree_stretch(graph, tree).stretch
-    bounds = opt_bounds(graph, tree, schedule, stretch, exact_limit=0)
+    # One d_T matrix serves the bracket and both tie-break predictions.
+    DT = request_distance_matrix(tree, augmented_nodes_times(schedule, tree.root)[0])
+    bounds = opt_bounds(graph, tree, schedule, stretch, exact_limit=0, tree_distances=DT)
     cost, other = (
-        predict_arrow_run(tree, schedule, tie_break=t).arrow_cost for t in ("min", "max")
+        predict_arrow_run(tree, schedule, tie_break=t, tree_distances=DT).arrow_cost
+        for t in ("min", "max")
     )
     run = arrow_runner(cell.engine)
     sim = run(graph, tree, schedule, seed=cell.seed, service_time=cell.service_time).total_latency
