@@ -112,6 +112,41 @@ def _check_directory_args(acquisitions_per_proc: int, cs_time: float) -> None:
     require_time("cs_time", cs_time, ScheduleError)
 
 
+def _run_acquire_loop(sim, net, nodes, result: DirectoryResult, initiate) -> DirectoryResult:
+    """The closed acquire loop both directories run, to completion.
+
+    Every processor acquires at t = 0 (kicked off in node order) and
+    again each time it releases, until its budget is spent;
+    ``initiate(proc)`` sends one acquisition.  The makespan is the last
+    release, and a run that leaves an acquisition unserved raises.
+    """
+    remaining = [result.acquisitions_per_proc] * result.num_procs
+
+    def issue(proc: int) -> None:
+        if remaining[proc] <= 0:
+            return
+        remaining[proc] -= 1
+        initiate(proc)
+
+    def driver(proc: int) -> None:
+        result.makespan = sim.now
+        issue(proc)
+
+    for nd in nodes:
+        nd.driver = driver
+    for p in range(result.num_procs):
+        sim.call_at(0.0, issue, p)
+
+    sim.run()
+    result.messages_sent = net.stats.messages_sent
+    if result.completions != result.total_acquisitions:
+        raise ProtocolError(
+            f"{result.protocol.replace('-', ' ')} completed {result.completions} of "
+            f"{result.total_acquisitions} acquisitions"
+        )
+    return result
+
+
 class _ObjectState:
     """Shared bookkeeping: who holds the object, who comes next."""
 
@@ -207,9 +242,10 @@ def arrow_directory(
     )
 
     nodes: list[_ArrowDirectoryNode] = []
+    owners: list[int] = []  # rid -> the processor that issued it
 
     def on_complete(rid: int, pred: int, node_id: int, when: float, hops: int):
-        nodes[node_id].on_successor_known(pred, rid, _owner[rid])
+        nodes[node_id].on_successor_known(pred, rid, owners[rid])
 
     nodes.extend(_ArrowDirectoryNode(on_complete, shared) for _ in range(n))
     net.register_all(nodes)
@@ -219,36 +255,12 @@ def arrow_directory(
     # The virtual root request holds the object, already released at t=0.
     shared.released_at[ROOT_RID] = tree.root
 
-    remaining = [acquisitions_per_proc] * n
-    _owner: dict[int, int] = {}
-    counter = [0]
-
-    def issue(proc: int) -> None:
-        if remaining[proc] <= 0:
-            return
-        remaining[proc] -= 1
-        rid = counter[0]
-        counter[0] += 1
-        _owner[rid] = proc
+    def initiate(proc: int) -> None:
+        rid = len(owners)
+        owners.append(proc)
         nodes[proc].initiate(rid)
 
-    def driver(proc: int) -> None:
-        result.makespan = sim.now
-        issue(proc)
-
-    for nd in nodes:
-        nd.driver = driver
-    for p in range(n):
-        sim.call_at(0.0, issue, p)
-
-    sim.run()
-    result.messages_sent = net.stats.messages_sent
-    if result.completions != result.total_acquisitions:
-        raise ProtocolError(
-            f"arrow directory completed {result.completions} of "
-            f"{result.total_acquisitions} acquisitions"
-        )
-    return result
+    return _run_acquire_loop(sim, net, nodes, result, initiate)
 
 
 class _HomeDirectoryNode(ProtocolNode):
@@ -350,29 +362,4 @@ def home_directory(
     )
     nodes = [_HomeDirectoryNode(home, result, cs_time) for _ in range(n)]
     net.register_all(nodes)
-
-    remaining = [acquisitions_per_proc] * n
-
-    def issue(proc: int) -> None:
-        if remaining[proc] <= 0:
-            return
-        remaining[proc] -= 1
-        nodes[proc].initiate()
-
-    def driver(proc: int) -> None:
-        result.makespan = sim.now
-        issue(proc)
-
-    for nd in nodes:
-        nd.driver = driver
-    for p in range(n):
-        sim.call_at(0.0, issue, p)
-
-    sim.run()
-    result.messages_sent = net.stats.messages_sent
-    if result.completions != result.total_acquisitions:
-        raise ProtocolError(
-            f"home directory completed {result.completions} of "
-            f"{result.total_acquisitions} acquisitions"
-        )
-    return result
+    return _run_acquire_loop(sim, net, nodes, result, lambda proc: nodes[proc].initiate())

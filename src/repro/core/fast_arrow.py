@@ -134,9 +134,14 @@ _CRASH = 5  # a fault plan's node crash
 
 def _finish_result(result: RunResult, makespan: float, messages: int) -> None:
     """Check and complete the result an open-loop ``_arrow_loop`` filled."""
-    rids = result.rids
-    if len(set(rids)) != len(rids):
-        raise ProtocolError("a request completed twice")
+    m = len(result.schedule)
+    done = bytearray(m)  # a flag per rid: a fiftieth of a set of the rids
+    for rid in result.rids:
+        if not 0 <= rid < m:
+            raise ProtocolError(f"request {rid} is not in the schedule")
+        if done[rid]:
+            raise ProtocolError("a request completed twice")
+        done[rid] = 1
     result.makespan = makespan
     result.network_stats = {
         "messages_sent": messages,

@@ -85,20 +85,34 @@ def _build_open_loop(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     return {"graph": graph, "tree": tree, "schedule": schedule}
 
 
-def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
-    """Metric columns shared by every open-loop :class:`RunResult` row."""
-    latencies = result.latencies  # built from the columns on each access
+def _metric_columns(n, requests, makespan, latencies, hops, messages, hops_total):
+    """The metric columns every open- and closed-loop run row shares.
+
+    ``latencies`` and ``hops`` are per completed request; the mean hop
+    count and local-find fraction are what ``RunResult`` and
+    ``ClosedLoopResult`` compute from them.
+    """
+    done = len(hops)
     return {
-        "n": graph.num_nodes,
+        "n": n,
         "requests": requests,
-        "makespan": result.makespan,
-        "total_latency": float_total(latencies),  # RunResult.total_latency
-        "mean_hops": result.mean_hops,
-        "local_find_fraction": result.local_find_fraction,
-        "messages_sent": result.network_stats["messages_sent"],
-        "hops_total": result.network_stats["hops_total"],
+        "makespan": makespan,
+        "total_latency": float_total(latencies),
+        "mean_hops": sum(hops) / done if done else 0.0,
+        "local_find_fraction": hops.count(0) / done if done else 0.0,
+        "messages_sent": messages,
+        "hops_total": hops_total,
         **latency_columns(latencies),
     }
+
+
+def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
+    """:func:`_metric_columns` of an open-loop :class:`RunResult`."""
+    stats = result.network_stats
+    return _metric_columns(
+        graph.num_nodes, requests, result.makespan, result.latencies, result.hops,
+        stats["messages_sent"], stats["hops_total"],
+    )
 
 
 def _open_loop_row(
@@ -187,17 +201,10 @@ def _closed_loop_row(
             service_time=cell.service_time,
             think_time=think_time,
         )
-    return {
-        "n": graph.num_nodes,
-        "requests": result.total_requests,
-        "makespan": result.makespan,
-        "total_latency": float_total(result.latencies),
-        "mean_hops": result.mean_hops,
-        "local_find_fraction": result.local_find_fraction,
-        "messages_sent": result.messages_sent,
-        "hops_total": sum(result.hops),
-        **latency_columns(result.latencies),
-    }
+    return _metric_columns(
+        graph.num_nodes, result.total_requests, result.makespan, result.latencies,
+        result.hops, result.messages_sent, sum(result.hops),
+    )
 
 
 # ----------------------------------------------------------------------

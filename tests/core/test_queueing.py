@@ -167,6 +167,12 @@ def test_fast_engine_rejects_a_duplicate_completion(monkeypatch):
         _run_scripted(monkeypatch, rows)
 
 
+def test_fast_engine_rejects_a_rid_outside_the_schedule(monkeypatch):
+    rows = [(0, ROOT_RID, 0, 0.0, 0), (1, 0, 0, 1.0, 1), (3, 1, 1, 2.0, 1)]
+    with pytest.raises(ProtocolError, match="^request 3 is not in the schedule$"):
+        _run_scripted(monkeypatch, rows)
+
+
 def test_fast_engine_rejects_a_short_run(monkeypatch):
     rows = [(0, ROOT_RID, 0, 0.0, 0), (2, 0, 0, 1.0, 1)]
     with pytest.raises(ProtocolError, match="^arrow run completed 2 of 3 requests$"):

@@ -1,11 +1,15 @@
 """The small-model oracle: every small arrow execution, on both engines.
 
-One enumerated corpus and one checker for every small execution; the
-sampled parity and Hypothesis suites keep the sizes beyond it.  Nothing
-here is drawn at random: every axis enumerates its
-instances (Dynamic Gossip's all-executions-on-small-graphs, arXiv:1511.00867;
-fault plans as classes of edge appearance after Casteigts et al.,
-arXiv:1102.5529):
+One enumerated corpus and one checker for every small execution.  What
+it checks is measured by ``tests/mutants.py``: every mutant of the two
+fast loops that is not marked equivalent dies in the tier-1 slice.
+Beside it, tier-1 keeps one parity case at scale per loop
+(``test_fast_arrow_differential.py::test_pinned_fig11_poisson_on_k64``,
+``test_fast_closed_loop_parity.py::test_parity_at_fig10_scale``), which
+the corpus cannot reach.  Nothing here is drawn at random: every axis
+enumerates its instances (Dynamic Gossip's all-executions-on-small-graphs,
+arXiv:1511.00867; fault plans as classes of edge appearance after
+Casteigts et al., arXiv:1102.5529):
 
 ``open-unit``
     every rooted labelled tree (Prüfer sequences × roots) × every
@@ -24,6 +28,14 @@ arXiv:1102.5529):
     every single crash on the lattice (the current sink included), every
     pair of them, one link window per tree edge and lattice time, and
     ``loss:0.3`` at fixed seeds;
+``faults-async``
+    the same plans under ``UniformLatency(0.2, 1)`` and
+    ``ExponentialCappedLatency`` at fixed seeds;
+``concurrent``
+    paths, stars and caterpillars on 4 to 8 nodes × every root × unit
+    delay and every {1, 2} weighting × service time 0 / 0.5, every node
+    requesting at t = 0 — enough messages in flight at once that an
+    event queue in the wrong order shows;
 ``closed-arrow`` / ``closed-central``
     the §5 closed loops on graph = tree and on K_n, up to 3 processors ×
     3 requests each, think time 0 / 0.5 / 1, and (centralized) the centre
@@ -36,12 +48,21 @@ the message harness, and asserts:
 * the raw event streams and the results (``RunResult``,
   ``ClosedLoopResult``, ``FaultReport``) are equal across engines, and a
   monitored fast run equals an unmonitored one;
+* on fault-free runs: every message is a queue-path hop or an
+  acknowledgement (or a centralized creq), and the fast loop completes
+  with ``max_events`` = one event per initiation or first issue, per
+  message stage (two with a service time) and per think-time re-issue,
+  and not with one fewer;
 * ``ArrowMonitor(deep=True)`` passes on both streams, ``finalize``
   included;
 * no tree edge ever carries two queue messages, degraded runs included —
   the reason neither engine clamps a link's deliveries to its send order;
 * after a fault plan: no illegal edge is left, completions + lost ==
   requests, and the monitor's lost set is the report's;
+* on closed loops: every processor issues its budget, at t = 0 and then
+  exactly one think time after each acknowledgement; no acknowledgement
+  precedes its issue; the run ends with the last acknowledgement; and a
+  centralized request's hop count is its route's length;
 * on fault-free synchronous runs (unit delay or delay = integer weight,
   service 0): a total order, Fact 3.6, Lemmas 3.8-3.10, the direct-path
   property, the executor's order when there are no ties, and arrow's cost
@@ -52,7 +73,8 @@ the message harness, and asserts:
 A failure ends with a one-line literal that rebuilds the instance:
 ``check(Instance(...))``.
 
-``tests/test_small_models.py`` runs :data:`SLICE` (n <= 4) in tier-1.
+``tests/test_small_models.py`` runs :data:`SLICE` (n <= 4, the
+concurrent axis to n = 5) in tier-1.
 ``PYTHONPATH=src python tests/small_models.py`` runs :data:`FULL`, which
 contains the slice axis by axis, and prints the instance count per axis.
 """
@@ -65,6 +87,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 from typing import Callable, Iterator, Mapping
 
 from repro.analysis.competitive import theorem_319_ceiling
@@ -82,8 +105,10 @@ from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
+from repro.errors import SimulationError
 from repro.faults import run_arrow_faulted
 from repro.graphs import complete_graph
+from repro.graphs.shortest_paths import bfs_distances
 from repro.monitors import ArrowMonitor
 from repro.net.latency import (
     ExponentialCappedLatency,
@@ -305,30 +330,96 @@ def _async_properties(tree, schedule, result):
     assert check_lemma_3_9(tree, schedule, order), "Lemma 3.9: time-separated pair reordered"
 
 
-def _check_open(inst):
-    graph, tree = _topology(inst.edges, inst.weights, inst.root, inst.complete)
-    schedule = RequestSchedule(inst.requests)
-    knobs = dict(latency=DELAYS[inst.delay], seed=inst.seed, service_time=inst.service)
+def _fires_exactly(run, events):
+    """``run(max_events)`` completes with ``events`` and not with one fewer."""
+    run(events)
+    try:
+        run(events - 1)
+    except SimulationError:
+        return
+    raise AssertionError(f"the run fires fewer than {events} events")
 
-    def run(engine, on_event):
-        if inst.faults:
-            return run_arrow_faulted(
-                graph, tree, schedule, inst.faults, engine=engine, on_event=on_event, **knobs
-            )
-        return arrow_runner(engine)(graph, tree, schedule, on_event=on_event, **knobs), None
 
-    (result, report), monitor = _both_engines(run, tree, len(schedule))
-    if report is not None:
-        assert report.final_violations == 0, f"{report.final_violations} illegal edges left"
-        assert len(result.rids) + report.requests_lost == len(schedule), "books do not balance"
-        assert monitor.lost == set(report.lost_rids), "monitor and report lose different rids"
-        assert monitor.completed == set(result.rids), "monitor saw other completions"
-    elif inst.service == 0.0:
+def _open_properties(inst, tree, schedule, result, run):
+    """Every message is one hop of a request's queue path, and the loop
+    fires one event per initiation and per message stage; Section 3 or
+    §3.8 where they apply.  Returns arrow/opt when Section 3 does."""
+    hops = sum(result.hops)
+    assert result.network_stats["messages_sent"] == hops, f"{hops} hops, other messages"
+    stages = 2 if inst.service else 1
+    _fires_exactly(lambda limit: run("fast", None, max_events=limit),
+                   len(schedule) + stages * hops)
+    if inst.service == 0.0:
         if inst.delay in SYNCHRONOUS:
             return _paper_properties(tree, schedule, result)
         if DELAYS[inst.delay].stochastic:
             _async_properties(tree, schedule, result)
     return None
+
+
+def _fault_properties(schedule, result, report, monitor):
+    """A degraded run leaves a legal configuration and balanced books."""
+    assert report.final_violations == 0, f"{report.final_violations} illegal edges left"
+    assert len(result.rids) + report.requests_lost == len(schedule), "books do not balance"
+    assert monitor.lost == set(report.lost_rids), "monitor and report lose different rids"
+    assert monitor.completed == set(result.rids), "monitor saw other completions"
+
+
+def _closed_properties(result, inst, graph, run):
+    """§5's loop discipline on any closed-loop result.
+
+    Every processor issues its budget, the first request at t = 0 and
+    each next one exactly ``think`` after the previous acknowledgement;
+    no acknowledgement precedes its issue; the run ends with the last
+    acknowledgement.  A centralized request travels the route to the
+    centre: its hop count is that route's length.  Messages are the
+    queue paths' hops (arrow) or one creq per request from off the
+    centre (centralized), plus one acknowledgement per request.  The
+    loop fires one event per first issue, per message stage and, with a
+    think time, per re-issue (``run(max_events)`` reruns the fast loop).
+    """
+    n, rpp = graph.num_nodes, inst.rpp
+    hops = result.hops
+    assert result.completions == len(hops) == n * rpp, "not every request completed"
+    assert result.local_finds == hops.count(0), "local finds miscounted"
+    sent = sum(hops) if inst.protocol == "arrow" else len(hops) - hops.count(0)
+    assert result.messages_sent == sent + len(hops), "messages miscounted"
+    stages = 2 if inst.service else 1
+    reissues = n * rpp - n if inst.think else 0
+    _fires_exactly(run, n + stages * result.messages_sent + reissues)
+    assert min(result.latencies) >= 0.0, "a request completed before its issue"
+    owners, issued, acked = result.owners, result.issue_times, result.ack_times
+    for p in range(n):
+        rids = [rid for rid, owner in enumerate(owners) if owner == p]
+        assert len(rids) == rpp, f"processor {p} issued {len(rids)} requests"
+        assert issued[rids[0]] == 0.0, f"processor {p} started late"
+        for rid, after in zip(rids, rids[1:]):
+            assert issued[after] == acked[rid] + inst.think, f"request {after} re-issued off beat"
+    assert all(map(ge, acked, issued)), "an acknowledgement precedes its issue"
+    assert result.makespan == max(acked), "the run does not end with its last acknowledgement"
+    if inst.protocol == "centralized" and not inst.weights:
+        route = bfs_distances(graph, inst.center)
+        assert sorted(hops) == sorted(route[v] for v in owners), "a creq left its route"
+
+
+def _check_open(inst):
+    graph, tree = _topology(inst.edges, inst.weights, inst.root, inst.complete)
+    schedule = RequestSchedule(inst.requests)
+    knobs = dict(latency=DELAYS[inst.delay], seed=inst.seed, service_time=inst.service)
+
+    def run(engine, on_event, **limit):
+        if inst.faults:
+            return run_arrow_faulted(
+                graph, tree, schedule, inst.faults, engine=engine, on_event=on_event, **knobs
+            )
+        runner = arrow_runner(engine)
+        return runner(graph, tree, schedule, on_event=on_event, **knobs, **limit), None
+
+    (result, report), monitor = _both_engines(run, tree, len(schedule))
+    if report is not None:
+        _fault_properties(schedule, result, report, monitor)
+        return None
+    return _open_properties(inst, tree, schedule, result, run)
 
 
 def _loop_knobs(inst):
@@ -345,18 +436,31 @@ def _check_closed_arrow(inst):
     graph, tree = _topology(inst.edges, inst.weights, inst.root, inst.complete)
     knobs = _loop_knobs(inst)
 
-    def run(engine, on_event):
-        return closed_loop_runner("arrow", engine)(graph, tree, on_event=on_event, **knobs)
+    def run(engine, on_event, **limit):
+        runner = closed_loop_runner("arrow", engine)
+        return runner(graph, tree, on_event=on_event, **knobs, **limit)
 
-    _both_engines(run, tree, tree.num_nodes * inst.rpp)
+    result, _ = _both_engines(run, tree, tree.num_nodes * inst.rpp)
+    _closed_properties(result, inst, graph, lambda limit: run("fast", None, max_events=limit))
+
+
+def _same_results(run):
+    """``run(engine)`` on both engines: equal outputs; the fast one."""
+    fast = run("fast")
+    assert fast == run("message"), "results differ across engines"
+    return fast
 
 
 def _check_closed_central(inst):
     graph, _ = _topology(inst.edges, inst.weights, inst.root, inst.complete)
     knobs = _loop_knobs(inst)
-    fast = closed_loop_runner("centralized", "fast")(graph, inst.center, **knobs)
-    message = closed_loop_runner("centralized", "message")(graph, inst.center, **knobs)
-    assert fast == message, "results differ across engines"
+
+    def run(engine, **limit):
+        return closed_loop_runner("centralized", engine)(graph, inst.center, **knobs, **limit)
+
+    _closed_properties(
+        _same_results(run), inst, graph, lambda limit: run("fast", max_events=limit)
+    )
 
 
 _CHECKS = {"": _check_open, "arrow": _check_closed_arrow, "centralized": _check_closed_central}
@@ -436,25 +540,65 @@ def open_loop(axis: Axis) -> Iterator[Instance]:
                             )
 
 
-def _fault_plans(edges, n, axis):
-    """``(label, seed)`` of every plan of the faults axis on one tree."""
+def _fault_plans(edges, n, axis, delay):
+    """``(label, seed)`` of every plan of a faults axis on one tree: under a
+    stochastic delay every plan at every seed, else only the loss plan."""
     crashes = [f"crash@{t:g}:{v}" for t in axis.times for v in range(n)]
     plans = [*crashes, *map(",".join, itertools.combinations(crashes, 2))]
     plans += [f"link@{u}-{v}:{t:g}-{t + 1:g}" for u, v in edges for t in axis.times]
-    return [(p, 0) for p in plans] + [("loss:0.3", seed) for seed in axis.seeds]
+    plans.append("loss:0.3")
+    seeded = DELAYS[delay].stochastic
+    return [
+        (p, seed) for p in plans
+        for seed in (axis.seeds if seeded or p.startswith("loss") else (0,))
+    ]
 
 
 def faults(axis: Axis) -> Iterator[Instance]:
-    """Trees × request multisets × fault plans × service times, unit delay."""
+    """Trees × request multisets × delays × fault plans (and seeds) ×
+    service times."""
     for n, k in axis.requests.items():
         for edges, root in rooted_trees(n):
-            plans = _fault_plans(edges, n, axis)
+            plans = {delay: _fault_plans(edges, n, axis, delay) for delay in axis.delays}
             for requests in request_multisets(n, axis.times, k):
-                for plan, seed in plans:
-                    for service in axis.services:
-                        yield Instance(
-                            edges, root, requests, seed=seed, service=service, faults=plan
-                        )
+                for delay in axis.delays:
+                    for plan, seed in plans[delay]:
+                        for service in axis.services:
+                            yield Instance(
+                                edges, root, requests, delay=delay, seed=seed,
+                                service=service, faults=plan,
+                            )
+
+
+def _shapes(n):
+    """A path, a star and a caterpillar on ``n`` nodes, as edge tuples.
+
+    The caterpillar's spine is ``0..s-1`` (``s = ceil(n / 2)``), and leaf
+    ``s + i`` hangs off spine node ``i``.
+    """
+    spine = (n + 1) // 2
+    path = tuple((v, v + 1) for v in range(n - 1))
+    star = tuple((0, v) for v in range(1, n))
+    caterpillar = path[: spine - 1] + tuple((v - spine, v) for v in range(spine, n))
+    return tuple(dict.fromkeys((path, star, caterpillar)))
+
+
+def concurrent(axis: Axis) -> Iterator[Instance]:
+    """Paths, stars and caterpillars on each n of ``axis.requests`` × every
+    root × delays (and every weighting) × service times, every node
+    requesting at each lattice time: the most requests in flight at once
+    that n nodes allow."""
+    for n in axis.requests:
+        requests = tuple((v, t) for t in axis.times for v in range(n))
+        for edges in _shapes(n):
+            for root in range(n):
+                for delay, seed in _delay_seeds(axis):
+                    for weights in _weightings(delay, n):
+                        for service in axis.services:
+                            yield Instance(
+                                edges, root, requests, weights=weights,
+                                delay=delay, seed=seed, service=service,
+                            )
 
 
 def _loops(axis, n):
@@ -500,6 +644,8 @@ AXES: dict[str, Callable[[Axis], Iterator[Instance]]] = {
     "open-directed": open_loop,
     "open-async": open_loop,
     "faults": faults,
+    "faults-async": faults,
+    "concurrent": concurrent,
     "closed-arrow": closed_arrow,
     "closed-central": closed_central,
 }
@@ -507,15 +653,19 @@ AXES: dict[str, Callable[[Axis], Iterator[Instance]]] = {
 _ASYNC = ("uniform", "expcap")
 _LOOPS = Axis({1: 3, 2: 3, 3: 3}, thinks=(0.0, 0.5, 1.0))
 _LOOPS_FULL = dataclasses.replace(_LOOPS, delays=("unit", "uniform"), seeds=(0, 1))
+_CONCURRENT = Axis({4: 1, 5: 1}, times=(0.0,), delays=("unit", "weight"))
 
-#: The tier-1 slice: n <= 4, a few seconds in one process.  Service time
-#: 0.5 at unit delay runs on the faults and closed-loop axes here.
+#: The tier-1 slice: n <= 4 (the concurrent axis to n = 5), a few seconds
+#: in one process.  Service time 0.5 at unit delay runs on the faults,
+#: concurrent and closed-loop axes here.
 SLICE = {
     "open-unit": Axis({1: 3, 2: 3, 3: 3, 4: 2}, services=(0.0,)),
     "open-weight": Axis({2: 3, 3: 1}, services=(0.0,), delays=("weight",)),
     "open-directed": Axis({2: 3, 3: 2}, delays=("directed",)),
     "open-async": Axis({2: 3, 3: 2}, services=(0.0,), delays=_ASYNC),
     "faults": Axis({2: 2, 3: 1}),
+    "faults-async": Axis({2: 2}, delays=("uniform",)),
+    "concurrent": _CONCURRENT,
     "closed-arrow": _LOOPS,
     "closed-central": _LOOPS,
 }
@@ -528,6 +678,8 @@ FULL = {
     "open-directed": Axis({2: 3, 3: 3, 4: 3}, delays=("directed",)),
     "open-async": Axis({2: 3, 3: 3, 4: 3}, delays=_ASYNC, seeds=(0, 1, 2)),
     "faults": Axis({2: 3, 3: 2, 4: 2}, seeds=(0, 1, 2)),
+    "faults-async": Axis({2: 3, 3: 2}, delays=_ASYNC, seeds=(0, 1)),
+    "concurrent": dataclasses.replace(_CONCURRENT, requests={4: 1, 5: 1, 6: 1, 7: 1, 8: 1}),
     "closed-arrow": _LOOPS_FULL,
     "closed-central": _LOOPS_FULL,
 }

@@ -1,9 +1,9 @@
 """Tier-1 slice of the small-model oracle (``tests/small_models.py``).
 
-One test per axis of ``SLICE`` (n <= 4): every instance of the axis runs
-through both engines and every check of ``small_models.check``.  The
-axis sizes are pinned, so an enumerator that silently shrinks fails here
-too.  Run with ``-s`` to see the counts; the full corpus is
+One test per axis of ``SLICE`` (n <= 4, the concurrent axis to n = 5):
+every instance of the axis runs through both engines and every check of
+``small_models.check``.  The axis sizes are pinned, so an enumerator
+that silently shrinks fails here too.  Run with ``-s`` to see the counts; the full corpus is
 ``PYTHONPATH=src python tests/small_models.py``.
 """
 
@@ -18,6 +18,8 @@ SLICE_COUNTS = {
     "open-directed": 622,
     "open-async": 622,
     "faults": 3_536,
+    "faults-async": 728,
+    "concurrent": 726,
     "closed-arrow": 378,
     "closed-central": 270,
 }
