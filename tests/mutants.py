@@ -15,11 +15,11 @@ changes.  Every mutant then runs through each column of :data:`COLUMNS`:
     its properties, the deep ``ArrowMonitor`` and the fault books only
     (the message engine never runs); and fast == message equality only
     (streams and results, no property);
-``differential`` / ``closed-parity`` / ``properties``
-    what is left of the sampled suites, each file (directory) alone,
-    every failing test id recorded;
+``differential`` / ``closed-parity`` / ``fifo`` / ``properties``
+    the sampled suites, each file (directory) alone, every failing test
+    id recorded;
 ``rest``
-    tier-1 without those three paths: what would still kill the mutant
+    tier-1 without those four paths: what would still kill the mutant
     if they went;
 ``tier-1``
     the whole tier-1 run (it contains ``rest``, so once ``rest`` kills a
@@ -191,10 +191,11 @@ MUTANTS = {
     "central-livelock-early": Mutant(CENTRAL, "if fired > limit:", "if fired >= limit:"),
 }
 
-#: What is left of the sampled parity and property suites, by column.
+#: The sampled parity and property suites, by column.
 SAMPLED = {
     "differential": "tests/core/test_fast_arrow_differential.py",
     "closed-parity": "tests/core/test_fast_closed_loop_parity.py",
+    "fifo": "tests/core/test_fifo_queue.py",
     "properties": "tests/properties",
 }
 

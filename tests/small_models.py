@@ -3,13 +3,13 @@
 One enumerated corpus and one checker for every small execution.  What
 it checks is measured by ``tests/mutants.py``: every mutant of the two
 fast loops that is not marked equivalent dies in the tier-1 slice.
-Beside it, tier-1 keeps one parity case at scale per loop
-(``test_fast_arrow_differential.py::test_pinned_fig11_poisson_on_k64``,
-``test_fast_closed_loop_parity.py::test_parity_at_fig10_scale``), which
-the corpus cannot reach.  Nothing here is drawn at random: every axis
-enumerates its instances (Dynamic Gossip's all-executions-on-small-graphs,
-arXiv:1511.00867; fault plans as classes of edge appearance after
-Casteigts et al., arXiv:1102.5529):
+Beside it, tier-1 keeps the sampled parity and property suites
+(``tests/core/test_fast_arrow_differential.py``,
+``test_fast_closed_loop_parity.py``, ``test_fifo_queue.py``,
+``tests/properties/``) for the sizes the corpus cannot reach.  Nothing
+here is drawn at random: every axis enumerates its instances (Dynamic
+Gossip's all-executions-on-small-graphs, arXiv:1511.00867; fault plans
+as classes of edge appearance after Casteigts et al., arXiv:1102.5529):
 
 ``open-unit``
     every rooted labelled tree (Prüfer sequences × roots) × every
