@@ -243,13 +243,19 @@ def opt_bounds(
     Held–Karp (``2^m`` states); ``0`` never solves exactly.
     ``tree_distances`` is the request ``d_T`` matrix when the caller
     already built it (``request_distance_matrix`` over the
-    :func:`~repro.analysis.costs.augmented_nodes_times` nodes).
+    :func:`~repro.analysis.costs.augmented_nodes_times` nodes).  A
+    unit-weighted graph with ``n - 1`` edges is its spanning tree, so
+    its ``d_G`` is that matrix (both are hop counts, equal bit for bit);
+    any other graph gets ``d_G`` by BFS or Dijkstra.
     """
     if len(schedule) == 0:
         return OptBounds(0.0, 0.0, True, {})
     nodes, times = augmented_nodes_times(schedule, tree.root)
-    DG = request_distance_matrix(graph, nodes)
     DT = request_distance_matrix(tree, nodes) if tree_distances is None else tree_distances
+    if graph.num_edges == graph.num_nodes - 1 and graph.is_unit_weighted():
+        DG = DT
+    else:
+        DG = request_distance_matrix(graph, nodes)
     C_opt = c_o_matrix(DG, times)
     CM_tree = c_m_matrix(DT, times)
 

@@ -270,20 +270,25 @@ def _produce(args):
         yield figure_from_rows(figure, rows, metric=args.metric)
 
 
-def _compare_side(store, key_or_path: str):
-    """A compare operand is a JSONL path when it names a file, else a key."""
+def _compare_side(store, key_or_path: str, known):
+    """A compare operand is a JSONL path when it names a file, else a key.
+
+    Both operands read through one ``known`` map, so a line of B equal to
+    a line of A is A's row object, which :func:`compare_rows` need not walk.
+    """
     import os
 
     from repro.results.store import finished_rows
 
     if os.path.isfile(key_or_path):
-        return finished_rows(key_or_path)
-    return store.rows(key_or_path)
+        return finished_rows(key_or_path, known)
+    return store.rows(key_or_path, known)
 
 
 def _results_command(args, ingest_error) -> int:
     """Dispatch the ``results`` subcommand group; returns an exit code."""
     from repro.results import ResultsStore, compare_rows, figure_from_rows
+    from repro.results.store import latency_sketch
 
     store = ResultsStore(args.store)
     try:
@@ -305,15 +310,16 @@ def _results_command(args, ingest_error) -> int:
                 print(f"(empty store: {store.root})")
         elif args.results_cmd in ("table", "plot"):
             manifest = store.manifest(args.run)
-            result = figure_from_rows(
-                manifest["name"], store.rows(args.run), metric=args.metric
-            )
+            rows = store.rows(args.run)
+            if args.results_cmd == "table" and args.percentiles:
+                rows = list(rows)  # one read for the figure and the sketch
+            result = figure_from_rows(manifest["name"], rows, metric=args.metric)
             if args.results_cmd == "plot":
                 print(plot(result))
             else:
                 print(format_table(result))
                 if args.percentiles:
-                    grid = store.grid_sketch(args.run)
+                    grid = latency_sketch(rows)
                     print()
                     if grid.count:
                         print(
@@ -332,9 +338,10 @@ def _results_command(args, ingest_error) -> int:
                     else:
                         print("(no latency histograms stored for this run)")
         elif args.results_cmd == "compare":
+            known: dict = {}
             cmp = compare_rows(
-                _compare_side(store, args.a),
-                _compare_side(store, args.b),
+                _compare_side(store, args.a, known),
+                _compare_side(store, args.b, known),
                 max_delta_pct=args.max_delta_pct,
             )
             for line in cmp.report_lines():

@@ -243,8 +243,9 @@ def _arrow_loop(
       are below every heap seq, so it wins a time tie — and only then
       is ``nxt`` pushed;
     * in the synchronous model — every tree link has one delay ``d`` in
-      both directions, ``service_time == 0``, no driver, nothing seeded
-      on ``heap`` — the queue is a ``deque``: each transition schedules
+      both directions, ``service_time == 0``, nothing seeded on ``heap``
+      (so no closed loop, whose driver seeds its ``n >= 1`` issue events
+      there) — the queue is a ``deque``: each transition schedules
       at most one event, at ``now + d`` with the next seq, and ``now``
       never decreases, so events are appended in ``(time, seq)`` order
       and the front is always the heap's minimum.  The same event fires
@@ -280,7 +281,7 @@ def _arrow_loop(
         graph, parent, root, latency, rng
     )
     sample = latency.sample
-    if one_delay and service == 0.0 and driver is None and not heap:
+    if one_delay and service == 0.0 and not heap:
         # The synchronous model: events arrive in (time, seq) order, so a
         # FIFO's front is the heap's minimum (see "Why bit-identical").
         heap = deque()

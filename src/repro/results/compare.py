@@ -142,6 +142,8 @@ def compare_rows(
     ``(b - a) / a * 100`` — a zero baseline with a non-zero fresh value
     reports as a problem rather than an infinite percentage.  Non-numeric
     columns (cell ids, fault labels, ``exclusion_ok``...) must be equal.
+    A pair that is one object (both sides read one line through a shared
+    ``known`` map, :func:`repro.sweep.persist._decode`) is not walked.
     """
     problems: list[str] = []
     by_id_a = _by_cell_id(rows_a, "A", problems)
@@ -170,6 +172,12 @@ def compare_rows(
         ra, rb = by_id_a[cid], by_id_b[cid]
         cmp.compared += 1
         na = dict(_numeric_items(ra, ignore))
+        if ra is rb and all(a == a for a in na.values()):
+            # One row on both sides (one line, parsed once): every delta is
+            # 0 % — unless a value is NaN, which the walk below reports.
+            for k in na:
+                sums.setdefault(k, []).append(0.0)
+            continue
         nb = dict(_numeric_items(rb, ignore))
         for k in sorted(na.keys() | nb.keys()):
             if k not in na or k not in nb:

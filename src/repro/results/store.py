@@ -23,6 +23,10 @@ and counted), with its rows still held to the persisted invariants.  The
 store's own files are written atomically, so a damaged one is never a
 write in progress: ``rows.jsonl`` is read under *verify* and against the
 manifest's row count, and damage is a :class:`ResultsError` naming the file.
+An ingest reads the source through the stored file's ``known`` map
+(:func:`repro.sweep.persist._decode`): a source line equal to a stored
+line is that stored row — no parse, no placement, no re-encoding — and
+stored rows are re-encoded only when ``rows.jsonl`` is rewritten.
 """
 
 from __future__ import annotations
@@ -30,14 +34,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ResultsError
 from repro.sweep import persist
 from repro.sweep.spec import SweepSpec
 from repro.sweep.stats import MidpointCounts
 
-__all__ = ["IngestReport", "ResultsStore", "finished_rows"]
+__all__ = ["IngestReport", "ResultsStore", "finished_rows", "latency_sketch"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +78,10 @@ class IngestReport:
         )
 
 
-def _refusing(verify: Callable[..., Iterator[dict[str, Any]]], *args: Any):
-    """Rows of ``verify(*args, report)``; its first report is raised."""
+def _refusing(verify: Callable[..., Iterator[dict[str, Any]]], *args: Any, **kwargs: Any):
+    """Rows of ``verify(*args, report, **kwargs)``; its first report is raised."""
     problems: list[str] = []
-    for row in verify(*args, problems.append):
+    for row in verify(*args, problems.append, **kwargs):
         if problems:
             break
         yield row
@@ -85,9 +89,25 @@ def _refusing(verify: Callable[..., Iterator[dict[str, Any]]], *args: Any):
         raise ResultsError("; ".join(problems))
 
 
-def finished_rows(path: str) -> Iterator[dict[str, Any]]:
-    """Stream a finished sweep file; anything *verify* reports is an error."""
-    return _refusing(persist.iter_verified_rows, path)
+def finished_rows(
+    path: str, known: persist.Known | None = None
+) -> Iterator[dict[str, Any]]:
+    """Stream a finished sweep file; anything *verify* reports is an error
+    (``known`` as in :func:`repro.sweep.persist._decode`)."""
+    return _refusing(persist.iter_verified_rows, path, known=known)
+
+
+def latency_sketch(rows: Iterable[dict[str, Any]]) -> MidpointCounts:
+    """Fold rows' persisted ``latency_hist`` / ``latency_max`` columns into
+    one :class:`~repro.sweep.stats.MidpointCounts`; rows without them
+    (e.g. directory cells) are skipped."""
+    grid = MidpointCounts()
+    for row in rows:
+        hist = row.get("latency_hist")
+        hi = row.get("latency_max")
+        if isinstance(hist, list) and isinstance(hi, (int, float)):
+            grid.add_histogram(hist, float(hi))
+    return grid
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -161,20 +181,26 @@ class ResultsStore:
                 )
             return cells[cid]
 
-        stored: dict[int, str] = {}  # index -> canonical line
+        stored: dict[int, dict[str, Any]] = {}  # index -> row already stored
+        # Stored lines -> rows: a source line equal to one is that row.
+        known: persist.Known = {}
         rows_path = self.rows_path(spec_hash)
         if os.path.exists(rows_path):
-            for row in finished_rows(rows_path):
-                stored[place(row, rows_path)] = persist.dumps_row(row)
+            for row in finished_rows(rows_path, known):
+                stored[place(row, rows_path)] = row
+        kept = {id(row) for row in stored.values()}
 
         skipped: list[str] = []
-        source = persist.iter_rows(jsonl_path, skipped=skipped)
-        new_rows = 0
+        source = persist.iter_rows(jsonl_path, skipped=skipped, known=known)
+        added: dict[int, str] = {}  # index -> canonical line of a new row
         for row in _refusing(persist.verify_rows, source, jsonl_path):
+            if id(row) in kept:
+                continue  # a stored line, verified again, placed already
             index = place(row, jsonl_path)
             line = persist.dumps_row(row)
-            if index in stored:
-                if stored[index] != line:
+            old = persist.dumps_row(stored[index]) if index in stored else added.get(index)
+            if old is not None:
+                if old != line:
                     raise ResultsError(
                         f"{jsonl_path}: cell {row['cell_id']!r} conflicts with the "
                         f"already-stored row under [{spec_hash[:12]}] "
@@ -182,18 +208,17 @@ class ResultsStore:
                         "bit-identical, so this means damaged input)"
                     )
                 continue
-            stored[index] = line
-            new_rows += 1
+            added[index] = line
+        new_rows = len(added)
+        total_rows = len(stored) + new_rows
 
         updated = False
         if new_rows:
             os.makedirs(self.run_dir(spec_hash), exist_ok=True)
-            text = "".join(
-                stored[i] + "\n" for i in sorted(stored)
-            )
-            _atomic_write(rows_path, text)
+            lines = {i: persist.dumps_row(row) for i, row in stored.items()} | added
+            _atomic_write(rows_path, "".join(lines[i] + "\n" for i in sorted(lines)))
             updated = True
-        if stored or new_rows:
+        if total_rows:
             os.makedirs(self.run_dir(spec_hash), exist_ok=True)
             updated |= _write_if_changed(
                 os.path.join(self.run_dir(spec_hash), "spec.json"),
@@ -211,8 +236,8 @@ class ResultsStore:
                         "spec_hash": spec_hash,
                         "name": spec.name,
                         "cells": expected,
-                        "ingested": len(stored),
-                        "complete": len(stored) == expected,
+                        "ingested": total_rows,
+                        "complete": total_rows == expected,
                     },
                     indent=2,
                     sort_keys=True,
@@ -223,7 +248,7 @@ class ResultsStore:
             spec_hash=spec_hash,
             name=spec.name,
             new_rows=new_rows,
-            total_rows=len(stored),
+            total_rows=total_rows,
             expected_cells=expected,
             damaged_skipped=len(skipped),
             updated=updated,
@@ -280,16 +305,19 @@ class ResultsStore:
             f"{[m['spec_hash'][:12] for m in matches]}; use a longer hash prefix"
         )
 
-    def rows(self, key: str) -> Iterator[dict[str, Any]]:
+    def rows(
+        self, key: str, known: persist.Known | None = None
+    ) -> Iterator[dict[str, Any]]:
         """Stream the stored rows of one run in grid order: the file must
         verify and hold exactly the manifest's ``ingested`` rows, so a
-        figure is never built from fewer rows than were ingested."""
+        figure is never built from fewer rows than were ingested
+        (``known`` as in :func:`repro.sweep.persist._decode`)."""
         manifest = self.manifest(key)
         path = self.rows_path(manifest["spec_hash"])
         if not os.path.exists(path):
             raise ResultsError(f"{path}: stored run has no rows yet")
         count = 0
-        for count, row in enumerate(finished_rows(path), 1):
+        for count, row in enumerate(finished_rows(path, known), 1):
             yield row
         if count != manifest.get("ingested"):
             raise ResultsError(
@@ -301,18 +329,7 @@ class ResultsStore:
     # grid-level aggregation
     # ------------------------------------------------------------------
     def grid_sketch(self, key: str) -> MidpointCounts:
-        """Latency percentiles of one stored run, from its rows' histograms.
-
-        One streaming pass: each row's persisted ``latency_hist`` /
-        ``latency_max`` columns are added to one
-        :class:`~repro.sweep.stats.MidpointCounts`, which holds a dict
-        entry per distinct bucket midpoint.  Rows without histogram
-        columns (e.g. directory cells) are skipped.
-        """
-        grid = MidpointCounts()
-        for row in self.rows(key):
-            hist = row.get("latency_hist")
-            hi = row.get("latency_max")
-            if isinstance(hist, list) and isinstance(hi, (int, float)):
-                grid.add_histogram(hist, float(hi))
-        return grid
+        """Latency percentiles of one stored run, from its rows' histograms:
+        :func:`latency_sketch` over one streaming pass of :meth:`rows`,
+        holding a dict entry per distinct bucket midpoint."""
+        return latency_sketch(self.rows(key))

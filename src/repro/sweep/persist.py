@@ -14,6 +14,18 @@ consumer reads through :func:`_decode` under one of two policies:
   invariants (:func:`verify_rows`).  :func:`merge_shards` interleaves
   shard files under it — row ``k`` must carry index ``k`` — and stops
   at the first problem.
+
+A command need not parse a row text it has read.  Rows are canonical,
+so two lines with equal stripped text are equal rows: the readers take an
+optional ``known`` map from stripped text to row, and a line found there
+is that row — no second ``json.loads`` — while every row still passes
+the policy's checks under its own file and row number.  *Verify* reads
+add the rows they parse to the map; *resume* reads only look it up.  A
+line not in the map (another formatting, another value) is parsed as
+before, and compared as a parsed row.  The map lives for one command: the results
+store's ingest and ``results compare`` share one across their two
+files, :func:`diff_rows` one per lockstep pair; ``results table
+--percentiles`` reads its run once for the table and the sketch.
 """
 
 from __future__ import annotations
@@ -49,17 +61,28 @@ _NOT_JSON = "corrupt JSONL row"
 _NOT_OBJECT = "not a JSON object; not a sweep row"
 
 
-def _decode(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any] | None, str | None]]:
+#: Stripped line text -> the row it decoded to, for one command's reads.
+Known = dict[str, dict[str, Any]]
+
+
+def _decode(
+    lines: Iterable[str], known: Known | None = None, learn: bool = False
+) -> Iterator[tuple[int, dict[str, Any] | None, str | None]]:
     """The one reader: ``(lineno, row, damage)`` per non-blank line.
 
     A line is what iterating a text stream yields: ``\n``, ``\r`` and
     ``\r\n`` end one; ``\x0b``, ``\x0c``, ``\x1c``, ``\x85`` and ``\u2028``
     do not.  One of ``row`` and ``damage`` is ``None``; what damage
-    *means* is the caller's policy.
+    *means* is the caller's policy.  With ``known``, a line whose
+    stripped text is a key yields that row without a parse (the *same*
+    object); with ``learn`` too, every row parsed is added under its text.
     """
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
+            continue
+        if known is not None and (row := known.get(stripped)) is not None:
+            yield lineno, row, None
             continue
         try:
             row = json.loads(stripped)
@@ -67,13 +90,18 @@ def _decode(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any] | None, 
             yield lineno, None, _NOT_JSON
             continue
         if isinstance(row, dict):
+            if learn:
+                known[stripped] = row
             yield lineno, row, None
         else:
             yield lineno, None, _NOT_OBJECT
 
 
 def _resume(
-    lines: Iterable[str], path: str, skipped: list[str] | None
+    lines: Iterable[str],
+    path: str,
+    skipped: list[str] | None,
+    known: Known | None = None,
 ) -> Iterator[dict[str, Any]]:
     """*Resume* policy, for a file a run may still be appending to.
 
@@ -85,7 +113,7 @@ def _resume(
     ``"path:lineno: ..."`` entry for it, which resume and ingest report.
     """
     torn: int | None = None  # only an error if any non-blank line follows
-    for lineno, row, damage in _decode(lines):
+    for lineno, row, damage in _decode(lines, known):
         if torn is not None:
             raise ReproError(f"{path}:{torn}: {_NOT_JSON} mid-file")
         if row is not None:
@@ -101,11 +129,13 @@ def _resume(
 
 
 def iter_rows(
-    path: str, *, skipped: list[str] | None = None
+    path: str, *, skipped: list[str] | None = None, known: Known | None = None
 ) -> Iterator[dict[str, Any]]:
-    """Yield the rows of a JSONL file under the *resume* policy (:func:`_resume`)."""
+    """Yield the rows of a JSONL file under the *resume* policy
+    (:func:`_resume`).  ``known`` (:func:`_decode`) is only looked up, so
+    the rows a source file adds are not kept alive by it."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from _resume(fh, path, skipped)
+        yield from _resume(fh, path, skipped, known)
 
 
 def _row_shape_problems(row: dict[str, Any]) -> list[str]:
@@ -153,17 +183,20 @@ def verify_rows(
         yield row
 
 
-def iter_verified_rows(path: str, report: Callable[[str], None]) -> Iterator[dict[str, Any]]:
+def iter_verified_rows(
+    path: str, report: Callable[[str], None], *, known: Known | None = None
+) -> Iterator[dict[str, Any]]:
     """Yield the rows of a finished JSONL file under the *verify* policy.
 
     Nothing is tolerated: ANY damaged line — including the torn tail a
     killed run leaves — is reported as ``path:line: ...``, and every row
-    goes through :func:`verify_rows`.  The file verifies iff nothing was
-    reported by the time the iterator is exhausted.
+    goes through :func:`verify_rows`, a ``known`` one (:func:`_decode`)
+    too; every row parsed is added to ``known``.  The file verifies iff
+    nothing was reported by the time the iterator is exhausted.
     """
 
     def undamaged(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
-        for lineno, row, damage in _decode(lines):
+        for lineno, row, damage in _decode(lines, known, learn=known is not None):
             if row is None:
                 report(f"{path}:{lineno}: {damage}")
             else:
@@ -191,18 +224,22 @@ def diff_rows(
     exactly that many rows.  An empty problem list means the files verify.
 
     The files are walked in lockstep, one row of each in memory, so peak
-    memory does not grow with file size.
+    memory does not grow with file size.  A pair of equal lines is parsed
+    once (the two sides share a ``known`` map of the current pair) and
+    is one row, so it needs no column walk.
     """
     problems: list[str] = []
     count_a = count_b = 0
+    pair: Known = {}
     pairs = zip_longest(
-        iter_verified_rows(path_a, problems.append),
-        iter_verified_rows(path_b, problems.append),
+        iter_verified_rows(path_a, problems.append, known=pair),
+        iter_verified_rows(path_b, problems.append, known=pair),
     )
     for k, (ra, rb) in enumerate(pairs):
+        pair.clear()
         count_a += ra is not None
         count_b += rb is not None
-        if ra is None or rb is None:
+        if ra is None or rb is None or ra is rb:
             continue
         fa = {key: v for key, v in ra.items() if key not in ignore}
         fb = {key: v for key, v in rb.items() if key not in ignore}

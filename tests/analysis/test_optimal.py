@@ -288,3 +288,54 @@ def test_opt_bounds_empty_schedule():
     tree = balanced_binary_overlay(g, 0)
     b = opt_bounds(g, tree, RequestSchedule([]), stretch=1.0, exact_limit=10)
     assert b.lower == b.upper == 0.0
+
+
+def test_unit_weighted_tree_graphs_take_d_g_from_d_t():
+    """Every published thm41 cell's graph is its unit-weighted spanning
+    tree, so the d_G that ``opt_bounds`` takes from d_T is the BFS one."""
+    from repro.analysis.costs import augmented_nodes_times, request_distance_matrix
+    from repro.sweep import GRIDS
+    from repro.sweep.families import FAMILIES
+
+    cells = list(GRIDS["thm41"]().cells())
+    assert len(cells) == 8
+    for cell in cells:
+        built = FAMILIES[cell.schedule.family].build(cell, cell.seed)
+        graph, tree = built["graph"], built["tree"]
+        assert graph.num_edges == graph.num_nodes - 1 and graph.is_unit_weighted()
+        nodes = augmented_nodes_times(built["schedule"], tree.root)[0]
+        assert np.array_equal(
+            request_distance_matrix(graph, nodes), request_distance_matrix(tree, nodes)
+        ), cell.cell_id
+
+
+def test_a_graph_that_is_not_a_tree_gets_d_g_by_bfs():
+    """On a unit cycle the path tree is no shortcut: node 5 is one hop from
+    the root in G and five in T, and the root-reach bound reads d_G."""
+    from repro.graphs.generators import cycle_graph
+
+    g = cycle_graph(6)
+    tree = SpanningTree([max(0, i - 1) for i in range(6)], root=0)
+    b = opt_bounds(g, tree, RequestSchedule([(5, 0.0)]), stretch=5.0, exact_limit=0)
+    assert b.parts["root_reach"] == 1.0
+    path = opt_bounds(path_graph(6), tree, RequestSchedule([(5, 0.0)]),
+                      stretch=1.0, exact_limit=0)
+    assert path.parts["root_reach"] == 5.0
+
+
+def test_a_unit_weighted_tree_graph_runs_no_bfs(monkeypatch):
+    import repro.analysis.costs as costs
+
+    def no_bfs(*args):
+        raise AssertionError("d_G of a tree graph was searched again")
+
+    monkeypatch.setattr(costs, "bfs_distances", no_bfs)
+    tree = SpanningTree([max(0, i - 1) for i in range(6)], root=0)
+    b = opt_bounds(path_graph(6), tree, RequestSchedule([(5, 0.0), (2, 1.0)]),
+                   stretch=1.0, exact_limit=0)
+    assert b.parts["root_reach"] == 5.0
+    with pytest.raises(AssertionError, match="searched again"):
+        from repro.graphs.generators import cycle_graph
+
+        opt_bounds(cycle_graph(6), tree, RequestSchedule([(5, 0.0)]),
+                   stretch=5.0, exact_limit=0)

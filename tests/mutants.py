@@ -69,7 +69,7 @@ class Mutant:
     equivalent: str = ""
 
 
-_FIFO_TEST = "if one_delay and service == 0.0 and driver is None and not heap:"
+_FIFO_TEST = "if one_delay and service == 0.0 and not heap:"
 _SEND = """\
             if faults is not None:
                 if faults.drops_send(v, x, rid, now):
@@ -105,18 +105,13 @@ MUTANTS = {
         "(nxt is None or init_times[i] < nxt[0])",
     ),
     "arrow-fifo-ignores-service": Mutant(
-        ARROW, _FIFO_TEST, "if one_delay and driver is None and not heap:"
+        ARROW, _FIFO_TEST, "if one_delay and not heap:"
     ),
     "arrow-fifo-ignores-delays": Mutant(
-        ARROW, _FIFO_TEST, "if service == 0.0 and driver is None and not heap:"
+        ARROW, _FIFO_TEST, "if service == 0.0 and not heap:"
     ),
     "arrow-fifo-drops-seeded": Mutant(
-        ARROW, _FIFO_TEST, "if one_delay and service == 0.0 and driver is None:"
-    ),
-    "arrow-fifo-takes-closed-loops": Mutant(
-        ARROW, _FIFO_TEST, "if one_delay and service == 0.0 and not heap:",
-        equivalent="a closed loop seeds its n >= 1 issue events on heap, "
-        "so `not heap` alone already sends it to the heap",
+        ARROW, _FIFO_TEST, "if one_delay and service == 0.0:"
     ),
     "arrow-sink-hop-test": Mutant(
         ARROW, "                if hops:\n", "                if hops > 1:\n"
