@@ -10,7 +10,12 @@ objects, no per-event callback, no :class:`~repro.net.network.Network`
 dispatch.  Routed delays are the network's own: each run builds one
 :class:`~repro.net.network.Router` over its ``"network-latency"``
 stream, as a ``Network`` does, so a routed send reads the same cached
-route and makes the same draws in both engines.
+route (a shortest path by Dijkstra, or by BFS on unit weights) and makes
+the same draws in both engines.  Under a deterministic latency model the
+centralized loop does not ask the router per send: every creq goes to
+the one centre and every ack comes back from it, so it reads each node's
+two centre routes from node-indexed tables, filled at the node's first
+creq; a stochastic model draws per send, in the same order.
 
 The arrow run is a configuration of the one arrow event loop,
 :func:`repro.core.fast_arrow._arrow_loop` (seeded with the
@@ -198,6 +203,16 @@ def closed_loop_centralized_fast(
     result = ClosedLoopResult("centralized", n, requests_per_proc)
     model = latency if latency is not None else UnitLatency()
     delay_hops = Router(graph, model, spawn_rng(seed, "network-latency")).delay_hops
+    # The centre routes by node: (delay, hops) of v's creq, and of the ack
+    # back to v.  A deterministic route never changes, so a node's pair is
+    # kept from its first creq on; routing no sooner raises an unreachable
+    # centre where a per-send route would, and a run with no request
+    # routes nothing.  A stochastic model leaves them empty and draws per
+    # send.  The centre's own ack has no edge: (0.0, 0), as the router's.
+    tabled = not model.stochastic
+    to_center: list[tuple[float, int] | None] = [None] * n
+    from_center: list[tuple[float, int] | None] = [None] * n
+    from_center[center] = (0.0, 0)
     service = float(service_time)
     think = float(think_time)
     # As in _arrow_loop: without a service time a message is scheduled
@@ -263,7 +278,13 @@ def closed_loop_centralized_fast(
             add_owner(v)
             add_issue(now)
             if v != center:
-                delay, hops = delay_hops(v, center)
+                route = to_center[v]
+                if route is None:
+                    route = delay_hops(v, center)
+                    if tabled:
+                        to_center[v] = route
+                        from_center[v] = delay_hops(center, v)
+                delay, hops = route
                 nxt = (now + delay, seq, arrive, center, v, rid, hops)
                 seq += 1
                 messages += 1
@@ -277,7 +298,10 @@ def closed_loop_centralized_fast(
         # queue_reply.
         add_hops(hops)
         add_latency(now - issue_times[rid])
-        at = now if src == center else now + delay_hops(center, src)[0]
+        back = from_center[src]
+        if back is None:
+            back = delay_hops(center, src)
+        at = now if src == center else now + back[0]
         nxt = (at, seq, ack_arrive, src, -1, rid, 0)
         seq += 1
         messages += 1

@@ -14,9 +14,10 @@
   and by application-level replies (object hand-off, completion notices),
   which the paper routes over the network rather than the tree.  A routed
   send is one :meth:`Router.delay_hops` call on the network's
-  :class:`Router`, which caches each ``(src, dst)`` route (its delay for
-  a deterministic latency model, else its path) and is the same class
-  the fast closed loops route through;
+  :class:`Router`, which finds shortest paths by Dijkstra, or by BFS on
+  unit weights (the same paths), caches each ``(src, dst)`` route (its
+  delay for a deterministic latency model, else its path) and is the same
+  class the fast closed loops route through;
 * an optional **per-node service time** serialises message handling at each
   node, modelling CPU occupancy.  The synchronous analysis model (§3.1)
   corresponds to ``service_time == 0`` ("a node can process up to deg(v)
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import NetworkError, require_time
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import dijkstra
+from repro.graphs.shortest_paths import bfs_predecessors, dijkstra
 from repro.net.latency import LatencyModel, UnitLatency
 from repro.net.message import Message
 from repro.net.node import ProtocolNode
@@ -67,22 +68,30 @@ class NetworkStats:
 class Router:
     """Shortest-path routing over ``G``: the one source of routed delays.
 
-    Caches the Dijkstra predecessor array per source and one route per
-    ``(src, dst)`` pair: for a deterministic latency model the summed
-    path delay and hop count, else the path's edge columns, which a
-    stochastic model re-samples per send, edge by edge in path order,
-    from the one ``rng`` it is given.  :class:`Network` routes
-    :meth:`~Network.send_routed` through one, and the fast closed loops
+    Caches the predecessor array per source — Dijkstra's, or on a
+    unit-weighted graph BFS's (:func:`~repro.graphs.shortest_paths.bfs_predecessors`
+    returns Dijkstra's exact ``pred`` there, so every path is the same),
+    decided once at the first route — and one route per ``(src, dst)``
+    pair: for a deterministic latency model the summed path delay and hop
+    count, else the path's edge columns, which a stochastic model
+    re-samples per send, edge by edge in path order, from the one ``rng``
+    it is given.  :class:`Network` routes :meth:`~Network.send_routed`
+    through one, and the fast closed loops
     (:mod:`repro.core.fast_closed_loop`) build one over the same
     ``"network-latency"`` stream.
     """
 
-    __slots__ = ("graph", "latency", "rng", "_sssp", "_routes", "_values")
+    __slots__ = (
+        "graph", "latency", "rng", "_stochastic", "_predecessors", "_sssp",
+        "_routes", "_values",
+    )
 
     def __init__(self, graph: Graph, latency: LatencyModel, rng) -> None:
         self.graph = graph
         self.latency = latency
         self.rng = rng
+        self._stochastic = latency.stochastic
+        self._predecessors = None  # bfs_predecessors or dijkstra, at the first route
         self._sssp: dict[int, list[int]] = {}
         self._routes: dict[tuple[int, int], tuple] = {}
         self._values: dict[tuple[float, int], tuple[float, int]] = {}
@@ -92,7 +101,11 @@ class Router:
     ) -> tuple[list[int], list[int], list[float]]:
         pred = self._sssp.get(src)
         if pred is None:
-            _, pred = dijkstra(self.graph, src)
+            if self._predecessors is None:
+                self._predecessors = (
+                    bfs_predecessors if self.graph.is_unit_weighted() else dijkstra
+                )
+            _, pred = self._predecessors(self.graph, src)
             self._sssp[src] = pred
         path = [dst]
         while path[-1] != src:
@@ -121,13 +134,13 @@ class Router:
         route = self._routes.get(key)
         if route is None:
             route = self._path_edges(src, dst)
-            if not self.latency.stochastic:
+            if not self._stochastic:
                 route = self._sample(*route)
                 # Deterministic routes repeat one value many times (every
                 # one-hop unit route is (1.0, 1)): keep one tuple per value.
                 route = self._values.setdefault(route, route)
             self._routes[key] = route
-        if self.latency.stochastic:
+        if self._stochastic:
             return self._sample(*route)
         return route
 

@@ -48,6 +48,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
+from repro.graphs.graph import Graph
 from repro.net.latency import (
     ExponentialCappedLatency,
     ScaledWeightLatency,
@@ -351,6 +352,52 @@ def test_max_events_matches_message_driver():
                 outcomes.append("raised")
         assert len(set(outcomes)) == 1, (limit, outcomes)
     assert full.completions == 20
+
+
+def _split_graph():
+    """Two components, {0, 1, 2} (a path) and {3, 4}."""
+    return Graph.from_columns(5, [0, 1, 3], [1, 2, 4], 1.0)
+
+
+def _outcome(run):
+    """``"ok"``, or the error a run raises: its type name and text."""
+    from repro.errors import NetworkError, SimulationError
+
+    try:
+        run()
+    except (NetworkError, SimulationError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize(
+    "latency", [UnitLatency(), UniformLatency(0.2, 1.0)], ids=["unit", "uniform"]
+)
+@pytest.mark.parametrize("center", [0, 2, 4])
+def test_unreachable_center_raises_the_message_drivers_error_at_its_event(center, latency):
+    """A creq with no route to the centre raises the message driver's
+    NetworkError, from the event that sends it: the t = 0 issues run in
+    node order, so the first node off the centre's component raises at
+    event ``first + 1``, and every ``max_events`` below that ends the run
+    in the livelock guard first."""
+    g = _split_graph()
+    kw = dict(requests_per_proc=2, think_time=0.5, latency=latency)
+    first = 3 if center < 3 else 0
+    raised = ("NetworkError", f"node {center} unreachable from {first}")
+    assert _outcome(lambda: closed_loop_centralized(g, center, **kw)) == raised
+    for limit in (None, *range(6)):
+        got = _outcome(lambda: closed_loop_centralized_fast(g, center, max_events=limit, **kw))
+        if limit is None or limit > first:
+            assert got == raised, limit
+        else:
+            assert got[0] == "SimulationError", limit
+
+
+def test_no_requests_route_nothing_on_a_disconnected_graph():
+    g = _split_graph()
+    a, b = run_both_centralized(g, 0, requests_per_proc=0)
+    assert_identical(a, b)
+    assert b.completions == b.messages_sent == 0
 
 
 #: (requests_per_proc, think_time, service_time) of the threshold test,

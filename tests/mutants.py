@@ -1,11 +1,14 @@
-"""The mutation matrix: which checks kill which mutants of the two fast loops.
+"""The mutation matrix: which checks kill which mutants of the two fast loops
+and the router they share with the network.
 
 Each mutant in :data:`MUTANTS` is one exact-match text edit of
-``core/fast_arrow._arrow_loop`` or
-``core/fast_closed_loop.closed_loop_centralized_fast`` — an off-by-one
-hop, a swapped tie-break, a wrong dispatch tag, a dropped
-acknowledgement, service at the wrong stage, a reordered latency draw,
-the two queue-choice edits of ``_arrow_loop``'s FIFO test, … .  The edit
+``core/fast_arrow._arrow_loop``,
+``core/fast_closed_loop.closed_loop_centralized_fast`` or
+``net/network.Router`` — an off-by-one hop, a swapped tie-break, a wrong
+dispatch tag, a dropped acknowledgement, service at the wrong stage, a
+reordered latency draw, the two queue-choice edits of ``_arrow_loop``'s
+FIFO test, a centre route read in the wrong direction, BFS routes on a
+weighted graph, … .  The edit
 is applied to a temporary copy of the repository; the working tree never
 changes.  Every mutant then runs through each column of :data:`COLUMNS`:
 
@@ -25,6 +28,10 @@ changes.  Every mutant then runs through each column of :data:`COLUMNS`:
     the whole tier-1 run (it contains ``rest``, so once ``rest`` kills a
     mutant this column takes that mark without running again).
 
+Both tier-1 columns leave out ``tests/test_mutants.py``: it checks that
+every edit matches the unmutated source, so in a mutated copy it fails
+by construction and would kill every mutant, equivalent ones included.
+
 A column kills a mutant when it fails (``K``) or outlives its time
 limit (``T``: a hang fails CI too); ``.`` is a survivor.  Pytest
 columns run with ``--hypothesis-seed=0``, so a sampled suite's kills
@@ -36,7 +43,7 @@ sampled ids that kill it.
 A mutant that no execution can tell apart from the loop carries
 ``equivalent``: the one-line argument why.  The script exits 1 when a
 mutant without that mark survives the ``tier-1`` column, or a marked
-one is killed by any column.  Run (a few tens of minutes on two cores;
+one is killed by any column.  Run (about 8 minutes on two cores;
 ``NAME ...`` runs only those mutants)::
 
     PYTHONPATH=src python tests/mutants.py [NAME ...]
@@ -57,6 +64,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ARROW = "src/repro/core/fast_arrow.py"
 CENTRAL = "src/repro/core/fast_closed_loop.py"
+NETWORK = "src/repro/net/network.py"
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ _SEND_DRAW_FIRST = """\
 """
 
 #: Name -> mutant; ``arrow-*`` edit ``_arrow_loop``, ``central-*``
-#: ``closed_loop_centralized_fast``.
+#: ``closed_loop_centralized_fast``, ``router-*`` ``Router``.
 MUTANTS = {
     "arrow-init-tie-queue": Mutant(
         ARROW, "(not heap or init_times[i] <= heap[0][0])",
@@ -172,10 +180,14 @@ MUTANTS = {
         "            src = v\n            hops = 1\n",
     ),
     "central-self-ack-routed": Mutant(
-        CENTRAL, "at = now if src == center else now + delay_hops(center, src)[0]",
-        "at = now + delay_hops(center, src)[0]",
-        equivalent="a route from the centre to itself has no edge: delay_hops "
-        "draws nothing and returns 0.0, and now + 0.0 == now",
+        CENTRAL, "at = now if src == center else now + back[0]",
+        "at = now + back[0]",
+        equivalent="a route from the centre to itself has no edge: its table "
+        "entry is (0.0, 0), what delay_hops returns for it without a draw, "
+        "and now + 0.0 == now",
+    ),
+    "central-table-direction": Mutant(
+        CENTRAL, "back = from_center[src]", "back = to_center[src]"
     ),
     "central-zero-think-event": Mutant(CENTRAL, "if think > 0.0:", "if think >= 0.0:"),
     "central-creq-uncounted": Mutant(
@@ -184,6 +196,10 @@ MUTANTS = {
         "nxt = (now + delay, seq, arrive, center, v, rid, hops)\n                seq += 1\n",
     ),
     "central-livelock-early": Mutant(CENTRAL, "if fired > limit:", "if fired >= limit:"),
+    "router-bfs-on-weighted": Mutant(
+        NETWORK, "bfs_predecessors if self.graph.is_unit_weighted() else dijkstra",
+        "bfs_predecessors",
+    ),
 }
 
 #: The sampled parity and property suites, by column.
@@ -194,14 +210,17 @@ SAMPLED = {
     "properties": "tests/properties",
 }
 
+#: The edit-text guard, which no mutated copy passes (see above).
+_NO_GUARD = "--ignore=tests/test_mutants.py"
+
 #: Column -> ``("check", variant)`` or ``("pytest", paths, pytest flags)``.
 COLUMNS = {
     "slice": ("check", "full"),
     "slice-props": ("check", "properties"),
     "slice-eq": ("check", "equality"),
     **{name: ("pytest", (path,), ()) for name, path in SAMPLED.items()},
-    "rest": ("pytest", (), ("-x", *(f"--ignore={p}" for p in SAMPLED.values()))),
-    "tier-1": ("pytest", (), ("-x",)),
+    "rest": ("pytest", (), ("-x", _NO_GUARD, *(f"--ignore={p}" for p in SAMPLED.values()))),
+    "tier-1": ("pytest", (), ("-x", _NO_GUARD)),
 }
 
 #: Seconds before a column counts as hung (several times its unmutated

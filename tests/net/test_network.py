@@ -4,6 +4,7 @@ the Router, and routed runs on multi-hop graphs pinned by digest."""
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -12,7 +13,12 @@ from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.runner import run_centralized
 from repro.errors import NetworkError
 from repro.graphs import complete_graph
-from repro.graphs.generators import grid_graph, path_graph, random_geometric_graph
+from repro.graphs.generators import (
+    grid_graph,
+    hypercube_graph,
+    path_graph,
+    random_geometric_graph,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.net.latency import (
@@ -177,6 +183,27 @@ def test_routed_unreachable_raises():
         net.send_routed(0, 2, "x")
 
 
+def _shuffled_connected_unit_graph(n: int, seed: int) -> Graph:
+    """A connected unit-weight graph whose rows are filled in a random
+    order, so a route that followed row order instead of node ids would
+    show: a random tree plus random chords, shuffled and reoriented."""
+    rng = random.Random(seed)
+    pairs = [(v, rng.randrange(v)) for v in range(1, n)]
+    pairs += [(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.15]
+    pairs = list(dict.fromkeys(tuple(sorted(e)) for e in pairs))
+    rng.shuffle(pairs)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    return Graph.from_columns(n, [u for u, _ in pairs], [v for _, v in pairs], 1.0)
+
+
+def _detour_graph() -> Graph:
+    """K_6 whose edges {0, 3} and {1, 4} outweigh a two-hop path around them."""
+    g = complete_graph(6)
+    g.add_edge(0, 3, 3.0)
+    g.add_edge(1, 4, 2.5)
+    return g
+
+
 # ----------------------------------------------------------------------
 # Routed runs on multi-hop graphs, pinned by digest
 # ----------------------------------------------------------------------
@@ -191,6 +218,12 @@ ROUTED_GRAPHS = {
     "grid5x5": lambda: grid_graph(5, 5),
     "path9w2": lambda: path_graph(9, weight=2.0),
     "geometric24": lambda: random_geometric_graph(24, 0.35, euclidean_weights=True),
+    # Router-only shapes (no pinned digest): one-hop ties, many equal
+    # shortest paths, rows out of id order, and a weighted detour.
+    "complete8": lambda: complete_graph(8),
+    "hypercube4": lambda: hypercube_graph(4),
+    "shuffled20": lambda: _shuffled_connected_unit_graph(20, seed=3),
+    "detour6": _detour_graph,
 }
 ROUTED_LATENCIES = {
     "unit": UnitLatency,
@@ -414,6 +447,13 @@ def test_router_matches_reference_sum_and_draws(graph_name, latency_name):
         want = _reference_delay_hops(graph, latency, ref_rng, src, dst)
         assert router.delay_hops(src, dst) == want, (src, dst)
     assert router.rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_router_routes_around_a_longer_direct_edge():
+    router = Router(_detour_graph(), UnitLatency(), spawn_rng(0, "network-latency"))
+    assert router.delay_hops(0, 3) == (2.0, 2)
+    assert router.delay_hops(4, 1) == (2.0, 2)
+    assert router.delay_hops(0, 1) == (1.0, 1)
 
 
 def test_router_self_route_is_free():

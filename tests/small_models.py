@@ -38,8 +38,9 @@ as classes of edge appearance after Casteigts et al., arXiv:1102.5529):
     event queue in the wrong order shows;
 ``closed-arrow`` / ``closed-central``
     the §5 closed loops on graph = tree and on K_n, up to 3 processors ×
-    3 requests each, think time 0 / 0.5 / 1, and (centralized) the centre
-    at every node.
+    3 requests each, think time 0 / 0.5 / 1, unit and directed delay (a
+    route read in the wrong direction shows), and (centralized) the
+    centre at every node.
 
 :func:`check` runs one instance through the fast loop (``run_arrow_fast``,
 ``closed_loop_*_fast``, ``run_arrow_faulted(engine="fast")``) and through
@@ -651,8 +652,10 @@ AXES: dict[str, Callable[[Axis], Iterator[Instance]]] = {
 }
 
 _ASYNC = ("uniform", "expcap")
-_LOOPS = Axis({1: 3, 2: 3, 3: 3}, thinks=(0.0, 0.5, 1.0))
-_LOOPS_FULL = dataclasses.replace(_LOOPS, delays=("unit", "uniform"), seeds=(0, 1))
+_LOOPS = Axis({1: 3, 2: 3, 3: 3}, thinks=(0.0, 0.5, 1.0), delays=("unit", "directed"))
+_LOOPS_FULL = dataclasses.replace(
+    _LOOPS, delays=("unit", "directed", "uniform"), seeds=(0, 1)
+)
 _CONCURRENT = Axis({4: 1, 5: 1}, times=(0.0,), delays=("unit", "weight"))
 
 #: The tier-1 slice: n <= 4 (the concurrent axis to n = 5), a few seconds

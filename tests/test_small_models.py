@@ -20,8 +20,8 @@ SLICE_COUNTS = {
     "faults": 3_536,
     "faults-async": 728,
     "concurrent": 726,
-    "closed-arrow": 378,
-    "closed-central": 270,
+    "closed-arrow": 756,
+    "closed-central": 540,
 }
 
 
