@@ -26,11 +26,8 @@ command-line interface, the examples or the benchmark import through it.
   command-line interface runs them all.
 """
 
-from repro._version import __version__
-from repro.core.queueing import verify_total_order
-from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow, run_centralized
-from repro.net.latency import UniformLatency
+import sys
+from importlib import import_module
 
 __all__ = [
     "__version__",
@@ -40,3 +37,34 @@ __all__ = [
     "run_centralized",
     "verify_total_order",
 ]
+
+
+def _lazy_attributes(package: str, table: dict[str, str]):
+    """A facade's module ``__getattr__`` (PEP 562): each name of ``table``
+    is imported from its defining module on first access, then kept.
+
+    So importing one module of a package compiles none of its siblings:
+    ``import repro.cli`` and the read side of the results store load no
+    engine.
+    """
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(table[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+#: Each public name -> its defining module.
+_LAZY = {
+    "__version__": "repro._version",
+    "RequestSchedule": "repro.core.requests",
+    "UniformLatency": "repro.net.latency",
+    "run_arrow": "repro.core.runner",
+    "run_centralized": "repro.core.runner",
+    "verify_total_order": "repro.core.queueing",
+}
+__getattr__ = _lazy_attributes(__name__, _LAZY)

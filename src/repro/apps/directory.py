@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.arrow import ArrowNode
-from repro.core.queueing import float_total
 from repro.core.requests import ROOT_RID
+from repro.core.totals import float_total
 from repro.errors import NetworkError, ProtocolError, ScheduleError, require_time
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel

@@ -21,7 +21,7 @@ import json
 import sys
 import time
 
-from repro.core.fast_arrow import ENGINES
+from repro.core.engines import ENGINES
 from repro.errors import MergeError, ReproError, ShardFailedError, SweepError
 from repro.experiments import format_kv, format_table, plot, render_instance
 

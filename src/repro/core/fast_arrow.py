@@ -27,6 +27,7 @@ from collections import deque
 from heapq import heappop, heappush, heappushpop
 from itertools import repeat
 
+from repro.core.engines import engine_error_message
 from repro.core.event_stream import EVENT_CHUNK, EventSink, EventStream
 from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
@@ -38,32 +39,19 @@ from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 
 __all__ = [
-    "ENGINES",
     "arrow_runner",
-    "engine_error_message",
     "run_arrow_fast",
 ]
 
 
-#: Every arrow engine name, defined once: the sweep spec's ``engine``
-#: check, the two runner resolvers (which the fault entry point goes
-#: through) and the CLI's ``--engine`` choices all derive from this tuple.
-ENGINES = ("fast", "message")
-
-
-def engine_error_message(engine: object) -> str:
-    """The one "engine must be ..." text every validation point raises with."""
-    names = " or ".join(repr(name) for name in ENGINES)
-    return f"engine must be {names}, got {engine!r}"
-
-
 def arrow_runner(engine: str):
-    """Resolve an engine name (one of :data:`ENGINES`) to its open-loop runner.
+    """Resolve an engine name to its open-loop runner.
 
     The open-loop sweep families and :func:`repro.faults.run_arrow_faulted`
     resolve their engine here.  A sweep's name was already checked when
     its :class:`~repro.sweep.spec.SweepSpec` was built; a library caller's
-    is checked here, and an unknown name raises :func:`engine_error_message`'s
+    is checked here against :data:`repro.core.engines.ENGINES`, and an
+    unknown name raises :func:`~repro.core.engines.engine_error_message`'s
     text instead of falling back to one of the engines.
     """
     if engine == "fast":

@@ -41,6 +41,7 @@ from __future__ import annotations
 from heapq import heappop, heappushpop
 
 from repro.core.centralized import check_center
+from repro.core.engines import engine_error_message
 from repro.core.fast_arrow import (
     _ACK_ARRIVE,
     _ACK_DISPATCH,
@@ -49,7 +50,6 @@ from repro.core.fast_arrow import (
     _ISSUE,
     _arrow_loop,
     _raise_livelock,
-    engine_error_message,
 )
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel, UnitLatency
@@ -73,7 +73,7 @@ def closed_loop_runner(protocol: str, engine: str):
     """Resolve ``(protocol, engine)`` to a closed-loop run function.
 
     The closed-loop sweep families resolve their engine here.  A sweep's
-    ``engine`` (one of :data:`repro.core.fast_arrow.ENGINES`) was already
+    ``engine`` (one of :data:`repro.core.engines.ENGINES`) was already
     checked when its :class:`~repro.sweep.spec.SweepSpec` was built; a
     library caller's is checked here, and an unknown protocol or engine
     raises instead of falling back to one of them.

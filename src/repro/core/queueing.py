@@ -12,29 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import sub
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from repro.core.requests import ROOT_RID, RequestSchedule
+from repro.core.totals import float_total
 from repro.errors import ProtocolError
 
-__all__ = ["CompletionRecord", "RunResult", "float_total", "verify_total_order"]
-
-
-def float_total(values: Iterable[float]) -> float:
-    """Sum ``values`` in one left-to-right IEEE-754 accumulation.
-
-    Every float total that reaches a sweep row goes through here rather
-    than the builtin ``sum``: CPython 3.12 made ``sum`` over floats
-    compensated (Neumaier), so ``sum(latencies)`` differs in its last bits
-    between 3.11 and 3.12 and a stored row would depend on the interpreter
-    that wrote it.  A plain loop is what ``sum`` did up to 3.11, on every
-    version.  Like ``sum`` it starts from the int ``0``, so the total of
-    an empty column keeps its JSON spelling.
-    """
-    total = 0
-    for value in values:
-        total += value
-    return total
+__all__ = ["CompletionRecord", "RunResult", "verify_total_order"]
 
 
 class CompletionRecord(NamedTuple):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.queueing import float_total
+from repro.core.totals import float_total
 
 __all__ = [
     "RowComparison",

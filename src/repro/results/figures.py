@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.core.queueing import float_total
+from repro.core.totals import float_total
 from repro.errors import ResultsError
 from repro.experiments.records import ExperimentResult, Series
 

@@ -51,8 +51,9 @@ class Simulator:
         ----------
         max_events:
             Optional safety valve: :meth:`run` raises
-            :class:`SimulationError` after firing this many events.  Useful
-            for catching accidental livelock in protocol code under test.
+            :class:`SimulationError` instead of firing one more event.
+            Useful for catching accidental livelock in protocol code under
+            test.
         """
         self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = 0
@@ -107,12 +108,14 @@ class Simulator:
             while heap:
                 self.now, _, fn, args = pop(heap)
                 fired += 1
-                fn(*args)
+                # Tested before the event fires, as the fast loops do, so
+                # one limit raises the same error on every engine.
                 if fired > limit:
                     raise SimulationError(
                         f"exceeded max_events={self._max_events}; "
                         "possible livelock in protocol code"
                     )
+                fn(*args)
         finally:
             self._fired = fired
             self._running = False

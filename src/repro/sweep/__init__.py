@@ -29,28 +29,7 @@ progress, bounded retry of killed shards, and the automatic merge
 cores.
 """
 
-from repro.sweep.executor import execute_cell, iter_sweep, run_sweep, shard_path
-from repro.sweep.orchestrator import orchestrate_sweep
-from repro.sweep.persist import dumps_row
-from repro.sweep.registry import get_family
-from repro.sweep.spec import (
-    GRIDS,
-    OPEN_LOOP_SCHEDULES,
-    GraphSpec,
-    ScheduleSpec,
-    SweepSpec,
-    build_graph,
-    build_schedule,
-    build_tree,
-    cell_seed,
-    directory_grid,
-    fig10_grid,
-    fig11_grid,
-    mixed_grid,
-    service_time_grids,
-    smoke_grid,
-)
-from repro.sweep.stats import latency_columns
+from repro import _lazy_attributes
 
 __all__ = [
     "GRIDS",
@@ -77,3 +56,33 @@ __all__ = [
     "shard_path",
     "smoke_grid",
 ]
+
+#: Each public name -> its defining module, imported on first access: the
+#: results store reads rows through :mod:`repro.sweep.persist` and
+#: :mod:`repro.sweep.spec` without compiling the executor or orchestrator.
+_LAZY = {
+    "execute_cell": "repro.sweep.executor",
+    "iter_sweep": "repro.sweep.executor",
+    "run_sweep": "repro.sweep.executor",
+    "shard_path": "repro.sweep.executor",
+    "orchestrate_sweep": "repro.sweep.orchestrator",
+    "dumps_row": "repro.sweep.persist",
+    "get_family": "repro.sweep.registry",
+    "GRIDS": "repro.sweep.spec",
+    "OPEN_LOOP_SCHEDULES": "repro.sweep.spec",
+    "GraphSpec": "repro.sweep.spec",
+    "ScheduleSpec": "repro.sweep.spec",
+    "SweepSpec": "repro.sweep.spec",
+    "build_graph": "repro.sweep.spec",
+    "build_schedule": "repro.sweep.spec",
+    "build_tree": "repro.sweep.spec",
+    "cell_seed": "repro.sweep.spec",
+    "directory_grid": "repro.sweep.spec",
+    "fig10_grid": "repro.sweep.spec",
+    "fig11_grid": "repro.sweep.spec",
+    "mixed_grid": "repro.sweep.spec",
+    "service_time_grids": "repro.sweep.spec",
+    "smoke_grid": "repro.sweep.spec",
+    "latency_columns": "repro.sweep.stats",
+}
+__getattr__ = _lazy_attributes(__name__, _LAZY)

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import contextlib
 import os
+from importlib import import_module
 from typing import Any, Iterable, Iterator
 
 from repro.errors import MonitorViolation, ReproError, SweepError
+from repro.fault_plan import parse_fault_plan
 from repro.sweep import persist
 from repro.sweep.registry import get_family
 from repro.sweep.spec import SweepCell, SweepSpec, cell_seed
 
 __all__ = [
     "execute_cell",
+    "import_engines",
     "iter_sweep",
     "run_sweep",
     "shard_path",
@@ -50,6 +53,28 @@ def _axis_columns(cell: SweepCell, derived: int) -> dict[str, Any]:
         "engine": cell.engine,
         "service_time": cell.service_time,
     }
+
+
+def import_engines(spec: SweepSpec) -> None:
+    """Import the modules the cells of ``spec`` run their engines from.
+
+    A family imports its engine inside the function that runs a cell
+    (:attr:`~repro.sweep.registry.CellFamily.engines` names the modules),
+    plus the fault engine for a faulted cell and the monitors for a
+    monitored one.  :func:`run_sweep` imports them here once, before its
+    first cell, and :func:`~repro.sweep.orchestrator.orchestrate_sweep`
+    before it forks, so its shards inherit the compiled modules.
+    """
+    faulted = any(not parse_fault_plan(f).empty for f in spec.faults)
+    for name in dict.fromkeys(s.family for s in spec.schedules):
+        family = get_family(name)
+        modules = list(family.engines)
+        if faulted and family.supports_faults:
+            modules.append("repro.faults")
+        if spec.monitors and family.supports_monitors:
+            modules.append("repro.monitors")
+        for module in modules:
+            import_module(module)
 
 
 def execute_cell(cell: SweepCell) -> dict[str, Any]:
@@ -183,6 +208,7 @@ def run_sweep(
     contract on POSIX systems.
     """
     _check_shard(shard)
+    import_engines(spec)
     torn: list[str] = []
     with _exclusive_writer(out_path):
         if resume:

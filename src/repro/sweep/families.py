@@ -34,25 +34,9 @@ from __future__ import annotations
 import math
 from typing import Any, Mapping
 
-from repro.apps.directory import arrow_directory, home_directory
-from repro.core.adaptive import run_adaptive
-from repro.core.fast_arrow import arrow_runner
-from repro.core.fast_closed_loop import closed_loop_runner
-from repro.core.queueing import float_total
-from repro.core.runner import run_centralized
+from repro.core.totals import float_total
 from repro.errors import SweepError
-from repro.faults import run_arrow_faulted
-from repro.lowerbound import (
-    comb_mst_weight,
-    default_k,
-    layered_instance,
-    theorem41_instance,
-    theorem42_instance,
-)
-from repro.monitors import ArrowMonitor
-from repro.net.latency import UniformLatency, WeightLatency
 from repro.sim.rng import spawn_rng
-from repro.spanning.metrics import tree_diameter, tree_stretch
 from repro.sweep.registry import (
     CellFamily,
     choice,
@@ -115,11 +99,23 @@ def _run_result_columns(graph, requests: int, result) -> dict[str, Any]:
     )
 
 
+def _monitor(cell: SweepCell, tree):
+    """An :class:`~repro.monitors.ArrowMonitor` on ``tree`` for a monitored
+    cell, else ``None``."""
+    if not cell.monitors:
+        return None
+    from repro.monitors import ArrowMonitor
+
+    return ArrowMonitor(tree)
+
+
 def _open_loop_row(
     cell: SweepCell, derived: int, built: Mapping[str, Any]
 ) -> dict[str, Any]:
-    monitor = ArrowMonitor(built["tree"]) if cell.monitors else None
+    monitor = _monitor(cell, built["tree"])
     if cell.faults:
+        from repro.faults import run_arrow_faulted
+
         result, report = run_arrow_faulted(
             built["graph"],
             built["tree"],
@@ -134,8 +130,9 @@ def _open_loop_row(
         # stay byte-identical to pre-fault-axis sweeps.
         extra = {"faults": cell.faults, **report.as_columns()}
     else:
-        runner = arrow_runner(cell.engine)
-        result = runner(
+        from repro.core.fast_arrow import arrow_runner
+
+        result = arrow_runner(cell.engine)(
             built["graph"],
             built["tree"],
             built["schedule"],
@@ -173,12 +170,14 @@ def _build_closed(cell: SweepCell, derived: int) -> Mapping[str, Any]:
 def _closed_loop_row(
     cell: SweepCell, derived: int, built: Mapping[str, Any]
 ) -> dict[str, Any]:
+    from repro.core.fast_closed_loop import closed_loop_runner
+
     graph = built["graph"]
     params = cell.schedule.kwargs()
     requests_per_proc = int(params.get("requests_per_proc", 100))
     think_time = float(params.get("think_time", 0.0))
     if cell.schedule.family == "closed_arrow":
-        monitor = ArrowMonitor(built["tree"]) if cell.monitors else None
+        monitor = _monitor(cell, built["tree"])
         runner = closed_loop_runner("arrow", cell.engine)
         result = runner(
             graph,
@@ -213,6 +212,8 @@ def _closed_loop_row(
 def _directory_row(
     cell: SweepCell, derived: int, built: Mapping[str, Any]
 ) -> dict[str, Any]:
+    from repro.apps.directory import arrow_directory, home_directory
+
     params = cell.schedule.kwargs()
     acquisitions = int(params.get("acquisitions_per_proc", 50))
     cs_time = float(params.get("cs_time", 0.5))
@@ -271,6 +272,8 @@ def _build_ratio(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     """Everything comes from the cell's master seed, not the derived cell
     seed: cells that differ only in tree or protocol replay one graph and
     one schedule — the ablations' paired comparisons."""
+    from repro.spanning.metrics import tree_diameter
+
     graph = build_graph(cell.graph, cell.seed)
     tree = build_tree(cell.tree, graph, cell.seed)
     D = tree_diameter(tree)
@@ -298,6 +301,11 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
     # The analysis layer is numpy matrices: imported by the rows that use it.
     from repro.analysis.competitive import theorem_319_ceiling
     from repro.analysis.optimal import opt_bounds
+    from repro.core.adaptive import run_adaptive
+    from repro.core.fast_arrow import arrow_runner
+    from repro.core.runner import run_centralized
+    from repro.net.latency import UniformLatency, WeightLatency
+    from repro.spanning.metrics import tree_stretch
 
     graph, tree, schedule, D = built["graph"], built["tree"], built["schedule"], built["D"]
     kind = built["kind"]
@@ -353,6 +361,13 @@ def _build_lowerbound(cell: SweepCell, derived: int) -> Mapping[str, Any]:
     Theorem 4.2's shortcut graph over ``D / s`` segments of ``s`` hops;
     ``k`` defaults to ``default_k``.
     """
+    from repro.lowerbound import (
+        default_k,
+        layered_instance,
+        theorem41_instance,
+        theorem42_instance,
+    )
+
     if (cell.graph, cell.tree) != LOWERBOUND_AXES:
         raise SweepError(f"lowerbound: graph and tree axes must be {LOWERBOUND_AXES}")
     params = cell.schedule.kwargs()
@@ -380,6 +395,9 @@ def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> 
     from repro.analysis.costs import augmented_nodes_times, request_distance_matrix
     from repro.analysis.nearest_neighbor import predict_arrow_run
     from repro.analysis.optimal import opt_bounds
+    from repro.core.fast_arrow import arrow_runner
+    from repro.lowerbound import comb_mst_weight
+    from repro.spanning.metrics import tree_stretch
 
     graph, tree, schedule = built["graph"], built["tree"], built["schedule"]
     D, k = built["D"], built["k"]
@@ -420,25 +438,33 @@ def _lowerbound_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> 
 _CLOSED = {"requests_per_proc": count, "think_time": duration}
 _DIRECTORY = {"acquisitions_per_proc": count, "cs_time": duration}
 
+_OPEN_LOOP = ("repro.core.fast_arrow",)
+_CLOSED_LOOP = ("repro.core.fast_closed_loop",)
+_DIRECTORIES = ("repro.apps.directory",)
+
 FAMILIES: dict[str, CellFamily] = {
     **{
         name: CellFamily(
             name, params, _build_open_loop, _open_loop_row,
-            supports_faults=True, supports_monitors=True,
+            supports_faults=True, supports_monitors=True, engines=_OPEN_LOOP,
         )
         for name, params in OPEN_LOOP_SCHEDULES.items()
     },
     "closed_arrow": CellFamily(
-        "closed_arrow", _CLOSED, _build_closed, _closed_loop_row, supports_monitors=True
+        "closed_arrow", _CLOSED, _build_closed, _closed_loop_row,
+        supports_monitors=True, engines=_CLOSED_LOOP,
     ),
     "closed_centralized": CellFamily(
-        "closed_centralized", {**_CLOSED, "center": node}, _build_closed, _closed_loop_row
+        "closed_centralized", {**_CLOSED, "center": node}, _build_closed, _closed_loop_row,
+        engines=_CLOSED_LOOP,
     ),
     "directory_arrow": CellFamily(
-        "directory_arrow", _DIRECTORY, _build_closed, _directory_row, uses_engine=False
+        "directory_arrow", _DIRECTORY, _build_closed, _directory_row,
+        uses_engine=False, engines=_DIRECTORIES,
     ),
     "directory_home": CellFamily(
-        "directory_home", {**_DIRECTORY, "home": node}, _build_closed, _directory_row, uses_engine=False
+        "directory_home", {**_DIRECTORY, "home": node}, _build_closed, _directory_row,
+        uses_engine=False, engines=_DIRECTORIES,
     ),
     "ratio": CellFamily(
         "ratio",
@@ -452,6 +478,12 @@ FAMILIES: dict[str, CellFamily] = {
         _build_ratio,
         _ratio_row,
         _check_ratio,
+        engines=(
+            "repro.analysis.optimal",
+            "repro.core.adaptive",
+            "repro.core.fast_arrow",
+            "repro.core.runner",
+        ),
     ),
     "lowerbound": CellFamily(
         "lowerbound",
@@ -459,5 +491,6 @@ FAMILIES: dict[str, CellFamily] = {
         _build_lowerbound,
         _lowerbound_row,
         _check_lowerbound,
+        engines=("repro.analysis.optimal", "repro.core.fast_arrow", "repro.lowerbound"),
     ),
 }

@@ -45,7 +45,7 @@ from repro.errors import (
     SweepError,
 )
 from repro.sweep import persist
-from repro.sweep.executor import run_sweep, shard_path
+from repro.sweep.executor import import_engines, run_sweep, shard_path
 from repro.sweep.spec import SweepSpec
 
 __all__ = ["MAX_RETRIES", "POLL_INTERVAL", "ShardState", "orchestrate_sweep"]
@@ -219,11 +219,14 @@ def orchestrate_sweep(
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     if ctx.get_start_method() == "fork":
-        # A shard that draws a numpy variate imports numpy on first use;
-        # importing it once here lets every forked shard inherit it instead.
-        # Not numpy.random, which numpy loads lazily: pre-loading it too
-        # raised a sharded sweep's peak resident memory by about 2 MB.
+        # A shard imports its engines, and numpy on its first variate;
+        # importing them once here lets every forked shard inherit them
+        # instead of compiling its own.  Not numpy.random, which numpy
+        # loads lazily: pre-loading it too raised a sharded sweep's peak
+        # resident memory by about 2 MB.
         import numpy  # noqa: F401
+
+        import_engines(spec)
     start = time.monotonic()
     pending = deque(states)
     running: dict[int, Any] = {}

@@ -50,9 +50,14 @@ __all__ = [
 ]
 
 
+#: The one canonical encoder: ``json.dumps`` with these options would
+#: build a new encoder on every row.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_row(row: dict[str, Any]) -> str:
     """Canonical one-line serialisation of a result row (no newline)."""
-    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(row)
 
 
 #: How a non-blank line fails to be a row: not JSON (perhaps a write cut

@@ -11,9 +11,9 @@ prepends the axis identity columns.
 
 The families are one table, :data:`repro.sweep.families.FAMILIES`;
 adding a family is adding an entry there.  :func:`get_family` imports
-that module on first lookup, so importing :mod:`repro.sweep` (or the
-results store, which only reads rows) never compiles the simulators
-behind it.
+that module on first lookup, and each family imports its engine only
+when it runs a cell, so importing :mod:`repro.sweep` (or the results
+store, which only reads rows) never compiles the simulators behind it.
 
 A kind is a function ``(name, value)`` that raises :class:`SweepError`
 naming the parameter; the kinds are defined once, here.
@@ -121,7 +121,10 @@ class CellFamily:
     :class:`~repro.monitors.ArrowMonitor` when ``cell.monitors`` is set
     (those and ``closed_arrow``).  Specs reject a fault plan on any
     other family, and monitors on a grid with none of them, at build
-    time.
+    time.  ``engines`` names the modules ``to_row`` imports its engine
+    from, inside the function: declaring a grid or reading its rows back
+    compiles no engine, and a sweep imports them once before its first
+    cell (:func:`repro.sweep.executor.import_engines`).
     """
 
     name: str
@@ -132,6 +135,7 @@ class CellFamily:
     uses_engine: bool = True
     supports_faults: bool = False
     supports_monitors: bool = False
+    engines: tuple[str, ...] = ()
 
     def validate_params(self, params: Mapping[str, object]) -> None:
         """Reject unknown parameter names, values of the wrong kind, then

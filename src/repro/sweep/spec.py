@@ -24,9 +24,9 @@ from itertools import product
 from math import prod
 from typing import Callable
 
-from repro.core.fast_arrow import ENGINES, engine_error_message
+from repro.core.engines import ENGINES, engine_error_message
 from repro.errors import SweepError, require_time
-from repro.faults import parse_fault_plan
+from repro.fault_plan import parse_fault_plan
 from repro.graphs.generators import (
     balanced_binary_tree_graph,
     caterpillar_graph,
@@ -233,7 +233,7 @@ class SweepCell:
     engine: str
     service_time: float
     #: Canonical fault-plan label (``""`` = fault-free; see
-    #: :func:`repro.faults.parse_fault_plan`).
+    #: :func:`repro.fault_plan.parse_fault_plan`).
     faults: str = ""
     #: Attach runtime protocol monitors to this cell's run.  Monitors
     #: never change the row — they only raise on invariant violations —
@@ -256,7 +256,7 @@ class SweepSpec:
     seeds: tuple[int, ...]
     engine: str = "fast"
     service_time: float = 0.0
-    #: Fault-plan axis (see :func:`repro.faults.parse_fault_plan`); the
+    #: Fault-plan axis (see :func:`repro.fault_plan.parse_fault_plan`); the
     #: default single empty plan keeps the grid fault-free and its cell
     #: ids/rows byte-identical to pre-fault-axis sweeps.
     faults: tuple[str, ...] = ("",)
@@ -328,12 +328,18 @@ class SweepSpec:
         and neither is ``monitors`` (monitors never change a row).
         """
         st = f"/st{self.service_time}" if self.service_time else ""
-        fault_labels = [parse_fault_plan(f).label() for f in self.faults]
-        axes = product(self.graphs, self.trees, self.schedules, self.seeds, fault_labels)
+        # Each axis value's label is built once, not once per cell.
+        axes = product(
+            [(g, g.label()) for g in self.graphs],
+            self.trees,
+            [(s, s.label()) for s in self.schedules],
+            self.seeds,
+            [parse_fault_plan(f).label() for f in self.faults],
+        )
         return [
             SweepCell(
                 index=i,
-                cell_id=f"{g.label()}/{t}/{s.label()}/s{seed}{st}" + (f"/f[{fl}]" if fl else ""),
+                cell_id=f"{gl}/{t}/{sl}/s{seed}{st}" + (f"/f[{fl}]" if fl else ""),
                 graph=g,
                 tree=t,
                 schedule=s,
@@ -343,7 +349,7 @@ class SweepSpec:
                 faults=fl,
                 monitors=self.monitors,
             )
-            for i, (g, t, s, seed, fl) in enumerate(axes)
+            for i, ((g, gl), t, (s, sl), seed, fl) in enumerate(axes)
         ]
 
     def num_cells(self) -> int:

@@ -21,7 +21,7 @@ import math
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults import FaultPlan, parse_fault_plan
+from repro.fault_plan import FaultPlan, parse_fault_plan
 from repro.sweep import iter_sweep, smoke_grid
 
 TIMES = [0.0, 1e-5, 0.02, 0.1234567891, 0.1234571, 1.0, 3.0,

@@ -20,11 +20,8 @@ import pytest
 
 from repro.core.fast_arrow import run_arrow_fast
 from repro.errors import FaultPlanError, NetworkError, SimulationError, SweepError
-from repro.faults import (
-    epoch_rid,
-    parse_fault_plan,
-    run_arrow_faulted,
-)
+from repro.fault_plan import parse_fault_plan
+from repro.faults import epoch_rid, run_arrow_faulted
 from repro.graphs import complete_graph
 from repro.graphs.generators import path_graph
 from repro.monitors import ArrowMonitor

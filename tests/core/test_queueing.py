@@ -9,11 +9,11 @@ from repro.core.fast_arrow import run_arrow_fast
 from repro.core.queueing import (
     CompletionRecord,
     RunResult,
-    float_total,
     verify_total_order,
 )
 from repro.core.requests import ROOT_RID, RequestSchedule
 from repro.core.runner import run_arrow
+from repro.core.totals import float_total
 from repro.errors import ProtocolError
 from repro.graphs import complete_graph
 from repro.graphs.generators import path_graph

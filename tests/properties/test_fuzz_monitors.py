@@ -16,7 +16,8 @@ schedule x fault x engine cases.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.requests import RequestSchedule
-from repro.faults import FaultPlan, run_arrow_faulted
+from repro.fault_plan import FaultPlan
+from repro.faults import run_arrow_faulted
 from repro.monitors import ArrowMonitor
 from repro.spanning.tree import SpanningTree
 

@@ -96,7 +96,7 @@ def test_max_events_guard_detects_livelock():
         match="exceeded max_events=100; possible livelock in protocol code",
     ):
         sim.run()
-    assert len(fired) == 101  # the guard trips after the event that exceeds it
+    assert len(fired) == 100  # the guard trips before the event that would exceed it
 
 
 def test_handler_exceptions_propagate():
@@ -138,7 +138,7 @@ def test_max_events_exact_threshold(k):
         sim.call_at(float(i), fired.append, i)
     with pytest.raises(SimulationError, match=f"^exceeded max_events={k}; "):
         sim.run()
-    assert fired == list(range(k + 1))  # ... and the (k + 1)-th raises
+    assert fired == list(range(k))  # ... and the (k + 1)-th raises unfired
 
 
 def test_fired_count_spans_runs_and_failed_handlers():

@@ -6,8 +6,9 @@ import pickle
 
 import pytest
 
+from repro.core.engines import ENGINES
 from repro.core.event_stream import EventStream
-from repro.core.fast_arrow import ENGINES, arrow_runner
+from repro.core.fast_arrow import arrow_runner
 from repro.core.queueing import CompletionRecord
 from repro.core.requests import Request
 from repro.errors import MonitorViolation, ReproError

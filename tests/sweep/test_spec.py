@@ -1,6 +1,8 @@
 """Sweep spec tests: grid expansion, ordering, per-cell seed derivation."""
 
+import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 import repro.sweep.spec
 
 from repro.errors import ScheduleError, SweepError
+from repro.fault_plan import parse_fault_plan
 from repro.sweep import (
+    GRIDS,
     GraphSpec,
     ScheduleSpec,
     SweepSpec,
@@ -212,6 +216,30 @@ def test_named_grids_expand():
     assert fig11_grid((8, 16), seeds=(0,)).num_cells() == 2
     assert smoke_grid().num_cells() == 4
     assert mixed_grid().num_cells() == 4 * 3 * 3 * 2
+
+
+def _per_cell_ids(spec):
+    """Cell ids as the expansion once built them: every label per cell."""
+    st = f"/st{spec.service_time}" if spec.service_time else ""
+    faults = [parse_fault_plan(f).label() for f in spec.faults]
+    return [
+        f"{g.label()}/{t}/{s.label()}/s{seed}{st}" + (f"/f[{fl}]" if fl else "")
+        for g, t, s, seed, fl in product(
+            spec.graphs, spec.trees, spec.schedules, spec.seeds, faults
+        )
+    ]
+
+
+def test_cell_ids_equal_the_per_cell_construction():
+    """``cells()`` labels each axis value once; the ids are unchanged."""
+    faulted = dataclasses.replace(
+        fig11_grid((8, 16), seeds=(0, 1), service_time=0.25),
+        faults=("", "crash@2.0:1,loss:0.01", "link@1-0:0.5-3"),
+    )
+    for spec in [*(preset() for preset in GRIDS.values()), faulted]:
+        cells = spec.cells()
+        assert [c.cell_id for c in cells] == _per_cell_ids(spec), spec.name
+        assert [c.index for c in cells] == list(range(len(cells)))
 
 
 def test_preset_grid_spec_hashes_are_pinned():

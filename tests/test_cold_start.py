@@ -1,10 +1,20 @@
-"""numpy loads only where a numpy variate (or a dense matrix) is drawn.
+"""A command loads only the layer it runs.
 
-A fresh interpreter imports :mod:`repro.cli` and runs, through ``main``,
-the commands of a §5 closed-loop or directory sweep on the simulated SP2
-(complete graph, unit latency: no random draw) and the read side of the
-results store; none of them may import numpy.  A one-cell Poisson sweep
-must import it — the guard is not vacuous.
+Fresh interpreters import :mod:`repro.cli` and run, through ``main``:
+
+* the sweeps of a §5 closed loop and a directory grid on the simulated
+  SP2 (complete graph, unit latency: no random draw), none of which may
+  import numpy; the fig10 sweep must import its engine,
+  :mod:`repro.core.fast_closed_loop` — the layer check is not vacuous;
+* in a second interpreter, the read side over those files
+  (``sweep-merge``, ``sweep-verify``, ``results ingest/table/plot/
+  compare``): no numpy and no engine module (:data:`ENGINE_MODULES`)
+  after ``import repro.cli`` or after any step;
+* then a one-cell Poisson sweep, which must import numpy.
+
+A third interpreter checks the other direction: after
+:func:`repro.sweep.executor.import_engines`, running a grid's cells
+imports no further engine module, for every cell family.
 """
 
 import json
@@ -12,18 +22,41 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
+#: The simulator: no declaration- or storage-layer command may load these.
+ENGINE_MODULES = [
+    "repro.core.fast_arrow",
+    "repro.core.fast_closed_loop",
+    "repro.core.runner",
+    "repro.core.arrow",
+    "repro.core.centralized",
+    "repro.core.adaptive",
+    "repro.core.stabilize",
+    "repro.faults",
+    "repro.monitors",
+    "repro.sim.kernel",
+    "repro.net.network",
+    "repro.apps.directory",
+    "repro.lowerbound",
+    "repro.workloads.closed_loop",
+    "repro.analysis",
+]
+
 FIG10 = ["--grid", "fig10", "--sizes", "4", "--requests-per-proc", "5"]
 #: (label, argv) in order; each step may read the files earlier ones wrote.
-COLD_STEPS = [
+SWEEP_STEPS = [
     ("sweep fig10", ["sweep", *FIG10, "--out", "fig10.jsonl"]),
     ("sweep directory", ["sweep", "--grid", "directory", "--sizes", "4",
                          "--acquisitions-per-proc", "3", "--out", "directory.jsonl"]),
     ("sweep fig10 shard 0", ["sweep", *FIG10, "--shard", "0/2", "--out", "part.jsonl"]),
     ("sweep fig10 shard 1", ["sweep", *FIG10, "--shard", "1/2", "--out", "part.jsonl"]),
+]
+READ_STEPS = [
     ("sweep-merge", ["sweep-merge", "part.shard1-2.jsonl", "part.shard0-2.jsonl",
                      "--out", "merged.jsonl", "--expect-cells", "2"]),
     ("sweep-verify", ["sweep-verify", "--a", "merged.jsonl", "--b", "fig10.jsonl",
@@ -37,33 +70,95 @@ COLD_STEPS = [
 WARM_STEP = ("sweep fig11", ["sweep", "--grid", "fig11", "--sizes", "8", "--per-node", "2",
                              "--seeds", "0", "--out", "fig11.jsonl"])
 
-#: Runs in the fresh interpreter: each step's exit code and whether numpy
-#: was loaded after it, as one JSON line on stdout's last line.
+#: Runs in a fresh interpreter: per step its label, exit code, whether
+#: numpy was loaded after it and which engine modules were, as one JSON
+#: line on stdout's last line.
 CHILD = """
 import contextlib, io, json, sys
+steps, engines = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+def loaded(label, code):
+    return (label, code, "numpy" in sys.modules, [m for m in engines if m in sys.modules])
 import repro.cli
-report = [("import repro.cli", 0, "numpy" in sys.modules)]
-for label, argv in json.loads(sys.argv[1]):
+report = [loaded("import repro.cli", 0)]
+for label, argv in steps:
     with contextlib.redirect_stdout(io.StringIO()):
         code = repro.cli.main(argv)
-    report.append((label, code, "numpy" in sys.modules))
+    report.append(loaded(label, code))
 print(json.dumps(report))
 """
 
 
-def test_numpy_is_imported_only_by_a_step_that_draws_a_variate(tmp_path):
+def _run_child(steps, cwd):
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    steps = json.dumps(COLD_STEPS + [WARM_STEP])
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, steps], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", CHILD, json.dumps(steps), json.dumps(ENGINE_MODULES)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert [label for label, _, _ in report[1:]] == [label for label, _ in COLD_STEPS] + [
-        WARM_STEP[0]
+    assert [label for label, *_ in report] == ["import repro.cli"] + [
+        label for label, _ in steps
     ]
-    assert [(label, code) for label, code, _ in report if code] == []
-    *cold, (_, _, warm) = report
-    assert [label for label, _, loaded in cold if loaded] == []
-    assert warm, "a Poisson sweep draws numpy variates and must import numpy"
+    assert [(label, code) for label, code, *_ in report if code] == []
+    return report
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """The sweep interpreter's report, then the read side's (same files)."""
+    cwd = tmp_path_factory.mktemp("cold")
+    return _run_child(SWEEP_STEPS, cwd), _run_child(READ_STEPS + [WARM_STEP], cwd)
+
+
+def test_numpy_is_imported_only_by_a_step_that_draws_a_variate(reports):
+    sweeps, (*reads, warm) = reports
+    assert [label for label, _, numpy, _ in sweeps + reads if numpy] == []
+    assert warm[2], "a Poisson sweep draws numpy variates and must import numpy"
+
+
+def test_the_cli_and_the_read_side_load_no_engine(reports):
+    sweeps, (*reads, _) = reports
+    assert [(label, engines) for label, _, _, engines in reads if engines] == []
+    assert sweeps[0][3] == [], "import repro.cli loaded an engine"
+    assert "repro.core.fast_closed_loop" in sweeps[1][3], "the fig10 sweep runs its engine"
+
+
+#: Runs in a fresh interpreter: for each grid, the engine modules its
+#: cells imported after ``import_engines`` had run, as one JSON line.
+PRELOAD_CHILD = """
+import dataclasses, json, sys
+from repro.sweep.executor import execute_cell, import_engines
+from repro.sweep.spec import (
+    directory_grid, fig10_grid, fig11_grid, thm319_grid, thm41_grid,
+)
+engines = json.loads(sys.argv[1])
+grids = [
+    directory_grid((4,), acquisitions_per_proc=2),
+    fig10_grid((4,), requests_per_proc=2),
+    dataclasses.replace(
+        fig11_grid((8,), per_node=2, seeds=(0,)), faults=("crash@1:1",), monitors=True
+    ),
+    thm319_grid((8,), requests=6),
+    thm41_grid((16,)),
+]
+late = {}
+for spec in grids:
+    import_engines(spec)
+    before = set(sys.modules)
+    for cell in spec.cells():
+        execute_cell(cell)
+    late[spec.name] = [m for m in engines if m in set(sys.modules) - before]
+print(json.dumps(late))
+"""
+
+
+def test_a_sweep_imports_its_engines_before_its_first_cell(tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELOAD_CHILD, json.dumps(ENGINE_MODULES)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    late = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(late) == ["directory", "fig10", "fig11", "thm319", "thm41"]
+    assert {name: mods for name, mods in late.items() if mods} == {}

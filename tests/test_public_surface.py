@@ -4,10 +4,13 @@ A name is re-exported by a package ``__init__.py`` only when something
 other than a test imports it through that package: ``src/`` (a facade is
 not a caller), ``examples/``, ``benchmarks/e2e/``, the inline Python of
 ``.github/workflows/ci.yml`` or README.  Every other name has one import
-path, its defining module, and tests import it from there.
+path, its defining module, and tests import it from there.  A lazy
+facade's ``_LAZY`` table (name -> defining module, imported on first
+access) counts as its imports.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -74,13 +77,37 @@ def callers() -> set[tuple[str, str]]:
     return reached
 
 
+def _lazy_table(tree: ast.Module) -> dict[str, str]:
+    """A lazy facade's ``_LAZY`` literal: public name -> defining module."""
+    return next(
+        (
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["_LAZY"]
+        ),
+        {},
+    )
+
+
+def _facade_imports(tree: ast.Module) -> list[str]:
+    """What a facade re-exports: its ``from repro… import`` names and the
+    names its ``_LAZY`` table resolves on first access, less private
+    helpers (``_lazy_attributes``)."""
+    names = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro")
+        for a in node.names
+    ]
+    names += _lazy_table(tree)
+    return [n for n in names if not n.startswith("_") or n.startswith("__")]
+
+
 @pytest.mark.parametrize("facade", FACADES, ids=_module)
 def test_facade_exports_only_what_callers_import(facade, callers):
     tree = ast.parse(facade.read_text(encoding="utf-8"))
-    imported = [
-        a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
-        for a in node.names
-    ]
+    imported = _facade_imports(tree)
     exported = next(
         (
             ast.literal_eval(node.value)
@@ -94,3 +121,15 @@ def test_facade_exports_only_what_callers_import(facade, callers):
     package = _module(facade)
     unreached = [n for n in exported if n != "__version__" and (package, n) not in callers]
     assert unreached == [], f"{package} re-exports names no caller imports through it"
+
+
+LAZY_FACADES = [f for f in FACADES if _lazy_table(ast.parse(f.read_text(encoding="utf-8")))]
+
+
+@pytest.mark.parametrize("facade", LAZY_FACADES, ids=_module)
+def test_lazy_names_resolve_in_their_defining_module(facade):
+    package = importlib.import_module(_module(facade))
+    for name, module in _lazy_table(ast.parse(facade.read_text(encoding="utf-8"))).items():
+        value = getattr(package, name)
+        assert value is getattr(importlib.import_module(module), name), name
+        assert getattr(value, "__module__", module) == module, name

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from repro.core.fast_arrow import ENGINES
+from repro.core.engines import ENGINES
 from repro.core.fast_closed_loop import closed_loop_runner
-from repro.errors import NetworkError, ScheduleError
+from repro.errors import NetworkError, ScheduleError, SimulationError
 from repro.graphs import complete_graph
+from repro.graphs.graph import Graph
 from repro.spanning import balanced_binary_overlay
 from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
 
@@ -157,3 +158,20 @@ def test_zero_budget_is_an_empty_complete_run(k8, run, protocol):
     assert res.makespan == 0.0
     assert res.messages_sent == 0
     assert res.hops == res.latencies == res.owners == res.ack_times == []
+
+
+def test_max_events_is_checked_before_the_event_fires_on_both_engines():
+    """One event short of a run, both engines stop with the livelock error.
+
+    The 4th event of this centralized loop routes node 3's request to a
+    centre it cannot reach; with ``max_events=3`` neither engine may fire
+    it, so the message engine raises no ``NetworkError`` first.
+    """
+    graph = Graph.from_columns(5, [0, 1, 3], [1, 2, 4], 1.0)
+    errors = []
+    for engine in ENGINES:
+        run = closed_loop_runner("centralized", engine)
+        with pytest.raises(SimulationError) as info:
+            run(graph, 0, requests_per_proc=2, max_events=3)
+        errors.append(str(info.value))
+    assert errors == ["exceeded max_events=3; possible livelock in protocol code"] * 2
