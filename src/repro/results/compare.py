@@ -15,6 +15,7 @@ committed trajectories diff cleanly run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable
 
 from repro.core.totals import float_total
@@ -108,6 +109,31 @@ def _numeric_items(row: dict[str, Any], ignore: tuple[str, ...]):
             yield k, float(v)
 
 
+#: A row's keys then its value types -> (its numeric columns, its float ones).
+_Shapes = dict[tuple, tuple[tuple[str, ...], list[str]]]
+
+
+def _self_columns(
+    row: dict[str, Any], ignore: tuple[str, ...], shapes: _Shapes
+) -> tuple[str, ...] | None:
+    """The numeric columns of a row paired with itself, each a 0 % delta;
+    ``None`` when a value is NaN (NaN != NaN: the walk reports it).
+
+    The rows of a grid come in a few shapes, so each shape's columns are
+    found once.  A row's float values are then only summed: the sum is NaN
+    if one is (or if they hold both infinities, and such a row is walked).
+    """
+    shape = (*row, *map(type, row.values()))
+    if (known := shapes.get(shape)) is None:
+        numeric = [k for k, v in row.items()
+                   if k not in ignore and isinstance(v, (int, float)) and not isinstance(v, bool)]
+        known = shapes[shape] = tuple(numeric), [k for k in numeric if isinstance(row[k], float)]
+    columns, floats = known
+    if floats and (total := sum(map(row.__getitem__, floats))) != total:
+        return None
+    return columns
+
+
 def _by_cell_id(
     rows: Iterable[dict[str, Any]], side: str, problems: list[str]
 ) -> dict[str, dict[str, Any]]:
@@ -143,7 +169,10 @@ def compare_rows(
     reports as a problem rather than an infinite percentage.  Non-numeric
     columns (cell ids, fault labels, ``exclusion_ok``...) must be equal.
     A pair that is one object (both sides read one line through a shared
-    ``known`` map, :func:`repro.sweep.persist._decode`) is not walked.
+    ``known`` map, :func:`repro.sweep.persist._decode`) is not walked: it
+    counts as 0 % in each of its numeric columns, which changes no
+    column's left-to-right total (``x + 0.0 == x``), changed count or
+    largest delta — unless a value is NaN, and such a pair is walked.
     """
     problems: list[str] = []
     by_id_a = _by_cell_id(rows_a, "A", problems)
@@ -166,18 +195,23 @@ def compare_rows(
             f"{len(only_b)} cell(s) only in B, e.g. {only_b[:3]}"
         )
 
-    sums: dict[str, list[float]] = {}
+    sums: dict[str, list[float]] = {}  # column -> deltas of walked pairs
+    zeros: dict[tuple[str, ...], int] = {}  # a one-object pair's columns -> pairs
+    # Columns whose first delta was a one-object pair's 0 %: a NaN walked
+    # later cannot start their ``max`` (the order of a maximum over NaN).
+    lead_zero: set[str] = set()
+    shapes: _Shapes = {}
     deltas: list[tuple[float, str, str, float, float, float]] = []
     for cid in sorted(set(by_id_a) & set(by_id_b)):
         ra, rb = by_id_a[cid], by_id_b[cid]
         cmp.compared += 1
-        na = dict(_numeric_items(ra, ignore))
-        if ra is rb and all(a == a for a in na.values()):
-            # One row on both sides (one line, parsed once): every delta is
-            # 0 % — unless a value is NaN, which the walk below reports.
-            for k in na:
-                sums.setdefault(k, []).append(0.0)
+        if ra is rb and (same := _self_columns(ra, ignore, shapes)) is not None:
+            if same not in zeros:
+                zeros[same] = 0
+                lead_zero.update(k for k in same if k not in sums)
+            zeros[same] += 1
             continue
+        na = dict(_numeric_items(ra, ignore))
         nb = dict(_numeric_items(rb, ignore))
         for k in sorted(na.keys() | nb.keys()):
             if k not in na or k not in nb:
@@ -211,13 +245,18 @@ def compare_rows(
                     f"{ra.get(k)!r} vs {rb.get(k)!r}"
                 )
 
-    for k, pcts in sums.items():
-        changed = [p for p in pcts if p != 0.0]
+    cells = {k: len(pcts) for k, pcts in sums.items()}
+    for same, pairs in zeros.items():
+        for k in same:
+            cells[k] = cells.get(k, 0) + pairs
+    for k in sorted(cells):
+        pcts = sums.get(k, [])
+        lead = (0.0,) if k in lead_zero else ()
         cmp.columns[k] = {
-            "cells": float(len(pcts)),
-            "changed": float(len(changed)),
-            "mean_pct": float_total(pcts) / len(pcts),
-            "max_abs_pct": max((abs(p) for p in pcts), default=0.0),
+            "cells": float(cells[k]),
+            "changed": float(sum(p != 0.0 for p in pcts)),
+            "mean_pct": float_total(pcts) / cells[k],
+            "max_abs_pct": max(chain(lead, map(abs, pcts)), default=0.0),
         }
     deltas.sort(key=lambda d: (-d[0], d[1], d[2]))
     cmp.top_deltas = deltas[:_DELTA_CAP]

@@ -159,10 +159,11 @@ class ResultsStore:
         ``cell_id``, a mismatched ``index``, a false ``exclusion_ok`` or
         two conflicting versions of one cell raise :class:`ResultsError`
         rather than silently polluting the entry, and so does any damage
-        to the rows already stored.
+        to the rows already stored.  A row is placed by its id alone
+        (:meth:`SweepSpec.cell_ids`): an ingest builds no cell.
         """
         spec_hash = spec.spec_hash()
-        cells = {c.cell_id: c.index for c in spec.cells()}
+        cells = {cid: i for i, cid in enumerate(spec.cell_ids())}
         expected = len(cells)
 
         def place(row: dict[str, Any], path: str) -> int:

@@ -61,10 +61,13 @@ def import_engines(spec: SweepSpec) -> None:
     A family imports its engine inside the function that runs a cell
     (:attr:`~repro.sweep.registry.CellFamily.engines` names the modules),
     plus the fault engine for a faulted cell and the monitors for a
-    monitored one.  :func:`run_sweep` imports them here once, before its
-    first cell, and :func:`~repro.sweep.orchestrator.orchestrate_sweep`
-    before it forks, so its shards inherit the compiled modules.
+    monitored one, and the tree builders :func:`~repro.sweep.spec.build_tree`
+    imports on its first call.  :func:`run_sweep` imports them here once,
+    before its first cell, and
+    :func:`~repro.sweep.orchestrator.orchestrate_sweep` before it forks,
+    so its shards inherit the compiled modules.
     """
+    import_module("repro.spanning.construct")
     faulted = any(not parse_fault_plan(f).empty for f in spec.faults)
     for name in dict.fromkeys(s.family for s in spec.schedules):
         family = get_family(name)

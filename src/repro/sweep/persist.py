@@ -13,12 +13,14 @@ consumer reads through :func:`_decode` under one of two policies:
   line is a ``path:line`` problem and every row is held to the persisted
   invariants (:func:`verify_rows`).  :func:`merge_shards` interleaves
   shard files under it — row ``k`` must carry index ``k`` — and stops
-  at the first problem.
+  at the first problem.  It is a verified interleave that copies line
+  text: a line is parsed to be checked, and its stripped text, not a
+  re-encoding of the row, is what the merged file holds.
 
 A command need not parse a row text it has read.  Rows are canonical,
 so two lines with equal stripped text are equal rows: the readers take an
 optional ``known`` map from stripped text to row, and a line found there
-is that row — no second ``json.loads`` — while every row still passes
+is that row — no second parse — while every row still passes
 the policy's checks under its own file and row number.  *Verify* reads
 add the rows they parse to the map; *resume* reads only look it up.  A
 line not in the map (another formatting, another value) is parsed as
@@ -60,6 +62,11 @@ def dumps_row(row: dict[str, Any]) -> str:
     return _ENCODER.encode(row)
 
 
+#: The one decoder.  For a stripped line ``raw_decode`` is ``json.loads``
+#: without its two whitespace scans; what it leaves unread is extra data.
+_DECODER = json.JSONDecoder()
+
+
 #: How a non-blank line fails to be a row: not JSON (perhaps a write cut
 #: short), or a complete JSON value that is not an object (never one).
 _NOT_JSON = "corrupt JSONL row"
@@ -72,34 +79,37 @@ Known = dict[str, dict[str, Any]]
 
 def _decode(
     lines: Iterable[str], known: Known | None = None, learn: bool = False
-) -> Iterator[tuple[int, dict[str, Any] | None, str | None]]:
-    """The one reader: ``(lineno, row, damage)`` per non-blank line.
+) -> Iterator[tuple[int, str, dict[str, Any] | None, str | None]]:
+    """The one reader: ``(lineno, text, row, damage)`` per non-blank line.
 
     A line is what iterating a text stream yields: ``\n``, ``\r`` and
     ``\r\n`` end one; ``\x0b``, ``\x0c``, ``\x1c``, ``\x85`` and ``\u2028``
-    do not.  One of ``row`` and ``damage`` is ``None``; what damage
-    *means* is the caller's policy.  With ``known``, a line whose
-    stripped text is a key yields that row without a parse (the *same*
-    object); with ``learn`` too, every row parsed is added under its text.
+    do not.  ``text`` is the line stripped.  One of ``row`` and ``damage``
+    is ``None``; what damage *means* is the caller's policy.  With
+    ``known``, a line whose stripped text is a key yields that row without
+    a parse (the *same* object); with ``learn`` too, every row parsed is
+    added under its text.
     """
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
             continue
         if known is not None and (row := known.get(stripped)) is not None:
-            yield lineno, row, None
+            yield lineno, stripped, row, None
             continue
         try:
-            row = json.loads(stripped)
+            row, end = _DECODER.raw_decode(stripped)
         except json.JSONDecodeError:
-            yield lineno, None, _NOT_JSON
+            end = None
+        if end != len(stripped):
+            yield lineno, stripped, None, _NOT_JSON
             continue
         if isinstance(row, dict):
             if learn:
                 known[stripped] = row
-            yield lineno, row, None
+            yield lineno, stripped, row, None
         else:
-            yield lineno, None, _NOT_OBJECT
+            yield lineno, stripped, None, _NOT_OBJECT
 
 
 def _resume(
@@ -118,7 +128,7 @@ def _resume(
     ``"path:lineno: ..."`` entry for it, which resume and ingest report.
     """
     torn: int | None = None  # only an error if any non-blank line follows
-    for lineno, row, damage in _decode(lines, known):
+    for lineno, _, row, damage in _decode(lines, known):
         if torn is not None:
             raise ReproError(f"{path}:{torn}: {_NOT_JSON} mid-file")
         if row is not None:
@@ -201,7 +211,7 @@ def iter_verified_rows(
     """
 
     def undamaged(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
-        for lineno, row, damage in _decode(lines, known, learn=known is not None):
+        for lineno, _, row, damage in _decode(lines, known, learn=known is not None):
             if row is None:
                 report(f"{path}:{lineno}: {damage}")
             else:
@@ -294,21 +304,21 @@ class _Refused(Exception):
     """A merge's first problem, as ``path:line: reason``."""
 
 
-_Rows = Iterator[tuple[str, int, dict[str, Any]]]  # (path:line, index, row)
+_Rows = Iterator[tuple[str, int, str]]  # (path:line, index, stripped text)
 
 
 def _indexed_rows(path: str, lines: Iterable[str]) -> _Rows:
-    """A finished shard file's rows under the *verify* policy; the first
-    damaged line, broken row invariant or row without an integer
-    ``index`` raises :class:`_Refused` naming its line."""
-    for lineno, row, damage in _decode(lines):
+    """A finished shard file's rows under the *verify* policy, as their
+    stripped text; the first damaged line, broken row invariant or row
+    without an integer ``index`` raises :class:`_Refused` naming its line."""
+    for lineno, text, row, damage in _decode(lines):
         problems = [damage] if row is None else _row_shape_problems(row)
         # Not ``isinstance``: JSON's ``true`` is a bool, and a bool an int.
         if not problems and type(index := row.get("index")) is not int:
             problems = [f"no integer 'index' column (found {index!r})"]
         if problems:
             raise _Refused(f"{path}:{lineno}: {problems[0]}")
-        yield f"{path}:{lineno}", index, row
+        yield f"{path}:{lineno}", index, text
 
 
 def merge_shards(
@@ -334,8 +344,12 @@ def merge_shards(
     (= ``SweepSpec.num_cells()``, the CLI's ``--expect-cells``) closes that.
 
     Rows stream into a ``.tmp`` sidecar, renamed to ``out_path`` on a
-    clean merge and removed otherwise.  Rows are serialised canonically in
-    index order, so the merged file is byte-identical to an unsharded run.
+    clean merge and removed otherwise.  The merge copies each verified
+    line's stripped text, in index order, and encodes no row: shard files
+    are written canonically (and :func:`compact` re-canonicalises one on
+    resume), so the merged file is byte-identical to an unsharded run.  A
+    hand-reformatted line is carried through as given; every consumer
+    parses it, and a results-store ingest still stores canonical text.
     """
     paths = list(shard_paths)
     m = len(paths)
@@ -358,13 +372,13 @@ def merge_shards(
                     shards[r] = (path, chain([first], rows))
             out = files.enter_context(open(tmp, "w", encoding="utf-8"))
             while (shard := shards.get(k % m)) and (entry := next(shard[1], None)):
-                where, index, row = entry
+                where, index, text = entry
                 if index != k:
                     raise _Refused(f"{where}: index {index} out of order, expected {k} "
                                    "(a row missing, duplicated or moved, or another sharding)")
                 if k == expect_cells:
                     raise _Refused(f"{where}: expected {expect_cells} rows, found more")
-                out.write(dumps_row(row) + "\n")
+                out.write(text + "\n")
                 k += 1
             # Index k is in no file, so no file may hold another row.
             for _, rows in shards.values():

@@ -12,6 +12,13 @@ the cell's axes (not its position), so inserting a new axis value never
 perturbs the draws of existing cells.  The theorem families (``ratio``,
 ``lowerbound``) draw from the cell's master seed instead, so cells that
 differ only in tree or protocol replay one schedule.
+
+Declaring a grid compiles no simulator and no tree layer: the tree
+constructors load on the first :func:`build_tree`.  The graph generators
+(:data:`GRAPH_BUILDERS`, whose signatures check graph parameters) and
+:mod:`repro.sweep.families` with :mod:`repro.workloads.schedules` stay
+loaded, because :meth:`ScheduleSpec.of` validates schedule parameters
+through the cell family of that name.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.engines import ENGINES, engine_error_message
 from repro.errors import SweepError, require_time
@@ -52,15 +59,10 @@ from repro.sweep.registry import (
     non_negative_int,
     positive_real,
 )
-from repro.spanning.construct import (
-    balanced_binary_overlay,
-    bfs_tree,
-    mst_prim,
-    random_spanning_tree,
-    star_overlay,
-)
-from repro.spanning.tree import SpanningTree
 from repro.workloads import schedules as _schedules
+
+if TYPE_CHECKING:
+    from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "GraphSpec",
@@ -111,13 +113,16 @@ GRAPH_BUILDERS = {
 #: Families whose generator takes a ``seed`` argument.
 _SEEDED_GRAPHS = frozenset({"geometric", "gnp"})
 
-#: Tree strategy name -> constructor from :mod:`repro.spanning.construct`.
+#: Tree strategy name -> the name of its constructor in
+#: :mod:`repro.spanning.construct`.  A spec validates its tree axis
+#: against the keys; :func:`build_tree` imports the module on first use,
+#: so reading stored rows never compiles the tree layer.
 TREE_BUILDERS = {
-    "bfs": bfs_tree,
-    "mst": mst_prim,
-    "binary": balanced_binary_overlay,
-    "star": star_overlay,
-    "random": random_spanning_tree,
+    "bfs": "bfs_tree",
+    "mst": "mst_prim",
+    "binary": "balanced_binary_overlay",
+    "star": "star_overlay",
+    "random": "random_spanning_tree",
 }
 
 #: Open-loop schedule family names, with the parameters each accepts and
@@ -316,30 +321,42 @@ class SweepSpec:
                 "closed_arrow only"
             )
 
-    def cells(self) -> list[SweepCell]:
-        """Expand the grid: graphs → trees → schedules → seeds → faults.
+    def _fault_labels(self) -> list[str]:
+        return [parse_fault_plan(f).label() for f in self.faults]
 
-        The cell id carries every axis that can change the metrics —
-        including a non-default service time and a non-empty fault plan
-        (as ``/f[<canonical label>]``), so resuming a re-parametrised
-        sweep into an old file recomputes rather than silently keeping
-        stale rows.  The engine is deliberately *not* part of the identity
-        (the engines are bit-identical, so rows are interchangeable)
-        and neither is ``monitors`` (monitors never change a row).
+    def cell_ids(self) -> list[str]:
+        """The cell ids of :meth:`cells`, in grid order, without the cells.
+
+        The one cell-id format.  The id carries every axis that can change
+        the metrics — including a non-default service time and a non-empty
+        fault plan (as ``/f[<canonical label>]``), so resuming a
+        re-parametrised sweep into an old file recomputes rather than
+        silently keeping stale rows.  The engine is deliberately *not*
+        part of the identity (the engines are bit-identical, so rows are
+        interchangeable) and neither is ``monitors`` (monitors never
+        change a row).
         """
         st = f"/st{self.service_time}" if self.service_time else ""
         # Each axis value's label is built once, not once per cell.
-        axes = product(
-            [(g, g.label()) for g in self.graphs],
-            self.trees,
-            [(s, s.label()) for s in self.schedules],
-            self.seeds,
-            [parse_fault_plan(f).label() for f in self.faults],
-        )
+        return [
+            f"{gl}/{t}/{sl}/s{seed}{st}{fl}"
+            for gl, t, sl, seed, fl in product(
+                [g.label() for g in self.graphs],
+                self.trees,
+                [s.label() for s in self.schedules],
+                self.seeds,
+                [f"/f[{f}]" if f else "" for f in self._fault_labels()],
+            )
+        ]
+
+    def cells(self) -> list[SweepCell]:
+        """Expand the grid: graphs → trees → schedules → seeds → faults,
+        cell ``i`` under ``cell_ids()[i]``."""
+        axes = product(self.graphs, self.trees, self.schedules, self.seeds, self._fault_labels())
         return [
             SweepCell(
                 index=i,
-                cell_id=f"{gl}/{t}/{sl}/s{seed}{st}" + (f"/f[{fl}]" if fl else ""),
+                cell_id=cid,
                 graph=g,
                 tree=t,
                 schedule=s,
@@ -349,7 +366,7 @@ class SweepSpec:
                 faults=fl,
                 monitors=self.monitors,
             )
-            for i, ((g, gl), t, (s, sl), seed, fl) in enumerate(axes)
+            for i, (cid, (g, t, s, seed, fl)) in enumerate(zip(self.cell_ids(), axes))
         ]
 
     def num_cells(self) -> int:
@@ -382,7 +399,7 @@ class SweepSpec:
             "seeds": list(self.seeds),
             "engine": self.engine,
             "service_time": self.service_time,
-            "faults": [parse_fault_plan(f).label() for f in self.faults],
+            "faults": self._fault_labels(),
         }
 
     def spec_hash(self) -> str:
@@ -426,9 +443,12 @@ def build_graph(spec: GraphSpec, seed: int) -> Graph:
 
 def build_tree(strategy: str, graph: Graph, seed: int, root: int = 0) -> SpanningTree:
     """Instantiate the spanning tree of one cell."""
+    from repro.spanning import construct
+
+    builder = getattr(construct, TREE_BUILDERS[strategy])
     if strategy == "random":
-        return random_spanning_tree(graph, root, seed=seed)
-    return TREE_BUILDERS[strategy](graph, root)
+        return builder(graph, root, seed=seed)
+    return builder(graph, root)
 
 
 def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):

@@ -34,20 +34,21 @@ def smoke(tmp_path_factory):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Count ``persist``'s ``json.loads`` and ``json.dumps`` calls."""
+    """Count ``persist``'s row parses (its decoder) and row encodings (its
+    encoder, behind ``dumps_row``)."""
     calls = {"loads": 0, "dumps": 0}
+    decoder, encoder = persist._DECODER, persist._ENCODER
 
-    def counted(name):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return getattr(json, name)(*args, **kwargs)
+    def raw_decode(text):
+        calls["loads"] += 1
+        return decoder.raw_decode(text)
 
-        return call
+    def encode(row):
+        calls["dumps"] += 1
+        return encoder.encode(row)
 
-    monkeypatch.setattr(persist, "json", types.SimpleNamespace(
-        loads=counted("loads"), dumps=counted("dumps"),
-        JSONDecodeError=json.JSONDecodeError,
-    ))
+    monkeypatch.setattr(persist, "_DECODER", types.SimpleNamespace(raw_decode=raw_decode))
+    monkeypatch.setattr(persist, "_ENCODER", types.SimpleNamespace(encode=encode))
     return calls
 
 

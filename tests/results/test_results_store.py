@@ -18,6 +18,7 @@ from repro.errors import ResultsError
 from repro.results import ResultsStore
 from repro.sweep import run_sweep, smoke_grid
 from repro.sweep.persist import dumps_row, iter_rows
+from repro.sweep.spec import SweepSpec
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,12 @@ def test_foreign_cell_id_is_rejected(tmp_path, smoke_run):
     bad = dict(rows[0], cell_id="not-in-this-grid")
     src = tmp_path / "bad.jsonl"
     src.write_text(dumps_row(bad) + "\n")
-    with pytest.raises(ResultsError, match="does not.*belong|belong"):
+    with pytest.raises(ResultsError) as err:
         store.ingest(spec, str(src))
+    assert str(err.value) == (
+        f"{src}: row with cell_id 'not-in-this-grid' does not belong to grid "
+        f"'smoke' [{spec.spec_hash()[:12]}]; is this file from a different spec?"
+    )
 
 
 def test_index_mismatch_is_rejected(tmp_path, smoke_run):
@@ -99,8 +104,28 @@ def test_index_mismatch_is_rejected(tmp_path, smoke_run):
     bad = dict(rows[0], index=rows[0]["index"] + 1)
     src = tmp_path / "bad.jsonl"
     src.write_text(dumps_row(bad) + "\n")
-    with pytest.raises(ResultsError, match="file and spec disagree"):
+    with pytest.raises(ResultsError) as err:
         store.ingest(spec, str(src))
+    assert str(err.value) == (
+        f"{src}: cell {rows[0]['cell_id']!r} carries index 1 but the grid "
+        "places it at 0; file and spec disagree"
+    )
+
+
+def test_an_ingest_places_rows_by_id_and_builds_no_cell(tmp_path, smoke_run, monkeypatch):
+    """``SweepSpec.cell_ids`` places every row; the grid is never
+    expanded into :class:`~repro.sweep.spec.SweepCell` objects."""
+    spec, path, rows = smoke_run
+
+    def no_cells(self):
+        raise AssertionError("an ingest expanded the grid into cells")
+
+    monkeypatch.setattr(SweepSpec, "cells", no_cells)
+    store = ResultsStore(str(tmp_path / "store"))
+    report = store.ingest(spec, path)
+    assert report.new_rows == len(rows) and report.complete
+    assert store.ingest(spec, path).new_rows == 0
+    assert list(store.rows("smoke")) == rows
 
 
 def test_conflicting_cell_content_is_rejected(tmp_path, smoke_run):

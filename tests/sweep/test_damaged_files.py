@@ -58,6 +58,27 @@ def test_non_object_line_is_named_damage(tmp_path, capsys, smoke_bytes, stray, w
 
 
 # ----------------------------------------------------------------------
+# a row followed by more data on its line
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("extra", [' {"index": 9}', "]", " 1"])
+def test_a_row_with_extra_data_on_its_line_is_corrupt(tmp_path, smoke_bytes, extra):
+    """Two values on one line are no row: the first is not taken."""
+    lines = smoke_bytes.decode().splitlines()
+    lines[1] += extra
+    path = tmp_path / "smoke.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ReproError, match=rf"{path}:2: corrupt JSONL row mid-file"):
+        list(iter_rows(str(path)))
+    _, problems = diff_rows(str(path), str(path))
+    assert problems[:2] == [f"{path}:2: corrupt JSONL row"] * 2
+    shards = [str(path), str(tmp_path / "empty.jsonl")]
+    (tmp_path / "empty.jsonl").write_text("")
+    assert merge_shards(shards, str(tmp_path / "merged.jsonl")) == (
+        1, [f"{path}:2: corrupt JSONL row"]
+    )
+
+
+# ----------------------------------------------------------------------
 # truncation at every byte offset
 # ----------------------------------------------------------------------
 def test_truncation_at_every_byte_is_the_clean_outcome_or_a_named_problem(

@@ -231,14 +231,16 @@ def _per_cell_ids(spec):
 
 
 def test_cell_ids_equal_the_per_cell_construction():
-    """``cells()`` labels each axis value once; the ids are unchanged."""
+    """``cell_ids()`` labels each axis value once, and ``cells()`` is
+    built on it; the ids are unchanged."""
     faulted = dataclasses.replace(
         fig11_grid((8, 16), seeds=(0, 1), service_time=0.25),
         faults=("", "crash@2.0:1,loss:0.01", "link@1-0:0.5-3"),
     )
+    assert len(GRIDS) == 14
     for spec in [*(preset() for preset in GRIDS.values()), faulted]:
         cells = spec.cells()
-        assert [c.cell_id for c in cells] == _per_cell_ids(spec), spec.name
+        assert spec.cell_ids() == [c.cell_id for c in cells] == _per_cell_ids(spec), spec.name
         assert [c.index for c in cells] == list(range(len(cells)))
 
 

@@ -8,13 +8,14 @@ Fresh interpreters import :mod:`repro.cli` and run, through ``main``:
   :mod:`repro.core.fast_closed_loop` — the layer check is not vacuous;
 * in a second interpreter, the read side over those files
   (``sweep-merge``, ``sweep-verify``, ``results ingest/table/plot/
-  compare``): no numpy and no engine module (:data:`ENGINE_MODULES`)
-  after ``import repro.cli`` or after any step;
+  compare``): no numpy, no engine module (:data:`ENGINE_MODULES`) and no
+  tree layer (:data:`TREE_MODULES`) after ``import repro.cli`` or after
+  any step;
 * then a one-cell Poisson sweep, which must import numpy.
 
 A third interpreter checks the other direction: after
 :func:`repro.sweep.executor.import_engines`, running a grid's cells
-imports no further engine module, for every cell family.
+imports no further engine or tree module, for every cell family.
 """
 
 import json
@@ -47,6 +48,14 @@ ENGINE_MODULES = [
     "repro.analysis",
 ]
 
+#: The tree layer, loaded by the first ``build_tree`` of a sweep; reading
+#: stored rows back builds no tree.
+TREE_MODULES = [
+    "repro.spanning.construct",
+    "repro.spanning.tree",
+    "repro.graphs.validation",
+]
+
 FIG10 = ["--grid", "fig10", "--sizes", "4", "--requests-per-proc", "5"]
 #: (label, argv) in order; each step may read the files earlier ones wrote.
 SWEEP_STEPS = [
@@ -71,8 +80,8 @@ WARM_STEP = ("sweep fig11", ["sweep", "--grid", "fig11", "--sizes", "8", "--per-
                              "--seeds", "0", "--out", "fig11.jsonl"])
 
 #: Runs in a fresh interpreter: per step its label, exit code, whether
-#: numpy was loaded after it and which engine modules were, as one JSON
-#: line on stdout's last line.
+#: numpy was loaded after it and which of the watched modules (engines
+#: and tree layer) were, as one JSON line on stdout's last line.
 CHILD = """
 import contextlib, io, json, sys
 steps, engines = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -91,7 +100,8 @@ print(json.dumps(report))
 def _run_child(steps, cwd):
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(steps), json.dumps(ENGINE_MODULES)],
+        [sys.executable, "-c", CHILD, json.dumps(steps),
+         json.dumps(ENGINE_MODULES + TREE_MODULES)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -116,14 +126,25 @@ def test_numpy_is_imported_only_by_a_step_that_draws_a_variate(reports):
     assert warm[2], "a Poisson sweep draws numpy variates and must import numpy"
 
 
+def loaded(report, modules):
+    """(label, modules loaded) for each step of ``report`` that loaded any."""
+    return [(label, hit) for label, _, _, mods in report
+            if (hit := [m for m in mods if m in modules])]
+
+
 def test_the_cli_and_the_read_side_load_no_engine(reports):
     sweeps, (*reads, _) = reports
-    assert [(label, engines) for label, _, _, engines in reads if engines] == []
-    assert sweeps[0][3] == [], "import repro.cli loaded an engine"
+    assert loaded(sweeps[:1] + reads, ENGINE_MODULES) == []
     assert "repro.core.fast_closed_loop" in sweeps[1][3], "the fig10 sweep runs its engine"
 
 
-#: Runs in a fresh interpreter: for each grid, the engine modules its
+def test_the_cli_and_the_read_side_build_no_tree(reports):
+    sweeps, (*reads, _) = reports
+    assert loaded(sweeps[:1] + reads, TREE_MODULES) == []
+    assert set(TREE_MODULES) <= set(sweeps[1][3]), "the fig10 sweep builds its tree"
+
+
+#: Runs in a fresh interpreter: for each grid, the engine and tree modules its
 #: cells imported after ``import_engines`` had run, as one JSON line.
 PRELOAD_CHILD = """
 import dataclasses, json, sys
@@ -155,7 +176,7 @@ print(json.dumps(late))
 def test_a_sweep_imports_its_engines_before_its_first_cell(tmp_path):
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, "-c", PRELOAD_CHILD, json.dumps(ENGINE_MODULES)],
+        [sys.executable, "-c", PRELOAD_CHILD, json.dumps(ENGINE_MODULES + TREE_MODULES)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
