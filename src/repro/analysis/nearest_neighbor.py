@@ -48,10 +48,6 @@ class NNResult:
     indices: list[int]
     total_cost: float
     had_ties: bool
-    #: Largest and smallest non-zero edge cost along the path (used by the
-    #: Theorem 3.18 bound: the class count is log2(D_NN / d_NN)).
-    max_edge: float
-    min_nonzero_edge: float
 
 
 def nn_order(C: np.ndarray, start: int = 0, tie_break: str = "min") -> NNResult:
@@ -76,8 +72,6 @@ def nn_order(C: np.ndarray, start: int = 0, tie_break: str = "min") -> NNResult:
     indices = [start]
     total = 0.0
     had_ties = False
-    max_edge = 0.0
-    min_nonzero = np.inf
     cur = start
     big = np.inf
     for _ in range(m - 1):
@@ -93,14 +87,8 @@ def nn_order(C: np.ndarray, start: int = 0, tie_break: str = "min") -> NNResult:
         visited[nxt] = True
         indices.append(nxt)
         total += float(best)
-        if best > max_edge:
-            max_edge = float(best)
-        if 0.0 < best < min_nonzero:
-            min_nonzero = float(best)
         cur = nxt
-    if not np.isfinite(min_nonzero):
-        min_nonzero = 0.0
-    return NNResult(indices, total, had_ties, max_edge, min_nonzero)
+    return NNResult(indices, total, had_ties)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +107,6 @@ class PredictedRun:
     #: Whether any NN step had ties (order then matches *a* valid arrow
     #: execution, not necessarily a specific simulated one).
     had_ties: bool
-    max_ct_edge: float
 
 
 def predict_arrow_run(
@@ -153,7 +140,6 @@ def predict_arrow_run(
         ct_total=nn.total_cost,
         t_last=t_last,
         had_ties=nn.had_ties,
-        max_ct_edge=nn.max_edge,
     )
 
 

@@ -11,9 +11,9 @@ algorithm that knows the order up front, so
 
 This module provides:
 
-* :func:`held_karp_path` / :func:`held_karp_tour_cost` — exact
-  minimum-cost Hamiltonian path / closed tour under any asymmetric cost
-  matrix (one bitmask DP, exponential: use for ≤ ~14 requests);
+* :func:`held_karp_path` — exact minimum-cost Hamiltonian path under any
+  asymmetric cost matrix (a bitmask DP, exponential: use for ≤ ~14
+  requests);
 * :func:`best_heuristic_path` — NN + or-opt improvement, a certified
   *upper* bound on ``cost_Opt`` for larger instances (:func:`or_opt_improve`
   scores every insertion point of an element in one array expression);
@@ -50,7 +50,6 @@ from repro.spanning.tree import SpanningTree
 
 __all__ = [
     "held_karp_path",
-    "held_karp_tour_cost",
     "or_opt_improve",
     "best_heuristic_path",
     "manhattan_mst_weight",
@@ -62,12 +61,15 @@ __all__ = [
 OR_OPT_ROUNDS = 8
 
 
-def _held_karp_table(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Held–Karp table of ``C`` (``m >= 2``): ``(dp, parent)``.
+def held_karp_path(C: np.ndarray) -> tuple[float, list[int]]:
+    """Exact min-cost Hamiltonian path from index 0 under asymmetric ``C``.
 
-    Bitmask dynamic program over the non-root indices; ``O(2^k k^2)`` time
-    and ``O(2^k k)`` memory for ``k = m - 1``.
+    Returns the optimal cost and the realising augmented index path
+    (starting with 0).  A bitmask dynamic program over the non-root
+    indices: ``O(2^k k^2)`` time and ``O(2^k k)`` memory for ``k = m - 1``.
     """
+    if C.shape[0] < 2:
+        return 0.0, [0]
     k = C.shape[0] - 1
     if k > 20:  # hard safety: 2^20 states of k floats is already ~170 MB
         raise AnalysisError(f"held_karp_path: {k} requests is too large")
@@ -92,27 +94,7 @@ def _held_karp_table(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             i = int(np.argmin(vals))
             dp[mask, j] = vals[i]
             parent[mask, j] = i
-    return dp, parent
-
-
-def held_karp_tour_cost(C: np.ndarray) -> float:
-    """Exact min-cost closed tour through every index of asymmetric ``C``."""
-    if C.shape[0] < 2:
-        return 0.0
-    dp, _ = _held_karp_table(C)
-    return float(np.min(dp[-1] + C[1:, 0]))
-
-
-def held_karp_path(C: np.ndarray) -> tuple[float, list[int]]:
-    """Exact min-cost Hamiltonian path from index 0 under asymmetric ``C``.
-
-    Returns the optimal cost and the realising augmented index path
-    (starting with 0).
-    """
-    if C.shape[0] < 2:
-        return 0.0, [0]
-    dp, parent = _held_karp_table(C)
-    full = dp.shape[0] - 1
+    full = size - 1
     end = int(np.argmin(dp[full]))
     best = float(dp[full, end])
     # Reconstruct the optimal path backwards through the parent table.

@@ -91,11 +91,6 @@ class ArrowNode(ProtocolNode):
         if self.node_id == tree.root:
             self.last_rid = ROOT_RID
 
-    @property
-    def is_sink(self) -> bool:
-        """True iff this node currently holds the queue tail pointer."""
-        return self.link == self.node_id
-
     # ------------------------------------------------------------------
     def initiate(self, rid: int) -> None:
         """Issue request ``rid`` from this node (atomic initiation step).

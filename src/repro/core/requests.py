@@ -148,16 +148,6 @@ class RequestSchedule:
             rid = next(i for i, v in enumerate(nodes) if not 0 <= v < num_nodes)
             raise ScheduleError(f"request {rid} at node {nodes[rid]} outside [0, {num_nodes})")
 
-    def shifted(self, rids: Sequence[int], delta: float) -> "RequestSchedule":
-        """New schedule with the given requests' times shifted by ``delta``.
-
-        Used by the Lemma 3.11 transformation.  Shifting must keep all
-        times non-negative.
-        """
-        rid_set = set(rids)
-        times = [t + delta if rid in rid_set else t for rid, t in enumerate(self._times)]
-        return RequestSchedule.from_columns(self._nodes, times)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RequestSchedule(len={len(self)}, span=[0, {self.max_time()}])"
 

@@ -21,7 +21,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import TreeError
-from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,11 +170,6 @@ class SpanningTree:
             raise TreeError("edge list does not form a connected tree")
         return cls(parent, root, weights)
 
-    @classmethod
-    def from_graph(cls, tree_graph: Graph, root: int = 0) -> "SpanningTree":
-        """Build from a :class:`Graph` that is itself a tree."""
-        return cls.from_edges(tree_graph.num_nodes, tree_graph.edges(), root)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -183,10 +177,6 @@ class SpanningTree:
     def num_nodes(self) -> int:
         """Number of nodes."""
         return self._n
-
-    def reroot(self, new_root: int) -> "SpanningTree":
-        """Return the same tree rooted at a different node."""
-        return SpanningTree.from_edges(self._n, self.edges(), new_root)
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Undirected edge list ``(child, parent, weight)``."""
@@ -283,16 +273,6 @@ class SpanningTree:
             right.append(x)
             x = self.parent[x]
         return left + [a] + list(reversed(right))
-
-    def to_graph(self) -> Graph:
-        """The tree as an undirected :class:`Graph`."""
-        links = [v for v in range(self._n) if v != self.root]
-        return Graph.from_columns(
-            self._n,
-            links,
-            [self.parent[v] for v in links],
-            [self.edge_weight[v] for v in links],
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpanningTree(n={self._n}, root={self.root})"

@@ -346,8 +346,23 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
 # Section 4 lower-bound instances (Fig. 9, Theorems 4.1 / 4.2)
 # ----------------------------------------------------------------------
 def _check_lowerbound(params: Mapping[str, Any]) -> None:
+    """The instance builders' own rules, checked at spec build (without
+    importing :mod:`repro.lowerbound`), so a bad instance is a usage
+    error before any output exists rather than a failed cell.  The path
+    length — ``D``, or ``D / s`` for ``stretch`` — is a power of two, at
+    least 4 for ``layered`` and 2 otherwise; the recursion's ``k`` is
+    even (``literal``, ``stretch``)."""
     if "D" not in params or params["D"] % params.get("s", 1):
         raise SweepError(f"lowerbound: D, a multiple of s, is required; got {params}")
+    variant, k, D = params.get("variant", "layered"), params.get("k"), params["D"]
+    name, size = ("D/s", D // params.get("s", 1)) if variant == "stretch" else ("D", D)
+    least = 4 if variant == "layered" else 2
+    if size < least or size & (size - 1):
+        raise SweepError(
+            f"lowerbound {variant}: {name} must be a power of two >= {least}, got {size}"
+        )
+    if variant != "layered" and k is not None and k % 2:
+        raise SweepError(f"lowerbound {variant}: k must be even, got {k}")
 
 
 def _build_lowerbound(cell: SweepCell, derived: int) -> Mapping[str, Any]:

@@ -129,10 +129,12 @@ TREE_BUILDERS = {
 #: their kinds.  These all share one cell family behaviour (the open-loop
 #: arrow runner, :mod:`repro.sweep.families`); :func:`build_schedule`
 #: instantiates the actual :class:`~repro.core.requests.RequestSchedule`.
-#: Absolute ``count`` / ``rate`` win over the relative ``per_node`` /
-#: ``rate_per_node``.
-_SIZE = {"count": count, "per_node": count}
-_RATE = {"rate": positive_real, "rate_per_node": positive_real}
+#: Sizes are per node — ``per_node`` requests (default 4) and
+#: ``rate_per_node`` arrivals per time unit (default 0.5) for each node —
+#: so one spec scales across the graph axis, and its label names what
+#: every cell runs.
+_SIZE = {"per_node": count}
+_RATE = {"rate_per_node": positive_real}
 OPEN_LOOP_SCHEDULES = {
     "one_shot": {},
     "sequential": {"gap": positive_real},
@@ -194,10 +196,11 @@ class GraphSpec:
 class ScheduleSpec:
     """One point on the schedule-family axis: family name + parameters.
 
-    The ``poisson``, ``hotspot`` and ``random`` families accept relative
-    sizes — ``per_node`` (requests per node) and ``rate_per_node`` — so
-    one spec scales across the graph axis; absolute ``count``/``rate``
-    are honoured when given.
+    The open-loop families that draw a number of requests (``poisson``,
+    ``bursty``, ``hotspot``, ``random``) are sized per node only —
+    ``per_node`` requests and ``rate_per_node`` arrivals — so one spec
+    scales across the graph axis and its label names what every cell
+    runs (:data:`OPEN_LOOP_SCHEDULES`).
     """
 
     family: str
@@ -210,7 +213,7 @@ class ScheduleSpec:
         The family name, the parameter names and each value's kind are
         checked against the cell family of that name
         (:data:`repro.sweep.families.FAMILIES`), so unknown names, typo'd
-        keys and bad values (``count=0``, ``count=7.9``...) all fail at
+        keys and bad values (``per_node=0``, ``count=7.9``...) all fail at
         spec-build time instead of inside a worker mid-sweep.
         """
         get_family(family).validate_params(params)
@@ -284,6 +287,10 @@ class SweepSpec:
                 raise SweepError(
                     f"unknown tree strategy {t!r}; know {sorted(TREE_BUILDERS)}"
                 )
+        # A schedule built without ScheduleSpec.of is checked here, so no
+        # cell id names a parameter its run ignores.
+        for s in self.schedules:
+            get_family(s.family).validate_params(s.kwargs())
         if not self.faults:
             raise SweepError(
                 "faults axis must not be empty; use ('',) for a "
@@ -454,9 +461,9 @@ def build_tree(strategy: str, graph: Graph, seed: int, root: int = 0) -> Spannin
 def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
     """Instantiate the request schedule of one cell.
 
-    Relative parameters (``per_node``, ``rate_per_node``) are resolved
-    against ``num_nodes`` here, which is what lets one
-    :class:`ScheduleSpec` scale across the whole graph axis.
+    The per-node sizes (``per_node``, default 4, and ``rate_per_node``,
+    default 0.5) are multiplied by ``num_nodes`` here, which is what lets
+    one :class:`ScheduleSpec` scale across the whole graph axis.
     """
     if spec.family not in OPEN_LOOP_SCHEDULES:
         raise SweepError(
@@ -465,30 +472,8 @@ def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
             "runs these cells through its cell family, not build_schedule)"
         )
     p = spec.kwargs()
-    # Explicit absolute sizes win over the per-node defaults, but a
-    # non-positive explicit value is an error — silently rerouting
-    # ``count=0`` to the per-node default would run a different workload
-    # than the one the cell id claims.
-    if "count" in p:
-        count = int(p.pop("count"))
-        if count <= 0:
-            raise SweepError(
-                f"{spec.family!r}: count must be positive, got {count} "
-                "(omit count to size the schedule per node)"
-            )
-    else:
-        count = int(p.pop("per_node", 4)) * num_nodes
-    p.pop("per_node", None)
-    if "rate" in p:
-        rate = float(p.pop("rate"))
-        if rate <= 0:
-            raise SweepError(
-                f"{spec.family!r}: rate must be positive, got {rate} "
-                "(omit rate to scale it per node)"
-            )
-    else:
-        rate = float(p.pop("rate_per_node", 0.5)) * num_nodes
-    p.pop("rate_per_node", None)
+    count = int(p.get("per_node", 4)) * num_nodes
+    rate = float(p.get("rate_per_node", 0.5)) * num_nodes
     if spec.family == "one_shot":
         return _schedules.one_shot(list(range(num_nodes)))
     if spec.family == "sequential":
@@ -618,32 +603,29 @@ def directory_grid(
     sizes: tuple[int, ...] = (2, 4, 8, 12, 16),
     *,
     acquisitions_per_proc: int = 50,
-    cs_time: float = 0.5,
     seeds: tuple[int, ...] = (0,),
-    engine: str = "fast",
-    service_time: float = 0.1,
 ) -> SweepSpec:
     """§5.1 directory comparison as a sweep: arrow vs home-based per size.
 
     Each cell drives one directory design (``directory_arrow`` /
     ``directory_home``) under the closed acquire→use→release loop on the
     Herlihy-Warres testbed model (complete graph, balanced binary overlay
-    for the arrow design, home at node 0).  Rows record makespan,
-    messages per acquisition and the mutual-exclusion invariant
-    (``exclusion_ok``) — both designs run at full message level, so the
-    ``engine`` axis only affects any open-loop cells mixed into the grid.
+    for the arrow design, home at node 0, service time 0.1, critical
+    section 0.5).  Rows record makespan, messages per acquisition and the
+    mutual-exclusion invariant (``exclusion_ok``).  Both designs run at
+    full message level, so the grid has no engine choice: its spec
+    records the default ``"fast"``.
     """
     return SweepSpec(
         name="directory",
         graphs=tuple(GraphSpec.of("complete", n=n) for n in sizes),
         trees=("binary",),
         schedules=tuple(
-            ScheduleSpec.of(family, acquisitions_per_proc=acquisitions_per_proc, cs_time=cs_time)
+            ScheduleSpec.of(family, acquisitions_per_proc=acquisitions_per_proc, cs_time=0.5)
             for family in ("directory_arrow", "directory_home")
         ),
         seeds=tuple(seeds),
-        engine=engine,
-        service_time=service_time,
+        service_time=0.1,
     )
 
 

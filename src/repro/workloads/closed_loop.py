@@ -100,10 +100,6 @@ class ClosedLoopResult:
         """Fraction of requests finding their predecessor locally."""
         return self.local_finds / self.completions if self.completions else 0.0
 
-    def rids_of(self, proc: int) -> list[int]:
-        """Request ids issued by ``proc``, in issue order."""
-        return [rid for rid, p in enumerate(self.owners) if p == proc]
-
 
 def _check_loop_args(
     requests_per_proc: int, service_time: float, think_time: float

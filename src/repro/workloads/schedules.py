@@ -10,7 +10,8 @@ produce the families used by the experiments and tests:
 * **Poisson** — memoryless arrivals at a configurable aggregate rate: the
   generic "dynamic" workload;
 * **bursty** — alternating high-activity windows and idle gaps, the shape
-  that motivates the Lemma 3.11 idle-time compression;
+  Lemma 3.11's idle-time compression removes (an oracle beside the tests,
+  ``tests/transform.py``: no table runs it);
 * **hotspot** — node choice biased toward a region of the tree, modelling
   contention for a popular object.
 

@@ -1,19 +1,20 @@
-"""Unit tests for the Theorem 3.18 machinery."""
+"""Unit tests for the Theorem 3.18 oracle (``tests/nn_tsp.py``)."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.analysis.nn_tsp import (
+from repro.errors import AnalysisError
+from repro.sim.rng import spawn_rng
+from nn_tsp import (
     check_theorem_318,
+    held_karp_tour_cost,
     nn_tour,
     optimal_tour_cost,
     tour_cost,
     validate_dominated_pair,
 )
-from repro.errors import AnalysisError
-from repro.sim.rng import spawn_rng
 
 
 def metric_from(rng, m):
@@ -51,6 +52,27 @@ def brute_force_tour(C):
     perms = np.array(list(itertools.permutations(range(1, m))), dtype=np.intp)
     seq = np.hstack([np.zeros((len(perms), 1), dtype=np.intp), perms])
     return float(C[seq, np.roll(seq, -1, axis=1)].sum(axis=1).min())
+
+
+def test_nn_tour_min_nonzero_edge_skips_zero_edges():
+    C = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    cost, indices, max_edge, min_nonzero = nn_tour(C)
+    assert indices == [0, 1, 2]
+    assert (cost, max_edge, min_nonzero) == (5.0, 3.0, 2.0)
+    assert nn_tour(np.zeros((3, 3)))[3] == 0.0
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_held_karp_tour_matches_brute_force(m):
+    for seed in range(3):
+        C = spawn_rng(seed, f"hk-tour-{m}").random((m, m)) * 10
+        np.fill_diagonal(C, 0.0)
+        assert held_karp_tour_cost(C) == pytest.approx(brute_force_tour(C))
+
+
+def test_held_karp_tour_trivial_sizes():
+    assert held_karp_tour_cost(np.zeros((0, 0))) == 0.0
+    assert held_karp_tour_cost(np.zeros((1, 1))) == 0.0
 
 
 def test_optimal_tour_exact_small():

@@ -14,7 +14,6 @@ from repro.analysis.costs import (
 from repro.analysis.optimal import (
     best_heuristic_path,
     held_karp_path,
-    held_karp_tour_cost,
     manhattan_mst_weight,
     opt_bounds,
     or_opt_improve,
@@ -62,27 +61,6 @@ def test_held_karp_asymmetric_costs():
     cost, path = held_karp_path(C)
     assert path == [0, 1, 2]
     assert cost == 2.0
-
-
-def brute_force_tour(C):
-    m = C.shape[0]
-    return min(
-        sum(C[a, b] for a, b in zip(seq, seq[1:]))
-        for seq in ([0, *perm, 0] for perm in itertools.permutations(range(1, m)))
-    )
-
-
-@pytest.mark.parametrize("m", range(2, 8))
-def test_held_karp_tour_matches_brute_force(m):
-    for seed in range(3):
-        C = spawn_rng(seed, f"hk-tour-{m}").random((m, m)) * 10
-        np.fill_diagonal(C, 0.0)
-        assert held_karp_tour_cost(C) == pytest.approx(brute_force_tour(C))
-
-
-def test_held_karp_tour_trivial_sizes():
-    assert held_karp_tour_cost(np.zeros((0, 0))) == 0.0
-    assert held_karp_tour_cost(np.zeros((1, 1))) == 0.0
 
 
 def test_held_karp_trivial_sizes():

@@ -1,15 +1,17 @@
-"""Unit tests for the Lemma 3.11/3.12 idle-time compression."""
+"""Unit tests for the Lemma 3.11/3.12 idle-time compression oracle
+(``tests/transform.py``)."""
 
 import pytest
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
-from repro.analysis.transform import compress_idle_time, max_gap_slack
 from repro.analysis.verify import max_ct_edge_on_order
 from repro.core.requests import RequestSchedule
+from repro.errors import ScheduleError
 from repro.graphs.generators import path_graph
 from repro.spanning import tree_diameter
 from repro.spanning.tree import SpanningTree
+from transform import compress_idle_time, max_gap_slack, shifted
 
 
 def chain_tree(n):
@@ -92,3 +94,24 @@ def test_empty_schedule_compression():
     rep = compress_idle_time(tree, RequestSchedule([]))
     assert rep.shifts_applied == 0
     assert max_gap_slack(tree, rep.schedule) == 0.0
+
+
+def test_shifted_moves_selected_requests():
+    s = RequestSchedule([(0, 0.0), (1, 5.0), (2, 9.0)])
+    s2 = shifted(s, [1, 2], -3.0)
+    assert s2.times == [0.0, 2.0, 6.0]
+    # Unshifted schedule is untouched (immutability).
+    assert s.times == [0.0, 5.0, 9.0]
+
+
+def test_shifted_reindexes_canonically():
+    s = RequestSchedule([(0, 0.0), (1, 5.0)])
+    s2 = shifted(s, [1], -5.0)  # both now at t=0
+    assert [r.time for r in s2] == [0.0, 0.0]
+    assert sorted(r.rid for r in s2) == [0, 1]
+
+
+def test_shift_below_zero_still_rejected():
+    s = RequestSchedule([(0, 0.0), (1, 5.0)])
+    with pytest.raises(ScheduleError):
+        shifted(s, [1], -6.0)

@@ -17,12 +17,13 @@ from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 from repro.workloads.closed_loop import closed_loop_arrow
+from small_models import rerooted
 
 
 def chain_tree(n, root=0):
     if root == 0:
         return SpanningTree([max(0, i - 1) for i in range(n)], root=0)
-    return SpanningTree([max(0, i - 1) for i in range(n)], root=0).reroot(root)
+    return rerooted(SpanningTree([max(0, i - 1) for i in range(n)], root=0), root)
 
 
 def setup_line(n, root):
@@ -49,7 +50,6 @@ def test_initial_pointers_lead_to_root():
     assert nodes[2].last_rid == ROOT_RID
     assert nodes[0].link == 1 and nodes[1].link == 2
     assert nodes[4].link == 3 and nodes[3].link == 2
-    assert nodes[0].is_sink is False and nodes[2].is_sink is True
 
 
 def test_single_request_reverses_path_and_moves_sink():

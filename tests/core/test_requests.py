@@ -53,21 +53,6 @@ def test_validate_nodes():
         s.validate_nodes(3)
 
 
-def test_shifted_moves_selected_requests():
-    s = RequestSchedule([(0, 0.0), (1, 5.0), (2, 9.0)])
-    s2 = s.shifted([1, 2], -3.0)
-    assert s2.times == [0.0, 2.0, 6.0]
-    # Unshifted schedule is untouched (immutability).
-    assert s.times == [0.0, 5.0, 9.0]
-
-
-def test_shifted_reindexes_canonically():
-    s = RequestSchedule([(0, 0.0), (1, 5.0)])
-    s2 = s.shifted([1], -5.0)  # both now at t=0
-    assert [r.time for r in s2] == [0.0, 0.0]
-    assert sorted(r.rid for r in s2) == [0, 1]
-
-
 def test_reserved_ids_distinct():
     assert ROOT_RID != NO_RID
     assert ROOT_RID < 0 and NO_RID < 0
@@ -193,12 +178,6 @@ def test_non_finite_and_negative_times_rejected(bad):
         assert "pair 2" in str(err.value) and str(bad) in str(err.value)
     with pytest.raises(ScheduleError):
         Request(0, bad, 0)
-
-
-def test_shift_below_zero_still_rejected():
-    s = RequestSchedule([(0, 0.0), (1, 5.0)])
-    with pytest.raises(ScheduleError):
-        s.shifted([1], -6.0)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,11 @@ from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
+from small_models import tree_graph
 
 
 def make_nodes(tree, graph=None):
-    g = graph if graph is not None else tree.to_graph()
+    g = graph if graph is not None else tree_graph(tree)
     net = Network(g, Simulator())
     nodes = [ArrowNode(lambda *a: None) for _ in range(tree.num_nodes)]
     net.register_all(nodes)

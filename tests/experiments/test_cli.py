@@ -435,6 +435,13 @@ def test_sweep_command_rejects_fig11_flags_on_other_grids(tmp_path):
         (["fig10", "--requests", "5"], "--requests does not apply to fig10_grid"),
         (["sweep", "--grid", "directory", "--sizes", "2", "--acquisitions-per-proc", "2",
           "--monitors"], "cell families ['directory_arrow', 'directory_home'] attach none"),
+        (["sweep", "--grid", "directory", "--engine", "message"],
+         "--engine does not apply to directory_grid"),
+        (["sweep", "--grid", "thm41", "--diameters", "3"],
+         "lowerbound literal: D must be a power of two >= 2, got 3"),
+        (["fig9", "-D", "63"], "lowerbound layered: D must be a power of two >= 4, got 63"),
+        (["thm41", "--diameters", "3"], "lowerbound literal: D must be a power of two >= 2"),
+        (["fig9", "-k", "3", "--variant", "literal"], "lowerbound literal: k must be even, got 3"),
     ],
 )
 def test_a_bad_grid_flag_is_a_usage_error(tmp_path, capsys, argv, message):

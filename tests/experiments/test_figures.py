@@ -7,9 +7,14 @@ at the paper's sizes and at a reduced scale; a regression in any
 figure's *shape* is caught by ``pytest tests/``.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.errors import SweepError
+import repro
+from repro.errors import ScheduleError, SweepError
 from repro.experiments import render_instance
 from repro.lowerbound import layered_instance
 from repro.results import figure_from_rows
@@ -126,6 +131,80 @@ def test_lowerbound_cells_are_named_by_their_instance():
     for bad in ({}, {"D": 64, "s": 3}):
         with pytest.raises(SweepError, match="D, a multiple of s"):
             ScheduleSpec.of("lowerbound", **bad)
+
+
+#: Section 4 instances the constructions reject, with the spec's message
+#: after ``lowerbound <variant>: ``.
+BAD_LOWERBOUNDS = [
+    ({"D": 63}, "D must be a power of two >= 4, got 63"),
+    ({"D": 2}, "D must be a power of two >= 4, got 2"),
+    ({"D": 3, "variant": "literal"}, "D must be a power of two >= 2, got 3"),
+    ({"D": 64, "k": 3, "variant": "literal"}, "k must be even, got 3"),
+    ({"D": 64, "k": 1, "variant": "literal"}, "k must be even, got 1"),
+    ({"D": 96, "s": 2, "variant": "stretch"}, "D/s must be a power of two >= 2, got 48"),
+    ({"D": 3, "s": 3, "variant": "stretch"}, "D/s must be a power of two >= 2, got 1"),
+    ({"D": 32, "s": 2, "k": 5, "variant": "stretch"}, "k must be even, got 5"),
+]
+#: Edge instances the constructions build: the spec must accept them.
+GOOD_LOWERBOUNDS = [
+    {"D": 4},
+    {"D": 64, "k": 1},
+    {"D": 2, "variant": "literal"},
+    {"D": 64, "k": 2, "variant": "literal"},
+    {"D": 6, "s": 3, "variant": "stretch"},
+    {"D": 2, "variant": "stretch"},
+]
+
+
+def _lowerbound_cell(params):
+    """A lowerbound cell of ``params``, built without the spec's check."""
+    from repro.sweep import ScheduleSpec
+    from repro.sweep.spec import LOWERBOUND_AXES, SweepCell
+
+    graph, tree = LOWERBOUND_AXES
+    schedule = ScheduleSpec("lowerbound", tuple(sorted(params.items())))
+    return SweepCell(0, "x", graph, tree, schedule, 0, "fast", 0.0)
+
+
+@pytest.mark.parametrize("params, message", BAD_LOWERBOUNDS)
+def test_a_lowerbound_instance_the_builders_reject_fails_at_spec_build(params, message):
+    """``thm41 --diameters 3`` used to create its output file and then fail
+    in the worker; ``fig9 -D 63`` ended in a ScheduleError traceback."""
+    from repro.sweep import ScheduleSpec
+    from repro.sweep.registry import get_family
+
+    variant = params.get("variant", "layered")
+    with pytest.raises(SweepError, match=f"^lowerbound {variant}: {message}$"):
+        ScheduleSpec.of("lowerbound", **params)
+    # The builders keep their own check for library callers.
+    with pytest.raises(ScheduleError):
+        get_family("lowerbound").build(_lowerbound_cell(params), 0)
+
+
+@pytest.mark.parametrize("params", GOOD_LOWERBOUNDS)
+def test_a_lowerbound_instance_the_builders_accept_passes_spec_build(params):
+    from repro.sweep import ScheduleSpec
+    from repro.sweep.registry import get_family
+
+    assert ScheduleSpec.of("lowerbound", **params).kwargs() == params
+    assert get_family("lowerbound").build(_lowerbound_cell(params), 0)["D"] == params["D"]
+
+
+def test_lowerbound_spec_build_imports_no_construction():
+    """The check reads the parameters only: declaring the Section 4 grids
+    leaves the construction (and the tree layer under it) unimported."""
+    code = (
+        "import sys\n"
+        "from repro.sweep.spec import fig9_grid, thm41_grid, thm42_grid\n"
+        "fig9_grid(), thm41_grid(), thm42_grid()\n"
+        "print(sorted(m for m in ('repro.lowerbound', 'repro.spanning.tree') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fig9_paper_instance():

@@ -21,6 +21,7 @@ from repro.sim.kernel import Simulator
 from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import random_times
+from small_models import rerooted
 
 
 def test_queue_message_routes_follow_tree_paths():
@@ -63,7 +64,7 @@ def test_paper_figures_1_to_5_walkthrough():
     """
     # Node ids: z=0, v=1, y=2, x=3, u=4, w=5 along a path.
     g = path_graph(6)
-    tree = SpanningTree([0, 0, 1, 2, 3, 4], root=0).reroot(3)
+    tree = rerooted(SpanningTree([0, 0, 1, 2, 3, 4], root=0), 3)
     sim = Simulator()
     net = Network(g, sim)
     done = []
@@ -91,7 +92,7 @@ def test_paper_figures_1_to_5_walkthrough():
     # Final state: the loser's origin is the unique sink (new tail).
     loser_origin = 1 if loser == 0 else 5
     assert nodes[loser_origin].link == loser_origin
-    assert sum(1 for nd in nodes if nd.is_sink) == 1
+    assert sum(1 for nd in nodes if nd.link == nd.node_id) == 1
     # Every pointer chain now leads to the new tail (Fig. 5's invariant).
     from repro.core.stabilize import sink_reached_from
 

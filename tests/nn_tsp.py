@@ -1,4 +1,4 @@
-"""Theorem 3.18: the generalised nearest-neighbour TSP bound.
+"""Theorem 3.18 oracle: the generalised nearest-neighbour TSP bound.
 
 Rosenkrantz et al. bound the NN heuristic by ``O(log N)`` times the optimal
 tour when the cost is a metric.  The paper needs more: arrow's NN path uses
@@ -13,7 +13,9 @@ metric ``c_M``.  Theorem 3.18 handles exactly this setting:
 
 This module builds NN tours, exact/heuristic optimal tours, and checks the
 bound — both on synthetic ``(d_n, d_o)`` pairs and on the actual
-``(c_T, c_M)`` pairs produced by arrow executions.
+``(c_T, c_M)`` pairs produced by arrow executions
+(``tests/analysis/test_nn_tsp.py``).  No table reads the bound yet, so it
+lives with the tests.
 """
 
 from __future__ import annotations
@@ -24,17 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.nearest_neighbor import nn_order
-from repro.analysis.optimal import best_heuristic_path, held_karp_tour_cost
+from repro.analysis.optimal import best_heuristic_path, held_karp_path
 from repro.errors import AnalysisError
-
-__all__ = [
-    "tour_cost",
-    "nn_tour",
-    "optimal_tour_cost",
-    "Theorem318Report",
-    "check_theorem_318",
-    "validate_dominated_pair",
-]
 
 #: Slack for float noise in :func:`validate_dominated_pair`'s hypothesis checks.
 TOL = 1e-9
@@ -57,12 +50,25 @@ def nn_tour(C: np.ndarray, start: int = 0) -> tuple[float, list[int], float, flo
     """
     nn = nn_order(C, start=start)
     closing = float(C[nn.indices[-1], start])
-    cost = nn.total_cost + closing
-    max_edge = max(nn.max_edge, closing)
-    min_nonzero = nn.min_nonzero_edge
-    if 0.0 < closing < (min_nonzero or math.inf):
-        min_nonzero = closing
-    return cost, nn.indices, max_edge, min_nonzero
+    edges = [float(C[a, b]) for a, b in zip(nn.indices, nn.indices[1:])] + [closing]
+    min_nonzero = min((e for e in edges if e > 0.0), default=0.0)
+    return nn.total_cost + closing, nn.indices, max(edges), min_nonzero
+
+
+def held_karp_tour_cost(C: np.ndarray) -> float:
+    """Exact min-cost closed tour through every index of asymmetric ``C``.
+
+    ``held_karp_path`` over ``C`` with index ``m`` appended as a copy of
+    index 0 that only arrives: no arc leaves it, so every finite path ends
+    there and its cost is a tour's.
+    """
+    m = C.shape[0]
+    if m < 2:
+        return 0.0
+    closed = np.full((m + 1, m + 1), np.inf)
+    closed[:m, :m] = C
+    closed[:m, m] = C[:, 0]
+    return held_karp_path(closed)[0]
 
 
 def optimal_tour_cost(C: np.ndarray, exact_limit: int = 12) -> float:

@@ -7,6 +7,7 @@ from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.net.latency import UniformLatency
 from repro.spanning.tree import SpanningTree
+from small_models import tree_graph
 
 
 @st.composite
@@ -33,7 +34,7 @@ def async_instance(draw, max_nodes=10, max_requests=8):
 @settings(max_examples=60, deadline=None)
 def test_async_always_forms_total_order(inst):
     tree, sched, model, seed = inst
-    res = run_arrow(tree.to_graph(), tree, sched, latency=model, seed=seed)
+    res = run_arrow(tree_graph(tree), tree, sched, latency=model, seed=seed)
     assert len(verify_total_order(res)) == len(sched)
 
 
@@ -42,7 +43,7 @@ def test_async_always_forms_total_order(inst):
 def test_async_direct_path_and_latency_bound(inst):
     """Messages travel the direct tree path; delays are <= 1 per hop."""
     tree, sched, model, seed = inst
-    res = run_arrow(tree.to_graph(), tree, sched, latency=model, seed=seed)
+    res = run_arrow(tree_graph(tree), tree, sched, latency=model, seed=seed)
     for r in sched:
         rec = res.completions[r.rid]
         assert rec.hops == tree.hop_distance(r.node, rec.informed_node)
@@ -62,5 +63,5 @@ def test_async_lemma_3_9_still_holds(inst):
     from repro.analysis.verify import check_lemma_3_9
 
     tree, sched, model, seed = inst
-    res = run_arrow(tree.to_graph(), tree, sched, latency=model, seed=seed)
+    res = run_arrow(tree_graph(tree), tree, sched, latency=model, seed=seed)
     assert check_lemma_3_9(tree, sched, res.order)

@@ -72,7 +72,7 @@ def assert_closed_loop_invariants(res, n, rpp, think):
     assert all(lat >= 0.0 for lat in res.latencies)
     # Each processor issues exactly its budget.
     for p in range(n):
-        rids = res.rids_of(p)
+        rids = [rid for rid, owner in enumerate(res.owners) if owner == p]
         assert len(rids) == rpp
         # First request at t = 0; request k+1 exactly think_time after the
         # acknowledgement of request k was handled at p.
@@ -175,6 +175,6 @@ def test_ack_spacing_is_exact_not_approximate(engine):
         "arrow", engine, g, requests_per_proc=3, think_time=think
     )
     for p in range(5):
-        rids = res.rids_of(p)
+        rids = [rid for rid, owner in enumerate(res.owners) if owner == p]
         for prev, nxt in zip(rids, rids[1:]):
             assert res.issue_times[nxt] == res.ack_times[prev] + think

@@ -20,6 +20,7 @@ from repro.fault_plan import FaultPlan
 from repro.faults import run_arrow_faulted
 from repro.monitors import ArrowMonitor
 from repro.spanning.tree import SpanningTree
+from small_models import tree_graph
 
 ENGINES = ("fast", "message")
 
@@ -85,7 +86,7 @@ def fuzz_case(draw):
 @settings(max_examples=70, derandomize=True, deadline=None)
 def test_monitors_hold_and_engines_agree(case):
     tree, schedule, plan, service_time, seed = case
-    graph = tree.to_graph()
+    graph = tree_graph(tree)
     outcomes = []
     for engine in ENGINES:
         monitor = ArrowMonitor(tree, deep=True)
@@ -110,7 +111,7 @@ def test_monitors_hold_and_engines_agree(case):
 def test_monitored_run_equals_unmonitored(case):
     """Monitors are observers: attaching one never perturbs the run."""
     tree, schedule, plan, service_time, seed = case
-    graph = tree.to_graph()
+    graph = tree_graph(tree)
     bare, bare_report = run_arrow_faulted(
         graph, tree, schedule, plan, seed=seed, service_time=service_time
     )

@@ -20,6 +20,7 @@ from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.spanning.tree import SpanningTree
+from small_models import tree_graph
 
 
 @st.composite
@@ -48,7 +49,7 @@ def tree_and_schedule(draw, max_nodes=12, max_requests=10):
 @settings(max_examples=60, deadline=None)
 def test_lemma_3_8_nn_property(ts):
     tree, sched = ts
-    res = run_arrow(tree.to_graph(), tree, sched)
+    res = run_arrow(tree_graph(tree), tree, sched)
     order = verify_total_order(res)
     assert check_lemma_3_8(tree, sched, order)
 
@@ -57,7 +58,7 @@ def test_lemma_3_8_nn_property(ts):
 @settings(max_examples=60, deadline=None)
 def test_lemma_3_9_time_separation(ts):
     tree, sched = ts
-    res = run_arrow(tree.to_graph(), tree, sched)
+    res = run_arrow(tree_graph(tree), tree, sched)
     assert check_lemma_3_9(tree, sched, res.order)
 
 
@@ -72,7 +73,7 @@ def test_fact_3_6_ct_nonnegative(ts):
 @settings(max_examples=60, deadline=None)
 def test_lemma_3_10_identity(ts):
     tree, sched = ts
-    res = run_arrow(tree.to_graph(), tree, sched)
+    res = run_arrow(tree_graph(tree), tree, sched)
     assert lemma_3_10_identity_gap(tree, sched, res.order) < 1e-6
 
 
@@ -80,7 +81,7 @@ def test_lemma_3_10_identity(ts):
 @settings(max_examples=60, deadline=None)
 def test_direct_path_theorem(ts):
     tree, sched = ts
-    res = run_arrow(tree.to_graph(), tree, sched)
+    res = run_arrow(tree_graph(tree), tree, sched)
     assert check_direct_path_property(tree, res)
 
 
@@ -89,7 +90,7 @@ def test_direct_path_theorem(ts):
 def test_executor_cost_matches_simulation_or_ties(ts):
     """Tie-free: exact match.  Ties: simulated cost is NN-valid anyway."""
     tree, sched = ts
-    res = run_arrow(tree.to_graph(), tree, sched)
+    res = run_arrow(tree_graph(tree), tree, sched)
     pred = predict_arrow_run(tree, sched)
     if not pred.had_ties:
         assert res.order == pred.order

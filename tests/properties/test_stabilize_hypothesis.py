@@ -12,6 +12,7 @@ from repro.core.stabilize import (
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
+from small_models import tree_graph
 
 
 @st.composite
@@ -21,7 +22,7 @@ def corrupted_configuration(draw, max_nodes=12):
     for i in range(1, n):
         parent[i] = draw(st.integers(min_value=0, max_value=i - 1))
     tree = SpanningTree(parent, root=0)
-    net = Network(tree.to_graph(), Simulator())
+    net = Network(tree_graph(tree), Simulator())
     nodes = [ArrowNode(lambda *a: None) for _ in range(n)]
     net.register_all(nodes)
     # Arbitrary corruption: each pointer targets any tree neighbour or self.

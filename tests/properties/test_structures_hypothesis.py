@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs.shortest_paths import bfs_distances
 from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
+from small_models import rerooted, tree_graph
 
 
 @st.composite
@@ -21,7 +22,7 @@ def parent_array(draw, max_nodes=14):
 @settings(max_examples=80, deadline=None)
 def test_lca_distance_matches_bfs(parent):
     tree = SpanningTree(parent, root=0)
-    g = tree.to_graph()
+    g = tree_graph(tree)
     n = len(parent)
     for src in range(0, n, max(1, n // 3)):
         oracle = bfs_distances(g, src)
@@ -67,7 +68,7 @@ def test_simulator_fires_in_time_then_scheduling_order(times):
 def test_reroot_preserves_tree_metric(parent):
     tree = SpanningTree(parent, root=0)
     n = len(parent)
-    other = tree.reroot(n - 1)
+    other = rerooted(tree, n - 1)
     for u in range(n):
         for v in range(n):
             assert tree.hop_distance(u, v) == other.hop_distance(u, v)

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
-from repro.analysis.transform import compress_idle_time, max_gap_slack
 from repro.core.requests import RequestSchedule
 from repro.spanning.tree import SpanningTree
+from transform import compress_idle_time, max_gap_slack
+from small_models import tree_graph
 
 
 @st.composite
@@ -58,7 +59,7 @@ def test_arrow_cost_invariant(inst):
 @settings(max_examples=30, deadline=None)
 def test_exact_opt_not_increased(inst):
     tree, sched = inst
-    g = tree.to_graph()
+    g = tree_graph(tree)
     before = opt_bounds(g, tree, sched, 1.0, exact_limit=10)
     rep = compress_idle_time(tree, sched)
     after = opt_bounds(g, tree, rep.schedule, 1.0, exact_limit=10)

@@ -109,6 +109,7 @@ from repro.core.requests import RequestSchedule
 from repro.errors import SimulationError
 from repro.faults import run_arrow_faulted
 from repro.graphs import complete_graph
+from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_distances
 from repro.monitors import ArrowMonitor
 from repro.net.latency import (
@@ -123,6 +124,18 @@ from repro.spanning.tree import SpanningTree
 # ----------------------------------------------------------------------
 # trees and schedules
 # ----------------------------------------------------------------------
+
+
+def tree_graph(tree: SpanningTree) -> Graph:
+    """``tree`` as an undirected graph (graph = tree), its weights kept."""
+    links = [v for v in range(tree.num_nodes) if v != tree.root]
+    weights = [tree.edge_weight[v] for v in links]
+    return Graph.from_columns(tree.num_nodes, links, [tree.parent[v] for v in links], weights)
+
+
+def rerooted(tree: SpanningTree, root: int) -> SpanningTree:
+    """The same tree rooted at ``root``."""
+    return SpanningTree.from_edges(tree.num_nodes, tree.edges(), root)
 
 
 def prufer_edges(seq, n):
@@ -235,7 +248,7 @@ def _topology(edges, weights, root, complete):
     if weights:
         edges = [(u, v, w) for (u, v), w in zip(edges, weights)]
     tree = SpanningTree.from_edges(n, edges, root)
-    return (complete_graph(n) if complete else tree.to_graph()), tree
+    return (complete_graph(n) if complete else tree_graph(tree)), tree
 
 
 def _watched(run, engine, tree, expected):

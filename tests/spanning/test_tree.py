@@ -7,6 +7,7 @@ from repro.graphs import random_geometric_graph
 from repro.graphs.shortest_paths import bfs_distances
 from repro.spanning import mst_prim
 from repro.spanning.tree import SpanningTree
+from small_models import rerooted, tree_graph
 
 
 def chain_tree(n, root=0):
@@ -48,7 +49,7 @@ def test_lca_and_distance_on_binary_tree():
 def test_distance_matches_bfs_oracle_on_random_tree():
     g = random_geometric_graph(40, 0.3, seed=7)
     t = mst_prim(g, 0)
-    tg = t.to_graph()
+    tg = tree_graph(t)
     for src in (0, 7, 23):
         oracle = bfs_distances(tg, src)
         for v in range(40):
@@ -94,7 +95,7 @@ def test_from_edges_disconnected():
 
 def test_reroot_preserves_distances():
     t = chain_tree(6)
-    r = t.reroot(3)
+    r = rerooted(t, 3)
     assert r.root == 3
     for u in range(6):
         for v in range(6):
@@ -103,9 +104,9 @@ def test_reroot_preserves_distances():
 
 def test_to_graph_roundtrip():
     t = chain_tree(5)
-    g = t.to_graph()
+    g = tree_graph(t)
     assert g.num_edges == 4
-    t2 = SpanningTree.from_graph(g, root=0)
+    t2 = SpanningTree.from_edges(g.num_nodes, g.edges(), root=0)
     assert t2.parent == t.parent
 
 

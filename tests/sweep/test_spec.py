@@ -96,9 +96,6 @@ def test_relative_schedule_params_scale_with_n():
     spec = ScheduleSpec.of("poisson", per_node=5, rate_per_node=1.0)
     assert len(build_schedule(spec, 8, 0)) == 40
     assert len(build_schedule(spec, 16, 0)) == 80
-    absolute = ScheduleSpec.of("poisson", count=30, rate=2.0)
-    assert len(build_schedule(absolute, 8, 0)) == 30
-    assert len(build_schedule(absolute, 16, 0)) == 30
 
 
 def test_unknown_axis_values_rejected():
@@ -128,26 +125,25 @@ def test_unknown_axis_values_rejected():
         smoke_grid(engine="batch")
 
 
-def test_explicit_zero_count_and_rate_rejected():
-    """count=0 / rate=0.0 used to be silently rerouted to the per-node
-    defaults by a falsy-fallback — running a different workload than the
-    cell id claimed.  Both validation layers must refuse them."""
-    # At spec-build time (the registry validator)...
-    with pytest.raises(SweepError):
-        ScheduleSpec.of("poisson", count=0)
-    with pytest.raises(SweepError):
-        ScheduleSpec.of("poisson", rate=0.0)
-    with pytest.raises(SweepError):
-        ScheduleSpec.of("hotspot", count=-3)
-    with pytest.raises(SweepError):
-        ScheduleSpec.of("poisson", per_node=0)
-    # ...and at build time for directly constructed specs.
-    with pytest.raises(SweepError):
-        build_schedule(ScheduleSpec("poisson", (("count", 0),)), 8, 0)
-    with pytest.raises(SweepError):
-        build_schedule(ScheduleSpec("poisson", (("rate", 0.0),)), 8, 0)
-    # Positive explicit values still win over the per-node defaults.
-    assert len(build_schedule(ScheduleSpec.of("poisson", count=7), 8, 0)) == 7
+@pytest.mark.parametrize("family", ["poisson", "bursty", "hotspot", "random"])
+def test_open_loop_sizes_are_per_node_only(family):
+    """An absolute ``count`` once labelled a cell ``poisson(count=30,
+    per_node=5)`` while it ran 30 requests on every graph, and ``count=0``
+    was rerouted to the per-node default.  The open-loop families take
+    ``per_node`` / ``rate_per_node`` only, and a zero is refused."""
+    known = "known parameters: .*'per_node'"
+    with pytest.raises(SweepError, match=rf"does not accept \['count'\]; {known}"):
+        ScheduleSpec.of(family, count=30)
+    with pytest.raises(SweepError, match=r"^per_node must be a positive integer, got 0$"):
+        ScheduleSpec.of(family, per_node=0)
+    # A schedule built without ScheduleSpec.of is checked by its grid.
+    with pytest.raises(SweepError, match=rf"does not accept \['count'\]; {known}"):
+        dataclasses.replace(smoke_grid(), schedules=(ScheduleSpec(family, (("count", 30),)),))
+    if family in ("poisson", "hotspot"):
+        with pytest.raises(SweepError, match=r"does not accept \['rate'\]; .*'rate_per_node'"):
+            ScheduleSpec.of(family, rate=2.0)
+        with pytest.raises(SweepError, match=r"^rate_per_node must be a finite number > 0"):
+            ScheduleSpec.of(family, rate_per_node=0.0)
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
@@ -263,8 +259,8 @@ def test_preset_grid_spec_hashes_are_pinned():
 #: Values that used to truncate (an integer parameter given a bool or a
 #: non-integral number) or pass the spec only to fail inside a worker.
 BAD_PARAMS = [
-    ("poisson", {"count": 7.9}, "count"),
-    ("poisson", {"count": True}, "count"),
+    ("ratio", {"count": 7.9}, "count"),
+    ("ratio", {"count": True}, "count"),
     ("poisson", {"per_node": 2.5}, "per_node"),
     ("closed_centralized", {"center": 1.5}, "center"),
     ("directory_home", {"home": 2.7}, "home"),
@@ -286,7 +282,7 @@ def test_legal_family_params_still_build():
         ("bursty", {"burst_size": 0}),
         ("closed_arrow", {"think_time": 0}),
         ("closed_centralized", {"center": 0}),
-        ("poisson", {"count": np.int64(7)}),
+        ("ratio", {"count": np.int64(7)}),
     ]:
         assert ScheduleSpec.of(family, **params).kwargs() == params
     module = repro.sweep.spec

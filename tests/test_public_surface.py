@@ -1,4 +1,13 @@
-"""Every package facade re-exports exactly the names its callers import.
+"""``src/`` holds what its callers run, and each facade re-exports what
+they import through it.
+
+The callers are the command-line interface (``repro.cli``), ``examples/``,
+``benchmarks/e2e/``, the inline Python of ``.github/workflows/ci.yml`` and
+README; tests are not callers.  Every ``src/`` module is reached from
+them through imports, function-local ones included, a lazy facade's
+``_LAZY`` table or a quoted module name (``CellFamily.engines``, an
+``import_module`` argument).  A module only tests import belongs beside
+them, as ``tests/small_models.py`` does.
 
 A name is re-exported by a package ``__init__.py`` only when something
 other than a test imports it through that package: ``src/`` (a facade is
@@ -23,6 +32,15 @@ FACADES = sorted(SRC.rglob("__init__.py"))
 
 def _module(facade: Path) -> str:
     return ".".join(facade.relative_to(SRC).parent.parts)
+
+
+def _dotted(path: Path) -> str:
+    """The module name of a ``src/`` file (a package's is its ``__init__``'s)."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+MODULES = {_dotted(p): p for p in sorted(SRC.rglob("*.py"))}
 
 
 def _reaches(dotted: str) -> set[tuple[str, str]]:
@@ -133,3 +151,48 @@ def test_lazy_names_resolve_in_their_defining_module(facade):
         value = getattr(package, name)
         assert value is getattr(importlib.import_module(module), name), name
         assert getattr(value, "__module__", module) == module, name
+
+
+def _named(dotted: str) -> set[str]:
+    """The modules importing ``dotted`` runs: each prefix that is a module
+    (``repro.sweep.GRIDS`` names ``repro`` and ``repro.sweep``)."""
+    parts = dotted.split(".")
+    return {".".join(parts[:i]) for i in range(1, len(parts) + 1)} & MODULES.keys()
+
+
+def _python_modules(text: str) -> set[str]:
+    """Modules a Python file names: ``import`` / ``from … import`` anywhere
+    in it (a ``from P import X`` names ``P.X`` too, which may be a module),
+    attribute chains and string constants (``_LAZY`` values,
+    ``CellFamily.engines``, ``import_module`` arguments)."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names |= {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    names |= {f"{p}.{n}" for p, n in _python_reaches(text)}
+    return set().union(*map(_named, names))
+
+
+def _text_modules(text: str) -> set[str]:
+    """Modules README prose or a CI script names (``python -m repro.cli``)."""
+    return set().union(*(_named(m.group(0)) for m in re.finditer(r"\brepro(?:\.\w+)+", text)))
+
+
+def test_every_src_module_is_reached_from_a_caller():
+    reached = {"repro.cli"}
+    for path in [*(ROOT / "examples").glob("*.py"), *(ROOT / "benchmarks" / "e2e").glob("*.py")]:
+        reached |= _python_modules(path.read_text(encoding="utf-8"))
+    for path in (ROOT / "README.md", ROOT / ".github" / "workflows" / "ci.yml"):
+        reached |= _text_modules(path.read_text(encoding="utf-8"))
+    frontier = set(reached)
+    while frontier:
+        module = frontier.pop()
+        found = _python_modules(MODULES[module].read_text(encoding="utf-8")) - reached
+        reached |= found
+        frontier |= found
+    unreached = sorted(MODULES.keys() - reached)
+    assert unreached == [], f"src/ modules no caller reaches (tests are not callers): {unreached}"

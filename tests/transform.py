@@ -1,4 +1,4 @@
-"""The idle-time compression transformation (Lemmas 3.11 and 3.12).
+"""Lemma 3.11 oracle: the idle-time compression (Lemmas 3.11 and 3.12).
 
 Lemma 3.11: if between two consecutive requests (by issue time) the
 quantity ``δ = min over (r_a before, r_b after) of (t_b - t_a - d_T(v_a,
@@ -10,20 +10,22 @@ schedule in which (Lemma 3.12) every gap has witnesses ``r_a, r_b`` with
 bound ``c_T <= 3D`` on arrow's path (Lemma 3.13).
 
 The tests verify both invariances (arrow cost via the fast executor, Opt
-via the exact solver on small instances) and the post-condition.
+via the exact solver on small instances) and the post-condition
+(``tests/analysis/test_transform.py``,
+``tests/properties/test_transform_hypothesis.py``).  No table runs the
+transformation, so it lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.costs import augmented_nodes_times, request_distance_matrix
 from repro.core.requests import RequestSchedule
 from repro.spanning.tree import SpanningTree
-
-__all__ = ["TransformReport", "compress_idle_time", "max_gap_slack"]
 
 #: Safety cap on Lemma 3.11 shifts (each closes one gap; the loop ends long
 #: before this on any finite schedule).
@@ -37,6 +39,16 @@ class TransformReport:
     schedule: RequestSchedule
     shifts_applied: int
     total_shift: float
+
+
+def shifted(schedule: RequestSchedule, rids: Sequence[int], delta: float) -> RequestSchedule:
+    """New schedule with the given requests' times shifted by ``delta``.
+
+    Shifting must keep all times non-negative (``RequestSchedule`` checks).
+    """
+    rid_set = set(rids)
+    times = [t + delta if rid in rid_set else t for rid, t in enumerate(schedule.times)]
+    return RequestSchedule.from_columns(schedule.nodes, times)
 
 
 def _slacks(times: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -93,7 +105,7 @@ def compress_idle_time(tree: SpanningTree, schedule: RequestSchedule) -> Transfo
         boundary = np.unique(times)[g]
         delta = float(slacks[g])
         late_rids = [r.rid for r in current if r.time > boundary]
-        current = current.shifted(late_rids, -delta)
+        current = shifted(current, late_rids, -delta)
         shifts += 1
         total += delta
     return TransformReport(current, shifts, total)
