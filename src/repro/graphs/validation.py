@@ -4,14 +4,8 @@ from __future__ import annotations
 
 from repro.errors import GraphError, TreeError
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import is_connected
 
-__all__ = ["is_tree", "require_spanning_subgraph", "tree_link_weights"]
-
-
-def is_tree(graph: Graph) -> bool:
-    """True iff the graph is connected and has exactly ``n - 1`` edges."""
-    return graph.num_edges == graph.num_nodes - 1 and is_connected(graph)
+__all__ = ["require_spanning_subgraph", "tree_link_weights"]
 
 
 def require_spanning_subgraph(graph: Graph, tree_edges: list[tuple[int, int]]) -> None:

@@ -26,7 +26,6 @@ from repro.spanning.tree import SpanningTree
 __all__ = [
     "StretchReport",
     "tree_stretch",
-    "tree_stretch_brute_force",
     "average_stretch",
     "tree_diameter",
 ]
@@ -57,17 +56,6 @@ def tree_stretch(graph: Graph, tree: SpanningTree) -> StretchReport:
             best = ratio
             witness = (u, v)
     return StretchReport(best, witness)
-
-
-def tree_stretch_brute_force(graph: Graph, tree: SpanningTree) -> float:
-    """All-pairs stretch (O(n^2) pairs); test oracle for :func:`tree_stretch`."""
-    dg = all_pairs_distances(graph)
-    n = graph.num_nodes
-    best = 1.0
-    for u in range(n):
-        for v in range(u + 1, n):
-            best = max(best, tree.distance(u, v) / dg[u, v])
-    return best
 
 
 def average_stretch(graph: Graph, tree: SpanningTree) -> float:

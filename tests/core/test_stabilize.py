@@ -15,6 +15,7 @@ from repro.sim.kernel import Simulator
 from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from small_models import tree_graph
+from tree_oracles import neighbors
 
 
 def make_nodes(tree, graph=None):
@@ -103,7 +104,7 @@ def test_protocol_works_after_stabilization():
     net, nodes = make_nodes(tree, g)
     # Corrupt arbitrarily: every node points at its first tree neighbour.
     for nd in nodes:
-        nd.link = tree.neighbors(nd.node_id)[0]
+        nd.link = neighbors(tree, nd.node_id)[0]
     link = links_of(nodes)
     stabilize_links(link, tree)
     assert is_legal(link, tree)
@@ -128,7 +129,7 @@ def test_stabilize_from_random_corruption(seed):
     _, nodes = make_nodes(tree, g)
     rng = spawn_rng(seed, "corrupt")
     for nd in nodes:
-        choices = tree.neighbors(nd.node_id) + [nd.node_id]
+        choices = neighbors(tree, nd.node_id) + [nd.node_id]
         nd.link = choices[rng.integers(len(choices))]
     link = links_of(nodes)
     stabilize_links(link, tree)
@@ -150,7 +151,7 @@ def test_edge_rule_agrees_with_pointer_walk_oracle():
     rng = spawn_rng(11, "corrupt-links")
     link = []
     for v in range(n):
-        choices = tree.neighbors(v) + [v]
+        choices = neighbors(tree, v) + [v]
         link.append(choices[rng.integers(len(choices))])
 
     def walks_agree(link):

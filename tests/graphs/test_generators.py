@@ -22,7 +22,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import is_connected
-from repro.graphs.validation import is_tree
+from tree_oracles import is_tree
 
 
 def to_nx(g):

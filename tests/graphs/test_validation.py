@@ -8,7 +8,8 @@ from repro.graphs import (
 )
 from repro.graphs.generators import path_graph
 from repro.graphs.graph import Graph
-from repro.graphs.validation import is_tree, require_spanning_subgraph
+from repro.graphs.validation import require_spanning_subgraph
+from tree_oracles import is_tree
 
 
 def test_is_tree():

@@ -22,6 +22,7 @@ from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import random_times
 from small_models import rerooted
+from tree_oracles import tree_path
 
 
 def test_queue_message_routes_follow_tree_paths():
@@ -46,7 +47,7 @@ def test_queue_message_routes_follow_tree_paths():
             routes[rid].append((src, dst))
     sends = 0
     for rid, rec in res.completions.items():
-        path = tree.path(sched.by_rid(rid).node, rec.informed_node)
+        path = tree_path(tree, sched.by_rid(rid).node, rec.informed_node)
         assert routes[rid] == list(zip(path, path[1:]))
         sends += len(path) - 1
     # on_event sees queue messages only, and all of them.

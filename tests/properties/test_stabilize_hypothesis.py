@@ -13,6 +13,7 @@ from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 from small_models import tree_graph
+from tree_oracles import neighbors
 
 
 @st.composite
@@ -27,7 +28,7 @@ def corrupted_configuration(draw, max_nodes=12):
     net.register_all(nodes)
     # Arbitrary corruption: each pointer targets any tree neighbour or self.
     for nd in nodes:
-        choices = tree.neighbors(nd.node_id) + [nd.node_id]
+        choices = neighbors(tree, nd.node_id) + [nd.node_id]
         nd.link = choices[draw(st.integers(0, len(choices) - 1))]
     return tree, [nd.link for nd in nodes]
 

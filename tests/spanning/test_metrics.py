@@ -16,8 +16,9 @@ from repro.spanning import (
     tree_stretch,
 )
 from repro.spanning.construct import star_overlay
-from repro.spanning.metrics import average_stretch, tree_stretch_brute_force
+from repro.spanning.metrics import average_stretch
 from repro.spanning.tree import SpanningTree
+from tree_oracles import tree_stretch_brute_force
 
 
 def test_stretch_of_path_in_itself_is_one():

