@@ -260,21 +260,24 @@ def _produce(args):
             print(render_instance(built["schedule"], cell.schedule.kwargs()["D"]))
             print()
         problems: list[str] = []
-        rows = [
+        rows = (
             row
             for spec in specs
             for row in verify_rows(repro.sweep.iter_sweep(spec), figure, problems.append)
-        ]
+        )
+        result = figure_from_rows(figure, rows, metric=args.metric)
         if problems:
             raise SystemExit(f"{figure} FAILED: " + "; ".join(problems))
-        yield figure_from_rows(figure, rows, metric=args.metric)
+        yield result
 
 
 def _compare_side(store, key_or_path: str, known):
     """A compare operand is a JSONL path when it names a file, else a key.
 
-    Both operands read through one ``known`` map, so a line of B equal to
-    a line of A is A's row object, which :func:`compare_rows` need not walk.
+    Both operands read through one ``known`` map, which holds the row a
+    read parsed last: :func:`compare_rows` walks the sides in lockstep, so
+    a line of B equal to the line of A just read is A's row object, which
+    it need not walk.
     """
     import os
 
@@ -288,7 +291,8 @@ def _compare_side(store, key_or_path: str, known):
 def _results_command(args, ingest_error) -> int:
     """Dispatch the ``results`` subcommand group; returns an exit code."""
     from repro.results import ResultsStore, compare_rows, figure_from_rows
-    from repro.results.store import latency_sketch
+    from repro.results.store import sketching
+    from repro.sweep.stats import MidpointCounts
 
     store = ResultsStore(args.store)
     try:
@@ -311,15 +315,15 @@ def _results_command(args, ingest_error) -> int:
         elif args.results_cmd in ("table", "plot"):
             manifest = store.manifest(args.run)
             rows = store.rows(args.run)
+            grid = MidpointCounts()
             if args.results_cmd == "table" and args.percentiles:
-                rows = list(rows)  # one read for the figure and the sketch
+                rows = sketching(rows, grid)  # one read for the figure and the sketch
             result = figure_from_rows(manifest["name"], rows, metric=args.metric)
             if args.results_cmd == "plot":
                 print(plot(result))
             else:
                 print(format_table(result))
                 if args.percentiles:
-                    grid = latency_sketch(rows)
                     print()
                     if grid.count:
                         print(

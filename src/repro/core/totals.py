@@ -1,8 +1,9 @@
 """Float totals that reach a row or a printed table, a leaf module.
 
 The sweep families, the directory rows, :class:`repro.core.queueing.RunResult`
-and the results tables all total their floats here, so reading stored
-rows back compiles no engine.
+and ``results compare`` total their floats here, so reading stored rows
+back compiles no engine.  A results table streams its rows and keeps a
+running total per point, the same left-to-right accumulation.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ committed trajectories diff cleanly run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import zip_longest
 from typing import Any, Iterable
 
 from repro.core.totals import float_total
@@ -134,23 +134,6 @@ def _self_columns(
     return columns
 
 
-def _by_cell_id(
-    rows: Iterable[dict[str, Any]], side: str, problems: list[str]
-) -> dict[str, dict[str, Any]]:
-    """Index one side's rows by ``cell_id``; every row that cannot be
-    paired (no string id, or a repeated one) is a problem naming it."""
-    by_id: dict[str, dict[str, Any]] = {}
-    for n, row in enumerate(rows, 1):
-        cid = row.get("cell_id")
-        if not isinstance(cid, str):
-            problems.append(f"{side} row {n}: no string cell_id, cannot be compared")
-        elif cid in by_id:
-            problems.append(f"{side} row {n}: cell_id {cid!r} repeated")
-        else:
-            by_id[cid] = row
-    return by_id
-
-
 def compare_rows(
     rows_a: Iterable[dict[str, Any]],
     rows_b: Iterable[dict[str, Any]],
@@ -168,95 +151,117 @@ def compare_rows(
     ``(b - a) / a * 100`` — a zero baseline with a non-zero fresh value
     reports as a problem rather than an infinite percentage.  Non-numeric
     columns (cell ids, fault labels, ``exclusion_ok``...) must be equal.
+
+    The two sides are walked in lockstep: a row is paired as soon as its
+    partner has arrived and is parked until then, so two runs in one
+    order hold a row of each, plus the paired ids and the non-zero
+    deltas.  Those are totalled in sorted cell-id order at the end, the
+    order of a walk over all cells, so no number depends on row order.
     A pair that is one object (both sides read one line through a shared
     ``known`` map, :func:`repro.sweep.persist._decode`) is not walked: it
     counts as 0 % in each of its numeric columns, which changes no
     column's left-to-right total (``x + 0.0 == x``), changed count or
     largest delta — unless a value is NaN, and such a pair is walked.
     """
-    problems: list[str] = []
-    by_id_a = _by_cell_id(rows_a, "A", problems)
-    by_id_b = _by_cell_id(rows_b, "B", problems)
-    cmp = RowComparison(
-        cells_a=len(by_id_a),
-        cells_b=len(by_id_b),
-        compared=0,
-        problems=problems,
-        max_delta_pct=max_delta_pct,
-    )
-    only_a = sorted(set(by_id_a) - set(by_id_b))
-    only_b = sorted(set(by_id_b) - set(by_id_a))
-    if only_a:
-        cmp.problems.append(
-            f"{len(only_a)} cell(s) only in A, e.g. {only_a[:3]}"
-        )
-    if only_b:
-        cmp.problems.append(
-            f"{len(only_b)} cell(s) only in B, e.g. {only_b[:3]}"
-        )
-
-    sums: dict[str, list[float]] = {}  # column -> deltas of walked pairs
-    zeros: dict[tuple[str, ...], int] = {}  # a one-object pair's columns -> pairs
-    # Columns whose first delta was a one-object pair's 0 %: a NaN walked
-    # later cannot start their ``max`` (the order of a maximum over NaN).
-    lead_zero: set[str] = set()
+    sides = ("A", "B")
+    problems: dict[str, list[str]] = {side: [] for side in sides}
+    parked: dict[str, dict[str, dict[str, Any]]] = {side: {} for side in sides}
+    seen = dict.fromkeys(sides, 0)  # rows read per side
+    paired: set[str] = set()
+    pair_problems: list[tuple[str, str]] = []  # (cell id, problem)
+    cells: dict[str, int] = {}  # column -> pairs carrying it
+    # column -> (first cell id carrying it, its delta there): a maximum over
+    # deltas in cell-id order is NaN exactly when its first delta is.
+    first: dict[str, tuple[str, float]] = {}
+    zeros: dict[tuple[str, ...], list] = {}  # a one-object pair's columns -> [pairs, first id]
     shapes: _Shapes = {}
     deltas: list[tuple[float, str, str, float, float, float]] = []
-    for cid in sorted(set(by_id_a) & set(by_id_b)):
-        ra, rb = by_id_a[cid], by_id_b[cid]
-        cmp.compared += 1
+
+    def count(cid: str, k: str, pct: float, pairs: int = 1) -> None:
+        cells[k] = cells.get(k, 0) + pairs
+        if (lead := first.get(k)) is None or cid < lead[0]:
+            first[k] = cid, pct
+
+    def walk(cid: str, ra: dict[str, Any], rb: dict[str, Any]) -> None:
         if ra is rb and (same := _self_columns(ra, ignore, shapes)) is not None:
-            if same not in zeros:
-                zeros[same] = 0
-                lead_zero.update(k for k in same if k not in sums)
-            zeros[same] += 1
-            continue
+            if (tally := zeros.get(same)) is None:
+                zeros[same] = [1, cid]
+            else:
+                tally[0] += 1
+                tally[1] = min(tally[1], cid)
+            return
         na = dict(_numeric_items(ra, ignore))
         nb = dict(_numeric_items(rb, ignore))
         for k in sorted(na.keys() | nb.keys()):
             if k not in na or k not in nb:
-                cmp.problems.append(
-                    f"{cid}: column {k!r} present on one side only"
-                )
+                pair_problems.append((cid, f"{cid}: column {k!r} present on one side only"))
                 continue
             a, b = na[k], nb[k]
             if a == b:
                 pct = 0.0
             elif a == 0.0:
-                cmp.problems.append(
-                    f"{cid}: {k} changed from 0 to {b:g} "
-                    "(percent delta undefined)"
-                )
+                pair_problems.append((cid, f"{cid}: {k} changed from 0 to {b:g} "
+                                           "(percent delta undefined)"))
                 continue
             else:
                 pct = (b - a) / a * 100.0
-            sums.setdefault(k, []).append(pct)
+            count(cid, k, pct)
             if pct != 0.0:
                 deltas.append((abs(pct), cid, k, a, b, pct))
-        for k in sorted(
-            (ra.keys() | rb.keys())
-            - set(na)
-            - set(nb)
-            - set(ignore)
-        ):
+        for k in sorted((ra.keys() | rb.keys()) - set(na) - set(nb) - set(ignore)):
             if ra.get(k) != rb.get(k):
-                cmp.problems.append(
-                    f"{cid}: non-numeric column {k!r} differs: "
-                    f"{ra.get(k)!r} vs {rb.get(k)!r}"
-                )
+                pair_problems.append((cid, f"{cid}: non-numeric column {k!r} differs: "
+                                           f"{ra.get(k)!r} vs {rb.get(k)!r}"))
 
-    cells = {k: len(pcts) for k, pcts in sums.items()}
-    for same, pairs in zeros.items():
+    def arrive(side: str, row: dict[str, Any], other: str) -> None:
+        seen[side] += 1
+        cid = row.get("cell_id")
+        if not isinstance(cid, str):
+            problems[side].append(
+                f"{side} row {seen[side]}: no string cell_id, cannot be compared")
+        elif cid in paired or cid in parked[side]:
+            problems[side].append(f"{side} row {seen[side]}: cell_id {cid!r} repeated")
+        elif (partner := parked[other].pop(cid, None)) is None:
+            parked[side][cid] = row
+        else:
+            paired.add(cid)
+            walk(cid, *((partner, row) if side == "B" else (row, partner)))
+
+    for ra, rb in zip_longest(rows_a, rows_b, fillvalue=None):
+        if ra is not None:
+            arrive("A", ra, "B")
+        if rb is not None:
+            arrive("B", rb, "A")
+
+    cmp = RowComparison(
+        cells_a=len(paired) + len(parked["A"]),
+        cells_b=len(paired) + len(parked["B"]),
+        compared=len(paired),
+        problems=problems["A"] + problems["B"],
+        max_delta_pct=max_delta_pct,
+    )
+    for side in sides:
+        if only := sorted(parked[side]):
+            cmp.problems.append(f"{len(only)} cell(s) only in {side}, e.g. {only[:3]}")
+    pair_problems.sort(key=lambda p: p[0])  # stable: a cell's own order stays
+    cmp.problems += [problem for _, problem in pair_problems]
+
+    for same, (pairs, cid) in zeros.items():
         for k in same:
-            cells[k] = cells.get(k, 0) + pairs
+            count(cid, k, 0.0, pairs)
+    deltas.sort(key=lambda d: (d[1], d[2]))  # the order of a walk by cell id
+    changed: dict[str, list[float]] = {}  # column -> non-zero deltas, in that order
+    for _, _, k, _, _, pct in deltas:
+        changed.setdefault(k, []).append(pct)
     for k in sorted(cells):
-        pcts = sums.get(k, [])
-        lead = (0.0,) if k in lead_zero else ()
+        pcts = changed.get(k, [])
+        lead = first[k][1]
         cmp.columns[k] = {
             "cells": float(cells[k]),
-            "changed": float(sum(p != 0.0 for p in pcts)),
+            "changed": float(len(pcts)),
             "mean_pct": float_total(pcts) / cells[k],
-            "max_abs_pct": max(chain(lead, map(abs, pcts)), default=0.0),
+            "max_abs_pct": abs(lead) if lead != lead else max(
+                (abs(p) for p in pcts if p == p), default=0.0),
         }
     deltas.sort(key=lambda d: (-d[0], d[1], d[2]))
     cmp.top_deltas = deltas[:_DELTA_CAP]

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.core.totals import float_total
 from repro.errors import ResultsError
 from repro.experiments.records import ExperimentResult, Series
 
@@ -163,23 +162,36 @@ FIGURES: dict[str, Figure] = {
 }
 
 
-def _series_key(row: dict[str, Any], *, many_trees: bool, many_graphs: bool) -> str:
-    """Stable series label for one row.
+def _series_parts(row: dict[str, Any]) -> tuple[str, str, str, str]:
+    """One row's series label parts: schedule family, tree, graph family
+    and fault plan (``""`` for none).
 
     The schedule family is the primary split (it is what every paper
     figure contrasts); tree strategy and graph family join the label
-    only when the grid actually sweeps them, and a fault plan always
-    shows (faulted and fault-free rows must never average together).
+    only when the grid actually sweeps them (:func:`_series_label`), and
+    a fault plan always shows (faulted and fault-free rows must never
+    average together).
     """
-    parts = [str(row.get("schedule", "?")).split("(")[0]]
-    if many_trees:
-        parts.append(str(row.get("tree", "?")))
-    if many_graphs:
-        parts.append(str(row.get("graph", "?")).split("(")[0])
     faults = row.get("faults")
+    return (
+        str(row.get("schedule", "?")).split("(")[0],
+        str(row.get("tree", "?")),
+        str(row.get("graph", "?")).split("(")[0],
+        f"f[{faults}]" if faults else "",
+    )
+
+
+def _series_label(parts: tuple[str, str, str, str], many_trees: bool,
+                  many_graphs: bool) -> str:
+    schedule, tree, graph, faults = parts
+    kept = [schedule]
+    if many_trees:
+        kept.append(tree)
+    if many_graphs:
+        kept.append(graph)
     if faults:
-        parts.append(f"f[{faults}]")
-    return "/".join(parts)
+        kept.append(faults)
+    return "/".join(kept)
 
 
 def _meets(row: dict[str, Any], conditions) -> bool:
@@ -215,24 +227,32 @@ def figure_from_rows(
     The figure is :data:`FIGURES` ``[name]``.  ``metric`` overrides its
     series: one per schedule family (split further by tree/graph/fault
     axes when the grid sweeps them) on that column.  Every series point
-    averages the rows at its x — the seeds of one cell.
+    averages the rows at its x — the seeds of one cell.  Rows are folded
+    as they arrive, so the figure holds a running total and count per
+    point, never the rows: a stored run of any size is one streaming read.
     """
     fig = FIGURES.get(name, Figure(f"Grid {name!r} summary"))
     title, unit, column = fig.title, fig.unit, metric or fig.metric
     if metric is not None and metric != fig.metric:
         title, unit = f"Grid {name!r}: {metric}", ""
 
-    rows = list(rows)
-    if not rows:
-        raise ResultsError(f"no rows to build figure {name!r} from")
     fixed = bool(fig.series) and metric is None
-    many_trees = len({r.get("tree") for r in rows}) > 1
-    many_graphs = len({str(r.get("graph", "")).split("(")[0] for r in rows}) > 1
-    # series label -> x -> values over the seed axis.
-    buckets: dict[str, dict[float, list[float]]] = {
+    count = 0
+    trees, graphs, seeds = set(), set(), set()
+    # series key -> x -> [total, count] over the seed axis, totalled in
+    # row order as float_total totals a column.  A key is a fixed series'
+    # label, or a row's label parts: whether the tree and graph join the
+    # label is known only once every row is in, and parts that differ
+    # only where the label leaves them out are equal.
+    buckets: dict[Any, dict[float, list]] = {
         label: {} for label, *_ in fig.series if fixed
     }
     for row in rows:
+        count += 1
+        seeds.add(row.get("seed"))
+        parts = _series_parts(row)
+        trees.add(parts[1])
+        graphs.add(parts[2])
         if fig.cases:
             x = next((float(i) for i, case in enumerate(fig.cases) if _meets(row, case)), None)
             if x is None:
@@ -242,25 +262,29 @@ def figure_from_rows(
         if fixed:
             picks = [(label, col) for label, col, *where in fig.series if _meets(row, where)]
         else:
-            key = _series_key(row, many_trees=many_trees, many_graphs=many_graphs)
-            picks = [(key, column)]
-        for label, col in picks:
-            points = buckets.setdefault(label, {}).setdefault(x, [])
-            points.append(_number(name, row, col))
+            picks = [(parts, column)]
+        for key, col in picks:
+            point = buckets.setdefault(key, {}).setdefault(x, [0, 0])
+            point[0] += _number(name, row, col)
+            point[1] += 1
+    if not count:
+        raise ResultsError(f"no rows to build figure {name!r} from")
+    if not fixed:
+        buckets = {_series_label(parts, len(trees) > 1, len(graphs) > 1): points
+                   for parts, points in buckets.items()}
 
     series = []
     for label in buckets if fixed else sorted(buckets):
         if not buckets[label]:
             continue  # a fixed series no row feeds
         xs = sorted(buckets[label])
-        ys = [float_total(buckets[label][x]) / len(buckets[label][x]) for x in xs]
+        ys = [total / n for total, n in map(buckets[label].get, xs)]
         series.append(Series(label, xs, ys, unit))
-    notes = [*fig.notes, f"built from {len(rows)} sweep row(s)"]
+    notes = [*fig.notes, f"built from {count} sweep row(s)"]
     if not fixed:
         notes[-1] += f"; metric: {column}"
-    seeds = len({row.get("seed") for row in rows})
-    if seeds > 1:
-        notes.append(f"each point averages {seeds} seed(s)")
+    if len(seeds) > 1:
+        notes.append(f"each point averages {len(seeds)} seed(s)")
     return ExperimentResult(
         experiment_id=name,
         title=title,

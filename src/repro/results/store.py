@@ -23,10 +23,14 @@ and counted), with its rows still held to the persisted invariants.  The
 store's own files are written atomically, so a damaged one is never a
 write in progress: ``rows.jsonl`` is read under *verify* and against the
 manifest's row count, and damage is a :class:`ResultsError` naming the file.
-An ingest reads the source through the stored file's ``known`` map
-(:func:`repro.sweep.persist._decode`): a source line equal to a stored
-line is that stored row — no parse, no placement, no re-encoding — and
-stored rows are re-encoded only when ``rows.jsonl`` is rewritten.
+
+Every read streams.  An ingest holds, per cell, its index and its line
+text, never a decoded row: it reads ``rows.jsonl`` once, keeping each
+stored line's text, and reads the source with those texts as its
+``known`` map (:func:`repro.sweep.persist._decode`), so a source line
+equal to a stored line is not parsed, placed or encoded.  A new row is
+kept as its canonical text, and ``rows.jsonl`` is rewritten line by line
+in grid order, stored lines copied as they were read.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.sweep import persist
 from repro.sweep.spec import SweepSpec
 from repro.sweep.stats import MidpointCounts
 
-__all__ = ["IngestReport", "ResultsStore", "finished_rows", "latency_sketch"]
+__all__ = ["IngestReport", "ResultsStore", "finished_rows", "sketching"]
 
 
 @dataclass(frozen=True)
@@ -97,33 +101,51 @@ def finished_rows(
     return _refusing(persist.iter_verified_rows, path, known=known)
 
 
-def latency_sketch(rows: Iterable[dict[str, Any]]) -> MidpointCounts:
-    """Fold rows' persisted ``latency_hist`` / ``latency_max`` columns into
-    one :class:`~repro.sweep.stats.MidpointCounts`; rows without them
-    (e.g. directory cells) are skipped."""
-    grid = MidpointCounts()
+def sketching(
+    rows: Iterable[dict[str, Any]], grid: MidpointCounts
+) -> Iterator[dict[str, Any]]:
+    """Pass ``rows`` through, folding each one's persisted ``latency_hist``
+    / ``latency_max`` columns into ``grid``; rows without them (e.g.
+    directory cells) add nothing."""
     for row in rows:
         hist = row.get("latency_hist")
         hi = row.get("latency_max")
         if isinstance(hist, list) and isinstance(hi, (int, float)):
             grid.add_histogram(hist, float(hi))
-    return grid
+        yield row
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _same_row(stored: str, line: str) -> bool:
+    """A stored line of other formatting is still the canonical ``line``'s row."""
+    return persist.dumps_row(json.loads(stored)) == line
+
+
+#: What a source line equal to a stored line reads as: the stored row,
+#: verified and placed already, which an ingest skips (never mutated).
+_STORED: dict[str, Any] = {}
+
+
+def _atomic_write(path: str, lines: Iterable[str]) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_if_changed(path: str, text: str) -> bool:
-    """Atomic write that leaves an identical file untouched (idempotence)."""
+    """Atomic write that leaves an identical file untouched (idempotence).
+    Bytes are compared, so a damaged file (not UTF-8, say) is rewritten
+    like any other that differs."""
+    data = text.encode("utf-8")
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.read() == text:
+        with open(path, "rb") as fh:
+            if fh.read() == data:
                 return False
-    _atomic_write(path, text)
+    _atomic_write(path, [text])
     return True
 
 
@@ -182,42 +204,38 @@ class ResultsStore:
                 )
             return cells[cid]
 
-        stored: dict[int, dict[str, Any]] = {}  # index -> row already stored
-        # Stored lines -> rows: a source line equal to one is that row.
-        known: persist.Known = {}
+        lines: list[str | None] = [None] * expected  # index -> line text
         rows_path = self.rows_path(spec_hash)
         if os.path.exists(rows_path):
-            for row in finished_rows(rows_path, known):
-                stored[place(row, rows_path)] = row
-        kept = {id(row) for row in stored.values()}
+            for text, row in _refusing(persist.iter_verified_lines, rows_path):
+                lines[place(row, rows_path)] = text
+        known = dict.fromkeys(filter(None, lines), _STORED)
+        stored_rows = len(known)
 
         skipped: list[str] = []
         source = persist.iter_rows(jsonl_path, skipped=skipped, known=known)
-        added: dict[int, str] = {}  # index -> canonical line of a new row
+        new_rows = 0
         for row in _refusing(persist.verify_rows, source, jsonl_path):
-            if id(row) in kept:
-                continue  # a stored line, verified again, placed already
-            index = place(row, jsonl_path)
-            line = persist.dumps_row(row)
-            old = persist.dumps_row(stored[index]) if index in stored else added.get(index)
-            if old is not None:
-                if old != line:
-                    raise ResultsError(
-                        f"{jsonl_path}: cell {row['cell_id']!r} conflicts with the "
-                        f"already-stored row under [{spec_hash[:12]}] "
-                        "(same grid, different content — engines are "
-                        "bit-identical, so this means damaged input)"
-                    )
+            if row is _STORED:
                 continue
-            added[index] = line
-        new_rows = len(added)
-        total_rows = len(stored) + new_rows
+            index = place(row, jsonl_path)
+            line = persist.dumps_row(row)  # a new row is stored canonically
+            if (old := lines[index]) is None:
+                lines[index] = line
+                new_rows += 1
+            elif old != line and not _same_row(old, line):
+                raise ResultsError(
+                    f"{jsonl_path}: cell {row['cell_id']!r} conflicts with the "
+                    f"already-stored row under [{spec_hash[:12]}] "
+                    "(same grid, different content — engines are "
+                    "bit-identical, so this means damaged input)"
+                )
+        total_rows = stored_rows + new_rows
 
         updated = False
         if new_rows:
             os.makedirs(self.run_dir(spec_hash), exist_ok=True)
-            lines = {i: persist.dumps_row(row) for i, row in stored.items()} | added
-            _atomic_write(rows_path, "".join(lines[i] + "\n" for i in sorted(lines)))
+            _atomic_write(rows_path, (text + "\n" for text in lines if text is not None))
             updated = True
         if total_rows:
             os.makedirs(self.run_dir(spec_hash), exist_ok=True)
@@ -312,7 +330,8 @@ class ResultsStore:
         """Stream the stored rows of one run in grid order: the file must
         verify and hold exactly the manifest's ``ingested`` rows, so a
         figure is never built from fewer rows than were ingested
-        (``known`` as in :func:`repro.sweep.persist._decode`)."""
+        (``known`` as in :func:`repro.sweep.persist._decode`; a read
+        learns each row it parses)."""
         manifest = self.manifest(key)
         path = self.rows_path(manifest["spec_hash"])
         if not os.path.exists(path):
@@ -331,6 +350,9 @@ class ResultsStore:
     # ------------------------------------------------------------------
     def grid_sketch(self, key: str) -> MidpointCounts:
         """Latency percentiles of one stored run, from its rows' histograms:
-        :func:`latency_sketch` over one streaming pass of :meth:`rows`,
+        one streaming pass of :meth:`rows` through :func:`sketching`,
         holding a dict entry per distinct bucket midpoint."""
-        return latency_sketch(self.rows(key))
+        grid = MidpointCounts()
+        for _ in sketching(self.rows(key), grid):
+            pass
+        return grid

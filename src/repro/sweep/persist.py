@@ -17,17 +17,23 @@ consumer reads through :func:`_decode` under one of two policies:
   text: a line is parsed to be checked, and its stripped text, not a
   re-encoding of the row, is what the merged file holds.
 
-A command need not parse a row text it has read.  Rows are canonical,
+Rows are ASCII (the encoder escapes the rest), so a line holding a byte
+that is not UTF-8 is damage on that line, under either policy, like a
+line that is not JSON.
+
+Every reader streams: a command holds the row it is on, never the file.
+A command need not parse a row text twice, either.  Rows are canonical,
 so two lines with equal stripped text are equal rows: the readers take an
 optional ``known`` map from stripped text to row, and a line found there
-is that row — no second parse — while every row still passes
-the policy's checks under its own file and row number.  *Verify* reads
-add the rows they parse to the map; *resume* reads only look it up.  A
-line not in the map (another formatting, another value) is parsed as
-before, and compared as a parsed row.  The map lives for one command: the results
-store's ingest and ``results compare`` share one across their two
-files, :func:`diff_rows` one per lockstep pair; ``results table
---percentiles`` reads its run once for the table and the sketch.
+is that row — no second parse — while every row still passes the
+policy's checks under its own file and row number.  A *verify* read
+replaces the map's one entry with each row it parses, so two files read
+in lockstep through one map (:func:`diff_rows`, ``results compare``)
+parse an equal pair once and hold one row between them; *resume* reads
+only look the map up (the results store's ingest passes its stored line
+texts, so a source line already stored is not parsed).  A line not in
+the map (another formatting, another value) is parsed and compared as a
+parsed row.
 """
 
 from __future__ import annotations
@@ -71,10 +77,25 @@ _DECODER = json.JSONDecoder()
 #: short), or a complete JSON value that is not an object (never one).
 _NOT_JSON = "corrupt JSONL row"
 _NOT_OBJECT = "not a JSON object; not a sweep row"
+_NOT_UTF8 = "corrupt JSONL row (not UTF-8)"
 
 
-#: Stripped line text -> the row it decoded to, for one command's reads.
+#: Stripped line text -> the row a line of that text is (:func:`_decode`).
 Known = dict[str, dict[str, Any]]
+
+
+def _open(path: str, **kwargs: Any):
+    """A row file as text.  A byte that is not UTF-8 reads as a lone
+    surrogate, which :func:`_decode` reports as damage on its line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape", **kwargs)
+
+
+def _utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a surrogate :func:`_open` decoded a bad byte to
+        return False
+    return True
 
 
 def _decode(
@@ -87,8 +108,9 @@ def _decode(
     do not.  ``text`` is the line stripped.  One of ``row`` and ``damage``
     is ``None``; what damage *means* is the caller's policy.  With
     ``known``, a line whose stripped text is a key yields that row without
-    a parse (the *same* object); with ``learn`` too, every row parsed is
-    added under its text.
+    a parse (the *same* object); with ``learn`` too, every row parsed
+    becomes the map's one entry, under its text.  A line that is not
+    ASCII is checked for UTF-8 before it is parsed.
     """
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
@@ -96,6 +118,9 @@ def _decode(
             continue
         if known is not None and (row := known.get(stripped)) is not None:
             yield lineno, stripped, row, None
+            continue
+        if not stripped.isascii() and not _utf8(stripped):
+            yield lineno, stripped, None, _NOT_UTF8
             continue
         try:
             row, end = _DECODER.raw_decode(stripped)
@@ -106,6 +131,7 @@ def _decode(
             continue
         if isinstance(row, dict):
             if learn:
+                known.clear()
                 known[stripped] = row
             yield lineno, stripped, row, None
         else:
@@ -120,26 +146,26 @@ def _resume(
 ) -> Iterator[dict[str, Any]]:
     """*Resume* policy, for a file a run may still be appending to.
 
-    A non-JSON *final* line is tolerated (partial write of an interrupted
-    run); one followed by more data indicates real damage and raises
+    A non-JSON or non-UTF-8 *final* line is tolerated (partial write of an
+    interrupted run); one followed by more data indicates real damage and raises
     :class:`ReproError` — as does a line that parses to anything but a
     JSON object, wherever it stands (a complete line is no torn write).
     A dropped line is never silent: ``skipped`` (if given) receives one
     ``"path:lineno: ..."`` entry for it, which resume and ingest report.
     """
-    torn: int | None = None  # only an error if any non-blank line follows
+    torn: tuple[int, str] | None = None  # an error if a non-blank line follows
     for lineno, _, row, damage in _decode(lines, known):
         if torn is not None:
-            raise ReproError(f"{path}:{torn}: {_NOT_JSON} mid-file")
+            raise ReproError(f"{path}:{torn[0]}: {torn[1]} mid-file")
         if row is not None:
             yield row
         elif damage == _NOT_OBJECT:
             raise ReproError(f"{path}:{lineno}: {damage}")
         else:
-            torn = lineno
+            torn = lineno, damage
     if torn is not None and skipped is not None:
         skipped.append(
-            f"{path}:{torn}: torn trailing line dropped (interrupted run)"
+            f"{path}:{torn[0]}: torn trailing line dropped (interrupted run)"
         )
 
 
@@ -149,7 +175,7 @@ def iter_rows(
     """Yield the rows of a JSONL file under the *resume* policy
     (:func:`_resume`).  ``known`` (:func:`_decode`) is only looked up, so
     the rows a source file adds are not kept alive by it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path) as fh:
         yield from _resume(fh, path, skipped, known)
 
 
@@ -198,27 +224,40 @@ def verify_rows(
         yield row
 
 
-def iter_verified_rows(
+def iter_verified_lines(
     path: str, report: Callable[[str], None], *, known: Known | None = None
-) -> Iterator[dict[str, Any]]:
-    """Yield the rows of a finished JSONL file under the *verify* policy.
+) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Yield ``(stripped text, row)`` per row of a finished JSONL file,
+    under the *verify* policy.
 
     Nothing is tolerated: ANY damaged line — including the torn tail a
-    killed run leaves — is reported as ``path:line: ...``, and every row
-    goes through :func:`verify_rows`, a ``known`` one (:func:`_decode`)
-    too; every row parsed is added to ``known``.  The file verifies iff
-    nothing was reported by the time the iterator is exhausted.
+    killed run leaves — is reported as ``path:line: ...``, and row ``k``'s
+    broken persisted invariants as ``path row k: ...``, as
+    :func:`verify_rows` reports them, a ``known`` row (:func:`_decode`)
+    too; each row parsed becomes ``known``'s one entry.  The file
+    verifies iff nothing was reported by the time the iterator is
+    exhausted.
     """
 
-    def undamaged(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
-        for lineno, _, row, damage in _decode(lines, known, learn=known is not None):
+    def undamaged(lines: Iterable[str]) -> Iterator[tuple[str, dict[str, Any]]]:
+        for lineno, text, row, damage in _decode(lines, known, learn=known is not None):
             if row is None:
                 report(f"{path}:{lineno}: {damage}")
             else:
-                yield row
+                yield text, row
 
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from verify_rows(undamaged(fh), path, report)
+    with _open(path) as fh:
+        for k, (text, row) in enumerate(undamaged(fh)):
+            for problem in _row_shape_problems(row):
+                report(f"{path} row {k}: {problem}")
+            yield text, row
+
+
+def iter_verified_rows(
+    path: str, report: Callable[[str], None], *, known: Known | None = None
+) -> Iterator[dict[str, Any]]:
+    """The rows of :func:`iter_verified_lines`."""
+    return (row for _, row in iter_verified_lines(path, report, known=known))
 
 
 def diff_rows(
@@ -240,8 +279,8 @@ def diff_rows(
 
     The files are walked in lockstep, one row of each in memory, so peak
     memory does not grow with file size.  A pair of equal lines is parsed
-    once (the two sides share a ``known`` map of the current pair) and
-    is one row, so it needs no column walk.
+    once (the two sides share a one-entry ``known`` map, which holds the
+    row parsed last) and is one row, so it needs no column walk.
     """
     problems: list[str] = []
     count_a = count_b = 0
@@ -251,7 +290,6 @@ def diff_rows(
         iter_verified_rows(path_b, problems.append, known=pair),
     )
     for k, (ra, rb) in enumerate(pairs):
-        pair.clear()
         count_a += ra is not None
         count_b += rb is not None
         if ra is None or rb is None or ra is rb:
@@ -273,9 +311,10 @@ def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:
     """Drop a truncated trailing line in place; return the completed ids
     (*resume* policy; ``skipped`` as in :func:`_resume`).
 
-    The file is read **once** and the parsed rows are compared against
-    that same snapshot, then rewritten only when needed (atomic replace),
-    so resuming after a kill leaves a clean append point.  The
+    One pass reads the file and writes its canonical copy, a row at a
+    time, to a ``.tmp`` sidecar that replaces the file only when a byte
+    differs (atomic replace), so resuming after a kill leaves a clean
+    append point; only the id set grows with the file.  The
     read-compare-rewrite is still not atomic with respect to a concurrent
     appender — a row appended between the read and the replace would be
     lost — so a result file must have exactly one writer at a time;
@@ -286,18 +325,35 @@ def compact(path: str, *, skipped: list[str] | None = None) -> set[str]:
     """
     if not os.path.exists(path):
         return set()
-    # newline="": a ``\r`` line ending reads back as written, so a file
-    # carrying one is not mistaken for its canonical self.
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    rows = list(_resume(lines, path, skipped))
-    text = "".join(dumps_row(r) + "\n" for r in rows)
-    if "".join(lines) != text:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    return {row["cell_id"] for row in rows if "cell_id" in row}
+    done: set[str] = set()
+    tmp = path + ".tmp"
+    read = written = 0  # characters
+    same = True  # every row's line so far is its canonical line
+    line = ""
+
+    def tapped(lines: Iterable[str]) -> Iterator[str]:
+        nonlocal line, read
+        for line in lines:
+            read += len(line)
+            yield line
+
+    try:
+        # newline="": a ``\r`` line ending reads back as written, so a file
+        # carrying one is not mistaken for its canonical self.
+        with _open(path, newline="") as fh, open(tmp, "w", encoding="utf-8") as out:
+            for row in _resume(tapped(fh), path, skipped):
+                canonical = dumps_row(row) + "\n"
+                same = same and canonical == line  # the line just read
+                written += len(canonical)
+                out.write(canonical)
+                if "cell_id" in row:
+                    done.add(row["cell_id"])
+        if not same or read != written:  # a line rewritten, blank or dropped
+            os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return done
 
 
 class _Refused(Exception):
@@ -363,7 +419,7 @@ def merge_shards(
             for path in paths:
                 if not os.path.exists(path):
                     raise _Refused(f"{path}: missing shard file")
-                rows = _indexed_rows(path, files.enter_context(open(path, encoding="utf-8")))
+                rows = _indexed_rows(path, files.enter_context(_open(path)))
                 if (first := next(rows, None)) is not None:
                     where, index, _ = first
                     if (r := index % m) in shards:

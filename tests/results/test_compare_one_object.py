@@ -1,11 +1,14 @@
 """A pair that is one row object compares like two equal copies.
 
-``results compare`` reads both sides through one ``known`` map, so a line
-of B equal to a line of A is A's row object; :func:`compare_rows` counts
-such a pair as 0 % in each numeric column without walking it.  Every
+``results compare`` reads both sides in lockstep through one ``known``
+map that holds the row parsed last, so a line of B equal to the line of
+A just read is A's row object; :func:`compare_rows` counts such a pair as
+0 % in each numeric column without walking it.  It pairs rows as they
+arrive and totals the deltas in sorted cell-id order at the end.  Every
 outcome — ``columns`` (order included), ``report_lines()`` and
 ``to_doc()`` — must equal the walked comparison of copies read without a
-shared map, also with a NaN value or one changed value.
+shared map, also with a NaN value or one changed value, and with either
+side in another row order.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -82,6 +86,28 @@ def test_one_changed_value_compares_as_in_equal_copies(rows, at):
     assert_same(one_object, compare_rows(a, walked, max_delta_pct=0.0))
     assert one_object.columns["makespan"]["changed"] == 1.0
     assert len(one_object.exceeding) == 1
+
+
+@pytest.mark.parametrize("at", [0, 5, 11])
+def test_row_order_changes_no_outcome(rows, at):
+    """Pairs are matched as they arrive and totalled in cell-id order, so a
+    shuffled side compares as the ordered one: NaN, a changed value, a
+    zero baseline, a non-numeric difference and unmatched cells included."""
+    a = sorted(copies(rows), key=lambda r: r["cell_id"])
+    a[at]["makespan"] = float("nan")
+    a[(at + 3) % 12]["latency_mean"] = 0.0
+    b = copies(a)
+    b[(at + 1) % 12]["makespan"] *= 1.5
+    b[(at + 2) % 12]["tree"] = "mst"
+    b[(at + 3) % 12]["latency_mean"] = 2.0
+    del b[(at + 4) % 12]
+    b.append(dict(copies(a)[0], cell_id="only-in-b"))
+    ordered = compare_rows(a, b, max_delta_pct=0.0)
+    assert len(ordered.problems) == 4
+    for seed in range(3):
+        shuffle = random.Random(seed).sample
+        assert_same(compare_rows(shuffle(a, len(a)), shuffle(b, len(b)), max_delta_pct=0.0),
+                    ordered)
 
 
 def test_a_column_on_one_side_only_is_still_a_problem(rows):

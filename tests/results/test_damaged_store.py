@@ -168,3 +168,37 @@ def test_a_histogram_that_miscounts_is_refused_by_ingest(tmp_path):
     source.write_text("".join(dumps_row(r) + "\n" for r in rows))
     with pytest.raises(ResultsError, match="row 3: latency_hist counts"):
         ResultsStore(str(tmp_path / "store")).ingest(spec, str(source))
+
+
+def test_a_stored_byte_that_is_not_utf8_is_named(stored, capsys):
+    store, run_dir = stored
+    data = (run_dir / "rows.jsonl").read_bytes()
+    (run_dir / "rows.jsonl").write_bytes(data[:50] + b"\xff" + data[51:])
+    for argv in (["table", "smoke", "--percentiles"], ["plot", "smoke"],
+                 ["compare", "--a", "smoke", "--b", "smoke"]):
+        err = results(capsys, store, *argv)
+        assert "rows.jsonl:1: corrupt JSONL row (not UTF-8)" in err
+        assert "UnicodeDecodeError" not in err
+
+
+@pytest.mark.parametrize("name", ["spec.json", "manifest.json"])
+def test_reingest_heals_a_damaged_spec_or_manifest(stored, capsys, tmp_path, name):
+    """``table`` says to re-ingest; a re-ingest rewrites a file that is not
+    UTF-8 like any file that differs, and the run reads back."""
+    store, run_dir = stored
+    source = tmp_path / "smoke.jsonl"
+    shutil.copy(run_dir / "rows.jsonl", source)
+    clean = {n: (run_dir / n).read_bytes() for n in ("rows.jsonl", "spec.json", "manifest.json")}
+    capsys.readouterr()
+    assert main(["results", "table", "smoke", "--store", store.root]) == 0
+    expected = capsys.readouterr().out
+
+    (run_dir / name).write_bytes(b"\xff\xfe garbage")
+    if name == "manifest.json":
+        assert "re-ingest the run's source files" in results(capsys, store, "table", "smoke")
+    assert main(["results", "ingest", str(source), "--store", store.root,
+                 "--grid", "smoke"]) == 0
+    assert {n: (run_dir / n).read_bytes() for n in clean} == clean
+    capsys.readouterr()
+    assert main(["results", "table", "smoke", "--store", store.root]) == 0
+    assert capsys.readouterr().out == expected

@@ -111,6 +111,26 @@ def test_a_reformatted_line_with_one_changed_value_conflicts(tmp_path, smoke):
         store.ingest(spec, source)
 
 
+def test_a_reformatted_stored_line_is_still_its_row(tmp_path, smoke):
+    """An ingest keeps stored line text; one of other formatting is parsed
+    once more only to tell an equal source row from a conflicting one."""
+    spec, path, rows = smoke
+    store = stored(tmp_path, smoke)
+    rows_path = store.rows_path(spec.spec_hash())
+    lines = [dumps_row(r) for r in rows]
+    lines[1] = reformatted(rows[1])
+    write(tmp_path / "rows.jsonl", lines[:3])
+    os.replace(tmp_path / "rows.jsonl", rows_path)
+    report = store.ingest(spec, path)
+    assert (report.new_rows, report.total_rows) == (1, len(rows))
+    with open(rows_path, encoding="utf-8") as fh:  # stored lines copied as read
+        assert fh.read().splitlines() == lines
+    changed = dict(rows[1], makespan=rows[1]["makespan"] * 1.5)
+    source = write(tmp_path / "changed.jsonl", [dumps_row(changed)])
+    with pytest.raises(ResultsError, match="conflicts with the already-stored row"):
+        store.ingest(spec, source)
+
+
 def test_new_rows_beside_known_lines_are_stored_canonically(tmp_path, smoke):
     spec, path, rows = smoke
     store = ResultsStore(str(tmp_path / "store"))

@@ -7,8 +7,12 @@ Two properties of the readers behind resume, verify, merge and ingest:
   rewritten or crashed on;
 * a file cut at *any* byte either yields the clean outcome byte for byte
   or a named problem — never a raw ``KeyError`` / ``JSONDecodeError`` /
-  ``AttributeError``, never a silently shorter merged or stored file.
+  ``AttributeError``, never a silently shorter merged or stored file;
+* a byte that is not UTF-8 is damage on its line, like a line that is
+  not JSON — never a ``UnicodeDecodeError``.
 """
+
+import re
 
 import pytest
 
@@ -284,4 +288,67 @@ def test_a_resumed_sweep_says_it_dropped_a_torn_tail(tmp_path, capsys, smoke_byt
     assert main(["sweep", "--grid", "smoke", "--out", str(path)]) == 0
     assert ("1 written, 3 skipped of 4 cells (1 torn trailing line dropped)"
             in capsys.readouterr().out)
+    assert path.read_bytes() == smoke_bytes
+
+
+# ----------------------------------------------------------------------
+# a byte that is not UTF-8
+# ----------------------------------------------------------------------
+NOT_UTF8 = "corrupt JSONL row (not UTF-8)"
+
+
+def with_byte(data: bytes, at: int, byte: int = 0xFF) -> bytes:
+    return data[:at] + bytes([byte]) + data[at + 1:]
+
+
+def failed(capsys, argv) -> str:
+    """Run ``argv`` expecting exit 1 without a traceback; return stderr."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "UnicodeDecodeError" not in err
+    return err
+
+
+@pytest.mark.parametrize("line", [1, 3], ids=["first-row", "third-row"])
+def test_a_byte_that_is_not_utf8_is_that_lines_damage(tmp_path, capsys, smoke_bytes, line):
+    """Rows are ASCII: a bad byte is damage on its line, never a decode crash."""
+    clean = tmp_path / "clean.jsonl"
+    clean.write_bytes(smoke_bytes)
+    at = (0, *(i + 1 for i, b in enumerate(smoke_bytes) if b == 0x0A))[line - 1] + 50
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(with_byte(smoke_bytes, at))
+    where = f"{bad}:{line}: {NOT_UTF8}"
+
+    assert where in failed(capsys, ["sweep-verify", "--a", str(bad), "--b", str(clean)])
+    assert where in failed(capsys, ["results", "compare", "--store", str(tmp_path / "st"),
+                                    "--a", str(bad), "--b", str(clean)])
+    err = failed(capsys, ["sweep-merge", str(bad), "--out", str(tmp_path / "merged.jsonl")])
+    assert where in err and not (tmp_path / "merged.jsonl").exists()
+    # resume: a damaged line mid-file is an error, and nothing is rewritten.
+    with pytest.raises(ReproError, match=re.escape(f"{where} mid-file")):
+        compact(str(bad))
+    assert f"{where} mid-file" in failed(
+        capsys, ["results", "ingest", str(bad), "--store", str(tmp_path / "st"),
+                 "--grid", "smoke"])
+    assert bad.read_bytes() == with_byte(smoke_bytes, at)
+
+
+def test_a_torn_multibyte_tail_is_a_torn_line(tmp_path, capsys, smoke_bytes):
+    """A write cut inside a UTF-8 sequence leaves an unterminated last line
+    that is not UTF-8: *resume* drops it like any torn line."""
+    path = tmp_path / "smoke.jsonl"
+    torn = smoke_bytes + b'{"cell_id":"\xe2\x82'
+    path.write_bytes(torn)
+    skipped: list[str] = []
+    assert len(list(iter_rows(str(path), skipped=skipped))) == 4
+    assert skipped == [f"{path}:5: torn trailing line dropped (interrupted run)"]
+    _, problems = diff_rows(str(path), str(path))
+    assert problems[:2] == [f"{path}:5: {NOT_UTF8}"] * 2
+    assert len(compact(str(path))) == 4 and path.read_bytes() == smoke_bytes
+
+    path.write_bytes(torn)
+    capsys.readouterr()
+    assert main(["sweep", "--grid", "smoke", "--out", str(path)]) == 0
+    assert "(1 torn trailing line dropped)" in capsys.readouterr().out
     assert path.read_bytes() == smoke_bytes
