@@ -3,9 +3,9 @@
 :func:`compare_rows` diffs two stored runs — typically this branch's
 fresh grid against a committed baseline store — cell by cell, reporting
 percent deltas per numeric column.  Identity columns (``cell_id``,
-``index``, seeds...) are compared for equality; the ``engine`` label is
-ignored by default (the engines are bit-identical).  With a tolerance,
-any delta beyond it fails the comparison.
+``index``, seeds...) are compared for equality, every column included:
+rows name no engine, so a fast and a message run of one grid compare
+equal.  With a tolerance, any delta beyond it fails the comparison.
 
 :meth:`RowComparison.to_doc` serialises a canonical
 ``BENCH_results.json`` document: sorted keys, no timestamps, so
@@ -101,10 +101,8 @@ class RowComparison:
         return lines
 
 
-def _numeric_items(row: dict[str, Any], ignore: tuple[str, ...]):
+def _numeric_items(row: dict[str, Any]):
     for k, v in row.items():
-        if k in ignore:
-            continue
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             yield k, float(v)
 
@@ -113,9 +111,7 @@ def _numeric_items(row: dict[str, Any], ignore: tuple[str, ...]):
 _Shapes = dict[tuple, tuple[tuple[str, ...], list[str]]]
 
 
-def _self_columns(
-    row: dict[str, Any], ignore: tuple[str, ...], shapes: _Shapes
-) -> tuple[str, ...] | None:
+def _self_columns(row: dict[str, Any], shapes: _Shapes) -> tuple[str, ...] | None:
     """The numeric columns of a row paired with itself, each a 0 % delta;
     ``None`` when a value is NaN (NaN != NaN: the walk reports it).
 
@@ -126,7 +122,7 @@ def _self_columns(
     shape = (*row, *map(type, row.values()))
     if (known := shapes.get(shape)) is None:
         numeric = [k for k, v in row.items()
-                   if k not in ignore and isinstance(v, (int, float)) and not isinstance(v, bool)]
+                   if isinstance(v, (int, float)) and not isinstance(v, bool)]
         known = shapes[shape] = tuple(numeric), [k for k in numeric if isinstance(row[k], float)]
     columns, floats = known
     if floats and (total := sum(map(row.__getitem__, floats))) != total:
@@ -138,7 +134,6 @@ def compare_rows(
     rows_a: Iterable[dict[str, Any]],
     rows_b: Iterable[dict[str, Any]],
     *,
-    ignore: tuple[str, ...] = ("engine",),
     max_delta_pct: float | None = None,
 ) -> RowComparison:
     """Diff two row sets cell by cell; returns a :class:`RowComparison`.
@@ -147,7 +142,7 @@ def compare_rows(
     problem (the runs cover different grids or one is partial), and so is
     a row without a string ``cell_id`` or one repeating a ``cell_id`` of
     its side — a row is compared or reported, never silently dropped.  Every
-    shared numeric column (minus ``ignore``) gets a percent delta
+    shared numeric column gets a percent delta
     ``(b - a) / a * 100`` — a zero baseline with a non-zero fresh value
     reports as a problem rather than an infinite percentage.  Non-numeric
     columns (cell ids, fault labels, ``exclusion_ok``...) must be equal.
@@ -183,15 +178,15 @@ def compare_rows(
             first[k] = cid, pct
 
     def walk(cid: str, ra: dict[str, Any], rb: dict[str, Any]) -> None:
-        if ra is rb and (same := _self_columns(ra, ignore, shapes)) is not None:
+        if ra is rb and (same := _self_columns(ra, shapes)) is not None:
             if (tally := zeros.get(same)) is None:
                 zeros[same] = [1, cid]
             else:
                 tally[0] += 1
                 tally[1] = min(tally[1], cid)
             return
-        na = dict(_numeric_items(ra, ignore))
-        nb = dict(_numeric_items(rb, ignore))
+        na = dict(_numeric_items(ra))
+        nb = dict(_numeric_items(rb))
         for k in sorted(na.keys() | nb.keys()):
             if k not in na or k not in nb:
                 pair_problems.append((cid, f"{cid}: column {k!r} present on one side only"))
@@ -208,7 +203,7 @@ def compare_rows(
             count(cid, k, pct)
             if pct != 0.0:
                 deltas.append((abs(pct), cid, k, a, b, pct))
-        for k in sorted((ra.keys() | rb.keys()) - set(na) - set(nb) - set(ignore)):
+        for k in sorted((ra.keys() | rb.keys()) - set(na) - set(nb)):
             if ra.get(k) != rb.get(k):
                 pair_problems.append((cid, f"{cid}: non-numeric column {k!r} differs: "
                                            f"{ra.get(k)!r} vs {rb.get(k)!r}"))

@@ -50,7 +50,6 @@ def _axis_columns(cell: SweepCell, derived: int) -> dict[str, Any]:
         "schedule": cell.schedule.label(),
         "seed": cell.seed,
         "cell_seed": derived,
-        "engine": cell.engine,
         "service_time": cell.service_time,
     }
 
@@ -87,13 +86,14 @@ def execute_cell(cell: SweepCell) -> dict[str, Any]:
     :class:`~repro.sweep.registry.CellFamily`, whose builder and
     runner-to-row produce the metric columns; the executor prepends the
     axis identity columns.  Everything is a deterministic function of the
-    cell, so rows are reproducible — and, for the arrow engines,
-    engine-independent (fast and message are bit-identical;
-    message-level-only families like the §5.1 directories ignore the
-    engine axis entirely).  A :class:`~repro.errors.ReproError` out of a
-    cell's run carries the cell's id (``cell_id``, and at the head of the
-    message); a :class:`~repro.errors.MonitorViolation` is re-raised as a
-    new one, chained to the monitor's own.
+    cell, so rows are reproducible — and engine-independent: the fast and
+    message engines are bit-identical (message-level-only families like
+    the §5.1 directories ignore the engine axis entirely) and a row names
+    no engine, so both engines write the same bytes.  A
+    :class:`~repro.errors.ReproError` out of a cell's run carries the
+    cell's id (``cell_id``, and at the head of the message); a
+    :class:`~repro.errors.MonitorViolation` is re-raised as a new one,
+    chained to the monitor's own.
     """
     family = get_family(cell.schedule.family)
     derived = cell_seed(cell)

@@ -2,8 +2,9 @@
 
 One JSON object per line, serialised canonically (sorted keys, compact
 separators) so a sweep with a fixed seed produces byte-identical files
-regardless of worker count.  Files are append-only during a run.  Every
-consumer reads through :func:`_decode` under one of two policies:
+regardless of worker count or engine (a row names no engine).  Files are
+append-only during a run.  Every consumer reads through :func:`_decode`
+under one of two policies:
 
 * **resume** (:func:`iter_rows`, :func:`compact`) — for a file a run may
   still be appending to: a torn final line is dropped and counted, any
@@ -264,18 +265,18 @@ def diff_rows(
     path_a: str,
     path_b: str,
     *,
-    ignore: tuple[str, ...] = ("engine",),
     expect_cells: int | None = None,
 ) -> tuple[int, list[str]]:
     """Compare two sweep JSONL files row by row; return (rows, problems).
 
     The engines' bit-identity contract means two sweeps of one grid must
-    serialise to equal rows modulo the ``ignore`` columns (by default just
-    the ``engine`` label itself).  Beyond equality, both files are read
-    under the *verify* policy (:func:`iter_verified_rows`: row invariants
-    checked, and the torn trailing line resume reads tolerate is a
-    problem), and, when ``expect_cells`` is given, the files must carry
-    exactly that many rows.  An empty problem list means the files verify.
+    serialise to equal rows, every column included (a row names no
+    engine, so a fast and a message sweep write the same bytes).  Beyond
+    equality, both files are read under the *verify* policy
+    (:func:`iter_verified_rows`: row invariants checked, and the torn
+    trailing line resume reads tolerate is a problem), and, when
+    ``expect_cells`` is given, the files must carry exactly that many
+    rows.  An empty problem list means the files verify.
 
     The files are walked in lockstep, one row of each in memory, so peak
     memory does not grow with file size.  A pair of equal lines is parsed
@@ -292,14 +293,11 @@ def diff_rows(
     for k, (ra, rb) in enumerate(pairs):
         count_a += ra is not None
         count_b += rb is not None
-        if ra is None or rb is None or ra is rb:
+        if ra is None or rb is None or ra is rb or ra == rb:
             continue
-        fa = {key: v for key, v in ra.items() if key not in ignore}
-        fb = {key: v for key, v in rb.items() if key not in ignore}
-        if fa != fb:
-            cell = ra.get("cell_id", f"row {k}")
-            bad = sorted(key for key in fa.keys() | fb.keys() if fa.get(key) != fb.get(key))
-            problems.append(f"row {k} ({cell}): columns differ: {', '.join(bad)}")
+        cell = ra.get("cell_id", f"row {k}")
+        bad = sorted(key for key in ra.keys() | rb.keys() if ra.get(key) != rb.get(key))
+        problems.append(f"row {k} ({cell}): columns differ: {', '.join(bad)}")
     if expect_cells is not None and count_a != expect_cells:
         problems.append(f"{path_a}: expected {expect_cells} rows, found {count_a}")
     if count_a != count_b:

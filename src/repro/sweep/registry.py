@@ -115,7 +115,9 @@ class CellFamily:
     metric columns.  ``uses_engine`` documents whether the family honours
     the spec's ``engine`` axis — message-level-only families (the
     directory designs) ignore it, and their rows carry a ``protocol``
-    column naming what actually ran.  ``supports_faults`` marks families
+    column naming what actually ran.  No row names an engine, and only
+    ``benchmarks/e2e/trace.py`` reads this field (to pick the engine it
+    probes a cell with).  ``supports_faults`` marks families
     whose ``to_row`` honours a non-empty ``cell.faults`` plan (the
     open-loop arrow families), ``supports_monitors`` those that attach an
     :class:`~repro.monitors.ArrowMonitor` when ``cell.monitors`` is set

@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.engines import ENGINES, engine_error_message
 from repro.errors import SweepError, require_time
@@ -155,6 +155,22 @@ def _param_key(params: tuple[tuple[str, object], ...]) -> str:
     return ",".join(f"{k}={v}" for k, v in params)
 
 
+def _check_graph(family: str, names: Iterable[str]) -> None:
+    """Reject an unknown graph family, or a parameter name its generator's
+    signature lacks, with a :class:`SweepError`."""
+    if family not in GRAPH_BUILDERS:
+        raise SweepError(
+            f"unknown graph family {family!r}; know {sorted(GRAPH_BUILDERS)}"
+        )
+    accepted = set(inspect.signature(GRAPH_BUILDERS[family]).parameters)
+    unknown = set(names) - accepted
+    if unknown:
+        raise SweepError(
+            f"graph family {family!r} does not accept {sorted(unknown)}; "
+            f"known parameters: {sorted(accepted)}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class GraphSpec:
     """One point on the graph-family axis: family name + generator kwargs."""
@@ -167,20 +183,11 @@ class GraphSpec:
         """Build a spec from keyword generator arguments.
 
         Parameter names are checked against the generator's signature
-        here, so a typo fails at spec-build time with a named error
+        here (and again by :class:`SweepSpec` for a graph built without
+        ``of``), so a typo fails at spec-build time with a named error
         rather than as a raw ``TypeError`` inside a worker mid-sweep.
         """
-        if family not in GRAPH_BUILDERS:
-            raise SweepError(
-                f"unknown graph family {family!r}; know {sorted(GRAPH_BUILDERS)}"
-            )
-        accepted = set(inspect.signature(GRAPH_BUILDERS[family]).parameters)
-        unknown = set(params) - accepted
-        if unknown:
-            raise SweepError(
-                f"graph family {family!r} does not accept {sorted(unknown)}; "
-                f"known parameters: {sorted(accepted)}"
-            )
+        _check_graph(family, params)
         return cls(family, tuple(sorted(params.items())))
 
     def kwargs(self) -> dict[str, object]:
@@ -282,13 +289,15 @@ class SweepSpec:
         require_time("service_time", self.service_time, SweepError)
         for seed in self.seeds:
             non_negative_int("seeds", seed)
+        # Graphs and schedules built without their ``of`` are checked
+        # here, so no cell id names a parameter its run rejects or ignores.
+        for g in self.graphs:
+            _check_graph(g.family, g.kwargs())
         for t in self.trees:
             if t not in TREE_BUILDERS:
                 raise SweepError(
                     f"unknown tree strategy {t!r}; know {sorted(TREE_BUILDERS)}"
                 )
-        # A schedule built without ScheduleSpec.of is checked here, so no
-        # cell id names a parameter its run ignores.
         for s in self.schedules:
             get_family(s.family).validate_params(s.kwargs())
         if not self.faults:

@@ -41,11 +41,11 @@ __all__ = [
 ]
 
 
-def _check_args(pool: int, *, rate: float = 1.0, **sizes: float) -> None:
+def _check_args(num_nodes: int, *, rate: float = 1.0, **sizes: float) -> None:
     """Reject what numpy would fail on with a raw ValueError (or, for a
     zero rate, a ZeroDivisionError); a zero count or span stays legal."""
-    if pool <= 0:
-        raise ScheduleError(f"num_nodes / nodes must name a node, got {pool} nodes")
+    if num_nodes <= 0:
+        raise ScheduleError(f"num_nodes must name a node, got {num_nodes} nodes")
     if not rate > 0:
         raise ScheduleError(f"rate must be positive, got {rate}")
     for name, value in sizes.items():
@@ -58,10 +58,8 @@ def one_shot(nodes: list[int]) -> RequestSchedule:
     return RequestSchedule.from_columns(nodes, [0.0] * len(nodes))
 
 
-def sequential(
-    nodes: list[int], gap: float, *, start: float = 0.0
-) -> RequestSchedule:
-    """One request per listed node, ``gap`` time units apart.
+def sequential(nodes: list[int], gap: float) -> RequestSchedule:
+    """One request per listed node, ``gap`` time units apart from time 0.
 
     Choose ``gap > 2 D`` to guarantee the sequential regime (each request
     completes before the next is issued, whatever the pair of nodes).
@@ -69,7 +67,7 @@ def sequential(
     if gap <= 0:
         raise ScheduleError(f"gap must be positive, got {gap}")
     return RequestSchedule(
-        [(v, start + i * gap) for i, v in enumerate(nodes)]
+        [(v, i * gap) for i, v in enumerate(nodes)]
     )
 
 
@@ -79,21 +77,19 @@ def poisson(
     rate: float,
     *,
     seed: int = 0,
-    nodes: list[int] | None = None,
 ) -> RequestSchedule:
     """``count`` requests with exponential inter-arrival times.
 
     ``rate`` is the aggregate arrival rate (requests per time unit);
-    issuing nodes are uniform over ``nodes`` (default: all nodes).
+    issuing nodes are uniform over all nodes.
     """
     import numpy as np
 
-    pool = np.arange(num_nodes) if nodes is None else np.asarray(nodes)
-    _check_args(len(pool), count=count, rate=rate)
+    _check_args(num_nodes, count=count, rate=rate)
     rng = spawn_rng(seed, f"poisson-{num_nodes}-{count}-{rate}")
     times = np.cumsum(rng.exponential(1.0 / rate, size=count))
-    picks = rng.integers(0, len(pool), size=count)
-    return RequestSchedule.from_columns(pool[picks], times)
+    picks = rng.integers(0, num_nodes, size=count)
+    return RequestSchedule.from_columns(picks, times)
 
 
 def bursty(
@@ -161,19 +157,15 @@ def random_times(
     horizon: float,
     *,
     seed: int = 0,
-    continuous: bool = True,
 ) -> RequestSchedule:
     """Uniform random (node, time) pairs over ``[0, horizon]``.
 
-    With ``continuous`` the times are real-valued, which makes cost ties
-    measure-zero — the regime where the fast NN executor must match the
-    simulator exactly (used heavily by the integration tests).
+    The times are real-valued, which makes cost ties measure-zero — the
+    regime where the fast NN executor must match the simulator exactly
+    (used heavily by the integration tests).
     """
     _check_args(num_nodes, count=count, horizon=horizon)
     rng = spawn_rng(seed, f"random-{num_nodes}-{count}-{horizon}")
     picks = rng.integers(0, num_nodes, size=count)
-    if continuous:
-        times = rng.uniform(0.0, horizon, size=count)
-    else:
-        times = rng.integers(0, max(1, int(horizon)) + 1, size=count)
+    times = rng.uniform(0.0, horizon, size=count)
     return RequestSchedule.from_columns(picks, times)

@@ -632,27 +632,27 @@ def test_results_table_of_a_stored_theorem_grid_is_the_command_table(
 #: moves a row on purpose updates its digest and says why.
 STORABLE_TABLES = [
     ("fig9", "fig9", ["-D", "16", "-k", "2"],
-     "b1d6ea2e1f95827f0182d6a6b1b5b3490cb6b7bd259bb17e824fb24ec2813709"),
+     "903d780ffddfe02bf21ae393869c7f8e6c98e106ad53c935683723f1b060a19b"),
     ("fig10", "fig10", ["--sizes", "2,6", "--requests-per-proc", "20"],
-     "8560b756c00dff2290da11fe10356a7d46b57682feea68ad4daac4a77e96f000"),
+     "c1f5c4cb8a905c62fe77125a7da63a2699e1593b63f1dc4e18bb20c24ca3b688"),
     ("directory", "directory", ["--sizes", "2,4", "--acquisitions-per-proc", "10"],
-     "aeedde9cc27c9f1ca84cfd2dc743774f9fe050c73ffb23b9f0055d04fa89c2df"),
+     "ab0e0184611b13be56dea4577b83a9ef453f43730e4fb0d86e3ce3785e95d608"),
     ("oneshot", "oneshot", [],
-     "243c78eefb8d3fdc374a6bd6627b211d6d94844b167068a8eb9a64c464ce7943"),
+     "d5dd92d1ef07a7c849e637af8a7ddae64000cca54e15d9d232d24527ccda085a"),
     ("thm319", "thm319", ["--diameters", "8,16", "--requests", "12"],
-     "80b52f73edccecc360ce5a217c3c6f091880ab076d5ab0b0c3138e964d71edd2"),
+     "66f5048b38236332ac7f2f9cc51543b499c5dce189496d745f46473e972cd010"),
     ("thm321", "thm321", ["--diameters", "8,16", "--requests", "12"],
-     "b7ee7330afb046b3ce948cce1075708b678894ef2053906b0489387744ded7df"),
+     "2b72b00cfcdfbea0a8c6c440989b4bd51ca7e977ac4c82345847e9072235fb46"),
     ("thm41", "thm41", ["--diameters", "16,64"],
-     "0b32ec7bdd8c02a9ab9a73c1fa8eee77b30e8b1df6dede86bd2d0dd60228f459"),
+     "07ae40fda7a95b63d4fdb10381bae9e0543d3644735e71c348f22e3774a8e0c7"),
     ("thm42", "thm42", ["--stretches", "1,2"],
-     "0e10b5725799f26830daf15f95135f9a3af87978e3e666423addd793792b5c99"),
+     "8dc2e0265978f5148d1ec7e16ce5c7e1c5a1afb34ac0274c8590f52fce9b1829"),
     ("sequential", "sequential", ["--requests", "10"],
-     "d48dd888fb66be226d53ba469aa162009fe929d58d4b2d495d3025c804a1c1c3"),
+     "bc7bd08c0e9414c5fd37fdb9751e18e16671b88b7385d870b31cd4c1d526cede"),
     ("ablation-trees", "ablations", [],
-     "f1ea1b936812f3ebc2a5f153ad37e97d690195051edee75879481dd640e0a1c9"),
+     "1e2e16bf86f2d8a00bb58719c0c7a48cd739eac211cbce54cfbf3ecb19a52c0b"),
     ("ablation-protocols", "ablations", [],
-     "b17393878e0112ef93a08b083b82377ea3ca5c9b68929cab2be038f33e43a031"),
+     "eec6295924867d6f55c83891d70e43f709fc063da2ed471db5c0fbde85c098b4"),
 ]
 
 

@@ -83,6 +83,25 @@ def test_compare_flags_a_drifted_cell(pipeline, capsys, tmp_path):
     assert "results compare FAILED" in err and "beyond" in err
 
 
+def test_a_row_still_naming_its_engine_is_reported_not_ignored(pipeline, capsys, tmp_path):
+    """Rows name no engine, and no reader ignores a column: a file whose
+    row still carries the label fails ``sweep-verify``, naming the column,
+    and ``results compare``, as a differing non-numeric column."""
+    _, jsonl, store = pipeline
+    rows = list(iter_rows(jsonl))
+    rows[1]["engine"] = "message"
+    labelled = tmp_path / "labelled.jsonl"
+    labelled.write_text("".join(dumps_row(r) + "\n" for r in rows))
+    assert main(["sweep-verify", "--a", jsonl, "--b", str(labelled)]) == 1
+    cid = rows[1]["cell_id"]
+    assert f"row 1 ({cid}): columns differ: engine\n" in capsys.readouterr().err
+    assert main(
+        ["results", "compare", "--store", store, "--a", "smoke", "--b", str(labelled)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"{cid}: non-numeric column 'engine' differs: None vs 'message'" in err
+
+
 def test_compare_mode_flags_are_mutually_exclusive(pipeline, tmp_path):
     """The retired bench-mode flags and a one-sided diff are usage errors."""
     _, jsonl, store = pipeline

@@ -10,10 +10,8 @@ from repro.results.compare import compare_rows
 
 def rows_a():
     return [
-        {"cell_id": "c0", "index": 0, "makespan": 10.0, "engine": "fast",
-         "graph": "complete(n=8)"},
-        {"cell_id": "c1", "index": 1, "makespan": 20.0, "engine": "fast",
-         "graph": "path(n=8)"},
+        {"cell_id": "c0", "index": 0, "makespan": 10.0, "graph": "complete(n=8)"},
+        {"cell_id": "c1", "index": 1, "makespan": 20.0, "graph": "path(n=8)"},
     ]
 
 
@@ -41,14 +39,18 @@ def test_percent_deltas_and_tolerance_gate():
     assert any("+10.00%" in line for line in tight.report_lines())
 
 
-def test_engine_label_ignored_but_other_strings_must_match():
+def test_every_string_column_must_match_an_engine_label_too():
+    """No column is ignored: a row still naming its engine (written before
+    rows dropped the label) differs from one that does not."""
     b = rows_a()
-    b[0]["engine"] = "message"  # engines are bit-identical: ignored
-    assert compare_rows(rows_a(), b).ok
     b[0]["graph"] = "ring(n=8)"
     cmp = compare_rows(rows_a(), b)
     assert not cmp.ok
     assert "non-numeric column 'graph' differs" in cmp.problems[0]
+    b = rows_a()
+    b[1]["engine"] = "fast"
+    cmp = compare_rows(rows_a(), b)
+    assert cmp.problems == ["c1: non-numeric column 'engine' differs: None vs 'fast'"]
 
 
 def test_missing_cells_and_zero_baseline_are_problems():

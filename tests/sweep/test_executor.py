@@ -1,6 +1,5 @@
 """Executor + persistence tests: determinism across workers, resume."""
 
-import json
 import os
 import pickle
 
@@ -112,9 +111,7 @@ def test_fast_and_message_engines_produce_identical_metrics():
     fast_cells = tiny_spec("fast").cells()
     msg_cells = tiny_spec("message").cells()
     for cf, cm in zip(fast_cells[:2], msg_cells[:2]):
-        rf, rm = execute_cell(cf), execute_cell(cm)
-        assert rf.pop("engine") == "fast" and rm.pop("engine") == "message"
-        assert rf == rm
+        assert execute_cell(cf) == execute_cell(cm)
 
 
 def test_corrupt_mid_file_raises():
@@ -142,11 +139,11 @@ def test_iter_sweep_inline_matches_pool(tmp_path):
 
 
 def test_smoke_grid_end_to_end(tmp_path):
-    p = tmp_path / "smoke.jsonl"
-    summary = run_sweep(smoke_grid(), str(p))
-    assert summary["written"] == 4
-    rows = [json.loads(line) for line in p.read_text().strip().split("\n")]
-    assert all(row["engine"] == "fast" for row in rows)
+    """A fast and a message sweep of one grid write the same bytes."""
+    fast, message = tmp_path / "fast.jsonl", tmp_path / "message.jsonl"
+    assert run_sweep(smoke_grid(), str(fast))["written"] == 4
+    assert run_sweep(smoke_grid(engine="message"), str(message))["written"] == 4
+    assert fast.read_bytes() == message.read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -258,10 +255,7 @@ def test_message_cell_materialises_each_request_once(requests_made, records_made
     requests_made.clear()
     (fast_row,) = [execute_cell(c) for c in _one_cell(POISSON).cells()]
     assert requests_made == []
-    drop = {"engine", "cell_id"}
-    assert {k: v for k, v in fast_row.items() if k not in drop} == {
-        k: v for k, v in row.items() if k not in drop
-    }
+    assert fast_row == row
 
 
 def test_completion_records_are_made_when_completions_is_read(records_made):

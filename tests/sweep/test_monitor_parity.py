@@ -53,4 +53,4 @@ def test_engines_agree_on_monitored_faulted_grid(tmp_path):
     message = sweep_bytes(
         tmp_path, dataclasses.replace(spec, engine="message"), "message"
     )
-    assert fast.replace(b'"engine":"fast"', b'"engine":"message"') == message
+    assert fast == message

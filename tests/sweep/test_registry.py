@@ -20,6 +20,7 @@ from repro.sweep import (
 from repro.sweep.families import FAMILIES
 from repro.sweep.persist import iter_rows
 from repro.sweep.registry import CellFamily, count
+from repro.sweep.spec import LOWERBOUND_AXES
 
 
 def one_cell(schedule, *, graph=None, tree="bfs", seed=0, engine="fast"):
@@ -220,8 +221,21 @@ def test_directory_families_ignore_engine_axis():
     ]
     assert not get_family("directory_arrow").uses_engine
     a, b = rows
-    assert a.pop("engine") == "fast" and b.pop("engine") == "message"
     assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_no_family_row_names_an_engine(name):
+    """A row holds only what its cell computed: no family writes an
+    ``engine`` column, so the fast and the message engine give one row."""
+    graph, tree = LOWERBOUND_AXES if name == "lowerbound" else (None, "bfs")
+    schedule = ScheduleSpec.of(name, **({"D": 4} if name == "lowerbound" else {}))
+    fast, message = (
+        one_cell(schedule, graph=graph, tree=tree, engine=engine)
+        for engine in ("fast", "message")
+    )
+    assert "engine" not in fast
+    assert fast == message
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,22 @@ def test_unknown_axis_values_rejected():
         smoke_grid(engine="batch")
 
 
+@pytest.mark.parametrize(
+    "graph, params",
+    [(GraphSpec("complete", (("m", 3),)), {"m": 3}), (GraphSpec("nope"), {})],
+    ids=["unknown-parameter", "unknown-family"],
+)
+def test_a_graph_built_without_of_is_checked_at_spec_build(graph, params):
+    """A graph axis value built without ``GraphSpec.of`` once passed the
+    spec and failed mid-sweep with a raw ``TypeError`` / ``KeyError``
+    carrying no cell id; it fails at spec build with ``of``'s text."""
+    with pytest.raises(SweepError) as via_of:
+        GraphSpec.of(graph.family, **params)
+    with pytest.raises(SweepError) as via_spec:
+        SweepSpec("x", (graph,), ("bfs",), (ScheduleSpec.of("one_shot"),), (0,))
+    assert str(via_spec.value) == str(via_of.value)
+
+
 @pytest.mark.parametrize("family", ["poisson", "bursty", "hotspot", "random"])
 def test_open_loop_sizes_are_per_node_only(family):
     """An absolute ``count`` once labelled a cell ``poisson(count=30,

@@ -22,8 +22,8 @@ def test_one_shot_all_at_zero():
 
 
 def test_sequential_spacing():
-    s = sequential([0, 1, 2], gap=5.0, start=1.0)
-    assert s.times == [1.0, 6.0, 11.0]
+    s = sequential([0, 1, 2], gap=5.0)
+    assert s.times == [0.0, 5.0, 10.0]
     with pytest.raises(ScheduleError):
         sequential([0], gap=0.0)
 
@@ -38,11 +38,6 @@ def test_poisson_count_rate_and_determinism():
     assert 0.2 < sum(gaps) / len(gaps) < 1.2
     with pytest.raises(ScheduleError):
         poisson(10, 5, rate=0.0)
-
-
-def test_poisson_restricted_node_pool():
-    s = poisson(10, 30, rate=1.0, seed=1, nodes=[2, 7])
-    assert set(s.nodes) <= {2, 7}
 
 
 def test_bursty_structure():
@@ -65,11 +60,9 @@ def test_hotspot_bias():
         hotspot(20, 10, 1.0, [0], 1.5)
 
 
-def test_random_times_continuous_vs_integer():
+def test_random_times_are_real_valued_within_horizon():
     c = random_times(10, 40, horizon=20.0, seed=5)
-    d = random_times(10, 40, horizon=20.0, seed=5, continuous=False)
     assert any(t != int(t) for t in c.times)
-    assert all(t == int(t) for t in d.times)
     assert all(0 <= t <= 20.0 for t in c.times)
 
 
@@ -95,10 +88,6 @@ PINNED_COLUMNS = {
         lambda: one_shot(list(range(40))),
         "fd8c508f25d1ffe4fc7f735b839c26c95e1bf026d00b3f85b78b7406d0f9bd1d",
     ),
-    "sequential-a": (
-        lambda: sequential([2, 0, 1], gap=5.0, start=1.0),
-        "d6ff3beda76837ba1989a69a69edaebbfab9c5e0fa21ad2d2fbb3b46be4b0fd5",
-    ),
     "sequential-b": (
         lambda: sequential(list(range(9, -1, -1)), gap=0.1),
         "0594712ddcd2600ac7bd2c168ea5708e2d0ad961babf529281d703d718c4ec9f",
@@ -110,14 +99,6 @@ PINNED_COLUMNS = {
     "poisson-7": (
         lambda: poisson(16, 200, 8.0, seed=7),
         "398ff453892823f562fc7494da505b5fd51ae553c142a24de1559aefbc9691bc",
-    ),
-    "poisson-pool-0": (
-        lambda: poisson(16, 120, 2.5, seed=0, nodes=[9, 2, 7]),
-        "9b51baa75b929bc34674460da0fff8cf545f03a8f793686696b70437cd96418e",
-    ),
-    "poisson-pool-7": (
-        lambda: poisson(16, 120, 2.5, seed=7, nodes=[9, 2, 7]),
-        "da0378933d52aa61b73cb447ea729bddc04fc0955cfcfc9d552cded09c451e4d",
     ),
     "bursty-0": (
         lambda: bursty(12, 4, 25, 2.0, 30.0, seed=0),
@@ -143,14 +124,6 @@ PINNED_COLUMNS = {
         lambda: random_times(10, 150, 20.0, seed=7),
         "802112e2c9b0165e61c15ca04af332cc9df14d06d21168d015e12e763fa4764f",
     ),
-    "random-int-0": (
-        lambda: random_times(10, 150, 6.0, seed=0, continuous=False),
-        "7053dd01d7afcaa5bd9ef18a7caa17ee7decce42ecb65f8885efd5ff176618d2",
-    ),
-    "random-int-7": (
-        lambda: random_times(10, 150, 6.0, seed=7, continuous=False),
-        "023d543ee96711f528b1f3fd300d63715fa0e7eedae078dc0aa8cf9e4f5b415d",
-    ),
 }
 
 
@@ -173,7 +146,6 @@ BAD_ARGUMENTS = {
     "hotspot-count": (lambda: hotspot(4, -5, 1.0, [0]), "count.*-5"),
     "hotspot-no-nodes": (lambda: hotspot(0, 5, 1.0, [0], 0.5), "num_nodes.*0"),
     "poisson-count": (lambda: poisson(4, -1, 1.0), "count.*-1"),  # "negative dimensions"
-    "poisson-empty-pool": (lambda: poisson(4, 5, 1.0, nodes=[]), "nodes"),  # "high <= 0"
     "poisson-no-nodes": (lambda: poisson(0, 5, 1.0), "num_nodes.*0"),
     "poisson-rate-negative": (lambda: poisson(4, 5, -2.0), "rate.*-2.0"),
     "poisson-rate-nan": (lambda: poisson(4, 5, float("nan")), "rate.*nan"),
