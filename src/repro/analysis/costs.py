@@ -11,7 +11,8 @@ matrix between the requests' nodes from :func:`request_distance_matrix` —
 tree distances ``d_T`` off the tree's LCA table or graph distances ``d_G``
 from :mod:`repro.graphs.shortest_paths`, depending on the caller):
 
-* ``c_A`` (eq. 1):   ``D[i, j]`` — arrow's latency for consecutive requests;
+* ``c_A`` (eq. 1):   ``D[i, j]`` — arrow's latency for consecutive requests
+  is the distance matrix itself, so it needs no function of its own;
 * ``c_T`` (Def. 3.5): ``t_j - t_i + D`` if non-negative, else
   ``t_i - t_j + D`` — the asymmetric cost whose nearest-neighbour path is
   exactly arrow's queuing order (Lemma 3.8);
@@ -38,7 +39,6 @@ from repro.spanning.tree import SpanningTree
 __all__ = [
     "augmented_nodes_times",
     "request_distance_matrix",
-    "c_a_matrix",
     "c_t_matrix",
     "c_m_matrix",
     "c_o_matrix",
@@ -89,11 +89,6 @@ def request_distance_matrix(
 # ----------------------------------------------------------------------
 # cost matrices
 # ----------------------------------------------------------------------
-def c_a_matrix(D: np.ndarray) -> np.ndarray:
-    """Arrow's per-link latency cost ``c_A`` (eq. 1): just the distances."""
-    return D.copy()
-
-
 def c_t_matrix(D: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The asymmetric arrow-order cost ``c_T`` (Definition 3.5).
 

@@ -31,9 +31,10 @@ before the next request is issued.  The runtime monitors
 cross-check the engines' repairs.  Everything here operates on a plain
 ``link`` pointer array (``link[v]`` is node ``v``'s pointer) — what the
 flat-heap engine and the monitors hold, and ``[nd.link for nd in nodes]``
-of a message-level run.  :func:`count_sinks` and :func:`sink_reached_from`
-walk the pointers instead of counting edge crossings: they are the
-independent oracle the edge rule is tested against.
+of a message-level run.  The tests check the edge rule against an
+independent oracle that walks the pointers instead of counting edge
+crossings (``count_sinks`` and ``sink_reached_from`` in
+``tests/tree_oracles.py``).
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from repro.spanning.tree import SpanningTree
 __all__ = [
     "EdgeViolation",
     "find_violations_links",
-    "count_sinks",
-    "sink_reached_from",
     "stabilize_links",
 ]
 
@@ -81,26 +80,6 @@ def find_violations_links(
         elif c == 0:
             out.append(EdgeViolation(v, p, "none"))
     return out
-
-
-def count_sinks(link: list[int]) -> int:
-    """Number of nodes whose pointer targets themselves."""
-    return sum(1 for v, target in enumerate(link) if target == v)
-
-
-def sink_reached_from(link: list[int], start: int, limit: int) -> int | None:
-    """Follow pointers from ``start``; the sink reached, or None on a cycle.
-
-    ``limit`` bounds the walk (use the node count: a legal walk never
-    revisits a node).
-    """
-    cur = start
-    for _ in range(limit + 1):
-        nxt = link[cur]
-        if nxt == cur:
-            return cur
-        cur = nxt
-    return None
 
 
 def stabilize_links(link: list[int], tree: SpanningTree) -> int:

@@ -183,11 +183,6 @@ class Graph:
         self._check_node(u)
         return iter(self._adj[u].items())
 
-    def degree(self, u: int) -> int:
-        """Number of neighbours of ``u``."""
-        self._check_node(u)
-        return len(self._adj[u])
-
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over undirected edges once each, as ``(u, v, w), u < v``."""
         for u in range(self._n):

@@ -1,9 +1,9 @@
 """Shortest-path algorithms over :class:`repro.graphs.graph.Graph`.
 
-Provides BFS (unit weights), Dijkstra (general positive weights), and
-all-pairs distance matrices.  The analysis layer uses ``d_G`` distances to
-evaluate the optimal algorithm's cost measure ``c_Opt`` (eq. 3 of the paper)
-and to compute the stretch of spanning trees (Definition 3.1).
+Provides BFS (unit weights), Dijkstra (general positive weights) and
+connectivity.  The analysis layer uses ``d_G`` distances to evaluate the
+optimal algorithm's cost measure ``c_Opt`` (eq. 3 of the paper); the
+router and the shortest-path tree builder read the predecessor arrays.
 """
 
 from __future__ import annotations
@@ -11,22 +11,15 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import TYPE_CHECKING
 
 from repro.graphs.graph import Graph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "bfs_distances",
     "bfs_predecessors",
     "dijkstra",
-    "single_source_distances",
-    "all_pairs_distances",
     "is_connected",
     "connected_components",
-    "eccentricity",
 ]
 
 
@@ -106,30 +99,6 @@ def dijkstra(graph: Graph, source: int) -> tuple[list[float], list[int]]:
     return dist, pred
 
 
-def single_source_distances(graph: Graph, source: int) -> list[float]:
-    """Distances from ``source``; BFS when unit-weighted, Dijkstra otherwise."""
-    if graph.is_unit_weighted():
-        return bfs_distances(graph, source)
-    return dijkstra(graph, source)[0]
-
-
-def all_pairs_distances(graph: Graph) -> np.ndarray:
-    """Dense ``n x n`` distance matrix (float64; ``inf`` if disconnected).
-
-    O(n·(m + n log n)); fine for the experiment scales in this repository
-    (n up to a few thousand).
-    """
-    import numpy as np
-
-    n = graph.num_nodes
-    out = np.empty((n, n), dtype=np.float64)
-    unit = graph.is_unit_weighted()
-    for s in range(n):
-        row = bfs_distances(graph, s) if unit else dijkstra(graph, s)[0]
-        out[s, :] = row
-    return out
-
-
 def is_connected(graph: Graph) -> bool:
     """True iff the graph is connected."""
     return not math.isinf(max(bfs_distances(graph, 0)))
@@ -155,8 +124,3 @@ def connected_components(graph: Graph) -> list[list[int]]:
                     q.append(v)
         comps.append(sorted(comp))
     return comps
-
-
-def eccentricity(graph: Graph, u: int) -> float:
-    """Maximum distance from ``u`` to any node."""
-    return max(single_source_distances(graph, u))

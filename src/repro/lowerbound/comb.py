@@ -9,10 +9,9 @@ linking that node's requests across time.  Its Manhattan weight is
               <  D + log^{k+1} D / (log D - 1)^2  =  O(D)  for the
                  paper's choice of k.
 
-This module computes the exact comb weight for a concrete instance and
-also exposes an explicit *comb ordering* (sweep time-0 row, then each
-column bottom-up) whose ``c_Opt`` path cost upper-bounds the true optimal
-cost — the quantity the lower-bound experiments divide by.
+This module computes the exact comb weight for a concrete instance: the
+``comb_weight`` column of every ``lowerbound`` row.  The rows' ratios
+divide by the upper end of ``opt_bounds``' bracket, not by the comb.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from collections import defaultdict
 
 from repro.core.requests import RequestSchedule
 
-__all__ = ["comb_mst_weight", "comb_order", "comb_cost_bound_formula"]
+__all__ = ["comb_mst_weight"]
 
 
 def comb_mst_weight(schedule: RequestSchedule, root_pos: int = 0) -> float:
@@ -43,27 +42,3 @@ def comb_mst_weight(schedule: RequestSchedule, root_pos: int = 0) -> float:
     horizontal = float(positions[-1] - positions[0])
     vertical = sum(max(ts) - min(ts) for ts in by_node.values())
     return horizontal + float(vertical)
-
-
-def comb_order(schedule: RequestSchedule) -> list[int]:
-    """An explicit queuing order tracing the comb: by node, then by time.
-
-    Visits nodes left to right; within a node, requests in time order.
-    Its ``c_Opt`` path cost is ``O(D + Σ vertical extents)`` on the
-    Theorem 4.1 instances — an achievable offline cost used as the
-    denominator's upper bound.
-    """
-    return [
-        r.rid
-        for r in sorted(schedule, key=lambda r: (r.node, r.time, r.rid))
-    ]
-
-
-def comb_cost_bound_formula(D: int, k: int) -> float:
-    """The proof's closed-form bound ``D + log^{k+1} D / (log D - 1)^2``."""
-    import math
-
-    logd = math.log2(D)
-    if logd <= 1.0:
-        return float(D + k)
-    return D + logd ** (k + 1) / (logd - 1.0) ** 2

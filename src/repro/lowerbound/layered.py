@@ -41,7 +41,7 @@ from repro.graphs.generators import path_graph
 from repro.lowerbound.construction import LowerBoundInstance
 from repro.spanning.tree import SpanningTree
 
-__all__ = ["layered_requests", "layered_instance", "layer_sweep_order"]
+__all__ = ["layered_requests", "layered_instance"]
 
 
 def layered_requests(D: int, k: int) -> list[tuple[int, float]]:
@@ -87,20 +87,3 @@ def layered_instance(D: int, k: int) -> LowerBoundInstance:
     graph = path_graph(D + 1)
     tree = SpanningTree([max(0, i - 1) for i in range(D + 1)], root=0)
     return LowerBoundInstance(graph, tree, RequestSchedule(pairs), D, k)
-
-
-def layer_sweep_order(schedule: RequestSchedule) -> list[int]:
-    """The proof's intended order: by time layer, alternating direction.
-
-    Even layers left-to-right, odd layers right-to-left — the order whose
-    cost is the ``(k+1)·D`` sweep target.  Used by tests and experiments to
-    compare the realised NN order against the intended one.
-    """
-    by_layer: dict[float, list] = {}
-    for r in schedule:
-        by_layer.setdefault(r.time, []).append(r)
-    order: list[int] = []
-    for t in sorted(by_layer):
-        layer = sorted(by_layer[t], key=lambda r: r.node, reverse=(int(t) % 2 == 1))
-        order.extend(r.rid for r in layer)
-    return order

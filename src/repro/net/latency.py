@@ -6,8 +6,10 @@ The paper analyses two communication models:
   processed immediately on arrival — :class:`UnitLatency`;
 * **asynchronous** (§3.8): message delays are arbitrary but, for the
   analysis, scaled so the slowest message between adjacent nodes takes one
-  time unit — :class:`UniformLatency` and :class:`ExponentialCappedLatency`
-  produce such executions.
+  time unit — :class:`UniformLatency` produces such executions.
+
+The delay models only tests run (a scaled weight and a capped
+exponential) live beside the test oracles, in ``tests/latency_models.py``.
 
 A latency model maps ``(src, dst, edge_weight, rng)`` to a delay sample.
 Deterministic models ignore the RNG.  Nothing reorders the samples: a
@@ -30,9 +32,7 @@ __all__ = [
     "LatencyModel",
     "UnitLatency",
     "WeightLatency",
-    "ScaledWeightLatency",
     "UniformLatency",
-    "ExponentialCappedLatency",
 ]
 
 
@@ -75,21 +75,6 @@ class WeightLatency(LatencyModel):
         return weight
 
 
-class ScaledWeightLatency(LatencyModel):
-    """Deterministic model: delay is ``factor * weight``."""
-
-    def __init__(self, factor: float) -> None:
-        if factor <= 0:
-            raise NetworkError(f"latency factor must be positive, got {factor}")
-        self.factor = float(factor)
-
-    def sample(self, src, dst, weight, rng) -> float:  # noqa: D102
-        return self.factor * weight
-
-    def max_delay(self, weight: float) -> float:  # noqa: D102
-        return self.factor * weight
-
-
 class UniformLatency(LatencyModel):
     """Asynchronous model: delay uniform in ``[lo, hi] * weight``.
 
@@ -110,29 +95,3 @@ class UniformLatency(LatencyModel):
 
     def max_delay(self, weight: float) -> float:  # noqa: D102
         return self.hi * weight
-
-
-class ExponentialCappedLatency(LatencyModel):
-    """Asynchronous model: exponential delays truncated to ``[floor, cap]``.
-
-    Mimics heavy-ish tails (slow stragglers) while keeping the normalised
-    "delay <= cap * weight" guarantee the asynchronous analysis assumes.
-    """
-
-    stochastic = True
-
-    def __init__(self, mean: float = 0.3, cap: float = 1.0, floor: float = 0.01) -> None:
-        if not 0 < floor <= cap:
-            raise NetworkError(f"need 0 < floor <= cap, got {floor}, {cap}")
-        if mean <= 0:
-            raise NetworkError(f"mean must be positive, got {mean}")
-        self.mean = float(mean)
-        self.cap = float(cap)
-        self.floor = float(floor)
-
-    def sample(self, src, dst, weight, rng) -> float:  # noqa: D102
-        raw = rng.exponential(self.mean)
-        return weight * min(max(raw, self.floor), self.cap)
-
-    def max_delay(self, weight: float) -> float:  # noqa: D102
-        return self.cap * weight

@@ -226,9 +226,8 @@ class ResultsStore:
             elif old != line and not _same_row(old, line):
                 raise ResultsError(
                     f"{jsonl_path}: cell {row['cell_id']!r} conflicts with the "
-                    f"already-stored row under [{spec_hash[:12]}] "
-                    "(same grid, different content — engines are "
-                    "bit-identical, so this means damaged input)"
+                    f"already-stored row under [{spec_hash[:12]}]: columns differ: "
+                    f"{persist.differing_columns(json.loads(old), row)}"
                 )
         total_rows = stored_rows + new_rows
 

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 from repro.errors import TreeError
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import all_pairs_distances
 from repro.spanning.tree import SpanningTree
 
-__all__ = [
-    "StretchReport",
-    "tree_stretch",
-    "average_stretch",
-    "tree_diameter",
-]
+__all__ = ["StretchReport", "tree_stretch", "tree_diameter"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,24 +50,6 @@ def tree_stretch(graph: Graph, tree: SpanningTree) -> StretchReport:
             best = ratio
             witness = (u, v)
     return StretchReport(best, witness)
-
-
-def average_stretch(graph: Graph, tree: SpanningTree) -> float:
-    """Mean of ``d_T(u,v)/d_G(u,v)`` over all unordered pairs.
-
-    Peleg–Reshef [18] show the *sequential* protocol overhead is governed by
-    communication-weighted averages rather than the max; this metric feeds
-    the tree-selection ablation benches.
-    """
-    dg = all_pairs_distances(graph)
-    n = graph.num_nodes
-    total = 0.0
-    count = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            total += tree.distance(u, v) / dg[u, v]
-            count += 1
-    return total / count if count else 1.0
 
 
 def tree_diameter(tree: SpanningTree) -> float:

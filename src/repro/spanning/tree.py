@@ -269,12 +269,6 @@ class SpanningTree:
         a = np.where(u == v, u, up[0][u])
         return wdepth[src] + wdepth - 2.0 * wdepth[a]
 
-    def hop_distance(self, u: int, v: int) -> int:
-        """Unweighted (hop) tree distance."""
-        a = self.lca(u, v)
-        depth = self.depth
-        return depth[u] + depth[v] - 2 * depth[a]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpanningTree(n={self._n}, root={self.root})"
 

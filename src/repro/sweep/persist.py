@@ -55,6 +55,7 @@ __all__ = [
     "verify_rows",
     "iter_verified_rows",
     "diff_rows",
+    "differing_columns",
     "merge_shards",
 ]
 
@@ -261,6 +262,12 @@ def iter_verified_rows(
     return (row for _, row in iter_verified_lines(path, report, known=known))
 
 
+def differing_columns(a: dict[str, Any], b: dict[str, Any]) -> str:
+    """The columns two rows disagree on, sorted and comma-joined; a column
+    one row lacks counts as differing."""
+    return ", ".join(sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key)))
+
+
 def diff_rows(
     path_a: str,
     path_b: str,
@@ -296,8 +303,7 @@ def diff_rows(
         if ra is None or rb is None or ra is rb or ra == rb:
             continue
         cell = ra.get("cell_id", f"row {k}")
-        bad = sorted(key for key in ra.keys() | rb.keys() if ra.get(key) != rb.get(key))
-        problems.append(f"row {k} ({cell}): columns differ: {', '.join(bad)}")
+        problems.append(f"row {k} ({cell}): columns differ: {differing_columns(ra, rb)}")
     if expect_cells is not None and count_a != expect_cells:
         problems.append(f"{path_a}: expected {expect_cells} rows, found {count_a}")
     if count_a != count_b:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.costs import (
     augmented_nodes_times,
-    c_a_matrix,
     c_m_matrix,
     c_o_matrix,
     c_t_matrix,
@@ -100,11 +99,6 @@ def test_cost_dominance_chain(setup):
     assert np.all(CT >= -1e-12)
     assert np.all(CT <= CM + 1e-12)
     assert np.all(CO <= CM + 1e-12)
-
-
-def test_c_a_is_distance(setup):
-    _, _, _, _, D = setup
-    assert np.array_equal(c_a_matrix(D), D)
 
 
 def test_path_cost_sums_consecutive(setup):

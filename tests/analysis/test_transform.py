@@ -5,12 +5,12 @@ import pytest
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
-from repro.analysis.verify import max_ct_edge_on_order
 from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
 from repro.graphs.generators import path_graph
 from repro.spanning import tree_diameter
 from repro.spanning.tree import SpanningTree
+from lemma_oracles import max_ct_edge_on_order
 from transform import compress_idle_time, max_gap_slack, shifted
 
 

@@ -1,22 +1,22 @@
-"""Unit tests for the lemma checkers (positive and negative cases)."""
+"""Unit tests for the lemma checkers, ``repro.analysis.verify`` and the
+``tests/lemma_oracles.py`` ones (positive and negative cases)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
-from repro.analysis.verify import (
-    arrow_cost_of_order,
-    check_fact_3_6,
-    check_lemma_3_8,
-    check_lemma_3_9,
-    is_nn_path,
-    lemma_3_10_identity_gap,
-    max_ct_edge_on_order,
-)
+from repro.analysis.verify import check_lemma_3_8, is_nn_path
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.graphs.generators import path_graph
 from repro.spanning.tree import SpanningTree
+from lemma_oracles import (
+    arrow_cost_of_order,
+    check_fact_3_6,
+    check_lemma_3_9,
+    lemma_3_10_identity_gap,
+    max_ct_edge_on_order,
+)
 
 
 def chain_tree(n):

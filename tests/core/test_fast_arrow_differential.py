@@ -44,13 +44,7 @@ from repro.graphs.generators import (
     torus_graph,
 )
 from repro.monitors import ArrowMonitor
-from repro.net.latency import (
-    ExponentialCappedLatency,
-    ScaledWeightLatency,
-    UniformLatency,
-    UnitLatency,
-    WeightLatency,
-)
+from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.spanning.construct import (
     balanced_binary_overlay,
     bfs_tree,
@@ -65,6 +59,7 @@ from repro.workloads.schedules import (
     random_times,
     sequential,
 )
+from latency_models import ExponentialCappedLatency, ScaledWeightLatency
 from small_models import DirectedLatency
 
 #: Every repro.graphs.generators family, at small sizes.

@@ -49,13 +49,7 @@ from repro.graphs.generators import (
     torus_graph,
 )
 from repro.graphs.graph import Graph
-from repro.net.latency import (
-    ExponentialCappedLatency,
-    ScaledWeightLatency,
-    UniformLatency,
-    UnitLatency,
-    WeightLatency,
-)
+from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.spanning.construct import (
     balanced_binary_overlay,
     bfs_tree,
@@ -64,6 +58,7 @@ from repro.spanning.construct import (
     star_overlay,
 )
 from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
+from latency_models import ExponentialCappedLatency, ScaledWeightLatency
 
 #: Every repro.graphs.generators family, at small sizes.
 GRAPH_FAMILIES = {

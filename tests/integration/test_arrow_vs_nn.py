@@ -11,12 +11,7 @@ implementations of the protocol's semantics must agree.
 import pytest
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
-from repro.analysis.verify import (
-    check_direct_path_property,
-    check_lemma_3_8,
-    check_lemma_3_9,
-    lemma_3_10_identity_gap,
-)
+from repro.analysis.verify import check_lemma_3_8
 from repro.core.queueing import verify_total_order
 from repro.core.runner import run_arrow
 from repro.graphs import (
@@ -32,6 +27,7 @@ from repro.spanning import (
     random_spanning_tree,
 )
 from repro.workloads.schedules import bursty, one_shot, poisson, random_times
+from lemma_oracles import check_direct_path_property, check_lemma_3_9, lemma_3_10_identity_gap
 
 CASES = [
     ("k16/binary", lambda: complete_graph(16), balanced_binary_overlay),

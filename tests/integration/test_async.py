@@ -13,9 +13,11 @@ from repro.analysis.competitive import theorem_319_ceiling
 from repro.core.queueing import verify_total_order
 from repro.core.runner import run_arrow
 from repro.graphs import complete_graph, grid_graph
-from repro.net.latency import ExponentialCappedLatency, UniformLatency
+from repro.net.latency import UniformLatency
 from repro.spanning import balanced_binary_overlay, bfs_tree, tree_diameter, tree_stretch
 from repro.workloads.schedules import one_shot, poisson
+from latency_models import ExponentialCappedLatency
+from tree_oracles import hop_distance
 
 MODELS = [
     UniformLatency(0.1, 1.0),
@@ -37,7 +39,7 @@ def test_async_total_order_and_latency_bound(model, seed):
         rec = res.completions[r.rid]
         # Direct path with per-hop delay <= weight (normalised model).
         assert res.latency(r.rid) <= tree.distance(r.node, rec.informed_node) + 1e-9
-        assert rec.hops == tree.hop_distance(r.node, rec.informed_node)
+        assert rec.hops == hop_distance(tree, r.node, rec.informed_node)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -22,7 +22,7 @@ from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import random_times
 from small_models import rerooted
-from tree_oracles import tree_path
+from tree_oracles import sink_reached_from, tree_path
 
 
 def test_queue_message_routes_follow_tree_paths():
@@ -95,8 +95,6 @@ def test_paper_figures_1_to_5_walkthrough():
     assert nodes[loser_origin].link == loser_origin
     assert sum(1 for nd in nodes if nd.link == nd.node_id) == 1
     # Every pointer chain now leads to the new tail (Fig. 5's invariant).
-    from repro.core.stabilize import sink_reached_from
-
     link = [nd.link for nd in nodes]
     for v in range(6):
         assert sink_reached_from(link, v, 6) == loser_origin

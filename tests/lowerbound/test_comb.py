@@ -2,7 +2,7 @@
 
 
 from repro.core.requests import RequestSchedule
-from repro.lowerbound.comb import comb_cost_bound_formula, comb_mst_weight, comb_order
+from repro.lowerbound.comb import comb_mst_weight
 from repro.lowerbound.construction import theorem41_instance
 
 
@@ -23,28 +23,3 @@ def test_comb_weight_linear_in_d_on_theorem41():
         w = comb_mst_weight(inst.schedule)
         assert w <= D + inst.k * (inst.k + 1) * 2 + 4 * D  # O(D)
         assert w >= D  # the horizontal chain alone spans the path
-
-
-def test_comb_order_visits_every_request_once():
-    inst = theorem41_instance(16, 2)
-    order = comb_order(inst.schedule)
-    assert sorted(order) == [r.rid for r in inst.schedule]
-    # Grouped by node, ascending time inside each group.
-    prev = None
-    for rid in order:
-        r = inst.schedule.by_rid(rid)
-        if prev is not None and prev.node == r.node:
-            assert prev.time <= r.time
-        prev = r
-
-
-def test_formula_is_o_of_d_for_paper_k():
-    from repro.lowerbound.construction import default_k
-
-    for D in (2**8, 2**12, 2**16):
-        k = default_k(D)
-        assert comb_cost_bound_formula(D, k) <= 25.0 * D
-
-
-def test_formula_small_d_guard():
-    assert comb_cost_bound_formula(2, 2) == 2 + 2

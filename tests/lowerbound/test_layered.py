@@ -4,13 +4,26 @@ import pytest
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import opt_bounds
-from repro.analysis.verify import arrow_cost_of_order
+from repro.core.requests import RequestSchedule
 from repro.errors import ScheduleError
-from repro.lowerbound.layered import (
-    layer_sweep_order,
-    layered_instance,
-    layered_requests,
-)
+from repro.lowerbound.layered import layered_instance, layered_requests
+from lemma_oracles import arrow_cost_of_order
+
+
+def layer_sweep_order(schedule: RequestSchedule) -> list[int]:
+    """The proof's intended order: by time layer, alternating direction.
+
+    Even layers left-to-right, odd layers right-to-left — the order whose
+    cost is the ``(k+1)·D`` sweep target the instances are built for.
+    """
+    by_layer: dict[float, list] = {}
+    for r in schedule:
+        by_layer.setdefault(r.time, []).append(r)
+    order: list[int] = []
+    for t in sorted(by_layer):
+        layer = sorted(by_layer[t], key=lambda r: r.node, reverse=(int(t) % 2 == 1))
+        order.extend(r.rid for r in layer)
+    return order
 
 
 def test_validates_parameters():

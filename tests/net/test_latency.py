@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.latency import (
-    ExponentialCappedLatency,
-    ScaledWeightLatency,
-    UniformLatency,
-    UnitLatency,
-    WeightLatency,
-)
+from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.sim.rng import spawn_rng
+from latency_models import ExponentialCappedLatency, ScaledWeightLatency
 
 
 @pytest.fixture

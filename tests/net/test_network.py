@@ -21,12 +21,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
-from repro.net.latency import (
-    ExponentialCappedLatency,
-    UniformLatency,
-    UnitLatency,
-    WeightLatency,
-)
+from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.net.message import Message
 from repro.net.network import Network, Router
 from repro.net.node import ProtocolNode
@@ -34,6 +29,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng
 from repro.spanning.construct import bfs_tree
 from repro.workloads.schedules import poisson
+from latency_models import ExponentialCappedLatency
 
 
 class Recorder(ProtocolNode):

@@ -9,17 +9,17 @@ and tie-heavy instances are generated.
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.nearest_neighbor import predict_arrow_run
-from repro.analysis.verify import (
-    check_direct_path_property,
-    check_fact_3_6,
-    check_lemma_3_8,
-    check_lemma_3_9,
-    lemma_3_10_identity_gap,
-)
+from repro.analysis.verify import check_lemma_3_8
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.spanning.tree import SpanningTree
+from lemma_oracles import (
+    check_direct_path_property,
+    check_fact_3_6,
+    check_lemma_3_9,
+    lemma_3_10_identity_gap,
+)
 from small_models import tree_graph
 
 

@@ -7,7 +7,7 @@ from repro.graphs.shortest_paths import bfs_distances
 from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 from small_models import rerooted, tree_graph
-from tree_oracles import tree_path
+from tree_oracles import hop_distance, tree_path
 
 
 @st.composite
@@ -28,7 +28,7 @@ def test_lca_distance_matches_bfs(parent):
     for src in range(0, n, max(1, n // 3)):
         oracle = bfs_distances(g, src)
         for v in range(n):
-            assert tree.hop_distance(src, v) == oracle[v]
+            assert hop_distance(tree, src, v) == oracle[v]
 
 
 @given(parent_array())
@@ -72,4 +72,4 @@ def test_reroot_preserves_tree_metric(parent):
     other = rerooted(tree, n - 1)
     for u in range(n):
         for v in range(n):
-            assert tree.hop_distance(u, v) == other.hop_distance(u, v)
+            assert hop_distance(tree, u, v) == hop_distance(other, u, v)

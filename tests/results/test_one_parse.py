@@ -107,8 +107,24 @@ def test_a_reformatted_line_with_one_changed_value_conflicts(tmp_path, smoke):
     with pytest.raises(ResultsError, match=re.escape(
         f"changed.jsonl: cell {rows[1]['cell_id']!r} conflicts with the "
         "already-stored row"
-    )):
+    ) + r".*: columns differ: makespan$"):
         store.ingest(spec, source)
+
+
+def test_a_stored_row_still_naming_its_engine_conflicts_by_that_column(tmp_path, smoke):
+    """A store ingested while rows carried an ``engine`` label still reads;
+    a fresh row of the same cell conflicts, and the error names the label."""
+    spec, path, rows = smoke
+    store = stored(tmp_path, smoke)
+    rows_path = store.rows_path(spec.spec_hash())
+    lines = [dumps_row(r) for r in rows]
+    lines[1] = dumps_row(dict(rows[1], engine="fast"))
+    write(tmp_path / "rows.jsonl", lines)
+    os.replace(tmp_path / "rows.jsonl", rows_path)
+    with pytest.raises(ResultsError, match=re.escape(
+        f"cell {rows[1]['cell_id']!r} conflicts with the already-stored row"
+    ) + r".*: columns differ: engine$"):
+        store.ingest(spec, path)
 
 
 def test_a_reformatted_stored_line_is_still_its_row(tmp_path, smoke):

@@ -95,13 +95,7 @@ from repro.analysis.competitive import theorem_319_ceiling
 from repro.analysis.costs import augmented_nodes_times, c_o_matrix, request_distance_matrix
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import held_karp_path
-from repro.analysis.verify import (
-    check_direct_path_property,
-    check_fact_3_6,
-    check_lemma_3_8,
-    check_lemma_3_9,
-    lemma_3_10_identity_gap,
-)
+from repro.analysis.verify import check_lemma_3_8
 from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.queueing import verify_total_order
@@ -112,14 +106,17 @@ from repro.graphs import complete_graph
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_distances
 from repro.monitors import ArrowMonitor
-from repro.net.latency import (
-    ExponentialCappedLatency,
-    UniformLatency,
-    UnitLatency,
-    WeightLatency,
-)
+from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.spanning.metrics import tree_diameter
 from repro.spanning.tree import SpanningTree
+from latency_models import ExponentialCappedLatency
+from lemma_oracles import (
+    check_direct_path_property,
+    check_fact_3_6,
+    check_lemma_3_9,
+    lemma_3_10_identity_gap,
+)
+from tree_oracles import hop_distance
 
 # ----------------------------------------------------------------------
 # trees and schedules
@@ -336,7 +333,7 @@ def _async_properties(tree, schedule, result):
         result.rids, result.informed_nodes, result.completed_at, result.hops
     ):
         v = nodes[rid]
-        assert hops == tree.hop_distance(v, informed), f"request {rid}: {hops} hops"
+        assert hops == hop_distance(tree, v, informed), f"request {rid}: {hops} hops"
         latency = at - times[rid]
         assert 0.0 <= latency <= tree.distance(v, informed) + 1e-9, (
             f"request {rid}: latency {latency} beyond the tree distance"

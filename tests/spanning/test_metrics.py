@@ -16,7 +16,6 @@ from repro.spanning import (
     tree_stretch,
 )
 from repro.spanning.construct import star_overlay
-from repro.spanning.metrics import average_stretch
 from repro.spanning.tree import SpanningTree
 from tree_oracles import tree_stretch_brute_force
 
@@ -64,12 +63,6 @@ def test_balanced_overlay_stretch_equals_leaf_pair_depth():
     g = complete_graph(15)
     t = balanced_binary_overlay(g, 0)
     assert tree_stretch(g, t).stretch == tree_diameter(t)
-
-
-def test_average_stretch_at_most_max():
-    g = random_geometric_graph(20, 0.4, seed=1)
-    t = mst_prim(g, 0)
-    assert 1.0 <= average_stretch(g, t) <= tree_stretch(g, t).stretch
 
 
 def test_diameter_of_chain_and_star():

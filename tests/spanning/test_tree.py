@@ -8,7 +8,7 @@ from repro.graphs.shortest_paths import bfs_distances
 from repro.spanning import mst_prim
 from repro.spanning.tree import SpanningTree
 from small_models import rerooted, tree_graph
-from tree_oracles import degree, neighbors, tree_path
+from tree_oracles import degree, hop_distance, neighbors, tree_path
 
 
 def chain_tree(n, root=0):
@@ -44,7 +44,7 @@ def test_lca_and_distance_on_binary_tree():
     assert t.lca(3, 3) == 3
     assert t.distance(3, 4) == 2
     assert t.distance(3, 5) == 4
-    assert t.hop_distance(6, 3) == 4
+    assert hop_distance(t, 6, 3) == 4
 
 
 def test_distance_matches_bfs_oracle_on_random_tree():
@@ -54,13 +54,13 @@ def test_distance_matches_bfs_oracle_on_random_tree():
     for src in (0, 7, 23):
         oracle = bfs_distances(tg, src)
         for v in range(40):
-            assert t.hop_distance(src, v) == oracle[v]
+            assert hop_distance(t, src, v) == oracle[v]
 
 
 def test_weighted_distance():
     t = SpanningTree([0, 0, 1], root=0, edge_weights=[0.0, 2.0, 3.0])
     assert t.distance(0, 2) == 5.0
-    assert t.hop_distance(0, 2) == 2
+    assert hop_distance(t, 0, 2) == 2
 
 
 def test_path_endpoints_and_adjacency():

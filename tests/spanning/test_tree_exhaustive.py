@@ -24,7 +24,7 @@ from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.sweep import GraphSpec, ScheduleSpec, SweepSpec, run_sweep
 from small_models import labelled_trees
-from tree_oracles import tree_path
+from tree_oracles import hop_distance, tree_path
 
 
 def ancestors(tree, u):
@@ -61,7 +61,7 @@ def test_queries_match_naive_parent_walk_on_every_labelled_tree(n):
                     a = min(path, key=tree.depth.__getitem__)
                     assert tree.lca(u, v) == a
                     assert tree_path(tree, u, v) == path
-                    assert tree.hop_distance(u, v) == len(path) - 1
+                    assert hop_distance(tree, u, v) == len(path) - 1
                     assert tree.distance(u, v) == pytest.approx(
                         math.fsum(
                             tree.edge_weight[x if tree.parent[x] == y else y]

@@ -22,7 +22,7 @@ from repro.spanning import balanced_binary_overlay, bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.sweep import GraphSpec, ScheduleSpec, SweepSpec, iter_sweep
 from repro.workloads.schedules import one_shot
-from tree_oracles import eager_fields
+from tree_oracles import eager_fields, hop_distance
 
 LAZY = ("_children", "_depth", "_wdepth")
 
@@ -78,7 +78,7 @@ FIRST_QUERY = {
     "depth": lambda t: t.depth,
     "wdepth": lambda t: t.wdepth,
     "distance": lambda t: t.distance(0, t.num_nodes - 1),
-    "hop_distance": lambda t: t.hop_distance(t.num_nodes - 1, 0),
+    "hop_distance": lambda t: hop_distance(t, t.num_nodes - 1, 0),
     "distances_from": lambda t: t.distances_from(t.num_nodes - 1),
 }
 
@@ -98,7 +98,7 @@ def check_against_eager(parent, root, weights, first):
         for v in range(n):
             want, hops = naive_distances(parent, depth, wdepth, u, v)
             assert tree.distance(u, v) == want
-            assert tree.hop_distance(u, v) == hops
+            assert hop_distance(tree, u, v) == hops
             assert row[v] == want
 
 

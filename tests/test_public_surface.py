@@ -6,8 +6,11 @@ The callers are the command-line interface (``repro.cli``), ``examples/``,
 README; tests are not callers.  Every ``src/`` module is reached from
 them through imports, function-local ones included, a lazy facade's
 ``_LAZY`` table or a quoted module name (``CellFamily.engines``, an
-``import_module`` argument).  A module only tests import belongs beside
-them, as ``tests/small_models.py`` does.
+``import_module`` argument).  Every top-level function and class is
+reached too: named by a caller, by a module-level statement of ``src/``
+or by the body of a function or class already reached.  Code only tests
+run belongs beside them, as ``tests/small_models.py`` and
+``tests/tree_oracles.py`` do.
 
 A name is re-exported by a package ``__init__.py`` only when something
 other than a test imports it through that package: ``src/`` (a facade is
@@ -196,3 +199,133 @@ def test_every_src_module_is_reached_from_a_caller():
         frontier |= found
     unreached = sorted(MODULES.keys() - reached)
     assert unreached == [], f"src/ modules no caller reaches (tests are not callers): {unreached}"
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _uses(node: ast.AST) -> set[str]:
+    """The names a body uses: variables, attributes, the original of an
+    aliased import and string constants that are dotted identifiers
+    (``TREE_BUILDERS`` values, ``_LAZY`` entries).  A docstring names
+    nothing, and a plain import only binds what the body then uses."""
+    docstrings = {
+        id(n.value)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+    }
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias) and n.asname:
+            out.add(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
+            parts = n.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                out.update(parts)
+    return out
+
+
+def _is_all(node: ast.AST) -> bool:
+    """``__all__ = [...]``: it lists names to export; it uses none."""
+    return [getattr(t, "id", None) for t in getattr(node, "targets", [])] == ["__all__"]
+
+
+def _unreached(used: set[str], sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level function or class in ``sources``
+    (module -> text) that neither ``used`` nor a counted body names.
+
+    Every module-level statement counts, less ``__all__``; a definition
+    counts once a counted body names it.  A class counts with its bases,
+    decorators, class body and dunder methods; each other method waits to
+    be named like a function."""
+    used = set(used)
+    waiting = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, DEFINITIONS):
+                waiting.append((module, node))
+            elif not _is_all(node):
+                used |= _uses(node)
+    while named := [(owner, node) for owner, node in waiting if node.name in used]:
+        for owner, node in named:
+            waiting.remove((owner, node))
+            counted = [node]
+            if isinstance(node, ast.ClassDef):
+                methods = [
+                    m
+                    for m in node.body
+                    if isinstance(m, DEFINITIONS) and not re.fullmatch(r"__\w+__", m.name)
+                ]
+                waiting += [(f"{owner}.{node.name}", m) for m in methods]
+                counted = [*node.decorator_list, *node.bases, *node.keywords]
+                counted += [s for s in node.body if s not in methods]
+            for part in counted:
+                used |= _uses(part)
+    return sorted(f"{owner}.{node.name}" for owner, node in waiting if owner in sources)
+
+
+def test_every_src_name_is_reached_from_a_caller():
+    used = set()
+    for path in [*(ROOT / "examples").glob("*.py"), *(ROOT / "benchmarks" / "e2e").glob("*.py")]:
+        used |= _uses(ast.parse(path.read_text(encoding="utf-8")))
+    for path in (ROOT / "README.md", ROOT / ".github" / "workflows" / "ci.yml"):
+        used |= {name for _, name in _text_reaches(path.read_text(encoding="utf-8"))}
+    sources = {module: path.read_text(encoding="utf-8") for module, path in MODULES.items()}
+    unreached = _unreached(used, sources)
+    assert unreached == [], f"src/ functions and classes no caller reaches: {unreached}"
+
+
+# The walk on small made-up modules: each case plants one way a name is
+# reached or left unreached, so the check above is seen to bite.
+
+
+def test_name_walk_flags_a_definition_nothing_names():
+    assert _unreached(set(), {"m": "def f():\n    pass\n"}) == ["m.f"]
+
+
+def test_name_walk_follows_bodies_across_modules_to_a_fixpoint():
+    sources = {
+        "a": "def entry():\n    return middle()\n",
+        "b": "def middle():\n    return leaf\n\ndef orphan():\n    return leaf\n",
+        "c": "def leaf():\n    pass\n",
+    }
+    assert _unreached({"entry"}, sources) == ["b.orphan"]
+    assert _unreached(set(), sources) == ["a.entry", "b.middle", "b.orphan", "c.leaf"]
+
+
+def test_name_walk_counts_module_statements_and_dotted_strings():
+    sources = {
+        "m": 'BUILDERS = {"bfs": "pkg.trees.bfs_tree"}\n\ndef bfs_tree():\n    pass\n',
+        "n": "HOOK = helper\n\ndef helper():\n    pass\n",
+    }
+    assert _unreached(set(), sources) == []
+
+
+def test_name_walk_ignores_docstrings_and_all():
+    source = '"""f"""\n__all__ = ["f"]\n\ndef f():\n    pass\n\ndef g():\n    """f"""\n'
+    assert _unreached({"g"}, {"m": source}) == ["m.f"]
+
+
+def test_name_walk_counts_an_aliased_import_but_not_a_plain_one():
+    sources = {
+        "lib": "def f():\n    pass\n\ndef h():\n    pass\n",
+        "user": "from lib import f as g\nfrom lib import h\n",
+    }
+    assert _unreached(set(), sources) == ["lib.h"]
+
+
+def test_name_walk_counts_dunder_methods_with_their_class_and_waits_on_others():
+    source = (
+        "class Base:\n    pass\n\n"
+        "class K(Base):\n"
+        "    def __init__(self):\n        setup()\n"
+        "    def method(self):\n        return other()\n\n"
+        "def setup():\n    pass\n\n"
+        "def other():\n    pass\n"
+    )
+    assert _unreached({"K"}, {"m": source}) == ["m.other"]
+    assert _unreached({"K", "method"}, {"m": source}) == []
