@@ -17,8 +17,10 @@ or a FIFO ``deque`` in the paper's synchronous model (one delay on every
 tree link, no service time, no closed loop, no crash events), where
 events are scheduled in the order they fire.  Open-loop runs
 (:func:`run_arrow_fast`), the §5 closed loop
-(:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`) and faulted
-runs (:func:`repro.faults.run_arrow_faulted`) are configurations of it.
+(:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`), faulted
+runs (:func:`repro.faults.run_arrow_faulted`) and the §5.1 arrow
+directory (:func:`repro.apps.directory.arrow_directory`) are
+configurations of it.
 """
 
 from __future__ import annotations
@@ -110,14 +112,18 @@ def _fifo_pushpop(queue: deque, event: tuple) -> tuple:
 
 # Event tags of the loops' heap tuples ``(time, seq, tag, node, src, rid,
 # hops)``.  ``seq`` is globally unique, so the heap order never compares
-# past it.  Each dispatch tag is its arrival tag + 1: the service stage of
-# ``_arrow_loop`` turns one into the other.
+# past it.  A message's arrival tag is odd and its dispatch tag is the
+# arrival tag + 1: the service stage of both loops turns one into the
+# other, and ``tag & 1`` tells an arrival.
 _ISSUE = 0  # a closed-loop processor issues its next request
-_ARRIVE = 1  # a queue message joins a node's service queue (Network._arrive)
+_ARRIVE = 1  # a queue message (or creq) joins a node's service queue (Network._arrive)
 _DISPATCH = 2  # its handler runs (ArrowNode.on_message)
 _ACK_ARRIVE = 3  # a queue_reply acknowledgement joins its origin's service queue
 _ACK_DISPATCH = 4  # its handler runs (_Driver.on_ack)
-_CRASH = 5  # a fault plan's node crash
+_CRASH = 6  # a fault plan's node crash
+_OBJECT_ARRIVE = 7  # a directory's object reaches the requester
+_ACQUIRE = 8  # which holds it (also a zero-delay local hand-off) ...
+_RELEASE = 10  # ... until its release, cs_time later
 
 
 def _finish_result(result: RunResult, makespan: float, messages: int) -> None:
@@ -181,13 +187,17 @@ def _arrow_loop(
       before each initiation, and once when the heap has drained), and
       the plan's ``_CRASH`` events, which the caller seeds on ``heap``.
     * **driver** — the closed loop's ``(remaining, issue_times,
-      owners, ack_times, hops, latencies, think_time,
-      reply_delay)``: per-processor budgets, the rid-indexed result
-      lists, and ``Router.delay_hops``, the routed delay and hop
-      count of a ``queue_reply``.  Completions
-      are then acknowledged to their origin, and an acknowledgement
-      triggers the processor's next request; without a driver they
-      are appended to ``result``'s five columns (what
+      owners, ack_times, hops, latencies, think_time, reply_delay,
+      None)``: per-processor budgets, the rid-indexed result lists,
+      and ``Router.delay_hops``, the routed delay and hop count of a
+      ``queue_reply``.  Completions are then acknowledged to their
+      origin, and an acknowledgement triggers the processor's next
+      request.  The §5.1 directory's driver ends in ``(cs_time,
+      intervals)`` (its ack fields unused): a completion ships the
+      object by one routed send (a zero-delay ``_ACQUIRE`` event when
+      local) if the request ahead left it idle, and a release ships it
+      if its successor is known, then re-issues.  Without a driver,
+      completions are appended to ``result``'s five columns (what
       :meth:`RunResult.record` does, minus its per-call duplicate
       check — the caller checks once, after the loop).
     * **on_event** — the optional sink.  With one, every site appends
@@ -220,9 +230,10 @@ def _arrow_loop(
       delivery when ``service_time > 0``) and one per think-time
       re-issue; with ``think_time == 0`` the re-issue runs *inside*
       the acknowledgement dispatch (no event of its own), exactly like
-      ``_Driver.on_ack``;
-    * a transition schedules at most one event, and the loop holds it
-      in ``nxt`` instead of pushing it: the next event is
+      ``_Driver.on_ack`` (a directory re-issues inside its release);
+    * a transition schedules at most one event (a directory's release
+      pushes its hand-off first), and the loop holds it in ``nxt``
+      instead of pushing it: the next event is
       ``heappushpop(heap, nxt)``, one sift (none when ``nxt`` is the
       earliest).  Its seq is taken when it is scheduled and the keys
       are unique, so the minimum of ``nxt`` and the heap is exactly
@@ -285,16 +296,14 @@ def _arrow_loop(
     busy_until = [0.0] * n  # Network._busy_until
 
     if driver is not None:
-        (
-            remaining,
-            issue_times,
-            owners,
-            ack_times,
-            hops_list,
-            latencies,
-            think,
-            reply_delay,
-        ) = driver
+        (remaining, issue_times, owners, ack_times, hops_list, latencies, think,
+         reply_delay, directory) = driver
+        if directory is not None:
+            cs, add_interval = directory[0], directory[1].append
+            # rid -> the rid queued behind it, and the request that left
+            # the object idle at its origin: first the root's virtual one.
+            successor = [NO_RID] * sum(remaining)
+            idle = ROOT_RID
     else:
         add_rid = result.rids.append
         add_pred = result.predecessors.append
@@ -304,8 +313,10 @@ def _arrow_loop(
 
     # Without a service time there is no service stage to pass through:
     # a message is scheduled straight as its dispatch.
-    arrive, ack_arrive = (
-        (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
+    arrive, ack_arrive, object_arrive = (
+        (_ARRIVE, _ACK_ARRIVE, _OBJECT_ARRIVE)
+        if service > 0.0
+        else (_DISPATCH, _ACK_DISPATCH, _ACQUIRE)
     )
     if on_event is not None:
         stream = EventStream(on_event)
@@ -364,7 +375,7 @@ def _arrow_loop(
                     emit(("deliver", rid, v, src, now))
             else:
                 if tag != _ISSUE:
-                    if tag == _ARRIVE or tag == _ACK_ARRIVE:
+                    if tag & 1:
                         # Serialise handling at v (Network._arrive): the
                         # handler runs as its own dispatch event after the
                         # service delay.
@@ -383,19 +394,39 @@ def _arrow_loop(
                         nxt = (finish, seq, tag + 1, v, src, rid, hops)
                         seq += 1
                         continue
-                    if tag == _CRASH:
+                    if tag == _ACK_DISPATCH:
+                        # An acknowledgement is handled at its origin
+                        # (_Driver.on_ack): record, then re-issue after the
+                        # think time — or, without one, right here.
+                        ack_times[rid] = now
+                        if think > 0.0:
+                            if remaining[v] > 0:
+                                nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
+                                seq += 1
+                            continue
+                    elif tag == _CRASH:
                         faults.crash(v, now)
                         link[v] = v
                         continue
-                    # An acknowledgement is handled at its origin
-                    # (_Driver.on_ack): record, then re-issue after the
-                    # think time — or, without one, right here.
-                    ack_times[rid] = now
-                    if think > 0.0:
-                        if remaining[v] > 0:
-                            nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
-                            seq += 1
+                    elif tag == _ACQUIRE:
+                        release = now + cs
+                        add_interval((now, release, v))
+                        nxt = (release, seq, _RELEASE, v, -1, rid, 0)
+                        seq += 1
                         continue
+                    else:
+                        # The release: ship the object to rid's successor if
+                        # known (never v's own: v has no other request out),
+                        # else leave it idle at v; then v re-issues below.
+                        succ = successor[rid]
+                        if succ == NO_RID:
+                            idle = rid
+                        else:
+                            origin = owners[succ]
+                            at = now + reply_delay(v, origin)[0]
+                            push(heap, (at, seq, object_arrive, origin, v, succ, 0))
+                            seq += 1
+                            messages += 1
                 # Initiation (_Driver.issue + ArrowNode.initiate).
                 if driver is not None:
                     if remaining[v] <= 0:
@@ -438,6 +469,23 @@ def _arrow_loop(
                     add_node(v)
                     add_time(now)
                     add_hops(hops)
+                    continue
+                if directory:
+                    # rid is queued behind pred: ship the object now if pred
+                    # left it idle here (the sink is pred's origin), else at
+                    # pred's release.
+                    if pred != idle:
+                        successor[pred] = rid
+                        continue
+                    idle = NO_RID
+                    origin = owners[rid]
+                    if origin == v:
+                        nxt = (now, seq, _ACQUIRE, v, -1, rid, 0)
+                    else:
+                        at = now + reply_delay(v, origin)[0]
+                        nxt = (at, seq, object_arrive, origin, v, rid, 0)
+                        messages += 1
+                    seq += 1
                     continue
                 hops_list.append(hops)
                 latencies.append(now - issue_times[rid])

@@ -20,13 +20,14 @@ creq; a stochastic model draws per send, in the same order.
 The arrow run is a configuration of the one arrow event loop,
 :func:`repro.core.fast_arrow._arrow_loop` (seeded with the
 n initial issue events and handed the driver state); the centralized
-baseline is a different protocol with its own loop in
-:func:`closed_loop_centralized_fast`: one flat ``while`` over the same
-heap tuples, whose branches are the issue, the service stage, the
-enqueue at the centre and the acknowledgement.  Both loops hold the one
-event a transition schedules and take the next with ``heappushpop`` —
-one sift per event (see ``_arrow_loop``'s docstring for why the order
-is unchanged).
+baseline is a different protocol with its own loop, :func:`_central_loop`:
+one flat ``while`` over the same heap tuples, whose branches are the
+issue, the service stage, the enqueue at the centre and the
+acknowledgement — and, as its other configuration, the §5.1 home
+directory's stages (:func:`repro.apps.directory.home_directory`).  Both
+loops hold the one event a transition schedules and take the next with
+``heappushpop`` — one sift per event (see ``_arrow_loop``'s docstring
+for why the order is unchanged).
 
 The produced :class:`~repro.workloads.closed_loop.ClosedLoopResult` is
 **bit-identical** to the message-level drivers' (same makespan, per-request
@@ -38,16 +39,20 @@ why that is achievable, and the same argument covers the centralized loop.
 
 from __future__ import annotations
 
-from heapq import heappop, heappushpop
+from collections import deque
+from heapq import heappop, heappush, heappushpop
 
 from repro.core.centralized import check_center
 from repro.core.engines import engine_error_message
 from repro.core.fast_arrow import (
     _ACK_ARRIVE,
     _ACK_DISPATCH,
+    _ACQUIRE,
     _ARRIVE,
     _DISPATCH,
     _ISSUE,
+    _OBJECT_ARRIVE,
+    _RELEASE,
     _arrow_loop,
     _raise_livelock,
 )
@@ -167,18 +172,17 @@ def closed_loop_arrow_fast(
         heap,
         max_events,
         on_event,
-        driver=(
-            remaining,
-            result.issue_times,
-            result.owners,
-            result.ack_times,
-            result.hops,
-            result.latencies,
-            float(think_time),
-            router.delay_hops,
-        ),
+        driver=(remaining, result.issue_times, result.owners, result.ack_times,
+                result.hops, result.latencies, float(think_time), router.delay_hops, None),
     )
     return _fill_result(result, makespan, messages)
+
+
+# The home directory's stages in _central_loop (arrivals odd, as in
+# fast_arrow): the request at the home, the forward to the holder, the
+# release notice at the home, and a processor's first request.
+_DREQ_ARRIVE, _DREQ, _DFWD_ARRIVE, _DFWD, _DDONE_ARRIVE, _DDONE = range(11, 17)
+_DISSUE = 18
 
 
 def closed_loop_centralized_fast(
@@ -203,31 +207,57 @@ def closed_loop_centralized_fast(
     result = ClosedLoopResult("centralized", n, requests_per_proc)
     model = latency if latency is not None else UnitLatency()
     delay_hops = Router(graph, model, spawn_rng(seed, "network-latency")).delay_hops
+    heap, remaining = _driver_state(result)
+    # The last event of a closed loop is an acknowledgement's dispatch, so
+    # the loop's final time is the makespan.
+    makespan, messages = _central_loop(
+        center, model, service_time, heap, max_events,
+        (remaining, result.issue_times, result.owners, result.ack_times, result.hops,
+         result.latencies, float(think_time), delay_hops, None),
+    )
+    return _fill_result(result, makespan, messages)
+
+
+def _central_loop(
+    center: int, latency: LatencyModel, service_time: float, heap: list[tuple],
+    max_events: int | None, driver: tuple,
+) -> tuple[float, int]:
+    """The centralized loop: the §5 baseline, or the §5.1 home directory.
+
+    Returns ``(time of the last event, messages sent)``.  ``driver`` is
+    ``_arrow_loop``'s, with ``Router.delay_hops``: every send is routed.
+    The home directory's ends in ``(cs_time, intervals)`` (its lists
+    unused) and its heap holds ``_DISSUE`` events; each of its stages
+    has its own tag, so neither protocol tests for the other.
+    """
+    (remaining, issue_times, owners, ack_times, hops_list, latencies, think,
+     delay_hops, directory) = driver
+    n = len(remaining)
+    service = float(service_time)
     # The centre routes by node: (delay, hops) of v's creq, and of the ack
     # back to v.  A deterministic route never changes, so a node's pair is
     # kept from its first creq on; routing no sooner raises an unreachable
     # centre where a per-send route would, and a run with no request
     # routes nothing.  A stochastic model leaves them empty and draws per
     # send.  The centre's own ack has no edge: (0.0, 0), as the router's.
-    tabled = not model.stochastic
+    tabled = not latency.stochastic
     to_center: list[tuple[float, int] | None] = [None] * n
     from_center: list[tuple[float, int] | None] = [None] * n
     from_center[center] = (0.0, 0)
-    service = float(service_time)
-    think = float(think_time)
     # As in _arrow_loop: without a service time a message is scheduled
-    # straight as its dispatch.
-    arrive, ack_arrive = (
-        (_ARRIVE, _ACK_ARRIVE) if service > 0.0 else (_DISPATCH, _ACK_DISPATCH)
-    )
+    # straight as its dispatch, the tag after its arrival's.
+    stage = 0 if service > 0.0 else 1
+    arrive, ack_arrive = _ARRIVE + stage, _ACK_ARRIVE + stage
+    if directory is not None:
+        cs, add_interval = directory[0], directory[1].append
+        object_arrive, dreq_arrive = _OBJECT_ARRIVE + stage, _DREQ_ARRIVE + stage
+        dfwd_arrive, ddone_arrive = _DFWD_ARRIVE + stage, _DDONE_ARRIVE + stage
+        queue, holder, busy = deque(), center, False  # the home's state
+    else:
+        add_owner, add_issue = owners.append, issue_times.append
+        add_hops, add_latency = hops_list.append, latencies.append
 
     busy_until = [0.0] * n
-    heap, remaining = _driver_state(result)
-    issue_times, ack_times = result.issue_times, result.ack_times
-    add_owner = result.owners.append
-    add_issue = issue_times.append
-    add_hops = result.hops.append
-    add_latency = result.latencies.append
     seq = n
     next_rid = 0
     messages = 0
@@ -248,7 +278,7 @@ def closed_loop_centralized_fast(
         if fired > limit:
             _raise_livelock(max_events)
 
-        if tag == _ARRIVE or tag == _ACK_ARRIVE:
+        if tag & 1:
             # Serialise handling at v (Network._arrive); creqs queueing at
             # the centre are the Fig. 10 bottleneck.
             begin = busy_until[v]
@@ -268,6 +298,48 @@ def closed_loop_centralized_fast(
                     nxt = (now + think, seq, _ISSUE, v, -1, -1, 0)
                     seq += 1
                 continue
+        elif tag > _ACK_DISPATCH:
+            # The home directory (_HomeDirectoryNode), one stage per tag.
+            if tag == _DREQ or tag == _DDONE:
+                # At the home: queue the requester src, or learn that src
+                # released and the transfer is over; then serve the head.
+                if tag == _DREQ:
+                    queue.append(src)
+                else:
+                    holder, busy = src, False
+                if busy or not queue:
+                    continue
+                v = queue.popleft()
+                busy = True
+                if v != holder:  # forward to the holder, v in the rid slot
+                    at = now + delay_hops(center, holder)[0]
+                    nxt = (at, seq, dfwd_arrive, holder, center, v, 0)
+                    seq += 1
+                    messages += 1
+                    continue
+                tag = _ACQUIRE  # v holds the object: it acquires at once
+            if tag == _ACQUIRE:
+                release = now + cs
+                add_interval((now, release, v))
+                nxt = (release, seq, _RELEASE, v, -1, -1, 0)
+                seq += 1
+                continue
+            if tag == _DFWD:  # the holder v ships the object to rid
+                nxt = (now + delay_hops(v, rid)[0], seq, object_arrive, rid, v, -1, 0)
+            else:
+                if tag == _RELEASE:  # tell the home, then request again
+                    at = now + delay_hops(v, center)[0]
+                    heappush(heap, (at, seq, ddone_arrive, center, v, -1, 0))
+                    seq += 1
+                    messages += 1
+                # One routed dreq to the home, the home's own too.
+                if remaining[v] <= 0:
+                    continue
+                remaining[v] -= 1
+                nxt = (now + delay_hops(v, center)[0], seq, dreq_arrive, center, v, -1, 0)
+            seq += 1
+            messages += 1
+            continue
         if tag != _DISPATCH:
             # Issue (_Driver.issue): one routed creq to the centre.
             if remaining[v] <= 0:
@@ -305,6 +377,4 @@ def closed_loop_centralized_fast(
         nxt = (at, seq, ack_arrive, src, -1, rid, 0)
         seq += 1
         messages += 1
-    # The last event of a closed loop is an acknowledgement's dispatch, so
-    # the loop's final time is the makespan.
-    return _fill_result(result, now, messages)
+    return now, messages

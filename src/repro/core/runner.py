@@ -60,12 +60,11 @@ def _run_open_loop(
     every-request-completed check — is the same for every protocol.
 
     The closed loops share :func:`repro.workloads.closed_loop._run_closed_loop`
-    instead (requests come from acknowledgements, not a schedule).  Three
-    message-level drivers keep their own prologue on purpose:
-    ``faults._run_message_faulted`` (a ``Network`` subclass, gated
-    initiations, crash events) and the two :mod:`repro.apps.directory`
-    drivers (an acquire -> use -> release loop per processor); folding them
-    in would make this function branch on its caller.
+    instead (requests come from acknowledgements, not a schedule).
+    ``faults._run_message_faulted`` keeps its own prologue on purpose (a
+    ``Network`` subclass, gated initiations, crash events); folding it in
+    would make this function branch on its caller.  The
+    :mod:`repro.apps.directory` designs run on the flat loops only.
     """
     schedule.validate_nodes(graph.num_nodes)
     sim = Simulator(max_events=max_events)

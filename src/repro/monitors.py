@@ -184,8 +184,7 @@ class ArrowMonitor:
         The sink side of ``on_event(events)``: the four hot kinds are
         checked inline on locals, in frequency order; fault events go to
         their methods.  The list is only read, never kept.  A violation
-        carries the ordinal of its event in the run's stream, and
-        ``events_seen`` counts up to and including that event.
+        carries the ordinal of its event in the run's stream.
         """
         link = self._link
         last_rid = self._last_rid
@@ -497,11 +496,6 @@ class ArrowMonitor:
             self._check_config(None)
 
     # ------------------------------------------------------------------
-    @property
-    def events_seen(self) -> int:
-        """Number of events consumed (diagnostics)."""
-        return self._events
-
     @property
     def completed(self) -> frozenset[int]:
         """Rids whose completion the monitor observed."""

@@ -23,7 +23,8 @@ lookup.  The families:
   4 **lower-bound** instances (``lowerbound``) — the rows of the theorem
   and ablation tables.
 
-The directory families run at full message level only — they ignore the
+The directory families run on the flat loops, each the one version of
+its design (the message-level ones are test oracles) — they ignore the
 spec's ``engine`` axis (``uses_engine=False``) and tag their rows with a
 ``protocol`` column instead.  Only the open-loop families and
 ``closed_arrow`` attach a monitor (``supports_monitors``).

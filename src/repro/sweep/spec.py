@@ -621,9 +621,9 @@ def directory_grid(
     Herlihy-Warres testbed model (complete graph, balanced binary overlay
     for the arrow design, home at node 0, service time 0.1, critical
     section 0.5).  Rows record makespan, messages per acquisition and the
-    mutual-exclusion invariant (``exclusion_ok``).  Both designs run at
-    full message level, so the grid has no engine choice: its spec
-    records the default ``"fast"``.
+    mutual-exclusion invariant (``exclusion_ok``).  Each design has one
+    version, on the flat event loops, so the grid has no engine choice:
+    its spec records the default ``"fast"``.
     """
     return SweepSpec(
         name="directory",

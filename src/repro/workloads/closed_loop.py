@@ -174,7 +174,7 @@ def _run_closed_loop(
     registration (initial pointers, the centre's tail record).  The
     driver, the ack handlers, the t = 0 kick-off, the timed run and the
     completeness check are the same for both protocols.  (The open-loop
-    twin, and why the faulted and directory drivers stay separate, is
+    twin, and why the faulted driver stays separate, is
     :func:`repro.core.runner._run_open_loop`.)
     """
     _check_loop_args(requests_per_proc, service_time, think_time)

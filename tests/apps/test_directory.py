@@ -6,10 +6,11 @@ import sys
 import pytest
 
 from repro.apps.directory import arrow_directory, home_directory
-from repro.errors import NetworkError, ScheduleError
+from repro.errors import NetworkError, ScheduleError, SimulationError
 from repro.graphs import complete_graph, grid_graph
 from repro.net.latency import UniformLatency
 from repro.spanning import balanced_binary_overlay, bfs_tree
+from directory_oracles import arrow_directory_message, home_directory_message
 
 
 @pytest.fixture
@@ -145,3 +146,54 @@ def test_identical_directory_runs_compare_equal(k8, protocol):
     kw = dict(acquisitions_per_proc=5, latency=UniformLatency(0.2, 1.0), seed=3)
     a, b = _run(protocol, g, tree, **kw), _run(protocol, g, tree, **kw)
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# flat loops == message versions beyond the corpus's sizes
+# ----------------------------------------------------------------------
+def _sized(kind):
+    if kind == "k16-binary":
+        g = complete_graph(16)
+        return g, balanced_binary_overlay(g, root=0)
+    g = grid_graph(4, 5)
+    return g, bfs_tree(g, 7)
+
+
+@pytest.mark.parametrize("protocol", ["arrow", "home"])
+@pytest.mark.parametrize("kind", ["k16-binary", "grid4x5"])
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        dict(service_time=0.1),
+        dict(service_time=0.0, cs_time=0.0),
+        dict(latency=UniformLatency(0.2, 1.0), seed=5, service_time=0.1, cs_time=0.3),
+    ],
+    ids=["service", "zero-cs", "uniform"],
+)
+def test_flat_directories_match_their_message_versions(protocol, kind, knobs):
+    """The grid's scale and topologies the corpus does not reach: equal
+    results (intervals in hand-off order included) and the same
+    ``max_events`` cut one event short of the message run's count."""
+    g, tree = _sized(kind)
+    flat, message = (
+        (arrow_directory, arrow_directory_message)
+        if protocol == "arrow"
+        else (home_directory, home_directory_message)
+    )
+    second = tree if protocol == "arrow" else 3
+    kw = dict(acquisitions_per_proc=6, **knobs)
+    want = message(g, second, **kw)
+    assert flat(g, second, **kw) == want
+    assert want.exclusion_holds() and want.completions == g.num_nodes * 6
+    # The message run's fired count: the least limit it completes with.
+    lo, hi = 0, 100_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            message(g, second, max_events=mid, **kw)
+            hi = mid
+        except SimulationError:
+            lo = mid + 1
+    assert flat(g, second, max_events=lo, **kw) == want
+    with pytest.raises(SimulationError, match=f"exceeded max_events={lo - 1};"):
+        flat(g, second, max_events=lo - 1, **kw)

@@ -23,6 +23,7 @@ from repro.monitors import MONITOR_NAMES, ArrowMonitor
 from repro.spanning import balanced_binary_overlay, bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import poisson
+from monitor_helpers import events_seen
 
 ENGINES = {
     "message": run_arrow,
@@ -56,7 +57,7 @@ def replay(tree, events, chunk, *, deep=True, finalize=NO_FINALIZE):
     except MonitorViolation as exc:
         verdict = (exc.monitor, exc.at, exc.event, str(exc))
         assert m.violation_count == 1
-    return verdict, m.completed, m.lost, m.events_seen
+    return verdict, m.completed, m.lost, events_seen(m)
 
 
 def replay_all_chunkings(tree, events, **kwargs):
@@ -85,7 +86,7 @@ def test_open_loop_fault_free_audit(engine, service_time):
     assert monitor.completed == set(result.completions)
     assert not monitor.lost
     assert monitor.violation_count == 0
-    assert monitor.events_seen > len(schedule)
+    assert events_seen(monitor) > len(schedule)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -364,7 +365,7 @@ def test_fast_run_longer_than_the_chunk_passes_finalize():
     # the rest of one transition (deliver/send/drop) and a repair.
     assert len(sizes) >= 3 and max(sizes) <= EVENT_CHUNK + 3
     assert sizes[:-1] == [n for n in sizes[:-1] if n >= EVENT_CHUNK]
-    assert monitor.events_seen == sum(sizes)
+    assert events_seen(monitor) == sum(sizes)
     assert monitor.lost == set(report.lost_rids) and report.repairs_run >= 3
 
 
@@ -383,7 +384,7 @@ def test_fault_events_straddling_a_chunk_boundary_change_nothing(monkeypatch):
         cut = ArrowMonitor(tree, deep=True)
         _lossy_run(tree, 400, lambda chunk: (last_of_chunk.add(chunk[-1][0]), cut(chunk)))
         cut.finalize(expected=400)
-        assert (None, cut.completed, cut.lost, cut.events_seen) == whole
+        assert (None, cut.completed, cut.lost, events_seen(cut)) == whole
     assert {"drop", "repair"} <= last_of_chunk
 
 
@@ -401,7 +402,7 @@ def test_aborted_fast_run_still_shows_the_monitor_what_it_emitted():
         )
     # Fewer than a chunk, so only the flush in the ``finally`` can have
     # delivered them; a prefix of the full run's stream, replayed clean.
-    seen = monitor.events_seen
+    seen = events_seen(monitor)
     assert 50 < seen < EVENT_CHUNK and monitor.violation_count == 0
     assert replay(tree, full[:seen], None)[1:] == (
         monitor.completed, monitor.lost, seen
@@ -418,4 +419,4 @@ def test_aborted_fast_run_still_shows_the_monitor_what_it_emitted():
             graph, tree, schedule, seed=3, max_events=50, on_event=wrong
         )
     assert isinstance(exc.value.__context__, SimulationError)
-    assert exc.value.event is not None and wrong.events_seen == exc.value.event + 1
+    assert exc.value.event is not None and events_seen(wrong) == exc.value.event + 1

@@ -2,13 +2,13 @@
 and the router they share with the network.
 
 Each mutant in :data:`MUTANTS` is one exact-match text edit of
-``core/fast_arrow._arrow_loop``,
-``core/fast_closed_loop.closed_loop_centralized_fast`` or
-``net/network.Router`` — an off-by-one hop, a swapped tie-break, a wrong
-dispatch tag, a dropped acknowledgement, service at the wrong stage, a
-reordered latency draw, the two queue-choice edits of ``_arrow_loop``'s
-FIFO test, a centre route read in the wrong direction, BFS routes on a
-weighted graph, … .  The edit
+``core/fast_arrow._arrow_loop``, ``core/fast_closed_loop._central_loop``
+(the directory stages of both included) or ``net/network.Router`` — an
+off-by-one hop, a swapped tie-break, a wrong dispatch tag, a dropped
+acknowledgement, service at the wrong stage, a reordered latency draw,
+the two queue-choice edits of ``_arrow_loop``'s FIFO test, a centre
+route read in the wrong direction, BFS routes on a weighted graph, a
+local hand-off acquired inline, a LIFO home queue, … .  The edit
 is applied to a temporary copy of the repository; the working tree never
 changes.  Every mutant then runs through each column of :data:`COLUMNS`:
 
@@ -43,7 +43,7 @@ sampled ids that kill it.
 A mutant that no execution can tell apart from the loop carries
 ``equivalent``: the one-line argument why.  The script exits 1 when a
 mutant without that mark survives the ``tier-1`` column, or a marked
-one is killed by any column.  Run (about 8 minutes on two cores;
+one is killed by any column.  Run (about 20 minutes on two cores;
 ``NAME ...`` runs only those mutants)::
 
     PYTHONPATH=src python tests/mutants.py [NAME ...]
@@ -101,8 +101,36 @@ _SEND_DRAW_FIRST = """\
                 faults.in_flight += 1
 """
 
+# The home directory's release: the notice to the home, then the next
+# request -- and the two swapped.
+_HOME_RELEASE = """\
+                if tag == _RELEASE:  # tell the home, then request again
+                    at = now + delay_hops(v, center)[0]
+                    heappush(heap, (at, seq, ddone_arrive, center, v, -1, 0))
+                    seq += 1
+                    messages += 1
+                # One routed dreq to the home, the home's own too.
+                if remaining[v] <= 0:
+                    continue
+                remaining[v] -= 1
+                nxt = (now + delay_hops(v, center)[0], seq, dreq_arrive, center, v, -1, 0)
+"""
+_HOME_RELEASE_REISSUE_FIRST = """\
+                if remaining[v] > 0:
+                    remaining[v] -= 1
+                    nxt = (now + delay_hops(v, center)[0], seq, dreq_arrive, center, v, -1, 0)
+                    seq += 1
+                    messages += 1
+                if tag != _RELEASE:
+                    continue
+                at = now + delay_hops(v, center)[0]
+                heappush(heap, (at, seq, ddone_arrive, center, v, -1, 0))
+"""
+
 #: Name -> mutant; ``arrow-*`` edit ``_arrow_loop``, ``central-*``
-#: ``closed_loop_centralized_fast``, ``router-*`` ``Router``.
+#: ``closed_loop_centralized_fast``'s ``_central_loop``, ``dir-arrow-*``
+#: and ``dir-home-*`` the directory stages of those two loops,
+#: ``router-*`` ``Router``.
 MUTANTS = {
     "arrow-init-tie-queue": Mutant(
         ARROW, "(not heap or init_times[i] <= heap[0][0])",
@@ -133,12 +161,12 @@ MUTANTS = {
         "nxt = (finish, seq, _ACK_DISPATCH, v, src, rid, hops)",
     ),
     "arrow-zero-service-stage": Mutant(
-        ARROW, "(_ARRIVE, _ACK_ARRIVE) if service > 0.0 else",
-        "(_ARRIVE, _ACK_ARRIVE) if service >= 0.0 else",
+        ARROW, "        if service > 0.0\n        else (_DISPATCH, _ACK_DISPATCH, _ACQUIRE)",
+        "        if service >= 0.0\n        else (_DISPATCH, _ACK_DISPATCH, _ACQUIRE)",
     ),
     "arrow-ack-skips-service": Mutant(
-        ARROW, "(_ARRIVE, _ACK_ARRIVE) if service > 0.0 else",
-        "(_ARRIVE, _ACK_DISPATCH) if service > 0.0 else",
+        ARROW, "(_ARRIVE, _ACK_ARRIVE, _OBJECT_ARRIVE)",
+        "(_ARRIVE, _ACK_DISPATCH, _OBJECT_ARRIVE)",
     ),
     "arrow-service-ignores-queue": Mutant(
         ARROW, "finish = begin + service", "finish = now + service"
@@ -196,6 +224,38 @@ MUTANTS = {
         "nxt = (now + delay, seq, arrive, center, v, rid, hops)\n                seq += 1\n",
     ),
     "central-livelock-early": Mutant(CENTRAL, "if fired > limit:", "if fired >= limit:"),
+    "dir-arrow-local-inline": Mutant(
+        ARROW, "                        nxt = (now, seq, _ACQUIRE, v, -1, rid, 0)\n",
+        "                        release = now + cs\n"
+        "                        add_interval((now, release, v))\n"
+        "                        nxt = (release, seq, _RELEASE, v, -1, rid, 0)\n",
+    ),
+    "dir-arrow-object-skips-service": Mutant(
+        ARROW, "(_ARRIVE, _ACK_ARRIVE, _OBJECT_ARRIVE)", "(_ARRIVE, _ACK_ARRIVE, _ACQUIRE)"
+    ),
+    "dir-arrow-release-route-reversed": Mutant(
+        ARROW, "at = now + reply_delay(v, origin)[0]\n                            push(",
+        "at = now + reply_delay(origin, v)[0]\n                            push(",
+    ),
+    "dir-arrow-handoff-seq-kept": Mutant(
+        ARROW, "push(heap, (at, seq, object_arrive, origin, v, succ, 0))\n"
+        "                            seq += 1\n",
+        "push(heap, (at, seq, object_arrive, origin, v, succ, 0))\n",
+    ),
+    "dir-arrow-handoff-uncounted": Mutant(
+        ARROW, "nxt = (at, seq, object_arrive, origin, v, rid, 0)\n"
+        "                        messages += 1\n",
+        "nxt = (at, seq, object_arrive, origin, v, rid, 0)\n",
+    ),
+    "dir-home-queue-lifo": Mutant(CENTRAL, "v = queue.popleft()", "v = queue.pop()"),
+    "dir-home-done-skips-service": Mutant(
+        CENTRAL, "_DFWD_ARRIVE + stage, _DDONE_ARRIVE + stage", "_DFWD_ARRIVE + stage, _DDONE"
+    ),
+    "dir-home-transfers-overlap": Mutant(CENTRAL, "if busy or not queue:", "if not queue:"),
+    "dir-home-object-route-reversed": Mutant(
+        CENTRAL, "delay_hops(v, rid)[0], seq, object_arrive", "delay_hops(rid, v)[0], seq, object_arrive"
+    ),
+    "dir-home-reissue-first": Mutant(CENTRAL, _HOME_RELEASE, _HOME_RELEASE_REISSUE_FIRST),
     "router-bfs-on-weighted": Mutant(
         NETWORK, "bfs_predecessors if self.graph.is_unit_weighted() else dijkstra",
         "bfs_predecessors",
@@ -261,7 +321,8 @@ def _equality_only(sm):
         return outs[0], None
 
     sm._both_engines = equal_only
-    for name in ("_open_properties", "_fault_properties", "_closed_properties"):
+    for name in ("_open_properties", "_fault_properties", "_closed_properties",
+                 "_directory_properties"):
         setattr(sm, name, lambda *args: None)
 
 

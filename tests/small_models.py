@@ -40,11 +40,16 @@ as classes of edge appearance after Casteigts et al., arXiv:1102.5529):
     the §5 closed loops on graph = tree and on K_n, up to 3 processors ×
     3 requests each, think time 0 / 0.5 / 1, unit and directed delay (a
     route read in the wrong direction shows), and (centralized) the
-    centre at every node.
+    centre at every node;
+``dir-arrow`` / ``dir-home``
+    the §5.1 directories on the closed loops' shapes (the home at every
+    node), up to 3 acquisitions per processor, critical section 0 / 0.5
+    / 1, unit, directed and uniform delay.
 
 :func:`check` runs one instance through the fast loop (``run_arrow_fast``,
-``closed_loop_*_fast``, ``run_arrow_faulted(engine="fast")``) and through
-the message harness, and asserts:
+``closed_loop_*_fast``, ``run_arrow_faulted(engine="fast")``, the two
+directories) and through the message harness (for the directories, the
+message versions in ``tests/directory_oracles.py``), and asserts:
 
 * the raw event streams and the results (``RunResult``,
   ``ClosedLoopResult``, ``FaultReport``) are equal across engines, and a
@@ -64,6 +69,14 @@ the message harness, and asserts:
   exactly one think time after each acknowledgement; no acknowledgement
   precedes its issue; the run ends with the last acknowledgement; and a
   centralized request's hop count is its route's length;
+* on directories: equal results (makespan, messages, completions and the
+  holding intervals in hand-off order); mutual exclusion, each hand-off
+  no earlier than the release before it, every processor served its
+  budget, the run ending with the last release; an exact event count
+  (one per first issue, per message stage, per release and per local
+  hand-off) on both engines, with the same ``SimulationError`` one event
+  short of it; and the home directory's four messages per remote
+  hand-off, two per local one;
 * on fault-free synchronous runs (unit delay or delay = integer weight,
   service 0): a total order, Fact 3.6, Lemmas 3.8-3.10, the direct-path
   property, the executor's order when there are no ties, and arrow's cost
@@ -96,6 +109,7 @@ from repro.analysis.costs import augmented_nodes_times, c_o_matrix, request_dist
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.optimal import held_karp_path
 from repro.analysis.verify import check_lemma_3_8
+from repro.apps.directory import arrow_directory, home_directory
 from repro.core.fast_arrow import arrow_runner
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.queueing import verify_total_order
@@ -109,6 +123,7 @@ from repro.monitors import ArrowMonitor
 from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.spanning.metrics import tree_diameter
 from repro.spanning.tree import SpanningTree
+from directory_oracles import arrow_directory_message, home_directory_message
 from latency_models import ExponentialCappedLatency
 from lemma_oracles import (
     check_direct_path_property,
@@ -209,7 +224,9 @@ class Instance:
     their weights (empty: all 1).  ``protocol`` is empty for an open-loop
     run of ``requests`` (``faults`` a fault-plan label), else the closed
     loop's protocol, run with ``rpp`` requests per processor on the tree
-    (``complete``: on K_n) with the centralized centre at ``center``.
+    (``complete``: on K_n) with the centralized centre at ``center``, or
+    a directory (``dir-arrow``, ``dir-home``): ``rpp`` acquisitions per
+    processor, each held ``cs``, the home at ``center``.
     """
 
     edges: tuple
@@ -225,6 +242,7 @@ class Instance:
     rpp: int = 0
     think: float = 0.0
     center: int = 0
+    cs: float = 0.0
 
     def __repr__(self) -> str:
         shown = (
@@ -474,7 +492,101 @@ def _check_closed_central(inst):
     )
 
 
-_CHECKS = {"": _check_open, "arrow": _check_closed_arrow, "centralized": _check_closed_central}
+#: Directory axis -> engine -> runner.
+_DIRECTORIES = {
+    "dir-arrow": {"fast": arrow_directory, "message": arrow_directory_message},
+    "dir-home": {"fast": home_directory, "message": home_directory_message},
+}
+
+
+def _hand_offs(result, first):
+    """``(local, remote)`` hand-offs: the object starts at ``first`` and
+    moves, in hand-off order, to each holding interval's node."""
+    nodes = [first, *(v for _, _, v in result.intervals)]
+    local = sum(a == b for a, b in zip(nodes, nodes[1:]))
+    return local, len(result.intervals) - local
+
+
+def _directory_events(inst, tree, result):
+    """The events a directory run fires: one per first issue, per message
+    stage (two with a service time) and per release, and in the arrow
+    directory one per local hand-off (a zero-delay acquire event; the
+    home directory acquires a local object inline)."""
+    stages = 2 if inst.service else 1
+    events = tree.num_nodes + stages * result.messages_sent + len(result.intervals)
+    if inst.protocol == "dir-arrow":
+        events += _hand_offs(result, tree.root)[0]
+    return events
+
+
+def _limit_outcome(run, engine, limit):
+    """The run's result under ``max_events=limit``, or its error text."""
+    try:
+        return run(engine, max_events=limit)
+    except SimulationError as exc:
+        return str(exc)
+
+
+def _directory_properties(result, inst, tree, events, run):
+    """§5.1's invariants on a directory run.
+
+    Every processor is served its budget; in hand-off order no
+    acquisition precedes the release before it (so the holding intervals
+    never overlap: ``exclusion_holds``), each interval lasts ``cs``, and
+    the run ends with the last release.  The home directory sends a
+    request and a release notice per acquisition, plus a forward and the
+    object per remote hand-off.  The fast run fires exactly ``events``.
+    """
+    n, intervals = tree.num_nodes, result.intervals
+    assert result.completions == len(intervals) == n * inst.rpp, "not every acquisition completed"
+    assert result.exclusion_holds(), "two holding intervals overlap"
+    for (_, release, _), (acquire, _, v) in zip(intervals, intervals[1:]):
+        assert release <= acquire, f"node {v} acquired at {acquire} before the release at {release}"
+    assert all(r == a + inst.cs for a, r, _ in intervals), "a critical section of another length"
+    for p in range(n):
+        held = sum(v == p for _, _, v in intervals)
+        assert held == inst.rpp, f"processor {p} acquired {held} times"
+    assert result.makespan == max((r for _, r, _ in intervals), default=0.0), (
+        "the run does not end with its last release"
+    )
+    if inst.protocol == "dir-home":
+        _, remote = _hand_offs(result, inst.center)
+        assert result.messages_sent == 2 * len(intervals) + 2 * remote, "messages miscounted"
+    _fires_exactly(lambda limit: run("fast", max_events=limit), events)
+
+
+def _check_directory(inst):
+    graph, tree = _topology(inst.edges, inst.weights, inst.root, inst.complete)
+    runners = _DIRECTORIES[inst.protocol]
+    second = tree if inst.protocol == "dir-arrow" else inst.center
+    knobs = dict(
+        acquisitions_per_proc=inst.rpp,
+        cs_time=inst.cs,
+        latency=DELAYS[inst.delay],
+        seed=inst.seed,
+        service_time=inst.service,
+    )
+
+    def run(engine, **limit):
+        return runners[engine](graph, second, **knobs, **limit)
+
+    result = _same_results(run)
+    events = _directory_events(inst, tree, result)
+    _directory_properties(result, inst, tree, events, run)
+    # Both engines fire the same events: each completes with exactly
+    # ``events`` and raises the same error one short of it (a run cut at
+    # k events is cut at every smaller limit too).
+    for limit in (events - 1, events):
+        _same_results(lambda engine: _limit_outcome(run, engine, limit))
+
+
+_CHECKS = {
+    "": _check_open,
+    "arrow": _check_closed_arrow,
+    "centralized": _check_closed_central,
+    "dir-arrow": _check_directory,
+    "dir-home": _check_directory,
+}
 
 
 def check(inst: Instance) -> float | None:
@@ -500,10 +612,11 @@ class Axis:
     """How far one axis of the corpus reaches.
 
     ``requests[n]`` is the largest request multiset on n-node trees (the
-    largest per-processor budget, for a closed loop); an n not in it is
-    not enumerated.  ``times`` is the lattice requests, crashes and link
-    windows sit on.  Every other field is enumerated as given; ``seeds``
-    only for stochastic delays and loss.  Each generator is monotone in
+    largest per-processor budget, for a closed loop or a directory); an
+    n not in it is not enumerated.  ``times`` is the lattice requests,
+    crashes and link windows sit on.  Every other field is enumerated as
+    given (``cs_times`` by the directories); ``seeds`` only for
+    stochastic delays and loss.  Each generator is monotone in
     every field, so an axis that reaches at least as far contains this one.
     """
 
@@ -513,6 +626,7 @@ class Axis:
     delays: tuple = ("unit",)
     seeds: tuple = (0,)
     thinks: tuple = (0.0,)
+    cs_times: tuple = (0.5,)
 
     def contains(self, other: "Axis") -> bool:
         """True iff every instance ``other`` enumerates, this one does too."""
@@ -520,7 +634,7 @@ class Axis:
             other.requests[n] <= self.requests.get(n, 0) for n in other.requests
         ) and all(
             set(getattr(other, f)) <= set(getattr(self, f))
-            for f in ("times", "services", "delays", "seeds", "thinks")
+            for f in ("times", "services", "delays", "seeds", "thinks", "cs_times")
         )
 
 
@@ -648,6 +762,43 @@ def closed_central(axis: Axis) -> Iterator[Instance]:
                     )
 
 
+def _directory_loops(axis, n):
+    """``(acquisitions, cs, service, delay, seed)`` of every directory run on
+    n nodes."""
+    return itertools.product(
+        range(1, axis.requests[n] + 1), axis.cs_times, axis.services, _delay_seeds(axis)
+    )
+
+
+def dir_arrow(axis: Axis) -> Iterator[Instance]:
+    """The arrow directory on ``closed_arrow``'s shapes × directory settings."""
+    for n in axis.requests:
+        for edges, root in rooted_trees(n):
+            for complete in (False, True) if n > 2 else (False,):
+                for rpp, cs, service, (delay, seed) in _directory_loops(axis, n):
+                    yield Instance(
+                        edges, root, delay=delay, seed=seed, service=service,
+                        protocol="dir-arrow", complete=complete, rpp=rpp, cs=cs,
+                    )
+
+
+def dir_home(axis: Axis) -> Iterator[Instance]:
+    """The home directory on ``closed_central``'s graphs × the home at
+    every node × directory settings."""
+    for n in axis.requests:
+        graphs = [(edges, False) for edges in labelled_trees(n)]
+        if n > 2:
+            graphs.append((graphs[0][0], True))
+        for edges, complete in graphs:
+            for home in range(n):
+                for rpp, cs, service, (delay, seed) in _directory_loops(axis, n):
+                    yield Instance(
+                        edges, 0, delay=delay, seed=seed, service=service,
+                        protocol="dir-home", complete=complete, rpp=rpp,
+                        center=home, cs=cs,
+                    )
+
+
 #: Axis name -> its generator.
 AXES: dict[str, Callable[[Axis], Iterator[Instance]]] = {
     "open-unit": open_loop,
@@ -659,6 +810,8 @@ AXES: dict[str, Callable[[Axis], Iterator[Instance]]] = {
     "concurrent": concurrent,
     "closed-arrow": closed_arrow,
     "closed-central": closed_central,
+    "dir-arrow": dir_arrow,
+    "dir-home": dir_home,
 }
 
 _ASYNC = ("uniform", "expcap")
@@ -666,6 +819,10 @@ _LOOPS = Axis({1: 3, 2: 3, 3: 3}, thinks=(0.0, 0.5, 1.0), delays=("unit", "direc
 _LOOPS_FULL = dataclasses.replace(
     _LOOPS, delays=("unit", "directed", "uniform"), seeds=(0, 1)
 )
+_DIRS = Axis(
+    {1: 3, 2: 3, 3: 3}, cs_times=(0.0, 0.5, 1.0), delays=("unit", "directed", "uniform")
+)
+_DIRS_FULL = dataclasses.replace(_DIRS, requests={1: 3, 2: 3, 3: 3, 4: 2}, seeds=(0, 1))
 _CONCURRENT = Axis({4: 1, 5: 1}, times=(0.0,), delays=("unit", "weight"))
 
 #: The tier-1 slice: n <= 4 (the concurrent axis to n = 5), a few seconds
@@ -681,6 +838,8 @@ SLICE = {
     "concurrent": _CONCURRENT,
     "closed-arrow": _LOOPS,
     "closed-central": _LOOPS,
+    "dir-arrow": _DIRS,
+    "dir-home": _DIRS,
 }
 
 #: The full corpus, a few minutes; on the unit-delay fault-free axis it
@@ -695,6 +854,8 @@ FULL = {
     "concurrent": dataclasses.replace(_CONCURRENT, requests={4: 1, 5: 1, 6: 1, 7: 1, 8: 1}),
     "closed-arrow": _LOOPS_FULL,
     "closed-central": _LOOPS_FULL,
+    "dir-arrow": _DIRS_FULL,
+    "dir-home": _DIRS_FULL,
 }
 
 

@@ -28,6 +28,7 @@ from repro.sweep import (
 from repro.sweep.families import FAMILIES
 from repro.sweep.persist import iter_rows
 from repro.sweep.registry import CellFamily, get_family
+from monitor_helpers import events_seen
 
 
 def tiny_spec(engine="fast"):
@@ -240,7 +241,7 @@ def test_only_a_monitored_cell_builds_an_event_stream(streams_made, engine):
         for cell in watched.cells():
             execute_cell(cell)
             (sink,) = streams_made
-            assert type(sink) is ArrowMonitor and sink.events_seen > 100
+            assert type(sink) is ArrowMonitor and events_seen(sink) > 100
             streams_made.clear()
 
 

@@ -22,6 +22,8 @@ SLICE_COUNTS = {
     "concurrent": 726,
     "closed-arrow": 756,
     "closed-central": 540,
+    "dir-arrow": 1_134,
+    "dir-home": 810,
 }
 
 
