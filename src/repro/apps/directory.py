@@ -184,5 +184,5 @@ def home_directory(
     requests = [(0.0, p, _DISSUE, p, -1, -1, 0) for p in range(n)]
     driver = ([acquisitions_per_proc] * n, None, None, None, None, None, 0.0,
               delay_hops, (float(cs_time), result.intervals))
-    _, messages = _central_loop(home, model, service_time, requests, max_events, driver)
+    _, messages = _central_loop(n, home, model, service_time, requests, max_events, driver)
     return _finish(result, messages)

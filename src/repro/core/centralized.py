@@ -4,13 +4,14 @@
 order.  Every queuing request was completed using only two messages, one to
 the central node, and one back."
 
-Concretely: a requester sends ``creq`` to the centre (routed over ``G``);
-the centre swaps its tail record and informs the *previous* tail's issuer
-of its successor (``cinform``), which is the completion event of
-Definition 3.2.  In ``reply_mode`` — the closed loop's — the centre
-records the completion itself and acknowledges the requester with one
-``queue_reply``, so the driver can issue the next request: the "one
-back" message of the paper's measurement loop.
+:class:`CentralizedNode` is the closed loop's node at message level: a
+requester sends ``creq`` to the centre (routed over ``G``); the centre
+swaps its tail record, records the completion itself and acknowledges
+the requester with one ``queue_reply``, so the driver can issue the next
+request — the "one back" message of the paper's measurement loop.  The
+open-loop baseline, where the centre informs the previous tail's issuer
+instead (Definition 3.2's completion), and the flat closed loop run on
+:func:`repro.core.fast_closed_loop._central_loop`.
 
 The centre handles every request in the system, so with a positive
 per-node service time it saturates as the system grows — the linear
@@ -42,38 +43,26 @@ class CentralizedNode(ProtocolNode):
     __slots__ = (
         "center",
         "_on_complete",
-        "_reply_mode",
         "tail_rid",
-        "tail_node",
         "is_center",
         "app_handler",
     )
 
-    def __init__(
-        self,
-        center: int,
-        on_complete: CompletionCallback,
-        *,
-        reply_mode: bool = False,
-    ) -> None:
+    def __init__(self, center: int, on_complete: CompletionCallback) -> None:
         """Create a node of the centralized protocol.
 
-        With ``reply_mode`` (the closed loop) the protocol uses exactly
-        the paper's two messages per request — ``creq`` to the centre and
-        one ``queue_reply`` back to the requester carrying the
-        predecessor's identity — and the completion is recorded at the
-        centre (which maintains the whole queue).  Without it (the open
-        loop), the centre informs the predecessor's issuer directly
-        (``cinform``): Definition 3.2's completion event.
+        The protocol uses exactly the paper's two messages per request —
+        ``creq`` to the centre and one ``queue_reply`` back to the
+        requester carrying the predecessor's identity — and the
+        completion is recorded at the centre (which maintains the whole
+        queue).
         """
         super().__init__()
         self.center = center
         self._on_complete = on_complete
-        self._reply_mode = reply_mode
         self.is_center = False
         # Tail record, meaningful at the centre only.
         self.tail_rid = ROOT_RID
-        self.tail_node = center
         #: Optional hook for application messages (``queue_reply`` etc.).
         self.app_handler: Callable[[Message], None] | None = None
 
@@ -81,7 +70,6 @@ class CentralizedNode(ProtocolNode):
         """Mark this node as the centre holding the initial (root) tail."""
         self.is_center = True
         self.tail_rid = ROOT_RID
-        self.tail_node = self.node_id
 
     # ------------------------------------------------------------------
     def initiate(self, rid: int) -> None:
@@ -96,7 +84,7 @@ class CentralizedNode(ProtocolNode):
             self.send_routed("creq", self.center, rid=rid, origin=self.node_id)
 
     def on_message(self, msg: Message) -> None:
-        """Centre: swap tail and inform predecessor. Others: completions."""
+        """Centre: swap the tail and acknowledge.  Others: application messages."""
         assert self.net is not None
         if msg.kind == "creq":
             if not self.is_center:
@@ -106,15 +94,6 @@ class CentralizedNode(ProtocolNode):
             self._enqueue_at_center(
                 msg.payload["rid"], msg.payload["origin"], hops=msg.hops
             )
-        elif msg.kind == "cinform":
-            # This node issued the predecessor; it now knows the successor.
-            self._on_complete(
-                msg.payload["rid"],
-                msg.payload["predecessor"],
-                self.node_id,
-                self.net.sim.now,
-                msg.payload["hops"] + msg.hops,
-            )
         else:
             if self.app_handler is not None:
                 self.app_handler(msg)
@@ -123,22 +102,10 @@ class CentralizedNode(ProtocolNode):
 
     # ------------------------------------------------------------------
     def _enqueue_at_center(self, rid: int, origin: int, hops: int) -> None:
-        """Atomically extend the queue at the centre and notify."""
+        """Atomically extend the queue at the centre, record the completion
+        and acknowledge the requester with its predecessor's identity."""
         assert self.net is not None
-        pred_rid, pred_node = self.tail_rid, self.tail_node
-        self.tail_rid, self.tail_node = rid, origin
-        if self._reply_mode:
-            # Two-message discipline (§5): record completion at the centre
-            # and acknowledge the requester with its predecessor's identity.
-            self._on_complete(rid, pred_rid, self.node_id, self.net.sim.now, hops)
-            self.send_routed("queue_reply", origin, rid=rid, predecessor=pred_rid)
-            return
-        # Inform the predecessor's issuer of its successor (completion).
-        self.send_routed(
-            "cinform",
-            pred_node,
-            rid=rid,
-            predecessor=pred_rid,
-            origin=origin,
-            hops=hops,
-        )
+        pred_rid = self.tail_rid
+        self.tail_rid = rid
+        self._on_complete(rid, pred_rid, self.node_id, self.net.sim.now, hops)
+        self.send_routed("queue_reply", origin, rid=rid, predecessor=pred_rid)

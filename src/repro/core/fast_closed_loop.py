@@ -1,4 +1,4 @@
-"""Fast closed-loop engine: the §5 measurement loop without the message layer.
+"""The routed flat loop: §5's closed loops and every routed protocol.
 
 :func:`closed_loop_arrow_fast` and :func:`closed_loop_centralized_fast`
 replay the full closed-loop dynamics of :mod:`repro.workloads.closed_loop`
@@ -12,29 +12,30 @@ dispatch.  Routed delays are the network's own: each run builds one
 stream, as a ``Network`` does, so a routed send reads the same cached
 route (a shortest path by Dijkstra, or by BFS on unit weights) and makes
 the same draws in both engines.  Under a deterministic latency model the
-centralized loop does not ask the router per send: every creq goes to
-the one centre and every ack comes back from it, so it reads each node's
-two centre routes from node-indexed tables, filled at the node's first
-creq; a stochastic model draws per send, in the same order.
+closed centralized loop does not ask the router per send: it reads each
+node's two centre routes from node-indexed tables, filled at the node's
+first creq; a stochastic model draws per send, in the same order.
 
 The arrow run is a configuration of the one arrow event loop,
-:func:`repro.core.fast_arrow._arrow_loop` (seeded with the
-n initial issue events and handed the driver state); the centralized
-baseline is a different protocol with its own loop, :func:`_central_loop`:
-one flat ``while`` over the same heap tuples, whose branches are the
-issue, the service stage, the enqueue at the centre and the
-acknowledgement — and, as its other configuration, the §5.1 home
-directory's stages (:func:`repro.apps.directory.home_directory`).  Both
-loops hold the one event a transition schedules and take the next with
+:func:`repro.core.fast_arrow._arrow_loop`; every protocol whose sends are
+all routed runs on :func:`_central_loop`: one flat ``while`` over the
+same heap tuples, whose branches are the closed centralized loop's
+issue, service stage, enqueue at the centre and acknowledgement — and,
+with tags of their own, the §5.1 home directory's stages
+(:func:`repro.apps.directory.home_directory`) and the ``ratio`` family's
+open-loop baselines, §5's centralized queue (:func:`run_centralized`)
+and the §1.1 NTA/Ivy pointers (:func:`run_adaptive`).  Both loops hold
+the one event a transition schedules and take the next with
 ``heappushpop`` — one sift per event (see ``_arrow_loop``'s docstring
 for why the order is unchanged).
 
-The produced :class:`~repro.workloads.closed_loop.ClosedLoopResult` is
-**bit-identical** to the message-level drivers' (same makespan, per-request
-hops and latencies, issue/ack times, message totals, tie-breaking and RNG
-draws), which the small-model oracle (``tests/small_models.py``) checks on
-every small closed loop it enumerates; ``_arrow_loop``'s docstring says
-why that is achievable, and the same argument covers the centralized loop.
+Every run is **bit-identical** to its message-level version
+(:mod:`repro.workloads.closed_loop`; the baselines' in
+``tests/open_loop_oracles.py``): same makespan, completions, hops,
+latencies, issue/ack times, message totals, tie-breaking and RNG draws,
+which the small-model oracle (``tests/small_models.py``) checks on every
+small run it enumerates; ``_arrow_loop``'s docstring says why that is
+achievable, and the same argument covers this loop.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ from repro.core.fast_arrow import (
     _arrow_loop,
     _raise_livelock,
 )
+from repro.core.queueing import RunResult
+from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
+from repro.errors import GraphError, NetworkError, ProtocolError, require_time
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel, UnitLatency
 from repro.net.network import Router
@@ -71,6 +75,8 @@ __all__ = [
     "closed_loop_arrow_fast",
     "closed_loop_centralized_fast",
     "closed_loop_runner",
+    "run_adaptive",
+    "run_centralized",
 ]
 
 
@@ -183,6 +189,10 @@ def closed_loop_arrow_fast(
 # release notice at the home, and a processor's first request.
 _DREQ_ARRIVE, _DREQ, _DFWD_ARRIVE, _DFWD, _DDONE_ARRIVE, _DDONE = range(11, 17)
 _DISSUE = 18
+# The open loops' stages, above _DISSUE: the centralized queue's creq,
+# cinform and initiation, then the NTA/Ivy pointers' request and initiation.
+_CREQ_ARRIVE, _CREQ, _CINFORM_ARRIVE, _CINFORM, _CINIT = 19, 20, 21, 22, 24
+_NTA_ARRIVE, _NTA, _AINIT = 25, 26, 28
 
 
 def closed_loop_centralized_fast(
@@ -211,28 +221,103 @@ def closed_loop_centralized_fast(
     # The last event of a closed loop is an acknowledgement's dispatch, so
     # the loop's final time is the makespan.
     makespan, messages = _central_loop(
-        center, model, service_time, heap, max_events,
+        n, center, model, service_time, heap, max_events,
         (remaining, result.issue_times, result.owners, result.ack_times, result.hops,
          result.latencies, float(think_time), delay_hops, None),
     )
     return _fill_result(result, makespan, messages)
 
 
+def run_centralized(
+    graph: Graph,
+    center: int,
+    schedule: RequestSchedule,
+    *,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    max_events: int | None = None,
+) -> RunResult:
+    """Run the §5 centralized baseline on one schedule; same result interface as arrow.
+
+    A request sends ``creq`` to the centre (its own skips this leg), which
+    swaps its tail record and informs the previous tail's issuer
+    (``cinform``): Definition 3.2's completion, whose hops are both routes'.
+    """
+    check_center(center, graph.num_nodes)
+    return _run_open("centralized", graph, center, schedule, _CINIT,
+                     latency, seed, service_time, max_events)
+
+
+def run_adaptive(
+    graph: Graph,
+    root: int,
+    schedule: RequestSchedule,
+    *,
+    latency: LatencyModel | None = None,
+    seed: int = 0,
+    service_time: float = 0.0,
+    max_events: int | None = None,
+) -> RunResult:
+    """Run the §1.1 adaptive-pointer baseline (NTA [17], Ivy [15]) on one schedule.
+
+    A request chases ``last`` pointers (all at ``root`` at first), one
+    routed ``nta_req`` per step, and every node it visits re-points at the
+    requester (Ivy's path shorting); it completes at the node that is its
+    own ``last``.  Any graph whose routes exist will do (the protocols
+    assume K_n), under any latency model.
+    """
+    if not 0 <= root < graph.num_nodes:
+        raise GraphError(f"root {root} outside the graph's nodes 0..{graph.num_nodes - 1}")
+    return _run_open("adaptive", graph, root, schedule, _AINIT,
+                     latency, seed, service_time, max_events)
+
+
+def _run_open(
+    protocol: str, graph: Graph, center: int, schedule: RequestSchedule, init: int,
+    latency: LatencyModel | None, seed: int, service_time: float, max_events: int | None,
+) -> RunResult:
+    """The open loops' prologue and epilogue around ``_central_loop``.
+
+    The message kernel schedules the m initiations first, in rid order
+    (so time order: a heap), as seqs 0..m-1.  Every routed hop belongs to exactly
+    one completion, so ``hops_total`` is the completions' sum.
+    """
+    schedule.validate_nodes(graph.num_nodes)
+    require_time("service_time", service_time, NetworkError)
+    model = latency if latency is not None else UnitLatency()
+    delay_hops = Router(graph, model, spawn_rng(seed, "network-latency")).delay_hops
+    result = RunResult(schedule)
+    heap = [(t, rid, init, v, v, rid, 0)
+            for rid, (v, t) in enumerate(zip(schedule.nodes, schedule.times))]
+    result.makespan, messages = _central_loop(
+        graph.num_nodes, center, model, service_time, heap, max_events,
+        (None, None, None, None, None, None, 0.0, delay_hops, result),
+    )
+    if len(result.rids) != len(schedule):
+        raise ProtocolError(
+            f"{protocol} run completed {len(result.rids)} of {len(schedule)} requests"
+        )
+    result.network_stats = {"messages_sent": messages, "link_messages": 0,
+                             "routed_messages": messages, "hops_total": sum(result.hops)}
+    return result
+
+
 def _central_loop(
-    center: int, latency: LatencyModel, service_time: float, heap: list[tuple],
+    n: int, center: int, latency: LatencyModel, service_time: float, heap: list[tuple],
     max_events: int | None, driver: tuple,
 ) -> tuple[float, int]:
-    """The centralized loop: the §5 baseline, or the §5.1 home directory.
+    """The routed loop: the §5 baseline, the §5.1 home directory, or an open loop.
 
     Returns ``(time of the last event, messages sent)``.  ``driver`` is
     ``_arrow_loop``'s, with ``Router.delay_hops``: every send is routed.
-    The home directory's ends in ``(cs_time, intervals)`` (its lists
-    unused) and its heap holds ``_DISSUE`` events; each of its stages
-    has its own tag, so neither protocol tests for the other.
+    Its last entry is ``None`` (the closed loop), the home directory's
+    ``(cs_time, intervals)`` with ``_DISSUE`` events on the heap, or an
+    open loop's ``RunResult`` with ``_CINIT`` or ``_AINIT`` (NTA/Ivy
+    pointers rooted at ``center``) events; unused lists are ``None``.
     """
     (remaining, issue_times, owners, ack_times, hops_list, latencies, think,
-     delay_hops, directory) = driver
-    n = len(remaining)
+     delay_hops, stages) = driver
     service = float(service_time)
     # The centre routes by node: (delay, hops) of v's creq, and of the ack
     # back to v.  A deterministic route never changes, so a node's pair is
@@ -248,17 +333,26 @@ def _central_loop(
     # straight as its dispatch, the tag after its arrival's.
     stage = 0 if service > 0.0 else 1
     arrive, ack_arrive = _ARRIVE + stage, _ACK_ARRIVE + stage
-    if directory is not None:
-        cs, add_interval = directory[0], directory[1].append
+    if stages is None:
+        add_owner, add_issue = owners.append, issue_times.append
+        add_hops, add_latency = hops_list.append, latencies.append
+    elif isinstance(stages, RunResult):
+        record = stages.record
+        creq_arrive, cinform_arrive = _CREQ_ARRIVE + stage, _CINFORM_ARRIVE + stage
+        nta_arrive = _NTA_ARRIVE + stage
+        tail_rid, tail_node = ROOT_RID, center  # the centre's tail record
+        # NTA/Ivy: every pointer at the root, which holds the root request.
+        last = [center] * n
+        last_rid = [NO_RID] * n
+        last_rid[center] = ROOT_RID
+    else:
+        cs, add_interval = stages[0], stages[1].append
         object_arrive, dreq_arrive = _OBJECT_ARRIVE + stage, _DREQ_ARRIVE + stage
         dfwd_arrive, ddone_arrive = _DFWD_ARRIVE + stage, _DDONE_ARRIVE + stage
         queue, holder, busy = deque(), center, False  # the home's state
-    else:
-        add_owner, add_issue = owners.append, issue_times.append
-        add_hops, add_latency = hops_list.append, latencies.append
 
     busy_until = [0.0] * n
-    seq = n
+    seq = len(heap)
     next_rid = 0
     messages = 0
     fired = 0
@@ -299,6 +393,33 @@ def _central_loop(
                     seq += 1
                 continue
         elif tag > _ACK_DISPATCH:
+            if tag > _DISSUE:
+                # The open loops.  An event's src is the requester (its
+                # initiation's too), except a cinform's: the predecessor.
+                if tag > _CINIT:  # NTA/Ivy: path shorting points v at the requester
+                    old, last[v] = last[v], src
+                    pred = last_rid[v]
+                    if tag == _AINIT:
+                        last_rid[v] = rid  # the issuer holds the new tail
+                    if old == v:  # v held the tail: rid found its predecessor
+                        record(rid, pred, v, now, hops)
+                        continue
+                    delay, more = delay_hops(v, old)
+                    nxt = (now + delay, seq, nta_arrive, old, src, rid, hops + more)
+                elif tag == _CINFORM:  # v issued the predecessor src
+                    record(rid, src, v, now, hops)
+                    continue
+                elif tag == _CINIT and v != center:  # one routed creq
+                    delay, hops = delay_hops(v, center)
+                    nxt = (now + delay, seq, creq_arrive, center, v, rid, hops)
+                else:  # at the centre: swap the tail, inform the predecessor's issuer
+                    pred, pred_node = tail_rid, tail_node
+                    tail_rid, tail_node = rid, src
+                    delay, more = delay_hops(center, pred_node)
+                    nxt = (now + delay, seq, cinform_arrive, pred_node, pred, rid, hops + more)
+                seq += 1
+                messages += 1
+                continue
             # The home directory (_HomeDirectoryNode), one stage per tag.
             if tag == _DREQ or tag == _DDONE:
                 # At the home: queue the requester src, or learn that src
@@ -365,9 +486,8 @@ def _central_loop(
             src = v
             hops = 0
         # Enqueue at the centre, the §5 two-message discipline
-        # (CentralizedNode._enqueue_at_center in reply_mode): record the
-        # completion, then acknowledge the requester with one routed
-        # queue_reply.
+        # (CentralizedNode._enqueue_at_center): record the completion,
+        # then acknowledge the requester with one routed queue_reply.
         add_hops(hops)
         add_latency(now - issue_times[rid])
         back = from_center[src]

@@ -35,11 +35,12 @@ from repro.graphs.shortest_paths import bfs_predecessors, dijkstra
 from repro.net.latency import LatencyModel, UnitLatency
 from repro.net.message import Message
 from repro.net.node import ProtocolNode
-from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from repro.sim.kernel import Simulator
 
 __all__ = ["Network", "NetworkStats", "Router"]
 
@@ -187,13 +188,6 @@ class Network:
             )
         for i, nd in enumerate(nodes):
             self.register(i, nd)
-
-    def node(self, node_id: int) -> ProtocolNode:
-        """The registered state machine at ``node_id``."""
-        nd = self._nodes[node_id]
-        if nd is None:
-            raise NetworkError(f"no protocol node registered at {node_id}")
-        return nd
 
     # ------------------------------------------------------------------
     # sending

@@ -26,7 +26,9 @@ lookup.  The families:
 The directory families run on the flat loops, each the one version of
 its design (the message-level ones are test oracles) — they ignore the
 spec's ``engine`` axis (``uses_engine=False``) and tag their rows with a
-``protocol`` column instead.  Only the open-loop families and
+``protocol`` column instead.  So do the ``ratio`` family's two
+baselines, on :mod:`repro.core.fast_closed_loop`'s routed loop; its
+``engine`` selects arrow's.  Only the open-loop families and
 ``closed_arrow`` attach a monitor (``supports_monitors``).
 """
 
@@ -302,9 +304,8 @@ def _ratio_row(cell: SweepCell, derived: int, built: Mapping[str, Any]) -> dict[
     # The analysis layer is numpy matrices: imported by the rows that use it.
     from repro.analysis.competitive import theorem_319_ceiling
     from repro.analysis.optimal import opt_bounds
-    from repro.core.adaptive import run_adaptive
     from repro.core.fast_arrow import arrow_runner
-    from repro.core.runner import run_centralized
+    from repro.core.fast_closed_loop import run_adaptive, run_centralized
     from repro.net.latency import UniformLatency, WeightLatency
     from repro.spanning.metrics import tree_stretch
 
@@ -496,9 +497,8 @@ FAMILIES: dict[str, CellFamily] = {
         _check_ratio,
         engines=(
             "repro.analysis.optimal",
-            "repro.core.adaptive",
             "repro.core.fast_arrow",
-            "repro.core.runner",
+            "repro.core.fast_closed_loop",
         ),
     ),
     "lowerbound": CellFamily(

@@ -40,7 +40,7 @@ module must be mirrored there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.arrow import ArrowNode, CompletionCallback
 from repro.core.centralized import CentralizedNode, check_center
@@ -51,8 +51,10 @@ from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import ProtocolNode
-from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
+
+if TYPE_CHECKING:
+    from repro.sim.kernel import Simulator
 
 __all__ = ["ClosedLoopResult", "closed_loop_arrow", "closed_loop_centralized"]
 
@@ -174,9 +176,13 @@ def _run_closed_loop(
     registration (initial pointers, the centre's tail record).  The
     driver, the ack handlers, the t = 0 kick-off, the timed run and the
     completeness check are the same for both protocols.  (The open-loop
-    twin, and why the faulted driver stays separate, is
-    :func:`repro.core.runner._run_open_loop`.)
+    arrow run, and why the faulted driver keeps its own prologue, is
+    :func:`repro.core.runner.run_arrow`.)
     """
+    # The kernel is loaded by the message loops only: the flat loops
+    # import this module for its result type and checks.
+    from repro.sim.kernel import Simulator
+
     _check_loop_args(requests_per_proc, service_time, think_time)
     n = graph.num_nodes
     result = ClosedLoopResult(protocol, n, requests_per_proc)
@@ -272,7 +278,7 @@ def closed_loop_centralized(
     return _run_closed_loop(
         "centralized",
         graph,
-        lambda on_complete: CentralizedNode(center, on_complete, reply_mode=True),
+        lambda on_complete: CentralizedNode(center, on_complete),
         lambda nodes: nodes[center].init_center(),
         requests_per_proc=requests_per_proc,
         latency=latency,

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.core.adaptive import run_adaptive
+from repro.core.fast_closed_loop import run_adaptive
 from repro.core.queueing import verify_total_order
 from repro.graphs import complete_graph
 from repro.workloads.schedules import one_shot, poisson, sequential

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_centralized
+from repro.core.fast_closed_loop import run_centralized
 from repro.graphs import complete_graph
 from repro.graphs.generators import path_graph
 from repro.workloads.closed_loop import closed_loop_centralized

@@ -3,7 +3,8 @@
 
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow, run_centralized
+from repro.core.fast_closed_loop import run_centralized
+from repro.core.runner import run_arrow
 from repro.errors import (
     AnalysisError,
     GraphError,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow, run_centralized
+from repro.core.fast_closed_loop import run_centralized
+from repro.core.runner import run_arrow
 from repro.errors import ScheduleError, TreeError
 from repro.graphs import complete_graph
 from repro.graphs.generators import path_graph
@@ -108,14 +109,34 @@ def test_service_time_delays_each_hop():
 
 
 # ----------------------------------------------------------------------
-# the two message-level harnesses: one failure vocabulary on five runners
+# every open- and closed-loop runner: one failure vocabulary
 # ----------------------------------------------------------------------
-def _five_runners():
-    """(label, node class, call(**kw), requests) for every configuration of
-    ``_run_open_loop`` / ``_run_closed_loop`` on K4 with four requests."""
-    from repro.core.adaptive import AdaptivePointerNode, run_adaptive
+def _lose_in_flat_loop(monkeypatch):
+    """The flat open loops lose every request: ``_central_loop`` runs nothing."""
+    from repro.core import fast_closed_loop
+
+    monkeypatch.setattr(fast_closed_loop, "_central_loop", lambda *args: (0.0, 0))
+
+
+def _lose_at(node_class):
+    """A message-level protocol loses every request: nodes never initiate."""
+    return lambda monkeypatch: monkeypatch.setattr(node_class, "initiate", lambda self, rid: None)
+
+
+def _runners():
+    """(label, lose(monkeypatch), call(**kw)) for every runner on K4 with four
+    requests: message-level arrow, the flat baselines, both closed loops at
+    message level, and the baselines' message oracles."""
+    from open_loop_oracles import (
+        AdaptivePointerNode,
+        InformingCentralNode,
+        run_adaptive_message,
+        run_centralized_message,
+    )
+
     from repro.core.arrow import ArrowNode
     from repro.core.centralized import CentralizedNode
+    from repro.core.fast_closed_loop import run_adaptive
     from repro.spanning import bfs_tree
     from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
 
@@ -123,27 +144,37 @@ def _five_runners():
     tree = bfs_tree(g, 0)
     sched = RequestSchedule([(v, 0.0) for v in range(4)])
     return [
-        ("arrow", ArrowNode, lambda **kw: run_arrow(g, tree, sched, **kw)),
-        ("centralized", CentralizedNode, lambda **kw: run_centralized(g, 0, sched, **kw)),
-        ("adaptive", AdaptivePointerNode, lambda **kw: run_adaptive(g, 0, sched, **kw)),
+        ("arrow", _lose_at(ArrowNode), lambda **kw: run_arrow(g, tree, sched, **kw)),
+        ("centralized", _lose_in_flat_loop, lambda **kw: run_centralized(g, 0, sched, **kw)),
+        ("adaptive", _lose_in_flat_loop, lambda **kw: run_adaptive(g, 0, sched, **kw)),
         (
             "closed loop",
-            ArrowNode,
+            _lose_at(ArrowNode),
             lambda **kw: closed_loop_arrow(g, tree, requests_per_proc=1, **kw),
         ),
         (
             "closed loop",
-            CentralizedNode,
+            _lose_at(CentralizedNode),
             lambda **kw: closed_loop_centralized(g, 0, requests_per_proc=1, **kw),
+        ),
+        (
+            "centralized",
+            _lose_at(InformingCentralNode),
+            lambda **kw: run_centralized_message(g, 0, sched, **kw),
+        ),
+        (
+            "adaptive",
+            _lose_at(AdaptivePointerNode),
+            lambda **kw: run_adaptive_message(g, 0, sched, **kw),
         ),
     ]
 
 
-@pytest.mark.parametrize("which", range(5))
+@pytest.mark.parametrize("which", range(7))
 def test_max_events_livelock_guard_on_every_runner(which):
     from repro.errors import SimulationError
 
-    _, _, call = _five_runners()[which]
+    _, _, call = _runners()[which]
     with pytest.raises(
         SimulationError,
         match=r"^exceeded max_events=2; possible livelock in protocol code$",
@@ -152,20 +183,20 @@ def test_max_events_livelock_guard_on_every_runner(which):
     call(max_events=1000)  # a generous budget is not a livelock
 
 
-@pytest.mark.parametrize("which", range(5))
+@pytest.mark.parametrize("which", range(7))
 def test_short_completion_count_on_every_runner(which, monkeypatch):
     """A protocol that loses requests is reported, never returned."""
     from repro.errors import ProtocolError
 
-    label, node_class, call = _five_runners()[which]
-    monkeypatch.setattr(node_class, "initiate", lambda self, rid: None)
+    label, lose, call = _runners()[which]
+    lose(monkeypatch)
     who = label if label == "closed loop" else f"{label} run"
     with pytest.raises(ProtocolError, match=rf"^{who} completed 0 of 4 requests$"):
         call()
 
 
 def test_bad_schedule_node_text_on_every_open_loop_runner():
-    from repro.core.adaptive import run_adaptive
+    from repro.core.fast_closed_loop import run_adaptive
     from repro.spanning import bfs_tree
 
     g = complete_graph(4)

@@ -70,6 +70,7 @@ class _ObjectState:
     def __init__(self, result: DirectoryResult, cs_time: float) -> None:
         self.result = result
         self.cs_time = cs_time
+        self.nodes: list[_ArrowDirectoryNode] = []  # filled by the runner
         # rid -> (successor_rid, successor_origin), learned at completion.
         self.successor: dict[int, tuple[int, int]] = {}
         # rids whose critical section has finished with the object at
@@ -127,10 +128,7 @@ class _ArrowDirectoryNode(ArrowNode):
         holder = self.shared.released_at.pop(pred, None)
         if holder is not None:
             # The object is idle at `holder`; ship it now.
-            assert self.net is not None
-            node = self.net.node(holder)
-            assert isinstance(node, _ArrowDirectoryNode)
-            node._hand_off(pred, rid, origin)
+            self.shared.nodes[holder]._hand_off(pred, rid, origin)
 
 
 def arrow_directory_message(
@@ -158,7 +156,7 @@ def arrow_directory_message(
         service_time=service_time,
     )
 
-    nodes: list[_ArrowDirectoryNode] = []
+    nodes = shared.nodes
     owners: list[int] = []  # rid -> the processor that issued it
 
     def on_complete(rid: int, pred: int, node_id: int, when: float, hops: int):
@@ -183,11 +181,15 @@ def arrow_directory_message(
 class _HomeDirectoryNode(ProtocolNode):
     """Home-based directory node (fixed home tracks the holder)."""
 
-    __slots__ = ("home", "result", "cs_time", "driver", "holder", "busy", "queue")
+    __slots__ = ("home", "nodes", "result", "cs_time", "driver", "holder", "busy", "queue")
 
-    def __init__(self, home: int, result: DirectoryResult, cs_time: float) -> None:
+    def __init__(
+        self, home: int, nodes: list["_HomeDirectoryNode"], result: DirectoryResult,
+        cs_time: float,
+    ) -> None:
         super().__init__()
         self.home = home
+        self.nodes = nodes  # every node of the run, by id
         self.result = result
         self.cs_time = cs_time
         self.driver = None
@@ -232,7 +234,7 @@ class _HomeDirectoryNode(ProtocolNode):
         self.busy = True
         if self.holder == requester:
             # Object already local to the requester.
-            self.net.node(requester)._acquire()  # type: ignore[attr-defined]
+            self.nodes[requester]._acquire()
         else:
             self.send_routed("dfwd", self.holder, to=requester)
 
@@ -277,6 +279,7 @@ def home_directory_message(
         seed=seed,
         service_time=service_time,
     )
-    nodes = [_HomeDirectoryNode(home, result, cs_time) for _ in range(n)]
+    nodes: list[_HomeDirectoryNode] = []
+    nodes.extend(_HomeDirectoryNode(home, nodes, result, cs_time) for _ in range(n))
     net.register_all(nodes)
     return _run_acquire_loop(sim, net, nodes, result, lambda proc: nodes[proc].initiate())

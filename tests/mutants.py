@@ -3,12 +3,14 @@ and the router they share with the network.
 
 Each mutant in :data:`MUTANTS` is one exact-match text edit of
 ``core/fast_arrow._arrow_loop``, ``core/fast_closed_loop._central_loop``
-(the directory stages of both included) or ``net/network.Router`` — an
-off-by-one hop, a swapped tie-break, a wrong dispatch tag, a dropped
-acknowledgement, service at the wrong stage, a reordered latency draw,
-the two queue-choice edits of ``_arrow_loop``'s FIFO test, a centre
-route read in the wrong direction, BFS routes on a weighted graph, a
-local hand-off acquired inline, a LIFO home queue, … .  The edit
+(the directory stages of both, and the open-loop baselines' stages of
+the second, included) or ``net/network.Router`` — an off-by-one hop, a
+swapped tie-break, a wrong dispatch tag, a dropped acknowledgement,
+service at the wrong stage, a reordered latency draw, the two
+queue-choice edits of ``_arrow_loop``'s FIFO test, a centre route read
+in the wrong direction, BFS routes on a weighted graph, a local hand-off
+acquired inline, a LIFO home queue, a cinform to the wrong node, path
+shorting off, … .  The edit
 is applied to a temporary copy of the repository; the working tree never
 changes.  Every mutant then runs through each column of :data:`COLUMNS`:
 
@@ -130,6 +132,8 @@ _HOME_RELEASE_REISSUE_FIRST = """\
 #: Name -> mutant; ``arrow-*`` edit ``_arrow_loop``, ``central-*``
 #: ``closed_loop_centralized_fast``'s ``_central_loop``, ``dir-arrow-*``
 #: and ``dir-home-*`` the directory stages of those two loops,
+#: ``open-central-*`` and ``open-adaptive-*`` the stages of
+#: ``run_centralized`` and ``run_adaptive`` in ``_central_loop``,
 #: ``router-*`` ``Router``.
 MUTANTS = {
     "arrow-init-tie-queue": Mutant(
@@ -256,6 +260,37 @@ MUTANTS = {
         CENTRAL, "delay_hops(v, rid)[0], seq, object_arrive", "delay_hops(rid, v)[0], seq, object_arrive"
     ),
     "dir-home-reissue-first": Mutant(CENTRAL, _HOME_RELEASE, _HOME_RELEASE_REISSUE_FIRST),
+    "open-central-inform-requester": Mutant(
+        CENTRAL, "delay, more = delay_hops(center, pred_node)\n"
+        "                    nxt = (now + delay, seq, cinform_arrive, pred_node, pred,",
+        "delay, more = delay_hops(center, src)\n"
+        "                    nxt = (now + delay, seq, cinform_arrive, src, pred,",
+    ),
+    "open-central-own-creq-routed": Mutant(
+        CENTRAL, "elif tag == _CINIT and v != center:", "elif tag == _CINIT:"
+    ),
+    "open-central-tail-node-kept": Mutant(
+        CENTRAL, "tail_rid, tail_node = rid, src", "tail_rid = rid"
+    ),
+    "open-central-inform-hops-dropped": Mutant(
+        CENTRAL, "cinform_arrive, pred_node, pred, rid, hops + more)",
+        "cinform_arrive, pred_node, pred, rid, more)",
+    ),
+    "open-central-creq-skips-service": Mutant(
+        CENTRAL, "creq_arrive, cinform_arrive = _CREQ_ARRIVE + stage,",
+        "creq_arrive, cinform_arrive = _CREQ,",
+    ),
+    "open-adaptive-no-path-shorting": Mutant(
+        CENTRAL, "old, last[v] = last[v], src", "old = last[v]\n"
+        "                    if tag == _AINIT:\n                        last[v] = src",
+    ),
+    "open-adaptive-local-rid-stale": Mutant(
+        CENTRAL, "if tag == _AINIT:\n                        last_rid[v] = rid",
+        "if tag == _AINIT and old != v:\n                        last_rid[v] = rid",
+    ),
+    "open-adaptive-skips-service": Mutant(
+        CENTRAL, "nta_arrive = _NTA_ARRIVE + stage", "nta_arrive = _NTA"
+    ),
     "router-bfs-on-weighted": Mutant(
         NETWORK, "bfs_predecessors if self.graph.is_unit_weighted() else dijkstra",
         "bfs_predecessors",
@@ -322,7 +357,7 @@ def _equality_only(sm):
 
     sm._both_engines = equal_only
     for name in ("_open_properties", "_fault_properties", "_closed_properties",
-                 "_directory_properties"):
+                 "_directory_properties", "_baseline_properties"):
         setattr(sm, name, lambda *args: None)
 
 

@@ -9,8 +9,7 @@ import random
 import pytest
 
 from repro.apps.directory import arrow_directory, home_directory
-from repro.core.fast_closed_loop import closed_loop_runner
-from repro.core.runner import run_centralized
+from repro.core.fast_closed_loop import closed_loop_runner, run_centralized
 from repro.errors import NetworkError
 from repro.graphs import complete_graph
 from repro.graphs.generators import (
@@ -148,14 +147,6 @@ def test_delivery_to_unregistered_node_raises():
     net.send_link(0, 1, "x")
     with pytest.raises(NetworkError):
         net.sim.run()
-
-
-def test_node_accessor():
-    net, nodes = make_net(path_graph(2))
-    assert net.node(0) is nodes[0]
-    empty = Network(path_graph(2), Simulator())
-    with pytest.raises(NetworkError):
-        empty.node(0)
 
 
 def test_tracer_sees_sends_and_deliveries():

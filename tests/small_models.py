@@ -44,12 +44,19 @@ as classes of edge appearance after Casteigts et al., arXiv:1102.5529):
 ``dir-arrow`` / ``dir-home``
     the §5.1 directories on the closed loops' shapes (the home at every
     node), up to 3 acquisitions per processor, critical section 0 / 0.5
-    / 1, unit, directed and uniform delay.
+    / 1, unit, directed and uniform delay;
+``open-central`` / ``open-adaptive``
+    §5's centralized queue and the §1.1 NTA/Ivy pointers on
+    ``closed-central``'s graphs (every tree, and K_n) × the centre (the
+    pointers' root) at every node × the open axes' request multisets ×
+    service time 0 / 0.5, unit, directed and uniform delay.
 
 :func:`check` runs one instance through the fast loop (``run_arrow_fast``,
 ``closed_loop_*_fast``, ``run_arrow_faulted(engine="fast")``, the two
-directories) and through the message harness (for the directories, the
-message versions in ``tests/directory_oracles.py``), and asserts:
+directories, ``run_centralized``, ``run_adaptive``) and through the message
+harness (for the directories and the two open-loop baselines, the message
+versions in ``tests/directory_oracles.py`` and ``tests/open_loop_oracles.py``),
+and asserts:
 
 * the raw event streams and the results (``RunResult``,
   ``ClosedLoopResult``, ``FaultReport``) are equal across engines, and a
@@ -77,6 +84,14 @@ message versions in ``tests/directory_oracles.py``), and asserts:
   hand-off) on both engines, with the same ``SimulationError`` one event
   short of it; and the home directory's four messages per remote
   hand-off, two per local one;
+* on the open-loop baselines: equal results (``RunResult`` columns,
+  makespan and network counters); a total order, every completion at
+  the predecessor's issuer, the run ending with the last completion,
+  every message routed and each hop counted once; the same exact event
+  count (one per initiation and per message stage) on both engines; and
+  for the centralized queue, two messages per request (one from the
+  centre), each completion's hops the route to the centre plus the route
+  back to the predecessor's issuer;
 * on fault-free synchronous runs (unit delay or delay = integer weight,
   service 0): a total order, Fact 3.6, Lemmas 3.8-3.10, the direct-path
   property, the executor's order when there are no ties, and arrow's cost
@@ -111,7 +126,7 @@ from repro.analysis.optimal import held_karp_path
 from repro.analysis.verify import check_lemma_3_8
 from repro.apps.directory import arrow_directory, home_directory
 from repro.core.fast_arrow import arrow_runner
-from repro.core.fast_closed_loop import closed_loop_runner
+from repro.core.fast_closed_loop import closed_loop_runner, run_adaptive, run_centralized
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.errors import SimulationError
@@ -124,6 +139,7 @@ from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.spanning.metrics import tree_diameter
 from repro.spanning.tree import SpanningTree
 from directory_oracles import arrow_directory_message, home_directory_message
+from open_loop_oracles import run_adaptive_message, run_centralized_message
 from latency_models import ExponentialCappedLatency
 from lemma_oracles import (
     check_direct_path_property,
@@ -226,7 +242,9 @@ class Instance:
     loop's protocol, run with ``rpp`` requests per processor on the tree
     (``complete``: on K_n) with the centralized centre at ``center``, or
     a directory (``dir-arrow``, ``dir-home``): ``rpp`` acquisitions per
-    processor, each held ``cs``, the home at ``center``.
+    processor, each held ``cs``, the home at ``center``, or an open-loop
+    baseline (``open-central``, ``open-adaptive``) of ``requests`` on the
+    tree or K_n, the centre (the pointers' root) at ``center``.
     """
 
     edges: tuple
@@ -580,12 +598,70 @@ def _check_directory(inst):
         _same_results(lambda engine: _limit_outcome(run, engine, limit))
 
 
+#: Open-loop baseline axis -> engine -> runner.
+_BASELINES = {
+    "open-central": {"fast": run_centralized, "message": run_centralized_message},
+    "open-adaptive": {"fast": run_adaptive, "message": run_adaptive_message},
+}
+
+
+def _baseline_properties(result, inst, graph, schedule, events, run):
+    """The open-loop baselines' invariants.
+
+    A total order; each request completes at its predecessor's issuer (the
+    centre, or the pointers' root, for the root request), and the run
+    ends with the last completion.  Every message is routed and each
+    route's hops count once, in the completion it belongs to.  The
+    centralized queue sends a creq per request from off the centre and a
+    cinform per request, and a completion's hops are the route to the
+    centre plus the route back to the predecessor's issuer.  The fast run
+    fires exactly ``events``.
+    """
+    verify_total_order(result)
+    nodes, stats = schedule.nodes, result.network_stats
+    messages = stats["messages_sent"]
+    for rid, pred, informed in zip(result.rids, result.predecessors, result.informed_nodes):
+        issuer = nodes[pred] if pred >= 0 else inst.center
+        assert informed == issuer, f"request {rid} completed at {informed}, not at {issuer}"
+    assert result.makespan == max(result.completed_at), "the run does not end with a completion"
+    assert stats["link_messages"] == 0 and stats["routed_messages"] == messages, "unrouted messages"
+    assert stats["hops_total"] == sum(result.hops), "hops counted outside the completions"
+    if inst.protocol == "open-central":
+        assert messages == 2 * len(nodes) - nodes.count(inst.center), "messages miscounted"
+        route = bfs_distances(graph, inst.center)
+        for rid, informed, hops in zip(result.rids, result.informed_nodes, result.hops):
+            want = route[nodes[rid]] + route[informed]
+            assert hops == want, f"request {rid}: {hops} hops, its two routes {want}"
+    _fires_exactly(lambda limit: run("fast", max_events=limit), events)
+
+
+def _check_baseline(inst):
+    graph, _ = _topology(inst.edges, inst.weights, inst.root, inst.complete)
+    schedule = RequestSchedule(inst.requests)
+    runners = _BASELINES[inst.protocol]
+    knobs = dict(latency=DELAYS[inst.delay], seed=inst.seed, service_time=inst.service)
+
+    def run(engine, **limit):
+        return runners[engine](graph, inst.center, schedule, **knobs, **limit)
+
+    result = _same_results(run)
+    # One event per initiation and per message stage (two with a service
+    # time); both engines complete with exactly these and raise the same
+    # error one short of them.
+    events = len(schedule) + (2 if inst.service else 1) * result.network_stats["messages_sent"]
+    _baseline_properties(result, inst, graph, schedule, events, run)
+    for limit in (events - 1, events):
+        _same_results(lambda engine: _limit_outcome(run, engine, limit))
+
+
 _CHECKS = {
     "": _check_open,
     "arrow": _check_closed_arrow,
     "centralized": _check_closed_central,
     "dir-arrow": _check_directory,
     "dir-home": _check_directory,
+    "open-central": _check_baseline,
+    "open-adaptive": _check_baseline,
 }
 
 
@@ -745,14 +821,19 @@ def closed_arrow(axis: Axis) -> Iterator[Instance]:
                     )
 
 
+def _central_graphs(n):
+    """``(edges, complete)``: every labelled tree as the graph, and K_n."""
+    graphs = [(edges, False) for edges in labelled_trees(n)]
+    if n > 2:
+        graphs.append((graphs[0][0], True))
+    return graphs
+
+
 def closed_central(axis: Axis) -> Iterator[Instance]:
     """Every tree as the graph, and K_n, × the centre at every node ×
     closed-loop settings."""
     for n in axis.requests:
-        graphs = [(edges, False) for edges in labelled_trees(n)]
-        if n > 2:
-            graphs.append((graphs[0][0], True))
-        for edges, complete in graphs:
+        for edges, complete in _central_graphs(n):
             for center in range(n):
                 for rpp, think, service, (delay, seed) in _loops(axis, n):
                     yield Instance(
@@ -786,10 +867,7 @@ def dir_home(axis: Axis) -> Iterator[Instance]:
     """The home directory on ``closed_central``'s graphs × the home at
     every node × directory settings."""
     for n in axis.requests:
-        graphs = [(edges, False) for edges in labelled_trees(n)]
-        if n > 2:
-            graphs.append((graphs[0][0], True))
-        for edges, complete in graphs:
+        for edges, complete in _central_graphs(n):
             for home in range(n):
                 for rpp, cs, service, (delay, seed) in _directory_loops(axis, n):
                     yield Instance(
@@ -797,6 +875,32 @@ def dir_home(axis: Axis) -> Iterator[Instance]:
                         protocol="dir-home", complete=complete, rpp=rpp,
                         center=home, cs=cs,
                     )
+
+
+def _baselines(protocol, axis):
+    """``closed_central``'s graphs × the centre (the pointers' root) at
+    every node × request multisets × delays (and seeds) × service times."""
+    for n, k in axis.requests.items():
+        for edges, complete in _central_graphs(n):
+            for center in range(n):
+                for requests in request_multisets(n, axis.times, k):
+                    for delay, seed in _delay_seeds(axis):
+                        for service in axis.services:
+                            yield Instance(
+                                edges, 0, requests, delay=delay, seed=seed,
+                                service=service, protocol=protocol,
+                                complete=complete, center=center,
+                            )
+
+
+def open_central(axis: Axis) -> Iterator[Instance]:
+    """The centralized queue: :func:`_baselines`."""
+    return _baselines("open-central", axis)
+
+
+def open_adaptive(axis: Axis) -> Iterator[Instance]:
+    """The NTA/Ivy pointers: :func:`_baselines`."""
+    return _baselines("open-adaptive", axis)
 
 
 #: Axis name -> its generator.
@@ -812,6 +916,8 @@ AXES: dict[str, Callable[[Axis], Iterator[Instance]]] = {
     "closed-central": closed_central,
     "dir-arrow": dir_arrow,
     "dir-home": dir_home,
+    "open-central": open_central,
+    "open-adaptive": open_adaptive,
 }
 
 _ASYNC = ("uniform", "expcap")
@@ -824,6 +930,10 @@ _DIRS = Axis(
 )
 _DIRS_FULL = dataclasses.replace(_DIRS, requests={1: 3, 2: 3, 3: 3, 4: 2}, seeds=(0, 1))
 _CONCURRENT = Axis({4: 1, 5: 1}, times=(0.0,), delays=("unit", "weight"))
+_BASELINE = Axis({1: 3, 2: 3, 3: 2}, delays=("unit", "directed", "uniform"))
+_BASELINE_FULL = dataclasses.replace(
+    _BASELINE, requests={1: 3, 2: 3, 3: 3, 4: 2}, seeds=(0, 1)
+)
 
 #: The tier-1 slice: n <= 4 (the concurrent axis to n = 5), a few seconds
 #: in one process.  Service time 0.5 at unit delay runs on the faults,
@@ -840,6 +950,8 @@ SLICE = {
     "closed-central": _LOOPS,
     "dir-arrow": _DIRS,
     "dir-home": _DIRS,
+    "open-central": _BASELINE,
+    "open-adaptive": _BASELINE,
 }
 
 #: The full corpus, a few minutes; on the unit-delay fault-free axis it
@@ -856,6 +968,8 @@ FULL = {
     "closed-central": _LOOPS_FULL,
     "dir-arrow": _DIRS_FULL,
     "dir-home": _DIRS_FULL,
+    "open-central": _BASELINE_FULL,
+    "open-adaptive": _BASELINE_FULL,
 }
 
 

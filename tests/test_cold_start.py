@@ -13,6 +13,10 @@ Fresh interpreters import :mod:`repro.cli` and run, through ``main``:
   any step;
 * then a one-cell Poisson sweep, which must import numpy.
 
+An ``ablation-protocols`` sweep runs all three of its protocols on the
+flat loops: it loads neither the message kernel nor the message-level
+arrow run.
+
 A third interpreter checks the other direction: after
 :func:`repro.sweep.executor.import_engines`, running a grid's cells
 imports no further engine or tree module, for every cell family.
@@ -36,7 +40,6 @@ ENGINE_MODULES = [
     "repro.core.runner",
     "repro.core.arrow",
     "repro.core.centralized",
-    "repro.core.adaptive",
     "repro.core.stabilize",
     "repro.faults",
     "repro.monitors",
@@ -142,6 +145,14 @@ def test_the_cli_and_the_read_side_build_no_tree(reports):
     sweeps, (*reads, _) = reports
     assert loaded(sweeps[:1] + reads, TREE_MODULES) == []
     assert set(TREE_MODULES) <= set(sweeps[1][3]), "the fig10 sweep builds its tree"
+
+
+def test_the_protocol_ablation_loads_no_message_kernel(tmp_path):
+    steps = [("sweep ablation-protocols", ["sweep", "--grid", "ablation-protocols",
+                                           "--requests", "10", "--out", "protocols.jsonl"])]
+    (_, (_, _, _, modules)) = _run_child(steps, tmp_path)
+    assert "repro.core.fast_closed_loop" in modules, "the baselines run on the routed loop"
+    assert [m for m in ("repro.sim.kernel", "repro.core.runner") if m in modules] == []
 
 
 #: Runs in a fresh interpreter: for each grid, the engine and tree modules its

@@ -24,6 +24,8 @@ SLICE_COUNTS = {
     "closed-central": 540,
     "dir-arrow": 1_134,
     "dir-home": 810,
+    "open-central": 2_406,
+    "open-adaptive": 2_406,
 }
 
 
