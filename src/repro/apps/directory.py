@@ -35,7 +35,7 @@ from repro.core.totals import float_total
 from repro.errors import NetworkError, ProtocolError, ScheduleError, require_time
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel, UnitLatency
-from repro.net.network import Router
+from repro.net.router import Router
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
 

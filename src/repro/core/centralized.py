@@ -24,17 +24,11 @@ from typing import Callable
 
 from repro.core.arrow import CompletionCallback
 from repro.core.requests import ROOT_RID
-from repro.errors import NetworkError, ProtocolError
+from repro.errors import ProtocolError
 from repro.net.message import Message
 from repro.net.node import ProtocolNode
 
-__all__ = ["CentralizedNode", "check_center"]
-
-
-def check_center(center: int, n: int) -> None:
-    """Reject a centre outside the graph; every centralized driver calls this."""
-    if not 0 <= center < n:
-        raise NetworkError(f"center {center} out of range for {n} nodes")
+__all__ = ["CentralizedNode"]
 
 
 class CentralizedNode(ProtocolNode):

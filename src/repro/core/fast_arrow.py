@@ -15,7 +15,11 @@ There is one event loop, the plain function :func:`_arrow_loop`; its
 docstring says why bit-identity holds.  Its queue is a flat binary heap,
 or a FIFO ``deque`` in the paper's synchronous model (one delay on every
 tree link, no service time, no closed loop, no crash events), where
-events are scheduled in the order they fire.  Open-loop runs
+events are scheduled in the order they fire.  With a service time
+instead, an open fault-free run over one link delay folds each message's
+arrival into its send: the send joins the destination's service queue
+and schedules the dispatch, one heap event per message instead of two.
+Open-loop runs
 (:func:`run_arrow_fast`), the §5 closed loop
 (:func:`repro.core.fast_closed_loop.closed_loop_arrow_fast`), faulted
 runs (:func:`repro.faults.run_arrow_faulted`) and the §5.1 arrow
@@ -168,7 +172,7 @@ def _arrow_loop(
     ``service_time`` and ``max_events`` are the
     :func:`~repro.core.runner.run_arrow` knobs; ``rng`` is the run's
     ``spawn_rng(seed, "network-latency")`` stream, which a closed loop
-    shares with the :class:`~repro.net.network.Router` of its
+    shares with the :class:`~repro.net.router.Router` of its
     acknowledgements — the class a :class:`~repro.net.network.Network`
     routes every routed send through.
 
@@ -251,13 +255,29 @@ def _arrow_loop(
       with the same seq, and ``max_events`` counts the same events.
       The queue is chosen before the loop, so the heap path pays no
       per-event test;
+    * with a service time on an open loop (no driver) with no fault plan
+      and one delay ``d`` on every link, the arrival stage folds into
+      the send.  A message sent at ``(t, s)`` arrives at ``t + d``, and
+      sends happen in nondecreasing ``(time, seq)`` order, so every node
+      receives its messages in send order.  The send can therefore make
+      the arrival's ``busy_until`` update itself: the same updates in
+      the same order, with the same float operations.  It schedules the
+      dispatch with the next seq.  The kernel orders same-time
+      dispatches by the seqs they took at their arrivals, which also
+      come in send order, so the dispatches fire in the same order, and
+      the schedule initiations keep seqs below all of them.  The elided
+      arrival counts towards ``max_events`` at the send, so the run's
+      event total is unchanged: it raises if and only if the kernel's
+      run does, with the same text.  Only an aborted run's emitted
+      prefix can end earlier, since the count runs ahead of the event
+      it stands for.  Like the queue, the fold is chosen before the loop;
     * a dropped send consumes no sequence number and no latency draw —
       the message engine never reaches the latency draw for it either —
       while crash events and dropped initiations are fired events and
       count towards ``max_events``;
     * the per-node busy-until service model is replayed
       arithmetically, the acknowledgements' shortest-path routing is
-      the network's own :class:`~repro.net.network.Router`, and
+      the network's own :class:`~repro.net.router.Router`, and
       stochastic latency models draw from the same ``spawn_rng(seed,
       "network-latency")`` stream in the same order as
       :class:`~repro.net.network.Network` would — one draw per
@@ -287,6 +307,13 @@ def _arrow_loop(
         push, pop, pushpop = deque.append, deque.popleft, _fifo_pushpop
     else:
         push, pop, pushpop = heappush, heappop, heappushpop
+    # With a service time on an open, fault-free run over one link delay,
+    # a send joins its destination's queue at once: nodes receive in send
+    # order, so the arrival stage folds into the send (see "Why
+    # bit-identical").
+    fold = driver is None and faults is None and one_delay and service > 0.0
+    if fold and n > 1:  # a one-node run sends nothing
+        link_delay = det_up[0 if root else 1]
 
     # Protocol state (ArrowNode.init_pointers, flattened).
     link = parent[:]
@@ -504,6 +531,19 @@ def _arrow_loop(
             hops += 1
             if emit is not None:
                 emit(("send", rid, v, x, now))
+            if fold:
+                # The message's arrival, counted as the event it would be.
+                fired += 1
+                if fired > limit:
+                    _raise_livelock(max_events)
+                begin = now + link_delay  # or later, if x is still busy
+                if busy_until[x] > begin:
+                    begin = busy_until[x]
+                busy_until[x] = finish = begin + service
+                nxt = (finish, seq, _DISPATCH, x, v, rid, hops)
+                seq += 1
+                messages += 1
+                continue
             if faults is not None:
                 if faults.drops_send(v, x, rid, now):
                     continue

@@ -8,7 +8,7 @@ acknowledgements over ``G`` — on a flat binary heap over ``(time, seq)``
 tuples with plain array node state.  No :class:`~repro.net.message.Message`
 objects, no per-event callback, no :class:`~repro.net.network.Network`
 dispatch.  Routed delays are the network's own: each run builds one
-:class:`~repro.net.network.Router` over its ``"network-latency"``
+:class:`~repro.net.router.Router` over its ``"network-latency"``
 stream, as a ``Network`` does, so a routed send reads the same cached
 route (a shortest path by Dijkstra, or by BFS on unit weights) and makes
 the same draws in both engines.  Under a deterministic latency model the
@@ -41,9 +41,9 @@ achievable, and the same argument covers this loop.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from heapq import heappop, heappush, heappushpop
 
-from repro.core.centralized import check_center
 from repro.core.engines import engine_error_message
 from repro.core.fast_arrow import (
     _ACK_ARRIVE,
@@ -59,25 +59,97 @@ from repro.core.fast_arrow import (
 )
 from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
-from repro.errors import GraphError, NetworkError, ProtocolError, require_time
+from repro.errors import GraphError, NetworkError, ProtocolError, ScheduleError, require_time
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel, UnitLatency
-from repro.net.network import Router
+from repro.net.router import Router
 from repro.sim.rng import spawn_rng
 from repro.spanning.tree import SpanningTree
-from repro.workloads.closed_loop import (
-    ClosedLoopResult,
-    _check_complete,
-    _check_loop_args,
-)
 
 __all__ = [
+    "ClosedLoopResult",
+    "check_center",
     "closed_loop_arrow_fast",
     "closed_loop_centralized_fast",
     "closed_loop_runner",
     "run_adaptive",
     "run_centralized",
 ]
+
+
+@dataclass(slots=True)
+class ClosedLoopResult:
+    """Aggregate outcome of one closed-loop run."""
+
+    protocol: str
+    num_procs: int
+    requests_per_proc: int
+    #: Simulation time at which the last acknowledgement arrived — the
+    #: paper's "total latency for N enqueues per processor" measurement.
+    makespan: float = 0.0
+    completions: int = 0
+    #: Queue-message link traversals per request (Fig. 11's metric).
+    hops: list[int] = field(default_factory=list)
+    #: Requests whose predecessor was found locally (zero messages).
+    local_finds: int = 0
+    messages_sent: int = 0
+    #: Issue time of request ``rid`` (rid-indexed; rids are assigned in
+    #: issue order, so this list is built by appending).
+    issue_times: list[float] = field(default_factory=list)
+    #: Time the acknowledgement of request ``rid`` was handled at its
+    #: origin (rid-indexed; ``-1.0`` until the ack arrives).
+    ack_times: list[float] = field(default_factory=list)
+    #: Issuing processor of request ``rid`` (rid-indexed).
+    owners: list[int] = field(default_factory=list)
+    #: Per-request completion latency (Definition 3.2: completion time
+    #: minus issue time), appended in completion order like ``hops``.
+    latencies: list[float] = field(default_factory=list)
+
+    @property
+    def total_requests(self) -> int:
+        """Total requests across all processors."""
+        return self.num_procs * self.requests_per_proc
+
+    @property
+    def mean_hops(self) -> float:
+        """Average queue-message hops per request."""
+        return sum(self.hops) / len(self.hops) if self.hops else 0.0
+
+    @property
+    def local_find_fraction(self) -> float:
+        """Fraction of requests finding their predecessor locally."""
+        return self.local_finds / self.completions if self.completions else 0.0
+
+
+def _check_loop_args(
+    requests_per_proc: int, service_time: float, think_time: float
+) -> None:
+    """Reject out-of-range loop knobs; every closed-loop driver calls this.
+
+    A negative budget would otherwise surface late as "completed 0 of -32
+    requests", and a negative or NaN think time would silently run as
+    zero.  ``requests_per_proc == 0`` is legal: an empty, complete run.
+    """
+    require_time("service_time", service_time, NetworkError)
+    if requests_per_proc < 0:
+        raise ScheduleError(
+            f"requests_per_proc must be >= 0, got {requests_per_proc}"
+        )
+    require_time("think_time", think_time, ScheduleError)
+
+
+def _check_complete(result: ClosedLoopResult) -> None:
+    want = result.total_requests
+    if result.completions != want:
+        raise ProtocolError(
+            f"closed loop completed {result.completions} of {want} requests"
+        )
+
+
+def check_center(center: int, n: int) -> None:
+    """Reject a centre outside the graph; every centralized driver calls this."""
+    if not 0 <= center < n:
+        raise NetworkError(f"center {center} out of range for {n} nodes")
 
 
 def closed_loop_runner(protocol: str, engine: str):

@@ -39,85 +39,27 @@ module must be mirrored there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.core.arrow import ArrowNode, CompletionCallback
-from repro.core.centralized import CentralizedNode, check_center
+from repro.core.centralized import CentralizedNode
 from repro.core.event_stream import emitting_to
-from repro.errors import NetworkError, ProtocolError, ScheduleError, require_time
+from repro.core.fast_closed_loop import (
+    ClosedLoopResult,
+    _check_complete,
+    _check_loop_args,
+    check_center,
+)
+from repro.errors import ProtocolError
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.node import ProtocolNode
+from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 
-if TYPE_CHECKING:
-    from repro.sim.kernel import Simulator
-
-__all__ = ["ClosedLoopResult", "closed_loop_arrow", "closed_loop_centralized"]
-
-
-@dataclass(slots=True)
-class ClosedLoopResult:
-    """Aggregate outcome of one closed-loop run."""
-
-    protocol: str
-    num_procs: int
-    requests_per_proc: int
-    #: Simulation time at which the last acknowledgement arrived — the
-    #: paper's "total latency for N enqueues per processor" measurement.
-    makespan: float = 0.0
-    completions: int = 0
-    #: Queue-message link traversals per request (Fig. 11's metric).
-    hops: list[int] = field(default_factory=list)
-    #: Requests whose predecessor was found locally (zero messages).
-    local_finds: int = 0
-    messages_sent: int = 0
-    #: Issue time of request ``rid`` (rid-indexed; rids are assigned in
-    #: issue order, so this list is built by appending).
-    issue_times: list[float] = field(default_factory=list)
-    #: Time the acknowledgement of request ``rid`` was handled at its
-    #: origin (rid-indexed; ``-1.0`` until the ack arrives).
-    ack_times: list[float] = field(default_factory=list)
-    #: Issuing processor of request ``rid`` (rid-indexed).
-    owners: list[int] = field(default_factory=list)
-    #: Per-request completion latency (Definition 3.2: completion time
-    #: minus issue time), appended in completion order like ``hops``.
-    latencies: list[float] = field(default_factory=list)
-
-    @property
-    def total_requests(self) -> int:
-        """Total requests across all processors."""
-        return self.num_procs * self.requests_per_proc
-
-    @property
-    def mean_hops(self) -> float:
-        """Average queue-message hops per request."""
-        return sum(self.hops) / len(self.hops) if self.hops else 0.0
-
-    @property
-    def local_find_fraction(self) -> float:
-        """Fraction of requests finding their predecessor locally."""
-        return self.local_finds / self.completions if self.completions else 0.0
-
-
-def _check_loop_args(
-    requests_per_proc: int, service_time: float, think_time: float
-) -> None:
-    """Reject out-of-range loop knobs; every closed-loop driver calls this.
-
-    A negative budget would otherwise surface late as "completed 0 of -32
-    requests", and a negative or NaN think time would silently run as
-    zero.  ``requests_per_proc == 0`` is legal: an empty, complete run.
-    """
-    require_time("service_time", service_time, NetworkError)
-    if requests_per_proc < 0:
-        raise ScheduleError(
-            f"requests_per_proc must be >= 0, got {requests_per_proc}"
-        )
-    require_time("think_time", think_time, ScheduleError)
+__all__ = ["closed_loop_arrow", "closed_loop_centralized"]
 
 
 class _Driver:
@@ -179,10 +121,6 @@ def _run_closed_loop(
     arrow run, and why the faulted driver keeps its own prologue, is
     :func:`repro.core.runner.run_arrow`.)
     """
-    # The kernel is loaded by the message loops only: the flat loops
-    # import this module for its result type and checks.
-    from repro.sim.kernel import Simulator
-
     _check_loop_args(requests_per_proc, service_time, think_time)
     n = graph.num_nodes
     result = ClosedLoopResult(protocol, n, requests_per_proc)
@@ -287,11 +225,3 @@ def closed_loop_centralized(
         think_time=think_time,
         max_events=max_events,
     )
-
-
-def _check_complete(result: ClosedLoopResult) -> None:
-    want = result.total_requests
-    if result.completions != want:
-        raise ProtocolError(
-            f"closed loop completed {result.completions} of {want} requests"
-        )

@@ -1,10 +1,13 @@
-"""The synchronous model's FIFO queue in ``core.fast_arrow._arrow_loop``.
+"""The two one-delay shortcuts of ``core.fast_arrow._arrow_loop``.
 
 When every tree link has one delay in both directions, there is no
 service time, no closed loop and no crash event, ``_arrow_loop`` takes
 its events from a ``deque`` instead of a heap: each event is scheduled at
 ``now + d`` with the next sequence number, so events arrive in the order
-they fire.  Two angles:
+they fire.  With a service time instead, on an open, fault-free run, it
+folds each message's arrival into its send (the busy-queue fold): nodes
+receive in send order, so the send can join the destination's service
+queue and schedule the dispatch itself.  For the deque, two angles:
 
 * **parity at depth** — runs that take the deque (the heap functions are
   patched to raise, so no heap call can hide) must equal the message
@@ -15,15 +18,24 @@ they fire.  Two angles:
 * **queue choice** — each input that breaks the order argument (a service
   stage, two delays, a stochastic model, a crash plan, a closed loop)
   must reach the heap.
+
+For the fold, the same two: folded runs (no arrival event is ever
+queued) equal the message engine's on Poisson, one-shot and
+integer-time schedules at service 0.1 / 0.5 / 1.0, where dispatch-time
+ties are dense, fire its exact event count and raise its error one
+short of it; and every input outside the fold (two delays, a stochastic
+model, a fault plan, a closed loop, a directory) still queues arrivals.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.apps.directory import arrow_directory
 from repro.core import fast_arrow
-from repro.core.fast_arrow import run_arrow_fast
+from repro.core.fast_arrow import _ARRIVE, _DISPATCH, run_arrow_fast
 from repro.core.fast_closed_loop import closed_loop_arrow_fast
+from repro.core.requests import RequestSchedule
 from repro.core.runner import run_arrow
 from repro.errors import SimulationError
 from repro.faults import run_arrow_faulted
@@ -99,14 +111,9 @@ def smallest_completing_limit(run, hi):
     return hi
 
 
-@pytest.mark.parametrize("lname", sorted(LATENCIES))
-@pytest.mark.parametrize("sname", sorted(SCHEDULES))
-@pytest.mark.parametrize("gname", sorted(GRAPHS))
-def test_deque_path_matches_message_engine(no_heap, gname, sname, lname):
-    g = GRAPHS[gname]()
-    tree = bfs_tree(g, 0)
-    sched = SCHEDULES[sname](g.num_nodes)
-    kw = dict(latency=LATENCIES[lname], seed=3)
+def assert_matches_message_engine(g, tree, sched, **kw):
+    """The fast run equals the message engine's — result, stream and a
+    clean deep monitor on both."""
     a, a_events, a_monitor = watched(run_arrow, tree, g, tree, sched, **kw)
     b, b_events, b_monitor = watched(run_arrow_fast, tree, g, tree, sched, **kw)
     # The five columns, the makespan and the network counters.
@@ -119,6 +126,16 @@ def test_deque_path_matches_message_engine(no_heap, gname, sname, lname):
     for monitor in (a_monitor, b_monitor):
         monitor.finalize(expected=len(sched))
         assert monitor.violation_count == 0
+
+
+@pytest.mark.parametrize("lname", sorted(LATENCIES))
+@pytest.mark.parametrize("sname", sorted(SCHEDULES))
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+def test_deque_path_matches_message_engine(no_heap, gname, sname, lname):
+    g = GRAPHS[gname]()
+    tree = bfs_tree(g, 0)
+    sched = SCHEDULES[sname](g.num_nodes)
+    assert_matches_message_engine(g, tree, sched, latency=LATENCIES[lname], seed=3)
 
 
 @pytest.mark.parametrize("sname", sorted(SCHEDULES))
@@ -182,3 +199,106 @@ def test_inputs_outside_the_synchronous_model_reach_the_heap(no_heap, case):
     }
     with pytest.raises(HeapReached):
         runs[case]()
+
+
+# ----------------------------------------------------------------------
+# the busy-queue fold
+# ----------------------------------------------------------------------
+
+
+def integer_times(n):
+    """``SCHEDULES["poisson"]`` with every time rounded down to an integer."""
+    sched = SCHEDULES["poisson"](n)
+    return RequestSchedule.from_columns(sched.nodes, [float(int(t)) for t in sched.times])
+
+
+FOLD_SCHEDULES = {**SCHEDULES, "integer": integer_times}
+SERVICES = (0.1, 0.5, 1.0)
+
+
+@pytest.fixture
+def queued_tags(monkeypatch):
+    """The tag of every event ``_arrow_loop`` puts on its heap, in order."""
+    tags = []
+
+    def recording(fn):
+        def queue(heap, event):
+            tags.append(event[2])
+            return fn(heap, event)
+
+        return queue
+
+    for name in ("heappush", "heappushpop"):
+        monkeypatch.setattr(fast_arrow, name, recording(getattr(fast_arrow, name)))
+    return tags
+
+
+@pytest.mark.parametrize("service", SERVICES)
+@pytest.mark.parametrize("sname", sorted(FOLD_SCHEDULES))
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+def test_folded_runs_match_message_engine(queued_tags, gname, sname, service):
+    g = GRAPHS[gname]()
+    tree = bfs_tree(g, 0)
+    sched = FOLD_SCHEDULES[sname](g.num_nodes)
+    assert_matches_message_engine(g, tree, sched, seed=3, service_time=service)
+    assert _ARRIVE not in queued_tags and _DISPATCH in queued_tags
+
+
+def limit_outcome(run, limit):
+    """``run(limit)``'s result columns, or the text of its error."""
+    try:
+        r = run(limit)
+    except SimulationError as exc:
+        return str(exc)
+    return r.rids, r.predecessors, r.completed_at, r.hops, r.makespan
+
+
+@pytest.mark.parametrize("sname", sorted(FOLD_SCHEDULES))
+@pytest.mark.parametrize("gname", sorted(GRAPHS))
+def test_folded_runs_fire_the_message_engines_event_count(queued_tags, gname, sname):
+    """Two events per message, the elided arrival counted at its send: the
+    least completing ``max_events`` is the message engine's, and one short
+    of it both engines raise the same error."""
+    g = GRAPHS[gname]()
+    tree = bfs_tree(g, 0)
+    sched = FOLD_SCHEDULES[sname](g.num_nodes)
+    runs = [
+        lambda limit, fn=fn: fn(g, tree, sched, service_time=0.5, max_events=limit)
+        for fn in (run_arrow, run_arrow_fast)
+    ]
+    events = len(sched) + 2 * runs[0](None).network_stats["messages_sent"]
+    message, fast = (smallest_completing_limit(run, 2 * events) for run in runs)
+    assert fast == message == events
+    assert _ARRIVE not in queued_tags
+    for limit in (events - 1, events):
+        assert limit_outcome(runs[1], limit) == limit_outcome(runs[0], limit)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["folded", "two_weights", "directed", "stochastic", "loss", "crash",
+     "closed_loop", "directory"],
+)
+def test_only_open_fault_free_one_delay_runs_fold(queued_tags, case):
+    g = path_graph(6)
+    tree = bfs_tree(g, 0)
+    sched = one_shot([1, 3, 5])
+    weighted = Graph.from_columns(6, range(5), range(1, 6), [1.0, 2.0, 1.0, 2.0, 1.0])
+    kw = dict(service_time=0.1)
+    runs = {
+        "folded": lambda: run_arrow_fast(g, tree, sched, **kw),
+        "two_weights": lambda: run_arrow_fast(
+            weighted, bfs_tree(weighted, 0), sched, latency=WeightLatency(), **kw
+        ),
+        "directed": lambda: run_arrow_fast(g, tree, sched, latency=DirectedLatency(), **kw),
+        "stochastic": lambda: run_arrow_fast(
+            g, tree, sched, latency=UniformLatency(0.2, 1.0), **kw
+        ),
+        "loss": lambda: run_arrow_faulted(g, tree, sched, "loss:0.01", **kw),
+        "crash": lambda: run_arrow_faulted(g, tree, sched, "crash@9:2", **kw),
+        "closed_loop": lambda: closed_loop_arrow_fast(g, tree, requests_per_proc=2, **kw),
+        "directory": lambda: arrow_directory(g, tree, acquisitions_per_proc=2, **kw),
+    }
+    runs[case]()
+    assert _DISPATCH in queued_tags
+    assert (_ARRIVE in queued_tags) == (case != "folded")

@@ -4,10 +4,12 @@ and the router they share with the network.
 Each mutant in :data:`MUTANTS` is one exact-match text edit of
 ``core/fast_arrow._arrow_loop``, ``core/fast_closed_loop._central_loop``
 (the directory stages of both, and the open-loop baselines' stages of
-the second, included) or ``net/network.Router`` — an off-by-one hop, a
+the second, included) or ``net/router.Router`` — an off-by-one hop, a
 swapped tie-break, a wrong dispatch tag, a dropped acknowledgement,
 service at the wrong stage, a reordered latency draw, the two
-queue-choice edits of ``_arrow_loop``'s FIFO test, a centre route read
+queue-choice edits of ``_arrow_loop``'s FIFO test, the busy-queue fold
+ignoring the queue, uncounted, or taken outside its configuration, a
+centre route read
 in the wrong direction, BFS routes on a weighted graph, a local hand-off
 acquired inline, a LIFO home queue, a cinform to the wrong node, path
 shorting off, … .  The edit
@@ -66,7 +68,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ARROW = "src/repro/core/fast_arrow.py"
 CENTRAL = "src/repro/core/fast_closed_loop.py"
-NETWORK = "src/repro/net/network.py"
+ROUTER = "src/repro/net/router.py"
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,8 @@ class Mutant:
 
 
 _FIFO_TEST = "if one_delay and service == 0.0 and not heap:"
+_FOLD_TEST = "fold = driver is None and faults is None and one_delay and service > 0.0"
+_FOLD_COUNT = "                # The message's arrival, counted as the event it would be.\n"
 _SEND = """\
             if faults is not None:
                 if faults.drops_send(v, x, rid, now):
@@ -173,7 +177,8 @@ MUTANTS = {
         "(_ARRIVE, _ACK_DISPATCH, _OBJECT_ARRIVE)",
     ),
     "arrow-service-ignores-queue": Mutant(
-        ARROW, "finish = begin + service", "finish = now + service"
+        ARROW, "finish = begin + service\n                        busy_until[v] = finish",
+        "finish = now + service\n                        busy_until[v] = finish",
     ),
     "arrow-send-seq-kept": Mutant(
         ARROW, "nxt = (now + delay, seq, arrive, x, v, rid, hops)\n            seq += 1\n",
@@ -203,7 +208,26 @@ MUTANTS = {
         ARROW, "faults.crash(v, now)\n                        link[v] = v\n",
         "faults.crash(v, now)\n",
     ),
-    "arrow-livelock-early": Mutant(ARROW, "if fired > limit:", "if fired >= limit:"),
+    "arrow-livelock-early": Mutant(
+        ARROW, "            fired += 1\n            if fired > limit:",
+        "            fired += 1\n            if fired >= limit:",
+    ),
+    "arrow-fold-ignores-queue": Mutant(
+        ARROW, "                if busy_until[x] > begin:\n                    begin = busy_until[x]\n",
+        "",
+    ),
+    "arrow-fold-arrival-uncounted": Mutant(
+        ARROW, _FOLD_COUNT + "                fired += 1\n", _FOLD_COUNT
+    ),
+    "arrow-fold-two-delays": Mutant(
+        ARROW, _FOLD_TEST, "fold = driver is None and faults is None and service > 0.0"
+    ),
+    "arrow-fold-under-faults": Mutant(
+        ARROW, _FOLD_TEST, "fold = driver is None and one_delay and service > 0.0"
+    ),
+    "arrow-fold-closed-loop": Mutant(
+        ARROW, _FOLD_TEST, "fold = faults is None and one_delay and service > 0.0"
+    ),
     "central-service-ignores-queue": Mutant(
         CENTRAL, "finish = begin + service", "finish = now + service"
     ),
@@ -292,7 +316,7 @@ MUTANTS = {
         CENTRAL, "nta_arrive = _NTA_ARRIVE + stage", "nta_arrive = _NTA"
     ),
     "router-bfs-on-weighted": Mutant(
-        NETWORK, "bfs_predecessors if self.graph.is_unit_weighted() else dijkstra",
+        ROUTER, "bfs_predecessors if self.graph.is_unit_weighted() else dijkstra",
         "bfs_predecessors",
     ),
 }
@@ -336,7 +360,7 @@ def _properties_only(sm):
         fast, events, monitor = sm._watched(run, "fast", tree, expected)
         assert fast == bare, "a monitored run differs from an unmonitored one"
         sm._one_message_per_edge(tree.parent, events)
-        return fast, monitor
+        return fast, monitor, events
 
     sm._both_engines = fast_only
     sm._same_results = lambda run: run("fast")
@@ -353,7 +377,7 @@ def _equality_only(sm):
             streams.append(events)
         sm._same_stream(*streams)
         assert outs[0] == outs[1], "results differ across engines"
-        return outs[0], None
+        return outs[0], None, streams[0]
 
     sm._both_engines = equal_only
     for name in ("_open_properties", "_fault_properties", "_closed_properties",

@@ -22,7 +22,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
 from repro.net.message import Message
-from repro.net.network import Network, Router
+from repro.net.network import Network
+from repro.net.router import Router
 from repro.net.node import ProtocolNode
 from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng

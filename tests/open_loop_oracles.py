@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.arrow import CompletionCallback
-from repro.core.centralized import check_center
+from repro.core.fast_closed_loop import check_center
 from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import GraphError, ProtocolError

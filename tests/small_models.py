@@ -74,8 +74,10 @@ and asserts:
   requests, and the monitor's lost set is the report's;
 * on closed loops: every processor issues its budget, at t = 0 and then
   exactly one think time after each acknowledgement; no acknowledgement
-  precedes its issue; the run ends with the last acknowledgement; and a
-  centralized request's hop count is its route's length;
+  precedes its issue; the run ends with the last acknowledgement; a
+  centralized request's hop count is its route's length; and with a
+  service time and a deterministic delay the centre serves its creqs at
+  least one service time apart;
 * on directories: equal results (makespan, messages, completions and the
   holding intervals in hand-off order); mutual exclusion, each hand-off
   no earlier than the release before it, every processor served its
@@ -92,6 +94,10 @@ and asserts:
   for the centralized queue, two messages per request (one from the
   centre), each completion's hops the route to the centre plus the route
   back to the predecessor's issuer;
+* on fault-free open arrow runs with a service time and a deterministic
+  delay: every node's FIFO server, rebuilt from the stream (arrival =
+  send time + the link's delay, served in (arrival, send order)), puts
+  each ``deliver`` at exactly its rebuilt dispatch time;
 * on fault-free synchronous runs (unit delay or delay = integer weight,
   service 0): a total order, Fact 3.6, Lemmas 3.8-3.10, the direct-path
   property, the executor's order when there are no ties, and arrow's cost
@@ -136,6 +142,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import bfs_distances
 from repro.monitors import ArrowMonitor
 from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
+from repro.net.router import Router
 from repro.spanning.metrics import tree_diameter
 from repro.spanning.tree import SpanningTree
 from directory_oracles import arrow_directory_message, home_directory_message
@@ -329,8 +336,8 @@ def _one_message_per_edge(parent, events):
 
 def _both_engines(run, tree, expected):
     """``run(engine, on_event)`` on both engines: equal streams and outputs,
-    monitored == unmonitored, one message per edge; the fast output and its
-    monitor."""
+    monitored == unmonitored, one message per edge; the fast output, its
+    monitor and its stream."""
     bare = run("fast", None)
     fast, events, monitor = _watched(run, "fast", tree, expected)
     message, message_events, _ = _watched(run, "message", tree, expected)
@@ -338,7 +345,7 @@ def _both_engines(run, tree, expected):
     assert fast == message, "results differ across engines"
     assert fast == bare, "a monitored run differs from an unmonitored one"
     _one_message_per_edge(tree.parent, events)
-    return fast, monitor
+    return fast, monitor, events
 
 
 def _paper_properties(tree, schedule, result):
@@ -387,15 +394,49 @@ def _fires_exactly(run, events):
     raise AssertionError(f"the run fires fewer than {events} events")
 
 
-def _open_properties(inst, tree, schedule, result, run):
+def _busy_queues(tree, latency, service, events):
+    """Replay every node's FIFO server from the stream of a fault-free run
+    under a deterministic delay: each ``deliver`` is at its rebuilt
+    dispatch time, exactly.
+
+    A message sent at ``t`` over v -> x arrives at ``t + delay(v, x)``; x
+    serves its arrivals in (time, send order), each for ``service``, so
+    ``dispatch_k = max(dispatch_{k-1}, arrival_k) + service``.
+    """
+    parent, weight = tree.parent, tree.edge_weight
+    arrivals = {}  # x -> [(arrival, send index, rid)]
+    delivered = {}  # (rid, x) -> the deliver's time
+    for k, ev in enumerate(events):
+        if ev[0] == "send":
+            _, rid, v, x, t = ev
+            w = weight[v if parent[v] == x else x]
+            arrivals.setdefault(x, []).append((t + latency.sample(v, x, w, None), k, rid))
+        elif ev[0] == "deliver":
+            delivered[ev[1], ev[2]] = ev[4]
+    for x, queue in arrivals.items():
+        free = 0.0
+        for arrival, _, rid in sorted(queue):
+            free = max(free, arrival) + service
+            got = delivered.get((rid, x))
+            assert got == free, (
+                f"request {rid} handled at node {x} at {got}, its FIFO slot ends at {free}"
+            )
+
+
+def _open_properties(inst, tree, schedule, result, run, events):
     """Every message is one hop of a request's queue path, and the loop
-    fires one event per initiation and per message stage; Section 3 or
-    §3.8 where they apply.  Returns arrow/opt when Section 3 does."""
+    fires one event per initiation and per message stage; with a service
+    time and a deterministic delay, every node's queue replays
+    (:func:`_busy_queues`); Section 3 or §3.8 where they apply.  Returns
+    arrow/opt when Section 3 does."""
     hops = sum(result.hops)
     assert result.network_stats["messages_sent"] == hops, f"{hops} hops, other messages"
     stages = 2 if inst.service else 1
     _fires_exactly(lambda limit: run("fast", None, max_events=limit),
                    len(schedule) + stages * hops)
+    latency = DELAYS[inst.delay]
+    if inst.service and not latency.stochastic:
+        _busy_queues(tree, latency, inst.service, events)
     if inst.service == 0.0:
         if inst.delay in SYNCHRONOUS:
             return _paper_properties(tree, schedule, result)
@@ -412,6 +453,25 @@ def _fault_properties(schedule, result, report, monitor):
     assert monitor.completed == set(result.rids), "monitor saw other completions"
 
 
+def _centre_serves_one_at_a_time(result, inst, graph):
+    """The centre's server holds one message at a time: the creqs of
+    off-centre requests are dispatched at least one service time apart.
+
+    An off-centre processor's server handles only its own
+    acknowledgements, one at a time, so each starts at its arrival: a
+    creq's dispatch is its ack time less the route back and one service.
+    """
+    back = Router(graph, DELAYS[inst.delay], None).delay_hops
+    service = inst.service
+    served = sorted(
+        ack - back(inst.center, p)[0] - service
+        for p, ack in zip(result.owners, result.ack_times)
+        if p != inst.center
+    )
+    for a, b in zip(served, served[1:]):
+        assert b - a >= service - 1e-9, f"the centre served creqs at {a} and {b}"
+
+
 def _closed_properties(result, inst, graph, run):
     """§5's loop discipline on any closed-loop result.
 
@@ -419,7 +479,9 @@ def _closed_properties(result, inst, graph, run):
     each next one exactly ``think`` after the previous acknowledgement;
     no acknowledgement precedes its issue; the run ends with the last
     acknowledgement.  A centralized request travels the route to the
-    centre: its hop count is that route's length.  Messages are the
+    centre: its hop count is that route's length, and with a service
+    time the centre serves one creq at a time
+    (:func:`_centre_serves_one_at_a_time`).  Messages are the
     queue paths' hops (arrow) or one creq per request from off the
     centre (centralized), plus one acknowledgement per request.  The
     loop fires one event per first issue, per message stage and, with a
@@ -447,6 +509,8 @@ def _closed_properties(result, inst, graph, run):
     if inst.protocol == "centralized" and not inst.weights:
         route = bfs_distances(graph, inst.center)
         assert sorted(hops) == sorted(route[v] for v in owners), "a creq left its route"
+    if inst.protocol == "centralized" and inst.service and not DELAYS[inst.delay].stochastic:
+        _centre_serves_one_at_a_time(result, inst, graph)
 
 
 def _check_open(inst):
@@ -462,11 +526,11 @@ def _check_open(inst):
         runner = arrow_runner(engine)
         return runner(graph, tree, schedule, on_event=on_event, **knobs, **limit), None
 
-    (result, report), monitor = _both_engines(run, tree, len(schedule))
+    (result, report), monitor, events = _both_engines(run, tree, len(schedule))
     if report is not None:
         _fault_properties(schedule, result, report, monitor)
         return None
-    return _open_properties(inst, tree, schedule, result, run)
+    return _open_properties(inst, tree, schedule, result, run, events)
 
 
 def _loop_knobs(inst):
@@ -487,7 +551,7 @@ def _check_closed_arrow(inst):
         runner = closed_loop_runner("arrow", engine)
         return runner(graph, tree, on_event=on_event, **knobs, **limit)
 
-    result, _ = _both_engines(run, tree, tree.num_nodes * inst.rpp)
+    result, _, _ = _both_engines(run, tree, tree.num_nodes * inst.rpp)
     _closed_properties(result, inst, graph, lambda limit: run("fast", None, max_events=limit))
 
 

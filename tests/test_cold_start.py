@@ -15,7 +15,10 @@ Fresh interpreters import :mod:`repro.cli` and run, through ``main``:
 
 An ``ablation-protocols`` sweep runs all three of its protocols on the
 flat loops: it loads neither the message kernel nor the message-level
-arrow run.
+arrow run.  It, the fig10 sweep and the directory sweep load no module
+of the message layer (:data:`MESSAGE_MODULES`) either: the flat loops
+take their router, result type and argument checks from modules of
+their own.
 
 A third interpreter checks the other direction: after
 :func:`repro.sweep.executor.import_engines`, running a grid's cells
@@ -51,6 +54,16 @@ ENGINE_MODULES = [
     "repro.analysis",
 ]
 
+#: The message layer: no flat-loop sweep may load these.
+MESSAGE_MODULES = [
+    "repro.net.network",
+    "repro.net.message",
+    "repro.net.node",
+    "repro.core.arrow",
+    "repro.core.centralized",
+    "repro.workloads.closed_loop",
+]
+
 #: The tree layer, loaded by the first ``build_tree`` of a sweep; reading
 #: stored rows back builds no tree.
 TREE_MODULES = [
@@ -58,6 +71,9 @@ TREE_MODULES = [
     "repro.spanning.tree",
     "repro.graphs.validation",
 ]
+
+#: Every module a step's report may name.
+WATCHED = list(dict.fromkeys(ENGINE_MODULES + TREE_MODULES + MESSAGE_MODULES))
 
 FIG10 = ["--grid", "fig10", "--sizes", "4", "--requests-per-proc", "5"]
 #: (label, argv) in order; each step may read the files earlier ones wrote.
@@ -103,8 +119,7 @@ print(json.dumps(report))
 def _run_child(steps, cwd):
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(steps),
-         json.dumps(ENGINE_MODULES + TREE_MODULES)],
+        [sys.executable, "-c", CHILD, json.dumps(steps), json.dumps(WATCHED)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -147,12 +162,26 @@ def test_the_cli_and_the_read_side_build_no_tree(reports):
     assert set(TREE_MODULES) <= set(sweeps[1][3]), "the fig10 sweep builds its tree"
 
 
-def test_the_protocol_ablation_loads_no_message_kernel(tmp_path):
+@pytest.fixture(scope="module")
+def ablation(tmp_path_factory):
+    """The modules loaded by a fresh interpreter's protocol-ablation sweep."""
     steps = [("sweep ablation-protocols", ["sweep", "--grid", "ablation-protocols",
                                            "--requests", "10", "--out", "protocols.jsonl"])]
-    (_, (_, _, _, modules)) = _run_child(steps, tmp_path)
-    assert "repro.core.fast_closed_loop" in modules, "the baselines run on the routed loop"
-    assert [m for m in ("repro.sim.kernel", "repro.core.runner") if m in modules] == []
+    (_, (_, _, _, modules)) = _run_child(steps, tmp_path_factory.mktemp("ablation"))
+    return modules
+
+
+def test_the_protocol_ablation_loads_no_message_kernel(ablation):
+    assert "repro.core.fast_closed_loop" in ablation, "the baselines run on the routed loop"
+    assert [m for m in ("repro.sim.kernel", "repro.core.runner") if m in ablation] == []
+
+
+def test_the_flat_sweeps_load_no_message_layer(reports, ablation):
+    sweeps, _ = reports
+    # Modules accumulate: the report after the directory sweep covers fig10's.
+    assert [label for label, *_ in sweeps[1:3]] == ["sweep fig10", "sweep directory"]
+    assert "repro.apps.directory" in sweeps[2][3], "the directory sweep runs its engine"
+    assert [m for m in MESSAGE_MODULES if m in sweeps[2][3] + ablation] == []
 
 
 #: Runs in a fresh interpreter: for each grid, the engine and tree modules its

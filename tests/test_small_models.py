@@ -7,9 +7,26 @@ that silently shrinks fails here too.  Run with ``-s`` to see the counts; the fu
 ``PYTHONPATH=src python tests/small_models.py``.
 """
 
+import dataclasses
+
 import pytest
 
-from small_models import AXES, FULL, SLICE, Instance, SmallModelFailure, check, run_axis
+from repro.core.fast_arrow import run_arrow_fast
+from repro.core.fast_closed_loop import closed_loop_centralized_fast
+from repro.core.requests import RequestSchedule
+from small_models import (
+    AXES,
+    DELAYS,
+    FULL,
+    SLICE,
+    Instance,
+    SmallModelFailure,
+    _busy_queues,
+    _centre_serves_one_at_a_time,
+    _topology,
+    check,
+    run_axis,
+)
 
 #: Instances per slice axis.
 SLICE_COUNTS = {
@@ -51,3 +68,38 @@ def test_a_failure_ends_with_the_literal_that_rebuilds_it():
     literal = str(info.value).splitlines()[-1]
     assert literal == f"  rebuild: check({bad!r})"
     assert eval(literal.split("check(", 1)[1][:-1]) == bad
+
+
+#: Every node of a 5-node caterpillar requesting at t = 0 and t = 1.
+BUSY = Instance(
+    ((0, 1), (1, 2), (0, 3), (1, 4)), 0,
+    tuple((v, t) for t in (0.0, 1.0) for v in range(5)), service=0.5,
+)
+
+
+@pytest.mark.parametrize("delay, weights", [
+    ("unit", ()), ("weight", (1.0, 2.0, 2.0, 1.0)), ("directed", ()),
+])
+def test_the_busy_queue_replay_catches_a_deliver_off_its_slot(delay, weights):
+    inst = dataclasses.replace(BUSY, delay=delay, weights=weights)
+    graph, tree = _topology(inst.edges, inst.weights, inst.root, False)
+    events = []
+    run_arrow_fast(graph, tree, RequestSchedule(inst.requests), latency=DELAYS[delay],
+                   service_time=inst.service, on_event=events.extend)
+    _busy_queues(tree, DELAYS[delay], inst.service, events)
+    k = next(i for i, ev in enumerate(events) if ev[0] == "deliver")
+    events[k] = (*events[k][:4], events[k][4] + inst.service)
+    with pytest.raises(AssertionError, match="its FIFO slot ends at"):
+        _busy_queues(tree, DELAYS[delay], inst.service, events)
+
+
+def test_the_centre_spacing_catches_two_creqs_served_at_once():
+    inst = Instance(((0, 1), (0, 2), (0, 3)), 0, protocol="centralized", rpp=2,
+                    service=0.5, center=0)
+    graph, _ = _topology(inst.edges, inst.weights, inst.root, True)
+    result = closed_loop_centralized_fast(graph, 0, requests_per_proc=2, service_time=0.5)
+    _centre_serves_one_at_a_time(result, inst, graph)
+    first = [rid for rid, p in enumerate(result.owners) if p != 0][:2]
+    result.ack_times[first[1]] = result.ack_times[first[0]]
+    with pytest.raises(AssertionError, match="the centre served creqs at"):
+        _centre_serves_one_at_a_time(result, inst, graph)
