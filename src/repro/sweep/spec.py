@@ -2,9 +2,11 @@
 
 A :class:`SweepSpec` is pure data — strings, numbers and tuples — so it
 pickles cheaply across worker processes and round-trips through JSON.
+Its axes are declared once, in the table ``_AXES``: each checks its
+values, labels its cell-id segment and gives its ``spec_hash`` form.
 Expansion order is part of the contract: cells are enumerated in the
-nested-loop order ``graphs → trees → schedules → seeds`` with a stable
-``cell_id`` per cell, so a sweep's JSONL output is byte-for-byte
+nested-loop order ``graphs → trees → schedules → seeds → faults`` with a
+stable ``cell_id`` per cell, so a sweep's JSONL output is byte-for-byte
 reproducible regardless of how many workers execute it.
 
 Per-cell randomness derives from :func:`repro.sim.rng.spawn_rng` keyed by
@@ -29,7 +31,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.core.engines import ENGINES, engine_error_message
 from repro.errors import SweepError, require_time
@@ -151,56 +153,58 @@ OPEN_LOOP_SCHEDULES = {
 }
 
 
-def _param_key(params: tuple[tuple[str, object], ...]) -> str:
-    return ",".join(f"{k}={v}" for k, v in params)
+class _FamilySpec:
+    """An axis value that names a family and its parameters, sorted by name."""
 
+    __slots__ = ()
+    family: str
+    params: tuple[tuple[str, object], ...]
 
-def _check_graph(family: str, names: Iterable[str]) -> None:
-    """Reject an unknown graph family, or a parameter name its generator's
-    signature lacks, with a :class:`SweepError`."""
-    if family not in GRAPH_BUILDERS:
-        raise SweepError(
-            f"unknown graph family {family!r}; know {sorted(GRAPH_BUILDERS)}"
-        )
-    accepted = set(inspect.signature(GRAPH_BUILDERS[family]).parameters)
-    unknown = set(names) - accepted
-    if unknown:
-        raise SweepError(
-            f"graph family {family!r} does not accept {sorted(unknown)}; "
-            f"known parameters: {sorted(accepted)}"
-        )
+    @classmethod
+    def of(cls, family: str, **params: object):
+        """Build a spec from keyword parameters, checked here (and again by
+        :class:`SweepSpec` for a spec built without ``of``), so a typo fails
+        at spec-build time with a named error rather than inside a worker
+        mid-sweep."""
+        spec = cls(family, tuple(sorted(params.items())))
+        spec._check()
+        return spec
+
+    def kwargs(self) -> dict[str, object]:
+        """The parameters as a dict."""
+        return dict(self.params)
+
+    def label(self) -> str:
+        """Stable human-readable id component, e.g. ``complete(n=16)``."""
+        return f"{self.family}({','.join(f'{k}={v}' for k, v in self.params)})"
+
+    def _canonical(self) -> dict:
+        return {"family": self.family, "params": [[k, v] for k, v in self.params]}
 
 
 @dataclass(frozen=True, slots=True)
-class GraphSpec:
+class GraphSpec(_FamilySpec):
     """One point on the graph-family axis: family name + generator kwargs."""
 
     family: str
     params: tuple[tuple[str, object], ...] = ()
 
-    @classmethod
-    def of(cls, family: str, **params: object) -> "GraphSpec":
-        """Build a spec from keyword generator arguments.
-
-        Parameter names are checked against the generator's signature
-        here (and again by :class:`SweepSpec` for a graph built without
-        ``of``), so a typo fails at spec-build time with a named error
-        rather than as a raw ``TypeError`` inside a worker mid-sweep.
-        """
-        _check_graph(family, params)
-        return cls(family, tuple(sorted(params.items())))
-
-    def kwargs(self) -> dict[str, object]:
-        """Generator keyword arguments as a dict."""
-        return dict(self.params)
-
-    def label(self) -> str:
-        """Stable human-readable id component, e.g. ``complete(n=16)``."""
-        return f"{self.family}({_param_key(self.params)})"
+    def _check(self) -> None:
+        """Reject an unknown graph family, or a parameter name its
+        generator's signature lacks."""
+        if self.family not in GRAPH_BUILDERS:
+            raise SweepError(f"unknown graph family {self.family!r}; know {sorted(GRAPH_BUILDERS)}")
+        accepted = set(inspect.signature(GRAPH_BUILDERS[self.family]).parameters)
+        unknown = set(self.kwargs()) - accepted
+        if unknown:
+            raise SweepError(
+                f"graph family {self.family!r} does not accept {sorted(unknown)}; "
+                f"known parameters: {sorted(accepted)}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
-class ScheduleSpec:
+class ScheduleSpec(_FamilySpec):
     """One point on the schedule-family axis: family name + parameters.
 
     The open-loop families that draw a number of requests (``poisson``,
@@ -213,26 +217,83 @@ class ScheduleSpec:
     family: str
     params: tuple[tuple[str, object], ...] = ()
 
-    @classmethod
-    def of(cls, family: str, **params: object) -> "ScheduleSpec":
-        """Build a spec from keyword schedule parameters.
+    def _check(self) -> None:
+        """Check the parameter names and kinds against the cell family of
+        that name: ``per_node=0`` or ``count=7.9`` fails here."""
+        get_family(self.family).validate_params(self.kwargs())
 
-        The family name, the parameter names and each value's kind are
-        checked against the cell family of that name
-        (:data:`repro.sweep.families.FAMILIES`), so unknown names, typo'd
-        keys and bad values (``per_node=0``, ``count=7.9``...) all fail at
-        spec-build time instead of inside a worker mid-sweep.
-        """
-        get_family(family).validate_params(params)
-        return cls(family, tuple(sorted(params.items())))
 
-    def kwargs(self) -> dict[str, object]:
-        """Schedule parameters as a dict."""
-        return dict(self.params)
+def _check_tree(strategy: str) -> None:
+    if strategy not in TREE_BUILDERS:
+        raise SweepError(f"unknown tree strategy {strategy!r}; know {sorted(TREE_BUILDERS)}")
 
-    def label(self) -> str:
-        """Stable human-readable id component."""
-        return f"{self.family}({_param_key(self.params)})"
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise SweepError(engine_error_message(engine))
+
+
+def _fault_label(plan: str) -> str:
+    # Parse errors (FaultPlanError) are SweepErrors already.
+    return parse_fault_plan(plan).label()
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+class _Axis(NamedTuple):
+    """One dimension of every grid: :class:`SweepSpec`'s ``field``, carried
+    by each cell in :class:`SweepCell`'s ``cell_field``.
+
+    ``check`` rejects a value as given; ``cell`` maps it to what cells
+    carry.  Of that, ``key`` must differ across the axis, ``label`` is the
+    cell-id segment (none for ``default``; ``label=None``: never) and
+    ``canonical`` what ``spec_hash`` hashes.  A value other than
+    ``default`` needs the cell family capability ``needs[0]`` (else the
+    error says ``needs[1]``).  A ``scalar`` is one value for all cells.
+    """
+
+    field: str
+    cell_field: str
+    check: Callable[[Any], object]
+    label: Callable[[Any], str] | None
+    cell: Callable[[Any], Any] = _same
+    key: Callable[[Any], Any] = _same
+    canonical: Callable[[Any], Any] = _same
+    default: Any = None
+    needs: tuple[str, str] | None = None
+    scalar: bool = False
+
+    def given(self, spec: SweepSpec) -> tuple:
+        value = getattr(spec, self.field)
+        return (value,) if self.scalar else value
+
+    def segment(self, value: Any) -> str:
+        if self.label is None or value == self.default:
+            return ""
+        return "/" + self.label(value)
+
+
+#: Every grid's axes in grid order: cells are their nested loops (a scalar
+#: is one value) and a cell id joins their segments, as in
+#: ``complete(n=8)/bfs/one_shot()/s0/st0.1/f[crash@2:1]``.
+_AXES = (
+    _Axis("graphs", "graph", GraphSpec._check, GraphSpec.label, key=GraphSpec.label,
+          canonical=GraphSpec._canonical),
+    _Axis("trees", "tree", _check_tree, str),
+    _Axis("schedules", "schedule", ScheduleSpec._check, ScheduleSpec.label,
+          key=ScheduleSpec.label, canonical=ScheduleSpec._canonical),
+    _Axis("seeds", "seed", lambda seed: non_negative_int("seeds", seed), "s{}".format),
+    # The engines are bit-identical, so no cell id names one.
+    _Axis("engine", "engine", _check_engine, None, scalar=True),
+    # Checked, not converted: the value as given is part of spec_hash.
+    _Axis("service_time", "service_time", lambda t: require_time("service_time", t, SweepError),
+          "st{}".format, default=0.0, scalar=True),
+    _Axis("faults", "faults", _fault_label, "f[{}]".format, cell=_fault_label, default="",
+          needs=("supports_faults", "the fault axis (plan {!r}); faults apply to the "
+                 "open-loop arrow families only")),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,11 +319,9 @@ class SweepCell:
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
-    """A declarative sweep grid.
-
-    ``cells()`` expands the four axes in nested-loop order; the engine
-    and service time apply to every cell.
-    """
+    """A declarative sweep grid over the axes of ``_AXES``: graphs, trees,
+    schedules, seeds and faults, and the scalars engine and service time,
+    which every cell shares.  No axis may be empty or repeat a value."""
 
     name: str
     graphs: tuple[GraphSpec, ...]
@@ -271,9 +330,8 @@ class SweepSpec:
     seeds: tuple[int, ...]
     engine: str = "fast"
     service_time: float = 0.0
-    #: Fault-plan axis (see :func:`repro.fault_plan.parse_fault_plan`); the
-    #: default single empty plan keeps the grid fault-free and its cell
-    #: ids/rows byte-identical to pre-fault-axis sweeps.
+    #: Fault plans (:func:`repro.fault_plan.parse_fault_plan`); the default
+    #: single empty plan is a fault-free grid.
     faults: tuple[str, ...] = ("",)
     #: Attach runtime protocol monitors to every cell of the families
     #: that support them (open-loop and ``closed_arrow``); a grid with
@@ -283,140 +341,80 @@ class SweepSpec:
     monitors: bool = False
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise SweepError(engine_error_message(self.engine))
-        # Checked, not converted: the value as given is part of spec_hash.
-        require_time("service_time", self.service_time, SweepError)
-        for seed in self.seeds:
-            non_negative_int("seeds", seed)
-        # Graphs and schedules built without their ``of`` are checked
-        # here, so no cell id names a parameter its run rejects or ignores.
-        for g in self.graphs:
-            _check_graph(g.family, g.kwargs())
-        for t in self.trees:
-            if t not in TREE_BUILDERS:
-                raise SweepError(
-                    f"unknown tree strategy {t!r}; know {sorted(TREE_BUILDERS)}"
-                )
-        for s in self.schedules:
-            get_family(s.family).validate_params(s.kwargs())
-        if not self.faults:
-            raise SweepError(
-                "faults axis must not be empty; use ('',) for a "
-                "fault-free grid"
-            )
-        # Parse errors (FaultPlanError) are SweepErrors already.
-        plans = [parse_fault_plan(f) for f in self.faults]
-        # A repeated axis value would give two cells one cell id.
-        for axis, keys in (
-            ("graphs", [g.label() for g in self.graphs]),
-            ("trees", self.trees),
-            ("schedules", [s.label() for s in self.schedules]),
-            ("seeds", self.seeds),
-            ("faults", [p.label() for p in plans]),
-        ):
+        families = [get_family(s.family) for s in self.schedules]
+        for axis in _AXES:
+            given = axis.given(self)
+            if not given:
+                use = "" if axis.default is None else f"; use ({axis.default!r},) for none"
+                raise SweepError(f"{axis.field} axis must not be empty{use}")
+            for value in given:
+                axis.check(value)
+            values = [axis.cell(v) for v in given]
+            # A repeated value would give two cells one cell id.
             seen: set = set()
-            for key in keys:
+            for key in map(axis.key, values):
                 if key in seen:
-                    raise SweepError(f"{axis} axis repeats {key!r}: every cell id must be distinct")
+                    raise SweepError(f"{axis.field} axis repeats {key!r}: every cell id must be distinct")
                 seen.add(key)
-        for f, plan in zip(self.faults, plans):
-            if not plan.empty:
-                for s in self.schedules:
-                    if not get_family(s.family).supports_faults:
+            if axis.needs:
+                flag, text = axis.needs
+                lacking = [s.family for s, f in zip(self.schedules, families) if not getattr(f, flag)]
+                for value in values:
+                    if value != axis.default and lacking:
                         raise SweepError(
-                            f"cell family {s.family!r} does not support the "
-                            f"fault axis (plan {f!r}); faults apply to the "
-                            "open-loop arrow families only"
+                            f"cell family {lacking[0]!r} does not support " + text.format(value)
                         )
-        if self.monitors and not any(get_family(s.family).supports_monitors for s in self.schedules):
-            families = sorted({s.family for s in self.schedules})
+        if self.monitors and not any(f.supports_monitors for f in families):
+            names = sorted({s.family for s in self.schedules})
             raise SweepError(
-                f"monitors would watch no cell: cell families {families} attach "
+                f"monitors would watch no cell: cell families {names} attach "
                 "none; monitors apply to the open-loop arrow families and "
                 "closed_arrow only"
             )
 
-    def _fault_labels(self) -> list[str]:
-        return [parse_fault_plan(f).label() for f in self.faults]
+    def _values(self) -> list[list]:
+        """Each axis's values as its cells carry them, in grid order."""
+        return [[axis.cell(v) for v in axis.given(self)] for axis in _AXES]
 
     def cell_ids(self) -> list[str]:
         """The cell ids of :meth:`cells`, in grid order, without the cells.
 
-        The one cell-id format.  The id carries every axis that can change
-        the metrics — including a non-default service time and a non-empty
-        fault plan (as ``/f[<canonical label>]``), so resuming a
+        The one cell-id format: it names every value that can change a
+        row (not the engine, nor ``monitors``), so resuming a
         re-parametrised sweep into an old file recomputes rather than
-        silently keeping stale rows.  The engine is deliberately *not*
-        part of the identity (the engines are bit-identical, so rows are
-        interchangeable) and neither is ``monitors`` (monitors never
-        change a row).
+        silently keeping stale rows.
         """
-        st = f"/st{self.service_time}" if self.service_time else ""
-        # Each axis value's label is built once, not once per cell.
-        return [
-            f"{gl}/{t}/{sl}/s{seed}{st}{fl}"
-            for gl, t, sl, seed, fl in product(
-                [g.label() for g in self.graphs],
-                self.trees,
-                [s.label() for s in self.schedules],
-                self.seeds,
-                [f"/f[{f}]" if f else "" for f in self._fault_labels()],
-            )
-        ]
+        # Each value's segment is built once, not once per cell; the
+        # graph's leading "/" is dropped.
+        segments = [list(map(axis.segment, values)) for axis, values in zip(_AXES, self._values())]
+        return ["".join(parts)[1:] for parts in product(*segments)]
 
     def cells(self) -> list[SweepCell]:
-        """Expand the grid: graphs → trees → schedules → seeds → faults,
-        cell ``i`` under ``cell_ids()[i]``."""
-        axes = product(self.graphs, self.trees, self.schedules, self.seeds, self._fault_labels())
+        """Expand the grid in nested-loop order, cell ``i`` under
+        ``cell_ids()[i]``."""
+        # The axes' cell fields are SweepCell's between cell_id and monitors.
         return [
-            SweepCell(
-                index=i,
-                cell_id=cid,
-                graph=g,
-                tree=t,
-                schedule=s,
-                seed=seed,
-                engine=self.engine,
-                service_time=self.service_time,
-                faults=fl,
-                monitors=self.monitors,
-            )
-            for i, (cid, (g, t, s, seed, fl)) in enumerate(zip(self.cell_ids(), axes))
+            SweepCell(i, cid, *values, self.monitors)
+            for i, (cid, values) in enumerate(zip(self.cell_ids(), product(*self._values())))
         ]
 
     def num_cells(self) -> int:
         """Grid size without expanding."""
-        return prod(map(len, (self.graphs, self.trees, self.schedules, self.seeds, self.faults)))
+        return prod(len(axis.given(self)) for axis in _AXES)
 
     def canonical(self) -> dict:
         """JSON-able canonical identity document of this grid.
 
-        Carries every knob that can change a persisted row: the four
-        axes, the seeds, the engine and service time, and the fault axis
-        (as canonical plan labels, so ``"loss:0.020"`` and ``"loss:.02"``
-        hash alike).  ``monitors`` is deliberately excluded — monitors
-        never change a row, so a monitored re-run of a grid is the same
-        content.  Axis parameter values are restricted to JSON scalars
-        and sequences, so the document round-trips through ``json``
-        losslessly.
+        Every axis in its canonical form (fault plans as canonical labels,
+        so ``"loss:0.020"`` and ``"loss:.02"`` hash alike), but not
+        ``monitors``, which never change a row.  Parameter values are JSON
+        scalars and sequences, so the document round-trips through ``json``.
         """
-        return {
-            "name": self.name,
-            "graphs": [
-                {"family": g.family, "params": [[k, v] for k, v in g.params]}
-                for g in self.graphs
-            ],
-            "trees": list(self.trees),
-            "schedules": [
-                {"family": s.family, "params": [[k, v] for k, v in s.params]}
-                for s in self.schedules
-            ],
-            "seeds": list(self.seeds),
-            "engine": self.engine,
-            "service_time": self.service_time,
-            "faults": self._fault_labels(),
-        }
+        doc = {"name": self.name}
+        for axis, values in zip(_AXES, self._values()):
+            forms = [axis.canonical(v) for v in values]
+            doc[axis.field] = forms[0] if axis.scalar else forms
+        return doc
 
     def spec_hash(self) -> str:
         """Content address of this grid: SHA-256 of :meth:`canonical`.
@@ -474,12 +472,6 @@ def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
     default 0.5) are multiplied by ``num_nodes`` here, which is what lets
     one :class:`ScheduleSpec` scale across the whole graph axis.
     """
-    if spec.family not in OPEN_LOOP_SCHEDULES:
-        raise SweepError(
-            f"{spec.family!r} is not an open-loop schedule family: its cell "
-            "family generates its own request dynamics (the sweep executor "
-            "runs these cells through its cell family, not build_schedule)"
-        )
     p = spec.kwargs()
     count = int(p.get("per_node", 4)) * num_nodes
     rate = float(p.get("rate_per_node", 0.5)) * num_nodes
@@ -501,12 +493,11 @@ def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
             seed=seed,
         )
     if spec.family == "hotspot":
-        hot = list(p.get("hot_nodes", (0,)))
         return _schedules.hotspot(
             num_nodes,
             count,
             rate,
-            hot_nodes=hot,
+            hot_nodes=list(p.get("hot_nodes", (0,))),
             hot_fraction=float(p.get("hot_fraction", 0.8)),
             seed=seed,
         )
@@ -517,7 +508,11 @@ def build_schedule(spec: ScheduleSpec, num_nodes: int, seed: int):
             horizon=float(p.get("horizon", 2.0 * num_nodes)),
             seed=seed,
         )
-    raise SweepError(f"unknown schedule family {spec.family!r}")
+    raise SweepError(
+        f"{spec.family!r} is not an open-loop schedule family: its cell "
+        "family generates its own request dynamics (the sweep executor "
+        "runs these cells through its cell family, not build_schedule)"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -46,8 +46,9 @@ sampled ids that kill it.
 
 A mutant that no execution can tell apart from the loop carries
 ``equivalent``: the one-line argument why.  The script exits 1 when a
-mutant without that mark survives the ``tier-1`` column, or a marked
-one is killed by any column.  Run (about 20 minutes on two cores;
+mutant without that mark survives the ``tier-1`` column, a marked one
+is killed by any column, or one of :data:`SLICE_PROPS_KILLS` survives
+``slice-props``.  Run (about 20 minutes on two cores;
 ``NAME ...`` runs only those mutants)::
 
     PYTHONPATH=src python tests/mutants.py [NAME ...]
@@ -321,6 +322,28 @@ MUTANTS = {
     ),
 }
 
+#: The mutants the ``slice-props`` column must kill: the slice's properties,
+#: monitor and fault books alone, without fast == message equality.  It only
+#: grows; the non-equivalent mutants outside it are the ones parity alone
+#: still kills (ROADMAP item 15).
+SLICE_PROPS_KILLS = frozenset({
+    "arrow-init-tie-queue", "arrow-init-tie-held", "arrow-fifo-ignores-delays",
+    "arrow-fifo-drops-seeded", "arrow-sink-hop-test", "arrow-hops-off-by-one",
+    "arrow-closed-hops-off-by-one", "arrow-service-tag", "arrow-zero-service-stage",
+    "arrow-ack-skips-service", "arrow-service-ignores-queue", "arrow-send-seq-kept",
+    "arrow-ack-uncounted", "arrow-directions-swapped", "arrow-reissue-past-budget",
+    "arrow-crash-keeps-pointer", "arrow-livelock-early", "arrow-fold-ignores-queue",
+    "arrow-fold-arrival-uncounted", "arrow-fold-two-delays", "arrow-fold-under-faults",
+    "central-service-ignores-queue", "central-local-hop", "central-table-direction",
+    "central-zero-think-event", "central-creq-uncounted", "central-livelock-early",
+    "dir-arrow-local-inline", "dir-arrow-object-skips-service", "dir-arrow-handoff-uncounted",
+    "dir-home-done-skips-service", "dir-home-transfers-overlap",
+    "open-central-inform-requester", "open-central-own-creq-routed",
+    "open-central-tail-node-kept", "open-central-inform-hops-dropped",
+    "open-central-creq-skips-service", "open-adaptive-no-path-shorting",
+    "open-adaptive-local-rid-stale", "open-adaptive-skips-service",
+})
+
 #: The sampled parity and property suites, by column.
 SAMPLED = {
     "differential": "tests/core/test_fast_arrow_differential.py",
@@ -528,6 +551,8 @@ def main(argv: list[str]) -> int:
             bad.append(f"{name} is marked equivalent but a column kills it")
         elif not mark and row["tier-1"][0] not in "KT":
             bad.append(f"{name} survives tier-1")
+        if name in SLICE_PROPS_KILLS and row["slice-props"][0] not in "KT":
+            bad.append(f"{name} survives slice-props")
     print()
     for name in names:
         row = rows[name]

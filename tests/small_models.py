@@ -94,6 +94,8 @@ and asserts:
   for the centralized queue, two messages per request (one from the
   centre), each completion's hops the route to the centre plus the route
   back to the predecessor's issuer;
+* on every open arrow run, faulted or not: no ``init`` at time t follows
+  a ``deliver`` or a ``crash`` at t (initiations own the lowest seqs);
 * on fault-free open arrow runs with a service time and a deterministic
   delay: every node's FIFO server, rebuilt from the stream (arrival =
   send time + the link's delay, served in (arrival, send order)), puts
@@ -423,12 +425,28 @@ def _busy_queues(tree, latency, service, events):
             )
 
 
+def _initiations_fire_first(events):
+    """No ``init`` at time t follows a ``deliver`` or a ``crash`` at t.
+
+    A schedule's initiations own the seqs 0..m-1, below every event the
+    run queues, so at one time they fire before any delivery or crash.
+    """
+    last = None  # the latest deliver or crash
+    for ev in events:
+        if ev[0] in ("deliver", "crash"):
+            last = ev
+        elif ev[0] == "init" and last is not None and last[-1] == ev[-1]:
+            raise AssertionError(f"{ev} fires after {last}")
+
+
 def _open_properties(inst, tree, schedule, result, run, events):
     """Every message is one hop of a request's queue path, and the loop
-    fires one event per initiation and per message stage; with a service
-    time and a deterministic delay, every node's queue replays
-    (:func:`_busy_queues`); Section 3 or §3.8 where they apply.  Returns
-    arrow/opt when Section 3 does."""
+    fires one event per initiation and per message stage; initiations fire
+    first (:func:`_initiations_fire_first`); with a service time and a
+    deterministic delay, every node's queue replays (:func:`_busy_queues`);
+    Section 3 or §3.8 where they apply.  Returns arrow/opt when Section 3
+    does."""
+    _initiations_fire_first(events)
     hops = sum(result.hops)
     assert result.network_stats["messages_sent"] == hops, f"{hops} hops, other messages"
     stages = 2 if inst.service else 1
@@ -445,8 +463,10 @@ def _open_properties(inst, tree, schedule, result, run, events):
     return None
 
 
-def _fault_properties(schedule, result, report, monitor):
-    """A degraded run leaves a legal configuration and balanced books."""
+def _fault_properties(schedule, result, report, monitor, events):
+    """A degraded run leaves a legal configuration and balanced books, and
+    its initiations fire first (:func:`_initiations_fire_first`)."""
+    _initiations_fire_first(events)
     assert report.final_violations == 0, f"{report.final_violations} illegal edges left"
     assert len(result.rids) + report.requests_lost == len(schedule), "books do not balance"
     assert monitor.lost == set(report.lost_rids), "monitor and report lose different rids"
@@ -528,7 +548,7 @@ def _check_open(inst):
 
     (result, report), monitor, events = _both_engines(run, tree, len(schedule))
     if report is not None:
-        _fault_properties(schedule, result, report, monitor)
+        _fault_properties(schedule, result, report, monitor, events)
         return None
     return _open_properties(inst, tree, schedule, result, run, events)
 

@@ -21,7 +21,6 @@ from repro.sweep import (
     build_tree,
     cell_seed,
     directory_grid,
-    fig10_grid,
     fig11_grid,
     mixed_grid,
     smoke_grid,
@@ -256,19 +255,57 @@ def test_cell_ids_equal_the_per_cell_construction():
         assert [c.index for c in cells] == list(range(len(cells)))
 
 
+def test_the_axes_fill_the_cell_fields_in_order():
+    """``cells()`` passes the axis values to ``SweepCell`` by position."""
+    from repro.sweep.spec import _AXES, SweepCell
+
+    names = [f.name for f in dataclasses.fields(SweepCell)]
+    assert names[2:-1] == [axis.cell_field for axis in _AXES]
+    (cell,) = dataclasses.replace(smoke_grid(seeds=(3,)), graphs=smoke_grid().graphs[:1]).cells()
+    assert (cell.tree, cell.seed, cell.engine, cell.faults, cell.monitors) == (
+        "bfs", 3, "fast", "", False
+    )
+
+
 def test_preset_grid_spec_hashes_are_pinned():
     """The results store is keyed by ``spec_hash``: a change to
     ``canonical()`` (or to a preset's defaults) re-keys every stored run,
-    and must show up here by name rather than as an empty store."""
+    and must show up here by name rather than as an empty store.  Every
+    preset, the five service-time grids and a ``fig11`` grid with two
+    fault plans, a service time and monitors cover every branch of
+    ``canonical()``."""
+    from repro.sweep.spec import service_time_grids
+
+    faulted = dataclasses.replace(
+        fig11_grid((8, 16), seeds=(0, 1), service_time=0.25),
+        faults=("crash@2.0:1,loss:0.01", "link@1-0:0.5-3"),
+        monitors=True,
+    )
     assert {
-        grid.__name__: grid().spec_hash()
-        for grid in (smoke_grid, fig10_grid, fig11_grid, mixed_grid, directory_grid)
+        **{grid.__name__: grid().spec_hash() for grid in GRIDS.values()},
+        **{f"service_time={s.service_time}": s.spec_hash() for s in service_time_grids()},
+        "fig11-faulted": faulted.spec_hash(),
     } == {
         "smoke_grid": "4859b54f556b971206233a5766110d1f0f28a5e53b1bcf7f38304baffa650871",
         "fig10_grid": "a1cda86bdaa377551d99e0bc78f30b728b66e57f8462d40eff499daf9b2509cf",
         "fig11_grid": "ac995c5cc9b48918fceaad037decc0658e9ca3948b83e7edfaea29524e9ad6d2",
         "mixed_grid": "09cfb09db3355c60ccdcc6560c3ddd9be8a1dedd20ea811a1f118920de149230",
         "directory_grid": "b03f3757604fec4385cd618d69e02f7f35afd234719dcb3886837a9bba182383",
+        "fig9_grid": "2c325e97a7774c66f87e64412409026bf19ffe82597e94b20777d35df50fb1c1",
+        "oneshot_grid": "7d5c5a7b77a6fbd34d1f4b8368d0d48c3f3cc035eb51a5909b445b3166d7c6e2",
+        "thm319_grid": "5ce5ac7730beddcb77145a3cd59445b9b1e57b888c91c337d92c64e34e7dff2b",
+        "thm321_grid": "ac3733ab452792d807d0e2b975df998bfd83a178638b3934b32be045469c8d3e",
+        "thm41_grid": "7e256e3391c004c7cdefbef7221b5465d4fb8824c8fa2a8dab0531a6d68e7c23",
+        "thm42_grid": "5ecb52cda41cda7b24ea6836635f65a0a4a73cba9bae219f0627f7a9e9e576d0",
+        "sequential_grid": "2d4edd32ffe5fee6958c079e7996c5c6a0a9ee153dfbbb1849163ccff1234943",
+        "tree_ablation_grid": "5f626d7102626f17051d7ba7ee9eaf339995c7b06c5b2f3861e6076a41e8ad47",
+        "protocol_ablation_grid": "7a12c5734fbf2071ea16525e5ecab8dc604130a39838ae8e0d2e6d3e7bf688c0",
+        "service_time=0.0": "8b821646925e4dfe14bd0b419f1d9b35c51f032a5afb6428b40ef5c475fb10fa",
+        "service_time=0.05": "213f604e8e4fcc3f19c9efa538d6d4a00d51a956ce4ad9ef75a7b961b24fb881",
+        "service_time=0.1": "d11bf47dbb2023b9d78381af877cc987bd9ca65790f2d0adb745424c3ab4c651",
+        "service_time=0.2": "3d84a15d32ba9242985c38445d0a6cdf677fc765a9426ce7bb5fa08558a046f9",
+        "service_time=0.4": "4647809698d31a767899e5f98e411431003a7c92996f6064205ff3dc8421f945",
+        "fig11-faulted": "dc4724d703c1390ce15374d7c8a2931a18597f5a5ad9a1016ea05b1de3a9d48f",
     }
 
 
@@ -308,6 +345,14 @@ def test_legal_family_params_still_build():
         specs = preset()
         for spec in specs if isinstance(specs, tuple) else (specs,):
             assert spec.num_cells() == len({c.cell_id for c in spec.cells()})
+
+
+@pytest.mark.parametrize("axis", ["graphs", "trees", "schedules", "seeds"])
+def test_an_empty_axis_is_rejected(axis):
+    """An empty axis once built a zero-cell grid, which ``run_sweep``
+    reported as ``cells: 0, written: 0`` and an ingest as ``0/0``."""
+    with pytest.raises(SweepError, match=rf"^{axis} axis must not be empty$"):
+        dataclasses.replace(smoke_grid(), **{axis: ()})
 
 
 @pytest.mark.parametrize(

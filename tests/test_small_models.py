@@ -23,6 +23,7 @@ from small_models import (
     SmallModelFailure,
     _busy_queues,
     _centre_serves_one_at_a_time,
+    _initiations_fire_first,
     _topology,
     check,
     run_axis,
@@ -103,3 +104,17 @@ def test_the_centre_spacing_catches_two_creqs_served_at_once():
     result.ack_times[first[1]] = result.ack_times[first[0]]
     with pytest.raises(AssertionError, match="the centre served creqs at"):
         _centre_serves_one_at_a_time(result, inst, graph)
+
+
+def test_the_init_order_catches_an_initiation_behind_a_deliver():
+    # Service 0: the t = 0 sends deliver at t = 1, when the second round inits.
+    inst = dataclasses.replace(BUSY, service=0.0)
+    graph, tree = _topology(inst.edges, inst.weights, inst.root, False)
+    events = []
+    run_arrow_fast(graph, tree, RequestSchedule(inst.requests), on_event=events.extend)
+    _initiations_fire_first(events)
+    k = next(i for i, ev in enumerate(events) if ev[0] == "deliver" and ev[-1] == 1.0)
+    j = max(i for i, ev in enumerate(events[:k]) if ev[0] == "init" and ev[-1] == 1.0)
+    events.insert(k, events.pop(j))
+    with pytest.raises(AssertionError, match="fires after"):
+        _initiations_fire_first(events)
