@@ -10,13 +10,14 @@ command-line interface, the examples or the benchmark import through it.
 
 * build a network:      generators in :mod:`repro.graphs`, spanning trees
   and their stretch / diameter in :mod:`repro.spanning`;
-* run protocols:        :func:`repro.run_arrow` (message level; the fast
-  engine is :func:`repro.core.fast_arrow.run_arrow_fast`) and
+* run protocols:        :func:`repro.run_arrow` (the message engine,
+  :mod:`repro.core.message`; the fast engine is
+  :func:`repro.core.fast_arrow.run_arrow_fast`) and
   :func:`repro.run_centralized` on a :class:`repro.RequestSchedule`,
   checked by :func:`repro.verify_total_order`;
   :func:`repro.core.fast_closed_loop.run_adaptive` (NTA/Ivy pointers),
-  and the closed-loop drivers in :mod:`repro.core.fast_closed_loop` and
-  :mod:`repro.workloads.closed_loop`;
+  and the closed loops in :mod:`repro.core.fast_closed_loop` and
+  :mod:`repro.core.message`;
 * analyse (Section 3):  :func:`repro.analysis.predict_arrow_run` (the
   nearest-neighbour characterisation) and
   :func:`repro.analysis.opt_bounds` (the optimal-offline bracket; a
@@ -65,7 +66,7 @@ _LAZY = {
     "__version__": "repro._version",
     "RequestSchedule": "repro.core.requests",
     "UniformLatency": "repro.net.latency",
-    "run_arrow": "repro.core.runner",
+    "run_arrow": "repro.core.message",
     "run_centralized": "repro.core.fast_closed_loop",
     "verify_total_order": "repro.core.queueing",
 }

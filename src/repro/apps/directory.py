@@ -18,7 +18,7 @@ of :mod:`repro.core` — the arrow directory as a configuration of
 comparison: total completion time, message counts, and a global
 mutual-exclusion check (every row records that the holding intervals
 never overlap).  The runs are bit-identical to the message-level
-protocols on :class:`~repro.net.network.Network`, which are kept as the
+protocols on :class:`~repro.core.message.Network`, which are kept as the
 oracle in ``tests/directory_oracles.py`` and checked on every small
 instance by ``tests/small_models.py``: the same events in the same
 ``(time, seq)`` order, latency draws from the one ``"network-latency"``

@@ -3,10 +3,10 @@
 :func:`run_arrow_fast` executes arrow runs on the tree's parent array
 with one event queue over ``(time, seq)`` tuples and plain int/float
 array node state (``link``, ``last_rid``) — no
-:class:`~repro.net.message.Message` objects, no per-event callback, no
-:class:`~repro.net.network.Network` dispatch.  The produced
+:class:`~repro.core.message.Message` objects, no per-event callback, no
+:class:`~repro.core.message.Network` dispatch.  The produced
 :class:`~repro.core.queueing.RunResult` is bit-identical to
-:func:`repro.core.runner.run_arrow` (same completions, predecessors, hop
+:func:`repro.core.message.run_arrow` (same completions, predecessors, hop
 counts, makespan, tie-breaking and event stream), which the small-model
 oracle in ``tests/small_models.py`` checks on every small instance it
 enumerates.
@@ -63,7 +63,7 @@ def arrow_runner(engine: str):
     if engine == "fast":
         return run_arrow_fast
     if engine == "message":
-        from repro.core.runner import run_arrow
+        from repro.core.message import run_arrow
 
         return run_arrow
     raise ValueError(engine_error_message(engine))
@@ -123,7 +123,7 @@ _ISSUE = 0  # a closed-loop processor issues its next request
 _ARRIVE = 1  # a queue message (or creq) joins a node's service queue (Network._arrive)
 _DISPATCH = 2  # its handler runs (ArrowNode.on_message)
 _ACK_ARRIVE = 3  # a queue_reply acknowledgement joins its origin's service queue
-_ACK_DISPATCH = 4  # its handler runs (_Driver.on_ack)
+_ACK_DISPATCH = 4  # its handler runs (the message harness's ack)
 _CRASH = 6  # a fault plan's node crash
 _OBJECT_ARRIVE = 7  # a directory's object reaches the requester
 _ACQUIRE = 8  # which holds it (also a zero-delay local hand-off) ...
@@ -170,10 +170,10 @@ def _arrow_loop(
     Returns ``(time of the last event, messages sent, final pointers)``.
     ``graph``, ``tree``, ``latency`` (a model, not ``None``),
     ``service_time`` and ``max_events`` are the
-    :func:`~repro.core.runner.run_arrow` knobs; ``rng`` is the run's
+    :func:`~repro.core.message.run_arrow` knobs; ``rng`` is the run's
     ``spawn_rng(seed, "network-latency")`` stream, which a closed loop
     shares with the :class:`~repro.net.router.Router` of its
-    acknowledgements — the class a :class:`~repro.net.network.Network`
+    acknowledgements — the class a :class:`~repro.core.message.Network`
     routes every routed send through.
 
     * **Delay source** — per-directed-link tables, built before the loop,
@@ -219,7 +219,7 @@ def _arrow_loop(
 
     Why bit-identical is achievable
     -------------------------------
-    The message-level kernel (:class:`repro.sim.kernel.Simulator`)
+    The message-level kernel (:class:`repro.core.message.Simulator`)
     orders events by ``(time, seq)`` with a single global sequence
     counter — the key of this loop's heap.  This loop schedules the
     *same* events in the *same* order, each consuming the next
@@ -229,12 +229,13 @@ def _arrow_loop(
     * the ``m`` schedule initiations own seqs ``0..m-1`` and the
       events the caller seeded on ``heap`` (a plan's crashes, a closed
       loop's n initial issues) own ``m..m+len(heap)-1`` — the order
-      the message runners schedule them in;
+      the message harness schedules them in;
     * then one event per message delivery (plus one dispatch per
       delivery when ``service_time > 0``) and one per think-time
       re-issue; with ``think_time == 0`` the re-issue runs *inside*
       the acknowledgement dispatch (no event of its own), exactly like
-      ``_Driver.on_ack`` (a directory re-issues inside its release);
+      the message harness's ``ack`` (a directory re-issues inside its
+      release);
     * a transition schedules at most one event (a directory's release
       pushes its hand-off first), and the loop holds it in ``nxt``
       instead of pushing it: the next event is
@@ -280,7 +281,7 @@ def _arrow_loop(
       the network's own :class:`~repro.net.router.Router`, and
       stochastic latency models draw from the same ``spawn_rng(seed,
       "network-latency")`` stream in the same order as
-      :class:`~repro.net.network.Network` would — one draw per
+      :class:`~repro.core.message.Network` would — one draw per
       tree-link traversal, one per edge of a routed path;
     * neither engine clamps a link's deliveries to its send order, and
       neither needs to: a tree edge is crossed by at most one arrow — a
@@ -423,7 +424,7 @@ def _arrow_loop(
                         continue
                     if tag == _ACK_DISPATCH:
                         # An acknowledgement is handled at its origin
-                        # (_Driver.on_ack): record, then re-issue after the
+                        # (the message harness's ack): record, then re-issue after the
                         # think time — or, without one, right here.
                         ack_times[rid] = now
                         if think > 0.0:
@@ -454,7 +455,7 @@ def _arrow_loop(
                             push(heap, (at, seq, object_arrive, origin, v, succ, 0))
                             seq += 1
                             messages += 1
-                # Initiation (_Driver.issue + ArrowNode.initiate).
+                # Initiation (the harness's issue + ArrowNode.initiate).
                 if driver is not None:
                     if remaining[v] <= 0:
                         continue
@@ -567,6 +568,54 @@ def _arrow_loop(
     return now, messages, link
 
 
+def _open_loop(
+    graph: Graph,
+    tree: SpanningTree,
+    schedule: RequestSchedule,
+    faults,
+    *,
+    latency: LatencyModel | None,
+    seed: int,
+    service_time: float,
+    max_events: int | None,
+    on_event: EventSink | None,
+) -> tuple[RunResult, list[int]]:
+    """The open loop, with a fault state or without (``faults=None``).
+
+    Returns the result and the final pointers.  :func:`run_arrow_fast`
+    and :func:`repro.faults.run_arrow_faulted` share this prologue and
+    epilogue (the message engine's twin is
+    :func:`repro.core.message._open_loop`); the callers have checked the
+    inputs.  The message harness schedules a plan's crash events right
+    after the m initiations, so they own seqs m..m+c-1;
+    ``faults.crashes`` is in (time, node) order, which makes the seeded
+    list a heap as it stands.
+    """
+    m = len(schedule)
+    heap = [] if faults is None else [
+        (t, m + k, _CRASH, v, -1, -1, 0) for k, (v, t) in enumerate(faults.crashes)
+    ]
+    result = RunResult(schedule)
+    makespan, messages, link = _arrow_loop(
+        graph,
+        tree,
+        latency if latency is not None else UnitLatency(),
+        service_time,
+        spawn_rng(seed, "network-latency"),
+        schedule.times,
+        schedule.nodes,
+        heap,
+        max_events,
+        on_event,
+        result=result,
+        faults=faults,
+    )
+    _finish_result(result, makespan, messages)
+    if faults is None and len(result.rids) != m:
+        raise ProtocolError(f"arrow run completed {len(result.rids)} of {m} requests")
+    return result, link
+
+
 def run_arrow_fast(
     graph: Graph,
     tree: SpanningTree,
@@ -578,7 +627,7 @@ def run_arrow_fast(
     max_events: int | None = None,
     on_event=None,
 ) -> RunResult:
-    """Drop-in fast replacement for :func:`repro.core.runner.run_arrow`.
+    """Drop-in fast replacement for :func:`repro.core.message.run_arrow`.
 
     Accepts the same knobs; the returned result is bit-identical to the
     message simulator's.  ``on_event``, when set, is called with the
@@ -588,24 +637,15 @@ def run_arrow_fast(
     keeps the hot loop emission-free.
     """
     schedule.validate_nodes(tree.num_nodes)
-    result = RunResult(schedule)
-    makespan, messages, _ = _arrow_loop(
+    result, _ = _open_loop(
         graph,
         tree,
-        latency if latency is not None else UnitLatency(),
-        service_time,
-        spawn_rng(seed, "network-latency"),
-        schedule.times,
-        schedule.nodes,
-        [],
-        max_events,
-        on_event,
-        result=result,
+        schedule,
+        None,
+        latency=latency,
+        seed=seed,
+        service_time=service_time,
+        max_events=max_events,
+        on_event=on_event,
     )
-    _finish_result(result, makespan, messages)
-    if len(result.rids) != len(schedule):
-        raise ProtocolError(
-            f"arrow run completed {len(result.rids)} of "
-            f"{len(schedule)} requests"
-        )
     return result

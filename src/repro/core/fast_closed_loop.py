@@ -1,12 +1,12 @@
 """The routed flat loop: §5's closed loops and every routed protocol.
 
 :func:`closed_loop_arrow_fast` and :func:`closed_loop_centralized_fast`
-replay the full closed-loop dynamics of :mod:`repro.workloads.closed_loop`
-— per-processor request budgets, ``think_time`` between operations,
+replay the full closed-loop dynamics of :mod:`repro.core.message` —
+per-processor request budgets, ``think_time`` between operations,
 per-node sequential ``service_time``, and the routed ``queue_reply``
 acknowledgements over ``G`` — on a flat binary heap over ``(time, seq)``
-tuples with plain array node state.  No :class:`~repro.net.message.Message`
-objects, no per-event callback, no :class:`~repro.net.network.Network`
+tuples with plain array node state.  No :class:`~repro.core.message.Message`
+objects, no per-event callback, no :class:`~repro.core.message.Network`
 dispatch.  Routed delays are the network's own: each run builds one
 :class:`~repro.net.router.Router` over its ``"network-latency"``
 stream, as a ``Network`` does, so a routed send reads the same cached
@@ -30,7 +30,7 @@ the one event a transition schedules and take the next with
 for why the order is unchanged).
 
 Every run is **bit-identical** to its message-level version
-(:mod:`repro.workloads.closed_loop`; the baselines' in
+(:mod:`repro.core.message`; the baselines' in
 ``tests/open_loop_oracles.py``): same makespan, completions, hops,
 latencies, issue/ack times, message totals, tie-breaking and RNG draws,
 which the small-model oracle (``tests/small_models.py``) checks on every
@@ -105,6 +105,21 @@ class ClosedLoopResult:
     #: minus issue time), appended in completion order like ``hops``.
     latencies: list[float] = field(default_factory=list)
 
+    def record(
+        self, rid: int, predecessor: int, informed_node: int, completed_at: float, hops: int
+    ) -> None:
+        """Count one completion.
+
+        The signature is the protocol nodes' completion callback, as
+        :meth:`RunResult.record`'s is, so the message engine passes this
+        method to them; the flat loops append in place.
+        """
+        self.completions += 1
+        self.hops.append(hops)
+        self.latencies.append(completed_at - self.issue_times[rid])
+        if hops == 0:
+            self.local_finds += 1
+
     @property
     def total_requests(self) -> int:
         """Total requests across all processors."""
@@ -172,10 +187,7 @@ def closed_loop_runner(protocol: str, engine: str):
             else closed_loop_centralized_fast
         )
     if engine == "message":
-        from repro.workloads.closed_loop import (
-            closed_loop_arrow,
-            closed_loop_centralized,
-        )
+        from repro.core.message import closed_loop_arrow, closed_loop_centralized
 
         return closed_loop_arrow if protocol == "arrow" else closed_loop_centralized
     raise ValueError(engine_error_message(engine))
@@ -187,7 +199,7 @@ def _driver_state(result: ClosedLoopResult):
     The kernel schedules the n initial issue events before anything else,
     so they own sequence numbers 0..n-1.  The loops fill the result's
     per-request lists in place (``ack_times`` is rid-indexed, hence
-    preallocated here), as the message-level ``_Driver`` does.
+    preallocated here), as the message engine's harness does.
     """
     n = result.num_procs
     result.ack_times = [-1.0] * result.total_requests
@@ -456,7 +468,7 @@ def _central_loop(
             seq += 1
             continue
         if tag == _ACK_DISPATCH:
-            # The acknowledgement at its origin (_Driver.on_ack): record,
+            # The acknowledgement at its origin (the harness's ack): record,
             # then re-issue after the think time — or, without one, here.
             ack_times[rid] = now
             if think > 0.0:
@@ -534,7 +546,7 @@ def _central_loop(
             messages += 1
             continue
         if tag != _DISPATCH:
-            # Issue (_Driver.issue): one routed creq to the centre.
+            # Issue (the harness's issue): one routed creq to the centre.
             if remaining[v] <= 0:
                 continue
             remaining[v] -= 1

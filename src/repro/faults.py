@@ -33,44 +33,39 @@ back up.  Recovery metrics (corrections applied, repairs run, requests
 lost, time from first degradation to repair) come back in the
 :class:`FaultReport`.
 
-Engine parity: ``engine="fast"`` hands the run's :class:`_FaultState` to
-the one arrow event loop
-(:func:`repro.core.fast_arrow._arrow_loop`, whose
-docstring says why bit-identity holds); ``engine="message"`` runs the
-genuine :class:`~repro.net.network.Network` simulation with a fault-aware
-subclass driving the same state machine.  Both produce identical results
-for identical inputs — the same event order, the same drops, the same
-repairs — which the small-model oracle (``tests/small_models.py``) checks
-on every single and double crash, link window and seeded loss plan it
-enumerates.
+Engine parity: both engines run their open loop with the run's
+:class:`_FaultState` — ``engine="fast"`` the one arrow event loop
+(:func:`repro.core.fast_arrow._arrow_loop`, whose docstring says why
+bit-identity holds), ``engine="message"`` the genuine message-level
+simulation (:mod:`repro.core.message`, whose ``Network`` carries the
+state and runs its drop checks).  Both drive the same state machine and
+produce identical results for identical inputs — the same event order,
+the same drops, the same repairs — which the small-model oracle
+(``tests/small_models.py``) checks on every single and double crash,
+link window and seeded loss plan it enumerates.  This module imports the
+message engine only when a run asks for it, so a faulted fast sweep
+loads none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.arrow import ArrowNode
-from repro.core.event_stream import emitting_to
-from repro.core.fast_arrow import (
-    _CRASH,
-    _arrow_loop,
-    _finish_result,
-    arrow_runner,
-    run_arrow_fast,
-)
-from repro.core.queueing import RunResult
-from repro.core.requests import RequestSchedule
+from repro.core.engines import ENGINES, engine_error_message
+from repro.core.fast_arrow import _open_loop
 from repro.core.stabilize import find_violations_links, stabilize_links
 from repro.errors import FaultPlanError, NetworkError, ProtocolError, require_time
 from repro.fault_plan import FaultPlan, parse_fault_plan
 from repro.graphs.graph import Graph
 from repro.graphs.validation import require_spanning_subgraph
-from repro.net.latency import LatencyModel, UnitLatency
-from repro.net.message import Message
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
+from repro.net.latency import LatencyModel
 from repro.sim.rng import DrawStream, spawn_rng
 from repro.spanning.tree import SpanningTree
+
+if TYPE_CHECKING:
+    from repro.core.queueing import RunResult
+    from repro.core.requests import RequestSchedule
 
 __all__ = [
     "FaultReport",
@@ -139,12 +134,14 @@ class _FaultState:
     """Shared fault bookkeeping: drop decisions, degradation, recovery.
 
     One instance per run; both the fast engine's event loop and the
-    message-engine network subclass drive the same state machine, which is
-    what keeps the engines' fault semantics identical.
+    message engine's network drive the same state machine, which is
+    what keeps the engines' fault semantics identical.  Each engine seeds
+    the plan's ``crashes`` as events of its own.
     """
 
     __slots__ = (
         "tree",
+        "crashes",
         "parent",
         "down",
         "windows",
@@ -160,6 +157,7 @@ class _FaultState:
 
     def __init__(self, tree: SpanningTree, plan: FaultPlan, seed: int) -> None:
         self.tree = tree
+        self.crashes = plan.crashes
         self.parent = tree.parent
         self.down = [False] * tree.num_nodes
         self.windows = _drop_windows(plan, tree)
@@ -177,7 +175,7 @@ class _FaultState:
         self.lost: set[int] = set()
         self.report = FaultReport()
         #: The run's event-stream ``append``, set by whoever owns the
-        #: stream (``_arrow_loop`` / ``_run_message_faulted``) so fault and
+        #: stream (``_arrow_loop`` / the message harness) so fault and
         #: protocol events land in one list, in order; ``None`` unwatched.
         self.emit = None
 
@@ -276,166 +274,6 @@ class _FaultState:
 
 
 # ----------------------------------------------------------------------
-# the fast engine: the arrow event loop with a fault state
-# ----------------------------------------------------------------------
-def _run_flat_faulted(
-    graph: Graph,
-    tree: SpanningTree,
-    schedule: RequestSchedule,
-    plan: FaultPlan,
-    *,
-    latency: LatencyModel,
-    seed: int,
-    service_time: float,
-    max_events: int | None,
-    on_event,
-) -> tuple[RunResult, FaultReport]:
-    """The fast engine's open loop under the fault model."""
-    fs = _FaultState(tree, plan, seed)
-    m = len(schedule)
-    # The message runner schedules the crash events right after the m
-    # initiations, so they own seqs m..m+c-1; ``plan.crashes`` is in
-    # (time, node) order, which makes this list a heap as it stands.
-    heap = [
-        (t, m + k, _CRASH, v, -1, -1, 0) for k, (v, t) in enumerate(plan.crashes)
-    ]
-    result = RunResult(schedule)
-    makespan, messages, link = _arrow_loop(
-        graph,
-        tree,
-        latency,
-        service_time,
-        spawn_rng(seed, "network-latency"),
-        schedule.times,
-        schedule.nodes,
-        heap,
-        max_events,
-        on_event,
-        result=result,
-        faults=fs,
-    )
-    _finish_result(result, makespan, messages)
-    return result, fs.finish(link, len(result.rids), m)
-
-
-# ----------------------------------------------------------------------
-# the message engine: a fault-aware Network
-# ----------------------------------------------------------------------
-class _FaultyNetwork(Network):
-    """A :class:`Network` that applies a :class:`_FaultState` to queue traffic.
-
-    Drop checks run before any stats or latency side effect, so a
-    dropped message is observationally absent — exactly like the fast
-    engine, which never transmits it.
-    """
-
-    def __init__(self, *args, fault_state: _FaultState, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fs = fault_state
-
-    def _send_link(self, src, dst, kind, payload, hops):
-        fs = self._fs
-        if fs.drops_send(src, dst, payload.get("rid", -1), self.sim.now):
-            return None
-        msg = super()._send_link(src, dst, kind, payload, hops)
-        fs.in_flight += 1
-        return msg
-
-    def _arrive(self, msg: Message) -> None:
-        # Pre-service drop: a down node's queue never accepts the message.
-        if msg.kind == "queue" and self._fs.drops_arrival(
-            msg.src, msg.dst, msg.payload.get("rid", -1), self.sim.now
-        ):
-            return
-        super()._arrive(msg)
-
-    def _dispatch(self, msg: Message) -> None:
-        if msg.kind == "queue":
-            fs = self._fs
-            if fs.drops_arrival(
-                msg.src, msg.dst, msg.payload.get("rid", -1), self.sim.now
-            ):
-                # The node crashed while the message waited for service.
-                return
-            fs.in_flight -= 1
-        super()._dispatch(msg)
-
-
-def _run_message_faulted(
-    graph: Graph,
-    tree: SpanningTree,
-    schedule: RequestSchedule,
-    plan: FaultPlan,
-    *,
-    latency: LatencyModel,
-    seed: int,
-    service_time: float,
-    max_events: int | None,
-    on_event,
-) -> tuple[RunResult, FaultReport]:
-    """Genuine message-level run under the fault model."""
-    sim = Simulator(max_events=max_events)
-    fs = _FaultState(tree, plan, seed)
-    net = _FaultyNetwork(
-        graph,
-        sim,
-        latency,
-        seed=seed,
-        service_time=service_time,
-        fault_state=fs,
-    )
-    result = RunResult(schedule)
-
-    nodes = [ArrowNode(result.record) for _ in range(graph.num_nodes)]
-    net.register_all(nodes)
-    for nd in nodes:
-        nd.init_pointers(tree)
-
-    def repair_nodes(now: float) -> None:
-        link = [nd.link for nd in nodes]
-        sink, er = fs.repair(link, now)
-        for nd, target in zip(nodes, link):
-            nd.link = target
-        nodes[sink].last_rid = er
-
-    def initiate(req_node: int, rid: int) -> None:
-        # Quiescent-point repair check, then the down-node gate — the
-        # fast engine runs the identical sequence before each initiation.
-        if fs.repair_due():
-            repair_nodes(sim.now)
-        if fs.down[req_node]:
-            fs.drop_initiation(rid, req_node, sim.now)
-            return
-        nodes[req_node].initiate(rid)
-
-    def crash(node: int) -> None:
-        fs.crash(node, sim.now)
-        nodes[node].link = node
-
-    # Kernel-parity sequence numbering: initiations first (seqs 0..m-1),
-    # then the crash events (m..m+c-1) — the fast engine replays exactly
-    # these sequence numbers.
-    for req in schedule:
-        sim.call_at(req.time, initiate, req.node, req.rid)
-    for node, t in plan.crashes:
-        sim.call_at(t, crash, node)
-
-    with emitting_to(on_event) as emit:
-        fs.emit = emit
-        for nd in nodes:
-            nd.emit = emit
-        result.makespan = sim.run()
-        if fs.degraded:
-            repair_nodes(result.makespan)
-    result.network_stats = net.stats.as_dict()
-
-    report = fs.finish(
-        [nd.link for nd in nodes], len(result.rids), len(schedule)
-    )
-    return result, report
-
-
-# ----------------------------------------------------------------------
 # public entry point
 # ----------------------------------------------------------------------
 def run_arrow_faulted(
@@ -453,45 +291,39 @@ def run_arrow_faulted(
 ) -> tuple[RunResult, FaultReport]:
     """Run the arrow protocol under a fault plan; results plus recovery report.
 
-    Accepts the open-loop model knobs of :func:`repro.core.runner.run_arrow`
+    Accepts the open-loop model knobs of :func:`repro.core.message.run_arrow`
     plus the ``engine`` selector (one of :data:`repro.core.engines.ENGINES`).
     For the empty plan the returned :class:`RunResult` is bit-identical
-    to the fault-free engines' — the run is in fact delegated to the
-    selected stock engine, so an empty plan costs nothing beyond one
-    dispatch.  ``on_event`` is called with lists of event tuples
+    to the fault-free engines' — the run builds no fault state and takes
+    the selected engine's stock path, so an empty plan costs nothing
+    beyond the checks.  ``on_event`` is called with lists of event tuples
     (:mod:`repro.core.event_stream`) — the protocol trace *including* the
     fault vocabulary (``drop``/``crash``/``repair``), so an attached
     :class:`repro.monitors.ArrowMonitor` audits the recovery path too.
     """
-    runner = arrow_runner(engine)
+    if engine not in ENGINES:
+        raise ValueError(engine_error_message(engine))
     if isinstance(plan, str):
         plan = parse_fault_plan(plan)
     service_time = require_time("service_time", service_time, NetworkError)
     schedule.validate_nodes(graph.num_nodes)
     require_spanning_subgraph(graph, [(u, v) for u, v, _ in tree.edges()])
     plan.validate_nodes(graph.num_nodes)
-    model = latency if latency is not None else UnitLatency()
-    if plan.empty:
-        result = runner(
-            graph,
-            tree,
-            schedule,
-            latency=model,
-            seed=seed,
-            service_time=service_time,
-            max_events=max_events,
-            on_event=on_event,
-        )
-        return result, FaultReport()
-    run = _run_flat_faulted if runner is run_arrow_fast else _run_message_faulted
-    return run(
+    open_loop = _open_loop
+    if engine == "message":
+        from repro.core.message import _open_loop as open_loop
+    faults = None if plan.empty else _FaultState(tree, plan, seed)
+    result, link = open_loop(
         graph,
         tree,
         schedule,
-        plan,
-        latency=model,
+        faults,
+        latency=latency,
         seed=seed,
         service_time=service_time,
         max_events=max_events,
         on_event=on_event,
     )
+    if faults is None:
+        return result, FaultReport()
+    return result, faults.finish(link, len(result.rids), len(schedule))

@@ -1,6 +1,6 @@
 """Shortest-path routing over ``G``, shared by both engines.
 
-:class:`Router` lives apart from :mod:`repro.net.network` so that a flat
+:class:`Router` lives apart from :mod:`repro.core.message` so that a flat
 run, which routes but builds no message, loads no message class.
 """
 
@@ -24,8 +24,8 @@ class Router:
     pair: for a deterministic latency model the summed path delay and hop
     count, else the path's edge columns, which a stochastic model
     re-samples per send, edge by edge in path order, from the one ``rng``
-    it is given.  :class:`~repro.net.network.Network` routes
-    :meth:`~repro.net.network.Network.send_routed` through one, and the
+    it is given.  :class:`~repro.core.message.Network` routes
+    :meth:`~repro.core.message.Network.send_routed` through one, and the
     flat loops (:mod:`repro.core.fast_closed_loop`,
     :mod:`repro.apps.directory`) build one over the same
     ``"network-latency"`` stream.

@@ -1,6 +1,5 @@
-"""Discrete-event simulation kernel.
+"""Seeded random streams (:mod:`repro.sim.rng`), one per named consumer.
 
-The kernel substitutes for the paper's IBM SP2 testbed: all protocol code
-runs as atomic callbacks over a deterministic virtual clock
-(:mod:`repro.sim.kernel` says what "deterministic" means here).
+The discrete-event kernel that substitutes for the paper's IBM SP2
+testbed is :class:`repro.core.message.Simulator`.
 """

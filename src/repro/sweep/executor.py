@@ -87,8 +87,8 @@ def execute_cell(cell: SweepCell) -> dict[str, Any]:
     runner-to-row produce the metric columns; the executor prepends the
     axis identity columns.  Everything is a deterministic function of the
     cell, so rows are reproducible — and engine-independent: the fast and
-    message engines are bit-identical (message-level-only families like
-    the §5.1 directories ignore the engine axis entirely) and a row names
+    message engines are bit-identical (the §5.1 directories, which have
+    one version each, ignore the engine axis entirely) and a row names
     no engine, so both engines write the same bytes.  A
     :class:`~repro.errors.ReproError` out of a cell's run carries the
     cell's id (``cell_id``, and at the head of the message); a

@@ -113,9 +113,10 @@ class CellFamily:
     applies the rules that relate several parameters.  ``build`` turns a
     cell into runnable inputs; ``to_row`` executes them and returns the
     metric columns.  ``uses_engine`` documents whether the family honours
-    the spec's ``engine`` axis — message-level-only families (the
-    directory designs) ignore it, and their rows carry a ``protocol``
-    column naming what actually ran.  No row names an engine, and only
+    the spec's ``engine`` axis — the directory designs ignore it, since
+    each has one version (on the flat loops; the message-level ones are
+    test oracles), and their rows carry a ``protocol`` column naming
+    what actually ran.  No row names an engine, and only
     ``benchmarks/e2e/trace.py`` reads this field (to pick the engine it
     probes a cell with).  ``supports_faults`` marks families
     whose ``to_row`` honours a non-empty ``cell.faults`` plan (the

@@ -34,7 +34,7 @@ from math import prod
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.core.engines import ENGINES, engine_error_message
-from repro.errors import SweepError, require_time
+from repro.errors import SweepError
 from repro.fault_plan import parse_fault_plan
 from repro.graphs.generators import (
     balanced_binary_tree_graph,
@@ -288,7 +288,7 @@ _AXES = (
     # The engines are bit-identical, so no cell id names one.
     _Axis("engine", "engine", _check_engine, None, scalar=True),
     # Checked, not converted: the value as given is part of spec_hash.
-    _Axis("service_time", "service_time", lambda t: require_time("service_time", t, SweepError),
+    _Axis("service_time", "service_time", lambda t: duration("service_time", t),
           "st{}".format, default=0.0, scalar=True),
     _Axis("faults", "faults", _fault_label, "f[{}]".format, cell=_fault_label, default="",
           needs=("supports_faults", "the fault axis (plan {!r}); faults apply to the "

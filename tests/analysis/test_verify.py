@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.verify import check_lemma_3_8, is_nn_path
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.graphs.generators import path_graph
 from repro.spanning.tree import SpanningTree
 from lemma_oracles import (

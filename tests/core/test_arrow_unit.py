@@ -7,16 +7,12 @@ verified by hand against Section 2 of the paper.
 
 import pytest
 
-from repro.core.arrow import ArrowNode
+from repro.core.message import ArrowNode, Network, Simulator, closed_loop_arrow, run_arrow
 from repro.core.requests import ROOT_RID, RequestSchedule
-from repro.core.runner import run_arrow
 from repro.core.queueing import verify_total_order
 from repro.errors import ProtocolError
 from repro.graphs.generators import path_graph
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
-from repro.workloads.closed_loop import closed_loop_arrow
 from small_models import rerooted
 
 
@@ -129,7 +125,7 @@ def test_request_while_own_message_in_flight():
 
 def test_unknown_message_kind_raises():
     sim, nodes, _ = setup_line(2, root=0)
-    from repro.net.message import Message
+    from repro.core.message import Message
 
     with pytest.raises(ProtocolError):
         nodes[0].on_message(Message("bogus", 1, 0))
@@ -139,7 +135,7 @@ def test_queue_reply_without_app_handler_raises():
     """Only the closed loop asks for replies, and it always installs a
     handler: a stray ``queue_reply`` is a protocol error, not dropped."""
     sim, nodes, _ = setup_line(2, root=0)
-    from repro.net.message import Message
+    from repro.core.message import Message
 
     assert nodes[0].app_handler is None
     with pytest.raises(ProtocolError, match="queue_reply"):
@@ -148,7 +144,7 @@ def test_queue_reply_without_app_handler_raises():
 
 def test_app_handler_receives_non_queue_messages():
     sim, nodes, _ = setup_line(2, root=0)
-    from repro.net.message import Message
+    from repro.core.message import Message
 
     got = []
     nodes[0].app_handler = got.append

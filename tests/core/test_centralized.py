@@ -7,7 +7,7 @@ from repro.core.requests import RequestSchedule
 from repro.core.fast_closed_loop import run_centralized
 from repro.graphs import complete_graph
 from repro.graphs.generators import path_graph
-from repro.workloads.closed_loop import closed_loop_centralized
+from repro.core.message import closed_loop_centralized
 from repro.workloads.schedules import poisson
 
 
@@ -64,11 +64,8 @@ def test_latency_includes_both_legs():
 
 
 def test_creq_to_wrong_node_raises():
-    from repro.core.centralized import CentralizedNode
+    from repro.core.message import CentralizedNode, Message, Network, Simulator
     from repro.errors import ProtocolError
-    from repro.net.message import Message
-    from repro.net.network import Network
-    from repro.sim.kernel import Simulator
 
     net = Network(complete_graph(3), Simulator())
     nodes = [CentralizedNode(0, lambda *a: None) for _ in range(3)]
@@ -80,11 +77,8 @@ def test_creq_to_wrong_node_raises():
 
 def test_queue_reply_without_app_handler_raises():
     """A stray ``queue_reply`` is a protocol error, not silently dropped."""
-    from repro.core.centralized import CentralizedNode
+    from repro.core.message import CentralizedNode, Message, Network, Simulator
     from repro.errors import ProtocolError
-    from repro.net.message import Message
-    from repro.net.network import Network
-    from repro.sim.kernel import Simulator
 
     net = Network(complete_graph(3), Simulator())
     nodes = [CentralizedNode(0, lambda *a: None) for _ in range(3)]
@@ -109,7 +103,7 @@ def test_out_of_range_center_rejected(center):
     -1 initialises the last node as centre, then fails in routing)."""
     from repro.core.fast_closed_loop import closed_loop_centralized_fast
     from repro.errors import NetworkError
-    from repro.workloads.closed_loop import closed_loop_centralized
+    from repro.core.message import closed_loop_centralized
 
     g = complete_graph(4)
     text = rf"^center {center} out of range for 4 nodes$"

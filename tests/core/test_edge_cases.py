@@ -4,7 +4,7 @@
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
 from repro.core.fast_closed_loop import run_centralized
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.errors import (
     AnalysisError,
     GraphError,

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.fast_arrow import run_arrow_fast
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.graphs.generators import (
     balanced_binary_tree_graph,
     caterpillar_graph,

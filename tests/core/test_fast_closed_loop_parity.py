@@ -57,7 +57,7 @@ from repro.spanning.construct import (
     random_spanning_tree,
     star_overlay,
 )
-from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
+from repro.core.message import closed_loop_arrow, closed_loop_centralized
 from latency_models import ExponentialCappedLatency, ScaledWeightLatency
 
 #: Every repro.graphs.generators family, at small sizes.
@@ -464,7 +464,7 @@ def test_parity_at_fig10_scale():
 
 
 def test_closed_loop_runner_resolves_and_rejects():
-    from repro.workloads.closed_loop import (
+    from repro.core.message import (
         closed_loop_arrow as msg_arrow,
         closed_loop_centralized as msg_central,
     )

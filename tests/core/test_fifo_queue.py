@@ -36,7 +36,7 @@ from repro.core import fast_arrow
 from repro.core.fast_arrow import _ARRIVE, _DISPATCH, run_arrow_fast
 from repro.core.fast_closed_loop import closed_loop_arrow_fast
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.errors import SimulationError
 from repro.faults import run_arrow_faulted
 from repro.graphs.generators import (

@@ -14,7 +14,7 @@ from repro.core.event_stream import EVENT_CHUNK
 from repro.core.fast_arrow import run_arrow_fast
 from repro.core.fast_closed_loop import closed_loop_runner
 from repro.core.requests import ROOT_RID
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.errors import MonitorViolation, SimulationError, SweepError
 from repro.faults import run_arrow_faulted
 from repro.graphs import complete_graph

@@ -12,7 +12,7 @@ from repro.core.queueing import (
     verify_total_order,
 )
 from repro.core.requests import ROOT_RID, RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.core.totals import float_total
 from repro.errors import ProtocolError
 from repro.graphs import complete_graph

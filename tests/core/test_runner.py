@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.requests import RequestSchedule
 from repro.core.fast_closed_loop import run_centralized
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.errors import ScheduleError, TreeError
 from repro.graphs import complete_graph
 from repro.graphs.generators import path_graph
@@ -134,11 +134,9 @@ def _runners():
         run_centralized_message,
     )
 
-    from repro.core.arrow import ArrowNode
-    from repro.core.centralized import CentralizedNode
     from repro.core.fast_closed_loop import run_adaptive
+    from repro.core.message import ArrowNode, CentralizedNode, closed_loop_arrow, closed_loop_centralized
     from repro.spanning import bfs_tree
-    from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
 
     g = complete_graph(4)
     tree = bfs_tree(g, 0)

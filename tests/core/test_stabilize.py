@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.core.arrow import ArrowNode
+from repro.core.message import ArrowNode, Network, Simulator
 from repro.core.stabilize import find_violations_links, stabilize_links
 from repro.graphs import random_geometric_graph
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
 from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from small_models import tree_graph

@@ -4,8 +4,8 @@
 ``core.fast_arrow._arrow_loop`` and
 :func:`~repro.apps.directory.home_directory` on
 ``core.fast_closed_loop._central_loop``.  The message versions below are
-what they replay: protocol nodes on :class:`~repro.net.network.Network`,
-driven by :class:`~repro.sim.kernel.Simulator`, one object per node.
+what they replay: protocol nodes on :class:`~repro.core.message.Network`,
+driven by :class:`~repro.core.message.Simulator`, one object per node.
 ``tests/small_models.py`` runs both engines on every instance of its
 ``dir-arrow`` and ``dir-home`` axes and asserts equal results.
 
@@ -17,15 +17,11 @@ the flat runners' arguments and return the same
 from __future__ import annotations
 
 from repro.apps.directory import DirectoryResult, _check_directory_args
-from repro.core.arrow import ArrowNode
+from repro.core.message import ArrowNode, Message, Network, ProtocolNode, Simulator
 from repro.core.requests import ROOT_RID
 from repro.errors import NetworkError, ProtocolError
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel
-from repro.net.message import Message
-from repro.net.network import Network
-from repro.net.node import ProtocolNode
-from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 
 

@@ -7,7 +7,7 @@ correctness property end to end.
 """
 
 from repro.core.queueing import verify_total_order
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.graphs import complete_graph, grid_graph
 from repro.net.latency import UniformLatency
 from repro.spanning import balanced_binary_overlay, bfs_tree

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.verify import check_lemma_3_8
 from repro.core.queueing import verify_total_order
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.graphs import (
     complete_graph,
     grid_graph,

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import opt_bounds
 from repro.analysis.competitive import theorem_319_ceiling
 from repro.core.queueing import verify_total_order
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.graphs import complete_graph, grid_graph
 from repro.net.latency import UniformLatency
 from repro.spanning import balanced_binary_overlay, bfs_tree, tree_diameter, tree_stretch

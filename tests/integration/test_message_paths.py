@@ -10,14 +10,11 @@ deflected) against the exact expected pointer states.
 
 from collections import defaultdict
 
-from repro.core.arrow import ArrowNode
+from repro.core.message import ArrowNode, Network, Simulator, run_arrow
 from repro.core.requests import ROOT_RID
-from repro.core.runner import run_arrow
 from repro.core.queueing import verify_total_order
 from repro.graphs import grid_graph
 from repro.graphs.generators import path_graph
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
 from repro.spanning import bfs_tree
 from repro.spanning.tree import SpanningTree
 from repro.workloads.schedules import random_times

@@ -1,6 +1,6 @@
 """Unit tests for Message bookkeeping."""
 
-from repro.net.message import Message
+from repro.core.message import Message
 
 
 def test_defaults():

@@ -18,14 +18,11 @@ from repro.graphs.generators import (
     path_graph,
     random_geometric_graph,
 )
+from repro.core.message import Message, Network, ProtocolNode, Simulator
 from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import dijkstra
 from repro.net.latency import UniformLatency, UnitLatency, WeightLatency
-from repro.net.message import Message
-from repro.net.network import Network
 from repro.net.router import Router
-from repro.net.node import ProtocolNode
-from repro.sim.kernel import Simulator
 from repro.sim.rng import spawn_rng
 from repro.spanning.construct import bfs_tree
 from repro.workloads.schedules import poisson

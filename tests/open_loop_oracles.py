@@ -4,8 +4,8 @@
 queue) and :func:`~repro.core.fast_closed_loop.run_adaptive` (the §1.1
 NTA/Ivy pointers) run as stages of ``core.fast_closed_loop._central_loop``.
 The message versions below are what they replay: protocol nodes on
-:class:`~repro.net.network.Network`, driven by
-:class:`~repro.sim.kernel.Simulator`, one object per node, under the
+:class:`~repro.core.message.Network`, driven by
+:class:`~repro.core.message.Simulator`, one object per node, under the
 open-loop harness :func:`run_open_loop_message` (one initiation event per
 request, in schedule order).  ``tests/small_models.py`` runs both engines
 on every instance of its ``open-central`` and ``open-adaptive`` axes and
@@ -20,17 +20,13 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.arrow import CompletionCallback
 from repro.core.fast_closed_loop import check_center
+from repro.core.message import CompletionCallback, Message, Network, ProtocolNode, Simulator
 from repro.core.queueing import RunResult
 from repro.core.requests import NO_RID, ROOT_RID, RequestSchedule
 from repro.errors import GraphError, ProtocolError
 from repro.graphs.graph import Graph
 from repro.net.latency import LatencyModel
-from repro.net.message import Message
-from repro.net.network import Network
-from repro.net.node import ProtocolNode
-from repro.sim.kernel import Simulator
 
 
 def run_open_loop_message(

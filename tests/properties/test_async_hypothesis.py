@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.net.latency import UniformLatency
 from repro.spanning.tree import SpanningTree
 from small_models import tree_graph

@@ -12,7 +12,7 @@ from repro.analysis.nearest_neighbor import predict_arrow_run
 from repro.analysis.verify import check_lemma_3_8
 from repro.core.queueing import verify_total_order
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.spanning.tree import SpanningTree
 from lemma_oracles import (
     check_direct_path_property,

@@ -2,10 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.arrow import ArrowNode
+from repro.core.message import ArrowNode, Network, Simulator
 from repro.core.stabilize import find_violations_links, stabilize_links
-from repro.net.network import Network
-from repro.sim.kernel import Simulator
 from repro.spanning.tree import SpanningTree
 from small_models import tree_graph
 from tree_oracles import count_sinks, neighbors, sink_reached_from

@@ -4,7 +4,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs.shortest_paths import bfs_distances
-from repro.sim.kernel import Simulator
+from repro.core.message import Simulator
 from repro.spanning.tree import SpanningTree
 from small_models import rerooted, tree_graph
 from tree_oracles import hop_distance, tree_path

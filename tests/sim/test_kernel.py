@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulator
+from repro.core.message import Simulator
 
 
 def test_public_surface():

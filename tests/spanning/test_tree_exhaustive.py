@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.fast_arrow import run_arrow_fast
 from repro.core.requests import RequestSchedule
-from repro.core.runner import run_arrow
+from repro.core.message import run_arrow
 from repro.errors import GraphError, TreeError
 from repro.faults import run_arrow_faulted
 from repro.graphs import dijkstra

@@ -175,6 +175,15 @@ def test_time_knobs_must_be_finite_and_non_negative_at_spec_build(bad):
         ScheduleSpec.of("directory_arrow", cs_time=bad)
 
 
+@pytest.mark.parametrize("bad", [True, "0.1"])
+def test_service_time_must_be_a_real_number_at_spec_build(bad):
+    """A bool or a numeric string used to pass ``float()``: ``True``
+    labelled its cells ``/stTrue`` and ``"0.1"`` gave the 0.1 grid's cell
+    ids under another ``spec_hash``."""
+    with pytest.raises(SweepError, match=rf"^service_time must be a number, got {bad!r}$"):
+        dataclasses.replace(smoke_grid(seeds=(0,)), service_time=bad)
+
+
 @pytest.mark.parametrize("bad", [-1, 1.5, True])
 def test_seeds_must_be_non_negative_integers_at_spec_build(bad):
     """A negative seed used to die in numpy's seeding, after the output
@@ -210,7 +219,7 @@ def test_service_time_is_part_of_cell_identity():
 
 def test_arrow_runner_rejects_unknown_engine():
     from repro.core.fast_arrow import arrow_runner, run_arrow_fast
-    from repro.core.runner import run_arrow
+    from repro.core.message import run_arrow
 
     assert arrow_runner("fast") is run_arrow_fast
     assert arrow_runner("message") is run_arrow

@@ -14,11 +14,11 @@ Fresh interpreters import :mod:`repro.cli` and run, through ``main``:
 * then a one-cell Poisson sweep, which must import numpy.
 
 An ``ablation-protocols`` sweep runs all three of its protocols on the
-flat loops: it loads neither the message kernel nor the message-level
-arrow run.  It, the fig10 sweep and the directory sweep load no module
-of the message layer (:data:`MESSAGE_MODULES`) either: the flat loops
-take their router, result type and argument checks from modules of
-their own.
+flat loops, and a faulted, monitored ``fig11`` sweep runs the flat loop
+with a fault state: neither, nor the fig10 sweep nor the directory
+sweep, loads the message engine (:data:`MESSAGE_MODULES`) — the flat
+loops take their router, result type, fault state and argument checks
+from modules of their own.
 
 A third interpreter checks the other direction: after
 :func:`repro.sweep.executor.import_engines`, running a grid's cells
@@ -40,29 +40,17 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 ENGINE_MODULES = [
     "repro.core.fast_arrow",
     "repro.core.fast_closed_loop",
-    "repro.core.runner",
-    "repro.core.arrow",
-    "repro.core.centralized",
+    "repro.core.message",
     "repro.core.stabilize",
     "repro.faults",
     "repro.monitors",
-    "repro.sim.kernel",
-    "repro.net.network",
     "repro.apps.directory",
     "repro.lowerbound",
-    "repro.workloads.closed_loop",
     "repro.analysis",
 ]
 
-#: The message layer: no flat-loop sweep may load these.
-MESSAGE_MODULES = [
-    "repro.net.network",
-    "repro.net.message",
-    "repro.net.node",
-    "repro.core.arrow",
-    "repro.core.centralized",
-    "repro.workloads.closed_loop",
-]
+#: The message engine: no flat-loop sweep may load it.
+MESSAGE_MODULES = ["repro.core.message"]
 
 #: The tree layer, loaded by the first ``build_tree`` of a sweep; reading
 #: stored rows back builds no tree.
@@ -173,7 +161,22 @@ def ablation(tmp_path_factory):
 
 def test_the_protocol_ablation_loads_no_message_kernel(ablation):
     assert "repro.core.fast_closed_loop" in ablation, "the baselines run on the routed loop"
-    assert [m for m in ("repro.sim.kernel", "repro.core.runner") if m in ablation] == []
+    assert [m for m in MESSAGE_MODULES if m in ablation] == []
+
+
+@pytest.fixture(scope="module")
+def faulted(tmp_path_factory):
+    """The modules loaded by a fresh interpreter's faulted, monitored fig11 sweep."""
+    steps = [("sweep fig11 faulted", ["sweep", "--grid", "fig11", "--sizes", "8",
+                                      "--per-node", "2", "--seeds", "0", "--faults",
+                                      "crash@1:1", "--monitors", "--out", "faulted.jsonl"])]
+    (_, (_, _, _, modules)) = _run_child(steps, tmp_path_factory.mktemp("faulted"))
+    return modules
+
+
+def test_a_faulted_monitored_sweep_loads_no_message_engine(faulted):
+    assert {"repro.faults", "repro.monitors"} <= set(faulted), "the sweep runs its fault plan"
+    assert [m for m in MESSAGE_MODULES if m in faulted] == []
 
 
 def test_the_flat_sweeps_load_no_message_layer(reports, ablation):

@@ -10,7 +10,7 @@ from repro.errors import NetworkError, ScheduleError, SimulationError
 from repro.graphs import complete_graph
 from repro.graphs.graph import Graph
 from repro.spanning import balanced_binary_overlay
-from repro.workloads.closed_loop import closed_loop_arrow, closed_loop_centralized
+from repro.core.message import closed_loop_arrow, closed_loop_centralized
 
 
 @pytest.fixture
