@@ -12,7 +12,8 @@ numbers, RNG draws and ``max_events`` counts — which
 ``tests/small_models.py`` checks on every small instance it enumerates,
 so a semantic change here must be mirrored there; the analysis layer's
 nearest-neighbour executor (:mod:`repro.analysis.nearest_neighbor`)
-agrees with :func:`run_arrow` on tie-free instances.  ``src/`` reaches this module only through the ``"message"`` engine
+agrees with :func:`run_arrow` on tie-free instances.  ``src/`` reaches
+this module only through the ``"message"`` engine
 (:func:`~repro.core.fast_arrow.arrow_runner`,
 :func:`~repro.core.fast_closed_loop.closed_loop_runner`,
 :func:`repro.faults.run_arrow_faulted`) and :func:`repro.run_arrow`, so no
